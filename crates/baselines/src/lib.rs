@@ -1,7 +1,7 @@
 //! Stateful MANET autoconfiguration baselines.
 //!
 //! Re-implementations of the three protocols the paper's evaluation
-//! compares against, each as a [`manet_sim::Protocol`] driven by the same
+//! compares against, each as a [`proto_io::ProtocolCore`] driven by the same
 //! simulator and measured with the same hop-count metrics:
 //!
 //! * [`manetconf::ManetConf`] — Nesargi & Prakash, *MANETconf*

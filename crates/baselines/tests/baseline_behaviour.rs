@@ -16,7 +16,7 @@ fn still(seed: u64) -> WorldConfig {
 }
 
 /// Spawns a connected blob of `n` nodes, one per second.
-fn blob<P: manet_sim::Protocol>(sim: &mut Sim<P>, n: u64) {
+fn blob<P: manet_sim::ProtocolCore>(sim: &mut Sim<P>, n: u64) {
     for i in 0..n {
         let x = 400.0 + 30.0 * (i % 8) as f64;
         let y = 400.0 + 30.0 * (i / 8) as f64;

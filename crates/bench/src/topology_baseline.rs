@@ -9,7 +9,7 @@
 //! baselines with `jq '.rows[] | {n, build_speedup}' BENCH_topology.json`.
 
 use manet_sim::topology::Topology;
-use manet_sim::{Arena, MsgCategory, Net, NodeId, Point, Protocol, Sim, SimRng, WorldConfig};
+use manet_sim::{Arena, MsgCategory, Net, NodeId, Point, ProtocolCore, Sim, SimRng, WorldConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -73,7 +73,7 @@ fn layout(n: usize, seed: u64) -> Vec<(NodeId, Point)> {
 }
 
 struct Inert;
-impl Protocol for Inert {
+impl ProtocolCore for Inert {
     type Msg = ();
     fn on_join(&mut self, _w: &mut Net<'_, ()>, _node: NodeId) {}
     fn on_message(&mut self, _w: &mut Net<'_, ()>, _to: NodeId, _from: NodeId, _m: ()) {}

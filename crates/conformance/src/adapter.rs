@@ -2,7 +2,7 @@
 
 use addrspace::{Addr, PoolView};
 use manet_sim::faults::FaultPlan;
-use manet_sim::{NodeId, Protocol, World};
+use manet_sim::{NodeId, ProtocolCore, World};
 
 /// Which invariants a protocol claims to uphold under a given fault
 /// plan.
@@ -85,7 +85,7 @@ pub fn partition_free(plan: &FaultPlan) -> bool {
 ///
 /// [`pool_views`]: ConformanceAdapter::pool_views
 /// [`stamp_views`]: ConformanceAdapter::stamp_views
-pub trait ConformanceAdapter: Protocol + Sized {
+pub trait ConformanceAdapter: ProtocolCore + Sized {
     /// A fresh instance with default parameters.
     fn fresh() -> Self;
 

@@ -4,7 +4,7 @@
 //! to reproduce one invariant violation byte-for-byte: the protocol
 //! name, the node count, the world seed, the (shrunk) fault plan in
 //! canonical [`FaultPlan::to_text`] form, and the violation the run is
-//! expected to end in. `repro --check --replay <file>` re-runs the
+//! expected to end in. `repro replay <file>` re-runs the
 //! schedule and fails unless the regenerated artifact is identical.
 
 use crate::checker::Invariant;

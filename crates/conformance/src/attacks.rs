@@ -4,7 +4,7 @@
 //! hostile schedule".
 //!
 //! Every canary ships with a two-sided contract, enforced by this
-//! module's tests and re-checked by `repro --check --quick`:
+//! module's tests and re-checked by `repro check --quick`:
 //!
 //! 1. **Unhardened QBAC fails it.** Running the plain `quorum`
 //!    adapter under the canary's schedule violates a claimed invariant
@@ -23,7 +23,7 @@ use crate::adapters::honest_only;
 use crate::drive::CheckConfig;
 use addrspace::{Addr, PoolView};
 use manet_sim::faults::FaultPlan;
-use manet_sim::{AttackKind, NodeId, Protocol, World};
+use manet_sim::{AttackKind, NodeId, ProtocolCore, World};
 use proto_io::Net;
 use qbac_core::{Msg, ProtocolConfig, Qbac};
 
@@ -34,7 +34,7 @@ use qbac_core::{Msg, ProtocolConfig, Qbac};
 #[derive(Debug)]
 pub struct HardenedQbac(Qbac);
 
-impl Protocol for HardenedQbac {
+impl ProtocolCore for HardenedQbac {
     type Msg = Msg;
 
     fn on_join(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {

@@ -14,7 +14,7 @@
 use crate::adapter::{ConformanceAdapter, Guarantees};
 use addrspace::{Addr, AddrBlock};
 use manet_sim::faults::FaultPlan;
-use manet_sim::{MsgCategory, NodeId, Protocol, SimDuration, World};
+use manet_sim::{MsgCategory, NodeId, ProtocolCore, SimDuration, World};
 use proto_io::Net;
 use std::collections::HashMap;
 
@@ -70,7 +70,7 @@ impl Default for DoubleGrant {
     }
 }
 
-impl Protocol for DoubleGrant {
+impl ProtocolCore for DoubleGrant {
     type Msg = DgMsg;
 
     fn on_join(&mut self, w: &mut Net<'_, DgMsg>, node: NodeId) {

@@ -38,7 +38,7 @@
 //! [`schedules`](registry::chaos_schedules); when a run violates an
 //! invariant, [`shrink::shrink`] delta-debugs the fault schedule and
 //! node count down to a smallest failing repro and emits a replayable
-//! [`Artifact`] that `repro --check --replay <file>` reproduces
+//! [`Artifact`] that `repro replay <file>` reproduces
 //! byte-for-byte.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,7 @@
 //! <time>`). An attacker joins the network honestly, acquires an
 //! insider identity (an address, a network ID, often a seat in
 //! somebody's `QDSet`), and from its start time on is diverted here by
-//! the [`Protocol`](manet_sim::Protocol) dispatch instead of running
+//! the [`ProtocolCore`](proto_io::ProtocolCore) dispatch instead of running
 //! the honest handlers. Four roles, one per way the protocol can be
 //! lied to:
 //!

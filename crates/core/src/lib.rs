@@ -15,7 +15,7 @@
 //!   its replicas survive.
 //!
 //! The crate provides [`Qbac`], an implementation of
-//! [`manet_sim::Protocol`] that runs the full protocol as a
+//! [`proto_io::ProtocolCore`] that runs the full protocol as a
 //! message-passing state machine over the [`manet_sim`] discrete-event
 //! simulator: configuration of common nodes and cluster heads (§IV-B),
 //! movement and departure (§IV-C), address reclamation (§IV-D), address

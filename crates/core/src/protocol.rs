@@ -56,7 +56,7 @@ pub struct ProtocolStats {
 /// ICDCS 2007).
 ///
 /// One `Qbac` value models the protocol state of every node in the
-/// simulated MANET; the [`Protocol`] implementation dispatches simulator
+/// simulated MANET; the [`ProtocolCore`] implementation dispatches simulator
 /// events into the flows described in the paper:
 ///
 /// * §IV-B network initialization and address configuration,

@@ -23,7 +23,7 @@
 //! the fired-tag sequence; a separate differential test (in `harness`)
 //! proves the mesh transport preserves the same observable order.
 
-use manet_sim::{Net, NodeId, Point, Protocol, Sim, SimDuration, TimerId, WorldConfig};
+use manet_sim::{Net, NodeId, Point, ProtocolCore, Sim, SimDuration, TimerId, WorldConfig};
 
 /// One scripted timer operation, executed in order from `on_join`.
 #[derive(Clone, Copy, Debug)]
@@ -75,7 +75,7 @@ impl Scripted {
     }
 }
 
-impl Protocol for Scripted {
+impl ProtocolCore for Scripted {
     type Msg = ();
 
     fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
@@ -346,7 +346,7 @@ fn timer_ids_are_globally_unique_across_nodes() {
         ids: Vec<TimerId>,
         fired: u32,
     }
-    impl Protocol for TwoNodes {
+    impl ProtocolCore for TwoNodes {
         type Msg = ();
         fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
             self.ids

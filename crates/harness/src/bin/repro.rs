@@ -19,18 +19,18 @@
 //! repro sweep --quick --mobility manhattan:100 --mobility group:4,50
 //! repro sweep --soak --rounds 5              # chaos soak vs the oracle
 //! repro scale --out BENCH_scale.json         # city-scale sharded join storm
-//! repro scale --quick --n 10000 --engine parallel:4  # CI smoke cell
+//! repro scale --n 10000 --out scale.json     # CI smoke cell
 //! repro gate BENCH_sweep.json sweep.json     # regression gate vs baseline
 //! repro gate BENCH_scale.json scale.json --subset    # smoke vs committed baseline
 //! repro fuzz --time-budget 60s --seed 42     # coverage-guided schedule fuzz
-//! repro --backend mesh                       # storm + attack canary over real UDP,
+//! repro mesh                                 # storm + attack canary over real UDP,
 //!                                            # transcripts diffed against the simulator
-//! repro --backend mesh --quick               # the 2x2 CI equivalence smoke
+//! repro mesh --quick                         # the 2x2 CI equivalence smoke
 //! ```
 //!
-//! `repro` with no subcommand runs `figures`. The pre-subcommand flat
-//! spellings (`--chaos`, `--check`, `--check --replay FILE`) keep
-//! working as hidden aliases.
+//! The first argument picks the subcommand (none means `figures`), and
+//! each subcommand accepts exactly the flags [`Mode::flags`] lists for
+//! it; anything else is an "unknown argument for <subcommand>" error.
 //!
 //! With `REPRO_NO_WALL_CLOCK=1` the snapshot's per-phase `wall_us`
 //! fields render as 0, making same-seed snapshots byte-identical.
@@ -38,29 +38,41 @@
 use harness::chaos::{chaos_suite, ChaosOpts};
 use harness::figures::{self, FigOpts};
 use harness::snapshot::{self, Phase, Snapshot, SnapshotParams};
-use manet_sim::{EngineConfig, FaultPlan, MobilityConfig};
-use std::path::PathBuf;
+use manet_sim::{FaultPlan, MobilityConfig};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Which of the four subcommands runs. `repro` with no subcommand is
-/// `Figures`; the legacy flat flags (`--chaos`, `--check`,
-/// `--check --replay FILE`) resolve to the same modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The subcommands. `repro` with no subcommand is `Figures`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Mode {
+    #[default]
     Figures,
     Chaos,
     Check,
     Replay,
     Attacks,
     Sweep,
+    Scale,
     Gate,
     Fuzz,
     Mesh,
-    Scale,
 }
 
 impl Mode {
+    const ALL: [Mode; 10] = [
+        Mode::Figures,
+        Mode::Chaos,
+        Mode::Check,
+        Mode::Replay,
+        Mode::Attacks,
+        Mode::Sweep,
+        Mode::Scale,
+        Mode::Gate,
+        Mode::Fuzz,
+        Mode::Mesh,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             Mode::Figures => "figures",
@@ -69,462 +81,348 @@ impl Mode {
             Mode::Replay => "replay",
             Mode::Attacks => "attacks",
             Mode::Sweep => "sweep",
+            Mode::Scale => "scale",
             Mode::Gate => "gate",
             Mode::Fuzz => "fuzz",
             Mode::Mesh => "mesh",
-            Mode::Scale => "scale",
+        }
+    }
+
+    /// The flags this subcommand reads. A flag outside its list is an
+    /// unknown argument, never silently ignored.
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Mode::Figures => &[
+                "--fig",
+                "--rounds",
+                "--seed",
+                "--quick",
+                "--csv",
+                "--metrics-out",
+                "--trace-out",
+            ],
+            Mode::Chaos => &[
+                "--loss",
+                "--head-kills",
+                "--fault-plan",
+                "--rounds",
+                "--seed",
+                "--quick",
+                "--csv",
+                "--metrics-out",
+                "--trace-out",
+            ],
+            Mode::Check => &["--quick", "--artifact-dir"],
+            Mode::Replay | Mode::Attacks => &[],
+            Mode::Sweep => &[
+                "--quick",
+                "--seed",
+                "--threads",
+                "--out",
+                "--with-chaos",
+                "--mobility",
+                "--soak",
+                "--rounds",
+            ],
+            Mode::Scale => &["--quick", "--n", "--threads", "--seed", "--out"],
+            Mode::Gate => &["--tolerance", "--subset"],
+            Mode::Fuzz => &[
+                "--time-budget",
+                "--seed",
+                "--protocol",
+                "--quick",
+                "--artifact-dir",
+                "--out",
+            ],
+            Mode::Mesh => &["--quick", "--seed"],
+        }
+    }
+
+    /// How many positional file arguments the subcommand takes.
+    fn files(self) -> usize {
+        match self {
+            Mode::Gate => 2,
+            Mode::Replay => 1,
+            _ => 0,
         }
     }
 }
 
-/// Which transport carries deliveries. `Sim` is the in-process
-/// simulator (the default everywhere); `Mesh` reruns the equivalence
-/// suite over real UDP sockets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Backend {
-    #[default]
-    Sim,
-    Mesh,
-}
-
-/// Options every subcommand shares: replication parameters, the
-/// snapshot/trace outputs, and the promoted cross-cutting selectors.
-/// `backend`, `mobilities`, and `engine` are validated at parse time
-/// (unknown names and malformed specs error before any work starts);
-/// which modes *honor* each selector is enforced by the conflict
-/// checks at the end of [`parse_args`].
+/// The parsed command line. Every field other than `mode` belongs to
+/// one flag (or, for `files`, the positionals); a field stays at its
+/// default when the subcommand does not list the flag.
 #[derive(Debug, Default)]
-struct CommonOpts {
-    opts: FigOpts,
-    metrics_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    /// `--backend sim|mesh` (`repro mesh` is the subcommand alias).
-    backend: Backend,
-    /// `--mobility SPEC`, repeatable; each spec pre-validated against
-    /// the [`MobilityConfig::parse`] grammar.
-    mobilities: Option<Vec<String>>,
-    /// `--engine full|incremental|parallel[:N]`, pre-validated against
-    /// [`EngineConfig::parse`]. `None` means the mode's default.
-    engine: Option<EngineConfig>,
-}
-
-/// Options for the `sweep` and `gate` subcommands.
-#[derive(Debug, Default)]
-struct SweepOpts {
-    threads: Option<usize>,
-    out: Option<PathBuf>,
-    soak: bool,
-    chaos_axis: bool,
-    tolerance: Option<f64>,
-    subset: bool,
-    gate_files: Vec<PathBuf>,
-}
-
-/// Options for the `scale` subcommand.
-#[derive(Debug, Default)]
-struct ScaleOpts {
-    /// `--n N`, repeatable: total node counts, one cell each.
-    sizes: Option<Vec<usize>>,
-}
-
-/// Options for the `fuzz` subcommand.
-#[derive(Debug, Default)]
-struct FuzzOpts {
-    time_budget: Option<String>,
-    protocol: Option<String>,
-}
-
-#[derive(Debug)]
 struct Args {
     mode: Mode,
-    common: CommonOpts,
+    /// `--rounds`, `--seed`, `--quick`.
+    opts: FigOpts,
     fig: Option<u32>,
     csv_dir: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
     loss: Option<f64>,
     head_kills: Option<u32>,
     fault_plan: Option<FaultPlan>,
-    replay: Option<PathBuf>,
     artifact_dir: Option<PathBuf>,
-    sweep: SweepOpts,
-    fuzz: FuzzOpts,
-    scale: ScaleOpts,
+    threads: Option<usize>,
+    out: Option<PathBuf>,
+    soak: bool,
+    with_chaos: bool,
+    /// `--mobility SPEC`, repeatable; each spec pre-validated against
+    /// the [`MobilityConfig::parse`] grammar.
+    mobilities: Option<Vec<String>>,
+    /// `--n N`, repeatable: total node counts, one cell each.
+    sizes: Option<Vec<usize>>,
+    tolerance: Option<f64>,
+    subset: bool,
+    time_budget: Option<String>,
+    protocol: Option<String>,
+    /// `gate BASELINE CANDIDATE` / `replay FILE`.
+    files: Vec<PathBuf>,
+}
+
+fn value(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+fn number<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(it, flag, what)?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut subcommand: Option<Mode> = None;
-    let mut fig = None;
-    let mut opts = FigOpts::default();
-    let mut csv_dir = None;
-    let mut chaos = false;
-    let mut loss = None;
-    let mut head_kills = None;
-    let mut fault_plan = None;
-    let mut metrics_out = None;
-    let mut trace_out = None;
-    let mut check = false;
-    let mut replay = None;
-    let mut artifact_dir = None;
-    let mut sweep = SweepOpts::default();
-    let mut fuzz = FuzzOpts::default();
-    let mut scale = ScaleOpts::default();
-    let mut backend: Option<Backend> = None;
-    let mut mobilities: Option<Vec<String>> = None;
-    let mut engine: Option<EngineConfig> = None;
-    let mut it = argv;
-    let mut first = true;
+    let mut it = argv.peekable();
+    let named = it
+        .peek()
+        .and_then(|first| Mode::ALL.into_iter().find(|m| m.name() == first));
+    if named.is_some() {
+        it.next();
+    }
+    let mode = named.unwrap_or_default();
+    let mut a = Args {
+        mode,
+        ..Args::default()
+    };
     while let Some(arg) = it.next() {
-        if std::mem::take(&mut first) {
-            let sub = match arg.as_str() {
-                "figures" => Some(Mode::Figures),
-                "chaos" => Some(Mode::Chaos),
-                "check" => Some(Mode::Check),
-                "attacks" => Some(Mode::Attacks),
-                "sweep" => Some(Mode::Sweep),
-                "gate" => Some(Mode::Gate),
-                "fuzz" => Some(Mode::Fuzz),
-                "mesh" => Some(Mode::Mesh),
-                "scale" => Some(Mode::Scale),
-                "replay" => {
-                    let v = it.next().ok_or("replay needs an artifact file path")?;
-                    if v.starts_with("--") {
-                        return Err("replay needs an artifact file path".into());
-                    }
-                    replay = Some(PathBuf::from(v));
-                    Some(Mode::Replay)
-                }
-                _ => None,
-            };
-            if sub.is_some() {
-                subcommand = sub;
-                continue;
-            }
+        let flag = arg.as_str();
+        if matches!(flag, "--help" | "-h") {
+            print_help();
+            std::process::exit(0);
         }
-        match arg.as_str() {
-            "--fig" => {
-                let v = it.next().ok_or("--fig needs a number (4-18)")?;
-                fig = Some(v.parse::<u32>().map_err(|e| format!("--fig: {e}"))?);
-            }
+        if !flag.starts_with("--") && a.files.len() < mode.files() {
+            a.files.push(PathBuf::from(flag));
+            continue;
+        }
+        if !mode.flags().contains(&flag) {
+            return Err(format!("unknown argument for {}: {flag}", mode.name()));
+        }
+        match flag {
+            "--fig" => a.fig = Some(number(&mut it, flag, "a number (4-18)")?),
             "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a number")?;
-                opts.rounds = v.parse::<u64>().map_err(|e| format!("--rounds: {e}"))?;
-                if opts.rounds == 0 {
+                a.opts.rounds = number(&mut it, flag, "a number")?;
+                if a.opts.rounds == 0 {
                     return Err("--rounds must be at least 1".into());
                 }
             }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                opts.seed = v.parse::<u64>().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--quick" => opts.quick = true,
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a name (sim or mesh)")?;
-                match v.as_str() {
-                    "sim" => backend = Some(Backend::Sim),
-                    "mesh" => backend = Some(Backend::Mesh),
-                    other => {
-                        return Err(format!("--backend: unknown backend {other:?} (sim, mesh)"))
-                    }
-                }
-            }
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or("--engine needs a spec (full, incremental, parallel[:N])")?;
-                engine = Some(EngineConfig::parse(&v).map_err(|e| format!("--engine: {e}"))?);
-            }
-            "--chaos" => chaos = true,
-            "--check" => check = true,
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs an artifact file path")?;
-                replay = Some(PathBuf::from(v));
-            }
-            "--artifact-dir" => {
-                let v = it.next().ok_or("--artifact-dir needs a directory")?;
-                artifact_dir = Some(PathBuf::from(v));
-            }
+            "--seed" => a.opts.seed = number(&mut it, flag, "a number")?,
+            "--quick" => a.opts.quick = true,
+            "--csv" => a.csv_dir = Some(value(&mut it, flag, "a directory")?.into()),
+            "--metrics-out" => a.metrics_out = Some(value(&mut it, flag, "a file path")?.into()),
+            "--trace-out" => a.trace_out = Some(value(&mut it, flag, "a directory")?.into()),
             "--loss" => {
-                let v = it.next().ok_or("--loss needs a probability (0-1)")?;
-                let p = v.parse::<f64>().map_err(|e| format!("--loss: {e}"))?;
+                let p: f64 = number(&mut it, flag, "a probability (0-1)")?;
                 if !(0.0..=1.0).contains(&p) {
                     return Err("--loss must be within 0-1".into());
                 }
-                loss = Some(p);
+                a.loss = Some(p);
             }
-            "--head-kills" => {
-                let v = it.next().ok_or("--head-kills needs a count")?;
-                head_kills = Some(v.parse::<u32>().map_err(|e| format!("--head-kills: {e}"))?);
-            }
+            "--head-kills" => a.head_kills = Some(number(&mut it, flag, "a count")?),
             "--fault-plan" => {
-                let v = it.next().ok_or("--fault-plan needs a file path")?;
+                let v = value(&mut it, flag, "a file path")?;
                 let text = std::fs::read_to_string(&v)
                     .map_err(|e| format!("--fault-plan: reading {v}: {e}"))?;
                 let plan = FaultPlan::parse(&text)
                     .map_err(|e| format!("--fault-plan: parsing {v}: {e}"))?;
-                fault_plan = Some(plan);
+                a.fault_plan = Some(plan);
             }
+            "--artifact-dir" => a.artifact_dir = Some(value(&mut it, flag, "a directory")?.into()),
             "--threads" => {
-                let v = it.next().ok_or("--threads needs a count")?;
-                let t = v.parse::<usize>().map_err(|e| format!("--threads: {e}"))?;
+                let t: usize = number(&mut it, flag, "a count")?;
                 if t == 0 {
                     return Err("--threads must be at least 1".into());
                 }
-                sweep.threads = Some(t);
+                a.threads = Some(t);
             }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a file path")?;
-                sweep.out = Some(PathBuf::from(v));
-            }
-            "--soak" => sweep.soak = true,
-            "--with-chaos" => sweep.chaos_axis = true,
+            "--out" => a.out = Some(value(&mut it, flag, "a file path")?.into()),
+            "--soak" => a.soak = true,
+            "--with-chaos" => a.with_chaos = true,
             "--mobility" => {
                 // Repeatable: each occurrence adds one model to the
                 // sweep's mobility axis (specs may contain commas).
-                let v = it
-                    .next()
-                    .ok_or("--mobility needs a model spec (e.g. manhattan:100)")?;
+                let v = value(&mut it, flag, "a model spec (e.g. manhattan:100)")?;
                 MobilityConfig::parse(&v).map_err(|e| format!("--mobility: {e}"))?;
-                mobilities.get_or_insert_with(Vec::new).push(v);
+                a.mobilities.get_or_insert_with(Vec::new).push(v);
             }
             "--n" => {
-                let v = it.next().ok_or("--n needs a node count")?;
-                let n = v.parse::<usize>().map_err(|e| format!("--n: {e}"))?;
+                let n: usize = number(&mut it, flag, "a node count")?;
                 if n == 0 {
                     return Err("--n must be at least 1".into());
                 }
-                scale.sizes.get_or_insert_with(Vec::new).push(n);
-            }
-            "--subset" => sweep.subset = true,
-            "--time-budget" => {
-                let v = it
-                    .next()
-                    .ok_or("--time-budget needs a duration (e.g. 60s)")?;
-                fuzz.time_budget = Some(v);
-            }
-            "--protocol" => {
-                let v = it.next().ok_or("--protocol needs a registry name")?;
-                fuzz.protocol = Some(v);
+                a.sizes.get_or_insert_with(Vec::new).push(n);
             }
             "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a fraction (e.g. 0.1)")?;
-                let t = v.parse::<f64>().map_err(|e| format!("--tolerance: {e}"))?;
+                let t: f64 = number(&mut it, flag, "a fraction (e.g. 0.1)")?;
                 if !(0.0..=10.0).contains(&t) {
                     return Err("--tolerance must be within 0-10".into());
                 }
-                sweep.tolerance = Some(t);
+                a.tolerance = Some(t);
             }
-            path if subcommand == Some(Mode::Gate) && !path.starts_with("--") => {
-                sweep.gate_files.push(PathBuf::from(path));
+            "--subset" => a.subset = true,
+            "--time-budget" => {
+                a.time_budget = Some(value(&mut it, flag, "a duration (e.g. 60s)")?);
             }
-            "--csv" => {
-                let v = it.next().ok_or("--csv needs a directory")?;
-                csv_dir = Some(PathBuf::from(v));
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a file path")?;
-                metrics_out = Some(PathBuf::from(v));
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a directory")?;
-                trace_out = Some(PathBuf::from(v));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [figures] [--fig N] [--rounds R] [--seed S] [--quick] [--csv DIR]\n\
-                     \x20            [--metrics-out FILE] [--trace-out DIR]\n\
-                     \x20      repro chaos [--loss P] [--head-kills K] [--fault-plan FILE]\n\
-                     \x20      repro check [--quick] [--artifact-dir DIR]\n\
-                     \x20      repro replay FILE\n\
-                     \x20      repro attacks\n\
-                     \x20      repro sweep [--quick] [--threads N] [--out FILE] [--seed S] [--with-chaos]\n\
-                     \x20                  [--mobility SPEC]...\n\
-                     \x20      repro sweep --soak [--rounds R] [--quick] [--threads N]\n\
-                     \x20      repro scale [--quick] [--n N]... [--engine full|incremental|parallel[:N]]\n\
-                     \x20                  [--threads N] [--seed S] [--out BENCH_scale.json]\n\
-                     \x20      repro gate BASELINE CANDIDATE [--tolerance F] [--subset]\n\
-                     \x20      repro fuzz [--time-budget 60s] [--seed S] [--protocol P] [--quick]\n\
-                     \x20                 [--artifact-dir DIR] [--out FILE]\n\
-                     \x20      repro --backend mesh [--quick] [--seed S]\n\
-                     Regenerates the evaluation figures (4-14, extras 15-18) of the quorum-based\n\
-                     IP autoconfiguration paper. Default subcommand: figures, {} rounds.\n\
-                     chaos runs the fault-injection suite: message-loss sweep plus scheduled\n\
-                     cluster-head kills, auditing duplicate addresses, address leaks and\n\
-                     join-latency inflation for every protocol.\n\
-                     --metrics-out writes a run manifest (seed, params, per-phase wall-clock,\n\
-                     per-protocol counters and histograms); --trace-out writes one JSONL flow\n\
-                     trace per protocol.\n\
-                     check runs the conformance oracle: every protocol under every canned\n\
-                     chaos schedule with invariants verified after each simulator event; a\n\
-                     violation is shrunk to a minimal replayable artifact (--artifact-dir),\n\
-                     and replay re-runs one artifact demanding byte-for-byte reproduction.\n\
-                     check also runs the attack-canary smoke: every pinned adversarial\n\
-                     schedule must be caught against open QBAC and held by the hardened\n\
-                     variant. attacks prints the full degradation table for those canaries.\n\
-                     sweep fans a parameter grid (protocol x size x mobility x loss, plus\n\
-                     chaos schedules with --with-chaos) across worker threads and merges\n\
-                     per-shard telemetry into one deterministic sweep.json; --soak loops\n\
-                     the chaos schedules against the conformance oracle and reports\n\
-                     violations per simulated hour. --mobility overrides the grid's\n\
-                     mobility axis (random-waypoint, manhattan:SPACING, group:SIZE,RADIUS,\n\
-                     flash-crowd:RADIUS,UNTIL; repeat the flag for several models).\n\
-                     scale decomposes a city-scale join storm into spatially disjoint\n\
-                     shard simulations fanned across worker threads (merged in a fixed\n\
-                     order, so the artifact is byte-identical for any --threads or\n\
-                     --engine choice) and microbenchmarks the full, incremental, and\n\
-                     parallel topology engines against each other at every size.\n\
-                     gate compares two sweep artifacts and exits nonzero when a\n\
-                     latency/overhead/configured metric regresses past the tolerance\n\
-                     (default 10%); --subset compares only the cells both artifacts\n\
-                     share (for smoke runs gated against a larger committed baseline).\n\
-                     fuzz mutates fault schedules coverage-guided against the conformance\n\
-                     oracle for a deterministic simulated-time budget; violations are\n\
-                     shrunk to replayable artifacts (--artifact-dir) and the campaign\n\
-                     report (--out) is byte-identical for the same protocol/seed/budget.\n\
-                     --backend mesh reruns the storm schedule and the squat attack canary\n\
-                     with every delivery carried over real UDP sockets (hop-by-hop along\n\
-                     the link map) and diffs the sans-io protocol transcripts against the\n\
-                     simulator backend; any divergence prints a minimized report and\n\
-                     exits nonzero. --quick shrinks it to the 2x2 CI smoke.",
-                    FigOpts::default().rounds
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument: {other}")),
+            "--protocol" => a.protocol = Some(value(&mut it, flag, "a registry name")?),
+            _ => unreachable!("{flag} is listed for {} without a parser", mode.name()),
         }
     }
-    // Resolve the mode. The flat flags request modes too; an explicit
-    // subcommand must agree with them.
-    let legacy = match (chaos, check) {
-        (true, true) => return Err("--check and --chaos are separate modes; pick one".into()),
-        (true, false) => Some(Mode::Chaos),
-        (false, true) => Some(Mode::Check),
-        (false, false) => None,
-    };
-    let mut mode = match (subcommand, legacy) {
-        (Some(m), None) | (None, Some(m)) => m,
-        (None, None) => Mode::Figures,
-        (Some(m), Some(l)) if m == l => m,
-        (Some(m), Some(l)) => {
-            return Err(format!(
-                "{} and {} are separate modes; pick one",
-                m.name(),
-                l.name()
-            ))
+    if a.files.len() != mode.files() {
+        return Err(match mode {
+            Mode::Gate => "gate needs exactly two files: gate BASELINE CANDIDATE",
+            _ => "replay needs an artifact file path",
         }
-    };
-    // `--backend mesh` selects the UDP-mesh equivalence run; it is
-    // its own mode (a bare `repro --backend mesh` runs it), and the
-    // only subcommand it combines with is its alias `mesh`.
-    match backend {
-        Some(Backend::Mesh) => {
-            if !matches!(mode, Mode::Figures | Mode::Mesh) || chaos || check {
-                return Err(format!(
-                    "--backend mesh runs the transcript-equivalence suite; \
-                     it does not combine with the {} mode",
-                    mode.name()
-                ));
-            }
-            mode = Mode::Mesh;
-        }
-        // The simulator is the default backend everywhere else.
-        Some(Backend::Sim) if mode == Mode::Mesh => {
-            return Err("mesh with --backend sim is contradictory".into());
-        }
-        _ => {}
+        .into());
     }
-    // Normalize: the `mesh` subcommand implies the mesh backend, so
-    // `args.common.backend` is the single source of truth downstream.
-    if mode == Mode::Mesh {
-        backend = Some(Backend::Mesh);
-    }
-    if mode != Mode::Chaos && (loss.is_some() || fault_plan.is_some() || head_kills.is_some()) {
-        return Err("--loss / --head-kills / --fault-plan only apply to --chaos runs".into());
-    }
-    if mode != Mode::Sweep && (sweep.soak || sweep.chaos_axis) {
-        return Err("--soak / --with-chaos only apply to sweep runs".into());
-    }
-    if !matches!(mode, Mode::Sweep | Mode::Scale) && sweep.threads.is_some() {
-        return Err("--threads only applies to sweep and scale runs".into());
-    }
-    if mode != Mode::Sweep && mobilities.is_some() {
-        return Err("--mobility only applies to sweep runs".into());
-    }
-    if !matches!(mode, Mode::Sweep | Mode::Scale) && engine.is_some() {
-        return Err("--engine only applies to sweep and scale runs".into());
-    }
-    if mode != Mode::Scale && scale.sizes.is_some() {
-        return Err("--n only applies to scale runs".into());
-    }
-    if !matches!(mode, Mode::Sweep | Mode::Fuzz | Mode::Scale) && sweep.out.is_some() {
-        return Err("--out only applies to sweep, fuzz, and scale runs".into());
-    }
-    if mode != Mode::Fuzz && (fuzz.time_budget.is_some() || fuzz.protocol.is_some()) {
-        return Err("--time-budget / --protocol only apply to fuzz runs".into());
-    }
-    if mode != Mode::Gate && (sweep.tolerance.is_some() || sweep.subset) {
-        return Err("--tolerance / --subset only apply to gate runs".into());
-    }
-    if mode == Mode::Gate && sweep.gate_files.len() != 2 {
-        return Err("gate needs exactly two files: gate BASELINE CANDIDATE".into());
-    }
-    if !matches!(mode, Mode::Check | Mode::Replay) && replay.is_some() {
-        return Err("--replay only applies to --check runs".into());
-    }
-    if !matches!(mode, Mode::Check | Mode::Replay | Mode::Fuzz) && artifact_dir.is_some() {
-        return Err("--artifact-dir only applies to --check and fuzz runs".into());
-    }
-    if mode == Mode::Check && replay.is_some() {
-        mode = Mode::Replay;
-    }
-    if mode == Mode::Replay && replay.is_none() {
-        return Err("replay needs an artifact file path".into());
-    }
-    Ok(Args {
-        mode,
-        common: CommonOpts {
-            opts,
-            metrics_out,
-            trace_out,
-            backend: backend.unwrap_or_default(),
-            mobilities,
-            engine,
-        },
-        fig,
-        csv_dir,
-        loss,
-        head_kills,
-        fault_plan,
-        replay,
-        artifact_dir,
-        sweep,
-        fuzz,
-        scale,
-    })
+    Ok(a)
+}
+
+fn print_help() {
+    println!(
+        "usage: repro [figures] [--fig N] [--rounds R] [--seed S] [--quick] [--csv DIR]\n\
+         \x20            [--metrics-out FILE] [--trace-out DIR]\n\
+         \x20      repro chaos [--loss P] [--head-kills K] [--fault-plan FILE] [--rounds R]\n\
+         \x20                  [--seed S] [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out DIR]\n\
+         \x20      repro check [--quick] [--artifact-dir DIR]\n\
+         \x20      repro replay FILE\n\
+         \x20      repro attacks\n\
+         \x20      repro sweep [--quick] [--threads N] [--out FILE] [--seed S] [--with-chaos]\n\
+         \x20                  [--mobility SPEC]...\n\
+         \x20      repro sweep --soak [--rounds R] [--seed S] [--quick] [--threads N]\n\
+         \x20      repro scale [--quick] [--n N]... [--threads N] [--seed S] [--out BENCH_scale.json]\n\
+         \x20      repro gate BASELINE CANDIDATE [--tolerance F] [--subset]\n\
+         \x20      repro fuzz [--time-budget 60s] [--seed S] [--protocol P] [--quick]\n\
+         \x20                 [--artifact-dir DIR] [--out FILE]\n\
+         \x20      repro mesh [--quick] [--seed S]\n\
+         Regenerates the evaluation figures (4-14, extras 15-18) of the quorum-based\n\
+         IP autoconfiguration paper. Default subcommand: figures, {} rounds.\n\
+         A flag a subcommand does not list above is an error, not ignored.\n\
+         chaos runs the fault-injection suite: message-loss sweep plus scheduled\n\
+         cluster-head kills, auditing duplicate addresses, address leaks and\n\
+         join-latency inflation for every protocol.\n\
+         --metrics-out writes a run manifest (seed, params, per-phase wall-clock,\n\
+         per-protocol counters and histograms); --trace-out writes one JSONL flow\n\
+         trace per protocol.\n\
+         check runs the conformance oracle: every protocol under every canned\n\
+         chaos schedule with invariants verified after each simulator event; a\n\
+         violation is shrunk to a minimal replayable artifact (--artifact-dir),\n\
+         and replay re-runs one artifact demanding byte-for-byte reproduction.\n\
+         check also runs the attack-canary smoke: every pinned adversarial\n\
+         schedule must be caught against open QBAC and held by the hardened\n\
+         variant. attacks prints the full degradation table for those canaries.\n\
+         sweep fans a parameter grid (protocol x size x mobility x loss, plus\n\
+         chaos schedules with --with-chaos) across worker threads and merges\n\
+         per-shard telemetry into one deterministic sweep.json; --soak loops\n\
+         the chaos schedules against the conformance oracle and reports\n\
+         violations per simulated hour. --mobility overrides the grid's\n\
+         mobility axis (random-waypoint, manhattan:SPACING, group:SIZE,RADIUS,\n\
+         flash-crowd:RADIUS,UNTIL; repeat the flag for several models).\n\
+         scale decomposes a city-scale join storm into spatially disjoint\n\
+         shard simulations fanned across worker threads (merged in a fixed\n\
+         order, so the artifact is byte-identical for any --threads) and\n\
+         times the serial topology build against the incremental and\n\
+         parallel alternates at every size.\n\
+         gate compares two sweep artifacts and exits nonzero when a\n\
+         latency/overhead/configured metric regresses past the tolerance\n\
+         (default 10%); --subset compares only the cells both artifacts\n\
+         share (for smoke runs gated against a larger committed baseline).\n\
+         fuzz mutates fault schedules coverage-guided against the conformance\n\
+         oracle for a deterministic simulated-time budget; violations are\n\
+         shrunk to replayable artifacts (--artifact-dir) and the campaign\n\
+         report (--out) is byte-identical for the same protocol/seed/budget.\n\
+         mesh reruns the storm schedule and the squat attack canary with\n\
+         every delivery carried over real UDP sockets (hop-by-hop along the\n\
+         link map) and diffs the sans-io protocol transcripts against the\n\
+         simulator; any divergence prints a minimized report and exits\n\
+         nonzero. --quick shrinks it to the 2x2 CI smoke.",
+        FigOpts::default().rounds
+    );
+}
+
+/// What a subcommand reports: `Ok(true)` exits 0, `Ok(false)` exits 1
+/// (the run itself already said why), and `Err` prints `error: ...`
+/// before exiting 1.
+type Outcome = Result<bool, String>;
+
+/// Writes one output file through the artifact seam and says so.
+fn write_out(path: &Path, contents: &str) -> Result<(), String> {
+    harness::artifact::write_file(path, contents)
+        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+fn make_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))
+}
+
+/// [`write_out`] into a directory that may not exist yet.
+fn write_into(dir: &Path, file_name: &str, contents: &str) -> Result<(), String> {
+    make_dir(dir)?;
+    write_out(&dir.join(file_name), contents)
+}
+
+fn read_in(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
+}
+
+/// Runs `f` and records its wall time as a snapshot phase.
+fn timed<T>(phases: &mut Vec<Phase>, name: String, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    phases.push(Phase {
+        name,
+        wall_us: t0.elapsed().as_micros() as u64,
+    });
+    out
 }
 
 /// Runs `repro sweep`: the parallel grid sweep (or the chaos soak),
 /// writing the merged artifact when `--out` is given.
-fn run_sweep_mode(args: &Args) -> ExitCode {
-    let threads = args.sweep.threads.unwrap_or_else(|| {
+fn run_sweep_mode(args: &Args) -> Outcome {
+    let threads = args.threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4)
     });
-    if args.sweep.soak {
-        let nn = if args.common.opts.quick { 8 } else { 16 };
-        let report = harness::run_soak(nn, args.common.opts.rounds, args.common.opts.seed, threads);
+    if args.soak {
+        let nn = if args.opts.quick { 8 } else { 16 };
+        let report = harness::run_soak(nn, args.opts.rounds, args.opts.seed, threads);
         print!("{}", report.render_text());
-        return if report.violations() == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return Ok(report.violations() == 0);
     }
-    let mut grid = if args.common.opts.quick {
-        harness::SweepGrid::smoke(args.common.opts.seed)
+    let mut grid = if args.opts.quick {
+        harness::SweepGrid::smoke(args.opts.seed)
     } else {
-        harness::SweepGrid::full(args.common.opts.seed)
+        harness::SweepGrid::full(args.opts.seed)
     };
-    if args.sweep.chaos_axis {
+    if args.with_chaos {
         grid.plans = vec![
             "none".into(),
             "storm".into(),
@@ -532,19 +430,10 @@ fn run_sweep_mode(args: &Args) -> ExitCode {
             "reaper".into(),
         ];
     }
-    if let Some(mobilities) = &args.common.mobilities {
+    if let Some(mobilities) = &args.mobilities {
         grid.mobilities = mobilities.clone();
     }
-    if let Some(engine) = args.common.engine {
-        grid.engine = engine;
-    }
-    let report = match harness::run_sweep(&grid, threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = harness::run_sweep(&grid, threads).map_err(|e| e.to_string())?;
     for (cell, panic) in &report.failed {
         eprintln!("sweep FAIL {cell}: {panic}");
     }
@@ -555,43 +444,32 @@ fn run_sweep_mode(args: &Args) -> ExitCode {
         report.failed.len(),
         report.fingerprint()
     );
-    if let Some(path) = &args.sweep.out {
+    if let Some(path) = &args.out {
         let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
             report.deterministic_json()
         } else {
             report.to_json()
         };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+        write_out(path, &json)?;
     }
-    if report.failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.failed.is_empty())
 }
 
 /// Runs `repro scale`: the sharded city-scale join-storm plus the
-/// topology-engine microbenchmark, writing `BENCH_scale.json` when
-/// `--out` is given. Honors the promoted `--engine`, `--threads`,
-/// `--seed`, and `--quick` selectors; `--n` (repeatable) overrides the
-/// size axis.
-fn run_scale_mode(args: &Args) -> ExitCode {
+/// topology-builder microbenchmark, writing `BENCH_scale.json` when
+/// `--out` is given. `--n` (repeatable) overrides the size axis.
+fn run_scale_mode(args: &Args) -> Outcome {
     let cfg = harness::ScaleConfig {
-        sizes: args.scale.sizes.clone().unwrap_or_else(|| {
-            if args.common.opts.quick {
+        sizes: args.sizes.clone().unwrap_or_else(|| {
+            if args.opts.quick {
                 vec![1_000]
             } else {
                 harness::scale::DEFAULT_SIZES.to_vec()
             }
         }),
-        base_seed: args.common.opts.seed,
-        threads: args.sweep.threads.unwrap_or(0),
-        engine: args.common.engine.unwrap_or_default(),
-        quick: args.common.opts.quick,
+        base_seed: args.opts.seed,
+        threads: args.threads.unwrap_or(0),
+        quick: args.opts.quick,
         ..harness::ScaleConfig::default()
     };
     let report = harness::run_scale(&cfg);
@@ -615,99 +493,69 @@ fn run_scale_mode(args: &Args) -> ExitCode {
         );
     }
     eprintln!("scale: fingerprint fnv1a:{:016x}", report.fingerprint());
-    if let Some(path) = &args.sweep.out {
+    if let Some(path) = &args.out {
         let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
             report.deterministic_json()
         } else {
             report.to_json()
         };
-        if let Err(e) = harness::artifact::write_file(path, &json) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+        write_out(path, &json)?;
     }
-    let engines_agree = report.topo.iter().all(|r| r.agree);
-    if !engines_agree {
-        eprintln!("scale: topology engines disagreed (see topo rows above)");
+    let builders_agree = report.topo.iter().all(|r| r.agree);
+    if !builders_agree {
+        eprintln!("scale: topology builders disagreed (see topo rows above)");
     }
-    if report.failed.is_empty() && engines_agree {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.failed.is_empty() && builders_agree)
 }
 
 /// Runs `repro fuzz`: a coverage-guided campaign against one protocol,
 /// writing shrunk finding artifacts (`--artifact-dir`) and the
 /// deterministic campaign report (`--out`). Exits nonzero when the
 /// fuzzer found invariant violations.
-fn run_fuzz_mode(args: &Args) -> ExitCode {
-    let budget_text = args.fuzz.time_budget.as_deref().unwrap_or("60s");
-    let budget = match harness::parse_time_budget(budget_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: --time-budget: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let protocol = args
-        .fuzz
-        .protocol
-        .clone()
-        .unwrap_or_else(|| "quorum".into());
+fn run_fuzz_mode(args: &Args) -> Outcome {
+    let budget_text = args.time_budget.as_deref().unwrap_or("60s");
+    let budget =
+        harness::parse_time_budget(budget_text).map_err(|e| format!("--time-budget: {e}"))?;
+    let protocol = args.protocol.clone().unwrap_or_else(|| "quorum".into());
     if !conformance::registry::CHECKABLE.contains(&protocol.as_str()) {
-        eprintln!(
-            "error: --protocol {protocol:?} is not checkable; pick one of {}",
+        return Err(format!(
+            "--protocol {protocol:?} is not checkable; pick one of {}",
             conformance::registry::CHECKABLE.join(", ")
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     let report = harness::run_fuzz(&harness::FuzzConfig {
         protocol,
         budget,
-        seed: args.common.opts.seed,
-        quick: args.common.opts.quick,
+        seed: args.opts.seed,
+        quick: args.opts.quick,
     });
     print!("{}", report.render_text());
     if let Some(dir) = &args.artifact_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        // The directory appears even for a clean campaign, so CI can
+        // upload it unconditionally.
+        make_dir(dir)?;
         for (i, finding) in report.findings.iter().enumerate() {
             let path = dir.join(format!("fuzz-{}-{i}.repro", report.protocol));
-            if let Err(e) = std::fs::write(&path, finding.artifact.to_text()) {
-                eprintln!("error: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", path.display());
+            write_out(&path, &finding.artifact.to_text())?;
         }
     }
-    if let Some(path) = &args.sweep.out {
-        if let Err(e) = std::fs::write(path, report.render_text()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+    if let Some(path) = &args.out {
+        write_out(path, &report.render_text())?;
     }
-    if report.findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if !report.findings.is_empty() {
         eprintln!(
             "fuzz: {} invariant violation(s) found (artifacts above are replayable)",
             report.findings.len()
         );
-        ExitCode::FAILURE
     }
+    Ok(report.findings.is_empty())
 }
 
-/// Runs `repro --backend mesh` (alias: `repro mesh`): the canned
-/// schedules end-to-end on both transports, demanding byte-identical
-/// transcripts. Exits nonzero on any divergence, printing the minimized
-/// first-difference report.
-fn run_mesh_mode(args: &Args) -> ExitCode {
-    let cells = harness::mesh_equiv_suite(args.common.opts.quick, args.common.opts.seed);
+/// Runs `repro mesh`: the canned schedules end-to-end on both
+/// transports, demanding byte-identical transcripts. Exits nonzero on
+/// any divergence, printing the minimized first-difference report.
+fn run_mesh_mode(args: &Args) -> bool {
+    let cells = harness::mesh_equiv_suite(args.opts.quick, args.opts.seed);
     let mut failed = false;
     for cell in &cells {
         println!("{}", cell.line());
@@ -719,97 +567,47 @@ fn run_mesh_mode(args: &Args) -> ExitCode {
     }
     if failed {
         eprintln!("mesh: transcript divergence between simulator and UDP mesh (see diffs above)");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
+    !failed
 }
 
 /// Runs `repro gate BASELINE CANDIDATE`: nonzero exit on regression.
-fn run_gate_mode(args: &Args) -> ExitCode {
-    let read = |path: &std::path::Path| -> Result<String, ExitCode> {
-        std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("error: reading {}: {e}", path.display());
-            ExitCode::FAILURE
-        })
-    };
-    let (baseline, candidate) = (&args.sweep.gate_files[0], &args.sweep.gate_files[1]);
-    let (base_text, cand_text) = match (read(baseline), read(candidate)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let tolerance = args.sweep.tolerance.unwrap_or(0.10);
-    let result = if args.sweep.subset {
+fn run_gate_mode(args: &Args) -> Outcome {
+    let (base_text, cand_text) = (read_in(&args.files[0])?, read_in(&args.files[1])?);
+    let tolerance = args.tolerance.unwrap_or(0.10);
+    let report = if args.subset {
         harness::gate_subset(&base_text, &cand_text, tolerance)
     } else {
         harness::gate(&base_text, &cand_text, tolerance)
-    };
-    match result {
-        Ok(report) => {
-            print!("{}", report.render_text());
-            if report.pass() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
     }
+    .map_err(|e| e.to_string())?;
+    print!("{}", report.render_text());
+    Ok(report.pass())
 }
 
-/// Runs `repro --check`: the replay of one artifact, or the full
-/// protocol × schedule suite with shrunk artifacts written on failure.
-fn run_check_mode(args: &Args) -> ExitCode {
-    if let Some(path) = &args.replay {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let (line, ok) = harness::oracle::replay_file(&text);
-        println!("{line}");
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
+/// Runs `repro replay FILE`: one artifact, byte-for-byte.
+fn run_replay_mode(args: &Args) -> Outcome {
+    let (line, ok) = harness::oracle::replay_file(&read_in(&args.files[0])?);
+    println!("{line}");
+    Ok(ok)
+}
 
-    let write_artifact = |stem: &str, text: String| -> Result<(), ExitCode> {
-        let Some(dir) = &args.artifact_dir else {
-            return Ok(());
-        };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            return Err(ExitCode::FAILURE);
-        }
-        let path = dir.join(format!("{stem}.repro"));
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("wrote {}", path.display());
-        Ok(())
+/// Runs `repro check`: the full protocol × schedule suite plus the
+/// attack canaries, with shrunk artifacts written on failure.
+fn run_check_mode(args: &Args) -> Outcome {
+    let write_artifact = |stem: &str, text: String| match &args.artifact_dir {
+        Some(dir) => write_into(dir, &format!("{stem}.repro"), &text),
+        None => Ok(()),
     };
-
-    let cells = harness::oracle::check_suite(args.common.opts.quick);
     let mut failed = false;
-    for cell in &cells {
+    for cell in &harness::oracle::check_suite(args.opts.quick) {
         println!("{}", cell.report_line());
-        let Some(artifact) = &cell.artifact else {
-            continue;
-        };
-        failed = true;
-        if let Err(code) = write_artifact(
-            &format!("{}-{}", cell.protocol, cell.schedule),
-            artifact.to_text(),
-        ) {
-            return code;
+        if let Some(artifact) = &cell.artifact {
+            failed = true;
+            write_artifact(
+                &format!("{}-{}", cell.protocol, cell.schedule),
+                artifact.to_text(),
+            )?;
         }
     }
     // The attack-canary smoke rides along: the oracle must flag every
@@ -818,120 +616,65 @@ fn run_check_mode(args: &Args) -> ExitCode {
         println!("{}", cell.line);
         failed |= !cell.ok;
         if let Some(artifact) = &cell.artifact {
-            if let Err(code) = write_artifact(&cell.stem, artifact.to_text()) {
-                return code;
-            }
+            write_artifact(&cell.stem, artifact.to_text())?;
         }
     }
     if failed {
         eprintln!("conformance: invariant violations found (artifacts above are replayable)");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
+    Ok(!failed)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Runs `repro attacks`: the degradation table, open vs hardened QBAC.
+fn run_attacks_mode() -> bool {
+    let outcomes = harness::attacks::attack_suite();
+    println!("{}", harness::attacks::attack_table(&outcomes).to_ascii());
+    let clean = outcomes
+        .iter()
+        .all(|o| o.open.violation.is_some() && o.hardened.violation.is_none());
+    if !clean {
+        eprintln!("attacks: a canary missed its expected shape (see table notes)");
+    }
+    clean
+}
 
-    if matches!(args.mode, Mode::Check | Mode::Replay) {
-        return run_check_mode(&args);
-    }
-    if args.mode == Mode::Sweep {
-        return run_sweep_mode(&args);
-    }
-    if args.mode == Mode::Gate {
-        return run_gate_mode(&args);
-    }
-    if args.mode == Mode::Fuzz {
-        return run_fuzz_mode(&args);
-    }
-    if args.mode == Mode::Scale {
-        return run_scale_mode(&args);
-    }
-    if args.common.backend == Backend::Mesh {
-        return run_mesh_mode(&args);
-    }
-    if args.mode == Mode::Attacks {
-        let outcomes = harness::attacks::attack_suite();
-        println!("{}", harness::attacks::attack_table(&outcomes).to_ascii());
-        let clean = outcomes
-            .iter()
-            .all(|o| o.open.violation.is_some() && o.hardened.violation.is_none());
-        return if clean {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("attacks: a canary missed its expected shape (see table notes)");
-            ExitCode::FAILURE
-        };
-    }
-
+/// Runs `repro figures` / `repro chaos`: prints the tables, then writes
+/// the CSVs, the run manifest and the flow traces that were asked for.
+fn run_tables_mode(args: &Args) -> Outcome {
     let mut phases: Vec<Phase> = Vec::new();
-    let mut timed = |name: String, f: &mut dyn FnMut() -> Vec<harness::Table>| {
-        let t0 = Instant::now();
-        let tables = f();
-        phases.push(Phase {
-            name,
-            wall_us: t0.elapsed().as_micros() as u64,
-        });
-        tables
-    };
-
     let tables = if args.mode == Mode::Chaos {
         let opts = ChaosOpts {
-            fig: args.common.opts,
+            fig: args.opts,
             loss: args.loss,
             head_kills: args.head_kills.unwrap_or(2),
             extra_plan: args.fault_plan.clone(),
         };
-        timed("chaos".into(), &mut || chaos_suite(&opts))
+        timed(&mut phases, "chaos".into(), || chaos_suite(&opts))
+    } else if let Some(n) = args.fig {
+        let found = timed(&mut phases, format!("fig{n:02}"), || {
+            figures::by_number(n, &args.opts)
+        });
+        found.ok_or_else(|| {
+            format!(
+                "no figure {n}; figures are 4-14 plus extras 15 (fragmentation), \
+                 16 (ablation), 17 (stateless DAD), 18 (routing staleness)"
+            )
+        })?
     } else {
-        match args.fig {
-            Some(n) => match figures::by_number(n, &args.common.opts) {
-                Some(t) => {
-                    phases.push(Phase {
-                        name: format!("fig{n:02}"),
-                        wall_us: 0,
-                    });
-                    let t0 = Instant::now();
-                    let tables = t;
-                    phases.last_mut().expect("just pushed").wall_us =
-                        t0.elapsed().as_micros() as u64;
-                    tables
-                }
-                None => {
-                    eprintln!("error: no figure {n}; figures are 4-14 plus extras 15 (fragmentation), 16 (ablation), 17 (stateless DAD), 18 (routing staleness)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => {
-                let mut tables = Vec::new();
-                for n in 4..=18u32 {
-                    let fig_tables = timed(format!("fig{n:02}"), &mut || {
-                        figures::by_number(n, &args.common.opts).expect("figures 4-18 exist")
-                    });
-                    tables.extend(fig_tables);
-                }
-                tables
-            }
+        let mut tables = Vec::new();
+        for n in 4..=18u32 {
+            tables.extend(timed(&mut phases, format!("fig{n:02}"), || {
+                figures::by_number(n, &args.opts).expect("figures 4-18 exist")
+            }));
         }
+        tables
     };
 
     for t in &tables {
         println!("{}", t.to_ascii());
     }
 
-    if let Some(dir) = args.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = &args.csv_dir {
         for t in &tables {
             let slug: String = t
                 .title
@@ -940,33 +683,25 @@ fn main() -> ExitCode {
                 .filter(|c| c.is_ascii_alphanumeric())
                 .collect::<String>()
                 .to_lowercase();
-            let path = dir.join(format!("{slug}.csv"));
-            if let Err(e) = std::fs::write(&path, t.to_csv()) {
-                eprintln!("error: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", path.display());
+            write_into(dir, &format!("{slug}.csv"), &t.to_csv())?;
         }
     }
 
-    if let Some(path) = &args.common.metrics_out {
-        let t0 = Instant::now();
-        let protocols = snapshot::protocol_runs(args.common.opts.seed, args.common.opts.quick);
-        phases.push(Phase {
-            name: "snapshot".into(),
-            wall_us: t0.elapsed().as_micros() as u64,
+    if let Some(path) = &args.metrics_out {
+        let protocols = timed(&mut phases, "snapshot".into(), || {
+            snapshot::protocol_runs(args.opts.seed, args.opts.quick)
         });
         let snap = Snapshot {
             params: SnapshotParams {
-                seed: args.common.opts.seed,
-                rounds: args.common.opts.rounds,
-                quick: args.common.opts.quick,
+                seed: args.opts.seed,
+                rounds: args.opts.rounds,
+                quick: args.opts.quick,
                 fig: args.fig,
                 chaos: args.mode == Mode::Chaos,
                 loss: args.loss,
                 head_kills: args.head_kills,
             },
-            phases: phases.clone(),
+            phases,
             protocols,
         };
         let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
@@ -974,30 +709,37 @@ fn main() -> ExitCode {
         } else {
             snap.to_json()
         };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+        write_out(path, &json)?;
     }
 
-    if let Some(dir) = &args.common.trace_out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for (name, jsonl) in
-            snapshot::protocol_traces(args.common.opts.seed, args.common.opts.quick)
-        {
-            let path = dir.join(format!("{name}.jsonl"));
-            if let Err(e) = std::fs::write(&path, jsonl) {
-                eprintln!("error: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", path.display());
+    if let Some(dir) = &args.trace_out {
+        for (name, jsonl) in snapshot::protocol_traces(args.opts.seed, args.opts.quick) {
+            write_into(dir, &format!("{name}.jsonl"), &jsonl)?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(true)
+}
+
+fn main() -> ExitCode {
+    let outcome = parse_args(std::env::args().skip(1)).and_then(|args| match args.mode {
+        Mode::Figures | Mode::Chaos => run_tables_mode(&args),
+        Mode::Check => run_check_mode(&args),
+        Mode::Replay => run_replay_mode(&args),
+        Mode::Attacks => Ok(run_attacks_mode()),
+        Mode::Sweep => run_sweep_mode(&args),
+        Mode::Scale => run_scale_mode(&args),
+        Mode::Gate => run_gate_mode(&args),
+        Mode::Fuzz => run_fuzz_mode(&args),
+        Mode::Mesh => Ok(run_mesh_mode(&args)),
+    });
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1008,286 +750,206 @@ mod tests {
         s.split_whitespace().map(str::to_string)
     }
 
+    /// Every flag any subcommand lists, with a value that parses (empty
+    /// for a switch). `--fault-plan` reads its file at parse time, so
+    /// its value is filled in by the test.
+    const SAMPLES: [(&str, &str); 21] = [
+        ("--fig", "5"),
+        ("--rounds", "3"),
+        ("--seed", "7"),
+        ("--quick", ""),
+        ("--csv", "out"),
+        ("--metrics-out", "snap.json"),
+        ("--trace-out", "traces"),
+        ("--loss", "0.1"),
+        ("--head-kills", "3"),
+        ("--fault-plan", "PLAN"),
+        ("--artifact-dir", "out"),
+        ("--threads", "2"),
+        ("--out", "x.json"),
+        ("--soak", ""),
+        ("--with-chaos", ""),
+        ("--mobility", "manhattan:100"),
+        ("--n", "1000"),
+        ("--tolerance", "0.2"),
+        ("--subset", ""),
+        ("--time-budget", "60s"),
+        ("--protocol", "quorum"),
+    ];
+
     #[test]
-    fn chaos_flags_require_chaos_mode() {
-        for flags in ["--loss 0.1", "--head-kills 3"] {
-            let err = parse_args(argv(flags)).unwrap_err();
-            assert!(
-                err.contains("only apply to --chaos"),
-                "{flags}: unexpected error {err}"
-            );
+    fn every_subcommand_takes_its_own_flags_and_names_the_foreign_ones() {
+        let plan = std::env::temp_dir().join(format!("repro-cli-{}.plan", std::process::id()));
+        std::fs::write(&plan, "").expect("temp dir is writable");
+        let samples: Vec<(&str, String)> = SAMPLES
+            .iter()
+            .map(|&(flag, v)| (flag, v.replace("PLAN", plan.to_str().expect("utf-8 path"))))
+            .collect();
+        for mode in Mode::ALL {
+            for listed in mode.flags() {
+                assert!(
+                    samples.iter().any(|(flag, _)| flag == listed),
+                    "{listed} has no sample value"
+                );
+            }
+            let files = ["a.json", "b.json"][..mode.files()].join(" ");
+            for (flag, v) in &samples {
+                let line = format!("{} {files} {flag} {v}", mode.name());
+                let parsed = parse_args(argv(&line));
+                if mode.flags().contains(flag) {
+                    let a = parsed.unwrap_or_else(|e| panic!("{line}: {e}"));
+                    assert_eq!(a.mode, mode, "{line}");
+                } else {
+                    let err = parsed.expect_err(&line);
+                    assert_eq!(
+                        err,
+                        format!("unknown argument for {}: {flag}", mode.name()),
+                        "{line}"
+                    );
+                }
+            }
         }
-        // With --chaos they parse.
-        let a = parse_args(argv("--chaos --loss 0.1 --head-kills 3")).unwrap();
-        assert_eq!(a.mode, Mode::Chaos);
-        assert_eq!(a.loss, Some(0.1));
-        assert_eq!(a.head_kills, Some(3));
+        let _ = std::fs::remove_file(&plan);
     }
 
     #[test]
-    fn head_kills_defaults_without_explicit_flag() {
-        let a = parse_args(argv("--chaos")).unwrap();
-        assert_eq!(a.head_kills, None, "default applied later, at use site");
+    fn removed_spellings_are_unknown_arguments() {
+        for line in [
+            "--engine full",
+            "scale --engine parallel:2",
+            "sweep --engine incremental",
+            "--chaos",
+            "--check",
+            "--check --replay x.repro",
+            "--replay x.repro",
+            "--backend mesh",
+            "mesh --backend sim",
+            "sweep --loss 0.1",
+            "--bogus",
+            "gate a.json b.json c.json",
+            "figures extra",
+        ] {
+            let err = parse_args(argv(line)).expect_err(line);
+            assert!(err.starts_with("unknown argument for "), "{line}: {err}");
+        }
     }
 
     #[test]
-    fn subcommands_select_modes() {
+    fn first_argument_selects_the_subcommand() {
         assert_eq!(parse_args(argv("")).unwrap().mode, Mode::Figures);
-        assert_eq!(parse_args(argv("figures")).unwrap().mode, Mode::Figures);
-        assert_eq!(parse_args(argv("figures --fig 5")).unwrap().fig, Some(5));
-        assert_eq!(parse_args(argv("chaos")).unwrap().mode, Mode::Chaos);
-        assert_eq!(parse_args(argv("check --quick")).unwrap().mode, Mode::Check);
-        assert_eq!(parse_args(argv("attacks")).unwrap().mode, Mode::Attacks);
-
-        let a = parse_args(argv("replay out/quorum-storm.repro")).unwrap();
-        assert_eq!(a.mode, Mode::Replay);
-        assert_eq!(
-            a.replay.as_deref().unwrap().to_str(),
-            Some("out/quorum-storm.repro")
-        );
-    }
-
-    #[test]
-    fn subcommands_accept_mode_scoped_flags() {
-        let a = parse_args(argv("chaos --loss 0.1 --head-kills 3")).unwrap();
-        assert_eq!(a.mode, Mode::Chaos);
-        assert_eq!(a.loss, Some(0.1));
-        assert_eq!(a.head_kills, Some(3));
-
-        let a = parse_args(argv("check --artifact-dir out")).unwrap();
-        assert_eq!(a.mode, Mode::Check);
-        assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
-
-        // Mode-scoped flags stay rejected outside their subcommand.
-        assert!(parse_args(argv("figures --loss 0.1")).is_err());
-        assert!(parse_args(argv("check --loss 0.1")).is_err());
-        assert!(parse_args(argv("figures --artifact-dir out")).is_err());
-        assert!(parse_args(argv("attacks --loss 0.1")).is_err());
-        assert!(parse_args(argv("attacks --artifact-dir out")).is_err());
-    }
-
-    #[test]
-    fn legacy_flags_conflict_with_other_subcommands() {
-        let err = parse_args(argv("check --chaos")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        let err = parse_args(argv("figures --check")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        // The matching legacy flag is a harmless alias.
-        assert_eq!(parse_args(argv("chaos --chaos")).unwrap().mode, Mode::Chaos);
-    }
-
-    #[test]
-    fn replay_subcommand_requires_a_file() {
-        assert!(parse_args(argv("replay")).is_err());
-        assert!(parse_args(argv("replay --quick")).is_err());
-    }
-
-    #[test]
-    fn sweep_and_gate_subcommands_parse() {
-        let a = parse_args(argv("sweep --quick --threads 4 --out sweep.json")).unwrap();
-        assert_eq!(a.mode, Mode::Sweep);
-        assert!(a.common.opts.quick);
-        assert_eq!(a.sweep.threads, Some(4));
-        assert_eq!(a.sweep.out.as_deref().unwrap().to_str(), Some("sweep.json"));
-        assert!(!a.sweep.soak && !a.sweep.chaos_axis);
-
-        let a = parse_args(argv("sweep --soak --rounds 3 --with-chaos")).unwrap();
-        assert!(a.sweep.soak && a.sweep.chaos_axis);
-        assert_eq!(a.common.opts.rounds, 3);
-
-        let a = parse_args(argv("gate BENCH_sweep.json sweep.json --tolerance 0.2")).unwrap();
-        assert_eq!(a.mode, Mode::Gate);
-        assert_eq!(a.sweep.tolerance, Some(0.2));
-        assert_eq!(a.sweep.gate_files.len(), 2);
-
-        // Sweep/gate flags stay rejected outside their modes.
-        assert!(parse_args(argv("figures --threads 2")).is_err());
-        assert!(parse_args(argv("chaos --out x.json")).is_err());
-        assert!(parse_args(argv("figures --soak")).is_err());
-        assert!(parse_args(argv("sweep --tolerance 0.1")).is_err());
-        // Gate arity and sweep flag domains are validated.
-        assert!(parse_args(argv("gate only-one.json")).is_err());
-        assert!(parse_args(argv("gate")).is_err());
-        assert!(parse_args(argv("sweep --threads 0")).is_err());
-        assert!(parse_args(argv("gate a.json b.json --tolerance -1")).is_err());
-    }
-
-    #[test]
-    fn output_flags_parse() {
-        let a = parse_args(argv("--quick --metrics-out snap.json --trace-out traces")).unwrap();
-        assert!(a.common.opts.quick);
-        assert_eq!(
-            a.common.metrics_out.as_deref().unwrap().to_str(),
-            Some("snap.json")
-        );
-        assert_eq!(
-            a.common.trace_out.as_deref().unwrap().to_str(),
-            Some("traces")
-        );
-    }
-
-    #[test]
-    fn unknown_and_malformed_arguments_error() {
-        assert!(parse_args(argv("--bogus")).is_err());
-        assert!(parse_args(argv("--rounds 0")).is_err());
-        assert!(parse_args(argv("--chaos --loss 1.5")).is_err());
-        assert!(parse_args(argv("--metrics-out")).is_err());
-    }
-
-    #[test]
-    fn check_flags_parse_and_are_gated() {
-        let a = parse_args(argv("--check --quick --artifact-dir out")).unwrap();
-        assert!(a.mode == Mode::Check && a.common.opts.quick);
-        assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
-
-        let a = parse_args(argv("--check --replay out/quorum-storm.repro")).unwrap();
-        assert_eq!(a.mode, Mode::Replay, "--check --replay is the replay mode");
-        assert_eq!(
-            a.replay.as_deref().unwrap().to_str(),
-            Some("out/quorum-storm.repro")
-        );
-
-        let err = parse_args(argv("--replay x.repro")).unwrap_err();
-        assert!(err.contains("only applies to --check"), "{err}");
-        let err = parse_args(argv("--artifact-dir out")).unwrap_err();
-        assert!(err.contains("--check and fuzz"), "{err}");
-        let err = parse_args(argv("--check --chaos")).unwrap_err();
-        assert!(err.contains("separate modes"), "{err}");
-        assert!(parse_args(argv("--check --replay")).is_err());
-    }
-
-    #[test]
-    fn fuzz_subcommand_parses_and_gates_its_flags() {
+        for mode in Mode::ALL {
+            let files = ["a", "b"][..mode.files()].join(" ");
+            let a = parse_args(argv(&format!("{} {files}", mode.name()))).unwrap();
+            assert_eq!(a.mode, mode);
+        }
+        // No subcommand: the whole line is `figures`' flags.
         let a = parse_args(argv(
-            "fuzz --time-budget 60s --seed 42 --protocol quorum --quick --artifact-dir out --out fuzz.txt",
+            "--quick --fig 5 --metrics-out snap.json --trace-out traces",
         ))
         .unwrap();
-        assert_eq!(a.mode, Mode::Fuzz);
-        assert_eq!(a.fuzz.time_budget.as_deref(), Some("60s"));
-        assert_eq!(a.fuzz.protocol.as_deref(), Some("quorum"));
-        assert_eq!(a.common.opts.seed, 42);
-        assert!(a.common.opts.quick);
-        assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
-        assert_eq!(a.sweep.out.as_deref().unwrap().to_str(), Some("fuzz.txt"));
-
-        // Defaults: budget and protocol resolved at the run site.
-        let a = parse_args(argv("fuzz")).unwrap();
-        assert_eq!(a.mode, Mode::Fuzz);
-        assert!(a.fuzz.time_budget.is_none() && a.fuzz.protocol.is_none());
-
-        // Fuzz flags stay rejected outside fuzz runs.
-        assert!(parse_args(argv("figures --time-budget 60s")).is_err());
-        assert!(parse_args(argv("sweep --protocol quorum")).is_err());
-        assert!(parse_args(argv("--time-budget")).is_err());
+        assert_eq!(a.mode, Mode::Figures);
+        assert!(a.opts.quick);
+        assert_eq!(a.fig, Some(5));
+        assert_eq!(
+            a.metrics_out.as_deref().unwrap().to_str(),
+            Some("snap.json")
+        );
+        assert_eq!(a.trace_out.as_deref().unwrap().to_str(), Some("traces"));
+        // A subcommand name anywhere else is not a subcommand.
+        assert!(parse_args(argv("--quick chaos")).is_err());
     }
 
     #[test]
-    fn sweep_mobility_flag_is_repeatable_and_gated() {
+    fn chaos_and_check_flags_land_in_their_fields() {
+        let a = parse_args(argv("chaos --loss 0.1 --head-kills 3")).unwrap();
+        assert_eq!(a.loss, Some(0.1));
+        assert_eq!(a.head_kills, Some(3));
+        let a = parse_args(argv("chaos")).unwrap();
+        assert_eq!(a.head_kills, None, "default applied later, at use site");
+
+        let a = parse_args(argv("check --quick --artifact-dir out")).unwrap();
+        assert!(a.opts.quick);
+        assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
+    }
+
+    #[test]
+    fn positional_files_are_counted() {
+        let a = parse_args(argv("replay out/quorum-storm.repro")).unwrap();
+        assert_eq!(a.files[0].to_str(), Some("out/quorum-storm.repro"));
+        assert!(parse_args(argv("replay")).is_err());
+        assert!(parse_args(argv("replay --quick")).is_err());
+
+        let a = parse_args(argv("gate BENCH_scale.json scale.json --subset")).unwrap();
+        assert_eq!(a.files.len(), 2);
+        assert!(a.subset);
+        let a = parse_args(argv("gate a.json --tolerance 0.2 b.json")).unwrap();
+        assert_eq!(a.tolerance, Some(0.2));
+        assert!(!a.subset);
+        assert!(parse_args(argv("gate only-one.json")).is_err());
+        assert!(parse_args(argv("gate")).is_err());
+    }
+
+    #[test]
+    fn sweep_scale_and_fuzz_flags_land_in_their_fields() {
+        let a = parse_args(argv("sweep --quick --threads 4 --out sweep.json")).unwrap();
+        assert!(a.opts.quick);
+        assert_eq!(a.threads, Some(4));
+        assert_eq!(a.out.as_deref().unwrap().to_str(), Some("sweep.json"));
+        assert!(!a.soak && !a.with_chaos && a.mobilities.is_none());
+
+        let a = parse_args(argv("sweep --soak --rounds 3 --with-chaos")).unwrap();
+        assert!(a.soak && a.with_chaos);
+        assert_eq!(a.opts.rounds, 3);
+
         let a = parse_args(argv(
             "sweep --quick --mobility manhattan:100 --mobility group:4,50",
         ))
         .unwrap();
         assert_eq!(
-            a.common.mobilities.as_deref(),
+            a.mobilities.as_deref(),
             Some(&["manhattan:100".to_string(), "group:4,50".to_string()][..])
         );
-        assert!(parse_args(argv("figures --mobility manhattan:100")).is_err());
-        assert!(parse_args(argv("fuzz --mobility manhattan:100")).is_err());
-        assert!(parse_args(argv("sweep --mobility")).is_err());
+
+        let a = parse_args(argv(
+            "scale --quick --n 1000 --n 10000 --threads 8 --seed 7 --out BENCH_scale.json",
+        ))
+        .unwrap();
+        assert_eq!(a.opts.seed, 7);
+        assert_eq!(a.sizes.as_deref(), Some(&[1000usize, 10000][..]));
+        assert_eq!(a.threads, Some(8));
+        assert!(parse_args(argv("scale")).unwrap().sizes.is_none());
+
+        let a = parse_args(argv(
+            "fuzz --time-budget 60s --seed 42 --protocol quorum --quick --artifact-dir out --out fuzz.txt",
+        ))
+        .unwrap();
+        assert_eq!(a.time_budget.as_deref(), Some("60s"));
+        assert_eq!(a.protocol.as_deref(), Some("quorum"));
+        assert_eq!(a.opts.seed, 42);
+        assert_eq!(a.artifact_dir.as_deref().unwrap().to_str(), Some("out"));
+        assert_eq!(a.out.as_deref().unwrap().to_str(), Some("fuzz.txt"));
+        // Defaults: budget and protocol resolved at the run site.
+        let a = parse_args(argv("fuzz")).unwrap();
+        assert!(a.time_budget.is_none() && a.protocol.is_none());
+    }
+
+    #[test]
+    fn malformed_values_error() {
+        for line in [
+            "--rounds 0",
+            "--rounds x",
+            "--metrics-out",
+            "chaos --loss 1.5",
+            "sweep --threads 0",
+            "sweep --mobility",
+            "scale --n 0",
+            "gate a.json b.json --tolerance -1",
+            "fuzz --time-budget",
+        ] {
+            assert!(parse_args(argv(line)).is_err(), "{line}");
+        }
         // Malformed specs die at parse time, not mid-sweep.
         let err = parse_args(argv("sweep --mobility warp:9")).unwrap_err();
         assert!(err.contains("--mobility"), "{err}");
-    }
-
-    #[test]
-    fn scale_subcommand_parses_and_gates_its_flags() {
-        let a = parse_args(argv(
-            "scale --quick --n 1000 --n 10000 --engine parallel:4 --threads 8 --seed 7 --out BENCH_scale.json",
-        ))
-        .unwrap();
-        assert_eq!(a.mode, Mode::Scale);
-        assert!(a.common.opts.quick);
-        assert_eq!(a.common.opts.seed, 7);
-        assert_eq!(a.scale.sizes.as_deref(), Some(&[1000usize, 10000][..]));
-        assert_eq!(a.sweep.threads, Some(8));
-        assert_eq!(
-            a.sweep.out.as_deref().unwrap().to_str(),
-            Some("BENCH_scale.json")
-        );
-        let engine = a.common.engine.expect("--engine parsed");
-        assert_eq!(engine.engine_kind(), manet_sim::TopologyEngine::Parallel);
-        assert_eq!(engine.thread_count(), 4);
-
-        // Defaults: sizes and engine resolved at the run site.
-        let a = parse_args(argv("scale")).unwrap();
-        assert!(a.scale.sizes.is_none() && a.common.engine.is_none());
-
-        // Scale flags stay rejected outside scale runs.
-        assert!(parse_args(argv("figures --n 1000")).is_err());
-        assert!(parse_args(argv("chaos --n 1000")).is_err());
-        assert!(parse_args(argv("scale --n 0")).is_err());
-    }
-
-    #[test]
-    fn engine_selector_is_validated_and_mode_gated() {
-        for (spec, kind, threads) in [
-            ("full", manet_sim::TopologyEngine::Full, 1),
-            ("incremental", manet_sim::TopologyEngine::Incremental, 1),
-            ("parallel", manet_sim::TopologyEngine::Parallel, 1),
-            ("parallel:6", manet_sim::TopologyEngine::Parallel, 6),
-        ] {
-            let a = parse_args(argv(&format!("scale --engine {spec}"))).unwrap();
-            let e = a.common.engine.expect(spec);
-            assert_eq!(e.engine_kind(), kind, "{spec}");
-            assert_eq!(e.thread_count(), threads, "{spec}");
-        }
-        // Sweep honors the selector too.
-        let a = parse_args(argv("sweep --quick --engine incremental")).unwrap();
-        assert_eq!(
-            a.common.engine.unwrap().engine_kind(),
-            manet_sim::TopologyEngine::Incremental
-        );
-        // Malformed specs and unsupported modes error up front.
-        let err = parse_args(argv("scale --engine warp")).unwrap_err();
-        assert!(err.contains("--engine"), "{err}");
-        assert!(parse_args(argv("scale --engine parallel:0")).is_err());
-        let err = parse_args(argv("figures --engine full")).unwrap_err();
-        assert!(err.contains("sweep and scale"), "{err}");
-        assert!(parse_args(argv("chaos --engine full")).is_err());
-    }
-
-    #[test]
-    fn backend_flag_and_mesh_subcommand_are_aliases() {
-        // Both spellings resolve to the mesh mode with the mesh backend.
-        let flat = parse_args(argv("--backend mesh --quick")).unwrap();
-        assert_eq!(flat.mode, Mode::Mesh);
-        assert_eq!(flat.common.backend, super::Backend::Mesh);
-        let sub = parse_args(argv("mesh --quick")).unwrap();
-        assert_eq!(sub.mode, Mode::Mesh);
-        assert_eq!(sub.common.backend, super::Backend::Mesh);
-
-        // The explicit simulator backend is the default everywhere.
-        let a = parse_args(argv("figures --backend sim")).unwrap();
-        assert_eq!(a.common.backend, super::Backend::Sim);
-        assert_eq!(
-            parse_args(argv("")).unwrap().common.backend,
-            super::Backend::Sim
-        );
-
-        // Validation and contradictions error up front.
-        assert!(parse_args(argv("--backend bogus")).is_err());
-        assert!(parse_args(argv("mesh --backend sim")).is_err());
-        assert!(parse_args(argv("sweep --backend mesh")).is_err());
-    }
-
-    #[test]
-    fn gate_subset_flag_is_gated_to_gate_mode() {
-        let a = parse_args(argv("gate BENCH_scale.json scale.json --subset")).unwrap();
-        assert_eq!(a.mode, Mode::Gate);
-        assert!(a.sweep.subset);
-        let a = parse_args(argv("gate a.json b.json")).unwrap();
-        assert!(!a.sweep.subset);
-        let err = parse_args(argv("sweep --subset")).unwrap_err();
-        assert!(err.contains("gate"), "{err}");
     }
 }

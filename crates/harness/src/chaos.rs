@@ -23,7 +23,7 @@ use addrspace::Addr;
 use baselines::buddy::Buddy;
 use baselines::ctree::CTree;
 use baselines::manetconf::ManetConf;
-use manet_sim::{FaultPlan, NodeId, Protocol, SimDuration, World};
+use manet_sim::{FaultPlan, NodeId, ProtocolCore, SimDuration, World};
 use qbac_core::{ProtocolConfig, Qbac};
 use std::collections::HashMap;
 
@@ -37,7 +37,7 @@ pub struct ChaosOpts {
     /// Scheduled cluster-head kills per run.
     pub head_kills: u32,
     /// Extra user-supplied fault plan merged into every generated plan
-    /// (e.g. from `repro --fault-plan FILE`).
+    /// (e.g. from `repro chaos --fault-plan FILE`).
     pub extra_plan: Option<FaultPlan>,
 }
 
@@ -63,7 +63,7 @@ impl ChaosOpts {
 }
 
 /// A protocol the chaos suite can audit generically.
-trait ChaosSubject: Protocol + Sized {
+trait ChaosSubject: ProtocolCore + Sized {
     fn fresh() -> Self;
     /// `(node, address)` of every alive configured node.
     fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)>;

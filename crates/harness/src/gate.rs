@@ -323,7 +323,6 @@ mod tests {
             reps: 1,
             base_seed: 5,
             quick: true,
-            engine: manet_sim::EngineConfig::default(),
         };
         run_sweep(&grid, 1).unwrap().deterministic_json()
     }

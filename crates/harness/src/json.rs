@@ -55,14 +55,11 @@ impl Value {
     /// Returns a [`ParseError`] with the byte offset of the first
     /// malformed construct.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("end of input"));
         }
         Ok(v)
@@ -134,8 +131,14 @@ impl Value {
     }
 }
 
+/// `text` is only ever sliced at a char boundary: `pos` advances past
+/// matched ASCII bytes one at a time and past string runs that end at
+/// an ASCII `"` or `\`, which never occur inside a multi-byte scalar.
+/// The byte after a `\` is stepped over before it is looked at, but
+/// anything other than an ASCII escape letter there returns an error
+/// before the next slice.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -148,17 +151,13 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), ParseError> {
@@ -171,7 +170,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -217,9 +216,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("4 hex digits"))?;
                             self.pos += 4;
@@ -231,13 +229,11 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (artifact strings are ASCII,
-                    // but stay correct for arbitrary input).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("valid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -254,7 +250,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
             at: start,
             msg: format!("expected a number, got {text:?}"),
@@ -378,6 +374,36 @@ mod tests {
         let err = Value::parse("{\"a\": !}").unwrap_err();
         assert_eq!(err.at, 6);
         assert!(err.to_string().contains("byte 6"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        let text = "héllo — 世界 \u{1F600}";
+        let doc = format!("{{\"k\":\"{text}\",\"é\":\"a\\n{text}\\\\\"}}");
+        let v = Value::parse(&doc).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some(text));
+        assert_eq!(
+            v.get("é").unwrap().as_str(),
+            Some(format!("a\n{text}\\").as_str())
+        );
+        // A multi-byte scalar where an escape letter or hex digit belongs
+        // is an error, not a slice panic.
+        assert!(Value::parse("\"\\é\"").is_err());
+        assert!(Value::parse("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn megabyte_string_heavy_document_parses() {
+        // Parsing must stay linear in document size: rescanning the
+        // rest of the input per character copied would run for minutes.
+        let item = format!("\"{}\\n{}\"", "x".repeat(500), "é".repeat(250));
+        let n = (1 << 20) / item.len() + 1;
+        let doc = format!("[{}]", vec![item; n].join(","));
+        assert!(doc.len() >= 1 << 20);
+        let v = Value::parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items.len(), n);
+        assert_eq!(items[n - 1].as_str().unwrap().chars().count(), 751);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The mesh-backend equivalence runner behind `repro --backend mesh`.
+//! The mesh-backend equivalence runner behind `repro mesh`.
 //!
 //! Runs canned schedules end-to-end on both transports — backend #1,
 //! the pure discrete-event simulator, and backend #2, the UDP mesh
@@ -11,7 +11,7 @@
 //! first-divergence report on failure.
 
 use crate::scenario::{run_scenario_with, Scenario};
-use manet_sim::{FaultPlan, Protocol, Transcript};
+use manet_sim::{FaultPlan, ProtocolCore, Transcript};
 use proto_io::WireMsg;
 use transport_mesh::{MeshShadow, MeshStats};
 
@@ -85,7 +85,7 @@ fn scenario_for(cell: &Cell, quick: bool) -> Scenario {
 
 fn run_both<P>(scenario: &Scenario, fresh: impl Fn() -> P) -> (Transcript, Transcript, MeshStats)
 where
-    P: Protocol,
+    P: ProtocolCore,
     P::Msg: WireMsg + Send + 'static,
 {
     let mut sim_report = run_scenario_with(scenario, fresh(), |sim| {

@@ -1,11 +1,11 @@
-//! `repro --check` — the conformance-oracle smoke suite.
+//! `repro check` — the conformance-oracle smoke suite.
 //!
 //! Runs every registered protocol under every canned chaos schedule
 //! with the step-wise invariant checker enabled. A clean suite prints
 //! one `PASS` line per (protocol, schedule) cell; a violation is
 //! delta-debugged down to a minimal failing schedule and written out as
 //! a replayable artifact (see `conformance::Artifact`), which
-//! `repro --check --replay <file>` reproduces byte-for-byte.
+//! `repro replay <file>` reproduces byte-for-byte.
 
 use conformance::registry::PROTOCOLS;
 use conformance::{chaos_schedules, replay_check, run_named, shrink_named, Artifact, CheckConfig};

@@ -10,24 +10,23 @@
 //! [`crate::sweep::run_jobs`] and merged **in ascending shard order**.
 //!
 //! Determinism contract (same as `sweep.json`): the artifact records
-//! nothing about *how* the run executed — not the thread count, not the
-//! engine selector, not scheduling order. Per-shard seeds are a pure
-//! function of `(base_seed, size index, shard index)`, and the merge
-//! order is fixed, so the same config produces byte-identical
-//! deterministic renderings on one thread or sixteen, under the full,
-//! incremental, or parallel topology engine (the engines are proven
-//! output-equivalent by the differential suite). Wall-clock fields
-//! render as 0 under `REPRO_NO_WALL_CLOCK=1`; the fingerprint always
-//! covers the zeroed form.
+//! nothing about *how* the run executed — not the thread count, not
+//! scheduling order. Per-shard seeds are a pure function of
+//! `(base_seed, size, shard index)`, and the merge order is fixed, so
+//! the same config produces byte-identical deterministic renderings on
+//! one thread or sixteen. Wall-clock fields render as 0 under
+//! `REPRO_NO_WALL_CLOCK=1`; the fingerprint always covers the zeroed
+//! form.
 //!
-//! The `topo` section is the engine microbenchmark: per size, one
-//! constant-density layout timed under the full rebuild, the
-//! incremental maintainer (post-drift update), and the parallel
-//! builder, with a link-set equality check across all three.
+//! The `topo` section is the builder microbenchmark: per size, one
+//! constant-density layout timed under `Topology::build` (what every
+//! world runs) and the two measured alternates — the incremental
+//! maintainer (post-drift update) and the parallel builder — with a
+//! link-set equality check across all three.
 
 use crate::scenario::{run_scenario, Scenario};
 use manet_sim::topology::Topology;
-use manet_sim::{Arena, EngineConfig, IncrementalTopology, Metrics, NodeId, Point, SimRng};
+use manet_sim::{Arena, IncrementalTopology, Metrics, NodeId, Point, SimRng};
 use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
 
@@ -50,8 +49,6 @@ pub struct ScaleConfig {
     pub base_seed: u64,
     /// Worker threads for the shard fan-out (`0` = one per CPU).
     pub threads: usize,
-    /// Topology engine every shard's world runs under.
-    pub engine: EngineConfig,
     /// Shrinks the per-shard drive (short arrival gap and settle
     /// window) so smoke runs finish fast.
     pub quick: bool,
@@ -64,7 +61,6 @@ impl Default for ScaleConfig {
             shard_nn: 128,
             base_seed: 42,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: false,
         }
     }
@@ -147,21 +143,20 @@ fn shard_sizes(n: usize, shard_nn: usize) -> Vec<usize> {
 /// The join-storm scenario one shard runs: every node arrives in a
 /// burst, then a short settle window. Static nodes — the storm is the
 /// workload, mobility is the sweep's axis.
-fn shard_scenario(nn: usize, seed: u64, quick: bool, engine: EngineConfig) -> Scenario {
+fn shard_scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
     Scenario::builder()
         .nn(nn)
         .speed_mps(0.0)
         .arrival_gap_ms(if quick { 50 } else { 100 })
         .settle_secs(if quick { 3 } else { 5 })
         .connected_arrivals(true)
-        .engine(engine)
         .seed(seed)
         .build()
         .expect("shard scenario is in-domain")
 }
 
-fn run_shard(nn: usize, seed: u64, quick: bool, engine: EngineConfig) -> (Metrics, u64) {
-    let s = shard_scenario(nn, seed, quick, engine);
+fn run_shard(nn: usize, seed: u64, quick: bool) -> (Metrics, u64) {
+    let s = shard_scenario(nn, seed, quick);
     let report = run_scenario(&s, Qbac::new(ProtocolConfig::default()));
     let sim_us = report.world().now().as_micros();
     (report.into_measurements().metrics, sim_us)
@@ -272,12 +267,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
     let results = crate::sweep::run_jobs(jobs.len(), threads, |j| {
         let (ci, si, nn) = jobs[j];
-        run_shard(
-            nn,
-            mix_seed(cfg.base_seed, cfg.sizes[ci], si),
-            cfg.quick,
-            cfg.engine,
-        )
+        run_shard(nn, mix_seed(cfg.base_seed, cfg.sizes[ci], si), cfg.quick)
     });
     let mut cells: Vec<ScaleCell> = cfg
         .sizes
@@ -353,9 +343,9 @@ impl ScaleReport {
         doc.seal()
     }
 
-    /// Everything up to (and excluding) the fingerprint field. Thread
-    /// count and engine selector are deliberately absent: the artifact
-    /// must not depend on how the run executed.
+    /// Everything up to (and excluding) the fingerprint field. The
+    /// thread count is deliberately absent: the artifact must not
+    /// depend on how the run executed.
     fn render_body(&self, zero_walls: bool) -> crate::artifact::Artifact {
         let mut s = crate::artifact::Artifact::begin();
         let _ = write!(
@@ -423,15 +413,13 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::TopologyEngine;
 
-    fn tiny(engine: EngineConfig, threads: usize) -> ScaleReport {
+    fn tiny(threads: usize) -> ScaleReport {
         run_scale(&ScaleConfig {
             sizes: vec![96],
             shard_nn: 48,
             base_seed: 7,
             threads,
-            engine,
             quick: true,
         })
     }
@@ -449,25 +437,20 @@ mod tests {
     }
 
     #[test]
-    fn scale_is_byte_identical_across_threads_and_engines() {
-        // The tentpole's pinned determinism claim: one thread under the
-        // default full-rebuild engine vs. four threads under the
-        // parallel engine — same bytes.
-        let a = tiny(EngineConfig::full(), 1);
-        let b = tiny(EngineConfig::parallel(4), 4);
+    fn scale_is_byte_identical_across_threads() {
+        let a = tiny(1);
+        let b = tiny(4);
         assert_eq!(
             a.deterministic_json(),
             b.deterministic_json(),
-            "scale artifact must not depend on threads or engine"
+            "scale artifact must not depend on the thread count"
         );
-        let c = tiny(EngineConfig::incremental(), 2);
-        assert_eq!(a.deterministic_json(), c.deterministic_json());
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn scale_cells_configure_nodes_and_gate_against_themselves() {
-        let r = tiny(EngineConfig::default(), 0);
+        let r = tiny(0);
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].shards, 2);
         assert!(r.failed.is_empty(), "{:?}", r.failed);
@@ -490,7 +473,6 @@ mod tests {
             shard_nn: 48,
             base_seed: 7,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: true,
         });
         let smoke = run_scale(&ScaleConfig {
@@ -498,7 +480,6 @@ mod tests {
             shard_nn: 48,
             base_seed: 7,
             threads: 0,
-            engine: EngineConfig::default(),
             quick: true,
         });
         // Size-keyed shard seeds make the shared cell an *exact*
@@ -525,12 +506,5 @@ mod tests {
                 assert!(seen.insert(mix_seed(42, cell, shard)));
             }
         }
-    }
-
-    #[test]
-    fn engine_config_reaches_the_shard_world() {
-        let s = shard_scenario(48, 1, true, EngineConfig::parallel(3));
-        assert_eq!(s.engine.engine_kind(), TopologyEngine::Parallel);
-        assert_eq!(s.engine.thread_count(), 3);
     }
 }

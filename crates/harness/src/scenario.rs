@@ -7,8 +7,8 @@
 //! chosen to depart gracefully or abruptly."
 
 use manet_sim::{
-    Arena, EngineConfig, FaultPlan, Metrics, MobilityConfig, NodeId, Protocol, Sim, SimDuration,
-    SimTime, World, WorldConfig,
+    Arena, FaultPlan, Metrics, MobilityConfig, NodeId, ProtocolCore, Sim, SimDuration, SimTime,
+    World, WorldConfig,
 };
 
 /// A reproducible experiment scenario.
@@ -66,10 +66,6 @@ pub struct Scenario {
     /// When non-zero, enables bounded event tracing with this capacity
     /// so the run can be exported as JSONL (default: 0, off).
     pub trace_capacity: usize,
-    /// Topology engine the simulation world runs
-    /// (full-rebuild/incremental/parallel — all byte-identical; default
-    /// full, the historical engine).
-    pub engine: EngineConfig,
     /// Size of the address pool the protocol allocates from (default
     /// 2^16, the workspace's stock `/16`-equivalent block). The builder
     /// rejects `nn > pool_size`: more nodes than addresses cannot all
@@ -98,7 +94,6 @@ impl Default for Scenario {
             fault_plan: FaultPlan::default(),
             observe: false,
             trace_capacity: 0,
-            engine: EngineConfig::default(),
             pool_size: 1 << 16,
         }
     }
@@ -287,15 +282,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the topology engine (full-rebuild, incremental, or
-    /// parallel — all produce byte-identical snapshots; full is the
-    /// default).
-    #[must_use]
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.s.engine = engine;
-        self
-    }
-
     /// Size of the address pool the protocol allocates from (default
     /// 2^16). Must be at least `nn`.
     #[must_use]
@@ -448,7 +434,6 @@ impl Scenario {
             loss_rate: self.loss_rate,
             seed: self.seed,
             fault_plan: self.fault_plan.clone(),
-            engine: self.engine,
             ..WorldConfig::default()
         }
     }
@@ -476,12 +461,12 @@ pub struct RunMeasurements {
 /// What [`run_scenario`] produced: the finished simulation (for
 /// protocol-state inspection) plus the [`RunMeasurements`] the figure
 /// drivers consume, behind accessors instead of tuple positions.
-pub struct RunReport<P: Protocol> {
+pub struct RunReport<P: ProtocolCore> {
     sim: Sim<P>,
     measurements: RunMeasurements,
 }
 
-impl<P: Protocol> RunReport<P> {
+impl<P: ProtocolCore> RunReport<P> {
     /// The finished simulation.
     #[must_use]
     pub fn sim(&self) -> &Sim<P> {
@@ -528,7 +513,7 @@ impl<P: Protocol> RunReport<P> {
 
 /// Runs `protocol` through the scenario: sequential random arrivals, a
 /// settling period, then the departure phase, then cooldown.
-pub fn run_scenario<P: Protocol>(s: &Scenario, protocol: P) -> RunReport<P> {
+pub fn run_scenario<P: ProtocolCore>(s: &Scenario, protocol: P) -> RunReport<P> {
     run_scenario_with(s, protocol, |_| {})
 }
 
@@ -536,7 +521,7 @@ pub fn run_scenario<P: Protocol>(s: &Scenario, protocol: P) -> RunReport<P> {
 /// arrival — the place to enable transcript recording or install a
 /// shadow transport (the transcript-differential suite runs the same
 /// scenario once per backend this way).
-pub fn run_scenario_with<P: Protocol>(
+pub fn run_scenario_with<P: ProtocolCore>(
     s: &Scenario,
     protocol: P,
     setup: impl FnOnce(&mut Sim<P>),
@@ -606,7 +591,7 @@ pub fn run_scenario_with<P: Protocol>(
 /// Spawns one arrival: uniform for the first node (or when connected
 /// arrivals are disabled), otherwise within radio range of a random
 /// alive node.
-fn spawn_arrival<P: Protocol>(sim: &mut Sim<P>, s: &Scenario) -> NodeId {
+fn spawn_arrival<P: ProtocolCore>(sim: &mut Sim<P>, s: &Scenario) -> NodeId {
     let arena = sim.world().arena();
     let alive = sim.world().alive_nodes();
     if !s.connected_arrivals || alive.is_empty() {
@@ -836,20 +821,6 @@ mod tests {
         let ScenarioError::OutOfRange { field, value, .. } = err;
         assert_eq!(field, "fault_plan");
         assert!(value.contains("11"), "{value}");
-    }
-
-    #[test]
-    fn engine_flows_through_to_world_config() {
-        use manet_sim::TopologyEngine;
-        let s = Scenario::builder()
-            .engine(EngineConfig::parallel(4))
-            .build()
-            .expect("valid engine");
-        assert_eq!(
-            s.world_config().engine.engine_kind(),
-            TopologyEngine::Parallel
-        );
-        assert_eq!(s.world_config().engine.thread_count(), 4);
     }
 
     #[test]

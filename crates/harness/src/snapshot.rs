@@ -89,7 +89,12 @@ fn canonical_scenario(seed: u64, quick: bool) -> Scenario {
         .expect("canonical scenario is in-domain")
 }
 
-fn observed_run<P: manet_sim::Protocol>(name: &str, seed: u64, quick: bool, p: P) -> ProtocolRun {
+fn observed_run<P: manet_sim::ProtocolCore>(
+    name: &str,
+    seed: u64,
+    quick: bool,
+    p: P,
+) -> ProtocolRun {
     let report = run_scenario(&canonical_scenario(seed, quick), p);
     let flows = all_kinds()
         .iter()
@@ -114,7 +119,7 @@ pub fn protocol_runs(seed: u64, quick: bool) -> Vec<ProtocolRun> {
     ]
 }
 
-fn traced_run<P: manet_sim::Protocol>(
+fn traced_run<P: manet_sim::ProtocolCore>(
     name: &str,
     seed: u64,
     quick: bool,

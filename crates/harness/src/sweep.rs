@@ -58,11 +58,6 @@ pub struct SweepGrid {
     /// Shrinks the per-cell drive (short settle/cooldown windows) so
     /// smoke grids finish in seconds.
     pub quick: bool,
-    /// Topology engine every cell's world runs under. Deliberately
-    /// absent from the rendered artifact: the engines are
-    /// output-equivalent, so this is an execution detail the
-    /// determinism contract must not record.
-    pub engine: manet_sim::EngineConfig,
 }
 
 impl SweepGrid {
@@ -84,7 +79,6 @@ impl SweepGrid {
             reps: 1,
             base_seed,
             quick: true,
-            engine: manet_sim::EngineConfig::default(),
         }
     }
 
@@ -105,7 +99,6 @@ impl SweepGrid {
             reps: 3,
             base_seed,
             quick: false,
-            engine: manet_sim::EngineConfig::default(),
         }
     }
 
@@ -301,15 +294,8 @@ fn plan_by_name(name: &str) -> Result<FaultPlan, SweepError> {
 }
 
 /// The scenario one cell replication runs.
-fn cell_scenario(
-    p: &CellParams,
-    plan: FaultPlan,
-    seed: u64,
-    quick: bool,
-    engine: manet_sim::EngineConfig,
-) -> Scenario {
+fn cell_scenario(p: &CellParams, plan: FaultPlan, seed: u64, quick: bool) -> Scenario {
     Scenario::builder()
-        .engine(engine)
         .nn(p.nn)
         .speed_mps(p.speed)
         .mobility(MobilityConfig::parse(&p.mobility).expect("mobility spec validated up front"))
@@ -335,9 +321,8 @@ fn run_rep(
     plan: FaultPlan,
     seed: u64,
     quick: bool,
-    engine: manet_sim::EngineConfig,
 ) -> (Metrics, Vec<FlowTally>, u64) {
-    let s = cell_scenario(p, plan, seed, quick, engine);
+    let s = cell_scenario(p, plan, seed, quick);
     macro_rules! run {
         ($proto:expr) => {{
             let report = run_scenario(&s, $proto);
@@ -366,7 +351,6 @@ fn run_cell(
     reps: u64,
     base_seed: u64,
     quick: bool,
-    engine: manet_sim::EngineConfig,
 ) -> CellResult {
     let t0 = std::time::Instant::now();
     let mut metrics = Metrics::new();
@@ -376,7 +360,7 @@ fn run_cell(
         .collect();
     let mut sim_us = 0u64;
     for rep in 0..reps.max(1) {
-        let (m, f, t) = run_rep(p, plan.clone(), base_seed.wrapping_add(rep), quick, engine);
+        let (m, f, t) = run_rep(p, plan.clone(), base_seed.wrapping_add(rep), quick);
         metrics.merge(&m);
         for (slot, tally) in flows.iter_mut().zip(f) {
             slot.1.merge(&tally);
@@ -433,7 +417,7 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
             .find(|(name, _)| *name == p.plan)
             .expect("plan resolved above")
             .1;
-        run_cell(p, plan, grid.reps, grid.base_seed, grid.quick, grid.engine)
+        run_cell(p, plan, grid.reps, grid.base_seed, grid.quick)
     });
     let mut cells = Vec::with_capacity(params.len());
     let mut failed = Vec::new();
@@ -704,7 +688,6 @@ mod tests {
             reps: 1,
             base_seed: 3,
             quick: true,
-            engine: manet_sim::EngineConfig::default(),
         }
     }
 

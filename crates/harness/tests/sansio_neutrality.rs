@@ -54,7 +54,7 @@ fn probe_scenario() -> Scenario {
         .expect("probe scenario is in-domain")
 }
 
-fn trace_fingerprint<P: manet_sim::Protocol>(protocol: P) -> String {
+fn trace_fingerprint<P: manet_sim::ProtocolCore>(protocol: P) -> String {
     let report = run_scenario(&probe_scenario(), protocol);
     let jsonl = report.world().trace().to_jsonl();
     assert!(!jsonl.is_empty(), "trace captured events");

@@ -24,7 +24,6 @@ fn acceptance_grid() -> SweepGrid {
         reps: 1,
         base_seed: 42,
         quick: true,
-        engine: manet_sim::EngineConfig::default(),
     }
 }
 
@@ -54,7 +53,6 @@ fn sweep_artifact_parses_and_carries_schema_version() {
         reps: 1,
         base_seed: 7,
         quick: true,
-        engine: manet_sim::EngineConfig::default(),
     };
     let report = run_sweep(&grid, 2).expect("grid names are known");
     let doc = Value::parse(&report.deterministic_json()).expect("sweep JSON parses");

@@ -13,7 +13,7 @@
 use harness::scenario::{run_scenario, Scenario};
 use harness::snapshot::{ProtocolRun, Snapshot, SnapshotParams};
 use manet_sim::observer::all_kinds;
-use manet_sim::{FaultPlan, Protocol};
+use manet_sim::{FaultPlan, ProtocolCore};
 
 /// Fingerprint of [`chaos_snapshot`]`(7)` under the current protocol
 /// workload. Regenerate only if the *workload* changes — never to paper
@@ -53,7 +53,7 @@ fn chaos_scenario(seed: u64) -> Scenario {
         .expect("chaos scenario is in-domain")
 }
 
-fn chaos_run<P: Protocol>(name: &str, seed: u64, p: P) -> ProtocolRun {
+fn chaos_run<P: ProtocolCore>(name: &str, seed: u64, p: P) -> ProtocolRun {
     let report = run_scenario(&chaos_scenario(seed), p);
     let flows = all_kinds()
         .iter()

@@ -26,7 +26,7 @@
 //! text.
 
 use harness::scenario::{run_scenario_with, Scenario};
-use manet_sim::{FaultPlan, Protocol, Transcript};
+use manet_sim::{FaultPlan, ProtocolCore, Transcript};
 use proptest::prelude::*;
 use proto_io::WireMsg;
 use transport_mesh::MeshShadow;
@@ -35,7 +35,7 @@ use transport_mesh::MeshShadow;
 /// transcript (plus mesh datagram count when the mesh backend ran).
 fn transcript_on<P>(scenario: &Scenario, protocol: P, mesh: bool) -> Transcript
 where
-    P: Protocol,
+    P: ProtocolCore,
     P::Msg: WireMsg + Send + 'static,
 {
     let mut report = run_scenario_with(scenario, protocol, |sim| {
@@ -56,7 +56,7 @@ where
 /// minimized divergence report on failure.
 fn assert_equivalent<P, F>(label: &str, scenario: &Scenario, fresh: F)
 where
-    P: Protocol,
+    P: ProtocolCore,
     P::Msg: WireMsg + Send + 'static,
     F: Fn() -> P,
 {

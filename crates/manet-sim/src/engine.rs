@@ -1,26 +1,23 @@
-//! The city-scale topology engine: one query API, three maintenance
-//! strategies.
+//! Measured alternates to [`Topology::build`]: the dirty-strip
+//! [`IncrementalTopology`] maintainer (here) and the thread-parallel
+//! [`Topology::build_parallel`] (in `topology.rs`).
 //!
-//! The paper's evaluation stops at a few hundred nodes, where rebuilding
-//! the connectivity snapshot from scratch every cache rotation is cheap.
-//! At 10k–100k nodes the rebuild dominates, so the engine behind
-//! [`World::topology`](crate::World::topology) becomes selectable via
-//! [`EngineConfig`]:
+//! Neither runs inside [`World`](crate::World): the world rebuilds its
+//! snapshot with `Topology::build`, which the wall-clock ledger shows is
+//! the fastest of the three at every size measured (DESIGN.md, "Why one
+//! engine"). They stay as plain public items because the `perf/` probes
+//! and the `topo` rows of `BENCH_scale.json` still time them against
+//! the serial build, and the differential proptests still prove them
+//! equal to it.
 //!
-//! * **full** (the default) — fresh strip-sweep per rotation, exactly
-//!   the historical behavior. Every pinned trace fingerprint is
-//!   captured under this engine.
-//! * **incremental** — a persistent [`IncrementalTopology`] maintainer
-//!   keeps the row bins, per-row x-orders, and per-row link buckets
-//!   from the previous instant and re-sweeps only the *dirty strips*:
-//!   the old and new rows of nodes that moved, joined, or left. Clean
-//!   buckets are reused verbatim.
-//! * **parallel** — fresh builds, but the row scan is chunked across
-//!   scoped worker threads ([`Topology::build_parallel`]).
+//! [`IncrementalTopology`] keeps the row bins, per-row x-orders, and
+//! per-row link buckets from the previous instant and re-sweeps only
+//! the *dirty strips*: the old and new rows of nodes that moved,
+//! joined, or left. Clean buckets are reused verbatim.
 //!
-//! All three produce **byte-identical** [`Topology`] values for the
-//! same input. The argument, load-bearing for the differential
-//! proptests and the pinned fingerprints:
+//! All three builders produce **byte-identical** [`Topology`] values
+//! for the same input. The argument, load-bearing for the differential
+//! proptests:
 //!
 //! 1. The CSR assembly ([`Topology::from_links`]) is insensitive to
 //!    link-list *order*: pass one groups directed edges by destination
@@ -28,261 +25,17 @@
 //!    walks destinations ascending, so each node's neighbor run comes
 //!    out ascending no matter how the links were discovered. The CSR
 //!    is therefore a pure function of the link *set*.
-//! 2. Every strategy discovers exactly the set of in-range pairs, each
-//!    once. For the incremental engine this holds even with row
+//! 2. Every builder discovers exactly the set of in-range pairs, each
+//!    once. For the incremental maintainer this holds even with row
 //!    parameters *frozen* from a previous instant: `row_of` clamps to
 //!    `[0, nrows)`, the clamped map is monotone in `y`, and every
 //!    interior row spans at least the range — so two nodes whose rows
 //!    differ by ≥ 2 are vertically farther apart than the range, and
 //!    a pair within range is always in the same or adjacent rows,
 //!    found exactly once by the own-row/below-row sweep.
-//!
-//! Queries go through the [`TopologyView`] trait, so simulation,
-//! harness, and figure code can be written against the view rather
-//! than the concrete snapshot type.
 
 use crate::topology::{d2_threshold, xkey, Topology};
 use crate::{NodeId, Point};
-use std::collections::HashMap;
-use std::fmt;
-
-/// Which topology maintenance strategy a [`World`](crate::World) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopologyEngine {
-    /// Fresh strip-sweep build per cache rotation (historical default).
-    #[default]
-    Full,
-    /// Dirty-strip incremental maintenance across rotations.
-    Incremental,
-    /// Fresh builds with the row scan fanned across worker threads.
-    Parallel,
-}
-
-impl TopologyEngine {
-    /// Canonical lowercase name (`full` / `incremental` / `parallel`).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyEngine::Full => "full",
-            TopologyEngine::Incremental => "incremental",
-            TopologyEngine::Parallel => "parallel",
-        }
-    }
-}
-
-impl fmt::Display for TopologyEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Builder-style engine selection carried by
-/// [`WorldConfig`](crate::WorldConfig) (and surfaced as
-/// `Scenario::builder().engine(..)` in the harness).
-///
-/// ```
-/// use manet_sim::{EngineConfig, TopologyEngine};
-///
-/// let cfg = EngineConfig::parallel(4);
-/// assert_eq!(cfg.engine_kind(), TopologyEngine::Parallel);
-/// assert_eq!(cfg.thread_count(), 4);
-/// assert_eq!(EngineConfig::parse("parallel:4").unwrap(), cfg);
-/// assert_eq!(cfg.to_string(), "parallel:4");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    engine: TopologyEngine,
-    threads: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            engine: TopologyEngine::Full,
-            threads: 1,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// The default full-rebuild engine.
-    #[must_use]
-    pub fn full() -> Self {
-        EngineConfig::default()
-    }
-
-    /// The dirty-strip incremental engine.
-    #[must_use]
-    pub fn incremental() -> Self {
-        EngineConfig::default().engine(TopologyEngine::Incremental)
-    }
-
-    /// The thread-parallel engine with `threads` row-scan workers.
-    #[must_use]
-    pub fn parallel(threads: usize) -> Self {
-        EngineConfig::default()
-            .engine(TopologyEngine::Parallel)
-            .threads(threads)
-    }
-
-    /// Selects the maintenance strategy.
-    #[must_use]
-    pub fn engine(mut self, engine: TopologyEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the worker-thread count (clamped to at least 1; only the
-    /// parallel engine consults it).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The selected strategy.
-    #[must_use]
-    pub fn engine_kind(&self) -> TopologyEngine {
-        self.engine
-    }
-
-    /// The worker-thread count.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Parses an engine spec: `full`, `incremental`, `parallel`, or
-    /// `parallel:N` with `N ≥ 1` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown engine names or a
-    /// malformed/zero thread count.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "full" => Ok(EngineConfig::full()),
-            "incremental" => Ok(EngineConfig::incremental()),
-            "parallel" => Ok(EngineConfig::parallel(1)),
-            other => {
-                if let Some(n) = other.strip_prefix("parallel:") {
-                    let threads: usize = n
-                        .parse()
-                        .map_err(|_| format!("invalid thread count in engine spec '{other}'"))?;
-                    if threads == 0 {
-                        return Err(format!("engine spec '{other}' needs at least one thread"));
-                    }
-                    Ok(EngineConfig::parallel(threads))
-                } else {
-                    Err(format!(
-                        "unknown engine '{other}' (expected full, incremental, parallel, or parallel:N)"
-                    ))
-                }
-            }
-        }
-    }
-}
-
-impl fmt::Display for EngineConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.engine {
-            TopologyEngine::Parallel if self.threads > 1 => {
-                write!(f, "parallel:{}", self.threads)
-            }
-            other => f.write_str(other.name()),
-        }
-    }
-}
-
-/// The connectivity-snapshot query API every consumer codes against:
-/// the simulator's delivery engine, the routing mesh, the conformance
-/// oracle, and the figure/bench code all need exactly these reads, and
-/// none of them needs to know how the snapshot was maintained.
-pub trait TopologyView {
-    /// Number of nodes in the snapshot.
-    fn len(&self) -> usize;
-    /// Returns `true` if the snapshot contains no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Returns `true` if the snapshot contains `node`.
-    fn contains(&self, node: NodeId) -> bool;
-    /// The dense index of `node` within this snapshot.
-    fn index_of(&self, node: NodeId) -> Option<usize>;
-    /// The node at dense index `i`.
-    fn node_at(&self, i: usize) -> NodeId;
-    /// One-hop neighbors of `node` as dense indices, ascending, without
-    /// allocating (empty if unknown).
-    fn neighbor_indices(&self, node: NodeId) -> &[u32];
-    /// One-hop neighbors of the node at dense index `i`, ascending.
-    fn neighbor_indices_at(&self, i: usize) -> &[u32];
-    /// One-hop neighbors of `node` (empty if unknown).
-    fn neighbors(&self, node: NodeId) -> Vec<NodeId>;
-    /// BFS distances (in hops) from `node` to every reachable node.
-    fn distances_from(&self, node: NodeId) -> HashMap<NodeId, u32>;
-    /// Shortest-path hop count between two nodes.
-    fn hops(&self, a: NodeId, b: NodeId) -> Option<u32>;
-    /// All nodes within `k` hops of `node`, with distances, sorted by
-    /// `(distance, id)`.
-    fn within(&self, node: NodeId, k: u32) -> Vec<(NodeId, u32)>;
-    /// The connected component containing `node`, sorted by id.
-    fn component_of(&self, node: NodeId) -> Vec<NodeId>;
-    /// All connected components, each sorted by id, ordered by their
-    /// smallest member.
-    fn components(&self) -> Vec<Vec<NodeId>>;
-    /// Returns `true` if `a` and `b` can reach each other.
-    fn connected(&self, a: NodeId, b: NodeId) -> bool;
-    /// Total number of undirected links.
-    fn link_count(&self) -> usize;
-}
-
-impl TopologyView for Topology {
-    fn len(&self) -> usize {
-        Topology::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        Topology::is_empty(self)
-    }
-    fn contains(&self, node: NodeId) -> bool {
-        Topology::contains(self, node)
-    }
-    fn index_of(&self, node: NodeId) -> Option<usize> {
-        Topology::index_of(self, node)
-    }
-    fn node_at(&self, i: usize) -> NodeId {
-        Topology::node_at(self, i)
-    }
-    fn neighbor_indices(&self, node: NodeId) -> &[u32] {
-        Topology::neighbor_indices(self, node)
-    }
-    fn neighbor_indices_at(&self, i: usize) -> &[u32] {
-        Topology::neighbor_indices_at(self, i)
-    }
-    fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        Topology::neighbors(self, node)
-    }
-    fn distances_from(&self, node: NodeId) -> HashMap<NodeId, u32> {
-        Topology::distances_from(self, node)
-    }
-    fn hops(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        Topology::hops(self, a, b)
-    }
-    fn within(&self, node: NodeId, k: u32) -> Vec<(NodeId, u32)> {
-        Topology::within(self, node, k)
-    }
-    fn component_of(&self, node: NodeId) -> Vec<NodeId> {
-        Topology::component_of(self, node)
-    }
-    fn components(&self) -> Vec<Vec<NodeId>> {
-        Topology::components(self)
-    }
-    fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        Topology::connected(self, a, b)
-    }
-    fn link_count(&self) -> usize {
-        Topology::link_count(self)
-    }
-}
 
 /// One node's slot in a row: the packed x sort key, its id, and its
 /// coordinates (kept inline so the re-sweep never chases back into the
@@ -353,7 +106,7 @@ struct IncState {
     buckets: Vec<Vec<(NodeId, NodeId)>>,
 }
 
-/// Re-sweep accounting, for perf assertions and the scale artifact.
+/// Re-sweep accounting, so tests can assert the dirty-strip path ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Updates served by dirty-strip maintenance.
@@ -630,40 +383,6 @@ fn assemble(nodes: &[(NodeId, Point)], buckets: &[Vec<(NodeId, NodeId)>]) -> Top
     Topology::from_links(nodes, &links)
 }
 
-/// The per-[`World`](crate::World) maintenance strategy instance:
-/// stateless dispatch for the full and parallel engines, carried state
-/// for the incremental one.
-#[derive(Debug)]
-pub(crate) enum TopologyMaintainer {
-    Full,
-    Incremental(Box<IncrementalTopology>),
-    Parallel { threads: usize },
-}
-
-impl TopologyMaintainer {
-    pub(crate) fn new(cfg: &EngineConfig) -> Self {
-        match cfg.engine_kind() {
-            TopologyEngine::Full => TopologyMaintainer::Full,
-            TopologyEngine::Incremental => {
-                TopologyMaintainer::Incremental(Box::new(IncrementalTopology::new()))
-            }
-            TopologyEngine::Parallel => TopologyMaintainer::Parallel {
-                threads: cfg.thread_count(),
-            },
-        }
-    }
-
-    pub(crate) fn build(&mut self, nodes: &[(NodeId, Point)], range: f64) -> Topology {
-        match self {
-            TopologyMaintainer::Full => Topology::build(nodes, range),
-            TopologyMaintainer::Incremental(inc) => inc.update(nodes, range),
-            TopologyMaintainer::Parallel { threads } => {
-                Topology::build_parallel(nodes, range, *threads)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,23 +401,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn engine_spec_round_trips() {
-        for (spec, display) in [
-            ("full", "full"),
-            ("incremental", "incremental"),
-            ("parallel", "parallel"),
-            ("parallel:4", "parallel:4"),
-        ] {
-            let cfg = EngineConfig::parse(spec).expect("spec parses");
-            assert_eq!(cfg.to_string(), display);
-            assert_eq!(EngineConfig::parse(&cfg.to_string()).unwrap(), cfg);
-        }
-        assert!(EngineConfig::parse("parallel:0").is_err());
-        assert!(EngineConfig::parse("parallel:x").is_err());
-        assert!(EngineConfig::parse("warp").is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   §IV-B assumption) and multi-hop routing over the instantaneous
 //!   connectivity graph ([`topology`]),
 //! * hop-count message accounting per traffic category ([`Metrics`]),
-//! * an event loop ([`Sim`]) driving implementations of [`Protocol`]
+//! * an event loop ([`Sim`]) driving implementations of [`ProtocolCore`]
 //!   through join / message / timer / leave callbacks,
 //! * seeded deterministic fault injection ([`faults`]): message drops,
 //!   delays and duplication, scheduled crashes/restarts, cluster-head
@@ -38,11 +38,11 @@
 //! # Example
 //!
 //! ```
-//! use manet_sim::{Net, NodeId, Point, Protocol, Sim, SimDuration, WorldConfig};
+//! use manet_sim::{Net, NodeId, Point, ProtocolCore, Sim, SimDuration, WorldConfig};
 //!
 //! /// A protocol in which every joining node pings node 0.
 //! struct Ping;
-//! impl Protocol for Ping {
+//! impl ProtocolCore for Ping {
 //!     type Msg = &'static str;
 //!     fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
 //!         if node != NodeId::new(0) {
@@ -75,12 +75,6 @@ pub mod trace;
 mod world;
 
 pub use proto_io::histogram;
-/// The simulator's historical name for the sans-io protocol contract.
-///
-/// The trait itself lives in `proto-io` as [`ProtocolCore`]; protocol
-/// crates implement it without depending on the simulator, and the
-/// simulator drives any implementation as backend #1.
-pub use proto_io::ProtocolCore as Protocol;
 pub use proto_io::{
     Arena, AttackKind, Cast, FaultCounters, FlowKind, FlowStage, Histogram, Input, Metrics,
     MsgCategory, Net, NetBackend, NodeId, Output, PerfCounters, Point, ProtoMsg, ProtocolCore,
@@ -88,7 +82,7 @@ pub use proto_io::{
     WireMsg,
 };
 
-pub use engine::{EngineConfig, IncrementalTopology, TopologyEngine, TopologyView};
+pub use engine::IncrementalTopology;
 pub use faults::{AttackRole, FaultPlan};
 pub use mobility::{MobilityConfig, MobilityModel, RetargetCtx};
 pub use observer::{FlowTally, Observer};

@@ -1,19 +1,19 @@
 use crate::event::EventKind;
-use crate::{Input, Net, NodeId, Point, Protocol, SimDuration, SimTime, World, WorldConfig};
+use crate::{Input, Net, NodeId, Point, ProtocolCore, SimDuration, SimTime, World, WorldConfig};
 
-/// The simulation driver: owns the [`World`] and the [`Protocol`] and
+/// The simulation driver: owns the [`World`] and the [`ProtocolCore`] and
 /// dispatches events to the protocol's callbacks in timestamp order.
 ///
 /// Scenario code (the experiment harness) uses `Sim` to place nodes and
 /// schedule arrivals/departures; the protocol reacts through the
 /// callbacks. See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct Sim<P: Protocol> {
+pub struct Sim<P: ProtocolCore> {
     world: World<P::Msg>,
     protocol: P,
 }
 
-impl<P: Protocol> Sim<P> {
+impl<P: ProtocolCore> Sim<P> {
     /// Creates a simulation with the given configuration and protocol.
     pub fn new(config: WorldConfig, protocol: P) -> Self {
         Sim {
@@ -265,7 +265,7 @@ mod tests {
         left: Vec<(NodeId, bool)>,
     }
 
-    impl Protocol for Echo {
+    impl ProtocolCore for Echo {
         type Msg = &'static str;
 
         fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn messages_to_dead_nodes_are_dropped() {
         struct SendLater;
-        impl Protocol for SendLater {
+        impl ProtocolCore for SendLater {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 if node.index() == 1 {
@@ -422,7 +422,7 @@ mod tests {
         struct Timers {
             fired: Vec<u64>,
         }
-        impl Protocol for Timers {
+        impl ProtocolCore for Timers {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 w.set_timer(node, SimDuration::from_millis(10), 1);
@@ -447,7 +447,7 @@ mod tests {
         struct T {
             fired: u32,
         }
-        impl Protocol for T {
+        impl ProtocolCore for T {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 w.set_timer(node, SimDuration::from_millis(100), 0);
@@ -527,7 +527,7 @@ mod tests {
     #[test]
     fn flood_reaches_component_and_charges_size() {
         struct Flooder;
-        impl Protocol for Flooder {
+        impl ProtocolCore for Flooder {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 if node.index() == 3 {
@@ -548,7 +548,7 @@ mod tests {
     #[test]
     fn broadcast_within_k() {
         struct B;
-        impl Protocol for B {
+        impl ProtocolCore for B {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 if node.index() == 4 {

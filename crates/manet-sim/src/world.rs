@@ -1,4 +1,3 @@
-use crate::engine::{EngineConfig, TopologyMaintainer};
 use crate::event::{EventKind, Scheduled};
 use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
@@ -41,11 +40,6 @@ pub struct WorldConfig {
     /// magnitude fewer O(n²) rebuilds. Set to zero to rebuild per
     /// instant.
     pub topology_quantum: SimDuration,
-    /// Topology maintenance strategy (full rebuild, dirty-strip
-    /// incremental, or thread-parallel row scans). All engines produce
-    /// byte-identical snapshots; the default full engine is the
-    /// historical behavior every pinned fingerprint was captured under.
-    pub engine: EngineConfig,
     /// RNG seed; runs with equal configs and scenarios are bit-identical.
     pub seed: u64,
     /// Deterministic fault-injection plan (empty by default). Non-empty
@@ -65,7 +59,6 @@ impl Default for WorldConfig {
             hop_delay: SimDuration::from_millis(5),
             loss_rate: 0.0,
             topology_quantum: SimDuration::from_millis(100),
-            engine: EngineConfig::default(),
             seed: 0,
             fault_plan: FaultPlan::default(),
         }
@@ -145,7 +138,6 @@ pub struct World<M> {
     seq: u64,
     queue: BinaryHeap<Scheduled<M>>,
     nodes: NodeTable,
-    maintainer: TopologyMaintainer,
     rng: SimRng,
     metrics: Metrics,
     cancelled_timers: HashSet<TimerId>,
@@ -166,14 +158,12 @@ impl<M: Clone + fmt::Debug> World<M> {
         let faults = (!config.fault_plan.is_empty())
             .then(|| Box::new(FaultState::new(config.fault_plan.clone())));
         let mobility_model = config.mobility.build(config.seed);
-        let maintainer = TopologyMaintainer::new(&config.engine);
         let mut world = World {
             config,
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
             nodes: NodeTable::default(),
-            maintainer,
             rng,
             metrics: Metrics::new(),
             cancelled_timers: HashSet::new(),
@@ -388,7 +378,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                 .filter(|(_, &a)| a)
                 .map(|(i, _)| (NodeId::new(i as u64), self.nodes.mobility[i].position(now)))
                 .collect();
-            let topo = self.maintainer.build(&positions, self.config.range);
+            let topo = Topology::build(&positions, self.config.range);
             self.topo_cache = Some((key.0, key.1, topo));
         } else {
             self.metrics.perf_mut().topo_hits += 1;
@@ -679,7 +669,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     // ------------------------------------------------------------------
 
     /// Arms a timer on `node` that fires after `delay`, delivering `tag`
-    /// to [`Protocol::on_timer`](crate::Protocol::on_timer).
+    /// to [`ProtocolCore::on_timer`](crate::ProtocolCore::on_timer).
     pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
         let id = TimerId::from_raw(self.next_timer);
         self.next_timer += 1;

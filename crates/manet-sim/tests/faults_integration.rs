@@ -2,7 +2,7 @@
 
 use manet_sim::faults::FaultPlan;
 use manet_sim::{
-    MsgCategory, Net, NodeId, Point, Protocol, Sim, SimDuration, SimTime, WorldConfig,
+    MsgCategory, Net, NodeId, Point, ProtocolCore, Sim, SimDuration, SimTime, WorldConfig,
 };
 
 /// Ping protocol: every joiner unicasts node 0 once; node 0 counts.
@@ -12,7 +12,7 @@ struct Ping {
     joins: u32,
 }
 
-impl Protocol for Ping {
+impl ProtocolCore for Ping {
     type Msg = &'static str;
 
     fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
@@ -37,7 +37,7 @@ impl Protocol for Ping {
 #[derive(Default)]
 struct HeadZero;
 
-impl Protocol for HeadZero {
+impl ProtocolCore for HeadZero {
     type Msg = ();
     fn on_join(&mut self, _w: &mut Net<'_, ()>, _node: NodeId) {}
     fn on_message(&mut self, _w: &mut Net<'_, ()>, _t: NodeId, _f: NodeId, _m: ()) {}

@@ -8,7 +8,7 @@ use manet_sim::{Arena, Net, NodeId, Point, Sim, SimDuration, SimRng, SimTime, Wo
 /// Marks every joiner configured immediately so mobility starts.
 struct Idle;
 
-impl manet_sim::Protocol for Idle {
+impl manet_sim::ProtocolCore for Idle {
     type Msg = ();
 
     fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {

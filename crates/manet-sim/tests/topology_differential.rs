@@ -12,7 +12,7 @@
 use manet_sim::mobility::MobilityState;
 use manet_sim::topology::Topology;
 use manet_sim::{
-    Arena, IncrementalTopology, Net, NodeId, Point, Protocol, Sim, SimDuration, SimRng, World,
+    Arena, IncrementalTopology, Net, NodeId, Point, ProtocolCore, Sim, SimDuration, SimRng, World,
     WorldConfig,
 };
 use proptest::prelude::*;
@@ -299,7 +299,7 @@ fn inclusive_boundary_across_cell_borders() {
 
 /// A protocol that does nothing — these tests drive the world directly.
 struct Inert;
-impl Protocol for Inert {
+impl ProtocolCore for Inert {
     type Msg = ();
     fn on_join(&mut self, _w: &mut Net<'_, ()>, _node: NodeId) {}
     fn on_message(&mut self, _w: &mut Net<'_, ()>, _to: NodeId, _from: NodeId, _m: ()) {}

@@ -1,11 +1,11 @@
 //! End-to-end check that the event trace captures simulator activity.
 
 use manet_sim::trace::TraceEvent;
-use manet_sim::{MsgCategory, Net, NodeId, Point, Protocol, Sim, SimDuration, WorldConfig};
+use manet_sim::{MsgCategory, Net, NodeId, Point, ProtocolCore, Sim, SimDuration, WorldConfig};
 
 struct PingAll;
 
-impl Protocol for PingAll {
+impl ProtocolCore for PingAll {
     type Msg = u8;
     fn on_join(&mut self, w: &mut Net<'_, u8>, node: NodeId) {
         if node.index() > 0 {

@@ -8,7 +8,9 @@
 //! cancel-after-fire, once per backend, and demands the identical
 //! `(virtual-time, tag)` firing sequence.
 
-use manet_sim::{Net, NodeId, Point, Protocol, Sim, SimDuration, TimerId, WireMsg, WorldConfig};
+use manet_sim::{
+    Net, NodeId, Point, ProtocolCore, Sim, SimDuration, TimerId, WireMsg, WorldConfig,
+};
 use transport_mesh::MeshShadow;
 
 /// One-byte probe message with a trivial wire codec.
@@ -42,7 +44,7 @@ struct TimerPing {
     last_id: Option<TimerId>,
 }
 
-impl Protocol for TimerPing {
+impl ProtocolCore for TimerPing {
     type Msg = Ping;
 
     fn on_join(&mut self, w: &mut Net<'_, Ping>, node: NodeId) {

@@ -8,7 +8,7 @@
 //! using a wrapper protocol that records every delivered message.
 
 use qbac::core::{Msg, ProtocolConfig, Qbac};
-use qbac::sim::{Net, NodeId, Point, Protocol, Sim, SimDuration, WorldConfig};
+use qbac::sim::{Net, NodeId, Point, ProtocolCore, Sim, SimDuration, WorldConfig};
 
 /// Records `(to, from, variant)` for every delivered message, then
 /// delegates to the real protocol.
@@ -52,7 +52,7 @@ fn variant(msg: &Msg) -> &'static str {
     }
 }
 
-impl Protocol for Recorder {
+impl ProtocolCore for Recorder {
     type Msg = Msg;
     fn on_join(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {
         self.inner.on_join(w, node);
