@@ -179,12 +179,7 @@ impl Buddy {
             .filter(|n| self.nodes.contains_key(n))
             .max_by_key(|n| self.nodes[n].pool.total_len());
         let neighbor = one_hop.or_else(|| {
-            let dists = w.distances_from(node);
-            self.nodes
-                .keys()
-                .filter(|n| **n != node && w.is_alive(**n))
-                .filter_map(|n| dists.get(n).map(|d| (*n, *d)))
-                .min_by_key(|&(n, d)| (d, n))
+            w.nearest(node, |n| self.nodes.contains_key(&n))
                 .map(|(n, _)| n)
         });
         if let Some(alloc) = neighbor {

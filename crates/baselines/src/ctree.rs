@@ -287,13 +287,10 @@ impl CTree {
     }
 
     fn nearest_coordinator(&self, w: &mut Net<'_, CtMsg>, node: NodeId) -> Option<NodeId> {
-        let dists = w.distances_from(node);
-        self.roles
-            .iter()
-            .filter(|(n, r)| **n != node && matches!(r, CtRole::Coordinator { .. }))
-            .filter_map(|(n, _)| dists.get(n).map(|d| (*n, *d)))
-            .min_by_key(|&(n, d)| (d, n))
-            .map(|(n, _)| n)
+        w.nearest(node, |n| {
+            matches!(self.roles.get(&n), Some(CtRole::Coordinator { .. }))
+        })
+        .map(|(n, _)| n)
     }
 
     fn attempt_join(&mut self, w: &mut Net<'_, CtMsg>, node: NodeId) {

@@ -205,15 +205,10 @@ impl ManetConf {
             .filter(|n| matches!(self.roles.get(n), Some(McRole::Configured { .. })))
             .collect();
         w.rng_choose(&candidates).copied().or_else(|| {
-            let dists = w.distances_from(node);
-            self.roles
-                .iter()
-                .filter(|(n, r)| {
-                    **n != node && w.is_alive(**n) && matches!(r, McRole::Configured { .. })
-                })
-                .filter_map(|(n, _)| dists.get(n).map(|d| (*n, *d)))
-                .min_by_key(|&(n, d)| (d, n))
-                .map(|(n, _)| n)
+            w.nearest(node, |n| {
+                matches!(self.roles.get(&n), Some(McRole::Configured { .. }))
+            })
+            .map(|(n, _)| n)
         })
     }
 

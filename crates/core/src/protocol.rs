@@ -209,17 +209,11 @@ impl Qbac {
         network: Option<Addr>,
         excluded: Option<NodeId>,
     ) -> Option<(NodeId, u32)> {
-        let dists = w.distances_from(node);
-        self.roles
-            .iter()
-            .filter(|(n, _)| **n != node && Some(**n) != excluded)
-            .filter_map(|(n, r)| match r {
-                NodeRole::Head(h) if network.is_none_or(|net| h.network_id == net) => {
-                    dists.get(n).map(|d| (*n, *d))
-                }
-                _ => None,
-            })
-            .min_by_key(|&(n, d)| (d, n))
+        w.nearest(node, |n| {
+            Some(n) != excluded
+                && matches!(self.roles.get(&n), Some(NodeRole::Head(h))
+                    if network.is_none_or(|net| h.network_id == net))
+        })
     }
 
     /// Looks up a head by its configured address (lowest node id wins so

@@ -1,11 +1,9 @@
 use crate::{NodeId, SimTime, TimerId};
 use std::cmp::Ordering;
 
-/// What a scheduled event does when it fires.
+/// What a scheduled event other than a delivery does when it fires.
 #[derive(Debug, Clone)]
-pub(crate) enum EventKind<M> {
-    /// Deliver a protocol message to `to`.
-    Deliver { to: NodeId, from: NodeId, msg: M },
+pub(crate) enum EventKind {
     /// Fire a protocol timer on `node`.
     Timer { node: NodeId, id: TimerId, tag: u64 },
     /// A dormant node becomes alive and the protocol is notified.
@@ -23,12 +21,40 @@ pub(crate) enum EventKind<M> {
     HeadKill { count: u32 },
 }
 
-/// An event with its firing time and a deterministic FIFO tiebreak.
+/// The deliveries of one send that fire at one instant, in the order
+/// the send scheduled them. A unicast is a run of one.
+pub(crate) type Run<M> = std::vec::IntoIter<(NodeId, M)>;
+
+/// What one queue entry holds.
+#[derive(Debug, Clone)]
+pub(crate) enum Queued<M> {
+    /// Deliver a protocol message from `from` to each recipient of
+    /// `run`; every recipient is one logical event.
+    Deliver {
+        from: NodeId,
+        run: Run<M>,
+    },
+    Event(EventKind),
+}
+
+/// One logical event, as the driver dispatches it.
+#[derive(Debug)]
+pub(crate) enum Due<M> {
+    /// Deliver a protocol message to `to`.
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        msg: M,
+    },
+    Event(EventKind),
+}
+
+/// A queue entry with its firing time and a deterministic FIFO tiebreak.
 #[derive(Debug, Clone)]
 pub(crate) struct Scheduled<M> {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    pub kind: Queued<M>,
 }
 
 impl<M> PartialEq for Scheduled<M> {
@@ -61,9 +87,9 @@ mod tests {
         Scheduled {
             at: SimTime::from_micros(at),
             seq,
-            kind: EventKind::Join {
+            kind: Queued::Event(EventKind::Join {
                 node: NodeId::new(0),
-            },
+            }),
         }
     }
 

@@ -1,4 +1,4 @@
-use crate::event::EventKind;
+use crate::event::{Due, EventKind};
 use crate::{Input, Net, NodeId, Point, ProtocolCore, SimDuration, SimTime, World, WorldConfig};
 
 /// The simulation driver: owns the [`World`] and the [`ProtocolCore`] and
@@ -110,7 +110,7 @@ impl<P: ProtocolCore> Sim<P> {
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         let mut processed = 0;
         while let Some(ev) = self.world.pop_due(until) {
-            self.dispatch(ev.kind);
+            self.dispatch(ev);
             processed += 1;
         }
         self.world.advance_to(until);
@@ -132,7 +132,7 @@ impl<P: ProtocolCore> Sim<P> {
     pub fn step_until(&mut self, until: SimTime) -> bool {
         match self.world.pop_due(until) {
             Some(ev) => {
-                self.dispatch(ev.kind);
+                self.dispatch(ev);
                 true
             }
             None => {
@@ -156,7 +156,7 @@ impl<P: ProtocolCore> Sim<P> {
         while processed < max_events {
             match self.world.pop_due(SimTime::MAX) {
                 Some(ev) => {
-                    self.dispatch(ev.kind);
+                    self.dispatch(ev);
                     processed += 1;
                 }
                 None => break,
@@ -174,14 +174,18 @@ impl<P: ProtocolCore> Sim<P> {
         self.protocol.handle(&mut net, node, input);
     }
 
-    fn dispatch(&mut self, kind: EventKind<P::Msg>) {
-        match kind {
-            EventKind::Deliver { to, from, msg } => {
+    fn dispatch(&mut self, due: Due<P::Msg>) {
+        let kind = match due {
+            Due::Deliver { to, from, msg } => {
                 if self.world.is_alive(to) {
                     self.world.metrics_mut().perf_mut().deliveries += 1;
                     self.feed(to, Input::Message { from, msg });
                 }
+                return;
             }
+            Due::Event(kind) => kind,
+        };
+        match kind {
             EventKind::Timer { node, id, tag } => {
                 if !self.world.timer_cancelled(id) && self.world.is_alive(node) {
                     self.world.metrics_mut().perf_mut().timers_fired += 1;
@@ -255,6 +259,7 @@ impl<P: ProtocolCore> Sim<P> {
 mod tests {
     use super::*;
     use crate::{MsgCategory, SendError};
+    use std::collections::HashMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a
     /// "req" and the server replies "rep".
@@ -492,6 +497,169 @@ mod tests {
             (m.total_messages(), m.total_hops(), sim.protocol().replies)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Logs every dispatch; optionally one node's handler removes
+    /// another node or arms a zero-delay timer on itself.
+    #[derive(Default)]
+    struct Fan {
+        /// `(now, node, tag)` per dispatch; a message logs tag 0.
+        log: Vec<(SimTime, NodeId, u64)>,
+        /// `(killer, victim)`: the killer's message handler removes the victim.
+        kill: Option<(NodeId, NodeId)>,
+        /// This node's message handler arms a zero-delay timer, tag 7.
+        echo: Option<NodeId>,
+    }
+
+    impl ProtocolCore for Fan {
+        type Msg = ();
+        fn on_join(&mut self, _w: &mut Net<'_, ()>, _node: NodeId) {}
+        fn on_message(&mut self, w: &mut Net<'_, ()>, to: NodeId, _from: NodeId, _m: ()) {
+            self.log.push((w.now(), to, 0));
+            if let Some((_, victim)) = self.kill.filter(|&(killer, _)| killer == to) {
+                w.remove_node(victim);
+            }
+            if self.echo == Some(to) {
+                w.set_timer(to, SimDuration::ZERO, 7);
+            }
+        }
+        fn on_timer(&mut self, w: &mut Net<'_, ()>, node: NodeId, tag: u64) {
+            self.log.push((w.now(), node, tag));
+        }
+    }
+
+    /// Node 0 in the middle of `k` one-hop neighbours, ids `1..=k`.
+    fn star(k: u64, fan: Fan) -> Sim<Fan> {
+        let mut sim = Sim::new(still_config(), fan);
+        sim.spawn_at(Point::new(500.0, 500.0));
+        for i in 0..k {
+            sim.spawn_at(Point::new(450.0 + 10.0 * i as f64, 520.0));
+        }
+        sim
+    }
+
+    fn hello(sim: &mut Sim<Fan>, k: u32) -> Vec<NodeId> {
+        sim.world_mut()
+            .broadcast_within(NodeId::new(0), k, MsgCategory::Hello, ())
+            .unwrap()
+    }
+
+    #[test]
+    fn a_broadcast_is_one_logical_event_per_recipient() {
+        let mut sim = star(9, Fan::default());
+        assert_eq!(sim.world().pending_events(), 0);
+        let recipients = hello(&mut sim, 1);
+        assert_eq!(recipients.len(), 9);
+        // One queue entry, nine logical events: that is what the
+        // counters and the oracle's stepping see.
+        assert_eq!(sim.world().pending_events(), 9);
+        assert_eq!(sim.world().metrics().perf().queue_high_water, 9);
+        let until = SimTime::from_micros(1_000_000);
+        for (i, to) in recipients.iter().enumerate() {
+            assert!(sim.step_until(until));
+            assert_eq!(sim.protocol().log.len(), i + 1, "one dispatch per step");
+            assert_eq!(sim.protocol().log[i].1, *to);
+            assert_eq!(sim.world().pending_events(), 8 - i);
+        }
+        assert!(!sim.step_until(until));
+        let perf = sim.world().metrics().perf();
+        assert_eq!((perf.events, perf.deliveries), (9, 9));
+        assert_eq!(perf.queue_high_water, 9);
+        // Stepping is run_until, one event at a time.
+        let mut whole = star(9, Fan::default());
+        hello(&mut whole, 1);
+        assert_eq!(whole.run_until(until), 9);
+        assert_eq!(whole.protocol().log, sim.protocol().log);
+    }
+
+    #[test]
+    fn a_recipient_removed_mid_run_is_skipped() {
+        let fan = Fan {
+            kill: Some((NodeId::new(2), NodeId::new(5))),
+            ..Fan::default()
+        };
+        let mut sim = star(6, fan);
+        hello(&mut sim, 1);
+        // The dead recipient's turn is still an event, just not a delivery.
+        assert_eq!(sim.run_for(SimDuration::from_secs(1)), 6);
+        let got: Vec<u64> = sim.protocol().log.iter().map(|l| l.1.index()).collect();
+        assert_eq!(got, vec![1, 2, 3, 4, 6]);
+        assert_eq!(sim.world().metrics().perf().deliveries, 5);
+    }
+
+    #[test]
+    fn what_a_handler_schedules_for_the_same_instant_fires_after_the_runs_tail() {
+        let fan = Fan {
+            echo: Some(NodeId::new(2)),
+            ..Fan::default()
+        };
+        let mut sim = star(4, fan);
+        hello(&mut sim, 1);
+        sim.run_for(SimDuration::from_secs(1));
+        let at = SimTime::ZERO + still_config().hop_delay;
+        let want: Vec<(SimTime, NodeId, u64)> = [(1, 0), (2, 0), (3, 0), (4, 0), (2, 7)]
+            .into_iter()
+            .map(|(n, tag)| (at, NodeId::new(n), tag))
+            .collect();
+        assert_eq!(sim.protocol().log, want);
+    }
+
+    #[test]
+    fn delay_and_dup_faults_dispatch_in_per_recipient_at_seq_order() {
+        use crate::trace::TraceEvent;
+        use crate::FaultPlan;
+        let plan = FaultPlan::new(9)
+            .with_delay(
+                0.5,
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(20),
+            )
+            .with_duplication(0.4);
+        let config = WorldConfig {
+            fault_plan: plan,
+            ..still_config()
+        };
+        let mut sim = Sim::new(config, Fan::default());
+        // A 5 × 5 lattice, 100 m apart: three hop levels from the corner.
+        for i in 0..25 {
+            sim.spawn_at(Point::new((i % 5) as f64 * 100.0, (i / 5) as f64 * 100.0));
+        }
+        sim.world_mut().enable_trace(1 << 12);
+        let recipients = hello(&mut sim, 3);
+        assert!(recipients.len() > 8);
+        // Each recipient's fate, as the send recorded it.
+        let (mut extra, mut copies) = (HashMap::new(), HashMap::new());
+        for r in sim.world().trace().records() {
+            match r.event {
+                TraceEvent::FaultDelay { to, by, .. } => {
+                    extra.insert(to, by);
+                }
+                TraceEvent::FaultDuplicate { to, copies: c, .. } => {
+                    copies.insert(to, c);
+                }
+                _ => {}
+            }
+        }
+        assert!(!extra.is_empty() && !copies.is_empty(), "plan must bite");
+        // One queue entry per copy, numbered in send order, popped by
+        // `(at, seq)`: the order the runs must reproduce.
+        let hop = sim.world().config().hop_delay;
+        let mut want = Vec::new();
+        for to in recipients {
+            let d = sim.world_mut().hops_between(NodeId::new(0), to).unwrap();
+            let at = SimTime::ZERO
+                + hop * u64::from(d)
+                + extra.get(&to).copied().unwrap_or(SimDuration::ZERO);
+            for _ in 0..=copies.get(&to).copied().unwrap_or(0) {
+                want.push((at, want.len(), to));
+            }
+        }
+        want.sort();
+        assert_eq!(sim.world().pending_events(), want.len());
+        sim.run_for(SimDuration::from_secs(1));
+        let got: Vec<(SimTime, NodeId)> = sim.protocol().log.iter().map(|l| (l.0, l.1)).collect();
+        let want: Vec<(SimTime, NodeId)> = want.into_iter().map(|(at, _, to)| (at, to)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -30,19 +30,35 @@
 //! [`Topology::build_naive`] keeps the all-pairs sweep as the oracle the
 //! differential tests compare against.
 //!
-//! BFS-backed queries ([`distances_from`](Topology::distances_from),
-//! [`hops`](Topology::hops), [`within`](Topology::within),
-//! [`component_of`](Topology::component_of),
-//! [`components`](Topology::components)) memoize per-source distance
-//! vectors and the component partition behind a [`RefCell`], so repeated
-//! queries against one snapshot — the common case while the
-//! [`World`](crate::World) topology cache holds a snapshot for a whole
-//! quantum — run the traversal once. The id→index map is built lazily
-//! on the first query for the same reason: a snapshot that is rebuilt
+//! BFS-backed queries ([`within`](Topology::within),
+//! [`nearest`](Topology::nearest), [`hops`](Topology::hops),
+//! [`distances_from`](Topology::distances_from)) share one *resumable*
+//! traversal per source, kept behind a [`RefCell`]: the distance vector,
+//! the discovery order (level by level, ids ascending within a level)
+//! and how many levels are finished. A query advances the traversal only
+//! as far as its answer needs — `within(k)` to depth `k`, `nearest` to
+//! the first level holding a match, `hops(a, b)` until `b` is reached —
+//! and a later query from the same source resumes where the last one
+//! stopped, so what the protocols ask periodically (a one-hop hello, a
+//! three-hop QDSet scan) costs what it touches, and nothing costs more
+//! than one full BFS per source per snapshot. The component partition
+//! ([`component_of`](Topology::component_of),
+//! [`components`](Topology::components)) is memoized whole. The id→index
+//! map is built lazily on the first query: a snapshot that is rebuilt
 //! before anyone queries it never pays for the map. The caches live
-//! *inside* the snapshot, so they are dropped with it the moment the
-//! world's `(quantum bucket, membership/mobility version)` cache key
-//! rotates; there is no separate invalidation protocol to get wrong.
+//! *inside* the snapshot, so they go with it the moment the world's
+//! `(quantum bucket, membership/mobility version)` cache key rotates;
+//! there is no separate invalidation protocol to get wrong.
+//!
+//! When that key rotates the world does not drop the snapshot, it
+//! [`rebuild`](Topology::rebuild)s it: the same build into the storage
+//! the stale snapshot held (CSR arrays, the build's link list and
+//! scatter buffers, the traversals' vectors), every answer forgotten.
+//! A 600-node city snapshot is some 700 KB of build buffers; freed and
+//! allocated again every quantum they make the allocator grow and trim
+//! the heap each time, and the page faults that follow cost whatever
+//! the host charges that second — a rep of the `city_mobile` benchmark
+//! swung ±7% on one input with them and ±1–3% without.
 
 use crate::{NodeId, Point};
 use std::cell::RefCell;
@@ -250,18 +266,139 @@ impl StripLayout {
     }
 }
 
+/// One source's breadth-first traversal, advanced a level at a time.
+///
+/// Finished levels are final: every node within [`depth`](Self::depth)
+/// hops is in `order` with its distance set, each level sorted by id, so
+/// a prefix of `order` *is* the `(distance, id)`-sorted neighbourhood.
+#[derive(Debug, Clone, Default)]
+struct Traversal {
+    /// Hop distance per dense index (`u32::MAX` = not reached yet).
+    dist: Vec<u32>,
+    /// Reached nodes: the source, then level 1, level 2, …
+    order: Vec<u32>,
+    /// Level `d` is `order[levels[d]..levels[d + 1]]`. An empty deepest
+    /// level means the component is covered.
+    levels: Vec<u32>,
+}
+
+impl Traversal {
+    /// Makes this the unstarted traversal from `start` over `n` nodes,
+    /// in whatever storage it already holds.
+    fn restart(&mut self, n: usize, start: usize) {
+        self.dist.clear();
+        self.dist.resize(n, u32::MAX);
+        self.dist[start] = 0;
+        self.order.clear();
+        self.order.push(start as u32);
+        self.levels.clear();
+        self.levels.extend([0, 1]);
+    }
+
+    /// Depth of the deepest finished level.
+    fn depth(&self) -> u32 {
+        self.levels.len() as u32 - 2
+    }
+
+    /// Where the levels up to depth `k` end in `order`.
+    fn end_of(&self, k: u32) -> usize {
+        self.levels[k.min(self.depth()) as usize + 1] as usize
+    }
+
+    /// Expands the deepest level into the next one. Returns `false`
+    /// (and does nothing) once the component is covered.
+    fn advance(&mut self, topo: &Topology) -> bool {
+        let (lo, hi) = (
+            self.levels[self.depth() as usize] as usize,
+            self.order.len(),
+        );
+        if lo == hi {
+            return false;
+        }
+        let next = self.depth() + 1;
+        for at in lo..hi {
+            for &v in topo.neighbor_indices_at(self.order[at] as usize) {
+                if self.dist[v as usize] == u32::MAX {
+                    self.dist[v as usize] = next;
+                    self.order.push(v);
+                }
+            }
+        }
+        self.order[hi..].sort_unstable_by_key(|&i| topo.ids[i as usize]);
+        self.levels.push(self.order.len() as u32);
+        true
+    }
+
+    /// Advances until every node within `k` hops is in `order`.
+    fn reach_depth(&mut self, topo: &Topology, k: u32) {
+        while self.depth() < k && self.advance(topo) {}
+    }
+
+    /// Advances until `target` is reached; its distance, if connected.
+    fn reach(&mut self, topo: &Topology, target: usize) -> Option<u32> {
+        while self.dist[target] == u32::MAX && self.advance(topo) {}
+        (self.dist[target] != u32::MAX).then_some(self.dist[target])
+    }
+}
+
 /// Memoized query state for one snapshot. Interior-mutable so the
-/// read-only query API can fill it lazily; never outlives the snapshot.
+/// read-only query API can fill it lazily; the answers never outlive the
+/// snapshot, the vectors that held them serve the next one.
 #[derive(Debug, Clone, Default)]
 struct MemoCache {
-    /// Lazily-built id → dense-index map (builds never query it).
-    index: Option<HashMap<NodeId, usize>>,
-    /// Per-source BFS distance vector (`u32::MAX` = unreachable),
-    /// keyed by source index.
-    dist: HashMap<usize, Vec<u32>>,
+    /// Lazily-built id → dense-index map (builds never query it): empty
+    /// until the first query.
+    index: HashMap<NodeId, usize>,
+    /// Where in `runs` the traversal from each source index is,
+    /// [`NO_RUN`] while none has started.
+    slot: Vec<u32>,
+    /// `runs[..live]` are this snapshot's resumable traversals, in the
+    /// order they started. The rest are left over from the snapshot this
+    /// storage held before ([`Topology::rebuild`]); the next traversal to
+    /// start takes one over instead of allocating.
+    runs: Vec<Traversal>,
+    live: usize,
     /// Component partition: `(components sorted by smallest member,
     /// component index per node)`.
     comps: Option<(Vec<Vec<NodeId>>, Vec<usize>)>,
+}
+
+/// [`MemoCache::slot`] of a source no query has started from.
+const NO_RUN: u32 = u32::MAX;
+
+impl MemoCache {
+    /// Forgets every answer, for a snapshot of `n` nodes; keeps the
+    /// storage.
+    fn reset(&mut self, n: usize) {
+        self.index.clear();
+        self.slot.clear();
+        self.slot.resize(n, NO_RUN);
+        self.live = 0;
+        self.comps = None;
+    }
+
+    /// The traversal from dense index `start`, started if this is the
+    /// snapshot's first query from that source.
+    fn run_from(&mut self, start: usize) -> &mut Traversal {
+        if self.slot[start] == NO_RUN {
+            if self.live == self.runs.len() {
+                self.runs.push(Traversal::default());
+            }
+            self.runs[self.live].restart(self.slot.len(), start);
+            self.slot[start] = self.live as u32;
+            self.live += 1;
+        }
+        &mut self.runs[self.slot[start] as usize]
+    }
+}
+
+/// What a build fills and then has no more use for, kept by a snapshot
+/// that [`Topology::rebuild`] will refill.
+#[derive(Debug, Clone, Default)]
+struct BuildScratch {
+    links: Vec<u64>,
+    by_dst: Vec<u32>,
+    pos: Vec<u32>,
 }
 
 /// A snapshot of the connectivity graph at one instant.
@@ -291,6 +428,7 @@ pub struct Topology {
     adj_starts: Vec<u32>,
     adj: Vec<u32>,
     cache: RefCell<MemoCache>,
+    scratch: BuildScratch,
 }
 
 impl Topology {
@@ -298,17 +436,38 @@ impl Topology {
     /// `range` meters, using the strip-sweep engine.
     #[must_use]
     pub fn build(nodes: &[(NodeId, Point)], range: f64) -> Self {
+        let mut topo = Self::from_csr(&[], vec![0], Vec::new());
+        topo.rebuild(nodes, range);
+        // Built once, refilled never: nothing to keep the scratch for.
+        topo.scratch = BuildScratch::default();
+        topo
+    }
+
+    /// Makes this the snapshot [`Topology::build`] would return for
+    /// `nodes`, in the storage it already holds: the CSR arrays, the
+    /// build's link list and scatter buffers and the memo's traversals
+    /// are refilled, not freed and allocated again. A world that rebuilds
+    /// a few-hundred-KB snapshot every quantum otherwise grows and trims
+    /// the heap each time, and pays for it in page faults whose cost is
+    /// the host's to decide. Every memoized answer is forgotten.
+    pub fn rebuild(&mut self, nodes: &[(NodeId, Point)], range: f64) {
         // Degenerate ranges (zero, negative, NaN, infinite) make the
         // row height or the d² cutoff meaningless, and non-finite
         // coordinates have no row; the all-pairs sweep handles all of
         // them with the exact same predicate. These only occur in
-        // adversarial tests.
+        // adversarial tests. (It also takes every layout too small for
+        // the strips to pay, in storage of its own.)
         let Some(layout) = StripLayout::new(nodes, range) else {
-            return Self::build_naive(nodes, range);
+            *self = Self::build_naive(nodes, range);
+            return;
         };
-        let mut links = Vec::new();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut links = std::mem::take(&mut scratch.links);
+        links.clear();
         layout.scan_rows(0, layout.nrows(), &mut links);
-        Self::from_links(nodes, &links)
+        self.assemble(nodes, &links, &mut scratch);
+        scratch.links = links;
+        self.scratch = scratch;
     }
 
     /// Builds the same graph as [`Topology::build`], scanning row
@@ -383,21 +542,37 @@ impl Topology {
     /// independent scatter chains so the read-modify-write latency of
     /// the position cursors overlaps instead of serializing.
     pub(crate) fn from_links(nodes: &[(NodeId, Point)], links: &[u64]) -> Self {
+        let mut topo = Self::from_csr(&[], vec![0], Vec::new());
+        topo.assemble(nodes, links, &mut BuildScratch::default());
+        topo
+    }
+
+    /// [`from_links`](Self::from_links) into this snapshot's storage,
+    /// with `scratch` for the sorts' working arrays.
+    fn assemble(&mut self, nodes: &[(NodeId, Point)], links: &[u64], scratch: &mut BuildScratch) {
+        assert!(
+            nodes.len() < u32::MAX as usize,
+            "topology indices are u32-dense"
+        );
         let n = nodes.len();
         let ne = links.len() * 2;
-        let mut deg = vec![0u32; n + 1];
+        let (adj_starts, adj) = (&mut self.adj_starts, &mut self.adj);
+        let (by_dst, pos) = (&mut scratch.by_dst, &mut scratch.pos);
+        adj_starts.clear();
+        adj_starts.resize(n + 1, 0);
         for &l in links {
-            deg[(l >> 32) as usize + 1] += 1;
-            deg[(l & 0xffff_ffff) as usize + 1] += 1;
+            adj_starts[(l >> 32) as usize + 1] += 1;
+            adj_starts[(l & 0xffff_ffff) as usize + 1] += 1;
         }
-        let mut adj_starts = deg;
         for i in 1..=n {
             adj_starts[i] += adj_starts[i - 1];
         }
         // Pass one: group directed edges by destination. Only the
         // source needs storing — the destination is the group index.
-        let mut pos: Vec<u32> = adj_starts[..n].to_vec();
-        let mut by_dst = vec![0u32; ne];
+        pos.clear();
+        pos.extend_from_slice(&adj_starts[..n]);
+        by_dst.clear();
+        by_dst.resize(ne, 0);
         {
             let q = links.len() / 4;
             let (s0, rest) = links.split_at(q);
@@ -423,8 +598,10 @@ impl Topology {
         // Pass two: scatter each group's sources pairwise (two more
         // independent chains); destinations arrive at every source
         // ascending.
-        let mut pos: Vec<u32> = adj_starts[..n].to_vec();
-        let mut adj = vec![0u32; ne];
+        pos.clear();
+        pos.extend_from_slice(&adj_starts[..n]);
+        adj.clear();
+        adj.resize(ne, 0);
         for d in 0..n {
             let d32 = d as u32;
             let group = &by_dst[adj_starts[d] as usize..adj_starts[d + 1] as usize];
@@ -444,7 +621,9 @@ impl Topology {
                 adj[p as usize] = d32;
             }
         }
-        Self::from_csr(nodes, adj_starts, adj)
+        self.ids.clear();
+        self.ids.extend(nodes.iter().map(|(id, _)| *id));
+        self.cache.get_mut().reset(n);
     }
 
     /// Flattens per-node neighbor lists (already ascending) into CSR.
@@ -462,11 +641,14 @@ impl Topology {
             nodes.len() < u32::MAX as usize,
             "topology indices are u32-dense"
         );
+        let mut cache = MemoCache::default();
+        cache.reset(nodes.len());
         Topology {
             ids: nodes.iter().map(|(id, _)| *id).collect(),
             adj_starts,
             adj,
-            cache: RefCell::new(MemoCache::default()),
+            cache: RefCell::new(cache),
+            scratch: BuildScratch::default(),
         }
     }
 
@@ -494,17 +676,11 @@ impl Topology {
     #[must_use]
     pub fn index_of(&self, node: NodeId) -> Option<usize> {
         let mut cache = self.cache.borrow_mut();
-        cache
-            .index
-            .get_or_insert_with(|| {
-                self.ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, id)| (*id, i))
-                    .collect()
-            })
-            .get(&node)
-            .copied()
+        if cache.index.is_empty() {
+            let by_id = self.ids.iter().enumerate().map(|(i, id)| (*id, i));
+            cache.index.extend(by_id);
+        }
+        cache.index.get(&node).copied()
     }
 
     /// The node at dense index `i` (indices come from
@@ -550,28 +726,10 @@ impl Topology {
             .collect()
     }
 
-    /// Runs (or recalls) the BFS from dense index `start` and hands the
-    /// distance vector to `f`. The vector is computed at most once per
-    /// source per snapshot.
-    fn with_dist<R>(&self, start: usize, f: impl FnOnce(&[u32]) -> R) -> R {
-        let mut cache = self.cache.borrow_mut();
-        let dist = cache.dist.entry(start).or_insert_with(|| {
-            let mut dist = vec![u32::MAX; self.ids.len()];
-            let mut queue = VecDeque::new();
-            dist[start] = 0;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in self.neighbor_indices_at(u) {
-                    let v = v as usize;
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            dist
-        });
-        f(dist)
+    /// Hands the traversal from dense index `start` to `f`, starting it
+    /// if this is the snapshot's first query from that source.
+    fn with_bfs<R>(&self, start: usize, f: impl FnOnce(&mut Traversal) -> R) -> R {
+        f(self.cache.borrow_mut().run_from(start))
     }
 
     /// BFS distances (in hops) from `node` to every reachable node,
@@ -581,11 +739,11 @@ impl Topology {
         let Some(start) = self.index_of(node) else {
             return HashMap::new();
         };
-        self.with_dist(start, |dist| {
-            dist.iter()
-                .enumerate()
-                .filter(|&(_, d)| *d != u32::MAX)
-                .map(|(i, d)| (self.ids[i], *d))
+        self.with_bfs(start, |bfs| {
+            bfs.reach_depth(self, u32::MAX);
+            bfs.order
+                .iter()
+                .map(|&i| (self.ids[i as usize], bfs.dist[i as usize]))
                 .collect()
         })
     }
@@ -597,10 +755,17 @@ impl Topology {
         if a == b {
             return self.contains(a).then_some(0);
         }
-        let (start, target) = (self.index_of(a)?, self.index_of(b)?);
-        self.with_dist(start, |dist| {
-            (dist[target] != u32::MAX).then_some(dist[target])
-        })
+        let (mut start, mut target) = (self.index_of(a)?, self.index_of(b)?);
+        // Links are undirected: when only `b` has a traversal under way,
+        // resuming it answers the same question without starting a
+        // second one.
+        {
+            let cache = self.cache.borrow();
+            if cache.slot[start] == NO_RUN && cache.slot[target] != NO_RUN {
+                std::mem::swap(&mut start, &mut target);
+            }
+        }
+        self.with_bfs(start, |bfs| bfs.reach(self, target))
     }
 
     /// All nodes within `k` hops of `node` (excluding the node itself),
@@ -610,15 +775,67 @@ impl Topology {
         let Some(start) = self.index_of(node) else {
             return Vec::new();
         };
-        let mut v: Vec<(NodeId, u32)> = self.with_dist(start, |dist| {
-            dist.iter()
-                .enumerate()
-                .filter(|&(i, d)| i != start && *d != u32::MAX && *d <= k)
-                .map(|(i, d)| (self.ids[i], *d))
+        self.with_bfs(start, |bfs| {
+            bfs.reach_depth(self, k);
+            bfs.order[1..bfs.end_of(k)]
+                .iter()
+                .map(|&i| (self.ids[i as usize], bfs.dist[i as usize]))
                 .collect()
-        });
-        v.sort_by_key(|&(n, d)| (d, n));
-        v
+        })
+    }
+
+    /// The first node other than `node` that satisfies `pred`, walking
+    /// outward level by level, ids ascending within a level — the
+    /// minimum by `(distance, id)` over the matching reachable nodes —
+    /// with its distance. Stops at the first hit, so a nearby match
+    /// never pays for the rest of the component. `pred` must not query
+    /// this snapshot.
+    pub fn nearest(
+        &self,
+        node: NodeId,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, u32)> {
+        let start = self.index_of(node)?;
+        self.with_bfs(start, |bfs| {
+            let mut at = 1;
+            loop {
+                while at < bfs.order.len() {
+                    let i = bfs.order[at] as usize;
+                    if pred(self.ids[i]) {
+                        return Some((self.ids[i], bfs.dist[i]));
+                    }
+                    at += 1;
+                }
+                if !bfs.advance(self) {
+                    return None;
+                }
+            }
+        })
+    }
+
+    /// One deterministic shortest path `from → to` (both inclusive):
+    /// walking back from `to`, always the lowest-id neighbor one hop
+    /// closer to `from`. `None` if disconnected or either is unknown.
+    pub(crate) fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        let (start, target) = (self.index_of(from)?, self.index_of(to)?);
+        self.with_bfs(start, |bfs| {
+            let mut d = bfs.reach(self, target)?;
+            let mut path = vec![to];
+            let mut cur = target;
+            while d > 0 {
+                d -= 1;
+                cur = self
+                    .neighbor_indices_at(cur)
+                    .iter()
+                    .map(|&j| j as usize)
+                    .filter(|&j| bfs.dist[j] == d)
+                    .min_by_key(|&j| self.ids[j])
+                    .expect("BFS predecessor exists on a shortest path");
+                path.push(self.ids[cur]);
+            }
+            path.reverse();
+            Some(path)
+        })
     }
 
     /// Fills (or recalls) the component partition and hands it to `f`.

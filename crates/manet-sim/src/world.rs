@@ -1,4 +1,4 @@
-use crate::event::{EventKind, Scheduled};
+use crate::event::{Due, EventKind, Queued, Run, Scheduled};
 use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
 use crate::observer::{FlowKind, FlowStage, Observer};
@@ -10,7 +10,7 @@ use crate::{
     SimRng, SimTime, Transcript,
 };
 use proto_io::Input;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
 /// Static parameters of a simulation run.
@@ -130,6 +130,24 @@ pub trait WireShadow<M>: fmt::Debug + Send {
     fn carry(&mut self, path: &[NodeId], category: MsgCategory, msg: &M) -> M;
 }
 
+/// The deliveries one send has decided so far that share a firing time:
+/// the queue entry [`World::schedule_delivery`] is filling.
+struct Outbox<M> {
+    from: NodeId,
+    at: SimTime,
+    run: Vec<(NodeId, M)>,
+}
+
+impl<M> Outbox<M> {
+    fn new(from: NodeId, capacity: usize) -> Self {
+        Outbox {
+            from,
+            at: SimTime::ZERO,
+            run: Vec::with_capacity(capacity),
+        }
+    }
+}
+
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct World<M> {
@@ -137,6 +155,12 @@ pub struct World<M> {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Scheduled<M>>,
+    /// Logical events not yet dispatched: every queued non-delivery
+    /// event plus every recipient of every queued or half-unrolled run.
+    pending: usize,
+    /// The run popped last, firing at `now`: its sender and the
+    /// recipients [`World::pop_due`] has not handed out yet.
+    unrolling: Option<(NodeId, Run<M>)>,
     nodes: NodeTable,
     rng: SimRng,
     metrics: Metrics,
@@ -163,6 +187,8 @@ impl<M: Clone + fmt::Debug> World<M> {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            pending: 0,
+            unrolling: None,
             nodes: NodeTable::default(),
             rng,
             metrics: Metrics::new(),
@@ -351,10 +377,11 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// configured quantum (and until membership/mobility changes).
     ///
     /// The snapshot is built with the spatial-grid engine and carries
-    /// its own memoized per-source BFS distance vectors and component
+    /// its own resumable per-source traversals and memoized component
     /// partition (see [`topology`](crate::topology)), so repeated
-    /// `hops`/`within`/`distances_from`/`component_of` queries within
-    /// one quantum traverse the graph once. Those memo caches share
+    /// `hops`/`within`/`nearest`/`component_of` queries within one
+    /// quantum visit each link at most once per source, and only as far
+    /// out as the answers need. Those memo caches share
     /// this cache's `(quantum bucket, topo_version)` key by
     /// construction: any membership or mobility change bumps
     /// `topo_version`, which drops the snapshot and its caches with it.
@@ -378,8 +405,18 @@ impl<M: Clone + fmt::Debug> World<M> {
                 .filter(|(_, &a)| a)
                 .map(|(i, _)| (NodeId::new(i as u64), self.nodes.mobility[i].position(now)))
                 .collect();
-            let topo = Topology::build(&positions, self.config.range);
-            self.topo_cache = Some((key.0, key.1, topo));
+            // The stale snapshot's storage takes the new one.
+            let range = self.config.range;
+            match &mut self.topo_cache {
+                Some((t, v, topo)) => {
+                    topo.rebuild(&positions, range);
+                    (*t, *v) = key;
+                }
+                None => {
+                    let topo = Topology::build(&positions, range);
+                    self.topo_cache = Some((key.0, key.1, topo));
+                }
+            }
         } else {
             self.metrics.perf_mut().topo_hits += 1;
         }
@@ -404,6 +441,16 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// Alive nodes within `k` hops of `node`, with distances.
     pub fn nodes_within(&mut self, node: NodeId, k: u32) -> Vec<(NodeId, u32)> {
         self.topology().within(node, k)
+    }
+
+    /// The alive node other than `node` nearest to it (fewest hops,
+    /// lowest id among equals) that satisfies `pred`, with its distance.
+    pub fn nearest(
+        &mut self,
+        node: NodeId,
+        pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, u32)> {
+        self.topology().nearest(node, pred)
     }
 
     /// Shortest-path hop count between two alive nodes.
@@ -475,7 +522,9 @@ impl<M: Clone + fmt::Debug> World<M> {
                 hops,
             },
         );
-        self.schedule_delivery(from, to, hops, category, msg);
+        let mut out = Outbox::new(from, 1);
+        self.schedule_delivery(&mut out, to, hops, category, msg);
+        self.flush(&mut out);
         Ok(hops)
     }
 
@@ -511,11 +560,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge: relays,
             },
         );
-        let recipients: Vec<NodeId> = reach.iter().map(|&(n, _)| n).collect();
-        for (to, d) in reach {
-            self.schedule_delivery(from, to, d, category, msg.clone());
-        }
-        Ok(recipients)
+        Ok(self.deliver_all(from, &reach, category, &msg))
     }
 
     /// Global flood: delivers `msg` to every node in `from`'s connected
@@ -534,33 +579,41 @@ impl<M: Clone + fmt::Debug> World<M> {
         if !self.is_alive(from) {
             return Err(SendError::SenderDead);
         }
-        let dists = self.topology().distances_from(from);
-        self.metrics.add_send(category, dists.len() as u64);
+        let reach = self.topology().within(from, u32::MAX);
+        let charge = reach.len() as u64 + 1;
+        self.metrics.add_send(category, charge);
         self.trace.record(
             self.now,
             TraceEvent::Broadcast {
                 from,
                 k: None,
                 category,
-                recipients: dists.len().saturating_sub(1),
-                charge: dists.len() as u64,
+                recipients: reach.len(),
+                charge,
             },
         );
-        // Deterministic scheduling order: sort by (depth, id) — the
-        // BFS result is an unordered map, and event sequence numbers
-        // break same-instant ties, so insertion order must be stable.
-        let mut ordered: Vec<(NodeId, u32)> = dists.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(n, d)| (d, n));
-        let mut recipients = Vec::with_capacity(ordered.len().saturating_sub(1));
-        for (to, d) in ordered {
-            if to == from {
-                continue;
-            }
-            recipients.push(to);
-            self.schedule_delivery(from, to, d, category, msg.clone());
-        }
+        let mut recipients = self.deliver_all(from, &reach, category, &msg);
         recipients.sort_unstable();
         Ok(recipients)
+    }
+
+    /// Schedules one copy of `msg` per entry of `reach`, in its
+    /// `(depth, id)` order — event sequence numbers break same-instant
+    /// ties, so this order is the delivery order — and returns the
+    /// recipients in that order.
+    fn deliver_all(
+        &mut self,
+        from: NodeId,
+        reach: &[(NodeId, u32)],
+        category: MsgCategory,
+        msg: &M,
+    ) -> Vec<NodeId> {
+        let mut out = Outbox::new(from, reach.len());
+        for &(to, d) in reach {
+            self.schedule_delivery(&mut out, to, d, category, msg.clone());
+        }
+        self.flush(&mut out);
+        reach.iter().map(|&(n, _)| n).collect()
     }
 
     /// Draws a loss event. Never touches the RNG at the default zero
@@ -575,9 +628,15 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// fault plane existed) and then the fault plan (on its own RNG),
     /// recording injected outcomes in metrics and trace. With no fault
     /// plan this reduces to the original loss-then-push path.
+    ///
+    /// Every draw happens here, per recipient, at send time; what is
+    /// batched is only the queue entry. Copies that fire at the instant
+    /// `out` already holds join its run, any other instant starts a new
+    /// one, so one hop level of a broadcast is one entry and a fault
+    /// delay splits it exactly where the firing times part.
     fn schedule_delivery(
         &mut self,
-        from: NodeId,
+        out: &mut Outbox<M>,
         to: NodeId,
         dist_hops: u32,
         category: MsgCategory,
@@ -586,13 +645,14 @@ impl<M: Clone + fmt::Debug> World<M> {
         // The shadow transmits unconditionally — a datagram that the
         // logical layer then loses was still physically sent, exactly
         // like a real radio. Loss/fault draws below are untouched.
-        let msg = self.shadow_carry(from, to, dist_hops, category, msg);
+        let from = out.from;
+        let msg = self.shadow_carry(from, to, category, msg);
         if self.lost() {
             return; // charged but never delivered
         }
         let base_at = self.now + self.config.hop_delay * u64::from(dist_hops);
         if self.faults.is_none() {
-            self.push_at(base_at, EventKind::Deliver { to, from, msg });
+            self.post(out, base_at, to, msg);
             return;
         }
         let now = self.now;
@@ -650,18 +710,39 @@ impl<M: Clone + fmt::Debug> World<M> {
                     );
                 }
                 let at = base_at + extra;
-                for _ in 0..=duplicates {
-                    self.push_at(
-                        at,
-                        EventKind::Deliver {
-                            to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
+                for _ in 0..duplicates {
+                    self.post(out, at, to, msg.clone());
                 }
+                self.post(out, at, to, msg);
             }
         }
+    }
+
+    /// Appends one delivery to `out`, queueing what `out` held first
+    /// if that fires at another instant.
+    fn post(&mut self, out: &mut Outbox<M>, at: SimTime, to: NodeId, msg: M) {
+        if at != out.at {
+            self.flush(out);
+            out.at = at;
+        }
+        out.run.push((to, msg));
+    }
+
+    /// Queues the run `out` holds, if any, as one entry.
+    fn flush(&mut self, out: &mut Outbox<M>) {
+        if out.run.is_empty() {
+            return;
+        }
+        let run = std::mem::take(&mut out.run);
+        let from = out.from;
+        self.push(
+            out.at,
+            run.len(),
+            Queued::Deliver {
+                from,
+                run: run.into_iter(),
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -868,25 +949,66 @@ impl<M: Clone + fmt::Debug> World<M> {
     // Event queue internals (used by Sim)
     // ------------------------------------------------------------------
 
-    pub(crate) fn push_at(&mut self, at: SimTime, kind: EventKind<M>) {
+    pub(crate) fn push_at(&mut self, at: SimTime, kind: EventKind) {
+        self.push(at, 1, Queued::Event(kind));
+    }
+
+    /// Queues one entry standing for `logical` events.
+    fn push(&mut self, at: SimTime, logical: usize, kind: Queued<M>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled { at, seq, kind });
-        let depth = self.queue.len() as u64;
+        self.pending += logical;
         let perf = self.metrics.perf_mut();
-        perf.queue_high_water = perf.queue_high_water.max(depth);
+        perf.queue_high_water = perf.queue_high_water.max(self.pending as u64);
     }
 
-    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Scheduled<M>> {
-        if self.queue.peek().is_some_and(|e| e.at <= until) {
-            let ev = self.queue.pop().expect("peeked");
-            debug_assert!(ev.at >= self.now, "time went backwards");
-            self.now = ev.at;
-            self.metrics.perf_mut().events += 1;
-            Some(ev)
-        } else {
-            None
+    /// The earliest logical event due by `until`, if any; the clock
+    /// moves to its firing time.
+    ///
+    /// A popped run is handed out one recipient per call before the
+    /// queue is looked at again. That is the order one entry per
+    /// recipient would give: the recipients would hold consecutive
+    /// sequence numbers at one instant, so nothing could fire between
+    /// them, and whatever a recipient's handler schedules for the same
+    /// instant is numbered after the run's tail.
+    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Due<M>> {
+        let due = match self.next_of_run(until) {
+            Some(due) => due,
+            None => {
+                if self.queue.peek()?.at > until {
+                    return None;
+                }
+                let ev = self.queue.pop().expect("peeked");
+                debug_assert!(ev.at >= self.now, "time went backwards");
+                self.now = ev.at;
+                match ev.kind {
+                    Queued::Event(kind) => Due::Event(kind),
+                    Queued::Deliver { from, run } => {
+                        self.unrolling = Some((from, run));
+                        self.next_of_run(until).expect("a run is never empty")
+                    }
+                }
+            }
+        };
+        self.pending -= 1;
+        self.metrics.perf_mut().events += 1;
+        Some(due)
+    }
+
+    /// The next recipient of the half-unrolled run, if one is left and
+    /// due (the run fires at `now`).
+    fn next_of_run(&mut self, until: SimTime) -> Option<Due<M>> {
+        let (from, run) = self.unrolling.as_mut()?;
+        if self.now > until {
+            return None;
         }
+        let (to, msg) = run.next()?;
+        Some(Due::Deliver {
+            to,
+            from: *from,
+            msg,
+        })
     }
 
     pub(crate) fn advance_to(&mut self, t: SimTime) {
@@ -899,10 +1021,11 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.cancelled_timers.remove(&id)
     }
 
-    /// Number of events still queued (including cancelled timers).
+    /// Number of events still queued (including cancelled timers),
+    /// every recipient of a queued delivery counted as one.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 }
 
@@ -920,50 +1043,19 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.shadow.is_some()
     }
 
-    /// Reconstructs one deterministic shortest path `from → to` over the
-    /// current link map: walk back from the recipient, always picking
-    /// the lowest-id neighbor one hop closer to the sender. `dist_hops`
-    /// is the recipient's BFS depth (0 for a self-delivery).
-    fn shadow_route(&mut self, from: NodeId, to: NodeId, dist_hops: u32) -> Vec<NodeId> {
-        if from == to || dist_hops == 0 {
-            return vec![from];
-        }
-        let dists = self.topology().distances_from(from);
-        let mut path = vec![to];
-        let mut cur = to;
-        let mut d = dist_hops;
-        while d > 1 {
-            let prev = self
-                .topology()
-                .neighbors(cur)
-                .into_iter()
-                .filter(|n| dists.get(n) == Some(&(d - 1)))
-                .min()
-                .expect("BFS predecessor exists on a shortest path");
-            path.push(prev);
-            cur = prev;
-            d -= 1;
-        }
-        path.push(from);
-        path.reverse();
-        path
-    }
-
     /// Runs the shadow transport for one `(from, to)` delivery and
     /// returns the message copy the recipient decoded (or the original
     /// when no shadow is installed).
-    fn shadow_carry(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        dist_hops: u32,
-        category: MsgCategory,
-        msg: M,
-    ) -> M {
+    fn shadow_carry(&mut self, from: NodeId, to: NodeId, category: MsgCategory, msg: M) -> M {
         if self.shadow.is_none() {
             return msg;
         }
-        let path = self.shadow_route(from, to, dist_hops);
+        // One deterministic shortest path over the current link map
+        // (a single-element path for a self-delivery).
+        let path = self
+            .topology()
+            .route(from, to)
+            .expect("a recipient is reachable in the snapshot that chose it");
         let mut shadow = self.shadow.take().expect("checked above");
         let carried = shadow.carry(&path, category, &msg);
         self.shadow = Some(shadow);
@@ -1030,8 +1122,12 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         World::hops_between(self, a, b)
     }
 
-    fn distances_from(&mut self, node: NodeId) -> HashMap<NodeId, u32> {
-        self.topology().distances_from(node)
+    fn nearest(
+        &mut self,
+        node: NodeId,
+        pred: &mut dyn FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, u32)> {
+        World::nearest(self, node, pred)
     }
 
     fn component_of(&mut self, node: NodeId) -> Vec<NodeId> {

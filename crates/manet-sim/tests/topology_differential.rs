@@ -16,6 +16,7 @@ use manet_sim::{
     WorldConfig,
 };
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
 
 fn random_layout(seed: u64, n: usize, area: f64) -> Vec<(NodeId, Point)> {
     let arena = Arena::new(area, area);
@@ -87,6 +88,100 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The resumable memo vs. query order
+// ---------------------------------------------------------------------
+
+/// Hop distances from `src` by a plain queue BFS over `neighbors`: no
+/// memo, no levels, no ordering — what every BFS-backed query must
+/// agree with however far earlier queries advanced the traversal.
+fn reference_distances(topo: &Topology, src: NodeId) -> HashMap<NodeId, u32> {
+    let mut dist = HashMap::from([(src, 0)]);
+    let mut queue = VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for v in topo.neighbors(u) {
+            if !dist.contains_key(&v) {
+                dist.insert(v, dist[&u] + 1);
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// `within` as it was defined before the memo became resumable: filter
+/// the full distance map, sort by `(distance, id)`.
+fn reference_within(dist: &HashMap<NodeId, u32>, src: NodeId, k: u32) -> Vec<(NodeId, u32)> {
+    let mut v: Vec<(NodeId, u32)> = dist
+        .iter()
+        .filter(|&(n, d)| *n != src && *d <= k)
+        .map(|(n, d)| (*n, *d))
+        .collect();
+    v.sort_by_key(|&(n, d)| (d, n));
+    v
+}
+
+proptest! {
+    /// Any interleaving of `within(k)`, `hops` in both directions,
+    /// `nearest` and `distances_from` against ONE snapshot answers each
+    /// question exactly like a fresh oracle snapshot asked only that
+    /// question, and like the plain reference BFS. Ids are a random
+    /// permutation of the dense order, so "ids ascending within a
+    /// level" is not an accident of index order.
+    #[test]
+    fn query_order_never_changes_an_answer(
+        n in 1usize..70,
+        range in 40.0f64..500.0,
+        seed in 0u64..1_000_000,
+        ops in proptest::collection::vec((0u8..5, 0usize..1000, 0usize..1000, any::<u64>()), 1..48),
+    ) {
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        let mut rng = SimRng::seed_from(seed ^ 0x5eed);
+        rng.shuffle(&mut ids);
+        let nodes: Vec<(NodeId, Point)> = random_layout(seed, n, 1000.0)
+            .into_iter()
+            .zip(&ids)
+            .map(|((_, p), &id)| (NodeId::new(id), p))
+            .collect();
+        let snapshot = Topology::build(&nodes, range);
+        for (kind, a, b, mask) in ops {
+            let (a, b) = (nodes[a % n].0, nodes[b % n].0);
+            let fresh = Topology::build_naive(&nodes, range);
+            let reference = reference_distances(&fresh, a);
+            match kind {
+                0 => {
+                    let k = [0, 1, 2, 3, u32::MAX][b.index() as usize % 5];
+                    let got = snapshot.within(a, k);
+                    prop_assert_eq!(&got, &fresh.within(a, k));
+                    prop_assert_eq!(got, reference_within(&reference, a, k));
+                }
+                1 | 2 => {
+                    let (x, y) = if kind == 1 { (a, b) } else { (b, a) };
+                    let got = snapshot.hops(x, y);
+                    prop_assert_eq!(got, fresh.hops(x, y));
+                    prop_assert_eq!(got, reference.get(&b).copied());
+                }
+                3 => {
+                    let pred = |id: NodeId| mask >> (id.index() % 64) & 1 == 1;
+                    let got = snapshot.nearest(a, pred);
+                    prop_assert_eq!(got, fresh.nearest(a, pred));
+                    let want = reference
+                        .iter()
+                        .filter(|&(id, _)| *id != a && pred(*id))
+                        .map(|(id, d)| (*id, *d))
+                        .min_by_key(|&(id, d)| (d, id));
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let got = snapshot.distances_from(a);
+                    prop_assert_eq!(&got, &fresh.distances_from(a));
+                    prop_assert_eq!(got, reference);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Incremental and parallel engines vs. the fresh build
 // ---------------------------------------------------------------------
 
@@ -154,6 +249,44 @@ proptest! {
                 "round {round} ({op}, n={}): incremental diverged from fresh",
                 nodes.len()
             );
+        }
+    }
+
+    /// A snapshot rebuilt in place through joins, crashes and moves is
+    /// the fresh build of each layout, and the memo it refills carries
+    /// nothing over: after answering queries for one layout, it answers
+    /// the next layout's like a snapshot that never saw another. Sizes
+    /// straddle the 32-node naive fallback, where `rebuild` replaces the
+    /// storage instead of refilling it.
+    #[test]
+    fn rebuild_equals_fresh_across_mutations(
+        n in 0usize..120,
+        range in 20.0f64..400.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let arena = Arena::new(1000.0, 1000.0);
+        let mut rng = SimRng::seed_from(seed);
+        let mut nodes = random_layout(seed, n, 1000.0);
+        let mut next_id = n as u64;
+        let mut reused = Topology::build(&nodes, range);
+        for round in 0..8 {
+            let op = mutate_layout(&mut nodes, &mut next_id, &mut rng, &arena);
+            reused.rebuild(&nodes, range);
+            let fresh = Topology::build(&nodes, range);
+            prop_assert!(
+                reused == fresh,
+                "round {round} ({op}, n={}): rebuilt snapshot is not the fresh one",
+                nodes.len()
+            );
+            prop_assert_eq!(reused.components(), fresh.components());
+            for (i, &(a, _)) in nodes.iter().enumerate().step_by(3) {
+                let b = nodes[(i * 7 + round) % nodes.len()].0;
+                let pred = |id: NodeId| id.index() % 5 == round as u64 % 5;
+                prop_assert_eq!(reused.within(a, 2), fresh.within(a, 2));
+                prop_assert_eq!(reused.hops(a, b), fresh.hops(a, b));
+                prop_assert_eq!(reused.nearest(a, pred), fresh.nearest(a, pred));
+            }
+            prop_assert!(!reused.contains(NodeId::new(next_id)));
         }
     }
 

@@ -142,14 +142,20 @@ impl FaultCounters {
 /// explicitly with [`PerfCounters::to_json`] where profiles belong.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PerfCounters {
-    /// Events dispatched by the event loop (every queue pop).
+    /// Logical events dispatched by the event loop: every timer, join,
+    /// leave, waypoint and fault event, and every *recipient* of a
+    /// delivery — not every queue pop, since one queue entry carries all
+    /// the recipients of a send that fire at one instant. The recipient
+    /// is the unit the conformance oracle steps on and `Sim::drain`
+    /// budgets, so it is the unit counted.
     pub events: u64,
     /// `Deliver` events handed to the protocol (dead-target deliveries
     /// and fault-plane drops never count).
     pub deliveries: u64,
     /// Timer events that actually fired (cancelled timers excluded).
     pub timers_fired: u64,
-    /// High-water mark of the event-queue length.
+    /// High-water mark of the event-queue length, in logical events
+    /// (see [`events`](Self::events)).
     pub queue_high_water: u64,
     /// Topology snapshots rebuilt from node positions.
     pub topo_builds: u64,

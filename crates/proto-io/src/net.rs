@@ -7,7 +7,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::timer::TimerId;
 use crate::transcript::Transcript;
 use crate::AttackKind;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -64,9 +63,15 @@ pub trait NetBackend<M> {
     /// Shortest-path hop count between two nodes, if connected.
     fn hops_between(&mut self, a: NodeId, b: NodeId) -> Option<u32>;
 
-    /// Hop distances from `node` to every reachable node (including
-    /// itself at distance 0).
-    fn distances_from(&mut self, node: NodeId) -> HashMap<NodeId, u32>;
+    /// The alive node other than `node` nearest to it that satisfies
+    /// `pred` — fewest hops, lowest id among equals — with its distance.
+    /// Candidates are offered in exactly that order and the search stops
+    /// at the first one accepted.
+    fn nearest(
+        &mut self,
+        node: NodeId,
+        pred: &mut dyn FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, u32)>;
 
     /// The connected component containing `node`.
     fn component_of(&mut self, node: NodeId) -> Vec<NodeId>;
@@ -217,9 +222,14 @@ impl<'a, M: ProtoMsg> Net<'a, M> {
         self.backend.hops_between(a, b)
     }
 
-    /// Hop distances from `node` to every reachable node.
-    pub fn distances_from(&mut self, node: NodeId) -> HashMap<NodeId, u32> {
-        self.backend.distances_from(node)
+    /// The alive node other than `node` nearest to it that satisfies
+    /// `pred` (fewest hops, lowest id among equals), with its distance.
+    pub fn nearest(
+        &mut self,
+        node: NodeId,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, u32)> {
+        self.backend.nearest(node, &mut pred)
     }
 
     /// The connected component containing `node`.
