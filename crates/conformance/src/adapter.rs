@@ -11,7 +11,7 @@ use manet_sim::{NodeId, ProtocolCore, World};
 /// baselines genuinely lose address uniqueness under lossy links —
 /// reproducing that failure is the point of the comparison, not a bug —
 /// while the quorum protocol claims safety under every plan (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Guarantees {
     /// No duplicate addresses within a connected component.
     pub unique: bool,
@@ -40,15 +40,7 @@ impl Guarantees {
     /// Claims nothing (useful as a base).
     #[must_use]
     pub fn none() -> Self {
-        Guarantees {
-            unique: false,
-            pool_accounting: false,
-            pool_disjoint: false,
-            assigned_covered: false,
-            grant_stable: false,
-            stamps_monotonic: false,
-            merge_grace: false,
-        }
+        Guarantees::default()
     }
 }
 
@@ -83,6 +75,17 @@ pub fn partition_free(plan: &FaultPlan) -> bool {
 /// replicas); pool-owning protocols override [`pool_views`] and the
 /// quorum protocol additionally overrides [`stamp_views`].
 ///
+/// The three views are the checker's memo key: it re-evaluates a
+/// section only when the view it reads differs from the one the
+/// previous event left. Each must therefore be a deterministic function
+/// of `(self, w)` — same state, same vector, element for element — and
+/// canonically ordered: [`assigned_pairs`] ascending by node and
+/// [`pool_views`] ascending by owner, one entry each (with each
+/// [`PoolView::allocated`] ascending by address); [`stamp_views`] in
+/// any fixed order with each key once. The checker asserts the
+/// orderings in debug builds, on the steps whose view changed.
+///
+/// [`assigned_pairs`]: ConformanceAdapter::assigned_pairs
 /// [`pool_views`]: ConformanceAdapter::pool_views
 /// [`stamp_views`]: ConformanceAdapter::stamp_views
 pub trait ConformanceAdapter: ProtocolCore + Sized {

@@ -1,10 +1,11 @@
 //! The step-wise invariant checker.
 
 use crate::adapter::{ConformanceAdapter, Guarantees};
-use addrspace::Addr;
+use addrspace::{Addr, AddrBlock, PoolView};
 use manet_sim::{NodeId, SimDuration, SimTime, World};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// How long two mutually reachable nodes may keep a conflicting claim —
 /// overlapping owned blocks, or one address held twice — before the
@@ -107,29 +108,94 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Evaluates the invariant set after every simulator event, carrying
-/// the cross-step state needed by the monotonicity invariants.
-#[derive(Debug)]
+/// When each standing conflict of one family first had its parties in
+/// contact. A pass [`tick`](Grace::tick)s the conflicts it can see into
+/// `live`; a clean pass ends by making that `since`, so a conflict not
+/// ticked has lapsed (its clock restarts on the next contact) and a
+/// violation leaves the clocks as the failing step found them.
+#[derive(Debug, Default)]
+struct Grace<K> {
+    since: HashMap<K, SimTime>,
+    live: HashMap<K, SimTime>,
+}
+
+impl<K: Eq + Hash> Grace<K> {
+    /// Keeps `key`'s clock running, started at `now` on first sight, and
+    /// raises `worst` to how long it has stood: an error once that is
+    /// past [`RECONCILE_GRACE`].
+    fn tick(&mut self, key: K, now: SimTime, worst: &mut SimDuration) -> Result<(), SimDuration> {
+        let since = self.since.get(&key).copied().unwrap_or(now);
+        *worst = (*worst).max(now - since);
+        if now - since > RECONCILE_GRACE {
+            self.live.clear();
+            return Err(now - since);
+        }
+        self.live.insert(key, since);
+        Ok(())
+    }
+
+    fn commit(&mut self) {
+        std::mem::swap(&mut self.since, &mut self.live);
+        self.live.clear();
+    }
+}
+
+/// `true` when `key` strictly ascends along `v`: sorted, no key twice.
+fn ascending<T, K: Ord>(v: &[T], key: impl Fn(&T) -> K) -> bool {
+    v.windows(2).all(|p| key(&p[0]) < key(&p[1]))
+}
+
+/// `true` when `a` and `b` can exchange messages: alive, in one radio
+/// component, and not kept apart by a scripted partition or jam.
+fn in_contact<M: Clone + fmt::Debug>(w: &mut World<M>, a: NodeId, b: NodeId) -> bool {
+    let comp = w.component_id(a);
+    comp.is_some() && comp == w.component_id(b) && !w.fault_severed(a, b)
+}
+
+/// Evaluates the invariant set after every simulator event, at the cost
+/// of what changed since the event before.
+///
+/// It keeps the previous step's three adapter views: what `grant-stable`
+/// and `stamp-monotonic` compare against, and the memo key of the rest.
+/// A view is a deterministic function of protocol state, so
+/// `grant-stable` (reads `assigned`), pool accounting (`views`) and
+/// `stamp-monotonic` (`stamps`) run only on a step whose view differs
+/// from the one before; a violation leaves the stored view alone, so
+/// the next call re-reports it. `addr-unique`, cross-owner disjointness
+/// and `assigned-covered` also read connectivity and the clock, but only
+/// about the parties of a *candidate* — an address held twice anywhere,
+/// two owners with overlapping blocks, an assignment without its owner's
+/// record. The candidate lists are functions of the views alone, rebuilt
+/// when those change and walked on every step: an empty list is the
+/// whole skip, while a standing candidate, in contact or excused by a
+/// partition, is asked about every step, so its grace clock starts on
+/// contact and matures with `now` whether or not any view moves.
+/// (DESIGN.md, *Conformance oracle — Cost*.)
+#[derive(Debug, Default)]
 pub struct Checker {
     g: Guarantees,
-    last_addr: HashMap<NodeId, Addr>,
-    last_stamps: HashMap<(NodeId, NodeId, Addr), u64>,
-    /// Owner pairs holding overlapping blocks while mutually reachable,
-    /// with the time each overlap first became reachable. An overlap
-    /// still standing [`RECONCILE_GRACE`] later is a violation.
-    contested: HashMap<(NodeId, NodeId), SimTime>,
-    /// Node pairs holding the same address while mutually reachable,
-    /// with the time the duplicate first became reachable. Same grace
-    /// discipline as `contested`: the merge repair must displace one
-    /// holder within [`RECONCILE_GRACE`].
-    dup_holders: HashMap<(Addr, NodeId, NodeId), SimTime>,
-    /// Assigned addresses inside a reachable owner's blocks with no
-    /// backing `Allocated` record, keyed `(owner, holder, addr)` with
-    /// the time the gap first became reachable. Total head loss
-    /// produces this legally: a restarted founder claims the whole
-    /// space before the merge machinery re-registers the survivors'
-    /// leases, so the same grace discipline applies.
-    uncovered: HashMap<(NodeId, NodeId, Addr), SimTime>,
+    assigned: Vec<(NodeId, Addr)>,
+    views: Vec<(NodeId, PoolView)>,
+    stamps: Vec<((NodeId, NodeId, Addr), u64)>,
+    /// The entries of `assigned` whose address another entry holds too.
+    dup_cands: Vec<(NodeId, Addr)>,
+    /// Owner pairs of `views` with overlapping blocks, and the first
+    /// such pair of blocks.
+    overlaps: Vec<(NodeId, NodeId, AddrBlock, AddrBlock)>,
+    /// `(owner, holder, addr)`: assignments inside an owner's blocks
+    /// with no `Allocated` record there. Total head loss produces these
+    /// legally: a restarted founder claims the whole space before the
+    /// merge machinery re-registers the survivors' leases.
+    gaps: Vec<(NodeId, NodeId, Addr)>,
+    /// `gaps` predates the stored `assigned` or `views`.
+    gaps_stale: bool,
+    /// Holder pairs of one address in contact: the merge repair must
+    /// displace one within [`RECONCILE_GRACE`].
+    dup_holders: Grace<(Addr, NodeId, NodeId)>,
+    /// Owner pairs of `overlaps` in contact.
+    contested: Grace<(NodeId, NodeId)>,
+    /// Entries of `gaps` whose owner and holder are in contact.
+    uncovered: Grace<(NodeId, NodeId, Addr)>,
     near_miss: NearMiss,
 }
 
@@ -139,12 +205,7 @@ impl Checker {
     pub fn new(g: Guarantees) -> Self {
         Checker {
             g,
-            last_addr: HashMap::new(),
-            last_stamps: HashMap::new(),
-            contested: HashMap::new(),
-            dup_holders: HashMap::new(),
-            uncovered: HashMap::new(),
-            near_miss: NearMiss::default(),
+            ..Checker::default()
         }
     }
 
@@ -173,266 +234,231 @@ impl Checker {
                 detail,
             })
         };
-        let assigned = p.assigned_pairs(w);
+        let now = w.now();
+        // A snapshot is positioned where its quantum's first query finds
+        // the nodes, and on a step whose handler asked nothing that query
+        // has always been this one: under mobility, when the oracle looks
+        // is part of the pinned behaviour. One cache-key compare on a hit.
+        if self.g.unique || self.g.pool_disjoint || self.g.assigned_covered {
+            let _ = w.topology();
+        }
 
-        if self.g.grant_stable {
-            for (n, a) in &assigned {
-                if let Some(prev) = self.last_addr.get(n) {
-                    if prev != a {
+        let assigned = p.assigned_pairs(w);
+        if assigned != self.assigned {
+            debug_assert!(ascending(&assigned, |e| e.0), "assigned_pairs unsorted");
+            if self.g.grant_stable {
+                // Nodes that died or re-initialized are missing from one
+                // side, so a later re-assignment is legal; only an
+                // in-place change is flagged.
+                let mut before = self.assigned.iter().peekable();
+                for (n, a) in &assigned {
+                    while before.next_if(|(m, _)| m < n).is_some() {}
+                    if let Some((_, prev)) = before.next_if(|(m, prev)| m == n && prev != a) {
+                        let n = n.index();
                         return fail(
                             Invariant::GrantStable,
-                            format!(
-                                "node {} changed address {prev} -> {a} without re-joining",
-                                n.index()
-                            ),
+                            format!("node {n} changed address {prev} -> {a} without re-joining"),
                         );
                     }
                 }
             }
+            if self.g.unique {
+                let mut addrs: Vec<Addr> = assigned.iter().map(|(_, a)| *a).collect();
+                addrs.sort_unstable();
+                let held_twice = |a: &Addr| {
+                    let first = addrs.partition_point(|x| x < a);
+                    addrs.get(first + 1) == Some(a)
+                };
+                self.dup_cands.clear();
+                let twice = assigned.iter().filter(|(_, a)| held_twice(a));
+                self.dup_cands.extend(twice);
+            }
+            self.assigned = assigned;
+            self.gaps_stale = true;
         }
-        // Nodes that died or re-initialized drop out here, so a later
-        // re-assignment is legal; only an in-place change is flagged.
-        self.last_addr = assigned.iter().copied().collect();
 
         if self.g.unique {
-            let comp_of: HashMap<NodeId, usize> = w
-                .components()
-                .into_iter()
-                .enumerate()
-                .flat_map(|(i, c)| c.into_iter().map(move |n| (n, i)))
-                .collect();
-            let now = w.now();
-            let mut live: HashMap<(Addr, NodeId, NodeId), SimTime> = HashMap::new();
-            let mut seen: HashMap<(usize, Addr), NodeId> = HashMap::new();
-            for (n, a) in &assigned {
-                let Some(&comp) = comp_of.get(n) else {
+            for (i, &(n, a)) in self.dup_cands.iter().enumerate() {
+                let Some(comp) = w.component_id(n) else {
                     continue;
                 };
-                let Some(prev) = seen.insert((comp, *a), *n) else {
+                // `n` collides with the latest holder before it, in node
+                // order, in its own component.
+                let mut earlier = self.dup_cands[..i].iter().rev();
+                let Some(&(prev, _)) =
+                    earlier.find(|(m, b)| *b == a && w.component_id(*m) == Some(comp))
+                else {
                     continue;
                 };
-                if prev == *n {
-                    continue;
-                }
+                let (pi, ni) = (prev.index(), n.index());
+                let held = || format!("address {a} held by nodes {pi} and {ni} in one partition");
                 if !self.g.merge_grace {
+                    return fail(Invariant::AddrUnique, held());
+                }
+                // While a fault keeps the holders apart the duplicate is
+                // the paper's accepted cross-partition double allocation;
+                // the merge repair must displace one within
+                // RECONCILE_GRACE of the pair coming into contact.
+                if w.fault_severed(prev, n) {
+                    continue;
+                }
+                let worst = &mut self.near_miss.dup_standing;
+                if let Err(stood) = self.dup_holders.tick((a, prev, n), now, worst) {
                     return fail(
                         Invariant::AddrUnique,
-                        format!(
-                            "address {a} held by nodes {} and {} in one partition",
-                            prev.index(),
-                            n.index()
-                        ),
+                        format!("{} {stood} after becoming mutually reachable", held()),
                     );
                 }
-                // While a fault keeps the two holders apart, the
-                // duplicate is the paper's accepted cross-partition
-                // double allocation; the claim checked here is that the
-                // merge repair displaces one holder within
-                // RECONCILE_GRACE of the pair becoming reachable.
-                if w.fault_severed(prev, *n) {
-                    continue; // grace restarts on contact
-                }
-                let key = (*a, prev.min(*n), prev.max(*n));
-                let since = self.dup_holders.get(&key).copied().unwrap_or(now);
-                self.near_miss.dup_standing = self.near_miss.dup_standing.max(now - since);
-                if now - since > RECONCILE_GRACE {
-                    return fail(
-                        Invariant::AddrUnique,
-                        format!(
-                            "address {a} held by nodes {} and {} in one partition \
-                             {} after becoming mutually reachable",
-                            prev.index(),
-                            n.index(),
-                            now - since
-                        ),
-                    );
-                }
-                live.insert(key, since);
             }
-            self.dup_holders = live;
+            self.dup_holders.commit();
         }
 
         if self.g.pool_accounting || self.g.pool_disjoint || self.g.assigned_covered {
             let views = p.pool_views(w);
-            if self.g.pool_accounting {
-                for (owner, v) in &views {
-                    if v.free + v.allocated.len() as u64 != v.total {
-                        return fail(
-                            Invariant::PoolConserved,
-                            format!(
-                                "owner {}: {} free + {} allocated != {} total",
-                                owner.index(),
-                                v.free,
-                                v.allocated.len(),
-                                v.total
-                            ),
-                        );
-                    }
-                    for (i, b) in v.blocks.iter().enumerate() {
-                        if let Some(other) = v.blocks[i + 1..].iter().find(|o| b.overlaps(o)) {
+            if views != self.views {
+                debug_assert!(ascending(&views, |e| e.0), "pool_views unsorted");
+                if self.g.pool_accounting {
+                    for (owner, v) in &views {
+                        let (owner, free, held) = (owner.index(), v.free, v.allocated.len());
+                        if free + held as u64 != v.total {
                             return fail(
                                 Invariant::PoolConserved,
                                 format!(
-                                    "owner {}: own blocks {b} and {other} overlap",
-                                    owner.index()
+                                    "owner {owner}: {free} free + {held} allocated != {} total",
+                                    v.total
                                 ),
                             );
+                        }
+                        for (i, b) in v.blocks.iter().enumerate() {
+                            if let Some(other) = v.blocks[i + 1..].iter().find(|o| b.overlaps(o)) {
+                                return fail(
+                                    Invariant::PoolConserved,
+                                    format!("owner {owner}: own blocks {b} and {other} overlap"),
+                                );
+                            }
                         }
                     }
                 }
-            }
-            if self.g.pool_disjoint {
-                // While a fault keeps two owners apart, duplicated
-                // ownership is the paper's intended §IV-D behavior (the
-                // majority side reclaimed the unreachable head's space).
-                // The claim checked here: once the owners are mutually
-                // reachable, reconciliation restores disjointness within
-                // RECONCILE_GRACE.
-                let comp_of: HashMap<NodeId, usize> = w
-                    .components()
-                    .into_iter()
-                    .enumerate()
-                    .flat_map(|(i, c)| c.into_iter().map(move |n| (n, i)))
-                    .collect();
-                let now = w.now();
-                let mut live: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
-                for (i, (owner_a, va)) in views.iter().enumerate() {
-                    for (owner_b, vb) in &views[i + 1..] {
-                        let overlap = va.blocks.iter().find_map(|ba| {
-                            vb.blocks
-                                .iter()
-                                .find(|bb| ba.overlaps(bb))
-                                .map(|bb| (*ba, *bb))
-                        });
-                        let Some((ba, bb)) = overlap else {
-                            continue;
-                        };
-                        if !self.g.merge_grace {
-                            return fail(
-                                Invariant::PoolConserved,
-                                format!(
-                                    "owners {} and {} own overlapping blocks {ba} / {bb}",
-                                    owner_a.index(),
-                                    owner_b.index()
-                                ),
-                            );
+                self.overlaps.clear();
+                if self.g.pool_disjoint {
+                    for (i, (owner_a, va)) in views.iter().enumerate() {
+                        for (owner_b, vb) in &views[i + 1..] {
+                            let overlap = va.blocks.iter().find_map(|ba| {
+                                let bb = vb.blocks.iter().find(|bb| ba.overlaps(bb))?;
+                                Some((*owner_a, *owner_b, *ba, *bb))
+                            });
+                            self.overlaps.extend(overlap);
                         }
-                        let reachable = comp_of.contains_key(owner_a)
-                            && comp_of.get(owner_a) == comp_of.get(owner_b)
-                            && !w.fault_severed(*owner_a, *owner_b);
-                        if !reachable {
-                            continue; // invisible to the pair; grace restarts on contact
-                        }
-                        let since = self
-                            .contested
-                            .get(&(*owner_a, *owner_b))
-                            .copied()
-                            .unwrap_or(now);
-                        self.near_miss.contested_standing =
-                            self.near_miss.contested_standing.max(now - since);
-                        if now - since > RECONCILE_GRACE {
-                            return fail(
-                                Invariant::PoolConserved,
-                                format!(
-                                    "owners {} and {} still own overlapping blocks {ba} / {bb} \
-                                     {} after becoming mutually reachable",
-                                    owner_a.index(),
-                                    owner_b.index(),
-                                    now - since
-                                ),
-                            );
-                        }
-                        live.insert((*owner_a, *owner_b), since);
                     }
                 }
-                self.contested = live;
+                self.views = views;
+                self.gaps_stale = true;
             }
-            if self.g.assigned_covered {
-                // An uncovered assignment is not always a leak: when
-                // every head dies and a restarted node founds a fresh
-                // network, the founder momentarily owns the whole
-                // space with no record of the survivors' leases — the
-                // hello-driven merge re-registers them within a few
-                // protocol rounds (measured ~0.5 s). Under merge-grace
-                // envelopes the claim is therefore that the gap closes
-                // within [`RECONCILE_GRACE`] of owner and holder being
-                // mutually reachable; first sight still fails when the
-                // envelope makes no merge concession.
-                let comp_of: HashMap<NodeId, usize> = w
-                    .components()
-                    .into_iter()
-                    .enumerate()
-                    .flat_map(|(i, c)| c.into_iter().map(move |n| (n, i)))
-                    .collect();
-                let now = w.now();
-                let mut live: HashMap<(NodeId, NodeId, Addr), SimTime> = HashMap::new();
-                for (owner, v) in &views {
-                    let allocated: HashSet<Addr> = v.allocated.iter().map(|(a, _)| *a).collect();
-                    for (n, a) in &assigned {
-                        if !v.blocks.iter().any(|b| b.contains(*a)) || allocated.contains(a) {
-                            continue;
-                        }
-                        if !self.g.merge_grace {
-                            return fail(
-                                Invariant::PoolConserved,
-                                format!(
-                                    "node {} holds {a} but owner {}'s pool has no allocation for it",
-                                    n.index(),
-                                    owner.index()
-                                ),
-                            );
-                        }
-                        let reachable = comp_of.contains_key(owner)
-                            && comp_of.get(owner) == comp_of.get(n)
-                            && !w.fault_severed(*owner, *n);
-                        if !reachable {
-                            continue; // invisible to the pair; grace restarts on contact
-                        }
-                        let key = (*owner, *n, *a);
-                        let since = self.uncovered.get(&key).copied().unwrap_or(now);
-                        self.near_miss.uncovered_standing =
-                            self.near_miss.uncovered_standing.max(now - since);
-                        if now - since > RECONCILE_GRACE {
-                            return fail(
-                                Invariant::PoolConserved,
-                                format!(
-                                    "node {} still holds {a} with no allocation in owner {}'s \
-                                     pool {} after becoming mutually reachable",
-                                    n.index(),
-                                    owner.index(),
-                                    now - since
-                                ),
-                            );
-                        }
-                        live.insert(key, since);
-                    }
+
+            // While a fault keeps two owners apart, duplicated ownership
+            // is the paper's intended §IV-D behavior (the majority side
+            // reclaimed the unreachable head's space). Once they are in
+            // contact, reconciliation must restore disjointness within
+            // RECONCILE_GRACE.
+            for &(owner_a, owner_b, ba, bb) in &self.overlaps {
+                let (ai, bi) = (owner_a.index(), owner_b.index());
+                if !self.g.merge_grace {
+                    return fail(
+                        Invariant::PoolConserved,
+                        format!("owners {ai} and {bi} own overlapping blocks {ba} / {bb}"),
+                    );
                 }
-                self.uncovered = live;
+                if !in_contact(w, owner_a, owner_b) {
+                    continue;
+                }
+                let worst = &mut self.near_miss.contested_standing;
+                if let Err(stood) = self.contested.tick((owner_a, owner_b), now, worst) {
+                    return fail(
+                        Invariant::PoolConserved,
+                        format!(
+                            "owners {ai} and {bi} still own overlapping blocks {ba} / {bb} \
+                             {stood} after becoming mutually reachable"
+                        ),
+                    );
+                }
             }
+            self.contested.commit();
+
+            if self.g.assigned_covered && self.gaps_stale {
+                self.gaps.clear();
+                for (owner, v) in &self.views {
+                    debug_assert!(ascending(&v.allocated, |e| e.0), "allocated unsorted");
+                    let gap = |a: Addr| {
+                        v.blocks.iter().any(|b| b.contains(a))
+                            && v.allocated.binary_search_by_key(&a, |(x, _)| *x).is_err()
+                    };
+                    let holders = self.assigned.iter().filter(|(_, a)| gap(*a));
+                    self.gaps.extend(holders.map(|(n, a)| (*owner, *n, *a)));
+                }
+                self.gaps_stale = false;
+            }
+            // A gap is not always a leak: the hello-driven merge
+            // re-registers a fresh founder's survivors within a few
+            // protocol rounds (measured ~0.5 s), so under merge-grace
+            // envelopes the gap must close within RECONCILE_GRACE of
+            // owner and holder coming into contact. (`gaps` stays empty
+            // unless `assigned-covered` is claimed.)
+            for &(owner, n, a) in &self.gaps {
+                let (oi, ni) = (owner.index(), n.index());
+                if !self.g.merge_grace {
+                    return fail(
+                        Invariant::PoolConserved,
+                        format!(
+                            "node {ni} holds {a} but owner {oi}'s pool has no allocation for it"
+                        ),
+                    );
+                }
+                if !in_contact(w, owner, n) {
+                    continue;
+                }
+                let worst = &mut self.near_miss.uncovered_standing;
+                if let Err(stood) = self.uncovered.tick((owner, n, a), now, worst) {
+                    return fail(
+                        Invariant::PoolConserved,
+                        format!(
+                            "node {ni} still holds {a} with no allocation in owner {oi}'s \
+                             pool {stood} after becoming mutually reachable"
+                        ),
+                    );
+                }
+            }
+            self.uncovered.commit();
         }
 
         if self.g.stamps_monotonic {
             let stamps = p.stamp_views(w);
-            let mut current = HashMap::with_capacity(stamps.len());
-            for (key, s) in stamps {
-                if let Some(&prev) = self.last_stamps.get(&key) {
+            if stamps != self.stamps {
+                // The step before's records, in key order for lookup. A
+                // vanished holder (crashed head) retires its records; a
+                // revived node legitimately restarts from stamp zero.
+                self.stamps.sort_unstable();
+                debug_assert!(
+                    ascending(&self.stamps, |e| e.0),
+                    "stamp_views repeats a key"
+                );
+                for &(key, s) in &stamps {
+                    let Ok(at) = self.stamps.binary_search_by_key(&key, |(k, _)| *k) else {
+                        continue;
+                    };
+                    let prev = self.stamps[at].1;
                     if s < prev {
-                        let (holder, owner, addr) = key;
+                        let (holder, owner, addr) = (key.0.index(), key.1.index(), key.2);
                         return fail(
                             Invariant::StampMonotonic,
                             format!(
-                                "stamp for {addr} (owner {}) regressed {prev} -> {s} on holder {}",
-                                owner.index(),
-                                holder.index()
+                                "stamp for {addr} (owner {owner}) regressed {prev} -> {s} \
+                                 on holder {holder}"
                             ),
                         );
                     }
                 }
-                current.insert(key, s);
+                self.stamps = stamps;
             }
-            // Vanished holders (crashed heads) retire their records; a
-            // revived node legitimately restarts from stamp zero.
-            self.last_stamps = current;
         }
 
         Ok(())

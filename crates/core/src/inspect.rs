@@ -95,14 +95,8 @@ impl Qbac {
     ) -> Result<(), Vec<DuplicateAddress>> {
         let mut seen: HashMap<(usize, Addr), NodeId> = HashMap::new();
         let mut dups = Vec::new();
-        let components = w.components();
-        let comp_of: HashMap<NodeId, usize> = components
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.iter().map(move |n| (*n, i)))
-            .collect();
         for (n, ip) in self.assigned(w) {
-            let Some(&comp) = comp_of.get(&n) else {
+            let Some(comp) = w.component_id(n) else {
                 continue;
             };
             match seen.insert((comp, ip), n) {

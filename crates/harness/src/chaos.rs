@@ -133,16 +133,10 @@ fn count_duplicates<M: Clone + std::fmt::Debug>(
     w: &mut World<M>,
     assigned: &[(NodeId, Addr)],
 ) -> usize {
-    let comp_of: HashMap<NodeId, usize> = w
-        .components()
-        .iter()
-        .enumerate()
-        .flat_map(|(i, c)| c.iter().map(move |n| (*n, i)))
-        .collect();
     let mut seen: HashMap<(usize, Addr), NodeId> = HashMap::new();
     let mut dups = 0;
     for (n, ip) in assigned {
-        let Some(&comp) = comp_of.get(n) else {
+        let Some(comp) = w.component_id(*n) else {
             continue;
         };
         match seen.insert((comp, *ip), *n) {

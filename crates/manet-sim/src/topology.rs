@@ -902,6 +902,17 @@ impl Topology {
         self.with_comps(|comps, _| comps.to_vec())
     }
 
+    /// The label of the component containing `node` — its index in
+    /// [`Topology::components`], so two nodes can reach each other iff
+    /// their labels are equal. `None` if `node` is unknown. A lookup
+    /// into the memoized partition: membership tests need not clone the
+    /// member lists.
+    #[must_use]
+    pub fn component_id(&self, node: NodeId) -> Option<usize> {
+        let i = self.index_of(node)?;
+        Some(self.with_comps(|_, comp_of| comp_of[i]))
+    }
+
     /// Returns `true` if `a` and `b` can reach each other.
     #[must_use]
     pub fn connected(&self, a: NodeId, b: NodeId) -> bool {

@@ -468,6 +468,13 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.topology().components()
     }
 
+    /// The label of the connected component containing `node` (see
+    /// [`Topology::component_id`]): equal labels mean mutually
+    /// reachable, `None` means not alive.
+    pub fn component_id(&mut self, node: NodeId) -> Option<usize> {
+        self.topology().component_id(node)
+    }
+
     /// `true` if a scripted position-based fault (an active partition
     /// boundary or jam region) would currently drop deliveries between
     /// `a` and `b`. Radio-range topology is *not* consulted — this is
@@ -1134,8 +1141,8 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         World::component_of(self, node)
     }
 
-    fn components(&mut self) -> Vec<Vec<NodeId>> {
-        World::components(self)
+    fn component_id(&mut self, node: NodeId) -> Option<usize> {
+        World::component_id(self, node)
     }
 
     fn rng_range_u64(&mut self, range: std::ops::Range<u64>) -> u64 {

@@ -122,9 +122,10 @@ fn reference_within(dist: &HashMap<NodeId, u32>, src: NodeId, k: u32) -> Vec<(No
 
 proptest! {
     /// Any interleaving of `within(k)`, `hops` in both directions,
-    /// `nearest` and `distances_from` against ONE snapshot answers each
-    /// question exactly like a fresh oracle snapshot asked only that
-    /// question, and like the plain reference BFS. Ids are a random
+    /// `nearest`, `component_id` and `distances_from` against ONE
+    /// snapshot answers each question exactly like a fresh oracle
+    /// snapshot asked only that question, and like the plain reference
+    /// BFS (for labels: equal iff mutually reachable). Ids are a random
     /// permutation of the dense order, so "ids ascending within a
     /// level" is not an accident of index order.
     #[test]
@@ -132,7 +133,7 @@ proptest! {
         n in 1usize..70,
         range in 40.0f64..500.0,
         seed in 0u64..1_000_000,
-        ops in proptest::collection::vec((0u8..5, 0usize..1000, 0usize..1000, any::<u64>()), 1..48),
+        ops in proptest::collection::vec((0u8..6, 0usize..1000, 0usize..1000, any::<u64>()), 1..48),
     ) {
         let mut ids: Vec<u64> = (0..n as u64).collect();
         let mut rng = SimRng::seed_from(seed ^ 0x5eed);
@@ -170,6 +171,16 @@ proptest! {
                         .map(|(id, d)| (*id, *d))
                         .min_by_key(|&(id, d)| (d, id));
                     prop_assert_eq!(got, want);
+                }
+                4 => {
+                    // A label indexes `components()`, and two labels are
+                    // equal exactly when the nodes reach each other.
+                    let got = snapshot.component_id(a);
+                    prop_assert_eq!(got, fresh.component_id(a));
+                    let label = got.expect("a is in the snapshot");
+                    prop_assert!(fresh.components()[label].contains(&a));
+                    prop_assert_eq!(got == snapshot.component_id(b), reference.contains_key(&b));
+                    prop_assert_eq!(snapshot.component_id(NodeId::new(n as u64)), None);
                 }
                 _ => {
                     let got = snapshot.distances_from(a);
@@ -279,6 +290,17 @@ proptest! {
                 nodes.len()
             );
             prop_assert_eq!(reused.components(), fresh.components());
+            // Labels are the member lists' indices; crashed and
+            // never-seen ids have none.
+            for (label, members) in fresh.components().iter().enumerate() {
+                for m in members {
+                    prop_assert_eq!(reused.component_id(*m), Some(label));
+                }
+            }
+            for id in (0..=next_id).map(NodeId::new) {
+                let alive = nodes.binary_search_by_key(&id, |&(n, _)| n).is_ok();
+                prop_assert_eq!(reused.component_id(id).is_some(), alive);
+            }
             for (i, &(a, _)) in nodes.iter().enumerate().step_by(3) {
                 let b = nodes[(i * 7 + round) % nodes.len()].0;
                 let pred = |id: NodeId| id.index() % 5 == round as u64 % 5;

@@ -76,8 +76,10 @@ pub trait NetBackend<M> {
     /// The connected component containing `node`.
     fn component_of(&mut self, node: NodeId) -> Vec<NodeId>;
 
-    /// All connected components of the alive network.
-    fn components(&mut self) -> Vec<Vec<NodeId>>;
+    /// A label for the connected component containing `node`: two alive
+    /// nodes can reach each other iff their labels are equal. `None` if
+    /// `node` is not alive.
+    fn component_id(&mut self, node: NodeId) -> Option<usize>;
 
     /// One uniform draw from the backend's seeded protocol RNG stream.
     fn rng_range_u64(&mut self, range: Range<u64>) -> u64;
@@ -235,11 +237,6 @@ impl<'a, M: ProtoMsg> Net<'a, M> {
     /// The connected component containing `node`.
     pub fn component_of(&mut self, node: NodeId) -> Vec<NodeId> {
         self.backend.component_of(node)
-    }
-
-    /// All connected components of the alive network.
-    pub fn components(&mut self) -> Vec<Vec<NodeId>> {
-        self.backend.components()
     }
 
     /// One uniform draw in `range` from the backend's protocol RNG.
