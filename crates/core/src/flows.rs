@@ -58,7 +58,15 @@ impl Qbac {
                 head.members.insert(addr, requestor);
                 // The quorum update happens *after* the requestor is
                 // configured (§IV-B), so it adds overhead but no latency.
-                self.commit_to_quorum(w, allocator, allocator, addr, record, &vote.grants);
+                self.commit_to_quorum(
+                    w,
+                    MsgCategory::Configuration,
+                    allocator,
+                    allocator,
+                    addr,
+                    record,
+                    &vote.grants,
+                );
                 self.send_com_cfg(
                     w,
                     allocator,
@@ -93,7 +101,15 @@ impl Qbac {
                 let network_id = head.network_id;
                 head.members.insert(addr, requestor);
                 self.stats.borrows += 1;
-                self.commit_to_quorum(w, allocator, owner, addr, record, &vote.grants);
+                self.commit_to_quorum(
+                    w,
+                    MsgCategory::Configuration,
+                    allocator,
+                    owner,
+                    addr,
+                    record,
+                    &vote.grants,
+                );
                 // The owner's authoritative copy must learn of the borrow
                 // even if it was not among the granters.
                 if !vote.grants.contains(&owner) {
@@ -223,10 +239,12 @@ impl Qbac {
     }
 
     /// Sends `QUORUM_COMMIT` for a changed record to the granting quorum
-    /// members; returns the hop cost.
+    /// members, charged to `category`; returns the hop cost.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit_to_quorum(
         &mut self,
         w: &mut Net<'_, Msg>,
+        category: MsgCategory,
         allocator: NodeId,
         owner: NodeId,
         addr: Addr,
@@ -239,7 +257,7 @@ impl Qbac {
             if let Ok(h) = w.unicast(
                 allocator,
                 *member,
-                MsgCategory::Configuration,
+                category,
                 Msg::QuorumCommit {
                     owner,
                     addr,
@@ -284,7 +302,15 @@ impl Qbac {
                     head.members.remove(&ip);
                     let grants: std::collections::BTreeSet<NodeId> =
                         head.electorate().into_iter().collect();
-                    self.commit_to_quorum(w, allocator, allocator, ip, record, &grants);
+                    self.commit_to_quorum(
+                        w,
+                        MsgCategory::Configuration,
+                        allocator,
+                        allocator,
+                        ip,
+                        record,
+                        &grants,
+                    );
                 }
             }
         }

@@ -164,7 +164,15 @@ impl Qbac {
                 let record = state.pool.table().record(sender_ip);
                 let grants: std::collections::BTreeSet<NodeId> =
                     state.electorate().into_iter().collect();
-                self.commit_to_quorum2(w, node, node, sender_ip, record, &grants);
+                self.commit_to_quorum(
+                    w,
+                    MsgCategory::Maintenance,
+                    node,
+                    node,
+                    sender_ip,
+                    record,
+                    &grants,
+                );
             }
         }
     }
@@ -364,7 +372,7 @@ impl Qbac {
                 let record = state.pool.table().record(ip);
                 let grants: std::collections::BTreeSet<NodeId> =
                     state.electorate().into_iter().collect();
-                self.commit_to_quorum2(w, head, head, ip, record, &grants);
+                self.commit_to_quorum(w, MsgCategory::Maintenance, head, head, ip, record, &grants);
             }
             return;
         }
@@ -403,39 +411,17 @@ impl Qbac {
             let record = rep.table.record(ip);
             let grants: std::collections::BTreeSet<NodeId> =
                 state.electorate().into_iter().collect();
-            self.commit_to_quorum2(w, head, owner, ip, record, &grants);
+            self.commit_to_quorum(
+                w,
+                MsgCategory::Maintenance,
+                head,
+                owner,
+                ip,
+                record,
+                &grants,
+            );
         }
         // Otherwise the address leaks until reclamation.
-    }
-
-    /// Maintenance-category variant of the quorum commit fan-out.
-    pub(crate) fn commit_to_quorum2(
-        &mut self,
-        w: &mut Net<'_, Msg>,
-        sender: NodeId,
-        owner: NodeId,
-        addr: Addr,
-        record: addrspace::AddrRecord,
-        members: &std::collections::BTreeSet<NodeId>,
-    ) -> u32 {
-        let auth = crate::auth::quorum_commit_tag(self.cfg.auth_key, owner, addr, record);
-        let mut hops = 0;
-        for m in members {
-            if let Ok(h) = w.unicast(
-                sender,
-                *m,
-                MsgCategory::Maintenance,
-                Msg::QuorumCommit {
-                    owner,
-                    addr,
-                    record,
-                    auth,
-                },
-            ) {
-                hops += h;
-            }
-        }
-        hops
     }
 
     /// A successor head absorbs a departing head's space (§IV-C.2).

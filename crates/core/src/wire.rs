@@ -38,6 +38,8 @@ pub enum WireError {
     BadTag(u8),
     /// A decoded block was structurally invalid.
     BadBlock,
+    /// A whole message decoded and this many bytes were left over.
+    Trailing(usize),
 }
 
 impl fmt::Display for WireError {
@@ -46,6 +48,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "message truncated"),
             WireError::BadTag(t) => write!(f, "unknown tag {t:#04x}"),
             WireError::BadBlock => write!(f, "invalid address block"),
+            WireError::Trailing(n) => write!(f, "{n} trailing bytes after the message"),
         }
     }
 }
@@ -101,20 +104,25 @@ pub fn encode(msg: &Msg) -> Bytes {
     b.freeze()
 }
 
-/// Encoded size in bytes, without materializing twice.
+/// Encoded size in bytes (encodes the message to count them).
 #[must_use]
 pub fn encoded_len(msg: &Msg) -> usize {
     encode(msg).len()
 }
 
-/// Decodes a message from a buffer.
+/// Decodes the one message a buffer holds.
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncated input or unknown tags.
+/// Returns [`WireError`] on truncated input, unknown tags, or bytes
+/// left over after the message: a datagram is exactly one encoding, so
+/// padding is an injection surface, not slack.
 pub fn decode(buf: &[u8]) -> Result<Msg, WireError> {
     let mut cur = buf;
     let msg = take_msg(&mut cur)?;
+    if !cur.is_empty() {
+        return Err(WireError::Trailing(cur.len()));
+    }
     Ok(msg)
 }
 
@@ -854,14 +862,26 @@ mod tests {
     fn truncation_is_detected() {
         for msg in samples() {
             let bytes = encode(&msg);
-            if bytes.len() > 1 {
-                let cut = &bytes[..bytes.len() - 1];
+            for cut in 0..bytes.len() {
                 assert_eq!(
-                    decode(cut).unwrap_err(),
-                    WireError::Truncated,
-                    "cutting {msg:?} must be detected"
+                    decode(&bytes[..cut]),
+                    Err(WireError::Truncated),
+                    "cutting {msg:?} to {cut} bytes must be detected"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        for msg in samples() {
+            let mut padded = encode(&msg).to_vec();
+            padded.push(0);
+            assert_eq!(
+                decode(&padded),
+                Err(WireError::Trailing(1)),
+                "padding {msg:?} must be detected"
+            );
         }
     }
 

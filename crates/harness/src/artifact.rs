@@ -13,22 +13,13 @@
 
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::Value;
 pub use manet_sim::ARTIFACT_SCHEMA_VERSION;
 
-/// FNV-1a 64-bit hash (stable, dependency-free) — the fingerprint
-/// function for every determinism-checked artifact.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The fingerprint function for every determinism-checked artifact.
+pub use proto_io::fnv1a;
 
 /// Renders a float slice as a JSON array (`Display` formatting, the
 /// workspace's canonical float rendering).
@@ -227,24 +218,6 @@ pub fn write_file(path: &Path, contents: &str) -> io::Result<()> {
     std::fs::write(path, contents)
 }
 
-/// The workspace root (where committed `BENCH_*.json` artifacts live),
-/// resolved from this crate's manifest directory.
-#[must_use]
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Writes `contents` to `<workspace root>/<name>` and returns the path.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_workspace(name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = workspace_root().join(name);
-    write_file(&path, contents)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,10 +280,5 @@ mod tests {
         let out = render(&v);
         assert_eq!(out, "{\"s\":\"a\\\"b\\\\c\\nd\"}");
         assert_eq!(Value::parse(&out).expect("re-parses"), v);
-    }
-
-    #[test]
-    fn workspace_root_is_the_repo_root() {
-        assert!(workspace_root().join("Cargo.toml").exists());
     }
 }

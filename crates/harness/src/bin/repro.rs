@@ -20,6 +20,7 @@
 //! repro sweep --soak --rounds 5              # chaos soak vs the oracle
 //! repro scale --out BENCH_scale.json         # city-scale sharded join storm
 //! repro scale --n 10000 --out scale.json     # CI smoke cell
+//! repro topology --out BENCH_topology.json   # strip-sweep vs naive build timings
 //! repro gate BENCH_sweep.json sweep.json     # regression gate vs baseline
 //! repro gate BENCH_scale.json scale.json --subset    # smoke vs committed baseline
 //! repro fuzz --time-budget 60s --seed 42     # coverage-guided schedule fuzz
@@ -54,13 +55,14 @@ enum Mode {
     Attacks,
     Sweep,
     Scale,
+    Topology,
     Gate,
     Fuzz,
     Mesh,
 }
 
 impl Mode {
-    const ALL: [Mode; 10] = [
+    const ALL: [Mode; 11] = [
         Mode::Figures,
         Mode::Chaos,
         Mode::Check,
@@ -68,6 +70,7 @@ impl Mode {
         Mode::Attacks,
         Mode::Sweep,
         Mode::Scale,
+        Mode::Topology,
         Mode::Gate,
         Mode::Fuzz,
         Mode::Mesh,
@@ -82,6 +85,7 @@ impl Mode {
             Mode::Attacks => "attacks",
             Mode::Sweep => "sweep",
             Mode::Scale => "scale",
+            Mode::Topology => "topology",
             Mode::Gate => "gate",
             Mode::Fuzz => "fuzz",
             Mode::Mesh => "mesh",
@@ -125,6 +129,7 @@ impl Mode {
                 "--rounds",
             ],
             Mode::Scale => &["--quick", "--n", "--threads", "--seed", "--out"],
+            Mode::Topology => &["--out"],
             Mode::Gate => &["--tolerance", "--subset"],
             Mode::Fuzz => &[
                 "--time-budget",
@@ -316,6 +321,7 @@ fn print_help() {
          \x20                  [--mobility SPEC]...\n\
          \x20      repro sweep --soak [--rounds R] [--seed S] [--quick] [--threads N]\n\
          \x20      repro scale [--quick] [--n N]... [--threads N] [--seed S] [--out BENCH_scale.json]\n\
+         \x20      repro topology [--out BENCH_topology.json]\n\
          \x20      repro gate BASELINE CANDIDATE [--tolerance F] [--subset]\n\
          \x20      repro fuzz [--time-budget 60s] [--seed S] [--protocol P] [--quick]\n\
          \x20                 [--artifact-dir DIR] [--out FILE]\n\
@@ -345,9 +351,10 @@ fn print_help() {
          flash-crowd:RADIUS,UNTIL; repeat the flag for several models).\n\
          scale decomposes a city-scale join storm into spatially disjoint\n\
          shard simulations fanned across worker threads (merged in a fixed\n\
-         order, so the artifact is byte-identical for any --threads) and\n\
-         times the serial topology build against the incremental and\n\
-         parallel alternates at every size.\n\
+         order, so the artifact is byte-identical for any --threads).\n\
+         topology times the strip-sweep topology build, BFS and flood against\n\
+         the naive all-pairs build at n = 100, 200, 350, 500 (wall clock, so\n\
+         never byte-identical); every other timing lives in perf/.\n\
          gate compares two sweep artifacts and exits nonzero when a\n\
          latency/overhead/configured metric regresses past the tolerance\n\
          (default 10%); --subset compares only the cells both artifacts\n\
@@ -455,9 +462,9 @@ fn run_sweep_mode(args: &Args) -> Outcome {
     Ok(report.failed.is_empty())
 }
 
-/// Runs `repro scale`: the sharded city-scale join-storm plus the
-/// topology-builder microbenchmark, writing `BENCH_scale.json` when
-/// `--out` is given. `--n` (repeatable) overrides the size axis.
+/// Runs `repro scale`: the sharded city-scale join-storm, writing
+/// `BENCH_scale.json` when `--out` is given. `--n` (repeatable)
+/// overrides the size axis.
 fn run_scale_mode(args: &Args) -> Outcome {
     let cfg = harness::ScaleConfig {
         sizes: args.sizes.clone().unwrap_or_else(|| {
@@ -486,12 +493,6 @@ fn run_scale_mode(args: &Args) -> Outcome {
             c.wall_us / 1_000_000,
         );
     }
-    for r in &report.topo {
-        eprintln!(
-            "topo  n={} links={} agree={} full={:.0}us incremental={:.0}us parallel={:.0}us",
-            r.n, r.links, r.agree, r.full_us, r.incremental_us, r.parallel_us
-        );
-    }
     eprintln!("scale: fingerprint fnv1a:{:016x}", report.fingerprint());
     if let Some(path) = &args.out {
         let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
@@ -501,11 +502,30 @@ fn run_scale_mode(args: &Args) -> Outcome {
         };
         write_out(path, &json)?;
     }
-    let builders_agree = report.topo.iter().all(|r| r.agree);
-    if !builders_agree {
-        eprintln!("scale: topology builders disagreed (see topo rows above)");
+    Ok(report.failed.is_empty())
+}
+
+/// Runs `repro topology`: the naive-vs-strip-sweep build baseline,
+/// writing `BENCH_topology.json` when `--out` is given.
+fn run_topology_mode(args: &Args) -> Outcome {
+    let rows = harness::topology_baseline::run_topology_baseline();
+    for r in &rows {
+        println!(
+            "topology n={}: naive build {:.1}us, grid build {:.1}us ({:.1}x), \
+             bfs fresh {:.2}us, bfs memoized {:.3}us, flood+deliver {:.1}us",
+            r.n,
+            r.naive_build_us,
+            r.grid_build_us,
+            r.build_speedup(),
+            r.bfs_fresh_us,
+            r.bfs_memo_us,
+            r.flood_deliver_us,
+        );
     }
-    Ok(report.failed.is_empty() && builders_agree)
+    if let Some(path) = &args.out {
+        write_out(path, &harness::topology_baseline::to_json(&rows))?;
+    }
+    Ok(true)
 }
 
 /// Runs `repro fuzz`: a coverage-guided campaign against one protocol,
@@ -728,6 +748,7 @@ fn main() -> ExitCode {
         Mode::Attacks => Ok(run_attacks_mode()),
         Mode::Sweep => run_sweep_mode(&args),
         Mode::Scale => run_scale_mode(&args),
+        Mode::Topology => run_topology_mode(&args),
         Mode::Gate => run_gate_mode(&args),
         Mode::Fuzz => run_fuzz_mode(&args),
         Mode::Mesh => Ok(run_mesh_mode(&args)),
@@ -918,6 +939,13 @@ mod tests {
         assert_eq!(a.sizes.as_deref(), Some(&[1000usize, 10000][..]));
         assert_eq!(a.threads, Some(8));
         assert!(parse_args(argv("scale")).unwrap().sizes.is_none());
+
+        let a = parse_args(argv("topology --out BENCH_topology.json")).unwrap();
+        assert_eq!(
+            a.out.as_deref().unwrap().to_str(),
+            Some("BENCH_topology.json")
+        );
+        assert!(parse_args(argv("topology")).unwrap().out.is_none());
 
         let a = parse_args(argv(
             "fuzz --time-budget 60s --seed 42 --protocol quorum --quick --artifact-dir out --out fuzz.txt",

@@ -1,6 +1,6 @@
 //! Extra experiment: quality ablation of the design choices `DESIGN.md`
 //! calls out — what each mechanism buys, measured on the same churn
-//! scenario (the `bench` crate times the same variants).
+//! scenario.
 
 use super::FigOpts;
 use crate::scenario::{parallel_rounds, run_scenario, Scenario};

@@ -45,7 +45,8 @@ pub struct FigOpts {
     /// Independent replications per data point (the paper uses 1000; the
     /// CLI defaults to a handful so a full regeneration stays in minutes).
     pub rounds: u64,
-    /// Shrinks sweeps and settle times for use inside Criterion benches.
+    /// Shrinks sweeps and settle times so a figure regenerates in
+    /// seconds (`repro --quick`, the CI smokes).
     pub quick: bool,
     /// Base RNG seed.
     pub seed: u64,

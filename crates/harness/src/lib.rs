@@ -4,8 +4,7 @@
 //! Each figure has a driver in [`figures`] that builds the workload,
 //! runs the protocols under identical scenarios, and returns a
 //! [`render::Table`] with the same rows/series the paper plots. The
-//! `repro` binary prints them; the `bench` crate wraps the same drivers
-//! in Criterion benchmarks.
+//! `repro` binary prints them.
 //!
 //! Absolute numbers depend on the simulator substrate; what is expected
 //! to reproduce is the *shape*: who wins, by roughly what factor, and
@@ -30,6 +29,7 @@ pub mod scenario;
 pub mod snapshot;
 pub mod stats;
 pub mod sweep;
+pub mod topology_baseline;
 
 pub use artifact::{Artifact, ARTIFACT_SCHEMA_VERSION};
 pub use attacks::{attack_suite, attack_table, canary_suite, AttackOutcome, CanaryCell};

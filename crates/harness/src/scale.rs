@@ -17,25 +17,14 @@
 //! one thread or sixteen. Wall-clock fields render as 0 under
 //! `REPRO_NO_WALL_CLOCK=1`; the fingerprint always covers the zeroed
 //! form.
-//!
-//! The `topo` section is the builder microbenchmark: per size, one
-//! constant-density layout timed under `Topology::build` (what every
-//! world runs) and the two measured alternates — the incremental
-//! maintainer (post-drift update) and the parallel builder — with a
-//! link-set equality check across all three.
 
 use crate::scenario::{run_scenario, Scenario};
-use manet_sim::topology::Topology;
-use manet_sim::{Arena, IncrementalTopology, Metrics, NodeId, Point, SimRng};
+use manet_sim::Metrics;
 use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
 
 /// The sizes the committed `BENCH_scale.json` covers.
 pub const DEFAULT_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// Transmission range every shard and topo row uses (the paper's
-/// 150 m baseline).
-pub const RANGE: f64 = 150.0;
 
 /// Configuration of one scale run.
 #[derive(Debug, Clone)]
@@ -82,24 +71,6 @@ pub struct ScaleCell {
     pub wall_us: u64,
 }
 
-/// One engine-microbenchmark row.
-#[derive(Debug, Clone)]
-pub struct TopoRow {
-    /// Node count of the layout.
-    pub n: usize,
-    /// Directed link count of the full build (deterministic).
-    pub links: usize,
-    /// Whether full, incremental, and parallel builds produced the
-    /// same topology (deterministic; must be `true`).
-    pub agree: bool,
-    /// Microseconds per full rebuild (wall; zeroed deterministically).
-    pub full_us: f64,
-    /// Microseconds per incremental update after a small drift step.
-    pub incremental_us: f64,
-    /// Microseconds per parallel build (4 threads).
-    pub parallel_us: f64,
-}
-
 /// A completed scale run, ready to render as `BENCH_scale.json`.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
@@ -113,8 +84,6 @@ pub struct ScaleReport {
     pub cells: Vec<ScaleCell>,
     /// Shards that panicked: `(cell key, shard index, message)`.
     pub failed: Vec<(String, usize, String)>,
-    /// Engine microbenchmark rows, one per size.
-    pub topo: Vec<TopoRow>,
     /// Total wall-clock, microseconds.
     pub wall_us: u64,
 }
@@ -162,93 +131,13 @@ fn run_shard(nn: usize, seed: u64, quick: bool) -> (Metrics, u64) {
     (report.into_measurements().metrics, sim_us)
 }
 
-/// Median over `reps` samples of the mean per-call time of `f`, in
-/// microseconds (the same estimator the bench crate records with).
-fn time_us<R>(reps: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..iters.max(1) {
-                std::hint::black_box(f());
-            }
-            start.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// A constant-density layout: the arena side grows with `sqrt(n)` so
-/// mean degree stays flat (~28 neighbors at 150 m) as `n` scales.
-fn dense_layout(n: usize, seed: u64) -> Vec<(NodeId, Point)> {
-    let side = (n as f64).sqrt() * 50.0;
-    let arena = Arena::new(side.max(1.0), side.max(1.0));
-    let mut rng = SimRng::seed_from(seed);
-    (0..n)
-        .map(|i| (NodeId::new(i as u64), rng.point_in(&arena)))
-        .collect()
-}
-
-/// Moves every node in the arena's bottom strip a few meters — the
-/// spatially localized drift the dirty-strip maintainer targets: only
-/// the touched rows are re-swept, so the update cost tracks the moving
-/// region, not the arena. (Arena-wide scatter degrades gracefully to a
-/// full rebuild; the differential suite covers that regime.)
-fn drift(nodes: &mut [(NodeId, Point)], step: f64) {
-    for (_, p) in nodes.iter_mut() {
-        if p.y < 300.0 {
-            p.x += step;
-        }
-    }
-}
-
-fn topo_row(n: usize, seed: u64) -> TopoRow {
-    let nodes = dense_layout(n, seed);
-    let full = Topology::build(&nodes, RANGE);
-    let links = full.link_count();
-    // Incremental: seed the maintainer, drift, and measure the update.
-    let mut inc = IncrementalTopology::default();
-    let mut moved = nodes.clone();
-    let _ = inc.update(&moved, RANGE);
-    drift(&mut moved, 3.0);
-    let inc_topo = inc.update(&moved, RANGE);
-    let par = Topology::build_parallel(&nodes, RANGE, 4);
-    let agree = par == full && inc_topo == Topology::build(&moved, RANGE);
-    // One sample per engine is enough below 100k; keep reps tiny so a
-    // full run stays dominated by the storm, not the microbench.
-    let iters = (200_000 / n.max(1)).clamp(1, 50);
-    let full_us = time_us(3, iters, || Topology::build(&nodes, RANGE));
-    let parallel_us = time_us(3, iters, || Topology::build_parallel(&nodes, RANGE, 4));
-    // Alternate between two pre-built layouts so every timed update
-    // sees a genuine diff without cloning inside the timer.
-    let alt = {
-        let mut m = moved.clone();
-        drift(&mut m, 0.5);
-        m
-    };
-    let mut flip = false;
-    let incremental_us = time_us(3, iters, || {
-        flip = !flip;
-        inc.update(if flip { &alt } else { &moved }, RANGE)
-    });
-    TopoRow {
-        n,
-        links,
-        agree,
-        full_us,
-        incremental_us,
-        parallel_us,
-    }
-}
-
 /// Stable cell key, mirroring the sweep grammar so `repro gate` can
 /// compare scale artifacts cell-by-cell.
 fn cell_key(nn: usize) -> String {
     format!("quorum/n{nn}/v0/random-waypoint/loss0/scale-storm")
 }
 
-/// Runs the whole scale config: every size's shard fan-out, then the
-/// engine microbenchmark per size.
+/// Runs the whole scale config: every size's shard fan-out.
 #[must_use]
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     let t0 = std::time::Instant::now();
@@ -298,18 +187,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     for c in &mut cells {
         c.wall_us = per_cell_wall;
     }
-    let topo = cfg
-        .sizes
-        .iter()
-        .map(|&n| topo_row(n, cfg.base_seed))
-        .collect();
     ScaleReport {
         base_seed: cfg.base_seed,
         shard_nn: cfg.shard_nn,
         quick: cfg.quick,
         cells,
         failed,
-        topo,
         wall_us: t0.elapsed().as_micros() as u64,
     }
 }
@@ -386,22 +269,6 @@ impl ScaleReport {
             let _ = write!(
                 s,
                 "{{\"cell\":\"{key}\",\"shard\":{shard},\"panic\":\"{clean}\"}}"
-            );
-        }
-        s.push("],\"topo\":[");
-        for (i, r) in self.topo.iter().enumerate() {
-            if i > 0 {
-                s.push(",");
-            }
-            let (f, inc, par) = if zero_walls {
-                (0.0, 0.0, 0.0)
-            } else {
-                (r.full_us, r.incremental_us, r.parallel_us)
-            };
-            let _ = write!(
-                s,
-                "{{\"n\":{},\"links\":{},\"agree\":{},\"full_us\":{f:.2},\"incremental_us\":{inc:.2},\"parallel_us\":{par:.2}}}",
-                r.n, r.links, r.agree,
             );
         }
         let wall = if zero_walls { 0 } else { self.wall_us };
@@ -484,18 +351,12 @@ mod tests {
         });
         // Size-keyed shard seeds make the shared cell an *exact*
         // reproduction, so even a zero-tolerance subset gate passes.
-        let report =
-            crate::gate::gate_subset(&full.deterministic_json(), &smoke.deterministic_json(), 0.0)
-                .expect("subset gate parses");
+        let (full, smoke) = (full.deterministic_json(), smoke.deterministic_json());
+        let report = crate::gate::gate_subset(&full, &smoke, 0.0).expect("subset gate parses");
         assert!(report.pass(), "{report:?}");
-    }
-
-    #[test]
-    fn topo_rows_agree_across_engines() {
-        let r = topo_row(800, 11);
-        assert!(r.agree, "engines disagreed at n=800");
-        assert!(r.links > 0);
-        assert!(r.full_us > 0.0 && r.parallel_us > 0.0 && r.incremental_us > 0.0);
+        // The artifact is the storm alone: seconds live in `perf/`.
+        let doc = crate::artifact::parse_verified("scale", &full).expect("valid artifact");
+        assert!(doc.get("topo").is_none(), "{full}");
     }
 
     #[test]

@@ -11,6 +11,8 @@ use manet_sim::{
     World, WorldConfig,
 };
 
+use crate::sweep::run_jobs;
+
 /// A reproducible experiment scenario.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -555,7 +557,7 @@ pub fn run_scenario_with<P: ProtocolCore>(
         let mut order = nodes.clone();
         sim.world_mut().rng_mut().shuffle(&mut order);
         let window_us = s.depart_window.as_micros().max(1);
-        for (k, node) in order.into_iter().take(departures).enumerate() {
+        for node in order.into_iter().take(departures) {
             let jitter = sim.world_mut().rng_mut().range_u64(0..window_us);
             let at = settled + SimDuration::from_micros(jitter);
             let is_abrupt = sim.world_mut().rng_mut().chance(s.abrupt_ratio);
@@ -565,7 +567,6 @@ pub fn run_scenario_with<P: ProtocolCore>(
             } else {
                 graceful.push(node);
             }
-            let _ = k;
         }
         let after_departures = settled + s.depart_window;
         for i in 0..s.post_arrivals {
@@ -629,47 +630,27 @@ fn spawn_arrival<P: ProtocolCore>(sim: &mut Sim<P>, s: &Scenario) -> NodeId {
     sim.spawn_at(p)
 }
 
-/// Runs `rounds` independent replications in parallel, mapping each seed
-/// through `f` and collecting the results in seed order.
+/// Runs `rounds` independent replications on [`run_jobs`]' worker pool
+/// (one worker per CPU), mapping each seed through `f` and collecting
+/// the results in seed order.
+///
+/// # Panics
+///
+/// Re-raises the first panicking round's message, so a failing round
+/// still fails its caller.
 pub fn parallel_rounds<T, F>(rounds: u64, base_seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    if rounds == 0 {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(rounds as usize);
-    // One round or one core: run inline, no thread machinery.
-    if workers <= 1 {
-        return (0..rounds).map(|i| f(base_seed.wrapping_add(i))).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..rounds).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let results = std::sync::Mutex::new(&mut out);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= rounds {
-                    break;
-                }
-                let value = f(base_seed.wrapping_add(i));
-                results.lock().expect("round worker panicked")[i as usize] = Some(value);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("all rounds ran"))
-        .collect()
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_jobs(rounds as usize, threads, |i| {
+        f(base_seed.wrapping_add(i as u64))
+    })
+    .into_iter()
+    .map(|r| r.unwrap_or_else(|msg| panic!("round panicked: {msg}")))
+    .collect()
 }
-
-/// Convenience: the world type used by figure drivers when they only
-/// need metrics.
-pub type AnyWorld<M> = World<M>;
 
 #[cfg(test)]
 mod tests {
@@ -911,5 +892,11 @@ mod tests {
     #[test]
     fn parallel_rounds_single_round() {
         assert_eq!(parallel_rounds(1, 7, |seed| seed + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "round panicked: seed 102")]
+    fn parallel_rounds_re_raise_a_failing_round() {
+        let _ = parallel_rounds(4, 100, |seed| assert!(seed != 102, "seed {seed}"));
     }
 }

@@ -16,6 +16,7 @@
 //! behavior: if this moves, the adversary plane leaked into honest
 //! runs.
 
+use harness::artifact::fnv1a;
 use harness::scenario::{run_scenario, Scenario};
 use manet_sim::FaultPlan;
 use qbac_core::{ProtocolConfig, Qbac};
@@ -24,15 +25,6 @@ use qbac_core::{ProtocolConfig, Qbac};
 /// against the pre-adversary commit — see module docs. Regenerate only
 /// if the honest workload itself changes.
 const PINNED_TRACE_FINGERPRINT: &str = "fnv1a:bb3293de0dd6201e";
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn chaos_trace_fingerprint() -> String {
     // Same chaos plan as the topology-determinism pin: faults active,

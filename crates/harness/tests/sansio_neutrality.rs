@@ -9,17 +9,9 @@
 //! make the suite pass. If one moves, the refactor changed protocol
 //! behavior and the change itself is the bug.
 
+use harness::artifact::fnv1a;
 use harness::scenario::{run_scenario, Scenario};
 use manet_sim::FaultPlan;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The splitbrain-style probe plan: delays, a healing partition,
 /// crashes with one restart, and a head kill — every fault category

@@ -96,13 +96,8 @@ fn run_fingerprint(spec: &str, seed: u64) -> u64 {
     for i in 0..10 {
         sim.spawn_at(Point::new(100.0 + 80.0 * i as f64, 500.0));
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = proto_io::FNV1A_INIT;
+    let mut mix = |v: u64| hash = proto_io::fnv1a_extend(hash, &v.to_le_bytes());
     let end = SimTime::ZERO + SimDuration::from_secs(30);
     while sim.step_until(end) {
         let (w, _) = sim.parts_mut();

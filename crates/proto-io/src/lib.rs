@@ -31,6 +31,7 @@
 mod attack;
 mod core;
 mod flow;
+mod fnv;
 mod geometry;
 pub mod histogram;
 mod ids;
@@ -46,6 +47,7 @@ mod transcript;
 pub use attack::AttackKind;
 pub use core::ProtocolCore;
 pub use flow::{FlowKind, FlowStage};
+pub use fnv::{fnv1a, fnv1a_extend, FNV1A_INIT};
 pub use geometry::{Arena, Point};
 pub use histogram::Histogram;
 pub use ids::NodeId;

@@ -1,3 +1,4 @@
+use crate::fnv::{fnv1a_extend, FNV1A_INIT};
 use crate::io::{Cast, Input, Output, SendResult};
 use crate::msg::ProtoMsg;
 use crate::time::SimTime;
@@ -187,15 +188,9 @@ impl Transcript {
     /// `fnv1a:<16 hex digits>`.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for line in &self.lines {
-            for b in line.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= u64::from(b'\n');
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = self.lines.iter().fold(FNV1A_INIT, |h, line| {
+            fnv1a_extend(fnv1a_extend(h, line.as_bytes()), b"\n")
+        });
         format!("fnv1a:{h:016x}")
     }
 
@@ -333,14 +328,10 @@ mod tests {
         }
         assert!(a.diff(&b).is_none());
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in a.render().as_bytes() {
-                h ^= u64::from(*byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            format!("fnv1a:{h:016x}")
-        });
+        assert_eq!(
+            a.fingerprint(),
+            format!("fnv1a:{:016x}", crate::fnv1a(a.render().as_bytes()))
+        );
     }
 
     #[test]
