@@ -179,7 +179,7 @@ impl Buddy {
             .filter(|n| self.nodes.contains_key(n))
             .max_by_key(|n| self.nodes[n].pool.total_len());
         let neighbor = one_hop.or_else(|| {
-            w.nearest(node, |n| self.nodes.contains_key(&n))
+            w.nearest(node, &mut |n| self.nodes.contains_key(&n))
                 .map(|(n, _)| n)
         });
         if let Some(alloc) = neighbor {

@@ -207,20 +207,6 @@ impl CTree {
         v
     }
 
-    /// Pool size of each alive coordinator — the "IP space size" the
-    /// paper's Figure 12 compares against the quorum protocol's extended
-    /// space (no replication here, so own pool only).
-    #[must_use]
-    pub fn coordinator_space<B: NetBackend<CtMsg> + ?Sized>(&self, w: &B) -> Vec<u64> {
-        self.coordinators(w)
-            .into_iter()
-            .filter_map(|c| match self.roles.get(&c) {
-                Some(CtRole::Coordinator { pool, .. }) => Some(pool.total_len()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Accounting snapshots of every alive coordinator's pool, for the
     /// conformance oracle's leak-freedom invariant.
     #[must_use]
@@ -287,7 +273,7 @@ impl CTree {
     }
 
     fn nearest_coordinator(&self, w: &mut Net<'_, CtMsg>, node: NodeId) -> Option<NodeId> {
-        w.nearest(node, |n| {
+        w.nearest(node, &mut |n| {
             matches!(self.roles.get(&n), Some(CtRole::Coordinator { .. }))
         })
         .map(|(n, _)| n)

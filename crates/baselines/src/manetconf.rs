@@ -205,7 +205,7 @@ impl ManetConf {
             .filter(|n| matches!(self.roles.get(n), Some(McRole::Configured { .. })))
             .collect();
         w.rng_choose(&candidates).copied().or_else(|| {
-            w.nearest(node, |n| {
+            w.nearest(node, &mut |n| {
                 matches!(self.roles.get(&n), Some(McRole::Configured { .. }))
             })
             .map(|(n, _)| n)

@@ -67,7 +67,7 @@ impl fmt::Display for Invariant {
 /// the longest time each family of reconcilable conflict (duplicate
 /// holders, overlapping owner blocks, uncovered assignments) stood
 /// while its parties were mutually reachable. A run whose standing
-/// times approach [`RECONCILE_GRACE`] nearly violated; the fuzzer uses
+/// times approach `RECONCILE_GRACE` nearly violated; the fuzzer uses
 /// these distances as coverage signal to steer toward the boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NearMiss {
@@ -78,16 +78,6 @@ pub struct NearMiss {
     /// Longest an assigned address went unbacked by a reachable
     /// owner's allocation record.
     pub uncovered_standing: SimDuration,
-}
-
-impl NearMiss {
-    /// The largest standing time across all three families.
-    #[must_use]
-    pub fn max_standing(&self) -> SimDuration {
-        self.dup_standing
-            .max(self.contested_standing)
-            .max(self.uncovered_standing)
-    }
 }
 
 /// One invariant violation, pinned to the simulator event (step) after

@@ -108,7 +108,7 @@ pub fn addr_rec_tag(key: u64, initiator: NodeId, target_ip: Addr) -> u64 {
 /// *recipient*, and the claim stamp. Binding the recipient means a
 /// captured claim replayed at a different victim never verifies;
 /// replaying it at the same victim is caught by the stamp window
-/// (see [`stamp_fresh`](crate::vote::stamp_fresh)).
+/// (see `vote::stamp_fresh`).
 #[must_use]
 pub fn own_claim_tag(key: u64, claimant_ip: Addr, recipient: NodeId, claim_stamp: u64) -> u64 {
     auth_tag(

@@ -16,7 +16,7 @@
 //!
 //! The crate provides [`Qbac`], an implementation of
 //! [`proto_io::ProtocolCore`] that runs the full protocol as a
-//! message-passing state machine over the [`manet_sim`] discrete-event
+//! message-passing state machine over the `manet_sim` discrete-event
 //! simulator: configuration of common nodes and cluster heads (§IV-B),
 //! movement and departure (§IV-C), address reclamation (§IV-D), address
 //! borrowing (§V-A), quorum adjustment (§V-B), and network partition and

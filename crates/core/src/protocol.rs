@@ -209,7 +209,7 @@ impl Qbac {
         network: Option<Addr>,
         excluded: Option<NodeId>,
     ) -> Option<(NodeId, u32)> {
-        w.nearest(node, |n| {
+        w.nearest(node, &mut |n| {
             Some(n) != excluded
                 && matches!(self.roles.get(&n), Some(NodeRole::Head(h))
                     if network.is_none_or(|net| h.network_id == net))

@@ -31,7 +31,7 @@
 //!
 //! The first argument picks the subcommand (none means `figures`), and
 //! each subcommand accepts exactly the flags [`Mode::flags`] lists for
-//! it; anything else is an "unknown argument for <subcommand>" error.
+//! it; anything else is an `unknown argument for <subcommand>` error.
 //!
 //! With `REPRO_NO_WALL_CLOCK=1` the snapshot's per-phase `wall_us`
 //! fields render as 0, making same-seed snapshots byte-identical.

@@ -10,7 +10,7 @@
 //! [`conformance::run_check`], and keeps the mutants that light up new
 //! *behavioral coverage*:
 //!
-//! * flow-span outcomes per [`FlowKind`] (did a schedule make merges
+//! * flow-span outcomes per [`FlowKind`](manet_sim::FlowKind) (did a schedule make merges
 //!   abandon? reclaims retry?),
 //! * which fault/attack counters fired,
 //! * how close a grace-windowed invariant came to tripping

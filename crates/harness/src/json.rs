@@ -6,8 +6,9 @@
 //! This one is deliberately small: it accepts standard JSON, preserves
 //! object key order (so a parse → render round trip can stay
 //! byte-comparable), and exposes just the accessors the regression gate
-//! needs. It is not a streaming parser and is not meant for untrusted
-//! multi-megabyte inputs.
+//! needs. It is not a streaming parser; it reads files a user names, so
+//! every malformed input — nesting past [`MAX_DEPTH`] included — ends in
+//! a [`ParseError`], never a panic or a stack overflow.
 
 use std::fmt;
 
@@ -46,6 +47,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so the bound is what keeps a crafted file
+/// from overflowing the stack; committed artifacts nest at most 7 deep.
+pub const MAX_DEPTH: usize = 64;
+
 impl Value {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
@@ -53,9 +59,14 @@ impl Value {
     /// # Errors
     ///
     /// Returns a [`ParseError`] with the byte offset of the first
-    /// malformed construct.
+    /// malformed construct, or of the bracket that opens nesting level
+    /// [`MAX_DEPTH`]` + 1`.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -140,6 +151,8 @@ impl Value {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -184,11 +197,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                at: self.pos,
+                msg: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -404,6 +433,29 @@ mod tests {
         let items = v.as_array().unwrap();
         assert_eq!(items.len(), n);
         assert_eq!(items[n - 1].as_str().unwrap().chars().count(), 751);
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        for (open, leaf, close) in [("[", "", "]"), ("{\"a\":", "1", "}")] {
+            let nest = |n: usize| format!("{}{leaf}{}", open.repeat(n), close.repeat(n));
+            assert!(
+                Value::parse(&nest(MAX_DEPTH)).is_ok(),
+                "{open} at the bound"
+            );
+            let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                err.at,
+                open.len() * MAX_DEPTH,
+                "{open} one past the bound: {err}"
+            );
+            assert!(err.msg.contains("nesting"), "{err}");
+            // Unclosed, the way a hostile file would spell it.
+            assert!(
+                Value::parse(&open.repeat(200_000)).is_err(),
+                "{open} x 200k"
+            );
+        }
     }
 
     #[test]

@@ -37,97 +37,13 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (Bessel-corrected; 0 for n < 2).
-#[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Standard error of the mean.
-#[must_use]
-pub fn sem(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    stddev(xs) / (xs.len() as f64).sqrt()
-}
-
-/// Half-width of the normal-approximation 95% confidence interval.
-#[must_use]
-pub fn ci95(xs: &[f64]) -> f64 {
-    1.96 * sem(xs)
-}
-
-/// A labeled series of replicated measurements, one inner vector per
-/// x-axis point.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Display name (e.g. `"quorum"`, `"MANETconf"`).
-    pub name: String,
-    /// Replicated samples per x point.
-    pub samples: Vec<Vec<f64>>,
-}
-
-impl Series {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Series {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Appends the replications for the next x point.
-    pub fn push(&mut self, samples: Vec<f64>) {
-        self.samples.push(samples);
-    }
-
-    /// Per-point means.
-    #[must_use]
-    pub fn means(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| mean(s)).collect()
-    }
-
-    /// Per-point 95% CI half-widths.
-    #[must_use]
-    pub fn cis(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| ci95(s)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev_basics() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - 2.138).abs() < 0.01);
-    }
-
-    #[test]
-    fn sem_shrinks_with_n() {
-        let small = [1.0, 3.0];
-        let large: Vec<f64> = std::iter::repeat_n([1.0, 3.0], 50).flatten().collect();
-        assert!(sem(&large) < sem(&small));
-        assert!(ci95(&large) < ci95(&small));
-    }
-
-    #[test]
-    fn series_collects_points() {
-        let mut s = Series::new("x");
-        s.push(vec![1.0, 3.0]);
-        s.push(vec![10.0]);
-        assert_eq!(s.means(), vec![2.0, 10.0]);
-        assert_eq!(s.cis().len(), 2);
     }
 }

@@ -19,7 +19,7 @@
 //! for the same input. The argument, load-bearing for the differential
 //! proptests:
 //!
-//! 1. The CSR assembly ([`Topology::from_links`]) is insensitive to
+//! 1. The CSR assembly (`Topology::from_links`) is insensitive to
 //!    link-list *order*: pass one groups directed edges by destination
 //!    (order within a group never shows in the output) and pass two
 //!    walks destinations ascending, so each node's neighbor run comes

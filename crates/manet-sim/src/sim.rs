@@ -1,5 +1,5 @@
 use crate::event::{Due, EventKind};
-use crate::{Input, Net, NodeId, Point, ProtocolCore, SimDuration, SimTime, World, WorldConfig};
+use crate::{Input, NodeId, Point, ProtocolCore, SimDuration, SimTime, World, WorldConfig};
 
 /// The simulation driver: owns the [`World`] and the [`ProtocolCore`] and
 /// dispatches events to the protocol's callbacks in timestamp order.
@@ -42,12 +42,6 @@ impl<P: ProtocolCore> Sim<P> {
     /// Mutable access to the protocol (for inspection helpers in tests).
     pub fn protocol_mut(&mut self) -> &mut P {
         &mut self.protocol
-    }
-
-    /// Decomposes the simulation into its world and protocol.
-    #[must_use]
-    pub fn into_parts(self) -> (World<P::Msg>, P) {
-        (self.world, self.protocol)
     }
 
     /// Simultaneous mutable access to world and protocol (e.g. for audits
@@ -166,12 +160,11 @@ impl<P: ProtocolCore> Sim<P> {
     }
 
     /// Feeds one sans-io [`Input`] to the protocol core: records it in
-    /// the transcript (when recording) and dispatches through a [`Net`]
-    /// handle wrapping the world.
+    /// the transcript (when recording) and hands the world over as the
+    /// protocol's [`Net`](crate::Net) handle.
     fn feed(&mut self, node: NodeId, input: Input<P::Msg>) {
         self.world.record_input(node, &input);
-        let mut net = Net::new(&mut self.world);
-        self.protocol.handle(&mut net, node, input);
+        self.protocol.handle(&mut self.world, node, input);
     }
 
     fn dispatch(&mut self, due: Due<P::Msg>) {
@@ -258,7 +251,7 @@ impl<P: ProtocolCore> Sim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MsgCategory, SendError};
+    use crate::{MsgCategory, Net, SendError};
     use std::collections::HashMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a

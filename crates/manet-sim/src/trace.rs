@@ -9,7 +9,6 @@ use crate::faults::DropCause;
 use crate::observer::{FlowKind, FlowStage};
 use crate::{MsgCategory, NodeId, SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::fmt;
 use std::fmt::Write as _;
 
 /// One traced simulation event.
@@ -110,67 +109,6 @@ pub struct TraceRecord {
     pub at: SimTime,
     /// What happened.
     pub event: TraceEvent,
-}
-
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.event {
-            TraceEvent::Unicast {
-                from,
-                to,
-                category,
-                hops,
-            } => write!(f, "[{}] {from} -> {to} ({category}, {hops} hops)", self.at),
-            TraceEvent::Broadcast {
-                from,
-                k,
-                category,
-                recipients,
-                charge,
-            } => match k {
-                Some(k) => write!(
-                    f,
-                    "[{}] {from} bcast k={k} ({category}, {recipients} rcpt, {charge} tx)",
-                    self.at
-                ),
-                None => write!(
-                    f,
-                    "[{}] {from} flood ({category}, {recipients} rcpt, {charge} tx)",
-                    self.at
-                ),
-            },
-            TraceEvent::Join { node } => write!(f, "[{}] {node} joined", self.at),
-            TraceEvent::Remove { node } => write!(f, "[{}] {node} removed", self.at),
-            TraceEvent::FaultDrop {
-                from,
-                to,
-                category,
-                cause,
-            } => write!(
-                f,
-                "[{}] fault drop {from} -> {to} ({category}, {cause})",
-                self.at
-            ),
-            TraceEvent::FaultDelay { from, to, by } => {
-                write!(f, "[{}] fault delay {from} -> {to} (+{by})", self.at)
-            }
-            TraceEvent::FaultDuplicate { from, to, copies } => {
-                write!(
-                    f,
-                    "[{}] fault dup {from} -> {to} (x{copies} extra)",
-                    self.at
-                )
-            }
-            TraceEvent::Crash { node } => write!(f, "[{}] {node} crashed", self.at),
-            TraceEvent::Restart { node } => write!(f, "[{}] {node} restarted", self.at),
-            TraceEvent::Flow {
-                flow,
-                kind,
-                node,
-                stage,
-            } => write!(f, "[{}] flow#{flow} {kind} {node} {stage}", self.at),
-        }
-    }
 }
 
 impl TraceRecord {
@@ -339,16 +277,6 @@ impl Trace {
         self.dropped
     }
 
-    /// Renders the retained records, one per line.
-    #[must_use]
-    pub fn render(&self) -> String {
-        self.records
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     /// Exports the retained records as JSON Lines — one JSON object per
     /// record, oldest first, suitable for `jq` or log ingestion.
     ///
@@ -405,36 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn render_formats_events() {
+    fn broadcast_export_carries_k_only_when_bounded() {
         let mut t = Trace::with_capacity(8);
-        t.record(
-            SimTime::from_micros(1_000_000),
-            TraceEvent::Unicast {
-                from: NodeId::new(1),
-                to: NodeId::new(2),
-                category: MsgCategory::Configuration,
-                hops: 3,
-            },
-        );
-        t.record(
-            SimTime::from_micros(2_000_000),
-            TraceEvent::Broadcast {
-                from: NodeId::new(1),
-                k: None,
-                category: MsgCategory::Reclamation,
-                recipients: 9,
-                charge: 10,
-            },
-        );
-        let s = t.render();
-        assert!(s.contains("n1 -> n2"));
-        assert!(s.contains("3 hops"));
-        assert!(s.contains("flood"));
-        assert!(s.contains("9 rcpt"));
+        for k in [None, Some(2)] {
+            t.record(
+                SimTime::from_micros(2_000_000),
+                TraceEvent::Broadcast {
+                    from: NodeId::new(1),
+                    k,
+                    category: MsgCategory::Reclamation,
+                    recipients: 9,
+                    charge: 10,
+                },
+            );
+        }
+        let flood = "{\"at_us\":2000000,\"event\":\"broadcast\",\"from\":1,\"category\":\"reclamation\",\"recipients\":9,\"charge\":10";
+        assert_eq!(t.to_jsonl(), format!("{flood}}}\n{flood},\"k\":2}}\n"));
     }
 
     #[test]
-    fn fault_events_render() {
+    fn fault_events_export() {
         let mut t = Trace::with_capacity(8);
         t.record(
             SimTime::from_micros(1),
@@ -457,15 +375,16 @@ mod tests {
                 node: NodeId::new(3),
             },
         );
-        let s = t.render();
-        assert!(s.contains("fault drop"));
-        assert!(s.contains("jam"));
-        assert!(s.contains("n3 crashed"));
-        assert!(s.contains("n3 restarted"));
+        assert_eq!(
+            t.to_jsonl(),
+            "{\"at_us\":1,\"event\":\"fault_drop\",\"from\":1,\"to\":2,\"category\":\"configuration\",\"cause\":\"jam\"}\n\
+             {\"at_us\":2,\"event\":\"crash\",\"node\":3}\n\
+             {\"at_us\":3,\"event\":\"restart\",\"node\":3}\n"
+        );
     }
 
     #[test]
-    fn flow_events_render_and_export() {
+    fn flow_events_export() {
         let mut t = Trace::with_capacity(8);
         t.record(
             SimTime::from_micros(9),
@@ -488,9 +407,6 @@ mod tests {
                 stage: FlowStage::Assigned,
             },
         );
-        let s = t.render();
-        assert!(s.contains("flow#7 join n3 votes_gathered (2 grants, 1 refusals)"));
-        assert!(s.contains("flow#7 join n3 assigned"));
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(

@@ -9,7 +9,7 @@ use crate::{
     Arena, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg, SendError, SimDuration,
     SimRng, SimTime, Transcript,
 };
-use proto_io::Input;
+use proto_io::{Cast, Input, Output, SendResult};
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
@@ -1044,12 +1044,6 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.shadow = Some(shadow);
     }
 
-    /// Whether a shadow transport is installed.
-    #[must_use]
-    pub fn has_wire_shadow(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     /// Runs the shadow transport for one `(from, to)` delivery and
     /// returns the message copy the recipient decoded (or the original
     /// when no shadow is installed).
@@ -1070,9 +1064,10 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// Enables transcript recording: every input the driver feeds and
-    /// every effect the protocol performs through [`Net`](crate::Net)
-    /// is appended in canonical form. Off by default (one `Option`
-    /// check per effect).
+    /// every effect the protocol performs through its
+    /// [`Net`](crate::Net) handle — this world as `dyn NetBackend` — is
+    /// appended in canonical form. Off by default (one `Option` check
+    /// per effect).
     pub fn enable_transcript(&mut self) {
         self.transcript = Some(Transcript::new());
     }
@@ -1091,19 +1086,63 @@ impl<M: Clone + fmt::Debug> World<M> {
 
 impl<M: ProtoMsg> World<M> {
     /// Records one driver-side input when transcribing (the output half
-    /// is recorded by [`Net`](crate::Net) as effects happen).
+    /// is recorded by the [`NetBackend`] impl below as effects happen).
     pub(crate) fn record_input(&mut self, node: NodeId, input: &Input<M>) {
         let now = self.now;
         if let Some(t) = self.transcript.as_mut() {
             t.push_input(now, node, input);
         }
     }
+
+    fn record_output(&mut self, output: Output) {
+        let now = self.now;
+        if let Some(t) = self.transcript.as_mut() {
+            t.push_output(now, &output);
+        }
+    }
+
+    /// `msg` in canonical form, computed only when transcribing.
+    fn canon_if_recording(&self, msg: &M) -> Option<Vec<u8>> {
+        self.transcript.as_ref().map(|_| {
+            let mut bytes = Vec::new();
+            msg.canon(&mut bytes);
+            bytes
+        })
+    }
+
+    /// Records a finished send; `canon` is `None` when not transcribing.
+    fn record_send<T>(
+        &mut self,
+        from: NodeId,
+        cast: Cast,
+        category: MsgCategory,
+        canon: Option<Vec<u8>>,
+        result: &Result<T, SendError>,
+        verdict: impl FnOnce(&T) -> SendResult,
+    ) {
+        let Some(msg) = canon else {
+            return;
+        };
+        let result = match result {
+            Ok(sent) => verdict(sent),
+            Err(e) => SendResult::Failed(*e),
+        };
+        self.record_output(Output::Send {
+            from,
+            cast,
+            category,
+            msg,
+            result,
+        });
+    }
 }
 
-/// The simulator as sans-io backend #1: every [`NetBackend`] call
-/// forwards to the corresponding inherent method, so protocol effects
-/// hit the same choke points (metrics, trace, fault plane, scheduling)
-/// they always did, in the same order.
+/// The protocol-facing choke point: a protocol reaches the world only
+/// through `&mut dyn NetBackend`, so each effect here runs the inherent
+/// method — same metrics, trace, fault plane and scheduling, in the same
+/// order — and then, when transcribing, appends its canonical
+/// [`Output`]. The inherent methods themselves stay untranscribed for
+/// the harness, the oracle and tests.
 impl<M: ProtoMsg> NetBackend<M> for World<M> {
     fn now(&self) -> SimTime {
         World::now(self)
@@ -1163,14 +1202,17 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
 
     fn flow_event(&mut self, kind: FlowKind, node: NodeId, stage: FlowStage) {
         World::flow_event(self, kind, node, stage);
+        self.record_output(Output::FlowEvent { node, kind, stage });
     }
 
     fn mark_configured(&mut self, node: NodeId) {
         World::mark_configured(self, node);
+        self.record_output(Output::Configured { node });
     }
 
     fn remove_node(&mut self, node: NodeId) {
         World::remove_node(self, node);
+        self.record_output(Output::Removed { node });
     }
 
     fn unicast(
@@ -1180,7 +1222,12 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<u32, SendError> {
-        World::unicast(self, from, to, category, msg)
+        let canon = self.canon_if_recording(&msg);
+        let result = World::unicast(self, from, to, category, msg);
+        self.record_send(from, Cast::Unicast(to), category, canon, &result, |hops| {
+            SendResult::Hops(*hops)
+        });
+        result
     }
 
     fn broadcast_within(
@@ -1190,7 +1237,12 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<Vec<NodeId>, SendError> {
-        World::broadcast_within(self, from, k, category, msg)
+        let canon = self.canon_if_recording(&msg);
+        let result = World::broadcast_within(self, from, k, category, msg);
+        self.record_send(from, Cast::Within(k), category, canon, &result, |to| {
+            SendResult::Recipients(to.clone())
+        });
+        result
     }
 
     fn flood(
@@ -1199,18 +1251,27 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<Vec<NodeId>, SendError> {
-        World::flood(self, from, category, msg)
+        let canon = self.canon_if_recording(&msg);
+        let result = World::flood(self, from, category, msg);
+        self.record_send(from, Cast::Flood, category, canon, &result, |to| {
+            SendResult::Recipients(to.clone())
+        });
+        result
     }
 
     fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
-        World::set_timer(self, node, delay, tag)
+        let id = World::set_timer(self, node, delay, tag);
+        self.record_output(Output::SetTimer {
+            node,
+            id,
+            delay,
+            tag,
+        });
+        id
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
         World::cancel_timer(self, id);
-    }
-
-    fn transcript_mut(&mut self) -> Option<&mut Transcript> {
-        self.transcript.as_mut()
+        self.record_output(Output::CancelTimer { id });
     }
 }

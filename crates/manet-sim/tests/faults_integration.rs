@@ -249,10 +249,7 @@ fn fault_events_appear_in_trace() {
     sim.world_mut().enable_trace(256);
     chain(&mut sim, 3);
     sim.run_for(SimDuration::from_secs(2));
-    let rendered = sim.world().trace().render();
-    assert!(rendered.contains("fault drop"), "trace: {rendered}");
-    assert!(rendered.contains("crashed"), "trace: {rendered}");
     let jsonl = sim.world().trace().to_jsonl();
-    assert!(jsonl.contains("\"event\":\"fault_drop\""));
-    assert!(jsonl.contains("\"event\":\"crash\""));
+    assert!(jsonl.contains("\"event\":\"fault_drop\""), "trace: {jsonl}");
+    assert!(jsonl.contains("\"event\":\"crash\""), "trace: {jsonl}");
 }

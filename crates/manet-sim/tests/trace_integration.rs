@@ -61,9 +61,9 @@ fn trace_captures_joins_sends_and_removals() {
         .iter()
         .any(|e| matches!(e, TraceEvent::Remove { node } if *node == b)));
 
-    let rendered = trace.render();
-    assert!(rendered.contains("joined"));
-    assert!(rendered.contains("removed"));
+    let jsonl = trace.to_jsonl();
+    assert!(jsonl.contains("\"event\":\"join\",\"node\":1"));
+    assert!(jsonl.contains("\"event\":\"remove\",\"node\":1"));
 }
 
 #[test]

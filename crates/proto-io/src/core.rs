@@ -8,10 +8,11 @@ use crate::NodeId;
 /// One `ProtocolCore` value holds the state of *every* node (the model is
 /// a single-process view of the whole network); callbacks identify which
 /// node the event concerns. Implementations react by querying and sending
-/// through the [`Net`] handle — they never touch a simulator, a socket,
-/// or a clock directly, which is what lets the same core run unmodified
-/// on the discrete-event simulator and the UDP mesh transport, with
-/// transcript equality as the proof.
+/// through the [`Net`] handle — the backend itself, as a
+/// [`NetBackend`](crate::NetBackend) object — and never touch a simulator,
+/// a socket, or a clock directly, which is what lets the same core run
+/// unmodified on the discrete-event simulator and the UDP mesh transport,
+/// with transcript equality as the proof.
 ///
 /// # Lifecycle
 ///
@@ -21,15 +22,15 @@ use crate::NodeId;
 /// * [`on_message`](ProtocolCore::on_message) — a message addressed to
 ///   `to` arrived.
 /// * [`on_timer`](ProtocolCore::on_timer) — a timer set via
-///   [`Net::set_timer`] fired.
+///   [`set_timer`](crate::NetBackend::set_timer) fired.
 /// * [`on_link_change`](ProtocolCore::on_link_change) — the transport
 ///   observed a new one-hop neighbor set for the node. Only emitted by
 ///   transports that track link state as events.
 /// * [`on_leave`](ProtocolCore::on_leave) — the node is departing. For
 ///   graceful leaves the node is still alive and may run its departure
 ///   handshake; the protocol must eventually call
-///   [`Net::remove_node`]. For abrupt leaves the node is already dead
-///   and can no longer send.
+///   [`remove_node`](crate::NetBackend::remove_node). For abrupt leaves
+///   the node is already dead and can no longer send.
 ///
 /// Drivers may either call the individual callbacks or feed typed
 /// [`Input`]s through [`handle`](ProtocolCore::handle); the two are

@@ -10,12 +10,14 @@
 //!   [`Input`]s (join, message, timer, link change, leave) and performs
 //!   every effect through a [`Net`] handle; it never touches a simulator
 //!   or a socket directly.
-//! * [`Net`] / [`NetBackend`] — the effect boundary. `Net` is a thin
-//!   facade over a backend (the discrete-event simulator, the UDP mesh,
-//!   anything else) that forwards every call *eagerly* — effect ordering
-//!   is exactly call ordering, which is what makes behavior across
-//!   backends comparable at all — and, when the backend carries a
-//!   [`Transcript`], records each effect in canonical form.
+//! * [`NetBackend`] / [`Net`] — the effect boundary. `NetBackend` is the
+//!   trait a transport implements (the discrete-event simulator's world,
+//!   with the UDP mesh riding inside it); `Net<'_, M>` is that trait as an
+//!   object, `dyn NetBackend<M>`, so a protocol calls the backend's own
+//!   methods: one dynamic call per effect, performed *eagerly* — effect
+//!   ordering is exactly call ordering, which is what makes behavior
+//!   across backends comparable at all. A backend that carries a
+//!   [`Transcript`] records each effect in canonical form.
 //! * [`Transcript`] — the wall-clock-free canonical record of a run's
 //!   protocol I/O. Two backends are *equivalent on a scenario* when their
 //!   transcripts are byte-identical; [`Transcript::diff`] produces a

@@ -30,8 +30,9 @@ fn push_nodes(line: &mut String, nodes: &[NodeId]) {
 /// The canonical, wall-clock-free record of one run's protocol I/O.
 ///
 /// Each line is either an input record (`<`, written by the driver as it
-/// feeds the core) or an output record (`>`, written by [`Net`] as the
-/// core performs effects), prefixed with virtual time in microseconds.
+/// feeds the core) or an output record (`>`, written by the
+/// [`NetBackend`] as the core performs effects), prefixed with virtual
+/// time in microseconds.
 /// Nothing host- or transport-specific appears in a line — no wall
 /// clock, no socket addresses, no thread ids — so two backends running
 /// the same scenario produce byte-identical transcripts exactly when
@@ -50,7 +51,7 @@ fn push_nodes(line: &mut String, nodes: &[NodeId]) {
 /// * Timer ids appear verbatim: both backends allocate them from a
 ///   single monotonic counter, so id equality is part of the proof.
 ///
-/// [`Net`]: crate::Net
+/// [`NetBackend`]: crate::NetBackend
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
     lines: Vec<String>,

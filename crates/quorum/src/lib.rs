@@ -1,4 +1,4 @@
-//! Quorum systems, majority voting, and timestamped replica stores.
+//! Majority voting, the dynamic-linear tiebreak, and timestamped replica stores.
 //!
 //! This crate provides the consistency-control machinery used by the
 //! quorum-based IP autoconfiguration protocol (Xu & Wu, ICDCS 2007):
@@ -8,10 +8,6 @@
 //! * [`MajorityRule`] and [`DynamicLinearRule`] — quorum predicates,
 //!   including the dynamic-linear-voting tiebreak with a *distinguished
 //!   node* (Jajodia & Mutchler) for even replica counts,
-//! * [`ReadWriteQuorum`] — classical weighted read/write quorum constraints
-//!   (`w > v/2`, `r + w > v`),
-//! * [`QuorumSystem`] — explicit set systems with pairwise-intersection
-//!   checking (Definition 1 in the paper),
 //! * [`Replica`] / [`ReplicaStore`] — timestamped copies of replicated
 //!   state with freshest-read semantics.
 //!
@@ -34,17 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dynamic;
-mod error;
 mod replica;
 mod rules;
 mod stamp;
-mod system;
 mod tally;
 
-pub use error::QuorumError;
 pub use replica::{Replica, ReplicaStore};
-pub use rules::{DynamicLinearRule, MajorityRule, QuorumRule, ReadWriteQuorum};
+pub use rules::{DynamicLinearRule, MajorityRule, QuorumRule};
 pub use stamp::VersionStamp;
-pub use system::QuorumSystem;
 pub use tally::{TallyOutcome, VoteTally};

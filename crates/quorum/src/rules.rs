@@ -1,5 +1,3 @@
-use crate::QuorumError;
-
 /// A predicate deciding whether a number of granted votes constitutes a
 /// quorum over a replica group of known size.
 ///
@@ -127,105 +125,6 @@ impl QuorumRule for DynamicLinearRule {
     }
 }
 
-/// Weighted read/write quorum sizes satisfying the classical constraints
-///
-/// * `w > v / 2` — two write quorums always intersect, and
-/// * `r + w > v` — every read quorum intersects every write quorum,
-///
-/// which together guarantee that every read observes the latest committed
-/// write (§II-C of the paper).
-///
-/// # Example
-///
-/// ```
-/// use quorum::ReadWriteQuorum;
-///
-/// let rw = ReadWriteQuorum::new(2, 4, 5)?;
-/// assert_eq!(rw.read(), 2);
-/// assert_eq!(rw.write(), 4);
-///
-/// // Balanced majority split for five votes: r = w = 3.
-/// let bal = ReadWriteQuorum::balanced(5);
-/// assert_eq!((bal.read(), bal.write()), (3, 3));
-/// # Ok::<(), quorum::QuorumError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReadWriteQuorum {
-    read: usize,
-    write: usize,
-    votes: usize,
-}
-
-impl ReadWriteQuorum {
-    /// Creates a read/write quorum configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::InvalidReadWriteSplit`] if `w <= v/2`,
-    /// `r + w <= v`, either size is zero, or either size exceeds `v`.
-    pub fn new(read: usize, write: usize, votes: usize) -> Result<Self, QuorumError> {
-        let invalid = read == 0
-            || write == 0
-            || votes == 0
-            || read > votes
-            || write > votes
-            || 2 * write <= votes
-            || read + write <= votes;
-        if invalid {
-            return Err(QuorumError::InvalidReadWriteSplit { read, write, votes });
-        }
-        Ok(ReadWriteQuorum { read, write, votes })
-    }
-
-    /// The balanced majority configuration `r = w = ⌊v/2⌋ + 1` — the one
-    /// the autoconfiguration protocol uses, since every configuration both
-    /// reads (checks availability) and writes (commits the allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `votes` is zero.
-    #[must_use]
-    pub fn balanced(votes: usize) -> Self {
-        assert!(votes > 0, "balanced quorum needs at least one vote");
-        let maj = votes / 2 + 1;
-        ReadWriteQuorum {
-            read: maj,
-            write: maj,
-            votes,
-        }
-    }
-
-    /// Read quorum size.
-    #[must_use]
-    pub fn read(&self) -> usize {
-        self.read
-    }
-
-    /// Write quorum size.
-    #[must_use]
-    pub fn write(&self) -> usize {
-        self.write
-    }
-
-    /// Total number of votes.
-    #[must_use]
-    pub fn votes(&self) -> usize {
-        self.votes
-    }
-
-    /// Returns `true` if `granted` votes suffice for a read.
-    #[must_use]
-    pub fn read_quorum(&self, granted: usize) -> bool {
-        granted >= self.read
-    }
-
-    /// Returns `true` if `granted` votes suffice for a write.
-    #[must_use]
-    pub fn write_quorum(&self, granted: usize) -> bool {
-        granted >= self.write
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,43 +180,5 @@ mod tests {
         // Two disjoint halves: only one can contain the distinguished node.
         assert!(rule.is_quorum_with(3, true));
         assert!(!rule.is_quorum_with(3, false));
-    }
-
-    #[test]
-    fn rw_rejects_bad_splits() {
-        assert!(ReadWriteQuorum::new(1, 2, 5).is_err()); // w <= v/2
-        assert!(ReadWriteQuorum::new(2, 3, 6).is_err()); // r + w <= v
-        assert!(ReadWriteQuorum::new(0, 3, 5).is_err());
-        assert!(ReadWriteQuorum::new(3, 0, 5).is_err());
-        assert!(ReadWriteQuorum::new(6, 3, 5).is_err());
-        assert!(ReadWriteQuorum::new(3, 6, 5).is_err());
-        assert!(ReadWriteQuorum::new(1, 1, 0).is_err());
-    }
-
-    #[test]
-    fn rw_accepts_valid_splits() {
-        let rw = ReadWriteQuorum::new(2, 4, 5).unwrap();
-        assert!(rw.read_quorum(2));
-        assert!(!rw.read_quorum(1));
-        assert!(rw.write_quorum(4));
-        assert!(!rw.write_quorum(3));
-    }
-
-    #[test]
-    fn rw_balanced_is_valid() {
-        for v in 1..=20 {
-            let b = ReadWriteQuorum::balanced(v);
-            assert!(
-                ReadWriteQuorum::new(b.read(), b.write(), v).is_ok(),
-                "v={v}"
-            );
-        }
-    }
-
-    #[test]
-    fn error_display_mentions_sizes() {
-        let err = ReadWriteQuorum::new(1, 2, 5).unwrap_err();
-        let s = err.to_string();
-        assert!(s.contains("r=1") && s.contains("w=2") && s.contains("v=5"));
     }
 }

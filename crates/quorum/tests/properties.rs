@@ -1,32 +1,9 @@
 //! Property-based tests of the quorum machinery.
 
 use proptest::prelude::*;
-use quorum::{
-    DynamicLinearRule, MajorityRule, QuorumRule, QuorumSystem, ReadWriteQuorum, Replica,
-    ReplicaStore, VersionStamp,
-};
+use quorum::{DynamicLinearRule, MajorityRule, QuorumRule, Replica, ReplicaStore, VersionStamp};
 
 proptest! {
-    /// Any valid read/write split guarantees read-write and write-write
-    /// intersection by counting.
-    #[test]
-    fn rw_splits_guarantee_intersection(r in 1usize..50, w in 1usize..50, v in 1usize..50) {
-        if let Ok(rw) = ReadWriteQuorum::new(r, w, v) {
-            // Two write quorums overlap.
-            prop_assert!(2 * rw.write() > v);
-            // Every read quorum overlaps every write quorum.
-            prop_assert!(rw.read() + rw.write() > v);
-        }
-    }
-
-    /// The balanced split is always valid and symmetric.
-    #[test]
-    fn balanced_split_is_valid(v in 1usize..200) {
-        let b = ReadWriteQuorum::balanced(v);
-        prop_assert_eq!(b.read(), b.write());
-        prop_assert!(ReadWriteQuorum::new(b.read(), b.write(), v).is_ok());
-    }
-
     /// Majority and dynamic-linear agree whenever the tiebreak is moot
     /// (odd electorate, or vote counts away from exactly half).
     #[test]
@@ -38,27 +15,6 @@ proptest! {
             prop_assert_eq!(dlv.is_quorum_with(g, true), majority);
             prop_assert_eq!(dlv.is_quorum_with(g, false), majority);
         }
-    }
-
-    /// Explicit majority quorum systems validate: all (t = ⌊n/2⌋+1)-sized
-    /// subsets pairwise intersect.
-    #[test]
-    fn majority_subsets_form_a_quorum_system(n in 1usize..12) {
-        let universe: Vec<u32> = (0..n as u32).collect();
-        let t = n / 2 + 1;
-        // Enumerate all t-subsets (n ≤ 12 keeps this small).
-        let mut subsets = Vec::new();
-        for mask in 0u32..(1 << n) {
-            if mask.count_ones() as usize == t {
-                subsets.push(
-                    (0..n)
-                        .filter(|i| mask & (1 << i) != 0)
-                        .map(|i| i as u32)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-        prop_assert!(QuorumSystem::new(universe, subsets).is_ok());
     }
 
     /// Replica merge is monotone in stamps: after any merge sequence the

@@ -10,7 +10,7 @@
 //! the authorized link peer, so the mesh cannot cheat the radio range.
 //!
 //! The mesh plugs in underneath the simulator as a
-//! [`WireShadow`](manet_sim::WireShadow): virtual time, RNG streams,
+//! [`WireShadow`]: virtual time, RNG streams,
 //! timers, and event ordering stay with the simulator, while the
 //! message *content* that reaches each recipient is whatever its
 //! socket task decoded off the wire. Because the delivered copy is the
