@@ -26,7 +26,8 @@
 //! repro fuzz --time-budget 60s --seed 42     # coverage-guided schedule fuzz
 //! repro mesh                                 # storm + attack canary over real UDP,
 //!                                            # transcripts diffed against the simulator
-//! repro mesh --quick                         # the 2x2 CI equivalence smoke
+//!                                            # (3x2, CI's equivalence smoke)
+//! repro mesh --quick                         # 2x2 at nn 12: both QBAC variants only
 //! ```
 //!
 //! The first argument picks the subcommand (none means `figures`), and
@@ -367,7 +368,7 @@ fn print_help() {
          every delivery carried over real UDP sockets (hop-by-hop along the\n\
          link map) and diffs the sans-io protocol transcripts against the\n\
          simulator; any divergence prints a minimized report and exits\n\
-         nonzero. --quick shrinks it to the 2x2 CI smoke.",
+         nonzero. --quick shrinks it to 2x2 (QBAC open and hardened, nn 12).",
         FigOpts::default().rounds
     );
 }

@@ -4,10 +4,13 @@
 //! the pure discrete-event simulator, and backend #2, the UDP mesh
 //! where every delivery crosses localhost sockets as wire-encoded
 //! datagrams relayed hop-by-hop — and demands byte-identical protocol
-//! transcripts. This is the CLI face of the acceptance suite in
-//! `tests/transcript_equiv.rs`: same differential, run on the pinned
-//! conformance schedules (the §IV storm plus an attack canary) so CI
-//! and humans get a one-line verdict per cell and a minimized
+//! transcripts. The mesh leg runs on the calling thread like the
+//! simulator leg: one `MeshShadow` owns a socket per node and moves one
+//! datagram at a time, so a cell is two sequential runs and nothing here
+//! depends on the scheduler. This is the CLI face of the acceptance
+//! suite in `tests/transcript_equiv.rs`: same differential, run on the
+//! pinned conformance schedules (the §IV storm plus an attack canary)
+//! so CI and humans get a one-line verdict per cell and a minimized
 //! first-divergence report on failure.
 
 use crate::scenario::{run_scenario_with, Scenario};
@@ -86,7 +89,7 @@ fn scenario_for(cell: &Cell, quick: bool) -> Scenario {
 fn run_both<P>(scenario: &Scenario, fresh: impl Fn() -> P) -> (Transcript, Transcript, MeshStats)
 where
     P: ProtocolCore,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: WireMsg + 'static,
 {
     let mut sim_report = run_scenario_with(scenario, fresh(), |sim| {
         sim.world_mut().enable_transcript();
@@ -139,11 +142,11 @@ fn run_cell(cell: &Cell, quick: bool) -> EquivCell {
 
 /// The equivalence matrix: wire-codec protocols × pinned schedules.
 ///
-/// `quick` (the CI smoke) runs 2 × 2 — QBAC open and hardened under the
-/// storm schedule and the squat attack canary; the full matrix adds the
-/// stateless-DAD baseline. `seed` perturbs the arrival schedule on top
-/// of each plan's pinned world seed, so sweeping it covers fresh
-/// interleavings without unpinning the canaries.
+/// `quick` (tier-1's smoke) runs 2 × 2 — QBAC open and hardened under the
+/// storm schedule and the squat attack canary; the full matrix (CI's
+/// `equivalence-smoke`) adds the stateless-DAD baseline. `seed` perturbs
+/// the arrival schedule on top of each plan's pinned world seed, so
+/// sweeping it covers fresh interleavings without unpinning the canaries.
 #[must_use]
 pub fn mesh_equiv_suite(quick: bool, seed: u64) -> Vec<EquivCell> {
     let storm = conformance::registry::chaos_schedules()
@@ -181,7 +184,7 @@ pub fn mesh_equiv_suite(quick: bool, seed: u64) -> Vec<EquivCell> {
 mod tests {
     use super::*;
 
-    /// The quick matrix is exactly the CI smoke: both QBAC variants,
+    /// The quick matrix is exactly tier-1's smoke: both QBAC variants,
     /// both schedules, every cell equivalent and every mesh run moving
     /// real datagrams.
     #[test]

@@ -36,7 +36,7 @@ use transport_mesh::MeshShadow;
 fn transcript_on<P>(scenario: &Scenario, protocol: P, mesh: bool) -> Transcript
 where
     P: ProtocolCore,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: WireMsg + 'static,
 {
     let mut report = run_scenario_with(scenario, protocol, |sim| {
         sim.world_mut().enable_transcript();
@@ -57,7 +57,7 @@ where
 fn assert_equivalent<P, F>(label: &str, scenario: &Scenario, fresh: F)
 where
     P: ProtocolCore,
-    P::Msg: WireMsg + Send + 'static,
+    P::Msg: WireMsg + 'static,
     F: Fn() -> P,
 {
     let sim_side = transcript_on(scenario, fresh(), false);

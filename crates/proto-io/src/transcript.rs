@@ -11,8 +11,11 @@ fn push_hex(line: &mut String, bytes: &[u8]) {
         line.push('-');
         return;
     }
-    for b in bytes {
-        let _ = write!(line, "{b:02x}");
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    line.reserve(2 * bytes.len());
+    for &b in bytes {
+        line.push(DIGITS[usize::from(b >> 4)] as char);
+        line.push(DIGITS[usize::from(b & 0xf)] as char);
     }
 }
 
@@ -55,6 +58,9 @@ fn push_nodes(line: &mut String, nodes: &[NodeId]) {
 #[derive(Debug, Clone, Default)]
 pub struct Transcript {
     lines: Vec<String>,
+    /// Scratch for one message's [`ProtoMsg::canon`] bytes, kept so a
+    /// record costs no allocation beyond its line.
+    canon: Vec<u8>,
 }
 
 impl Transcript {
@@ -72,9 +78,9 @@ impl Transcript {
             Input::Join => line.push_str("join"),
             Input::Message { from, msg } => {
                 let _ = write!(line, "msg from={from} bytes=");
-                let mut bytes = Vec::new();
-                msg.canon(&mut bytes);
-                push_hex(&mut line, &bytes);
+                self.canon.clear();
+                msg.canon(&mut self.canon);
+                push_hex(&mut line, &self.canon);
             }
             Input::TimerFired { tag } => {
                 let _ = write!(line, "timer tag={tag:#x}");
