@@ -98,10 +98,16 @@ impl AddressPool {
     /// The lowest available address, or `None` if the pool is exhausted.
     #[must_use]
     pub fn first_free(&self) -> Option<Addr> {
+        self.first_free_at_or_after(Addr::MIN)
+    }
+
+    /// The lowest available owned address at or after `from`, no wrap.
+    /// Blocks are sorted and disjoint, so the first block with an answer
+    /// has the lowest; a block wholly below `from` is an empty range.
+    fn first_free_at_or_after(&self, from: Addr) -> Option<Addr> {
         self.blocks
             .iter()
-            .flat_map(|b| b.iter())
-            .find(|a| self.table.status(*a).is_available())
+            .find_map(|b| self.table.first_available_in(b.base().max(from), b.last()))
     }
 
     /// The first available address at or after `from` in address order,
@@ -110,11 +116,7 @@ impl AddressPool {
     /// for future delegation.
     #[must_use]
     pub fn first_free_from(&self, from: Addr) -> Option<Addr> {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.iter())
-            .filter(|a| *a >= from)
-            .find(|a| self.table.status(*a).is_available())
+        self.first_free_at_or_after(from)
             .or_else(|| self.first_free())
     }
 
@@ -185,13 +187,9 @@ impl AddressPool {
             if b.len() < 2 {
                 continue;
             }
-            let upper_len = b.len() / 2;
-            let upper_base = b.base().offset(b.len() - upper_len);
-            let upper_clean =
-                (0..upper_len).all(|k| self.table.status(upper_base.offset(k)).is_available());
-            let lower_len = b.len() / 2;
-            let lower_clean =
-                (0..lower_len).all(|k| self.table.status(b.base().offset(k)).is_available());
+            let (lower, upper) = halves(b);
+            let upper_clean = !self.table.any_unavailable_in(upper.base(), upper.last());
+            let lower_clean = !self.table.any_unavailable_in(lower.base(), lower.last());
             let side = if upper_clean {
                 Some(Side::Upper)
             } else if lower_clean {
@@ -245,14 +243,14 @@ impl AddressPool {
             .map(|(i, _)| i)
             .ok_or(AddrSpaceError::Exhausted)?;
         let b = self.blocks[idx];
-        let upper_len = b.len() / 2;
-        let upper_base = b.base().offset(b.len() - upper_len);
-        let upper_allocs = (0..upper_len)
-            .filter(|k| !self.table.status(upper_base.offset(*k)).is_available())
+        let (lower, upper) = halves(&b);
+        let upper_allocs = self
+            .table
+            .unavailable_in(upper.base(), upper.last())
             .count();
-        let lower_len = b.len() / 2;
-        let lower_allocs = (0..lower_len)
-            .filter(|k| !self.table.status(b.base().offset(*k)).is_available())
+        let lower_allocs = self
+            .table
+            .unavailable_in(lower.base(), lower.last())
             .count();
         let half = if upper_allocs <= lower_allocs {
             self.blocks[idx].split_half().expect("len >= 2")
@@ -366,6 +364,17 @@ impl AddressPool {
             allocated,
         }
     }
+}
+
+/// The blocks [`AddrBlock::split_half_lower`] and
+/// [`AddrBlock::split_half`] would hand over from `b` (two addresses or
+/// more): what a split may give away is asked of the split itself.
+fn halves(b: &AddrBlock) -> (AddrBlock, AddrBlock) {
+    let (mut keeps_upper, mut keeps_lower) = (*b, *b);
+    (
+        keeps_upper.split_half_lower().expect("len >= 2"),
+        keeps_lower.split_half().expect("len >= 2"),
+    )
 }
 
 /// An accounting snapshot of one [`AddressPool`], used by the

@@ -176,6 +176,39 @@ impl AllocationTable {
     pub fn allocated_count(&self) -> usize {
         self.allocated().count()
     }
+
+    /// The addresses of `[lo, hi]` that cannot be handed out, ascending.
+    /// Walks the materialized records of the range, not its addresses:
+    /// an untouched address is free by definition. Empty when `lo > hi`.
+    pub fn unavailable_in(&self, lo: Addr, hi: Addr) -> impl Iterator<Item = Addr> + '_ {
+        (lo <= hi)
+            .then(|| self.records.range(lo..=hi))
+            .into_iter()
+            .flatten()
+            .filter(|(_, r)| !r.status.is_available())
+            .map(|(a, _)| *a)
+    }
+
+    /// Returns `true` if some address of `[lo, hi]` cannot be handed out.
+    #[must_use]
+    pub fn any_unavailable_in(&self, lo: Addr, hi: Addr) -> bool {
+        self.unavailable_in(lo, hi).next().is_some()
+    }
+
+    /// The lowest available address of `[lo, hi]`, `None` when every one
+    /// is taken (or `lo > hi`): the first address the run of unavailable
+    /// records starting at `lo` does not cover.
+    #[must_use]
+    pub fn first_available_in(&self, lo: Addr, hi: Addr) -> Option<Addr> {
+        let mut candidate = lo;
+        for taken in self.unavailable_in(lo, hi) {
+            if taken > candidate {
+                break;
+            }
+            candidate = taken.checked_offset(1)?;
+        }
+        (candidate <= hi).then_some(candidate)
+    }
 }
 
 impl FromIterator<(Addr, AddrRecord)> for AllocationTable {

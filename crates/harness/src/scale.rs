@@ -291,6 +291,30 @@ mod tests {
         })
     }
 
+    /// Shard 0 of the n = 1 000 cell at its full 128 nodes, run to the
+    /// end.
+    fn full_shard() -> crate::scenario::RunReport<Qbac> {
+        let s = shard_scenario(128, mix_seed(1, 1_000, 0), false);
+        run_scenario(&s, Qbac::new(ProtocolConfig::default()))
+    }
+
+    /// Nobody in a shard ever moves, so its one sweep is the first
+    /// snapshot; 127 joins are spliced in and every quantum re-keys.
+    #[test]
+    fn a_static_shard_sweeps_once() {
+        assert_eq!(full_shard().world().snapshot_sweeps(), 1);
+    }
+
+    /// The counters rendered into `BENCH_scale.json` count refreshes and
+    /// fresh-key calls, by whatever means: the literals are what the
+    /// commit before the splice printed for this shard.
+    #[test]
+    fn a_static_shard_counts_refreshes_as_it_always_did() {
+        let report = full_shard();
+        let perf = report.world().metrics().perf();
+        assert_eq!((perf.topo_builds, perf.topo_hits), (196, 2550));
+    }
+
     #[test]
     fn shard_sizes_stay_within_one_of_even() {
         assert_eq!(shard_sizes(100, 128), vec![100]);

@@ -44,21 +44,41 @@
 //! than one full BFS per source per snapshot. The component partition
 //! ([`component_of`](Topology::component_of),
 //! [`components`](Topology::components)) is memoized whole. The id→index
-//! map is built lazily on the first query: a snapshot that is rebuilt
-//! before anyone queries it never pays for the map. The caches live
-//! *inside* the snapshot, so they go with it the moment the world's
-//! `(quantum bucket, membership/mobility version)` cache key rotates;
-//! there is no separate invalidation protocol to get wrong.
+//! map is a vector sorted by id, searched by bisection and built lazily
+//! on the first query: a snapshot that is rebuilt before anyone queries
+//! it never pays for the map, and nobody pays for a hasher. The caches
+//! live *inside* the snapshot and are answers about its graph, not about
+//! an instant: whatever changes the graph forgets them in the same call,
+//! so there is no separate invalidation protocol to get wrong.
 //!
-//! When that key rotates the world does not drop the snapshot, it
-//! [`rebuild`](Topology::rebuild)s it: the same build into the storage
-//! the stale snapshot held (CSR arrays, the build's link list and
-//! scatter buffers, the traversals' vectors), every answer forgotten.
-//! A 600-node city snapshot is some 700 KB of build buffers; freed and
-//! allocated again every quantum they make the allocator grow and trim
-//! the heap each time, and the page faults that follow cost whatever
-//! the host charges that second — a rep of the `city_mobile` benchmark
-//! swung ±7% on one input with them and ±1–3% without.
+//! When the world's `(quantum bucket, membership/mobility version)` cache
+//! key rotates, the world does not drop the snapshot; it refreshes it by
+//! the least that makes it the snapshot of the new instant, one of three
+//! ways (`World::topology` decides which):
+//!
+//! * **Swept** — [`rebuild`](Topology::rebuild): the same build into the
+//!   storage the stale snapshot held (CSR arrays, the build's link list
+//!   and scatter buffers, the traversals' vectors), every answer
+//!   forgotten. A 600-node city snapshot is some 700 KB of build
+//!   buffers; freed and allocated again every quantum they make the
+//!   allocator grow and trim the heap each time, and the page faults
+//!   that follow cost whatever the host charges that second — a rep of
+//!   the `city_mobile` benchmark swung ±7% on one input with them and
+//!   ±1–3% without. Layouts too small or too odd for the strips are
+//!   swept all-pairs into the same storage. This is the only way while
+//!   any node is en route.
+//! * **Spliced** — `Topology::insert` / `Topology::remove`: in a world
+//!   where nobody moves, a join or a leave changes one node's links and
+//!   nothing else. They are found with the all-pairs predicate against
+//!   the positions the snapshot was filled from, and the CSR is
+//!   rewritten in one pass through the build scratch — the node at the
+//!   place its id sorts to, its neighbours' runs still ascending — so
+//!   the result is the snapshot a sweep of the new alive set would
+//!   build, array for array. Answers are forgotten, the id→index map is
+//!   kept current.
+//! * **Re-keyed** — nothing is touched: in that same world a new quantum
+//!   alone changes no position, so the graph, its traversals and its
+//!   components all stand.
 
 use crate::{NodeId, Point};
 use std::cell::RefCell;
@@ -346,9 +366,11 @@ impl Traversal {
 /// snapshot, the vectors that held them serve the next one.
 #[derive(Debug, Clone, Default)]
 struct MemoCache {
-    /// Lazily-built id → dense-index map (builds never query it): empty
-    /// until the first query.
-    index: HashMap<NodeId, usize>,
+    /// Lazily-built id → dense-index map, sorted by id and searched by
+    /// bisection (builds never query it): empty until the first query.
+    /// Not an answer but a view of `ids`, so [`reset`](Self::reset)
+    /// leaves it to whoever changed `ids`.
+    index: Vec<(NodeId, u32)>,
     /// Where in `runs` the traversal from each source index is,
     /// [`NO_RUN`] while none has started.
     slot: Vec<u32>,
@@ -370,7 +392,6 @@ impl MemoCache {
     /// Forgets every answer, for a snapshot of `n` nodes; keeps the
     /// storage.
     fn reset(&mut self, n: usize) {
-        self.index.clear();
         self.slot.clear();
         self.slot.resize(n, NO_RUN);
         self.live = 0;
@@ -451,23 +472,140 @@ impl Topology {
     /// the heap each time, and pays for it in page faults whose cost is
     /// the host's to decide. Every memoized answer is forgotten.
     pub fn rebuild(&mut self, nodes: &[(NodeId, Point)], range: f64) {
-        // Degenerate ranges (zero, negative, NaN, infinite) make the
-        // row height or the d² cutoff meaningless, and non-finite
-        // coordinates have no row; the all-pairs sweep handles all of
-        // them with the exact same predicate. These only occur in
-        // adversarial tests. (It also takes every layout too small for
-        // the strips to pay, in storage of its own.)
-        let Some(layout) = StripLayout::new(nodes, range) else {
-            *self = Self::build_naive(nodes, range);
-            return;
-        };
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut links = std::mem::take(&mut scratch.links);
         links.clear();
-        layout.scan_rows(0, layout.nrows(), &mut links);
+        match StripLayout::new(nodes, range) {
+            Some(layout) => layout.scan_rows(0, layout.nrows(), &mut links),
+            // Degenerate ranges (zero, negative, NaN, infinite) make the
+            // row height or the d² cutoff meaningless, and non-finite
+            // coordinates have no row; the all-pairs sweep handles all
+            // of them with the exact same predicate. These only occur in
+            // adversarial tests. It also takes every layout too small
+            // for the strips to pay — into the same storage.
+            None => {
+                for (i, (_, a)) in nodes.iter().enumerate() {
+                    for (j, (_, b)) in nodes.iter().enumerate().skip(i + 1) {
+                        if a.distance(*b) <= range {
+                            links.push((i as u64) << 32 | j as u64);
+                        }
+                    }
+                }
+            }
+        }
         self.assemble(nodes, &links, &mut scratch);
         scratch.links = links;
         self.scratch = scratch;
+    }
+
+    /// Makes this the snapshot [`Topology::build`] would return had
+    /// `node`, standing at `at`, been among its input. The one node's
+    /// links are found with the all-pairs predicate (`distance(..) <=
+    /// range` against `position` of every node already here, which is
+    /// the oracle's own test: `distance` is symmetric to the bit) and
+    /// the CSR is rewritten in one pass into the build scratch. `ids`
+    /// must ascend, as the world's always do: the node goes where its id
+    /// sorts and every dense index from there on moves up by one. Every
+    /// memoized answer is forgotten; the id → index map is kept current.
+    pub(crate) fn insert(
+        &mut self,
+        node: NodeId,
+        at: Point,
+        range: f64,
+        position: impl Fn(NodeId) -> Point,
+    ) {
+        debug_assert!(self.ids.is_sorted(), "a splice needs ascending ids");
+        let n = self.ids.len();
+        assert!(n + 1 < u32::MAX as usize, "topology indices are u32-dense");
+        let p = self.ids.partition_point(|id| *id < node);
+        debug_assert!(self.ids.get(p) != Some(&node), "{node} is already here");
+        let p32 = p as u32;
+        let BuildScratch {
+            links: run,
+            by_dst: adj,
+            pos: starts,
+        } = &mut self.scratch;
+        // The newcomer's neighbours in the old indices, ascending.
+        run.clear();
+        let in_range = |id: &NodeId| position(*id).distance(at) <= range;
+        run.extend(
+            (0u64..)
+                .zip(&self.ids)
+                .filter(|(_, id)| in_range(id))
+                .map(|(j, _)| j),
+        );
+        adj.clear();
+        starts.clear();
+        starts.push(0);
+        let mut linked = run.iter().peekable();
+        for j in 0..=n {
+            if j == p {
+                adj.extend(run.iter().map(|&v| v as u32 + u32::from(v as usize >= p)));
+                starts.push(adj.len() as u32);
+            }
+            if j == n {
+                break;
+            }
+            let old = &self.adj[self.adj_starts[j] as usize..self.adj_starts[j + 1] as usize];
+            let (below, above) = old.split_at(old.partition_point(|&v| v < p32));
+            adj.extend_from_slice(below);
+            if linked.next_if(|&&v| v == j as u64).is_some() {
+                adj.push(p32);
+            }
+            adj.extend(above.iter().map(|v| v + 1));
+            starts.push(adj.len() as u32);
+        }
+        self.ids.insert(p, node);
+        let index = &mut self.cache.get_mut().index;
+        if !index.is_empty() {
+            index.iter_mut().for_each(|e| e.1 += u32::from(e.1 >= p32));
+            index.insert(p, (node, p32));
+        }
+        self.adopt_spliced();
+    }
+
+    /// Makes this the snapshot [`Topology::build`] would return without
+    /// `node` among its input (nothing to do when it is not here): its
+    /// row and every mention of it go, every dense index above it moves
+    /// down by one. One pass into the build scratch, like
+    /// [`insert`](Self::insert); every memoized answer is forgotten.
+    pub(crate) fn remove(&mut self, node: NodeId) {
+        let Some(p) = self.index_of(node) else {
+            return;
+        };
+        let p32 = p as u32;
+        let BuildScratch {
+            by_dst: adj,
+            pos: starts,
+            ..
+        } = &mut self.scratch;
+        adj.clear();
+        starts.clear();
+        starts.push(0);
+        for j in (0..self.ids.len()).filter(|&j| j != p) {
+            let old = &self.adj[self.adj_starts[j] as usize..self.adj_starts[j + 1] as usize];
+            let (below, rest) = old.split_at(old.partition_point(|&v| v < p32));
+            adj.extend_from_slice(below);
+            let above = rest.strip_prefix(&[p32]).unwrap_or(rest);
+            adj.extend(above.iter().map(|v| v - 1));
+            starts.push(adj.len() as u32);
+        }
+        self.ids.remove(p);
+        let index = &mut self.cache.get_mut().index;
+        let at = index
+            .binary_search_by_key(&node, |e| e.0)
+            .expect("index_of found it");
+        index.remove(at);
+        index.iter_mut().for_each(|e| e.1 -= u32::from(e.1 > p32));
+        self.adopt_spliced();
+    }
+
+    /// The CSR a splice wrote into the scratch becomes the snapshot's
+    /// (the arrays it replaces are the next splice's scratch).
+    fn adopt_spliced(&mut self) {
+        std::mem::swap(&mut self.adj, &mut self.scratch.by_dst);
+        std::mem::swap(&mut self.adj_starts, &mut self.scratch.pos);
+        self.cache.get_mut().reset(self.ids.len());
     }
 
     /// Builds the same graph as [`Topology::build`], scanning row
@@ -623,7 +761,9 @@ impl Topology {
         }
         self.ids.clear();
         self.ids.extend(nodes.iter().map(|(id, _)| *id));
-        self.cache.get_mut().reset(n);
+        let cache = self.cache.get_mut();
+        cache.index.clear();
+        cache.reset(n);
     }
 
     /// Flattens per-node neighbor lists (already ascending) into CSR.
@@ -677,10 +817,13 @@ impl Topology {
     pub fn index_of(&self, node: NodeId) -> Option<usize> {
         let mut cache = self.cache.borrow_mut();
         if cache.index.is_empty() {
-            let by_id = self.ids.iter().enumerate().map(|(i, id)| (*id, i));
-            cache.index.extend(by_id);
+            cache.index.extend(self.ids.iter().copied().zip(0u32..));
+            // Ascending ids — all a `World` ever hands over — are one
+            // run to the sort: a linear pass.
+            cache.index.sort_unstable_by_key(|e| e.0);
         }
-        cache.index.get(&node).copied()
+        let at = cache.index.binary_search_by_key(&node, |e| e.0).ok()?;
+        Some(cache.index[at].1 as usize)
     }
 
     /// The node at dense index `i` (indices come from

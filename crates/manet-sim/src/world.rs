@@ -148,6 +148,25 @@ impl<M> Outbox<M> {
     }
 }
 
+/// What has happened to the nodes since the topology snapshot was
+/// filled — what [`World::topology`] needs to know to refresh it by less
+/// than a sweep.
+#[derive(Debug, Default)]
+struct SinceSnapshot {
+    /// Activations (`true`) and removals (`false`), oldest first. Stops
+    /// growing one past [`SPLICE_LIMIT`]: by then a sweep is due anyway.
+    members: Vec<(NodeId, bool)>,
+    /// A [`MobilityState`] was written (a leg started, a node parked or
+    /// revived): some position may no longer be the snapshot's.
+    mobility_written: bool,
+}
+
+/// Most membership changes a refresh splices one by one. A splice
+/// rewrites the whole CSR, so `k` of them cost `k · (n + links)` where
+/// one sweep costs `n log n + links`: the limit keeps a burst of joins
+/// between two queries from going quadratic.
+const SPLICE_LIMIT: usize = 16;
+
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct World<M> {
@@ -168,6 +187,11 @@ pub struct World<M> {
     next_timer: u64,
     topo_cache: Option<(SimTime, u64, Topology)>,
     topo_version: u64,
+    since_snapshot: SinceSnapshot,
+    /// Nodes whose [`MobilityState::is_moving`], dead ones included.
+    moving: usize,
+    /// Refreshes of the snapshot that swept every position.
+    sweeps: u64,
     trace: Trace,
     observer: Observer,
     faults: Option<Box<FaultState>>,
@@ -196,6 +220,9 @@ impl<M: Clone + fmt::Debug> World<M> {
             next_timer: 0,
             topo_cache: None,
             topo_version: 0,
+            since_snapshot: SinceSnapshot::default(),
+            moving: 0,
+            sweeps: 0,
             trace: Trace::default(),
             observer: Observer::default(),
             faults,
@@ -373,18 +400,34 @@ impl<M: Clone + fmt::Debug> World<M> {
     // Topology queries
     // ------------------------------------------------------------------
 
-    /// A connectivity snapshot for the current instant. Cached for the
-    /// configured quantum (and until membership/mobility changes).
+    /// A connectivity snapshot for the current instant, cached under the
+    /// key `(quantum bucket, topo_version)`: reused for the configured
+    /// quantum and until membership or mobility changes.
     ///
     /// The snapshot is built with the spatial-grid engine and carries
     /// its own resumable per-source traversals and memoized component
     /// partition (see [`topology`](crate::topology)), so repeated
-    /// `hops`/`within`/`nearest`/`component_of` queries within one
-    /// quantum visit each link at most once per source, and only as far
-    /// out as the answers need. Those memo caches share
-    /// this cache's `(quantum bucket, topo_version)` key by
-    /// construction: any membership or mobility change bumps
-    /// `topo_version`, which drops the snapshot and its caches with it.
+    /// `hops`/`within`/`nearest`/`component_of` queries visit each link
+    /// at most once per source, and only as far out as the answers
+    /// need.
+    ///
+    /// A call that finds the key stale refreshes the snapshot by the
+    /// least that makes it the one a sweep of the alive nodes' positions
+    /// would build. While no node is en route and no [`MobilityState`]
+    /// was written since the snapshot was filled, every position it was
+    /// filled from still holds, so
+    ///
+    /// * a rotated bucket alone **re-keys** it — memoized traversals and
+    ///   components stay, they are still answers about this graph;
+    /// * joins and leaves since then are **spliced** in, one node's
+    ///   links at a time and in the order they happened
+    ///   (`Topology::insert` / `remove`), which forgets the memo.
+    ///
+    /// Anything else — a node moving, parked, revived, or more than
+    /// `SPLICE_LIMIT` membership changes at once — is a **sweep**
+    /// ([`Topology::rebuild`]) into the storage the stale snapshot held.
+    /// The three are indistinguishable to every query; only
+    /// [`snapshot_sweeps`](World::snapshot_sweeps) tells them apart.
     pub fn topology(&mut self) -> &Topology {
         let quantum = self.config.topology_quantum.as_micros();
         let bucket = self
@@ -393,34 +436,64 @@ impl<M: Clone + fmt::Debug> World<M> {
             .checked_div(quantum)
             .map_or(self.now, |b| SimTime::from_micros(b * quantum));
         let key = (bucket, self.topo_version);
-        let stale = !matches!(&self.topo_cache, Some((t, v, _)) if (*t, *v) == key);
-        if stale {
-            self.metrics.perf_mut().topo_builds += 1;
-            let now = self.now;
-            let positions: Vec<(NodeId, Point)> = self
-                .nodes
-                .alive
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| a)
-                .map(|(i, _)| (NodeId::new(i as u64), self.nodes.mobility[i].position(now)))
-                .collect();
-            // The stale snapshot's storage takes the new one.
-            let range = self.config.range;
-            match &mut self.topo_cache {
-                Some((t, v, topo)) => {
-                    topo.rebuild(&positions, range);
-                    (*t, *v) = key;
-                }
-                None => {
-                    let topo = Topology::build(&positions, range);
-                    self.topo_cache = Some((key.0, key.1, topo));
-                }
-            }
-        } else {
+        if matches!(&self.topo_cache, Some((t, v, _)) if (*t, *v) == key) {
             self.metrics.perf_mut().topo_hits += 1;
+        } else {
+            self.metrics.perf_mut().topo_builds += 1;
+            self.refresh_snapshot(key);
         }
         &self.topo_cache.as_ref().expect("cache just filled").2
+    }
+
+    /// Makes `topo_cache` the snapshot of this instant, under `key`.
+    fn refresh_snapshot(&mut self, key: (SimTime, u64)) {
+        let (now, range) = (self.now, self.config.range);
+        let nodes = &self.nodes;
+        let position = |node: NodeId| nodes.mobility[node.index() as usize].position(now);
+        let since = &mut self.since_snapshot;
+        let standing_still =
+            self.moving == 0 && !since.mobility_written && since.members.len() <= SPLICE_LIMIT;
+        match &mut self.topo_cache {
+            Some((t, v, topo)) if standing_still => {
+                for &(node, joined) in &since.members {
+                    if joined {
+                        topo.insert(node, position(node), range, position);
+                    } else {
+                        topo.remove(node);
+                    }
+                }
+                (*t, *v) = key;
+            }
+            cache => {
+                self.sweeps += 1;
+                let positions: Vec<(NodeId, Point)> = (0u64..)
+                    .map(NodeId::new)
+                    .zip(&nodes.alive)
+                    .filter(|(_, &alive)| alive)
+                    .map(|(node, _)| (node, position(node)))
+                    .collect();
+                match cache {
+                    // The stale snapshot's storage takes the new one.
+                    Some((t, v, topo)) => {
+                        topo.rebuild(&positions, range);
+                        (*t, *v) = key;
+                    }
+                    None => *cache = Some((key.0, key.1, Topology::build(&positions, range))),
+                }
+            }
+        }
+        since.members.clear();
+        since.mobility_written = false;
+    }
+
+    /// How many refreshes of the topology snapshot swept every alive
+    /// node's position ([`Topology::build`] / [`Topology::rebuild`]) —
+    /// the rest of [`PerfCounters::topo_builds`](crate::PerfCounters)
+    /// were spliced or re-keyed (see [`World::topology`]). A world where
+    /// nobody ever moves sweeps once.
+    #[must_use]
+    pub fn snapshot_sweeps(&self) -> u64 {
+        self.sweeps
     }
 
     /// One-hop neighbors of `node`.
@@ -794,7 +867,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.nodes.dormant[i] = false;
         self.nodes.alive[i] = true;
         self.nodes.joined_at[i] = now;
-        self.topo_version += 1;
+        self.membership_changed(node, true);
         self.trace.record(now, TraceEvent::Join { node });
         true
     }
@@ -809,10 +882,33 @@ impl<M: Clone + fmt::Debug> World<M> {
             if self.nodes.alive[i] {
                 self.nodes.alive[i] = false;
                 self.nodes.dormant[i] = false;
-                self.topo_version += 1;
+                self.membership_changed(node, false);
                 self.trace.record(now, TraceEvent::Remove { node });
             }
         }
+    }
+
+    /// `node` became alive (`joined`) or stopped being: the snapshot is
+    /// stale, and this is what it lacks.
+    fn membership_changed(&mut self, node: NodeId, joined: bool) {
+        self.topo_version += 1;
+        let log = &mut self.since_snapshot.members;
+        if log.len() <= SPLICE_LIMIT {
+            log.push((node, joined));
+        }
+    }
+
+    /// The one way a [`MobilityState`] is written once its node exists:
+    /// keeps the count of nodes en route and tells the snapshot that a
+    /// position may have changed under it.
+    fn write_mobility(&mut self, i: usize, write: impl FnOnce(&mut MobilityState)) {
+        let state = &mut self.nodes.mobility[i];
+        let was_moving = state.is_moving();
+        write(state);
+        self.moving = self.moving + usize::from(state.is_moving()) - usize::from(was_moving);
+        self.since_snapshot.mobility_written = true;
+        self.nodes.mobility_epoch[i] += 1;
+        self.topo_version += 1;
     }
 
     /// Records a fault-plane crash of `node` (metrics + trace). The
@@ -834,9 +930,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         if self.nodes.alive[i] || self.nodes.dormant[i] {
             return false;
         }
-        let pos = self.nodes.mobility[i].position(now);
-        self.nodes.mobility[i] = MobilityState::parked(pos);
-        self.nodes.mobility_epoch[i] += 1;
+        self.write_mobility(i, |m| m.park(now));
         self.nodes.configured[i] = false;
         self.nodes.dormant[i] = true;
         self.metrics.faults_mut().restarts += 1;
@@ -917,12 +1011,10 @@ impl<M: Clone + fmt::Debug> World<M> {
         let Some(i) = self.nodes.idx(node) else {
             return;
         };
-        self.nodes.mobility[i].set_leg(now, here, dest, leg_speed);
-        self.nodes.mobility_epoch[i] += 1;
+        self.write_mobility(i, |m| m.set_leg(now, here, dest, leg_speed));
         let epoch = self.nodes.mobility_epoch[i];
         let arrival = self.nodes.mobility[i].arrival();
         self.rng = rng;
-        self.topo_version += 1;
         // A model may park a node (e.g. a degenerate street grid); no
         // arrival means no further waypoint events for this epoch.
         if let Some(arrival) = arrival {
@@ -934,9 +1026,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     pub fn park_node(&mut self, node: NodeId) {
         let now = self.now;
         if let Some(i) = self.nodes.idx(node) {
-            self.nodes.mobility[i].park(now);
-            self.nodes.mobility_epoch[i] += 1;
-            self.topo_version += 1;
+            self.write_mobility(i, |m| m.park(now));
         }
     }
 

@@ -9,14 +9,16 @@
 //! from sparse (range well under one grid cell of spacing) to dense
 //! (range covering the whole arena in a few cells).
 
+use manet_sim::faults::FaultPlan;
 use manet_sim::mobility::MobilityState;
 use manet_sim::topology::Topology;
 use manet_sim::{
-    Arena, IncrementalTopology, Net, NodeId, Point, ProtocolCore, Sim, SimDuration, SimRng, World,
-    WorldConfig,
+    Arena, IncrementalTopology, MsgCategory, Net, NodeId, Point, ProtocolCore, SendError, Sim,
+    SimDuration, SimRng, SimTime, WireShadow, World, WorldConfig,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 fn random_layout(seed: u64, n: usize, area: f64) -> Vec<(NodeId, Point)> {
     let arena = Arena::new(area, area);
@@ -267,8 +269,8 @@ proptest! {
     /// the fresh build of each layout, and the memo it refills carries
     /// nothing over: after answering queries for one layout, it answers
     /// the next layout's like a snapshot that never saw another. Sizes
-    /// straddle the 32-node naive fallback, where `rebuild` replaces the
-    /// storage instead of refilling it.
+    /// straddle the 32-node threshold, below which `rebuild` sweeps
+    /// all-pairs (into the same storage) instead of by strips.
     #[test]
     fn rebuild_equals_fresh_across_mutations(
         n in 0usize..120,
@@ -484,8 +486,39 @@ fn assert_world_matches_oracle<M: Clone + std::fmt::Debug>(w: &mut World<M>, whe
             oracle.component_of(n),
             "{when}: component of {n:?}"
         );
+        // Dense indices too: the snapshot must be the canonical one,
+        // not merely an isomorphic one.
+        assert_eq!(
+            w.topology().neighbor_indices(n),
+            oracle.neighbor_indices(n),
+            "{when}: neighbor indices of {n:?}"
+        );
+        assert_eq!(w.topology().index_of(n), oracle.index_of(n), "{when}");
+        assert_eq!(
+            w.component_id(n),
+            oracle.component_id(n),
+            "{when}: component label of {n:?}"
+        );
     }
     let alive = w.alive_nodes();
+    for (i, &a) in alive.iter().enumerate().step_by(5) {
+        for k in [0, 1, 2, 3, u32::MAX] {
+            assert_eq!(
+                w.nodes_within(a, k),
+                oracle.within(a, k),
+                "{when}: within({a:?}, {k})"
+            );
+        }
+        let pred = |n: NodeId| n.index() % 3 == i as u64 % 3;
+        assert_eq!(
+            w.nearest(a, pred),
+            oracle.nearest(a, pred),
+            "{when}: nearest from {a:?}"
+        );
+    }
+    let gone = NodeId::new(u64::MAX);
+    assert_eq!(w.topology().index_of(gone), None, "{when}");
+    assert_eq!(w.topology().len(), alive.len(), "{when}");
     for &a in alive.iter().take(6) {
         for &b in alive.iter().take(6) {
             assert_eq!(
@@ -541,6 +574,251 @@ fn world_cache_invalidates_on_membership_mobility_and_quantum() {
     assert!(!sim.world_mut().alive_nodes().contains(&victim));
     assert_eq!(sim.world_mut().neighbors(victim), vec![]);
     assert_world_matches_oracle(sim.world_mut(), "after crash");
+}
+
+// ---------------------------------------------------------------------
+// A world where nobody moves: splices and re-keys vs. the oracle
+// ---------------------------------------------------------------------
+
+/// A shadow transport that carries nothing and keeps the path it was
+/// given: the only way a test sees `Topology::route` through a `World`.
+#[derive(Debug, Default, Clone)]
+struct PathProbe(Arc<Mutex<Vec<NodeId>>>);
+
+impl WireShadow<()> for PathProbe {
+    fn carry(&mut self, path: &[NodeId], _category: MsgCategory, _msg: &()) {
+        *self.0.lock().expect("no panic holds the probe") = path.to_vec();
+    }
+}
+
+/// Unicasts among the first few alive nodes: the hop count charged and
+/// the route the shadow is handed are a shortest path of the oracle.
+fn assert_routes_match_oracle(w: &mut World<()>, probe: &PathProbe, when: &str) {
+    let oracle = oracle_of(w);
+    let alive = w.alive_nodes();
+    for &a in alive.iter().take(4) {
+        for &b in alive.iter().rev().take(4) {
+            match w.unicast(a, b, MsgCategory::Hello, ()) {
+                Ok(hops) => {
+                    assert_eq!(Some(hops), oracle.hops(a, b), "{when}: {a:?}->{b:?}");
+                    let path = probe.0.lock().expect("no panic holds the probe").clone();
+                    assert_eq!(path.len() as u32, hops + 1, "{when}: route {path:?}");
+                    assert_eq!((path[0], path[path.len() - 1]), (a, b), "{when}");
+                    for hop in path.windows(2) {
+                        assert!(
+                            oracle.neighbors(hop[0]).contains(&hop[1]),
+                            "{when}: {hop:?} is not a link"
+                        );
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(e, SendError::Unreachable, "{when}");
+                    assert_eq!(oracle.hops(a, b), None, "{when}: {a:?}->{b:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A point of the 75 m lattice over a 600 m square: few enough places
+/// that nodes coincide, and spaced so that pairs sit at exactly 75 m
+/// and exactly 150 m.
+fn lattice_point(rng: &mut SimRng) -> Point {
+    Point::new(
+        75.0 * rng.range_u64(0..9) as f64,
+        75.0 * rng.range_u64(0..9) as f64,
+    )
+}
+
+proptest! {
+    /// The tentpole's obligation. In a world where nobody moves the
+    /// snapshot is refreshed by splicing joins and leaves into it and by
+    /// re-keying it across quanta; after every operation every query —
+    /// through the `World` — answers like `build_naive` over the alive
+    /// set, dense indices included. Dormant nodes join in an order that
+    /// is not id order, crashes and restarts come from a fault plan, and
+    /// the alive count wanders across the 32-node strip threshold.
+    #[test]
+    fn static_world_refreshes_equal_the_oracle(
+        seed in 0u64..1_000_000,
+        range_pick in 0usize..8,
+        initial in 24usize..40,
+        dormant in 4usize..14,
+        ops in proptest::collection::vec((0u8..10, 0usize..1000), 8..36),
+    ) {
+        let range = [150.0, 150.0, 150.0, 75.0, 106.0, 0.0, f64::NAN, f64::INFINITY][range_pick];
+        let mut rng = SimRng::seed_from(seed);
+        let ms = SimDuration::from_millis;
+        let mut plan = FaultPlan::default();
+        for _ in 0..4 {
+            let node = NodeId::new(rng.range_u64(0..initial as u64));
+            let at = SimTime::ZERO + ms(rng.range_u64(1..1500));
+            let restart = rng.chance(0.7).then(|| at + ms(rng.range_u64(0..900)));
+            plan = plan.with_crash(node, at, restart);
+        }
+        let config = WorldConfig {
+            speed: 0.0,
+            range,
+            fault_plan: plan,
+            ..WorldConfig::default()
+        };
+        let mut sim = Sim::new(config, Inert);
+        let probe = PathProbe::default();
+        sim.world_mut().set_wire_shadow(Box::new(probe.clone()));
+        for _ in 0..initial {
+            let at = lattice_point(&mut rng);
+            sim.spawn_at(at);
+        }
+        // Dormant nodes whose arrival order is a shuffle of their ids.
+        let mut slots: Vec<u64> = (0..dormant as u64).collect();
+        rng.shuffle(&mut slots);
+        for slot in slots {
+            let at = lattice_point(&mut rng);
+            sim.schedule_spawn_at(SimTime::ZERO + ms(13 + 97 * slot), at);
+        }
+        assert_world_matches_oracle(sim.world_mut(), "after the initial joins");
+        for (step, (kind, pick)) in ops.into_iter().enumerate() {
+            let alive = sim.world_mut().alive_nodes();
+            let someone = (!alive.is_empty()).then(|| alive[pick % alive.len()]);
+            match kind {
+                0 => { sim.run_for(ms(0)); }
+                1 => { sim.run_for(ms(40)); }
+                2 => { sim.run_for(ms(100)); }
+                3 => { sim.run_for(ms(350)); }
+                4 => { sim.run_for(ms(1000)); }
+                5 => if let Some(n) = someone { sim.world_mut().remove_node(n) },
+                // Any slot, alive or not.
+                6 => sim.world_mut().park_node(NodeId::new((pick % (initial + dormant)) as u64)),
+                // A join cancelled by a leave before anyone looks.
+                7 => {
+                    let at = lattice_point(&mut rng);
+                    let n = sim.spawn_at(at);
+                    sim.world_mut().remove_node(n);
+                }
+                // Several changes between two queries.
+                8 => {
+                    let at = lattice_point(&mut rng);
+                    sim.spawn_at(at);
+                    if let Some(n) = someone { sim.world_mut().remove_node(n) }
+                    let at = lattice_point(&mut rng);
+                    sim.spawn_at(at);
+                }
+                _ => {
+                    let at = lattice_point(&mut rng);
+                    sim.spawn_at(at);
+                }
+            }
+            let when = format!("seed {seed} range {range} step {step} (op {kind})");
+            assert_world_matches_oracle(sim.world_mut(), &when);
+            assert_routes_match_oracle(sim.world_mut(), &probe, &when);
+        }
+    }
+}
+
+/// What a static world pays: one sweep, whatever joins, leaves and
+/// quanta follow; a written mobility state (here a park) costs the next
+/// refresh a sweep and nothing after it.
+#[test]
+fn static_world_sweeps_once_then_splices_and_rekeys() {
+    let config = WorldConfig {
+        speed: 0.0,
+        ..WorldConfig::default()
+    };
+    let mut sim = Sim::new(config, Inert);
+    let mut rng = SimRng::seed_from(11);
+    let mut ids = Vec::new();
+    for _ in 0..48 {
+        let at = lattice_point(&mut rng);
+        ids.push(sim.spawn_at(at));
+        let _ = sim.world_mut().components();
+    }
+    assert_eq!(sim.world().snapshot_sweeps(), 1, "47 joins spliced");
+    for _ in 0..5 {
+        sim.run_for(SimDuration::from_millis(130));
+        let _ = sim.world_mut().hops_between(ids[0], ids[47]);
+    }
+    sim.world_mut().remove_node(ids[20]);
+    assert_world_matches_oracle(sim.world_mut(), "after quanta and a leave");
+    assert_eq!(sim.world().snapshot_sweeps(), 1, "re-keyed and spliced");
+    let builds = sim.world().metrics().perf().topo_builds;
+    assert_eq!(builds, 1 + 47 + 5 + 1, "every refresh is still counted");
+
+    sim.world_mut().park_node(ids[3]);
+    assert_world_matches_oracle(sim.world_mut(), "after a park");
+    assert_eq!(sim.world().snapshot_sweeps(), 2);
+    let at = lattice_point(&mut rng);
+    sim.spawn_at(at);
+    sim.run_for(SimDuration::from_millis(250));
+    assert_world_matches_oracle(sim.world_mut(), "after the sweep");
+    assert_eq!(sim.world().snapshot_sweeps(), 2);
+
+    // More changes at once than a refresh will splice: one sweep.
+    for _ in 0..40 {
+        let at = lattice_point(&mut rng);
+        sim.spawn_at(at);
+    }
+    assert_world_matches_oracle(sim.world_mut(), "after a burst of joins");
+    assert_eq!(sim.world().snapshot_sweeps(), 3);
+}
+
+/// At speed 20 the world splices only until its first node is marked
+/// configured: from then on every refresh is the parent commit's sweep,
+/// and splicing resumes only after a sweep that found every node
+/// parked.
+#[test]
+fn mobile_world_stops_splicing_at_the_first_configured_node() {
+    let config = WorldConfig {
+        speed: 20.0,
+        ..WorldConfig::default()
+    };
+    let mut sim = Sim::new(config, Inert);
+    let mut rng = SimRng::seed_from(5);
+    let mut ids = Vec::new();
+    for _ in 0..40 {
+        let at = lattice_point(&mut rng);
+        ids.push(sim.spawn_at(at));
+        let _ = sim.world_mut().components();
+    }
+    // Unconfigured nodes stand where they joined.
+    assert_eq!(sim.world().snapshot_sweeps(), 1);
+
+    let counts = |sim: &Sim<Inert>| {
+        let w = sim.world();
+        (w.metrics().perf().topo_builds, w.snapshot_sweeps())
+    };
+    let (builds0, sweeps0) = counts(&sim);
+    sim.world_mut().mark_configured(ids[7]);
+    for round in 0..6 {
+        sim.run_for(SimDuration::from_millis(120));
+        if round == 2 {
+            let at = lattice_point(&mut rng);
+            ids.push(sim.spawn_at(at));
+        }
+        if round == 4 {
+            sim.world_mut().remove_node(ids[9]);
+        }
+        assert_world_matches_oracle(sim.world_mut(), "one node en route");
+    }
+    let (builds1, sweeps1) = counts(&sim);
+    assert!(builds1 - builds0 >= 6);
+    assert_eq!(sweeps1 - sweeps0, builds1 - builds0, "every refresh swept");
+
+    // Parking is itself a write: the next refresh sweeps once more.
+    for &n in &ids {
+        sim.world_mut().park_node(n);
+    }
+    assert_world_matches_oracle(sim.world_mut(), "everyone parked");
+    let (builds2, sweeps2) = counts(&sim);
+    assert_eq!((builds2 - builds1, sweeps2 - sweeps1), (1, 1));
+    for _ in 0..4 {
+        sim.run_for(SimDuration::from_millis(120));
+        let at = lattice_point(&mut rng);
+        sim.spawn_at(at);
+        assert_world_matches_oracle(sim.world_mut(), "static again");
+    }
+    let (builds3, sweeps3) = counts(&sim);
+    assert!(builds3 - builds2 >= 4);
+    assert_eq!(sweeps3, sweeps2, "spliced and re-keyed from here");
 }
 
 /// Within one quantum with no membership or mobility change, repeated

@@ -157,7 +157,13 @@ pub struct PerfCounters {
     /// High-water mark of the event-queue length, in logical events
     /// (see [`events`](Self::events)).
     pub queue_high_water: u64,
-    /// Topology snapshots rebuilt from node positions.
+    /// Topology snapshot refreshes (swept, spliced or re-keyed): every
+    /// query that found the snapshot's `(quantum, version)` key stale,
+    /// however little it took to make it current. An engine that
+    /// refreshes by less must not move this value — it is rendered into
+    /// `BENCH_sweep.json`, `BENCH_scale.json` and the benchmark's
+    /// behaviour digests — so what a refresh cost is told apart
+    /// elsewhere (`World::snapshot_sweeps`).
     pub topo_builds: u64,
     /// Topology queries served from the cached snapshot.
     pub topo_hits: u64,
