@@ -22,7 +22,7 @@
 
 use crate::msg::{Msg, QuorumOp};
 use addrspace::{Addr, AddrBlock, AddrRecord, AddrStatus, AllocationTable};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use proto_io::NodeId;
 use quorum::VersionStamp;
 use std::error::Error;
@@ -99,9 +99,9 @@ mod tags {
 /// Encodes a message into a fresh buffer.
 #[must_use]
 pub fn encode(msg: &Msg) -> Bytes {
-    let mut b = BytesMut::with_capacity(16);
+    let mut b = Vec::with_capacity(16);
     put_msg(&mut b, msg);
-    b.freeze()
+    Bytes::from(b)
 }
 
 /// Encoded size in bytes (encodes the message to count them).
@@ -132,13 +132,13 @@ pub fn decode(buf: &[u8]) -> Result<Msg, WireError> {
 /// records what it encoded).
 impl proto_io::ProtoMsg for Msg {
     fn canon(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&encode(self));
+        put_msg(out, self);
     }
 }
 
 impl proto_io::WireMsg for Msg {
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&encode(self));
+        put_msg(out, self);
     }
 
     fn wire_decode(bytes: &[u8]) -> Result<Self, String> {
@@ -146,7 +146,7 @@ impl proto_io::WireMsg for Msg {
     }
 }
 
-fn put_msg(b: &mut BytesMut, msg: &Msg) {
+fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
     match msg {
         Msg::Hello {
             sender_ip,
@@ -571,11 +571,11 @@ fn take_msg(cur: &mut &[u8]) -> Result<Msg, WireError> {
 // Field helpers
 // ---------------------------------------------------------------------
 
-fn put_addr(b: &mut BytesMut, a: Addr) {
+fn put_addr(b: &mut Vec<u8>, a: Addr) {
     b.put_u32(a.bits());
 }
 
-fn put_opt_addr(b: &mut BytesMut, a: Option<Addr>) {
+fn put_opt_addr(b: &mut Vec<u8>, a: Option<Addr>) {
     match a {
         Some(a) => {
             b.put_u8(1);
@@ -585,16 +585,16 @@ fn put_opt_addr(b: &mut BytesMut, a: Option<Addr>) {
     }
 }
 
-fn put_node(b: &mut BytesMut, n: NodeId) {
+fn put_node(b: &mut Vec<u8>, n: NodeId) {
     b.put_u64(n.index());
 }
 
-fn put_block(b: &mut BytesMut, blk: AddrBlock) {
+fn put_block(b: &mut Vec<u8>, blk: AddrBlock) {
     put_addr(b, blk.base());
     b.put_u32(blk.len());
 }
 
-fn put_record(b: &mut BytesMut, r: AddrRecord) {
+fn put_record(b: &mut Vec<u8>, r: AddrRecord) {
     match r.status {
         AddrStatus::Free => b.put_u8(tags::ST_FREE),
         AddrStatus::Allocated(owner) => {
@@ -606,7 +606,7 @@ fn put_record(b: &mut BytesMut, r: AddrRecord) {
     b.put_u64(r.stamp.get());
 }
 
-fn put_table(b: &mut BytesMut, t: &AllocationTable) {
+fn put_table(b: &mut Vec<u8>, t: &AllocationTable) {
     b.put_u32(t.len() as u32);
     for (addr, rec) in t.iter() {
         put_addr(b, addr);

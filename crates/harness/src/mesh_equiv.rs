@@ -14,7 +14,7 @@
 //! first-divergence report on failure.
 
 use crate::scenario::{run_scenario_with, Scenario};
-use manet_sim::{FaultPlan, ProtocolCore, Transcript};
+use manet_sim::{EventLog, FaultPlan, ProtocolCore};
 use proto_io::WireMsg;
 use transport_mesh::{MeshShadow, MeshStats};
 
@@ -86,7 +86,7 @@ fn scenario_for(cell: &Cell, quick: bool) -> Scenario {
         .expect("equivalence scenarios are in-domain")
 }
 
-fn run_both<P>(scenario: &Scenario, fresh: impl Fn() -> P) -> (Transcript, Transcript, MeshStats)
+fn run_both<P>(scenario: &Scenario, fresh: impl Fn() -> P) -> (EventLog, EventLog, MeshStats)
 where
     P: ProtocolCore,
     P::Msg: WireMsg + 'static,
@@ -136,7 +136,7 @@ fn run_cell(cell: &Cell, quick: bool) -> EquivCell {
         sim_fingerprint: sim_side.fingerprint(),
         mesh_fingerprint: mesh_side.fingerprint(),
         stats,
-        diff: sim_side.diff(&mesh_side).map(|d| d.to_string()),
+        diff: sim_side.diff(&mesh_side),
     }
 }
 

@@ -6,7 +6,7 @@
 //! physically transits localhost sockets as wire-encoded datagrams,
 //! relayed hop-by-hop along the link map). Both runs record the
 //! canonical sans-io transcript — every `Input` fed to the protocol
-//! core and every `Output` effect it performed, stamped with virtual
+//! core and every effect it performed, stamped with virtual
 //! time only — and the suite demands the two transcripts be
 //! **byte-identical**.
 //!
@@ -22,18 +22,17 @@
 //!   delivery never happens — an immediate divergence).
 //!
 //! On failure the assert prints the minimized first-divergence report
-//! ([`TranscriptDiff`](proto_io::TranscriptDiff)), not two walls of
-//! text.
+//! ([`EventLog::diff`]), not two walls of text.
 
 use harness::scenario::{run_scenario_with, Scenario};
-use manet_sim::{FaultPlan, ProtocolCore, Transcript};
+use manet_sim::{EventLog, FaultPlan, ProtocolCore};
 use proptest::prelude::*;
 use proto_io::WireMsg;
 use transport_mesh::MeshShadow;
 
 /// Runs `protocol` through `scenario` on one backend and returns the
 /// transcript (plus mesh datagram count when the mesh backend ran).
-fn transcript_on<P>(scenario: &Scenario, protocol: P, mesh: bool) -> Transcript
+fn transcript_on<P>(scenario: &Scenario, protocol: P, mesh: bool) -> EventLog
 where
     P: ProtocolCore,
     P::Msg: WireMsg + 'static,

@@ -29,7 +29,8 @@
 //! ```
 
 use crate::{MsgCategory, NodeId, Point, SimDuration, SimRng, SimTime};
-use std::fmt;
+
+pub use proto_io::DropCause;
 
 /// A probabilistic delay applied to matching deliveries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,27 +157,6 @@ pub struct AttackRole {
     pub kind: AttackKind,
     /// When the attack activates (inclusive).
     pub start: SimTime,
-}
-
-/// Why the fault plane dropped a delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
-    /// A [`LinkFault`] drop probability fired.
-    Link,
-    /// Sender or receiver stood in an active [`JamRegion`].
-    Jam,
-    /// The delivery crossed an active [`PartitionEvent`] boundary.
-    Partition,
-}
-
-impl fmt::Display for DropCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DropCause::Link => "link",
-            DropCause::Jam => "jam",
-            DropCause::Partition => "partition",
-        })
-    }
 }
 
 /// A seeded, fully deterministic fault-injection plan.

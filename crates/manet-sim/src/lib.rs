@@ -16,11 +16,12 @@
 //!   delays and duplication, scheduled crashes/restarts, cluster-head
 //!   kills, jamming regions, and scripted partitions, all applied at
 //!   the single delivery choke point,
-//! * bounded event tracing ([`trace`]) — off by default so the hot path
-//!   allocates nothing; enable it per run with
-//!   [`World::enable_trace`] (`world_mut().enable_trace(capacity)`),
-//!   read back via [`World::trace`], and export as JSON Lines with
-//!   [`trace::Trace::to_jsonl`],
+//! * one event log ([`EventLog`]) of two classes, both off by default so
+//!   the hot path allocates nothing: a bounded ring of net-level events
+//!   for debugging ([`World::enable_trace`], read back via
+//!   [`World::trace`], exported as JSON Lines by [`EventLog::to_jsonl`])
+//!   and the transcript of protocol I/O ([`World::enable_transcript`])
+//!   that the backend differentials compare,
 //! * flow spans ([`observer`]) — correlation-ID-stamped protocol
 //!   lifecycle records (join started → votes gathered → address
 //!   assigned/abandoned, ditto reclamation and partition merge), also
@@ -71,15 +72,13 @@ pub mod observer;
 pub mod routing;
 mod sim;
 pub mod topology;
-pub mod trace;
 mod world;
 
 pub use proto_io::histogram;
 pub use proto_io::{
-    Arena, AttackKind, Cast, FaultCounters, FlowKind, FlowStage, Histogram, Input, Metrics,
-    MsgCategory, Net, NetBackend, NodeId, Output, PerfCounters, Point, ProtoMsg, ProtocolCore,
-    SendError, SendResult, SimDuration, SimRng, SimTime, TimerId, Transcript, TranscriptDiff,
-    WireMsg,
+    Arena, AttackKind, Event, EventLog, FaultCounters, FlowKind, FlowStage, Histogram, Input,
+    Metrics, MsgCategory, Net, NetBackend, NodeId, PerfCounters, Point, ProtoMsg, ProtocolCore,
+    Record, SendError, SimDuration, SimRng, SimTime, TimerId, WireMsg,
 };
 
 pub use engine::IncrementalTopology;

@@ -5,11 +5,11 @@
 //! partition-merge reconfiguration. Protocols report lifecycle stages
 //! through [`World::flow_event`](crate::World::flow_event); the
 //! [`Observer`] stamps each `(kind, node)` pair with a stable
-//! correlation ID so the [`trace`](crate::trace) JSONL export can be
+//! correlation ID so the event log's JSONL export can be
 //! grouped into per-flow timelines (`jq 'select(.flow == 7)'`), and
 //! tallies outcomes for run manifests.
 //!
-//! Like the zero-capacity [`Trace`](crate::trace::Trace), the observer
+//! Like the [`EventLog`](crate::EventLog), the observer
 //! is off by default: every `flow_event` call is a single branch on a
 //! `bool` until [`World::enable_observer`](crate::World::enable_observer)
 //! turns it on, so the hot path costs nothing in ordinary figure runs.

@@ -163,7 +163,7 @@ impl<P: ProtocolCore> Sim<P> {
     /// the transcript (when recording) and hands the world over as the
     /// protocol's [`Net`](crate::Net) handle.
     fn feed(&mut self, node: NodeId, input: Input<P::Msg>) {
-        self.world.record_input(node, &input);
+        self.world.log.push_input(self.world.now(), node, &input);
         self.protocol.handle(&mut self.world, node, input);
     }
 
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn delay_and_dup_faults_dispatch_in_per_recipient_at_seq_order() {
-        use crate::trace::TraceEvent;
+        use crate::Event;
         use crate::FaultPlan;
         let plan = FaultPlan::new(9)
             .with_delay(
@@ -624,10 +624,10 @@ mod tests {
         let (mut extra, mut copies) = (HashMap::new(), HashMap::new());
         for r in sim.world().trace().records() {
             match r.event {
-                TraceEvent::FaultDelay { to, by, .. } => {
+                Event::FaultDelay { to, by, .. } => {
                     extra.insert(to, by);
                 }
-                TraceEvent::FaultDuplicate { to, copies: c, .. } => {
+                Event::FaultDuplicate { to, copies: c, .. } => {
                     copies.insert(to, c);
                 }
                 _ => {}

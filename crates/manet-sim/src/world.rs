@@ -3,13 +3,11 @@ use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
 use crate::observer::{FlowKind, FlowStage, Observer};
 use crate::topology::Topology;
-use crate::trace::{Trace, TraceEvent};
 use crate::TimerId;
 use crate::{
-    Arena, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg, SendError, SimDuration,
-    SimRng, SimTime, Transcript,
+    Arena, Event, EventLog, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg, SendError,
+    SimDuration, SimRng, SimTime,
 };
-use proto_io::{Cast, Input, Output, SendResult};
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
 
@@ -192,11 +190,11 @@ pub struct World<M> {
     moving: usize,
     /// Refreshes of the snapshot that swept every position.
     sweeps: u64,
-    trace: Trace,
+    /// The run's one recorder; both of its classes are off by default.
+    pub(crate) log: EventLog,
     observer: Observer,
     faults: Option<Box<FaultState>>,
     mobility_model: Box<dyn MobilityModel>,
-    transcript: Option<Transcript>,
     shadow: Option<Box<dyn WireShadow<M>>>,
 }
 
@@ -223,11 +221,10 @@ impl<M: Clone + fmt::Debug> World<M> {
             since_snapshot: SinceSnapshot::default(),
             moving: 0,
             sweeps: 0,
-            trace: Trace::default(),
+            log: EventLog::default(),
             observer: Observer::default(),
             faults,
             mobility_model,
-            transcript: None,
             shadow: None,
         };
         world.schedule_fault_events();
@@ -253,15 +250,16 @@ impl<M: Clone + fmt::Debug> World<M> {
         }
     }
 
-    /// Enables event tracing, retaining up to `capacity` records.
+    /// Enables event tracing: the log's net-level class, retaining up
+    /// to `capacity` records.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
+        self.log.enable_net(capacity);
     }
 
-    /// The event trace (empty unless enabled).
+    /// The event log (empty unless a class of it was enabled).
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    pub fn trace(&self) -> &EventLog {
+        &self.log
     }
 
     /// Enables flow-span observation (off by default; a disabled
@@ -281,17 +279,17 @@ impl<M: Clone + fmt::Debug> World<M> {
     ///
     /// No-op while the observer is disabled. When enabled, the stage is
     /// stamped with the flow's correlation ID, tallied in the
-    /// [`Observer`], and recorded into the [`Trace`] (if that is also
-    /// enabled) as a [`TraceEvent::Flow`] — so a chaos failure can be
-    /// replayed as a per-flow timeline from the JSONL export.
+    /// [`Observer`], and logged (if tracing is also enabled) as an
+    /// [`Event::Flow`] — so a chaos failure can be replayed as a
+    /// per-flow timeline from the JSONL export.
     pub fn flow_event(&mut self, kind: FlowKind, node: NodeId, stage: FlowStage) {
         if !self.observer.is_enabled() {
             return;
         }
         if let Some(flow) = self.observer.observe(kind, node, stage) {
-            self.trace.record(
+            self.log.push(
                 self.now,
-                TraceEvent::Flow {
+                Event::Flow {
                     flow,
                     kind,
                     node,
@@ -593,9 +591,9 @@ impl<M: Clone + fmt::Debug> World<M> {
             .hops(from, to)
             .ok_or(SendError::Unreachable)?;
         self.metrics.add_send(category, u64::from(hops));
-        self.trace.record(
+        self.log.push(
             self.now,
-            TraceEvent::Unicast {
+            Event::Unicast {
                 from,
                 to,
                 category,
@@ -630,9 +628,9 @@ impl<M: Clone + fmt::Debug> World<M> {
         // Relays: the originator plus every node strictly inside the rim.
         let relays = 1 + reach.iter().filter(|&&(_, d)| d < k).count() as u64;
         self.metrics.add_send(category, relays);
-        self.trace.record(
+        self.log.push(
             self.now,
-            TraceEvent::Broadcast {
+            Event::Broadcast {
                 from,
                 k: Some(k),
                 category,
@@ -662,9 +660,9 @@ impl<M: Clone + fmt::Debug> World<M> {
         let reach = self.topology().within(from, u32::MAX);
         let charge = reach.len() as u64 + 1;
         self.metrics.add_send(category, charge);
-        self.trace.record(
+        self.log.push(
             self.now,
-            TraceEvent::Broadcast {
+            Event::Broadcast {
                 from,
                 k: None,
                 category,
@@ -752,9 +750,9 @@ impl<M: Clone + fmt::Debug> World<M> {
         match fate {
             DeliveryFate::Drop(cause) => {
                 self.metrics.faults_mut().dropped += 1;
-                self.trace.record(
+                self.log.push(
                     now,
-                    TraceEvent::FaultDrop {
+                    Event::FaultDrop {
                         from,
                         to,
                         category,
@@ -769,9 +767,9 @@ impl<M: Clone + fmt::Debug> World<M> {
             } => {
                 if delayed {
                     self.metrics.faults_mut().delayed += 1;
-                    self.trace.record(
+                    self.log.push(
                         now,
-                        TraceEvent::FaultDelay {
+                        Event::FaultDelay {
                             from,
                             to,
                             by: extra,
@@ -780,9 +778,9 @@ impl<M: Clone + fmt::Debug> World<M> {
                 }
                 if duplicates > 0 {
                     self.metrics.faults_mut().duplicated += u64::from(duplicates);
-                    self.trace.record(
+                    self.log.push(
                         now,
-                        TraceEvent::FaultDuplicate {
+                        Event::FaultDuplicate {
                             from,
                             to,
                             copies: duplicates,
@@ -868,7 +866,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.nodes.alive[i] = true;
         self.nodes.joined_at[i] = now;
         self.membership_changed(node, true);
-        self.trace.record(now, TraceEvent::Join { node });
+        self.log.push(now, Event::Join { node });
         true
     }
 
@@ -883,7 +881,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                 self.nodes.alive[i] = false;
                 self.nodes.dormant[i] = false;
                 self.membership_changed(node, false);
-                self.trace.record(now, TraceEvent::Remove { node });
+                self.log.push(now, Event::Remove { node });
             }
         }
     }
@@ -916,7 +914,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     pub(crate) fn record_crash(&mut self, node: NodeId) {
         let now = self.now;
         self.metrics.faults_mut().crashes += 1;
-        self.trace.record(now, TraceEvent::Crash { node });
+        self.log.push(now, Event::Crash { node });
     }
 
     /// Revives a crashed node as a fresh, unconfigured joiner parked at
@@ -934,7 +932,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.nodes.configured[i] = false;
         self.nodes.dormant[i] = true;
         self.metrics.faults_mut().restarts += 1;
-        self.trace.record(now, TraceEvent::Restart { node });
+        self.log.push(now, Event::Restart { node });
         self.activate(node)
     }
 
@@ -1153,86 +1151,69 @@ impl<M: Clone + fmt::Debug> World<M> {
         carried
     }
 
-    /// Enables transcript recording: every input the driver feeds and
-    /// every effect the protocol performs through its
-    /// [`Net`](crate::Net) handle — this world as `dyn NetBackend` — is
-    /// appended in canonical form. Off by default (one `Option` check
-    /// per effect).
+    /// Enables transcript recording — the log's protocol-I/O class:
+    /// every input the driver feeds and every effect the protocol
+    /// performs through its [`Net`](crate::Net) handle — this world as
+    /// `dyn NetBackend` — is logged. Off by default (one branch per
+    /// effect, and no message is canonicalised).
     pub fn enable_transcript(&mut self) {
-        self.transcript = Some(Transcript::new());
+        self.log.enable_io();
     }
 
-    /// The recorded transcript, when enabled.
+    /// The event log, when it is recording a transcript.
     #[must_use]
-    pub fn transcript(&self) -> Option<&Transcript> {
-        self.transcript.as_ref()
+    pub fn transcript(&self) -> Option<&EventLog> {
+        self.log.records_io().then_some(&self.log)
     }
 
-    /// Takes the transcript out of the world (ends recording).
-    pub fn take_transcript(&mut self) -> Option<Transcript> {
-        self.transcript.take()
+    /// Takes the event log out of the world when it is recording a
+    /// transcript (ends all recording).
+    pub fn take_transcript(&mut self) -> Option<EventLog> {
+        self.log.records_io().then(|| std::mem::take(&mut self.log))
     }
 }
 
 impl<M: ProtoMsg> World<M> {
-    /// Records one driver-side input when transcribing (the output half
-    /// is recorded by the [`NetBackend`] impl below as effects happen).
-    pub(crate) fn record_input(&mut self, node: NodeId, input: &Input<M>) {
-        let now = self.now;
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_input(now, node, input);
-        }
-    }
-
-    fn record_output(&mut self, output: Output) {
-        let now = self.now;
-        if let Some(t) = self.transcript.as_mut() {
-            t.push_output(now, &output);
-        }
-    }
-
-    /// `msg` in canonical form, computed only when transcribing.
-    fn canon_if_recording(&self, msg: &M) -> Option<Vec<u8>> {
-        self.transcript.as_ref().map(|_| {
-            let mut bytes = Vec::new();
-            msg.canon(&mut bytes);
-            bytes
-        })
-    }
-
-    /// Records a finished send; `canon` is `None` when not transcribing.
-    fn record_send<T>(
+    /// A protocol's flood, bounded by `k` or component-wide: the
+    /// inherent send, then its record when transcribing.
+    fn flood_logged(
         &mut self,
         from: NodeId,
-        cast: Cast,
+        k: Option<u32>,
         category: MsgCategory,
-        canon: Option<Vec<u8>>,
-        result: &Result<T, SendError>,
-        verdict: impl FnOnce(&T) -> SendResult,
-    ) {
-        let Some(msg) = canon else {
-            return;
+        msg: M,
+    ) -> Result<Vec<NodeId>, SendError> {
+        let bytes = self.log.canon(&msg);
+        let result = match k {
+            Some(k) => World::broadcast_within(self, from, k, category, msg),
+            None => World::flood(self, from, category, msg),
         };
-        let result = match result {
-            Ok(sent) => verdict(sent),
-            Err(e) => SendResult::Failed(*e),
-        };
-        self.record_output(Output::Send {
-            from,
-            cast,
-            category,
-            msg,
-            result,
-        });
+        if let Some(bytes) = bytes {
+            let recipients = match &result {
+                Ok(to) => Ok(self.log.intern_nodes(to)),
+                Err(e) => Err(*e),
+            };
+            self.log.push(
+                self.now,
+                Event::SendFlood {
+                    from,
+                    k,
+                    category,
+                    bytes,
+                    recipients,
+                },
+            );
+        }
+        result
     }
 }
 
 /// The protocol-facing choke point: a protocol reaches the world only
 /// through `&mut dyn NetBackend`, so each effect here runs the inherent
 /// method — same metrics, trace, fault plane and scheduling, in the same
-/// order — and then, when transcribing, appends its canonical
-/// [`Output`]. The inherent methods themselves stay untranscribed for
-/// the harness, the oracle and tests.
+/// order — and then logs its protocol-I/O [`Event`], which is kept only
+/// when transcribing. The inherent methods themselves stay untranscribed
+/// for the harness, the oracle and tests.
 impl<M: ProtoMsg> NetBackend<M> for World<M> {
     fn now(&self) -> SimTime {
         World::now(self)
@@ -1292,17 +1273,18 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
 
     fn flow_event(&mut self, kind: FlowKind, node: NodeId, stage: FlowStage) {
         World::flow_event(self, kind, node, stage);
-        self.record_output(Output::FlowEvent { node, kind, stage });
+        self.log
+            .push(self.now, Event::FlowEvent { node, kind, stage });
     }
 
     fn mark_configured(&mut self, node: NodeId) {
         World::mark_configured(self, node);
-        self.record_output(Output::Configured { node });
+        self.log.push(self.now, Event::Configured { node });
     }
 
     fn remove_node(&mut self, node: NodeId) {
         World::remove_node(self, node);
-        self.record_output(Output::Removed { node });
+        self.log.push(self.now, Event::Removed { node });
     }
 
     fn unicast(
@@ -1312,12 +1294,21 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<u32, SendError> {
-        let canon = self.canon_if_recording(&msg);
-        let result = World::unicast(self, from, to, category, msg);
-        self.record_send(from, Cast::Unicast(to), category, canon, &result, |hops| {
-            SendResult::Hops(*hops)
-        });
-        result
+        let bytes = self.log.canon(&msg);
+        let hops = World::unicast(self, from, to, category, msg);
+        if let Some(bytes) = bytes {
+            self.log.push(
+                self.now,
+                Event::SendUnicast {
+                    from,
+                    to,
+                    category,
+                    bytes,
+                    hops,
+                },
+            );
+        }
+        hops
     }
 
     fn broadcast_within(
@@ -1327,12 +1318,7 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<Vec<NodeId>, SendError> {
-        let canon = self.canon_if_recording(&msg);
-        let result = World::broadcast_within(self, from, k, category, msg);
-        self.record_send(from, Cast::Within(k), category, canon, &result, |to| {
-            SendResult::Recipients(to.clone())
-        });
-        result
+        self.flood_logged(from, Some(k), category, msg)
     }
 
     fn flood(
@@ -1341,27 +1327,25 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<Vec<NodeId>, SendError> {
-        let canon = self.canon_if_recording(&msg);
-        let result = World::flood(self, from, category, msg);
-        self.record_send(from, Cast::Flood, category, canon, &result, |to| {
-            SendResult::Recipients(to.clone())
-        });
-        result
+        self.flood_logged(from, None, category, msg)
     }
 
     fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
         let id = World::set_timer(self, node, delay, tag);
-        self.record_output(Output::SetTimer {
-            node,
-            id,
-            delay,
-            tag,
-        });
+        self.log.push(
+            self.now,
+            Event::SetTimer {
+                node,
+                id,
+                delay,
+                tag,
+            },
+        );
         id
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
         World::cancel_timer(self, id);
-        self.record_output(Output::CancelTimer { id });
+        self.log.push(self.now, Event::CancelTimer { id });
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end check that the event trace captures simulator activity.
 
-use manet_sim::trace::TraceEvent;
+use manet_sim::Event;
 use manet_sim::{MsgCategory, Net, NodeId, Point, ProtocolCore, Sim, SimDuration, WorldConfig};
 
 struct PingAll;
@@ -41,13 +41,13 @@ fn trace_captures_joins_sends_and_removals() {
 
     let joins = events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Join { .. }))
+        .filter(|e| matches!(e, Event::Join { .. }))
         .count();
     assert_eq!(joins, 2);
 
     assert!(events.iter().any(|e| matches!(
         e,
-        TraceEvent::Unicast {
+        Event::Unicast {
             from,
             to,
             hops: 1,
@@ -56,10 +56,10 @@ fn trace_captures_joins_sends_and_removals() {
     )));
     assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::Broadcast { k: Some(1), .. })));
+        .any(|e| matches!(e, Event::Broadcast { k: Some(1), .. })));
     assert!(events
         .iter()
-        .any(|e| matches!(e, TraceEvent::Remove { node } if *node == b)));
+        .any(|e| matches!(e, Event::Remove { node } if *node == b)));
 
     let jsonl = trace.to_jsonl();
     assert!(jsonl.contains("\"event\":\"join\",\"node\":1"));

@@ -1,18 +1,15 @@
-use crate::flow::{FlowKind, FlowStage};
 use crate::ids::NodeId;
-use crate::metrics::MsgCategory;
-use crate::net::SendError;
-use crate::time::SimDuration;
-use crate::timer::TimerId;
 
 /// One event a [`ProtocolCore`](crate::ProtocolCore) consumes.
 ///
 /// Inputs are produced by drivers (the simulator's event loop, the mesh
 /// transport's socket reader) and fed to
 /// [`ProtocolCore::handle`](crate::ProtocolCore::handle); the core never
-/// learns where they came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Input<M> {
+/// learns where they came from. `L` is how a neighbor list is held:
+/// owned when fed to a core, a [`Span`](crate::Span) — like the message —
+/// in the [`EventLog`](crate::EventLog)'s record of the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Input<M, L = Vec<NodeId>> {
     /// The node has just entered the network.
     Join,
     /// A message addressed to the node arrived.
@@ -35,98 +32,12 @@ pub enum Input<M> {
     /// [`Net`]: crate::Net
     LinkChange {
         /// The node's current one-hop neighbors, sorted by id.
-        neighbors: Vec<NodeId>,
+        neighbors: L,
     },
     /// The node is departing. Graceful nodes are still alive and may run
     /// their departure handshake; abrupt nodes are already dead.
     Leave {
         /// Whether the departure is graceful.
         graceful: bool,
-    },
-}
-
-/// Addressing mode of an outbound send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cast {
-    /// Multi-hop unicast to one destination.
-    Unicast(NodeId),
-    /// Bounded flood to every node within `k` hops.
-    Within(u32),
-    /// Global flood over the sender's connected component.
-    Flood,
-}
-
-/// What became of an outbound send, as reported by the backend.
-///
-/// Recorded in transcripts: backends that agree on topology must agree
-/// on reachability, so this is part of the equivalence surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendResult {
-    /// Unicast delivered over this many hops.
-    Hops(u32),
-    /// Flood reached these recipients (sorted order is backend-defined
-    /// but deterministic).
-    Recipients(Vec<NodeId>),
-    /// The send failed.
-    Failed(SendError),
-}
-
-/// One effect a [`ProtocolCore`](crate::ProtocolCore) performed through
-/// its [`Net`](crate::Net) handle, in canonical (byte-level) form.
-///
-/// Effects execute *eagerly* — `Output` is not a deferred command queue
-/// but the transcript record of a call that already happened. Message
-/// payloads appear as [`ProtoMsg::canon`](crate::ProtoMsg::canon) bytes
-/// so records are comparable across transports with different in-memory
-/// message representations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Output {
-    /// A message was sent.
-    Send {
-        /// The sending node.
-        from: NodeId,
-        /// Addressing mode.
-        cast: Cast,
-        /// Accounting category.
-        category: MsgCategory,
-        /// Canonical payload bytes.
-        msg: Vec<u8>,
-        /// What the backend did with it.
-        result: SendResult,
-    },
-    /// A timer was set.
-    SetTimer {
-        /// The node the timer belongs to.
-        node: NodeId,
-        /// The backend-assigned id.
-        id: TimerId,
-        /// Delay until firing.
-        delay: SimDuration,
-        /// Protocol-chosen tag, passed back on firing.
-        tag: u64,
-    },
-    /// A pending timer was cancelled.
-    CancelTimer {
-        /// The id being cancelled.
-        id: TimerId,
-    },
-    /// A flow-span lifecycle event was emitted.
-    FlowEvent {
-        /// The node the flow concerns.
-        node: NodeId,
-        /// Which flow kind.
-        kind: FlowKind,
-        /// The lifecycle stage.
-        stage: FlowStage,
-    },
-    /// The node declared itself configured.
-    Configured {
-        /// The node.
-        node: NodeId,
-    },
-    /// The node was removed from the network.
-    Removed {
-        /// The node.
-        node: NodeId,
     },
 }

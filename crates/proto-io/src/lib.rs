@@ -16,12 +16,14 @@
 //!   object, `dyn NetBackend<M>`, so a protocol calls the backend's own
 //!   methods: one dynamic call per effect, performed *eagerly* — effect
 //!   ordering is exactly call ordering, which is what makes behavior
-//!   across backends comparable at all. A backend that carries a
-//!   [`Transcript`] records each effect in canonical form.
-//! * [`Transcript`] — the wall-clock-free canonical record of a run's
-//!   protocol I/O. Two backends are *equivalent on a scenario* when their
-//!   transcripts are byte-identical; [`Transcript::diff`] produces a
-//!   minimized first-divergence report when they are not.
+//!   across backends comparable at all.
+//! * [`EventLog`] — the one recorder: typed, fixed-size [`Event`]
+//!   records in the order things happened, rendered only when read. Its
+//!   net-level class is the JSONL debugging trace; its protocol-I/O class
+//!   is the *transcript*, the wall-clock-free canonical record of every
+//!   input a core was fed and every effect it performed. Two backends are
+//!   *equivalent on a scenario* when their transcripts are byte-identical;
+//!   [`EventLog::diff`] reports the first divergence when they are not.
 //!
 //! The crate deliberately has no dependency on any transport: protocol
 //! crates depending on `proto-io` alone provably cannot reach around the
@@ -38,12 +40,14 @@ mod geometry;
 pub mod histogram;
 mod ids;
 mod io;
+mod log;
 mod metrics;
 mod msg;
 mod net;
 mod rng;
 mod time;
 mod timer;
+mod trace;
 mod transcript;
 
 pub use attack::AttackKind;
@@ -53,11 +57,11 @@ pub use fnv::{fnv1a, fnv1a_extend, FNV1A_INIT};
 pub use geometry::{Arena, Point};
 pub use histogram::Histogram;
 pub use ids::NodeId;
-pub use io::{Cast, Input, Output, SendResult};
+pub use io::Input;
+pub use log::{DropCause, Event, EventLog, Record, Span};
 pub use metrics::{FaultCounters, Metrics, MsgCategory, PerfCounters};
 pub use msg::{ProtoMsg, WireMsg};
 pub use net::{Net, NetBackend, SendError};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerId;
-pub use transcript::{Transcript, TranscriptDiff};

@@ -41,10 +41,10 @@ impl Error for SendError {}
 /// simulator's `World` is the one implementor; the UDP mesh rides inside
 /// it as a wire shadow.
 ///
-/// A backend that keeps a [`Transcript`](crate::Transcript) appends each
-/// effect's canonical [`Output`](crate::Output) *after* the effect
-/// completes, so the record carries the backend's verdict (hop counts,
-/// recipients, assigned timer ids).
+/// A backend that records protocol I/O appends each effect's
+/// [`Event`](crate::Event) to its [`EventLog`](crate::EventLog) *after*
+/// the effect completes, so the record carries the backend's verdict
+/// (hop counts, recipients, assigned timer ids).
 ///
 /// Every method must be deterministic given the backend's seed and event
 /// history: transcript equivalence across backends depends on it.

@@ -1,10 +1,177 @@
+//! The canonical-line rendering of an [`EventLog`]'s protocol-I/O
+//! records: the transcript, its fingerprint and its diff.
+
 use crate::fnv::{fnv1a_extend, FNV1A_INIT};
-use crate::io::{Cast, Input, Output, SendResult};
-use crate::msg::ProtoMsg;
-use crate::time::SimTime;
+use crate::io::Input;
+use crate::log::{Event, EventLog, Record};
+use crate::net::SendError;
 use crate::NodeId;
 use std::fmt;
 use std::fmt::Write as _;
+
+impl EventLog {
+    fn io_records(&self) -> impl Iterator<Item = &Record> {
+        self.records().filter(|r| r.event.is_io())
+    }
+
+    /// The transcript's lines, in order.
+    #[must_use]
+    pub fn lines(&self) -> Vec<String> {
+        self.render().lines().map(str::to_owned).collect()
+    }
+
+    /// The transcript as one newline-terminated string.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for r in self.io_records() {
+            self.write_line(r, &mut out);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// FNV-1a fingerprint of [`render`](EventLog::render), formatted
+    /// `fnv1a:<16 hex digits>`.
+    #[must_use]
+    pub fn fingerprint(&self) -> String {
+        let mut line = String::new();
+        let mut h = FNV1A_INIT;
+        for r in self.io_records() {
+            line.clear();
+            self.write_line(r, &mut line);
+            line.push('\n');
+            h = fnv1a_extend(h, line.as_bytes());
+        }
+        format!("fnv1a:{h:016x}")
+    }
+
+    /// Compares this transcript (`L`) against another's (`R`); `None`
+    /// when byte-identical, otherwise a minimized report: the first
+    /// line where they disagree, after up to three common lines of
+    /// context.
+    #[must_use]
+    pub fn diff(&self, other: &EventLog) -> Option<String> {
+        const CONTEXT: usize = 3;
+        let (mut ours, mut theirs) = (self.io_records(), other.io_records());
+        let (mut left, mut right) = (String::new(), String::new());
+        for index in 0.. {
+            let (l, r) = (ours.next(), theirs.next());
+            if l.is_none() && r.is_none() {
+                break;
+            }
+            for (log, record, line) in [(self, l, &mut left), (other, r, &mut right)] {
+                line.clear();
+                match record {
+                    Some(record) => log.write_line(record, line),
+                    None => line.push_str("<end of transcript>"),
+                }
+            }
+            if left == right {
+                continue;
+            }
+            let mut report = format!(
+                "transcripts diverge at record {index} (left {} lines, right {} lines)\n",
+                self.io_records().count(),
+                other.io_records().count()
+            );
+            let before = index.min(CONTEXT);
+            for common in self.io_records().skip(index - before).take(before) {
+                report.push_str("    ");
+                self.write_line(common, &mut report);
+                report.push('\n');
+            }
+            report += &format!("  L {left}\n  R {right}\n");
+            return Some(report);
+        }
+        None
+    }
+
+    /// Appends the canonical transcript line of a protocol-I/O record.
+    fn write_line(&self, r: &Record, line: &mut String) {
+        self.fmt_line(r, line)
+            .expect("writing to a String cannot fail");
+    }
+
+    fn fmt_line(&self, r: &Record, line: &mut String) -> fmt::Result {
+        let failed = |line: &mut String, e: SendError| write!(line, " result=err:{e:?}");
+        write!(line, "@{} ", r.at.as_micros())?;
+        match r.event {
+            Event::Fed { node, input } => {
+                write!(line, "<{node} ")?;
+                match input {
+                    Input::Join => line.push_str("join"),
+                    Input::Message { from, msg } => {
+                        write!(line, "msg from={from} bytes=")?;
+                        push_hex(line, self.payload(msg));
+                    }
+                    Input::TimerFired { tag } => write!(line, "timer tag={tag:#x}")?,
+                    Input::LinkChange { neighbors } => {
+                        line.push_str("link neighbors=");
+                        push_nodes(line, self.node_list(neighbors))?;
+                    }
+                    Input::Leave { graceful } => write!(line, "leave graceful={graceful}")?,
+                }
+                Ok(())
+            }
+            Event::SendUnicast {
+                from,
+                to,
+                category,
+                bytes,
+                hops,
+            } => {
+                write!(
+                    line,
+                    ">send from={from} cast=uni:{to} cat={category} bytes="
+                )?;
+                push_hex(line, self.payload(bytes));
+                match hops {
+                    Ok(h) => write!(line, " result=hops:{h}"),
+                    Err(e) => failed(line, e),
+                }
+            }
+            Event::SendFlood {
+                from,
+                k,
+                category,
+                bytes,
+                recipients,
+            } => {
+                match k {
+                    Some(k) => write!(line, ">send from={from} cast=within:{k}")?,
+                    None => write!(line, ">send from={from} cast=flood")?,
+                }
+                write!(line, " cat={category} bytes=")?;
+                push_hex(line, self.payload(bytes));
+                match recipients {
+                    Ok(to) => {
+                        line.push_str(" result=recipients:");
+                        push_nodes(line, self.node_list(to))
+                    }
+                    Err(e) => failed(line, e),
+                }
+            }
+            Event::SetTimer {
+                node,
+                id,
+                delay,
+                tag,
+            } => write!(
+                line,
+                ">timer+ node={node} id={id} delay={}us tag={tag:#x}",
+                delay.as_micros()
+            ),
+            Event::CancelTimer { id } => write!(line, ">timer- id={id}"),
+            Event::FlowEvent { node, kind, stage } => {
+                write!(line, ">flow node={node} kind={kind} stage={stage}")
+            }
+            Event::Configured { node } => write!(line, ">configured node={node}"),
+            Event::Removed { node } => write!(line, ">removed node={node}"),
+            _ => unreachable!("a net-level record has no transcript line"),
+        }
+    }
+}
 
 fn push_hex(line: &mut String, bytes: &[u8]) {
     if bytes.is_empty() {
@@ -19,321 +186,84 @@ fn push_hex(line: &mut String, bytes: &[u8]) {
     }
 }
 
-fn push_nodes(line: &mut String, nodes: &[NodeId]) {
+fn push_nodes(line: &mut String, nodes: &[NodeId]) -> fmt::Result {
     line.push('[');
     for (i, n) in nodes.iter().enumerate() {
         if i > 0 {
             line.push(' ');
         }
-        let _ = write!(line, "{n}");
+        write!(line, "{n}")?;
     }
     line.push(']');
-}
-
-/// The canonical, wall-clock-free record of one run's protocol I/O.
-///
-/// Each line is either an input record (`<`, written by the driver as it
-/// feeds the core) or an output record (`>`, written by the
-/// [`NetBackend`] as the core performs effects), prefixed with virtual
-/// time in microseconds.
-/// Nothing host- or transport-specific appears in a line — no wall
-/// clock, no socket addresses, no thread ids — so two backends running
-/// the same scenario produce byte-identical transcripts exactly when
-/// they drove the protocol identically.
-///
-/// # Canonicalization rules
-///
-/// * Timestamps are virtual microseconds (`@123456`).
-/// * Message payloads appear as [`ProtoMsg::canon`] bytes in lowercase
-///   hex (`-` when empty). Cores with a wire codec canonicalize to the
-///   encoded bytes, so the mesh (recording what it decoded off the
-///   socket) and the simulator (recording what it passed in memory)
-///   agree only if the codec round-trips.
-/// * Node lists (flood recipients, link-change neighborhoods) are
-///   recorded in the backend's deterministic order.
-/// * Timer ids appear verbatim: both backends allocate them from a
-///   single monotonic counter, so id equality is part of the proof.
-///
-/// [`NetBackend`]: crate::NetBackend
-#[derive(Debug, Clone, Default)]
-pub struct Transcript {
-    lines: Vec<String>,
-    /// Scratch for one message's [`ProtoMsg::canon`] bytes, kept so a
-    /// record costs no allocation beyond its line.
-    canon: Vec<u8>,
-}
-
-impl Transcript {
-    /// An empty transcript.
-    #[must_use]
-    pub fn new() -> Self {
-        Transcript::default()
-    }
-
-    /// Records one input fed to the core.
-    pub fn push_input<M: ProtoMsg>(&mut self, now: SimTime, node: NodeId, input: &Input<M>) {
-        let mut line = String::with_capacity(48);
-        let _ = write!(line, "@{} <{node} ", now.as_micros());
-        match input {
-            Input::Join => line.push_str("join"),
-            Input::Message { from, msg } => {
-                let _ = write!(line, "msg from={from} bytes=");
-                self.canon.clear();
-                msg.canon(&mut self.canon);
-                push_hex(&mut line, &self.canon);
-            }
-            Input::TimerFired { tag } => {
-                let _ = write!(line, "timer tag={tag:#x}");
-            }
-            Input::LinkChange { neighbors } => {
-                line.push_str("link neighbors=");
-                push_nodes(&mut line, neighbors);
-            }
-            Input::Leave { graceful } => {
-                let _ = write!(line, "leave graceful={graceful}");
-            }
-        }
-        self.lines.push(line);
-    }
-
-    /// Records one effect the core performed.
-    pub fn push_output(&mut self, now: SimTime, output: &Output) {
-        let mut line = String::with_capacity(48);
-        let _ = write!(line, "@{} >", now.as_micros());
-        match output {
-            Output::Send {
-                from,
-                cast,
-                category,
-                msg,
-                result,
-            } => {
-                let _ = write!(line, "send from={from} cast=");
-                match cast {
-                    Cast::Unicast(to) => {
-                        let _ = write!(line, "uni:{to}");
-                    }
-                    Cast::Within(k) => {
-                        let _ = write!(line, "within:{k}");
-                    }
-                    Cast::Flood => line.push_str("flood"),
-                }
-                let _ = write!(line, " cat={category} bytes=");
-                push_hex(&mut line, msg);
-                line.push_str(" result=");
-                match result {
-                    SendResult::Hops(h) => {
-                        let _ = write!(line, "hops:{h}");
-                    }
-                    SendResult::Recipients(nodes) => {
-                        line.push_str("recipients:");
-                        push_nodes(&mut line, nodes);
-                    }
-                    SendResult::Failed(e) => {
-                        let _ = write!(line, "err:{e:?}");
-                    }
-                }
-            }
-            Output::SetTimer {
-                node,
-                id,
-                delay,
-                tag,
-            } => {
-                let _ = write!(
-                    line,
-                    "timer+ node={node} id={id} delay={}us tag={tag:#x}",
-                    delay.as_micros()
-                );
-            }
-            Output::CancelTimer { id } => {
-                let _ = write!(line, "timer- id={id}");
-            }
-            Output::FlowEvent { node, kind, stage } => {
-                let _ = write!(line, "flow node={node} kind={kind} stage={stage}");
-            }
-            Output::Configured { node } => {
-                let _ = write!(line, "configured node={node}");
-            }
-            Output::Removed { node } => {
-                let _ = write!(line, "removed node={node}");
-            }
-        }
-        self.lines.push(line);
-    }
-
-    /// The recorded lines, in order.
-    #[must_use]
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Number of recorded lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// The full transcript as one newline-terminated string.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// FNV-1a fingerprint of [`render`](Transcript::render), formatted
-    /// `fnv1a:<16 hex digits>`.
-    #[must_use]
-    pub fn fingerprint(&self) -> String {
-        let h = self.lines.iter().fold(FNV1A_INIT, |h, line| {
-            fnv1a_extend(fnv1a_extend(h, line.as_bytes()), b"\n")
-        });
-        format!("fnv1a:{h:016x}")
-    }
-
-    /// Compares against another transcript; `None` when byte-identical,
-    /// otherwise a minimized first-divergence report.
-    #[must_use]
-    pub fn diff(&self, other: &Transcript) -> Option<TranscriptDiff> {
-        let n = self.lines.len().min(other.lines.len());
-        for i in 0..n {
-            if self.lines[i] != other.lines[i] {
-                return Some(self.diff_at(other, i));
-            }
-        }
-        if self.lines.len() != other.lines.len() {
-            return Some(self.diff_at(other, n));
-        }
-        None
-    }
-
-    fn diff_at(&self, other: &Transcript, index: usize) -> TranscriptDiff {
-        const CONTEXT: usize = 3;
-        let start = index.saturating_sub(CONTEXT);
-        TranscriptDiff {
-            index,
-            left_len: self.lines.len(),
-            right_len: other.lines.len(),
-            context: self.lines[start..index].to_vec(),
-            left: self.lines.get(index).cloned(),
-            right: other.lines.get(index).cloned(),
-        }
-    }
-}
-
-/// A minimized divergence report: the first record where two transcripts
-/// disagree, with a little common context before it.
-#[derive(Debug, Clone)]
-pub struct TranscriptDiff {
-    /// Index of the first diverging line.
-    pub index: usize,
-    /// Total lines in the left transcript.
-    pub left_len: usize,
-    /// Total lines in the right transcript.
-    pub right_len: usize,
-    /// Up to three common lines immediately before the divergence.
-    pub context: Vec<String>,
-    /// The left transcript's line at `index` (`None` = ended early).
-    pub left: Option<String>,
-    /// The right transcript's line at `index` (`None` = ended early).
-    pub right: Option<String>,
-}
-
-impl fmt::Display for TranscriptDiff {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "transcripts diverge at record {} (left {} lines, right {} lines)",
-            self.index, self.left_len, self.right_len
-        )?;
-        for line in &self.context {
-            writeln!(f, "    {line}")?;
-        }
-        match &self.left {
-            Some(l) => writeln!(f, "  L {l}")?,
-            None => writeln!(f, "  L <end of transcript>")?,
-        }
-        match &self.right {
-            Some(r) => writeln!(f, "  R {r}")?,
-            None => writeln!(f, "  R <end of transcript>")?,
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlowKind, FlowStage, SimDuration, TimerId};
+    use crate::{FlowKind, FlowStage, SimDuration, SimTime, TimerId};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
+    fn n(i: u64) -> NodeId {
+        NodeId::new(i)
+    }
+
+    /// A transcript-only log fed one join per entry of `joins`, to the
+    /// node and at the microsecond of that number.
+    fn transcript(joins: std::ops::Range<u64>) -> EventLog {
+        let mut log = EventLog::default();
+        log.enable_io();
+        for i in joins {
+            log.push_input(t(i), n(i), &Input::<&'static str>::Join);
+        }
+        log
+    }
+
     #[test]
     fn canonical_lines_are_stable() {
-        let mut tr = Transcript::new();
-        tr.push_input(t(10), NodeId::new(3), &Input::<&'static str>::Join);
-        tr.push_input(
+        let mut log = transcript(10..11);
+        let node = n(3);
+        log.push_input(
             t(20),
-            NodeId::new(3),
+            node,
             &Input::Message {
-                from: NodeId::new(1),
+                from: n(1),
                 msg: "hi",
             },
         );
-        tr.push_output(
-            t(20),
-            &Output::SetTimer {
-                node: NodeId::new(3),
-                id: TimerId::from_raw(7),
-                delay: SimDuration::from_millis(5),
-                tag: 0x2,
-            },
-        );
-        tr.push_output(
-            t(25),
-            &Output::FlowEvent {
-                node: NodeId::new(3),
-                kind: FlowKind::Join,
-                stage: FlowStage::Started,
-            },
+        #[rustfmt::skip]
+        let effects = [
+            (20, Event::SetTimer { node, id: TimerId::from_raw(7), delay: SimDuration::from_millis(5), tag: 0x2 }),
+            (25, Event::FlowEvent { node, kind: FlowKind::Join, stage: FlowStage::Started }),
+        ];
+        for (at, effect) in effects {
+            log.push(t(at), effect);
+        }
+        let neighbors = vec![n(1), n(4)];
+        log.push_input(
+            t(30),
+            node,
+            &Input::<&'static str>::LinkChange { neighbors },
         );
         assert_eq!(
-            tr.lines(),
+            log.lines(),
             &[
-                "@10 <n3 join",
+                "@10 <n10 join",
                 "@20 <n3 msg from=n1 bytes=22686922",
                 "@20 >timer+ node=n3 id=t7 delay=5000us tag=0x2",
                 "@25 >flow node=n3 kind=join stage=started",
+                "@30 <n3 link neighbors=[n1 n4]",
             ]
         );
     }
 
     #[test]
     fn identical_transcripts_have_no_diff_and_equal_fingerprints() {
-        let mut a = Transcript::new();
-        let mut b = Transcript::new();
-        for tr in [&mut a, &mut b] {
-            tr.push_input(t(1), NodeId::new(0), &Input::<&'static str>::Join);
-            tr.push_output(
-                t(1),
-                &Output::Configured {
-                    node: NodeId::new(0),
-                },
-            );
-        }
-        assert!(a.diff(&b).is_none());
+        let (a, b) = (transcript(0..3), transcript(0..3));
+        assert_eq!(a.diff(&b), None);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(
             a.fingerprint(),
@@ -343,43 +273,23 @@ mod tests {
 
     #[test]
     fn diff_reports_first_divergence_with_context() {
-        let mut a = Transcript::new();
-        let mut b = Transcript::new();
-        for tr in [&mut a, &mut b] {
-            tr.push_input(t(1), NodeId::new(0), &Input::<&'static str>::Join);
-            tr.push_input(t(2), NodeId::new(1), &Input::<&'static str>::Join);
-        }
-        a.push_output(
-            t(3),
-            &Output::Configured {
-                node: NodeId::new(0),
-            },
+        let (mut a, mut b) = (transcript(0..5), transcript(0..5));
+        a.push(t(5), Event::Configured { node: n(0) });
+        b.push(t(5), Event::Removed { node: n(0) });
+        assert_eq!(
+            a.diff(&b).expect("diverges"),
+            "transcripts diverge at record 5 (left 6 lines, right 6 lines)\n    \
+             @2 <n2 join\n    @3 <n3 join\n    @4 <n4 join\n  \
+             L @5 >configured node=n0\n  R @5 >removed node=n0\n"
         );
-        b.push_output(
-            t(3),
-            &Output::Removed {
-                node: NodeId::new(0),
-            },
-        );
-        let d = a.diff(&b).expect("diverges");
-        assert_eq!(d.index, 2);
-        assert_eq!(d.context.len(), 2);
-        assert!(d.left.as_deref().unwrap().contains("configured"));
-        assert!(d.right.as_deref().unwrap().contains("removed"));
-        let report = d.to_string();
-        assert!(report.contains("diverge at record 2"));
     }
 
     #[test]
     fn length_mismatch_diverges_at_shorter_end() {
-        let mut a = Transcript::new();
-        let mut b = Transcript::new();
-        a.push_input(t(1), NodeId::new(0), &Input::<&'static str>::Join);
-        b.push_input(t(1), NodeId::new(0), &Input::<&'static str>::Join);
-        b.push_input(t(2), NodeId::new(1), &Input::<&'static str>::Join);
-        let d = a.diff(&b).expect("diverges");
-        assert_eq!(d.index, 1);
-        assert!(d.left.is_none());
-        assert_eq!(d.right.as_deref(), Some("@2 <n1 join"));
+        assert_eq!(
+            transcript(1..2).diff(&transcript(1..3)).expect("diverges"),
+            "transcripts diverge at record 1 (left 1 lines, right 2 lines)\n    \
+             @1 <n1 join\n  L <end of transcript>\n  R @2 <n2 join\n"
+        );
     }
 }

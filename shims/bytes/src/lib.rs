@@ -1,6 +1,7 @@
 //! Minimal stand-in for the `bytes` crate: just enough surface for the
-//! workspace wire codec (big-endian integer reads/writes over growable
-//! and frozen byte buffers). Not a general-purpose replacement.
+//! workspace wire codec (big-endian integer reads over slices and
+//! writes into `Vec<u8>`, plus a frozen byte buffer). Not a
+//! general-purpose replacement.
 
 use std::ops::Deref;
 
@@ -62,72 +63,25 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 }
 
-/// Growable byte buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Empty buffer with reserved capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Current length in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    #[must_use]
-    pub fn freeze(self) -> Bytes {
-        Bytes { buf: self.buf }
-    }
-}
-
-impl BufMut for BytesMut {
+impl BufMut for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.push(v);
     }
 
     fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.extend_from_slice(&v.to_be_bytes());
     }
 
     fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
+        self.extend_from_slice(src);
     }
 }
 
