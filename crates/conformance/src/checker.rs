@@ -225,14 +225,6 @@ impl Checker {
             })
         };
         let now = w.now();
-        // A snapshot is positioned where its quantum's first query finds
-        // the nodes, and on a step whose handler asked nothing that query
-        // has always been this one: under mobility, when the oracle looks
-        // is part of the pinned behaviour. One cache-key compare on a hit.
-        if self.g.unique || self.g.pool_disjoint || self.g.assigned_covered {
-            let _ = w.topology();
-        }
-
         let assigned = p.assigned_pairs(w);
         if assigned != self.assigned {
             debug_assert!(ascending(&assigned, |e| e.0), "assigned_pairs unsorted");

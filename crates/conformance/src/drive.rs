@@ -16,7 +16,8 @@ use crate::adapter::ConformanceAdapter;
 use crate::checker::{Checker, NearMiss, Violation};
 use manet_sim::faults::FaultPlan;
 use manet_sim::{
-    observer, FlowKind, FlowTally, MobilityConfig, Point, Sim, SimDuration, SimTime, WorldConfig,
+    observer, FlowKind, FlowTally, MobilityConfig, Point, Sim, SimDuration, SimTime, World,
+    WorldConfig,
 };
 
 /// Virtual time between scheduled arrivals.
@@ -112,6 +113,42 @@ fn grid_positions(nn: usize, arena_w: f64, arena_h: f64, spacing: f64) -> Vec<Po
 /// claimed invariant after every simulator event.
 #[must_use]
 pub fn run_check<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
+    let mut checker = Checker::new(P::guarantees(&cfg.plan));
+    let mut violation = None;
+    let (mut sim, steps) = step_workload::<P>(cfg, |step, w, p| {
+        violation = checker.check(step, w, p).err();
+        violation.is_none()
+    });
+
+    let (w, p) = sim.parts_mut();
+    let assigned = p.assigned_pairs(w);
+    let mut held = std::collections::HashMap::with_capacity(assigned.len());
+    for (_, a) in &assigned {
+        *held.entry(*a).or_insert(0usize) += 1;
+    }
+    let flows = observer::all_kinds().map(|k| (k, *w.observer().tally(k)));
+    CheckOutcome {
+        steps,
+        configured: assigned.len(),
+        violation,
+        faults: *w.metrics().faults(),
+        dup_addrs: held.values().filter(|&&n| n > 1).count(),
+        flows,
+        near_miss: checker.near_miss(),
+    }
+}
+
+/// The workload of `cfg`, one simulator event at a time: `after_event`
+/// gets the step number, the world and the protocol state after the
+/// founding join (step 0) and after every event, and stops the run by
+/// returning `false`; the event budget stops it too. Returns the
+/// simulation and the number of events dispatched. [`run_check`] is
+/// this with the checker after every event.
+#[doc(hidden)]
+pub fn step_workload<P: ConformanceAdapter>(
+    cfg: &CheckConfig,
+    mut after_event: impl FnMut(u64, &mut World<P::Msg>, &P) -> bool,
+) -> (Sim<P>, u64) {
     let wc = WorldConfig {
         seed: cfg.seed,
         speed: cfg.speed,
@@ -122,7 +159,6 @@ pub fn run_check<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
     let (arena_w, arena_h, range) = (wc.arena.width(), wc.arena.height(), wc.range);
     let mut sim = Sim::new(wc, P::fresh());
     sim.world_mut().enable_observer();
-    let mut checker = Checker::new(P::guarantees(&cfg.plan));
 
     let positions = grid_positions(cfg.nn, arena_w, arena_h, range * 0.6);
     for (i, pos) in positions.iter().enumerate() {
@@ -142,36 +178,18 @@ pub fn run_check<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
         .saturating_add(SETTLE)
         .saturating_add(COOLDOWN);
 
+    // The founding join already ran inside `spawn_at`.
     let mut steps = 0u64;
-    let mut violation = {
-        // The founding join already ran inside `spawn_at`.
+    let mut observe = |steps, sim: &mut Sim<P>| {
         let (w, p) = sim.parts_mut();
-        checker.check(steps, w, p).err()
+        after_event(steps, w, p)
     };
-    while violation.is_none() && steps < cfg.max_events && sim.step_until(end) {
+    let mut going = observe(steps, &mut sim);
+    while going && steps < cfg.max_events && sim.step_until(end) {
         steps += 1;
-        let (w, p) = sim.parts_mut();
-        if let Err(v) = checker.check(steps, w, p) {
-            violation = Some(v);
-        }
+        going = observe(steps, &mut sim);
     }
-
-    let (w, p) = sim.parts_mut();
-    let assigned = p.assigned_pairs(w);
-    let mut held = std::collections::HashMap::with_capacity(assigned.len());
-    for (_, a) in &assigned {
-        *held.entry(*a).or_insert(0usize) += 1;
-    }
-    let flows = observer::all_kinds().map(|k| (k, *w.observer().tally(k)));
-    CheckOutcome {
-        steps,
-        configured: assigned.len(),
-        violation,
-        faults: *w.metrics().faults(),
-        dup_addrs: held.values().filter(|&&n| n > 1).count(),
-        flows,
-        near_miss: checker.near_miss(),
-    }
+    (sim, steps)
 }
 
 #[cfg(test)]

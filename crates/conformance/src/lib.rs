@@ -58,6 +58,6 @@ pub use artifact::Artifact;
 pub use attacks::{attack_canaries, AttackCanary, HardenedQbac};
 pub use broken::DoubleGrant;
 pub use checker::{Checker, Invariant, NearMiss, Violation};
-pub use drive::{run_check, CheckConfig, CheckOutcome};
+pub use drive::{run_check, step_workload, CheckConfig, CheckOutcome};
 pub use registry::{chaos_schedules, replay_check, run_named, shrink_named, NamedSchedule};
 pub use shrink::shrink;

@@ -204,9 +204,8 @@ impl Qbac {
         let administrator = c.administrator;
         let (ip, configurer_ip, network) = (c.ip, c.configurer_ip, c.network_id);
 
-        let near_configurer = w.hops_between(node, configurer).is_some_and(|h| h <= 3);
-        let near_admin =
-            administrator.is_some_and(|a| w.hops_between(node, a).is_some_and(|h| h <= 3));
+        let near_configurer = w.within_hops(node, configurer, 3);
+        let near_admin = administrator.is_some_and(|a| w.within_hops(node, a, 3));
 
         if !near_configurer && !near_admin {
             if let Some((nearest, _)) = self.nearest_head(w, node, Some(network)) {
@@ -292,7 +291,7 @@ impl Qbac {
         };
         let configurer = state
             .configurer
-            .filter(|c| w.is_alive(*c) && w.hops_between(node, *c).is_some_and(|h| h <= 3));
+            .filter(|c| w.is_alive(*c) && w.within_hops(node, *c, 3));
         let successor = configurer.or_else(|| {
             // Smallest replicated space among alive QDSet members.
             self.head_state(node).and_then(|s| {

@@ -528,6 +528,39 @@ pub fn run_scenario_with<P: ProtocolCore>(
     protocol: P,
     setup: impl FnOnce(&mut Sim<P>),
 ) -> RunReport<P> {
+    drive(s, protocol, setup, |sim, until| {
+        sim.run_until(until);
+    })
+}
+
+/// [`run_scenario_with`] that also hands the world and the protocol
+/// state to `after_event` after every event it dispatches: how the
+/// oracle-neutrality tests ride the conformance checker on a scenario.
+/// The topology snapshot is a pure function of the world's state and
+/// quantum, so topology queries cannot change the run.
+#[doc(hidden)]
+pub fn run_scenario_observed<P: ProtocolCore>(
+    s: &Scenario,
+    protocol: P,
+    setup: impl FnOnce(&mut Sim<P>),
+    mut after_event: impl FnMut(&mut World<P::Msg>, &P),
+) -> RunReport<P> {
+    drive(s, protocol, setup, |sim, until| {
+        while sim.step_until(until) {
+            let (w, p) = sim.parts_mut();
+            after_event(w, p);
+        }
+    })
+}
+
+/// The scenario, with `run_until` advancing the simulation to each of
+/// its instants.
+fn drive<P: ProtocolCore>(
+    s: &Scenario,
+    protocol: P,
+    setup: impl FnOnce(&mut Sim<P>),
+    mut run_until: impl FnMut(&mut Sim<P>, SimTime),
+) -> RunReport<P> {
     let mut sim = Sim::new(s.world_config(), protocol);
     if s.observe {
         sim.world_mut().enable_observer();
@@ -542,12 +575,12 @@ pub fn run_scenario_with<P: ProtocolCore>(
     let mut nodes: Vec<NodeId> = Vec::with_capacity(s.nn);
     for i in 0..s.nn {
         let at = SimTime::ZERO + s.arrival_gap * (i as u64);
-        sim.run_until(at);
+        run_until(&mut sim, at);
         nodes.push(spawn_arrival(&mut sim, s));
     }
 
     let settled = s.arrivals_done() + s.settle;
-    sim.run_until(settled);
+    run_until(&mut sim, settled);
 
     // Departure phase: a random subset leaves, each graceful or abrupt.
     let departures = ((s.nn as f64) * s.depart_fraction).round() as usize;
@@ -571,10 +604,10 @@ pub fn run_scenario_with<P: ProtocolCore>(
         let after_departures = settled + s.depart_window;
         for i in 0..s.post_arrivals {
             let at = after_departures + s.arrival_gap * (i as u64 + 1);
-            sim.run_until(at);
+            run_until(&mut sim, at);
             spawn_arrival(&mut sim, s);
         }
-        sim.run_until(after_departures + s.cooldown);
+        run_until(&mut sim, after_departures + s.cooldown);
     }
 
     let metrics = sim.world().metrics().clone();

@@ -170,6 +170,36 @@ impl CellParams {
             self.protocol, self.nn, self.speed, self.mobility, self.loss, self.plan
         )
     }
+
+    /// The scenario one replication of this cell runs under `plan`
+    /// (see [`SweepGrid::plans`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mobility spec [`MobilityConfig::parse`] rejects;
+    /// [`run_sweep`] rejects those up front.
+    #[must_use]
+    pub fn scenario(&self, plan: FaultPlan, seed: u64, quick: bool) -> Scenario {
+        Scenario::builder()
+            .nn(self.nn)
+            .speed_mps(self.speed)
+            .mobility(
+                MobilityConfig::parse(&self.mobility).expect("mobility spec validated up front"),
+            )
+            .loss_rate(self.loss)
+            .arrival_gap_ms(if quick { 500 } else { 1000 })
+            .settle_secs(if quick { 5 } else { 10 })
+            .depart_fraction(0.3)
+            .abrupt_ratio(0.5)
+            .depart_window_secs(if quick { 5 } else { 20 })
+            .cooldown_secs(if quick { 5 } else { 15 })
+            .post_arrivals(2)
+            .fault_plan(plan)
+            .observe(true)
+            .seed(seed)
+            .build()
+            .expect("sweep cell scenario is in-domain")
+    }
 }
 
 /// One cell's merged telemetry across its replications.
@@ -293,27 +323,6 @@ fn plan_by_name(name: &str) -> Result<FaultPlan, SweepError> {
         })
 }
 
-/// The scenario one cell replication runs.
-fn cell_scenario(p: &CellParams, plan: FaultPlan, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(p.nn)
-        .speed_mps(p.speed)
-        .mobility(MobilityConfig::parse(&p.mobility).expect("mobility spec validated up front"))
-        .loss_rate(p.loss)
-        .arrival_gap_ms(if quick { 500 } else { 1000 })
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_fraction(0.3)
-        .abrupt_ratio(0.5)
-        .depart_window_secs(if quick { 5 } else { 20 })
-        .cooldown_secs(if quick { 5 } else { 15 })
-        .post_arrivals(2)
-        .fault_plan(plan)
-        .observe(true)
-        .seed(seed)
-        .build()
-        .expect("sweep cell scenario is in-domain")
-}
-
 /// Runs one replication, dispatching on the protocol name. Unknown
 /// names were rejected up front, so this panics only on registry drift.
 fn run_rep(
@@ -322,7 +331,7 @@ fn run_rep(
     seed: u64,
     quick: bool,
 ) -> (Metrics, Vec<FlowTally>, u64) {
-    let s = cell_scenario(p, plan, seed, quick);
+    let s = p.scenario(plan, seed, quick);
     macro_rules! run {
         ($proto:expr) => {{
             let report = run_scenario(&s, $proto);

@@ -54,12 +54,17 @@ fn trace_fingerprint<P: manet_sim::ProtocolCore>(protocol: P) -> String {
 }
 
 /// `(name, pinned pre-refactor fingerprint)` for every protocol.
+///
+/// The probe runs at the scenario's default 20 m/s. The quorum and
+/// MANETconf pins were re-blessed once, when the topology snapshot was
+/// positioned at its quantum's start: the commit before, with only that
+/// one argument changed, prints these same values.
 const PINS: &[(&str, &str)] = &[
-    ("quorum", "fnv1a:41251b476d2f1fdb"),
+    ("quorum", "fnv1a:0585a58573ad06a9"),
     // Equal to the open pin by design: hardening is zero-cost on
     // attacker-free plans (the PR 6 guarantee, re-proven here).
-    ("quorum-hardened", "fnv1a:41251b476d2f1fdb"),
-    ("manetconf", "fnv1a:a105025842510f33"),
+    ("quorum-hardened", "fnv1a:0585a58573ad06a9"),
+    ("manetconf", "fnv1a:6c27a5b391aa4da1"),
     ("buddy", "fnv1a:74112750877a682f"),
     ("ctree", "fnv1a:7a71f727c9fc8370"),
     ("dad", "fnv1a:05b9956e85af3268"),

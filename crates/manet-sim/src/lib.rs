@@ -7,8 +7,9 @@
 //! * [`Arena`], [`Point`] — 2-D geometry for the simulation area,
 //! * random-waypoint [`mobility`] at a configurable speed,
 //! * a unit-disk radio model with reliable in-range delivery (the paper's
-//!   §IV-B assumption) and multi-hop routing over the instantaneous
-//!   connectivity graph ([`topology`]),
+//!   §IV-B assumption) and multi-hop routing over the connectivity graph
+//!   at the start of the current topology quantum ([`topology`],
+//!   [`World::topology`]),
 //! * hop-count message accounting per traffic category ([`Metrics`]),
 //! * an event loop ([`Sim`]) driving implementations of [`ProtocolCore`]
 //!   through join / message / timer / leave callbacks,

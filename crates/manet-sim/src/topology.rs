@@ -51,10 +51,12 @@
 //! an instant: whatever changes the graph forgets them in the same call,
 //! so there is no separate invalidation protocol to get wrong.
 //!
-//! When the world's `(quantum bucket, membership/mobility version)` cache
-//! key rotates, the world does not drop the snapshot; it refreshes it by
-//! the least that makes it the snapshot of the new instant, one of three
-//! ways (`World::topology` decides which):
+//! A world's snapshot is positioned at its quantum's start: each alive
+//! node's current leg evaluated at that instant. When the world's
+//! `(quantum bucket, membership/mobility version)` cache key rotates, the
+//! world does not drop the snapshot; it refreshes it by the least that
+//! makes it the snapshot of the new key, one of three ways
+//! (`World::topology` decides which):
 //!
 //! * **Swept** — [`rebuild`](Topology::rebuild): the same build into the
 //!   storage the stale snapshot held (CSR arrays, the build's link list
@@ -65,20 +67,23 @@
 //!   that follow cost whatever the host charges that second — a rep of
 //!   the `city_mobile` benchmark swung ±7% on one input with them and
 //!   ±1–3% without. Layouts too small or too odd for the strips are
-//!   swept all-pairs into the same storage. This is the only way while
-//!   any node is en route.
-//! * **Spliced** — `Topology::insert` / `Topology::remove`: in a world
-//!   where nobody moves, a join or a leave changes one node's links and
-//!   nothing else. They are found with the all-pairs predicate against
-//!   the positions the snapshot was filled from, and the CSR is
-//!   rewritten in one pass through the build scratch — the node at the
-//!   place its id sorts to, its neighbours' runs still ascending — so
-//!   the result is the snapshot a sweep of the new alive set would
-//!   build, array for array. Answers are forgotten, the id→index map is
-//!   kept current.
-//! * **Re-keyed** — nothing is touched: in that same world a new quantum
-//!   alone changes no position, so the graph, its traversals and its
-//!   components all stand.
+//!   swept all-pairs into the same storage. This is how a quantum that
+//!   finds a node en route begins — once per quantum — and how a burst
+//!   of more changes than a refresh splices is taken in.
+//! * **Spliced** — `Topology::insert` / `Topology::remove`: a join, a
+//!   leave, or a mobility write that moved one node's position at the
+//!   quantum's start (a waypoint arrival, a park: its leave, then its
+//!   join) changes that node's links and nothing else — inside the
+//!   snapshot's quantum, and across quanta while nobody moves. The links
+//!   are found with the all-pairs predicate against the positions the
+//!   snapshot is filled from, and the CSR is rewritten in one pass
+//!   through the build scratch — the node at the place its id sorts to,
+//!   its neighbours' runs still ascending — so the result is the
+//!   snapshot a sweep of the new alive set would build, array for array.
+//!   Answers are forgotten, the id→index map is kept current.
+//! * **Re-keyed** — nothing is touched: in a world where nobody moves a
+//!   new quantum alone changes no position, so the graph, its traversals
+//!   and its components all stand.
 
 use crate::{NodeId, Point};
 use std::cell::RefCell;
@@ -354,9 +359,11 @@ impl Traversal {
         while self.depth() < k && self.advance(topo) {}
     }
 
-    /// Advances until `target` is reached; its distance, if connected.
-    fn reach(&mut self, topo: &Topology, target: usize) -> Option<u32> {
-        while self.dist[target] == u32::MAX && self.advance(topo) {}
+    /// Advances until `target` is reached or the levels up to depth `k`
+    /// are finished; its distance, if reached (which may exceed `k` when
+    /// an earlier query went further).
+    fn reach(&mut self, topo: &Topology, target: usize, k: u32) -> Option<u32> {
+        while self.dist[target] == u32::MAX && self.depth() < k && self.advance(topo) {}
         (self.dist[target] != u32::MAX).then_some(self.dist[target])
     }
 }
@@ -898,17 +905,42 @@ impl Topology {
         if a == b {
             return self.contains(a).then_some(0);
         }
-        let (mut start, mut target) = (self.index_of(a)?, self.index_of(b)?);
-        // Links are undirected: when only `b` has a traversal under way,
-        // resuming it answers the same question without starting a
-        // second one.
-        {
-            let cache = self.cache.borrow();
-            if cache.slot[start] == NO_RUN && cache.slot[target] != NO_RUN {
-                std::mem::swap(&mut start, &mut target);
-            }
+        let (start, target) = self.endpoints(a, b)?;
+        self.with_bfs(start, |bfs| bfs.reach(self, target, u32::MAX))
+    }
+
+    /// Whether `b` is at most `k` hops from `a` — `hops(a, b)` at most
+    /// `k` — advancing a traversal until the other end is reached or to
+    /// depth `k` at most, so a far or unreachable `b` costs a `k`-hop
+    /// neighbourhood, not a component. `false` if either node is
+    /// unknown.
+    #[must_use]
+    pub fn within_hops(&self, a: NodeId, b: NodeId, k: u32) -> bool {
+        if a == b {
+            return self.contains(a);
         }
-        self.with_bfs(start, |bfs| bfs.reach(self, target))
+        let Some((start, target)) = self.endpoints(a, b) else {
+            return false;
+        };
+        self.with_bfs(start, |bfs| {
+            bfs.reach(self, target, k).is_some_and(|d| d <= k)
+        })
+    }
+
+    /// The dense indices `(start, target)` a query between `a` and `b`
+    /// walks. Links are undirected: when only `b` has a traversal under
+    /// way, resuming it answers the same question without starting a
+    /// second one.
+    fn endpoints(&self, a: NodeId, b: NodeId) -> Option<(usize, usize)> {
+        let (start, target) = (self.index_of(a)?, self.index_of(b)?);
+        let cache = self.cache.borrow();
+        Some(
+            if cache.slot[start] == NO_RUN && cache.slot[target] != NO_RUN {
+                (target, start)
+            } else {
+                (start, target)
+            },
+        )
     }
 
     /// All nodes within `k` hops of `node` (excluding the node itself),
@@ -962,7 +994,7 @@ impl Topology {
     pub(crate) fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         let (start, target) = (self.index_of(from)?, self.index_of(to)?);
         self.with_bfs(start, |bfs| {
-            let mut d = bfs.reach(self, target)?;
+            let mut d = bfs.reach(self, target, u32::MAX)?;
             let mut path = vec![to];
             let mut cur = target;
             while d > 0 {

@@ -31,12 +31,12 @@ pub struct WorldConfig {
     /// values are the robustness ablation — transmissions are still
     /// charged, deliveries silently vanish.
     pub loss_rate: f64,
-    /// Topology-cache quantum: within one quantum the connectivity
-    /// snapshot is reused instead of rebuilt per event. At the paper's
-    /// 20 m/s a node moves 2 m per default 100 ms quantum — noise next
-    /// to the 150 m radio range — while large simulations get orders of
-    /// magnitude fewer O(n²) rebuilds. Set to zero to rebuild per
-    /// instant.
+    /// Topology-cache quantum: the connectivity snapshot places every
+    /// node where its current leg has it at the quantum's start, and is
+    /// reused instead of rebuilt per event. At the paper's 20 m/s a node
+    /// moves 2 m per default 100 ms quantum — noise next to the 150 m
+    /// radio range — while large simulations get orders of magnitude
+    /// fewer rebuilds. Set to zero for a snapshot per instant.
     pub topology_quantum: SimDuration,
     /// RNG seed; runs with equal configs and scenarios are bit-identical.
     pub seed: u64,
@@ -146,19 +146,6 @@ impl<M> Outbox<M> {
     }
 }
 
-/// What has happened to the nodes since the topology snapshot was
-/// filled — what [`World::topology`] needs to know to refresh it by less
-/// than a sweep.
-#[derive(Debug, Default)]
-struct SinceSnapshot {
-    /// Activations (`true`) and removals (`false`), oldest first. Stops
-    /// growing one past [`SPLICE_LIMIT`]: by then a sweep is due anyway.
-    members: Vec<(NodeId, bool)>,
-    /// A [`MobilityState`] was written (a leg started, a node parked or
-    /// revived): some position may no longer be the snapshot's.
-    mobility_written: bool,
-}
-
 /// Most membership changes a refresh splices one by one. A splice
 /// rewrites the whole CSR, so `k` of them cost `k · (n + links)` where
 /// one sweep costs `n log n + links`: the limit keeps a burst of joins
@@ -185,7 +172,11 @@ pub struct World<M> {
     next_timer: u64,
     topo_cache: Option<(SimTime, u64, Topology)>,
     topo_version: u64,
-    since_snapshot: SinceSnapshot,
+    /// What the snapshot lacks, oldest first: activations (`true`) and
+    /// removals (`false`) — a write that moved an alive node's snapshot
+    /// position is logged as its removal then activation. Stops growing
+    /// one past [`SPLICE_LIMIT`]: by then a sweep is due anyway.
+    since_snapshot: Vec<(NodeId, bool)>,
     /// Nodes whose [`MobilityState::is_moving`], dead ones included.
     moving: usize,
     /// Refreshes of the snapshot that swept every position.
@@ -218,7 +209,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             next_timer: 0,
             topo_cache: None,
             topo_version: 0,
-            since_snapshot: SinceSnapshot::default(),
+            since_snapshot: Vec::new(),
             moving: 0,
             sweeps: 0,
             log: EventLog::default(),
@@ -367,13 +358,39 @@ impl<M: Clone + fmt::Debug> World<M> {
             .map(|i| self.nodes.joined_at[i])
     }
 
-    /// Position of `node` right now, if alive.
+    /// Exact position of `node` at `now`, if alive: what the fault
+    /// plane's partitions and jam regions judge. The topology snapshot
+    /// places it at [`snapshot_position`](World::snapshot_position)
+    /// instead, at most `speed × topology_quantum` away.
     #[must_use]
     pub fn position(&self, node: NodeId) -> Option<Point> {
+        self.position_at(node, self.now)
+    }
+
+    /// Position of `node` in this quantum's topology snapshot, if alive:
+    /// its current leg evaluated at the start of the quantum bucket
+    /// `now` falls in (a leg that departed later is still at its
+    /// origin). See [`World::topology`].
+    #[must_use]
+    pub fn snapshot_position(&self, node: NodeId) -> Option<Point> {
+        self.position_at(node, self.quantum_start())
+    }
+
+    fn position_at(&self, node: NodeId, at: SimTime) -> Option<Point> {
         self.nodes
             .idx(node)
             .filter(|&i| self.nodes.alive[i])
-            .map(|i| self.nodes.mobility[i].position(self.now))
+            .map(|i| self.nodes.mobility[i].position(at))
+    }
+
+    /// The start of the topology-quantum bucket `now` falls in (`now`
+    /// itself at a zero quantum).
+    fn quantum_start(&self) -> SimTime {
+        let quantum = self.config.topology_quantum.as_micros();
+        self.now
+            .as_micros()
+            .checked_div(quantum)
+            .map_or(self.now, |b| SimTime::from_micros(b * quantum))
     }
 
     /// All alive node ids, ascending.
@@ -398,9 +415,16 @@ impl<M: Clone + fmt::Debug> World<M> {
     // Topology queries
     // ------------------------------------------------------------------
 
-    /// A connectivity snapshot for the current instant, cached under the
-    /// key `(quantum bucket, topo_version)`: reused for the configured
-    /// quantum and until membership or mobility changes.
+    /// The connectivity snapshot of this quantum: the unit-disk graph of
+    /// the alive nodes at their [`snapshot_position`](World::snapshot_position)s,
+    /// each node's current leg evaluated at the quantum's start. It is a
+    /// pure function of the alive set, the [`MobilityState`]s and the
+    /// quantum bucket, so no query — a handler's, the oracle's, a
+    /// test's — can change what another one sees. Cached under the key
+    /// `(quantum bucket, topo_version)`; the version moves on a join, a
+    /// leave, and a mobility write that moves an alive node's position
+    /// at the cached snapshot's bucket (a waypoint arrival, a park, a
+    /// revive — not a parked node starting its first leg).
     ///
     /// The snapshot is built with the spatial-grid engine and carries
     /// its own resumable per-source traversals and memoized component
@@ -410,30 +434,25 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// need.
     ///
     /// A call that finds the key stale refreshes the snapshot by the
-    /// least that makes it the one a sweep of the alive nodes' positions
-    /// would build. While no node is en route and no [`MobilityState`]
-    /// was written since the snapshot was filled, every position it was
-    /// filled from still holds, so
+    /// least that makes it the one a sweep would build. Within the
+    /// snapshot's quantum, or across quanta while no node is en route,
+    /// every position it was filled from still holds except those the
+    /// change log names, so
     ///
     /// * a rotated bucket alone **re-keys** it — memoized traversals and
     ///   components stay, they are still answers about this graph;
-    /// * joins and leaves since then are **spliced** in, one node's
-    ///   links at a time and in the order they happened
-    ///   (`Topology::insert` / `remove`), which forgets the memo.
+    /// * joins, leaves and moved nodes (a leave, then a join) since then
+    ///   are **spliced** in, one node's links at a time and in the order
+    ///   they happened (`Topology::insert` / `remove`), which forgets the
+    ///   memo.
     ///
-    /// Anything else — a node moving, parked, revived, or more than
-    /// `SPLICE_LIMIT` membership changes at once — is a **sweep**
+    /// Anything else — a new quantum while some node is en route, or
+    /// more than `SPLICE_LIMIT` changes at once — is a **sweep**
     /// ([`Topology::rebuild`]) into the storage the stale snapshot held.
     /// The three are indistinguishable to every query; only
     /// [`snapshot_sweeps`](World::snapshot_sweeps) tells them apart.
     pub fn topology(&mut self) -> &Topology {
-        let quantum = self.config.topology_quantum.as_micros();
-        let bucket = self
-            .now
-            .as_micros()
-            .checked_div(quantum)
-            .map_or(self.now, |b| SimTime::from_micros(b * quantum));
-        let key = (bucket, self.topo_version);
+        let key = (self.quantum_start(), self.topo_version);
         if matches!(&self.topo_cache, Some((t, v, _)) if (*t, *v) == key) {
             self.metrics.perf_mut().topo_hits += 1;
         } else {
@@ -443,17 +462,17 @@ impl<M: Clone + fmt::Debug> World<M> {
         &self.topo_cache.as_ref().expect("cache just filled").2
     }
 
-    /// Makes `topo_cache` the snapshot of this instant, under `key`.
+    /// Makes `topo_cache` the snapshot of this quantum, under `key`.
     fn refresh_snapshot(&mut self, key: (SimTime, u64)) {
-        let (now, range) = (self.now, self.config.range);
+        let (bucket, range) = (key.0, self.config.range);
         let nodes = &self.nodes;
-        let position = |node: NodeId| nodes.mobility[node.index() as usize].position(now);
+        let position = |node: NodeId| nodes.mobility[node.index() as usize].position(bucket);
         let since = &mut self.since_snapshot;
-        let standing_still =
-            self.moving == 0 && !since.mobility_written && since.members.len() <= SPLICE_LIMIT;
         match &mut self.topo_cache {
-            Some((t, v, topo)) if standing_still => {
-                for &(node, joined) in &since.members {
+            Some((t, v, topo))
+                if since.len() <= SPLICE_LIMIT && (*t == bucket || self.moving == 0) =>
+            {
+                for &(node, joined) in since.iter() {
                     if joined {
                         topo.insert(node, position(node), range, position);
                     } else {
@@ -480,15 +499,15 @@ impl<M: Clone + fmt::Debug> World<M> {
                 }
             }
         }
-        since.members.clear();
-        since.mobility_written = false;
+        since.clear();
     }
 
     /// How many refreshes of the topology snapshot swept every alive
     /// node's position ([`Topology::build`] / [`Topology::rebuild`]) —
     /// the rest of [`PerfCounters::topo_builds`](crate::PerfCounters)
     /// were spliced or re-keyed (see [`World::topology`]). A world where
-    /// nobody ever moves sweeps once.
+    /// nobody ever moves sweeps once; a moving one at most once per
+    /// quantum, bar bursts of more than `SPLICE_LIMIT` changes.
     #[must_use]
     pub fn snapshot_sweeps(&self) -> u64 {
         self.sweeps
@@ -527,6 +546,12 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// Shortest-path hop count between two alive nodes.
     pub fn hops_between(&mut self, a: NodeId, b: NodeId) -> Option<u32> {
         self.topology().hops(a, b)
+    }
+
+    /// Whether `b` is at most `k` hops from `a`, looking no further
+    /// than `k` hops out (see [`Topology::within_hops`]).
+    pub fn within_hops(&mut self, a: NodeId, b: NodeId, k: u32) -> bool {
+        self.topology().within_hops(a, b, k)
     }
 
     /// The connected component containing `node`.
@@ -890,23 +915,30 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// stale, and this is what it lacks.
     fn membership_changed(&mut self, node: NodeId, joined: bool) {
         self.topo_version += 1;
-        let log = &mut self.since_snapshot.members;
+        let log = &mut self.since_snapshot;
         if log.len() <= SPLICE_LIMIT {
             log.push((node, joined));
         }
     }
 
     /// The one way a [`MobilityState`] is written once its node exists:
-    /// keeps the count of nodes en route and tells the snapshot that a
-    /// position may have changed under it.
+    /// keeps the count of nodes en route and, if the write moved an
+    /// alive node's position at the cached snapshot's bucket, logs the
+    /// node's links as stale (a leave, then a join). A write that moved
+    /// nothing there — a parked node starting a leg — leaves the
+    /// snapshot and its memo standing.
     fn write_mobility(&mut self, i: usize, write: impl FnOnce(&mut MobilityState)) {
+        let bucket = self.topo_cache.as_ref().map(|(t, ..)| *t);
         let state = &mut self.nodes.mobility[i];
-        let was_moving = state.is_moving();
+        let (was_moving, was_at) = (state.is_moving(), bucket.map(|b| state.position(b)));
         write(state);
         self.moving = self.moving + usize::from(state.is_moving()) - usize::from(was_moving);
-        self.since_snapshot.mobility_written = true;
         self.nodes.mobility_epoch[i] += 1;
-        self.topo_version += 1;
+        if self.nodes.alive[i] && was_at != bucket.map(|b| state.position(b)) {
+            let node = NodeId::new(i as u64);
+            self.membership_changed(node, false);
+            self.membership_changed(node, true);
+        }
     }
 
     /// Records a fault-plane crash of `node` (metrics + trace). The
@@ -1237,6 +1269,10 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
 
     fn hops_between(&mut self, a: NodeId, b: NodeId) -> Option<u32> {
         World::hops_between(self, a, b)
+    }
+
+    fn within_hops(&mut self, a: NodeId, b: NodeId, k: u32) -> bool {
+        World::within_hops(self, a, b, k)
     }
 
     fn nearest(

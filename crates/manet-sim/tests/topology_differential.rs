@@ -13,8 +13,8 @@ use manet_sim::faults::FaultPlan;
 use manet_sim::mobility::MobilityState;
 use manet_sim::topology::Topology;
 use manet_sim::{
-    Arena, IncrementalTopology, MsgCategory, Net, NodeId, Point, ProtocolCore, SendError, Sim,
-    SimDuration, SimRng, SimTime, WireShadow, World, WorldConfig,
+    Arena, IncrementalTopology, MobilityConfig, MsgCategory, Net, NodeId, Point, ProtocolCore,
+    SendError, Sim, SimDuration, SimRng, SimTime, WireShadow, World, WorldConfig,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -188,6 +188,42 @@ proptest! {
                     let got = snapshot.distances_from(a);
                     prop_assert_eq!(&got, &fresh.distances_from(a));
                     prop_assert_eq!(got, reference);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// `within_hops(a, b, k)` is `hops(a, b) <= k` — from a fresh
+    /// snapshot and from one whose traversals earlier queries (any
+    /// depth, either endpoint, `within_hops` itself) left half done —
+    /// for `a == b`, unreachable and unknown nodes alike.
+    #[test]
+    fn within_hops_is_hops_at_most_k(
+        n in 1usize..70,
+        range in 40.0f64..400.0,
+        seed in 0u64..1_000_000,
+        ops in proptest::collection::vec((0u8..3, 0usize..1000, 0usize..1000, 0usize..6), 1..40),
+    ) {
+        let nodes = random_layout(seed, n, 1000.0);
+        let snapshot = Topology::build(&nodes, range);
+        let fresh = Topology::build_naive(&nodes, range);
+        // One id past the last is never in the snapshot.
+        let id = |i: usize| NodeId::new((i % (n + 1)) as u64);
+        for (kind, a, b, k) in ops {
+            let (a, b, k) = (id(a), id(b), [0, 1, 2, 3, 5, u32::MAX][k]);
+            let want = fresh.hops(a, b).is_some_and(|h| h <= k);
+            match kind {
+                0 => prop_assert_eq!(snapshot.within_hops(a, b, k), want),
+                1 => prop_assert_eq!(
+                    Topology::build(&nodes, range).within_hops(a, b, k),
+                    want
+                ),
+                // Leave traversals from either end at some depth.
+                _ => {
+                    let _ = snapshot.within(b, k.min(4));
+                    let _ = snapshot.hops(a, b);
                 }
             }
         }
@@ -463,12 +499,13 @@ impl ProtocolCore for Inert {
 }
 
 /// The oracle for "what should the world's topology be right now":
-/// a naive build over the instantaneous alive positions.
+/// a naive build over the alive nodes at their current legs' positions
+/// at the quantum's start.
 fn oracle_of<M: Clone + std::fmt::Debug>(w: &mut World<M>) -> Topology {
     let positions: Vec<(NodeId, Point)> = w
         .alive_nodes()
         .into_iter()
-        .map(|n| (n, w.position(n).expect("alive")))
+        .map(|n| (n, w.snapshot_position(n).expect("alive")))
         .collect();
     Topology::build_naive(&positions, w.range())
 }
@@ -534,7 +571,7 @@ fn assert_world_matches_oracle<M: Clone + std::fmt::Debug>(w: &mut World<M>, whe
 /// Memoized world queries stay correct across every invalidation edge:
 /// a node join, a mobility retarget, crossing the topology quantum, and
 /// a node removal (crash). Each step re-checks against a fresh naive
-/// oracle over the world's instantaneous positions.
+/// oracle over the world's snapshot positions.
 #[test]
 fn world_cache_invalidates_on_membership_mobility_and_quantum() {
     let config = WorldConfig {
@@ -715,9 +752,202 @@ proptest! {
     }
 }
 
-/// What a static world pays: one sweep, whatever joins, leaves and
-/// quanta follow; a written mobility state (here a park) costs the next
-/// refresh a sweep and nothing after it.
+// ---------------------------------------------------------------------
+// A moving world: the snapshot at the quantum's start vs. the oracle
+// ---------------------------------------------------------------------
+
+/// A protocol whose traffic follows the topology it is shown: a joined
+/// node ticks at uneven intervals, starts moving on its first tick, and
+/// on every tick says hello to its one-hop neighbourhood and unicasts
+/// to the nearest node of its own id parity. A snapshot that moved
+/// under a query would move these deliveries.
+struct Chatter;
+
+impl ProtocolCore for Chatter {
+    type Msg = ();
+    fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
+        w.set_timer(
+            node,
+            SimDuration::from_micros(1 + node.index() * 7_919 % 90_000),
+            0,
+        );
+    }
+    fn on_message(&mut self, _w: &mut Net<'_, ()>, _to: NodeId, _from: NodeId, _m: ()) {}
+    fn on_timer(&mut self, w: &mut Net<'_, ()>, node: NodeId, _tag: u64) {
+        w.mark_configured(node);
+        let _ = w.broadcast_within(node, 1, MsgCategory::Hello, ());
+        let parity = node.index() % 2;
+        if let Some((to, _)) = w.nearest(node, &mut |n| n.index() % 2 == parity) {
+            let _ = w.unicast(node, to, MsgCategory::Maintenance, ());
+        }
+        let next = w.rng_range_u64(20_000..180_000);
+        w.set_timer(node, SimDuration::from_micros(next), 0);
+    }
+}
+
+/// One moving world and what is done to it.
+#[derive(Debug)]
+struct Moving {
+    seed: u64,
+    config: WorldConfig,
+    initial: usize,
+    dormant: usize,
+    /// `(kind, pick, microseconds)`.
+    ops: Vec<(u8, usize, u64)>,
+}
+
+/// Runs the events due by `until`, asking for the topology after every
+/// one of them when `eager`.
+fn advance(sim: &mut Sim<Chatter>, until: SimTime, eager: bool) {
+    while sim.step_until(until) {
+        if eager {
+            let _ = sim.world_mut().topology();
+        }
+    }
+}
+
+/// Spawns a node at a random point, counting it in `slots`.
+fn spawn(sim: &mut Sim<Chatter>, rng: &mut SimRng, slots: &mut u64) -> NodeId {
+    *slots += 1;
+    let arena = sim.world().arena();
+    sim.spawn_at(rng.point_in(&arena))
+}
+
+/// Plays `m`, checking every query and route against the oracle after
+/// every op; returns the run's metrics and event log, rendered.
+fn moving_run(m: &Moving, eager: bool) -> String {
+    let mut rng = SimRng::seed_from(m.seed);
+    let mut sim = Sim::new(m.config.clone(), Chatter);
+    sim.world_mut().enable_trace(1 << 22);
+    let probe = PathProbe::default();
+    sim.world_mut().set_wire_shadow(Box::new(probe.clone()));
+    let arena = sim.world().arena();
+    // Node ids are dense: every slot ever created is below this.
+    let mut slots = m.dormant as u64;
+    for _ in 0..m.initial {
+        spawn(&mut sim, &mut rng, &mut slots);
+    }
+    for i in 0..m.dormant as u64 {
+        sim.schedule_spawn_at(
+            SimTime::from_micros(7_000 + 211_000 * i),
+            rng.point_in(&arena),
+        );
+    }
+    let quantum = m.config.topology_quantum.as_micros().max(1);
+    for (step, &(kind, pick, us)) in m.ops.iter().enumerate() {
+        let now = sim.world().now();
+        let next_quantum = SimTime::from_micros((now.as_micros() / quantum + 1) * quantum);
+        let alive = sim.world().alive_nodes();
+        let someone = (!alive.is_empty()).then(|| alive[pick % alive.len()]);
+        match kind {
+            // Mid-quantum instants, and quantum starts exactly.
+            0..=2 => advance(&mut sim, now + SimDuration::from_micros(us), eager),
+            3 => advance(&mut sim, next_quantum, eager),
+            // Everyone stops at a quantum start nobody has asked about
+            // yet, dead nodes included: the world stands still (until
+            // a newcomer's first tick).
+            4 => {
+                advance(&mut sim, next_quantum, eager);
+                for slot in 0..slots {
+                    sim.world_mut().park_node(NodeId::new(slot));
+                }
+            }
+            5 => {
+                if let Some(n) = someone {
+                    sim.world_mut().remove_node(n);
+                }
+            }
+            // Any slot: moving, parked, dead or dormant.
+            6 => sim
+                .world_mut()
+                .park_node(NodeId::new((pick % (m.initial + m.dormant)) as u64)),
+            7 => {
+                spawn(&mut sim, &mut rng, &mut slots);
+            }
+            // A join cancelled by a leave before anyone looks.
+            8 => {
+                let n = spawn(&mut sim, &mut rng, &mut slots);
+                sim.world_mut().remove_node(n);
+            }
+            // Several changes between two queries.
+            9 => {
+                if let Some(n) = someone {
+                    sim.world_mut().park_node(n);
+                }
+                spawn(&mut sim, &mut rng, &mut slots);
+                if let Some(n) = someone {
+                    sim.world_mut().remove_node(n);
+                }
+            }
+            // More than a refresh splices.
+            _ => {
+                for _ in 0..20 {
+                    spawn(&mut sim, &mut rng, &mut slots);
+                }
+            }
+        }
+        let when = format!("{m:?} eager {eager} step {step} (op {kind})");
+        assert_world_matches_oracle(sim.world_mut(), &when);
+        assert_routes_match_oracle(sim.world_mut(), &probe, &when);
+    }
+    let w = sim.world();
+    format!("{}\n{}", w.metrics().to_json(), w.trace().to_jsonl())
+}
+
+proptest! {
+    /// Item 1's proof. In a world whose nodes move (legs start, end at
+    /// waypoints, are parked, crash and restart mid-quantum, nodes join
+    /// and leave between any two instants) every snapshot answers every
+    /// query like `build_naive` over the alive nodes at their positions
+    /// at the quantum's start; and asking for the snapshot after every
+    /// event as well changes nothing — the metrics and the event log are
+    /// byte-identical to the run that asked only at the ops. Quanta of
+    /// 100 ms, 37 ms and zero (a snapshot per instant).
+    #[test]
+    fn moving_world_refreshes_equal_the_oracle(
+        seed in 0u64..1_000_000,
+        speed_pick in 0usize..3,
+        quantum_pick in 0usize..3,
+        manhattan in any::<bool>(),
+        range_pick in 0usize..2,
+        initial in 12usize..30,
+        dormant in 2usize..8,
+        ops in proptest::collection::vec((0u8..11, 0usize..1000, 0u64..250_000), 6..24),
+    ) {
+        let mut rng = SimRng::seed_from(seed ^ 0xfa17);
+        let ms = SimDuration::from_millis;
+        let mut plan = FaultPlan::default();
+        for _ in 0..3 {
+            let node = NodeId::new(rng.range_u64(0..initial as u64));
+            let at = SimTime::ZERO + ms(rng.range_u64(1..3000));
+            let restart = rng.chance(0.7).then(|| at + ms(rng.range_u64(0..900)));
+            plan = plan.with_crash(node, at, restart);
+        }
+        let mobility = if manhattan { "manhattan:50" } else { "random-waypoint" };
+        let m = Moving {
+            seed,
+            config: WorldConfig {
+                arena: Arena::new(400.0, 400.0),
+                range: [150.0, 100.0][range_pick],
+                speed: [5.0, 20.0, 80.0][speed_pick],
+                mobility: MobilityConfig::parse(mobility).expect("a model"),
+                topology_quantum: [ms(100), ms(37), ms(0)][quantum_pick],
+                fault_plan: plan,
+                seed,
+                ..WorldConfig::default()
+            },
+            initial,
+            dormant,
+            ops,
+        };
+        let lazy = moving_run(&m, false);
+        prop_assert!(lazy == moving_run(&m, true), "{m:?}: asking every event moved the run");
+    }
+}
+
+/// What a static world pays: one sweep, whatever joins, leaves, parks
+/// and quanta follow; only more changes at once than a refresh splices
+/// cost another.
 #[test]
 fn static_world_sweeps_once_then_splices_and_rekeys() {
     let config = WorldConfig {
@@ -743,14 +973,16 @@ fn static_world_sweeps_once_then_splices_and_rekeys() {
     let builds = sim.world().metrics().perf().topo_builds;
     assert_eq!(builds, 1 + 47 + 5 + 1, "every refresh is still counted");
 
+    // A park writes a mobility state, but a node standing still stays
+    // where the snapshot has it: not even a refresh.
     sim.world_mut().park_node(ids[3]);
     assert_world_matches_oracle(sim.world_mut(), "after a park");
-    assert_eq!(sim.world().snapshot_sweeps(), 2);
+    assert_eq!(sim.world().metrics().perf().topo_builds, builds);
     let at = lattice_point(&mut rng);
     sim.spawn_at(at);
     sim.run_for(SimDuration::from_millis(250));
-    assert_world_matches_oracle(sim.world_mut(), "after the sweep");
-    assert_eq!(sim.world().snapshot_sweeps(), 2);
+    assert_world_matches_oracle(sim.world_mut(), "after a park and a join");
+    assert_eq!(sim.world().snapshot_sweeps(), 1);
 
     // More changes at once than a refresh will splice: one sweep.
     for _ in 0..40 {
@@ -758,67 +990,66 @@ fn static_world_sweeps_once_then_splices_and_rekeys() {
         sim.spawn_at(at);
     }
     assert_world_matches_oracle(sim.world_mut(), "after a burst of joins");
-    assert_eq!(sim.world().snapshot_sweeps(), 3);
+    assert_eq!(sim.world().snapshot_sweeps(), 2);
 }
 
-/// At speed 20 the world splices only until its first node is marked
-/// configured: from then on every refresh is the parent commit's sweep,
-/// and splicing resumes only after a sweep that found every node
-/// parked.
+/// `(topo_builds, snapshot_sweeps)` of a run so far.
+fn refreshes<P: ProtocolCore>(sim: &Sim<P>) -> (u64, u64) {
+    let w = sim.world();
+    (w.metrics().perf().topo_builds, w.snapshot_sweeps())
+}
+
+/// What a moving world pays: at most one sweep per quantum while nodes
+/// are en route, whatever joins, leaves, leg starts and waypoint
+/// arrivals happen inside it — those are spliced. Every node moves from
+/// the first query on, legs are short (a 300 m arena), and the queries
+/// fall mid-quantum.
 #[test]
-fn mobile_world_stops_splicing_at_the_first_configured_node() {
+fn moving_world_sweeps_once_per_quantum() {
     let config = WorldConfig {
+        arena: Arena::new(300.0, 300.0),
         speed: 20.0,
         ..WorldConfig::default()
     };
+    let quantum = config.topology_quantum.as_micros();
     let mut sim = Sim::new(config, Inert);
     let mut rng = SimRng::seed_from(5);
-    let mut ids = Vec::new();
-    for _ in 0..40 {
-        let at = lattice_point(&mut rng);
-        ids.push(sim.spawn_at(at));
+    let arena = sim.world().arena();
+    let mut ids: Vec<NodeId> = (0..40)
+        .map(|_| sim.spawn_at(rng.point_in(&arena)))
+        .collect();
+    for &n in &ids {
+        sim.world_mut().mark_configured(n);
+    }
+    let (builds0, sweeps0) = refreshes(&sim);
+    let first = sim.world().now().as_micros() / quantum;
+    for round in 0..90 {
+        sim.run_for(SimDuration::from_micros(23_000));
+        if round % 7 == 0 {
+            let n = sim.spawn_at(rng.point_in(&arena));
+            sim.world_mut().mark_configured(n);
+            ids.push(n);
+        }
+        if round % 11 == 0 {
+            sim.world_mut().remove_node(ids[round / 11 + 1]);
+        }
+        let _ = sim.world_mut().hops_between(ids[0], ids[round % ids.len()]);
         let _ = sim.world_mut().components();
     }
-    // Unconfigured nodes stand where they joined.
-    assert_eq!(sim.world().snapshot_sweeps(), 1);
-
-    let counts = |sim: &Sim<Inert>| {
-        let w = sim.world();
-        (w.metrics().perf().topo_builds, w.snapshot_sweeps())
-    };
-    let (builds0, sweeps0) = counts(&sim);
-    sim.world_mut().mark_configured(ids[7]);
-    for round in 0..6 {
-        sim.run_for(SimDuration::from_millis(120));
-        if round == 2 {
-            let at = lattice_point(&mut rng);
-            ids.push(sim.spawn_at(at));
-        }
-        if round == 4 {
-            sim.world_mut().remove_node(ids[9]);
-        }
-        assert_world_matches_oracle(sim.world_mut(), "one node en route");
-    }
-    let (builds1, sweeps1) = counts(&sim);
-    assert!(builds1 - builds0 >= 6);
-    assert_eq!(sweeps1 - sweeps0, builds1 - builds0, "every refresh swept");
-
-    // Parking is itself a write: the next refresh sweeps once more.
-    for &n in &ids {
-        sim.world_mut().park_node(n);
-    }
-    assert_world_matches_oracle(sim.world_mut(), "everyone parked");
-    let (builds2, sweeps2) = counts(&sim);
-    assert_eq!((builds2 - builds1, sweeps2 - sweeps1), (1, 1));
-    for _ in 0..4 {
-        sim.run_for(SimDuration::from_millis(120));
-        let at = lattice_point(&mut rng);
-        sim.spawn_at(at);
-        assert_world_matches_oracle(sim.world_mut(), "static again");
-    }
-    let (builds3, sweeps3) = counts(&sim);
-    assert!(builds3 - builds2 >= 4);
-    assert_eq!(sweeps3, sweeps2, "spliced and re-keyed from here");
+    assert_world_matches_oracle(sim.world_mut(), "after 2 s en route");
+    let quanta = sim.world().now().as_micros() / quantum - first + 1;
+    let (builds, sweeps) = refreshes(&sim);
+    assert!(
+        sweeps - sweeps0 <= quanta,
+        "{} sweeps in {quanta} quanta",
+        sweeps - sweeps0
+    );
+    assert!(
+        builds - builds0 > sweeps - sweeps0 + 10,
+        "joins, leaves and arrivals inside a quantum are spliced: {} refreshes, {} sweeps",
+        builds - builds0,
+        sweeps - sweeps0
+    );
 }
 
 /// Within one quantum with no membership or mobility change, repeated
@@ -840,8 +1071,9 @@ fn world_queries_stable_within_a_quantum() {
     }
 }
 
-/// Parked-vs-moving: a mobility park bumps the version even though the
-/// quantum bucket is unchanged.
+/// Parked-vs-moving: parking a node mid-quantum moves it in the
+/// snapshot — from where its leg had it at the quantum's start to where
+/// it stopped — though the bucket is unchanged.
 #[test]
 fn world_cache_invalidates_on_park() {
     let config = WorldConfig {
@@ -855,9 +1087,11 @@ fn world_cache_invalidates_on_park() {
     for &n in &ids {
         sim.world_mut().mark_configured(n);
     }
-    sim.run_for(SimDuration::from_secs(2));
+    sim.run_for(SimDuration::from_millis(2_050));
     let _ = sim.world_mut().components();
+    let before = sim.world().snapshot_position(ids[3]);
     sim.world_mut().park_node(ids[3]);
+    assert_ne!(sim.world().snapshot_position(ids[3]), before);
     assert_world_matches_oracle(sim.world_mut(), "after park");
 }
 

@@ -159,11 +159,14 @@ pub struct PerfCounters {
     pub queue_high_water: u64,
     /// Topology snapshot refreshes (swept, spliced or re-keyed): every
     /// query that found the snapshot's `(quantum, version)` key stale,
-    /// however little it took to make it current. An engine that
-    /// refreshes by less must not move this value — it is rendered into
+    /// however little it took to make it current. The version moves on a
+    /// join, a leave and a mobility write that moved a node in the
+    /// snapshot, so this counts what changed between queries, not what
+    /// a refresh cost — that is told apart elsewhere
+    /// (`World::snapshot_sweeps`). It is rendered into
     /// `BENCH_sweep.json`, `BENCH_scale.json` and the benchmark's
-    /// behaviour digests — so what a refresh cost is told apart
-    /// elsewhere (`World::snapshot_sweeps`).
+    /// behaviour digests: an engine that refreshes by less must not move
+    /// it.
     pub topo_builds: u64,
     /// Topology queries served from the cached snapshot.
     pub topo_hits: u64,

@@ -68,6 +68,11 @@ pub trait NetBackend<M> {
     /// Shortest-path hop count between two nodes, if connected.
     fn hops_between(&mut self, a: NodeId, b: NodeId) -> Option<u32>;
 
+    /// Whether `b` is at most `k` hops from `a` — the answer of
+    /// `hops_between(a, b).is_some_and(|h| h <= k)`, without looking
+    /// further than `k` hops from `a`.
+    fn within_hops(&mut self, a: NodeId, b: NodeId, k: u32) -> bool;
+
     /// The alive node other than `node` nearest to it that satisfies
     /// `pred` — fewest hops, lowest id among equals — with its distance.
     /// Candidates are offered in exactly that order and the search stops

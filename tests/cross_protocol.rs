@@ -137,24 +137,38 @@ fn duplicate_count(assigned: &[(NodeId, Addr)]) -> usize {
 }
 
 /// End-of-run uniqueness/leak regression under chaos, pinned to three
-/// seeds: the quorum protocol stays exact (everyone configured, zero
-/// duplicates, zero leaked addresses) while the baselines reproduce the
-/// paper's failure modes — duplicate addresses (MANETconf, C-tree) and
-/// leaked space after an abrupt head death (buddy). The baseline pins
-/// are exact because runs are deterministic per seed; if one moves, a
-/// protocol or simulator change altered chaos behavior and the figures
-/// need re-auditing.
+/// seeds: the quorum protocol stays exact (zero duplicates, zero leaked
+/// addresses) while the baselines reproduce the paper's failure modes —
+/// duplicate addresses (MANETconf, C-tree) and leaked space after an
+/// abrupt head death (buddy). The pins are exact because runs are
+/// deterministic per seed; if one moves, a protocol or simulator change
+/// altered chaos behavior and the figures need re-auditing.
+///
+/// Last moved when the topology snapshot moved from the instant its
+/// quantum's first query came to the quantum's start (these cells run
+/// at 20 m/s): MANETconf 1 → 7 on seed 41 and 0 → 2 on seed 42, and on
+/// seed 42 quorum configures 24 of 25 (was 25). The parent with only
+/// the snapshot's instant changed runs seed 42 byte for byte like this
+/// commit. Node 16 is the one left: the plan's 20 % link loss dropped all
+/// five assignments sent to it. The plan has no partition or jam, so no
+/// fault consults a position. Its eighth try, 1.3 s before the run ends,
+/// finds no head in its component, and the ninth would come after the
+/// end. Whether every node ends configured under this plan is chaos
+/// noise, not a trend. Over seeds 41–4040 quorum configures everyone
+/// on 3376 → 3370 seeds: 152 seeds flip one way and 146 the other. Over
+/// 41–140, MANETconf's duplicates total 132 → 137 and C-tree's 353 → 353,
+/// and quorum has no duplicate and no leak on any seed, before or after.
 #[test]
 fn chaos_uniqueness_and_leak_regression() {
-    for (seed, mc_dups, ct_dups, buddy_leak_floor) in [
-        (41u64, 1, 5, 10_000),
-        (42, 0, 3, 10_000),
-        (43, 1, 3, 10_000),
+    for (seed, q_configured, mc_dups, ct_dups, buddy_leak_floor) in [
+        (41u64, 25, 7, 5, 10_000),
+        (42, 24, 2, 3, 10_000),
+        (43, 25, 1, 3, 10_000),
     ] {
         let mut report = run_scenario(&chaos_scen(seed), Qbac::new(ProtocolConfig::default()));
         assert_eq!(
             report.metrics().configured_nodes(),
-            25,
+            q_configured,
             "quorum seed {seed}"
         );
         let (w, p) = report.sim_mut().parts_mut();
