@@ -12,7 +12,7 @@
 
 use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
 };
 use std::collections::HashMap;
 
@@ -88,7 +88,9 @@ const TAG_JOIN_RETRY: u64 = 2;
 #[derive(Debug)]
 pub struct Buddy {
     cfg: BuddyConfig,
-    nodes: HashMap<NodeId, BuddyNode>,
+    /// Every configured node's address and pool: all the conformance
+    /// views read.
+    nodes: Versioned<HashMap<NodeId, BuddyNode>>,
     joining: HashMap<NodeId, (u32, u32)>, // (attempts, hops)
 }
 
@@ -98,7 +100,7 @@ impl Buddy {
     pub fn new(cfg: BuddyConfig) -> Self {
         Buddy {
             cfg,
-            nodes: HashMap::new(),
+            nodes: Versioned::default(),
             joining: HashMap::new(),
         }
     }
@@ -107,6 +109,13 @@ impl Buddy {
     #[must_use]
     pub fn ip_of(&self, node: NodeId) -> Option<Addr> {
         self.nodes.get(&node).map(|n| n.ip)
+    }
+
+    /// Moves whenever the state [`assigned`](Self::assigned) and
+    /// [`pool_views`](Self::pool_views) read may have changed.
+    #[must_use]
+    pub fn allocation_version(&self) -> u64 {
+        self.nodes.version()
     }
 
     /// Addresses of every alive configured node.

@@ -14,7 +14,7 @@
 use addrspace::fragmentation::{self, FragmentationReport};
 use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
 };
 use std::collections::HashMap;
 
@@ -125,7 +125,9 @@ const TAG_ROOT_SCAN: u64 = 3;
 #[derive(Debug)]
 pub struct CTree {
     cfg: CTreeConfig,
-    roles: HashMap<NodeId, CtRole>,
+    /// Every node's role, coordinators' pools included: all the
+    /// conformance views read.
+    roles: Versioned<HashMap<NodeId, CtRole>>,
     root: Option<NodeId>,
     root_view: RootView,
     reclaiming: HashMap<NodeId, Vec<(Addr, NodeId)>>,
@@ -137,7 +139,7 @@ impl CTree {
     pub fn new(cfg: CTreeConfig) -> Self {
         CTree {
             cfg,
-            roles: HashMap::new(),
+            roles: Versioned::default(),
             root: None,
             root_view: RootView::default(),
             reclaiming: HashMap::new(),
@@ -157,6 +159,13 @@ impl CTree {
             Some(CtRole::Member { ip, .. }) | Some(CtRole::Coordinator { ip, .. }) => Some(*ip),
             _ => None,
         }
+    }
+
+    /// Moves whenever the state [`assigned`](Self::assigned) and
+    /// [`pool_views`](Self::pool_views) read may have changed.
+    #[must_use]
+    pub fn allocation_version(&self) -> u64 {
+        self.roles.version()
     }
 
     /// Addresses of every alive configured node.
@@ -183,7 +192,7 @@ impl CTree {
     pub fn leak_audit<B: NetBackend<CtMsg> + ?Sized>(&self, w: &B) -> (u64, u64) {
         let mut leaked = 0;
         let mut tracked = 0;
-        for (n, role) in &self.roles {
+        for (n, role) in self.roles.iter() {
             if let CtRole::Coordinator { pool, .. } = role {
                 tracked += pool.total_len();
                 if !w.is_alive(*n) && !self.reclaiming.contains_key(n) {

@@ -13,7 +13,7 @@
 
 use addrspace::{Addr, AddrBlock};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
 };
 use std::collections::HashMap;
 
@@ -105,7 +105,8 @@ const TAG_ROUND: u64 = 1;
 #[derive(Debug)]
 pub struct QueryDad {
     cfg: DadConfig,
-    configured: HashMap<NodeId, Addr>,
+    /// Every configured node's address: all the conformance view reads.
+    configured: Versioned<HashMap<NodeId, Addr>>,
     probing: HashMap<NodeId, Probe>,
 }
 
@@ -115,7 +116,7 @@ impl QueryDad {
     pub fn new(cfg: DadConfig) -> Self {
         QueryDad {
             cfg,
-            configured: HashMap::new(),
+            configured: Versioned::default(),
             probing: HashMap::new(),
         }
     }
@@ -124,6 +125,13 @@ impl QueryDad {
     #[must_use]
     pub fn ip_of(&self, node: NodeId) -> Option<Addr> {
         self.configured.get(&node).copied()
+    }
+
+    /// Moves whenever the state [`assigned`](Self::assigned) reads may
+    /// have changed.
+    #[must_use]
+    pub fn allocation_version(&self) -> u64 {
+        self.configured.version()
     }
 
     /// Addresses of every alive configured node.

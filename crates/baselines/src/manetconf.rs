@@ -11,6 +11,7 @@
 use addrspace::{Addr, AddrBlock, AddrStatus, AllocationTable};
 use proto_io::{
     FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, SimTime,
+    Versioned,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -113,7 +114,8 @@ const TAG_JOIN_RETRY: u64 = 2;
 #[derive(Debug)]
 pub struct ManetConf {
     cfg: ManetConfConfig,
-    roles: HashMap<NodeId, McRole>,
+    /// Every node's role and address: all the conformance view reads.
+    roles: Versioned<HashMap<NodeId, McRole>>,
     tables: HashMap<NodeId, AllocationTable>,
     pending: HashMap<NodeId, PendingInit>, // keyed by initiator
     /// Tentative per-node reservations: a confirmed `Initiator_Request`
@@ -130,7 +132,7 @@ impl ManetConf {
         let hint = cfg.space.base();
         ManetConf {
             cfg,
-            roles: HashMap::new(),
+            roles: Versioned::default(),
             tables: HashMap::new(),
             pending: HashMap::new(),
             reservations: HashMap::new(),
@@ -176,6 +178,13 @@ impl ManetConf {
             }
         }
         (leaked, tracked)
+    }
+
+    /// Moves whenever the state [`assigned`](Self::assigned) reads may
+    /// have changed.
+    #[must_use]
+    pub fn allocation_version(&self) -> u64 {
+        self.roles.version()
     }
 
     /// Addresses of every alive configured node.

@@ -85,9 +85,19 @@ pub fn partition_free(plan: &FaultPlan) -> bool {
 /// any fixed order with each key once. The checker asserts the
 /// orderings in debug builds, on the steps whose view changed.
 ///
+/// [`views_generation`] lets the checker skip building the views at
+/// all. Its contract: the value must move whenever any of the three
+/// views may change because of `self`. What the views read of the world
+/// — which nodes are alive and configured — is the checker's job: it
+/// pairs the generation with [`World::roster_version`]. A
+/// [`proto_io::Versioned`] around the state the views read meets the
+/// contract with no call site to remember. The default, `None`, means
+/// "unknown" and rebuilds the views on every step.
+///
 /// [`assigned_pairs`]: ConformanceAdapter::assigned_pairs
 /// [`pool_views`]: ConformanceAdapter::pool_views
 /// [`stamp_views`]: ConformanceAdapter::stamp_views
+/// [`views_generation`]: ConformanceAdapter::views_generation
 pub trait ConformanceAdapter: ProtocolCore + Sized {
     /// A fresh instance with default parameters.
     fn fresh() -> Self;
@@ -112,6 +122,13 @@ pub trait ConformanceAdapter: ProtocolCore + Sized {
     fn stamp_views(&self, w: &World<Self::Msg>) -> Vec<((NodeId, NodeId, Addr), u64)> {
         let _ = w;
         Vec::new()
+    }
+
+    /// A value that moves whenever the protocol state the three views
+    /// read may have changed, or `None` if the protocol does not track
+    /// it.
+    fn views_generation(&self) -> Option<u64> {
+        None
     }
 }
 

@@ -84,6 +84,10 @@ impl ConformanceAdapter for Qbac {
             .filter(|((holder, _, _), _)| w.attack_assigned(*holder).is_none())
             .collect()
     }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.allocation_version())
+    }
 }
 
 /// Drops nodes the fault plan designates as attackers from a checked
@@ -148,6 +152,10 @@ impl ConformanceAdapter for ManetConf {
     fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
         configured_only(w, self.assigned(w))
     }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.allocation_version())
+    }
 }
 
 impl ConformanceAdapter for Buddy {
@@ -169,6 +177,10 @@ impl ConformanceAdapter for Buddy {
 
     fn pool_views(&self, w: &World<Self::Msg>) -> Vec<(NodeId, PoolView)> {
         Buddy::pool_views(self, w)
+    }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.allocation_version())
     }
 }
 
@@ -192,6 +204,10 @@ impl ConformanceAdapter for CTree {
     fn pool_views(&self, w: &World<Self::Msg>) -> Vec<(NodeId, PoolView)> {
         CTree::pool_views(self, w)
     }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.allocation_version())
+    }
 }
 
 impl ConformanceAdapter for QueryDad {
@@ -214,5 +230,9 @@ impl ConformanceAdapter for QueryDad {
 
     fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
         configured_only(w, self.assigned(w))
+    }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.allocation_version())
     }
 }

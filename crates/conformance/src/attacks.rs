@@ -87,6 +87,10 @@ impl ConformanceAdapter for HardenedQbac {
     fn stamp_views(&self, w: &World<Msg>) -> Vec<((NodeId, NodeId, Addr), u64)> {
         <Qbac as ConformanceAdapter>::stamp_views(&self.0, w)
     }
+
+    fn views_generation(&self) -> Option<u64> {
+        <Qbac as ConformanceAdapter>::views_generation(&self.0)
+    }
 }
 
 /// One pinned adversarial schedule proving the oracle sees an attack

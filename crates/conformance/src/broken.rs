@@ -15,7 +15,7 @@ use crate::adapter::{ConformanceAdapter, Guarantees};
 use addrspace::{Addr, AddrBlock};
 use manet_sim::faults::FaultPlan;
 use manet_sim::{MsgCategory, NodeId, ProtocolCore, SimDuration, World};
-use proto_io::Net;
+use proto_io::{Net, Versioned};
 use std::collections::HashMap;
 
 /// Wire messages of the broken allocator.
@@ -39,7 +39,7 @@ pub struct DoubleGrant {
     server: Option<NodeId>,
     /// Offset of the next address to hand out; advanced on `Ack` only.
     cursor: u32,
-    assigned: HashMap<NodeId, Addr>,
+    assigned: Versioned<HashMap<NodeId, Addr>>,
 }
 
 const RETRY: SimDuration = SimDuration::from_micros(600_000);
@@ -52,7 +52,7 @@ impl DoubleGrant {
             space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
             server: None,
             cursor: 1,
-            assigned: HashMap::new(),
+            assigned: Versioned::default(),
         }
     }
 
@@ -147,6 +147,10 @@ impl ConformanceAdapter for DoubleGrant {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    fn views_generation(&self) -> Option<u64> {
+        Some(self.assigned.version())
     }
 }
 

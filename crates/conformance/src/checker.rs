@@ -147,6 +147,15 @@ fn in_contact<M: Clone + fmt::Debug>(w: &mut World<M>, a: NodeId, b: NodeId) -> 
 ///
 /// It keeps the previous step's three adapter views: what `grant-stable`
 /// and `stamp-monotonic` compare against, and the memo key of the rest.
+/// Most steps do not build them at all: when the adapter's
+/// [`views_generation`](ConformanceAdapter::views_generation) and the
+/// world's [`roster_version`](World::roster_version) are the pair the
+/// last clean check stored, nothing the views read was written since,
+/// so they are the stored ones (debug builds rebuild them anyway and
+/// assert that). Such a step still walks the candidate lists below, so
+/// grace clocks keep maturing. The pair is stored only on `Ok`, so a
+/// step after a violation always rebuilds.
+///
 /// A view is a deterministic function of protocol state, so
 /// `grant-stable` (reads `assigned`), pool accounting (`views`) and
 /// `stamp-monotonic` (`stamps`) run only on a step whose view differs
@@ -187,6 +196,12 @@ pub struct Checker {
     /// Entries of `gaps` whose owner and holder are in contact.
     uncovered: Grace<(NodeId, NodeId, Addr)>,
     near_miss: NearMiss,
+    /// `(views_generation, roster_version)` at the last clean check;
+    /// `None` before one, after a violation, or for an adapter that
+    /// does not track its state.
+    clean_at: Option<(u64, u64)>,
+    /// Checks that built the views.
+    rebuilds: u64,
 }
 
 impl Checker {
@@ -204,6 +219,31 @@ impl Checker {
     #[must_use]
     pub fn near_miss(&self) -> NearMiss {
         self.near_miss
+    }
+
+    /// How many checks built the adapter views; the rest found the
+    /// state they read unwritten and reused the stored ones.
+    #[must_use]
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// `true` when some claimed invariant reads the pool views.
+    fn reads_pools(&self) -> bool {
+        self.g.pool_accounting || self.g.pool_disjoint || self.g.assigned_covered
+    }
+
+    /// The views `p` shows now are the stored ones: what a skipped step
+    /// takes on trust.
+    fn assert_views_stored<P: ConformanceAdapter>(&self, w: &World<P::Msg>, p: &P) {
+        let stale = "a view changed while its generation and the roster stood still";
+        assert_eq!(p.assigned_pairs(w), self.assigned, "{stale}");
+        if self.reads_pools() {
+            assert_eq!(p.pool_views(w), self.views, "{stale}");
+        }
+        if self.g.stamps_monotonic {
+            assert_eq!(p.stamp_views(w), self.stamps, "{stale}");
+        }
     }
 
     /// Checks every claimed invariant against the current state.
@@ -225,8 +265,16 @@ impl Checker {
             })
         };
         let now = w.now();
-        let assigned = p.assigned_pairs(w);
-        if assigned != self.assigned {
+        let key = p.views_generation().map(|g| (g, w.roster_version()));
+        let rebuild = key.is_none() || key != self.clean_at.take();
+        if rebuild {
+            self.rebuilds += 1;
+        } else if cfg!(debug_assertions) {
+            self.assert_views_stored(w, p);
+        }
+
+        let changed = rebuild.then(|| p.assigned_pairs(w));
+        if let Some(assigned) = changed.filter(|a| *a != self.assigned) {
             debug_assert!(ascending(&assigned, |e| e.0), "assigned_pairs unsorted");
             if self.g.grant_stable {
                 // Nodes that died or re-initialized are missing from one
@@ -295,9 +343,9 @@ impl Checker {
             self.dup_holders.commit();
         }
 
-        if self.g.pool_accounting || self.g.pool_disjoint || self.g.assigned_covered {
-            let views = p.pool_views(w);
-            if views != self.views {
+        if self.reads_pools() {
+            let changed = rebuild.then(|| p.pool_views(w));
+            if let Some(views) = changed.filter(|v| *v != self.views) {
                 debug_assert!(ascending(&views, |e| e.0), "pool_views unsorted");
                 if self.g.pool_accounting {
                     for (owner, v) in &views {
@@ -412,7 +460,7 @@ impl Checker {
             self.uncovered.commit();
         }
 
-        if self.g.stamps_monotonic {
+        if self.g.stamps_monotonic && rebuild {
             let stamps = p.stamp_views(w);
             if stamps != self.stamps {
                 // The step before's records, in key order for lookup. A
@@ -443,6 +491,7 @@ impl Checker {
             }
         }
 
+        self.clean_at = key;
         Ok(())
     }
 }

@@ -2,21 +2,24 @@
 //! scripted adapter: the test hands in the three views, no protocol
 //! runs, and only the world's clock and topology move.
 //!
-//! Every scenario runs twice. The frozen run shows the checker views
-//! that change only when the script says so, so unchanged steps take
-//! the memo's skips; the jittered run adds one inert entry (a dead node
-//! with an address outside every block, an owner of nothing, a lone
+//! Every scenario runs three times. The frozen run shows the checker
+//! views that change only when the script says so, so unchanged steps
+//! take the memo's skips; the jittered run adds one inert entry (a dead
+//! node with an address outside every block, an owner of nothing, a lone
 //! stamp) to each view on every other call, so no step ever equals the
 //! one before and every section is re-derived from scratch — the
-//! un-memoised evaluation. The two must agree on every verdict, step,
-//! detail string and standing time.
+//! un-memoised evaluation; the versioned run is the frozen one with a
+//! views generation that moves on every write of the script, so
+//! unchanged steps do not even build the views. The three must agree on
+//! every verdict, step, detail string and standing time.
 
 use addrspace::{Addr, AddrBlock, PoolView};
 use conformance::{Checker, ConformanceAdapter, Guarantees, Invariant, NearMiss, Violation};
 use manet_sim::faults::FaultPlan;
 use manet_sim::{NodeId, Point, ProtocolCore, Sim, SimDuration, SimTime, World, WorldConfig};
-use proto_io::Net;
+use proto_io::{Net, Versioned};
 use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 
 #[derive(Debug, Clone)]
 struct NoMsg;
@@ -24,13 +27,32 @@ impl proto_io::ProtoMsg for NoMsg {}
 
 type Stamps = Vec<((NodeId, NodeId, Addr), u64)>;
 
-/// An adapter whose views are whatever the test last wrote.
+/// The three views, as the script last wrote them.
 #[derive(Debug, Default)]
-struct Scripted {
+struct Views {
     assigned: Vec<(NodeId, Addr)>,
     views: Vec<(NodeId, PoolView)>,
     stamps: Stamps,
-    jitter: bool,
+}
+
+/// How a run shows its views to the checker.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+enum Mode {
+    /// As written, with no generation.
+    #[default]
+    Frozen,
+    /// With an inert entry on every other call.
+    Jittered,
+    /// As written, with the generation of the script's writes.
+    Versioned,
+}
+
+/// An adapter whose views are whatever the test last wrote. The script
+/// writes through `DerefMut`, so every write moves the generation.
+#[derive(Debug, Default)]
+struct Scripted {
+    written: Versioned<Views>,
+    mode: Mode,
     /// Calls so far of each of the three view methods.
     calls: [Cell<u64>; 3],
 }
@@ -40,7 +62,20 @@ impl Scripted {
     fn odd_call(&self, which: usize) -> bool {
         let calls = &self.calls[which];
         calls.set(calls.get() + 1);
-        self.jitter && calls.get() % 2 == 1
+        self.mode == Mode::Jittered && calls.get() % 2 == 1
+    }
+}
+
+impl Deref for Scripted {
+    type Target = Views;
+    fn deref(&self) -> &Views {
+        &self.written
+    }
+}
+
+impl DerefMut for Scripted {
+    fn deref_mut(&mut self) -> &mut Views {
+        &mut self.written
     }
 }
 
@@ -80,6 +115,9 @@ impl ConformanceAdapter for Scripted {
             v.push(((NodeId::new(9_002), NodeId::new(9_002), addr(60_000)), 1));
         }
         v
+    }
+    fn views_generation(&self) -> Option<u64> {
+        (self.mode == Mode::Versioned).then(|| self.written.version())
     }
 }
 
@@ -133,21 +171,22 @@ struct Outcome {
 /// Spawns `nodes`, then checks at step 0 and after each of `steps`
 /// 100 ms ticks; `script(step, sim)` runs before the tick's check. The
 /// run does not stop at a violation: every failing check is recorded.
+/// Also returns how many checks built the views.
 fn drive(
-    jitter: bool,
+    mode: Mode,
     plan: &str,
     nodes: &[Point],
     watch: (u64, u64),
     steps: u64,
     script: impl Fn(u64, &mut Sim<Scripted>),
-) -> Outcome {
+) -> (Outcome, u64) {
     let wc = WorldConfig {
         speed: 0.0,
         fault_plan: FaultPlan::parse(plan).expect("plan parses"),
         ..WorldConfig::default()
     };
     let mut sim = Sim::new(wc, Scripted::default());
-    sim.protocol_mut().jitter = jitter;
+    sim.protocol_mut().mode = mode;
     for pos in nodes {
         sim.spawn_at(*pos);
     }
@@ -171,21 +210,28 @@ fn drive(
         out.errors.extend(checker.check(step, w, &*p).err());
     }
     out.near_miss = checker.near_miss();
-    out
+    (out, checker.rebuilds())
 }
 
-/// Runs the scenario frozen and jittered, demands they agree, and
-/// returns the one outcome.
-fn both(
+/// Runs the scenario frozen, jittered and versioned, demands they agree,
+/// and returns the one outcome.
+fn all_three(
     plan: &str,
     nodes: &[Point],
     watch: (u64, u64),
     steps: u64,
     script: impl Fn(u64, &mut Sim<Scripted>),
 ) -> Outcome {
-    let frozen = drive(false, plan, nodes, watch, steps, &script);
-    let jittered = drive(true, plan, nodes, watch, steps, &script);
+    let (frozen, built) = drive(Mode::Frozen, plan, nodes, watch, steps, &script);
+    assert_eq!(built, steps + 1, "with no generation every check builds");
+    let (jittered, _) = drive(Mode::Jittered, plan, nodes, watch, steps, &script);
     assert_eq!(frozen, jittered, "memoised and full evaluation disagree");
+    let (versioned, built) = drive(Mode::Versioned, plan, nodes, watch, steps, &script);
+    assert_eq!(frozen, versioned, "skipped and rebuilt views disagree");
+    assert!(
+        built < steps / 2,
+        "{built} of {steps} checks built the views"
+    );
     frozen
 }
 
@@ -205,7 +251,7 @@ fn duplicate_script(step: u64, sim: &mut Sim<Scripted>) {
 fn duplicate_across_components_matures_after_contact() {
     // 400 m apart: two components until a bridge spawns at step 20.
     let nodes = [Point::new(300.0, 500.0), Point::new(700.0, 500.0)];
-    let out = both("seed 1\n", &nodes, (0, 1), 80, |step, sim| {
+    let out = all_three("seed 1\n", &nodes, (0, 1), 80, |step, sim| {
         duplicate_script(step, sim);
         if step == 20 {
             for x in [400.0, 500.0, 600.0] {
@@ -225,7 +271,7 @@ fn duplicate_across_components_matures_after_contact() {
 #[test]
 fn standing_duplicate_matures_though_no_view_ever_changes() {
     let nodes = [Point::new(450.0, 500.0), Point::new(550.0, 500.0)];
-    let out = both("seed 1\n", &nodes, (0, 1), 60, duplicate_script);
+    let out = all_three("seed 1\n", &nodes, (0, 1), 60, duplicate_script);
     assert_eq!(out.contact, Some(0));
     assert_eq!(out.errors[0].step, matures(0));
     assert_eq!(out.near_miss.dup_standing, GRACE + TICK * (60 - 50));
@@ -237,7 +283,7 @@ fn partition_excuses_a_duplicate_until_it_heals() {
     // holders apart for the first three seconds.
     let nodes = [Point::new(450.0, 500.0), Point::new(550.0, 500.0)];
     let plan = "seed 1\npartition x=500 from 0s heal 3s\n";
-    let out = both(plan, &nodes, (0, 1), 90, duplicate_script);
+    let out = all_three(plan, &nodes, (0, 1), 90, duplicate_script);
     let contact = out.contact.expect("the partition heals");
     assert!((29..=31).contains(&contact), "healed at {contact}");
     assert_eq!(out.errors[0].step, matures(contact));
@@ -246,7 +292,7 @@ fn partition_excuses_a_duplicate_until_it_heals() {
 #[test]
 fn a_violation_is_reported_again_on_the_next_call() {
     let nodes = [Point::new(450.0, 500.0), Point::new(550.0, 500.0)];
-    let out = both("seed 1\n", &nodes, (0, 1), 70, |step, sim| {
+    let out = all_three("seed 1\n", &nodes, (0, 1), 70, |step, sim| {
         duplicate_script(step, sim);
         let p = sim.protocol_mut();
         match step {
@@ -288,7 +334,7 @@ fn standing_times_of_all_three_families_survive_the_memo() {
     let nodes: Vec<Point> = (0..4)
         .map(|i| Point::new(400.0 + 60.0 * f64::from(i), 500.0))
         .collect();
-    let out = both("seed 1\n", &nodes, (0, 1), 40, |step, sim| {
+    let out = all_three("seed 1\n", &nodes, (0, 1), 40, |step, sim| {
         let p = sim.protocol_mut();
         if step == 0 {
             p.assigned = vec![(NodeId::new(2), addr(101)), (NodeId::new(3), addr(101))];
@@ -331,7 +377,7 @@ fn a_failing_pass_is_abandoned_not_half_committed() {
         Point::new(350.0, 600.0),
     ];
     let plan = "seed 1\npartition x=500 from 5150ms heal 5250ms\n";
-    let out = both(plan, &nodes, (0, 1), 110, |step, sim| {
+    let out = all_three(plan, &nodes, (0, 1), 110, |step, sim| {
         let held = |n, a| (NodeId::new(n), addr(a));
         match step {
             0 => sim.protocol_mut().assigned = vec![held(0, 7), held(1, 7), held(2, 9), held(3, 9)],

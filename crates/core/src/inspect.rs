@@ -19,6 +19,14 @@ pub struct DuplicateAddress {
 }
 
 impl Qbac {
+    /// Moves whenever the state [`assigned`](Self::assigned),
+    /// [`pool_views`](Self::pool_views) and
+    /// [`stamp_views`](Self::stamp_views) read may have changed.
+    #[must_use]
+    pub fn allocation_version(&self) -> u64 {
+        self.roles.version()
+    }
+
     /// Addresses of every alive configured node.
     #[must_use]
     pub fn assigned<B: NetBackend<Msg> + ?Sized>(&self, w: &B) -> Vec<(NodeId, Addr)> {

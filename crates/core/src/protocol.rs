@@ -3,7 +3,7 @@ use crate::params::{AllocatorChoice, ProtocolConfig};
 use crate::roles::{HeadState, JoinState, NodeRole};
 use crate::vote::PendingVote;
 use addrspace::{Addr, AddressPool};
-use proto_io::{FlowKind, FlowStage, MsgCategory, Net, NodeId, ProtocolCore};
+use proto_io::{FlowKind, FlowStage, MsgCategory, Net, NodeId, ProtocolCore, Versioned};
 use std::collections::HashMap;
 
 /// Timer tag kinds (low byte of the tag; payload in the high bits).
@@ -79,7 +79,9 @@ pub struct ProtocolStats {
 #[derive(Debug)]
 pub struct Qbac {
     pub(crate) cfg: ProtocolConfig,
-    pub(crate) roles: HashMap<NodeId, NodeRole>,
+    /// Every node's role and, for heads, pool and replicas: all the
+    /// conformance views read.
+    pub(crate) roles: Versioned<HashMap<NodeId, NodeRole>>,
     pub(crate) votes: HashMap<u64, PendingVote>,
     pub(crate) next_seq: u64,
     /// Outstanding liveness probes: prober → probed head.
@@ -116,7 +118,7 @@ impl Qbac {
     pub fn new(cfg: ProtocolConfig) -> Self {
         Qbac {
             cfg,
-            roles: HashMap::new(),
+            roles: Versioned::default(),
             votes: HashMap::new(),
             next_seq: 0,
             probes: HashMap::new(),

@@ -119,8 +119,11 @@ impl<P: ProtocolCore> Sim<P> {
     /// invariant check after every simulator event:
     ///
     /// ```ignore
+    /// let mut step = 0;
     /// while sim.step_until(deadline) {
-    ///     checker.check(sim.parts_mut());
+    ///     step += 1;
+    ///     let (w, p) = sim.parts_mut();
+    ///     checker.check(step, w, &*p)?;
     /// }
     /// ```
     pub fn step_until(&mut self, until: SimTime) -> bool {

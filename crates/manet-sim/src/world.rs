@@ -172,6 +172,9 @@ pub struct World<M> {
     next_timer: u64,
     topo_cache: Option<(SimTime, u64, Topology)>,
     topo_version: u64,
+    /// Moves whenever an `alive` or `configured` flag flips; see
+    /// [`World::roster_version`].
+    roster_version: u64,
     /// What the snapshot lacks, oldest first: activations (`true`) and
     /// removals (`false`) — a write that moved an alive node's snapshot
     /// position is logged as its removal then activation. Stops growing
@@ -209,6 +212,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             next_timer: 0,
             topo_cache: None,
             topo_version: 0,
+            roster_version: 0,
             since_snapshot: Vec::new(),
             moving: 0,
             sweeps: 0,
@@ -403,6 +407,17 @@ impl<M: Clone + fmt::Debug> World<M> {
             .filter(|(_, &a)| a)
             .map(|(i, _)| NodeId::new(i as u64))
             .collect()
+    }
+
+    /// A counter that moves whenever some node's [`is_alive`](World::is_alive)
+    /// or [`is_configured`](World::is_configured) answer changes: a join,
+    /// a removal, a restart, a configuration. Unlike the topology key it
+    /// stays put when nodes only move. The conformance oracle pairs it
+    /// with a protocol's state version to tell when its views cannot
+    /// have changed.
+    #[must_use]
+    pub fn roster_version(&self) -> u64 {
+        self.roster_version
     }
 
     /// Number of alive nodes.
@@ -889,6 +904,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         }
         self.nodes.dormant[i] = false;
         self.nodes.alive[i] = true;
+        self.roster_version += 1;
         self.nodes.joined_at[i] = now;
         self.membership_changed(node, true);
         self.log.push(now, Event::Join { node });
@@ -905,6 +921,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             if self.nodes.alive[i] {
                 self.nodes.alive[i] = false;
                 self.nodes.dormant[i] = false;
+                self.roster_version += 1;
                 self.membership_changed(node, false);
                 self.log.push(now, Event::Remove { node });
             }
@@ -962,6 +979,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         }
         self.write_mobility(i, |m| m.park(now));
         self.nodes.configured[i] = false;
+        self.roster_version += 1;
         self.nodes.dormant[i] = true;
         self.metrics.faults_mut().restarts += 1;
         self.log.push(now, Event::Restart { node });
@@ -1008,6 +1026,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             return;
         }
         self.nodes.configured[i] = true;
+        self.roster_version += 1;
         if speed > 0.0 {
             self.start_leg(node);
         }

@@ -49,6 +49,7 @@ mod time;
 mod timer;
 mod trace;
 mod transcript;
+mod versioned;
 
 pub use attack::AttackKind;
 pub use core::ProtocolCore;
@@ -65,3 +66,4 @@ pub use net::{Net, NetBackend, SendError};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerId;
+pub use versioned::Versioned;
