@@ -30,18 +30,31 @@
 //! [`Topology::build_naive`] keeps the all-pairs sweep as the oracle the
 //! differential tests compare against.
 //!
-//! BFS-backed queries ([`within`](Topology::within),
-//! [`nearest`](Topology::nearest), [`hops`](Topology::hops),
+//! Source-rooted queries ([`within`](Topology::within),
+//! [`nearest`](Topology::nearest),
 //! [`distances_from`](Topology::distances_from)) share one *resumable*
 //! traversal per source, kept behind a [`RefCell`]: the distance vector,
-//! the discovery order (level by level, ids ascending within a level)
-//! and how many levels are finished. A query advances the traversal only
-//! as far as its answer needs — `within(k)` to depth `k`, `nearest` to
-//! the first level holding a match, `hops(a, b)` until `b` is reached —
-//! and a later query from the same source resumes where the last one
-//! stopped, so what the protocols ask periodically (a one-hop hello, a
-//! three-hop QDSet scan) costs what it touches, and nothing costs more
-//! than one full BFS per source per snapshot. The component partition
+//! the discovery order (level by level, ids ascending within a level —
+//! plain index order when, as in every `World` snapshot, dense order is
+//! id order) and how many levels are finished. A query advances the
+//! traversal only as far as its answer needs — `within(k)` to depth `k`,
+//! `nearest` to the first level holding a match — and a later query from
+//! the same source resumes where the last one stopped, so what the
+//! protocols ask periodically (a one-hop hello, a three-hop QDSet scan)
+//! costs what it touches, and nothing costs more than one full BFS per
+//! source per snapshot.
+//!
+//! Pair queries ([`hops`](Topology::hops),
+//! [`within_hops`](Topology::within_hops)) *resume or meet*: a traversal
+//! already under way from either end is advanced until the other end is
+//! reached (or to depth `k`), which keeps a flood followed by unicasts
+//! from its source at one BFS; with neither, a two-ended search grows
+//! both ends a level at a time, the smaller frontier first, and stops at
+//! the first contact (or once the two depths add up to `k`). That walks
+//! two balls of about half the distance instead of one of all of it,
+//! and leaves no traversal behind: a pair asked once — a location check,
+//! one configuration unicast — is not worth a traversal nobody resumes.
+//! The component partition
 //! ([`component_of`](Topology::component_of),
 //! [`components`](Topology::components)) is memoized whole. The id→index
 //! map is a vector sorted by id, searched by bisection and built lazily
@@ -296,6 +309,9 @@ impl StripLayout {
 /// Finished levels are final: every node within [`depth`](Self::depth)
 /// hops is in `order` with its distance set, each level sorted by id, so
 /// a prefix of `order` *is* the `(distance, id)`-sorted neighbourhood.
+/// When the snapshot's dense order is id order (every `World` snapshot's
+/// is), a level is sorted by its plain `u32` indices, which is the same
+/// order without a lookup per compare.
 #[derive(Debug, Clone, Default)]
 struct Traversal {
     /// Hop distance per dense index (`u32::MAX` = not reached yet).
@@ -349,7 +365,12 @@ impl Traversal {
                 }
             }
         }
-        self.order[hi..].sort_unstable_by_key(|&i| topo.ids[i as usize]);
+        let level = &mut self.order[hi..];
+        if topo.id_ordered {
+            level.sort_unstable();
+        } else {
+            level.sort_unstable_by_key(|&i| topo.ids[i as usize]);
+        }
         self.levels.push(self.order.len() as u32);
         true
     }
@@ -387,6 +408,8 @@ struct MemoCache {
     /// start takes one over instead of allocating.
     runs: Vec<Traversal>,
     live: usize,
+    /// The working set of pair queries that find no traversal to resume.
+    meet: Meet,
     /// Component partition: `(components sorted by smallest member,
     /// component index per node)`.
     comps: Option<(Vec<Vec<NodeId>>, Vec<usize>)>,
@@ -402,6 +425,9 @@ impl MemoCache {
         self.slot.clear();
         self.slot.resize(n, NO_RUN);
         self.live = 0;
+        // Marks left at other indices are past queries' stamps, which
+        // no later query uses.
+        self.meet.mark.resize(n, 0);
         self.comps = None;
     }
 
@@ -417,6 +443,73 @@ impl MemoCache {
             self.live += 1;
         }
         &mut self.runs[self.slot[start] as usize]
+    }
+}
+
+/// A two-ended breadth-first search between one pair of nodes: each end
+/// grows its own ball a whole level at a time, always the end whose
+/// deepest level is smaller, until a node of one ball has a neighbour in
+/// the other. The balls stay disjoint until then, so the distance is
+/// longer than the two depths together, and the first contact makes it
+/// exactly their sum plus one. Nothing is left behind for a later query
+/// to resume; what stays is the storage.
+#[derive(Debug, Clone, Default)]
+struct Meet {
+    /// Per dense index, which ball holds it: `stamp` for the first end's,
+    /// `stamp + 1` for the second's. Every other value is a past query's,
+    /// so a query starts without clearing.
+    mark: Vec<u32>,
+    /// The first end's mark in the latest query; even, and bumped by two
+    /// a query, so stamps are never reused until it wraps, which clears
+    /// `mark`.
+    stamp: u32,
+    /// Each end's deepest level.
+    fronts: [Vec<u32>; 2],
+    /// The level being expanded into.
+    next: Vec<u32>,
+}
+
+impl Meet {
+    /// The distance between dense indices `a != b` if it is at most `k`.
+    fn distance(&mut self, topo: &Topology, a: usize, b: usize, k: u32) -> Option<u32> {
+        self.stamp = match self.stamp.checked_add(2) {
+            Some(s) => s,
+            None => {
+                self.mark.fill(0);
+                2
+            }
+        };
+        let s = self.stamp;
+        self.mark[a] = s;
+        self.mark[b] = s + 1;
+        for (front, start) in self.fronts.iter_mut().zip([a, b]) {
+            front.clear();
+            front.push(start as u32);
+        }
+        let mut depth = [0u32; 2];
+        while depth[0] + depth[1] < k {
+            let side = usize::from(self.fronts[1].len() < self.fronts[0].len());
+            if self.fronts[side].is_empty() {
+                return None;
+            }
+            let (own, other) = (s + side as u32, s + 1 - side as u32);
+            self.next.clear();
+            for &u in &self.fronts[side] {
+                for &v in topo.neighbor_indices_at(u as usize) {
+                    let mark = &mut self.mark[v as usize];
+                    if *mark == other {
+                        return Some(depth[0] + depth[1] + 1);
+                    }
+                    if *mark != own {
+                        *mark = own;
+                        self.next.push(v);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.fronts[side], &mut self.next);
+            depth[side] += 1;
+        }
+        None
     }
 }
 
@@ -455,6 +548,9 @@ pub struct Topology {
     /// `adj[adj_starts[i]..adj_starts[i + 1]]`, ascending.
     adj_starts: Vec<u32>,
     adj: Vec<u32>,
+    /// Whether `ids` ascend, so dense order is id order. Set by the
+    /// builds; a splice keeps ascending ids ascending.
+    id_ordered: bool,
     cache: RefCell<MemoCache>,
     scratch: BuildScratch,
 }
@@ -768,6 +864,7 @@ impl Topology {
         }
         self.ids.clear();
         self.ids.extend(nodes.iter().map(|(id, _)| *id));
+        self.id_ordered = self.ids.is_sorted();
         let cache = self.cache.get_mut();
         cache.index.clear();
         cache.reset(n);
@@ -790,8 +887,10 @@ impl Topology {
         );
         let mut cache = MemoCache::default();
         cache.reset(nodes.len());
+        let ids: Vec<NodeId> = nodes.iter().map(|(id, _)| *id).collect();
         Topology {
-            ids: nodes.iter().map(|(id, _)| *id).collect(),
+            id_ordered: ids.is_sorted(),
+            ids,
             adj_starts,
             adj,
             cache: RefCell::new(cache),
@@ -905,13 +1004,14 @@ impl Topology {
         if a == b {
             return self.contains(a).then_some(0);
         }
-        let (start, target) = self.endpoints(a, b)?;
-        self.with_bfs(start, |bfs| bfs.reach(self, target, u32::MAX))
+        self.pair(a, b, u32::MAX)
     }
 
     /// Whether `b` is at most `k` hops from `a` — `hops(a, b)` at most
-    /// `k` — advancing a traversal until the other end is reached or to
-    /// depth `k` at most, so a far or unreachable `b` costs a `k`-hop
+    /// `k` — looking no further than the answer needs: a traversal is
+    /// resumed until the other end is reached or to depth `k` at most,
+    /// and a search that meets in the middle stops once its two depths
+    /// add up to `k`, so a far or unreachable `b` costs a `k`-hop
     /// neighbourhood, not a component. `false` if either node is
     /// unknown.
     #[must_use]
@@ -919,28 +1019,27 @@ impl Topology {
         if a == b {
             return self.contains(a);
         }
-        let Some((start, target)) = self.endpoints(a, b) else {
-            return false;
-        };
-        self.with_bfs(start, |bfs| {
-            bfs.reach(self, target, k).is_some_and(|d| d <= k)
-        })
+        self.pair(a, b, k).is_some_and(|d| d <= k)
     }
 
-    /// The dense indices `(start, target)` a query between `a` and `b`
-    /// walks. Links are undirected: when only `b` has a traversal under
-    /// way, resuming it answers the same question without starting a
-    /// second one.
-    fn endpoints(&self, a: NodeId, b: NodeId) -> Option<(usize, usize)> {
-        let (start, target) = (self.index_of(a)?, self.index_of(b)?);
-        let cache = self.cache.borrow();
-        Some(
-            if cache.slot[start] == NO_RUN && cache.slot[target] != NO_RUN {
-                (target, start)
-            } else {
-                (start, target)
-            },
-        )
+    /// The distance between `a != b`, looking no further than `k` hops
+    /// (a resumed traversal that already went further may report more);
+    /// `None` past that, when disconnected, or if either is unknown.
+    /// Links are undirected, so a traversal under way from either end
+    /// answers it, `a`'s first: resumed, it costs what the last query
+    /// from there left undone, and a flood followed by unicasts from its
+    /// source stays one BFS. With neither, the two ends meet in the
+    /// middle ([`Meet`]), which touches two balls of about half the
+    /// radius and leaves no traversal behind.
+    fn pair(&self, a: NodeId, b: NodeId, k: u32) -> Option<u32> {
+        let (ia, ib) = (self.index_of(a)?, self.index_of(b)?);
+        let mut cache = self.cache.borrow_mut();
+        let cache = &mut *cache;
+        match (cache.slot[ia], cache.slot[ib]) {
+            (NO_RUN, NO_RUN) => cache.meet.distance(self, ia, ib, k),
+            (NO_RUN, run) => cache.runs[run as usize].reach(self, ia, k),
+            (run, _) => cache.runs[run as usize].reach(self, ib, k),
+        }
     }
 
     /// All nodes within `k` hops of `node` (excluding the node itself),
@@ -1263,16 +1362,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memoized_queries_are_stable_across_repeats() {
-        let nodes: Vec<(NodeId, Point)> = (0..30)
+    /// A 6 × 5 grid, 90 m apart: at 150 m each node links to its eight
+    /// surrounding cells, so node 0 is five hops from node 29.
+    fn grid30() -> Vec<(NodeId, Point)> {
+        (0..30)
             .map(|i| {
                 (
                     NodeId::new(i),
                     Point::new((i % 6) as f64 * 90.0, (i / 6) as f64 * 90.0),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    /// How many traversals the snapshot's memo holds.
+    fn live(t: &Topology) -> usize {
+        t.cache.borrow().live
+    }
+
+    /// The traversal from `node`, if one has started: `(depth finished,
+    /// distance per dense index)`.
+    fn run_of(t: &Topology, node: NodeId) -> Option<(u32, Vec<u32>)> {
+        let at = t.index_of(node)?;
+        let cache = t.cache.borrow();
+        let slot = cache.slot[at];
+        (slot != NO_RUN).then(|| {
+            let run = &cache.runs[slot as usize];
+            (run.depth(), run.dist.clone())
+        })
+    }
+
+    #[test]
+    fn a_pair_query_on_a_fresh_snapshot_meets_and_leaves_no_traversal() {
+        let nodes = grid30();
+        for t in engines(&nodes, 150.0) {
+            let oracle = Topology::build_naive(&nodes, 150.0);
+            for (a, _) in &nodes {
+                for (b, _) in &nodes {
+                    let want = oracle.distances_from(*a).get(b).copied();
+                    assert_eq!(t.hops(*a, *b), want, "hops({a}, {b})");
+                    for k in [0, 1, 2, 3, 5, u32::MAX] {
+                        let within = want.is_some_and(|h| h <= k);
+                        assert_eq!(t.within_hops(*a, *b, k), within, "({a}, {b}, {k})");
+                    }
+                }
+            }
+            assert_eq!(live(&t), 0);
+        }
+    }
+
+    #[test]
+    fn pair_queries_resume_the_first_ends_traversal() {
+        let (a, b) = (NodeId::new(0), NodeId::new(29));
+        for t in engines(&grid30(), 150.0) {
+            let _ = t.within(a, 1);
+            assert_eq!(t.hops(a, b), Some(5));
+            assert_eq!(live(&t), 1);
+            // Resumed to `b`'s level, not left at depth one.
+            assert_eq!(run_of(&t, a).map(|r| r.0), Some(5));
+            assert!(!t.within_hops(a, b, 3) && t.within_hops(a, b, 5));
+            assert_eq!(live(&t), 1);
+            assert!(run_of(&t, b).is_none());
+        }
+    }
+
+    #[test]
+    fn pair_queries_resume_the_second_ends_traversal_when_only_it_has_one() {
+        let (a, b) = (NodeId::new(0), NodeId::new(29));
+        for t in engines(&grid30(), 150.0) {
+            let _ = t.within(b, 1);
+            assert!(!t.within_hops(a, b, 3));
+            assert_eq!(live(&t), 1);
+            let (depth, dist) = run_of(&t, b).expect("b's traversal");
+            assert_eq!((depth, dist[t.index_of(a).unwrap()]), (3, u32::MAX));
+            assert_eq!(t.hops(a, b), Some(5));
+            assert_eq!(live(&t), 1);
+            let (depth, dist) = run_of(&t, b).expect("b's traversal");
+            assert_eq!((depth, dist[t.index_of(a).unwrap()]), (5, 5));
+            assert!(run_of(&t, a).is_none());
+        }
+    }
+
+    #[test]
+    fn pair_queries_stay_exact_across_the_mark_stamp_wrap() {
+        let nodes = line(10, 100.0);
+        let (a, b) = (NodeId::new(0), NodeId::new(9));
+        for t in engines(&nodes, 100.0) {
+            // Stamps 2 and 3 mark the ball around each end: a wrap that
+            // reused them without clearing would take `a`'s own ball for
+            // visited and `b`'s for contact.
+            assert_eq!(t.hops(a, b), Some(9));
+            t.cache.borrow_mut().meet.stamp = u32::MAX - 1;
+            assert_eq!(t.hops(a, b), Some(9));
+            assert_eq!(t.cache.borrow().meet.stamp, 2);
+            assert!(t.within_hops(NodeId::new(2), NodeId::new(7), 5));
+            assert!(!t.within_hops(NodeId::new(2), NodeId::new(8), 5));
+            assert_eq!(live(&t), 0);
+        }
+    }
+
+    #[test]
+    fn memoized_queries_are_stable_across_repeats() {
+        let nodes = grid30();
         let t = Topology::build(&nodes, 150.0);
         let first = t.distances_from(NodeId::new(0));
         let comps = t.components();

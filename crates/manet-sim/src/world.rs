@@ -134,14 +134,21 @@ struct Outbox<M> {
     from: NodeId,
     at: SimTime,
     run: Vec<(NodeId, M)>,
+    /// Room the next run begun at a new firing time reserves: the size
+    /// of the hop level being decided, until one run has taken it. So a
+    /// broadcast without faults allocates each level's run once and
+    /// never regrows it, and with faults the reservations still add up
+    /// to the reach.
+    room: usize,
 }
 
 impl<M> Outbox<M> {
-    fn new(from: NodeId, capacity: usize) -> Self {
+    fn new(from: NodeId, room: usize) -> Self {
         Outbox {
             from,
             at: SimTime::ZERO,
-            run: Vec::with_capacity(capacity),
+            run: Vec::new(),
+            room,
         }
     }
 }
@@ -444,9 +451,11 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// The snapshot is built with the spatial-grid engine and carries
     /// its own resumable per-source traversals and memoized component
     /// partition (see [`topology`](crate::topology)), so repeated
-    /// `hops`/`within`/`nearest`/`component_of` queries visit each link
-    /// at most once per source, and only as far out as the answers
-    /// need.
+    /// `within`/`nearest`/`component_of` queries visit each link at most
+    /// once per source, and only as far out as the answers need. A pair
+    /// query (`hops`, `within_hops`) resumes a traversal either end
+    /// already has and otherwise meets in the middle, leaving none
+    /// behind.
     ///
     /// A call that finds the key stale refreshes the snapshot by the
     /// least that makes it the one a sweep would build. Within the
@@ -726,9 +735,12 @@ impl<M: Clone + fmt::Debug> World<M> {
         category: MsgCategory,
         msg: &M,
     ) -> Vec<NodeId> {
-        let mut out = Outbox::new(from, reach.len());
-        for &(to, d) in reach {
-            self.schedule_delivery(&mut out, to, d, category, msg.clone());
+        let mut out = Outbox::new(from, 0);
+        for level in reach.chunk_by(|x, y| x.1 == y.1) {
+            out.room = level.len();
+            for &(to, d) in level {
+                self.schedule_delivery(&mut out, to, d, category, msg.clone());
+            }
         }
         self.flush(&mut out);
         reach.iter().map(|&(n, _)| n).collect()
@@ -842,6 +854,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         if at != out.at {
             self.flush(out);
             out.at = at;
+            out.run.reserve_exact(std::mem::take(&mut out.room));
         }
         out.run.push((to, msg));
     }

@@ -122,29 +122,47 @@ fn reference_within(dist: &HashMap<NodeId, u32>, src: NodeId, k: u32) -> Vec<(No
     v
 }
 
+/// `random_layout` with ids a random permutation of the dense order, so
+/// "ids ascending within a level" is not an accident of index order.
+fn permuted_layout(seed: u64, n: usize, area: f64) -> Vec<(NodeId, Point)> {
+    let mut ids: Vec<u64> = (0..n as u64).collect();
+    let mut rng = SimRng::seed_from(seed ^ 0x5eed);
+    rng.shuffle(&mut ids);
+    random_layout(seed, n, area)
+        .into_iter()
+        .zip(&ids)
+        .map(|((_, p), &id)| (NodeId::new(id), p))
+        .collect()
+}
+
+/// A 1000 m layout of `n` nodes, ids permuted or ascending.
+fn layout(permute: bool, seed: u64, n: usize) -> Vec<(NodeId, Point)> {
+    if permute {
+        permuted_layout(seed, n, 1000.0)
+    } else {
+        random_layout(seed, n, 1000.0)
+    }
+}
+
 proptest! {
     /// Any interleaving of `within(k)`, `hops` in both directions,
-    /// `nearest`, `component_id` and `distances_from` against ONE
-    /// snapshot answers each question exactly like a fresh oracle
-    /// snapshot asked only that question, and like the plain reference
-    /// BFS (for labels: equal iff mutually reachable). Ids are a random
-    /// permutation of the dense order, so "ids ascending within a
-    /// level" is not an accident of index order.
+    /// `within_hops`, `nearest`, `component_id` and `distances_from`
+    /// against ONE snapshot answers each question exactly like a fresh
+    /// oracle snapshot asked only that question, and like the plain
+    /// reference BFS (for labels: equal iff mutually reachable). Pair
+    /// queries meet in the middle until a query from a source starts a
+    /// traversal, and resume it after. Ids ascend (levels sort by plain
+    /// index, as in every `World` snapshot) or are permuted (levels sort
+    /// by id).
     #[test]
     fn query_order_never_changes_an_answer(
         n in 1usize..70,
         range in 40.0f64..500.0,
         seed in 0u64..1_000_000,
-        ops in proptest::collection::vec((0u8..6, 0usize..1000, 0usize..1000, any::<u64>()), 1..48),
+        permute in any::<bool>(),
+        ops in proptest::collection::vec((0u8..7, 0usize..1000, 0usize..1000, any::<u64>()), 1..48),
     ) {
-        let mut ids: Vec<u64> = (0..n as u64).collect();
-        let mut rng = SimRng::seed_from(seed ^ 0x5eed);
-        rng.shuffle(&mut ids);
-        let nodes: Vec<(NodeId, Point)> = random_layout(seed, n, 1000.0)
-            .into_iter()
-            .zip(&ids)
-            .map(|((_, p), &id)| (NodeId::new(id), p))
-            .collect();
+        let nodes = layout(permute, seed, n);
         let snapshot = Topology::build(&nodes, range);
         for (kind, a, b, mask) in ops {
             let (a, b) = (nodes[a % n].0, nodes[b % n].0);
@@ -184,6 +202,12 @@ proptest! {
                     prop_assert_eq!(got == snapshot.component_id(b), reference.contains_key(&b));
                     prop_assert_eq!(snapshot.component_id(NodeId::new(n as u64)), None);
                 }
+                5 => {
+                    let k = [0, 1, 2, 3, 5, u32::MAX][(mask % 6) as usize];
+                    let got = snapshot.within_hops(a, b, k);
+                    prop_assert_eq!(got, fresh.within_hops(a, b, k));
+                    prop_assert_eq!(got, reference.get(&b).is_some_and(|&h| h <= k));
+                }
                 _ => {
                     let got = snapshot.distances_from(a);
                     prop_assert_eq!(&got, &fresh.distances_from(a));
@@ -195,25 +219,29 @@ proptest! {
 }
 
 proptest! {
-    /// `within_hops(a, b, k)` is `hops(a, b) <= k` — from a fresh
-    /// snapshot and from one whose traversals earlier queries (any
-    /// depth, either endpoint, `within_hops` itself) left half done —
-    /// for `a == b`, unreachable and unknown nodes alike.
+    /// `within_hops(a, b, k)` is the plain reference BFS's distance at
+    /// most `k` — from a fresh snapshot and from one whose traversals
+    /// earlier queries (any depth, either endpoint) left half done — for
+    /// `a == b`, unreachable and unknown nodes alike, on ascending and
+    /// on permuted ids.
     #[test]
     fn within_hops_is_hops_at_most_k(
         n in 1usize..70,
         range in 40.0f64..400.0,
         seed in 0u64..1_000_000,
+        permute in any::<bool>(),
         ops in proptest::collection::vec((0u8..3, 0usize..1000, 0usize..1000, 0usize..6), 1..40),
     ) {
-        let nodes = random_layout(seed, n, 1000.0);
+        let nodes = layout(permute, seed, n);
         let snapshot = Topology::build(&nodes, range);
         let fresh = Topology::build_naive(&nodes, range);
         // One id past the last is never in the snapshot.
         let id = |i: usize| NodeId::new((i % (n + 1)) as u64);
         for (kind, a, b, k) in ops {
             let (a, b, k) = (id(a), id(b), [0, 1, 2, 3, 5, u32::MAX][k]);
-            let want = fresh.hops(a, b).is_some_and(|h| h <= k);
+            let want = fresh.contains(a)
+                && reference_distances(&fresh, a).get(&b).is_some_and(|&h| h <= k);
+            prop_assert_eq!(fresh.hops(a, b).is_some_and(|h| h <= k), want);
             match kind {
                 0 => prop_assert_eq!(snapshot.within_hops(a, b, k), want),
                 1 => prop_assert_eq!(
