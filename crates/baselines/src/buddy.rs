@@ -12,9 +12,9 @@
 
 use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
+    FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    Versioned,
 };
-use std::collections::HashMap;
 
 /// Parameters of the buddy baseline.
 #[derive(Debug, Clone)]
@@ -90,8 +90,8 @@ pub struct Buddy {
     cfg: BuddyConfig,
     /// Every configured node's address and pool: all the conformance
     /// views read.
-    nodes: Versioned<HashMap<NodeId, BuddyNode>>,
-    joining: HashMap<NodeId, (u32, u32)>, // (attempts, hops)
+    nodes: Versioned<IdMap<NodeId, BuddyNode>>,
+    joining: IdMap<NodeId, (u32, u32)>, // (attempts, hops)
 }
 
 impl Buddy {
@@ -101,7 +101,7 @@ impl Buddy {
         Buddy {
             cfg,
             nodes: Versioned::default(),
-            joining: HashMap::new(),
+            joining: IdMap::default(),
         }
     }
 
@@ -363,7 +363,7 @@ impl ProtocolCore for Buddy {
                     .filter(|b| w.is_alive(*b) && self.nodes.contains_key(b))
                     .or_else(|| {
                         // Lowest id, so the pick does not depend on
-                        // HashMap iteration order.
+                        // hash-map iteration order.
                         self.nodes
                             .keys()
                             .filter(|n| **n != node && w.is_alive(**n))

@@ -14,9 +14,9 @@
 use addrspace::fragmentation::{self, FragmentationReport};
 use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
+    FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    Versioned,
 };
-use std::collections::HashMap;
 
 /// Parameters of the C-tree baseline.
 #[derive(Debug, Clone)]
@@ -113,8 +113,8 @@ enum CtRole {
 #[derive(Debug, Default)]
 struct RootView {
     /// Last-heard report counter per coordinator.
-    reports: HashMap<NodeId, (u64, u64)>, // (pool_len, free)
-    missed: HashMap<NodeId, u32>,
+    reports: IdMap<NodeId, (u64, u64)>, // (pool_len, free)
+    missed: IdMap<NodeId, u32>,
 }
 
 const TAG_REPORT: u64 = 1;
@@ -127,10 +127,10 @@ pub struct CTree {
     cfg: CTreeConfig,
     /// Every node's role, coordinators' pools included: all the
     /// conformance views read.
-    roles: Versioned<HashMap<NodeId, CtRole>>,
+    roles: Versioned<IdMap<NodeId, CtRole>>,
     root: Option<NodeId>,
     root_view: RootView,
-    reclaiming: HashMap<NodeId, Vec<(Addr, NodeId)>>,
+    reclaiming: IdMap<NodeId, Vec<(Addr, NodeId)>>,
 }
 
 impl CTree {
@@ -142,7 +142,7 @@ impl CTree {
             roles: Versioned::default(),
             root: None,
             root_view: RootView::default(),
-            reclaiming: HashMap::new(),
+            reclaiming: IdMap::default(),
         }
     }
 

@@ -13,9 +13,9 @@
 
 use addrspace::{Addr, AddrBlock};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, Versioned,
+    FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
+    Versioned,
 };
-use std::collections::HashMap;
 
 /// Parameters of the stateless DAD baseline.
 #[derive(Debug, Clone)]
@@ -106,8 +106,8 @@ const TAG_ROUND: u64 = 1;
 pub struct QueryDad {
     cfg: DadConfig,
     /// Every configured node's address: all the conformance view reads.
-    configured: Versioned<HashMap<NodeId, Addr>>,
-    probing: HashMap<NodeId, Probe>,
+    configured: Versioned<IdMap<NodeId, Addr>>,
+    probing: IdMap<NodeId, Probe>,
 }
 
 impl QueryDad {
@@ -117,7 +117,7 @@ impl QueryDad {
         QueryDad {
             cfg,
             configured: Versioned::default(),
-            probing: HashMap::new(),
+            probing: IdMap::default(),
         }
     }
 
@@ -151,7 +151,7 @@ impl QueryDad {
     /// them out, so the harness can count how often they happen.
     #[must_use]
     pub fn duplicates<B: NetBackend<DadMsg> + ?Sized>(&self, w: &B) -> Vec<(Addr, NodeId, NodeId)> {
-        let mut by_addr: HashMap<Addr, Vec<NodeId>> = HashMap::new();
+        let mut by_addr: IdMap<Addr, Vec<NodeId>> = IdMap::default();
         for (n, a) in self.assigned(w) {
             by_addr.entry(a).or_default().push(n);
         }

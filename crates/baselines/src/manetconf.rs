@@ -10,10 +10,9 @@
 
 use addrspace::{Addr, AddrBlock, AddrStatus, AllocationTable};
 use proto_io::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration, SimTime,
-    Versioned,
+    FlowKind, FlowStage, IdMap, IdSet, MsgCategory, Net, NetBackend, NodeId, ProtocolCore,
+    SimDuration, SimTime, Versioned,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Parameters of the MANETconf baseline.
 #[derive(Debug, Clone)]
@@ -98,8 +97,8 @@ struct PendingInit {
     /// Requestors waiting for this initiator to free up.
     queue: Vec<NodeId>,
     addr: Addr,
-    expected: HashSet<NodeId>,
-    oks: HashSet<NodeId>,
+    expected: IdSet<NodeId>,
+    oks: IdSet<NodeId>,
     refused: bool,
     candidates_tried: u32,
     /// Critical-path hops so far (request + flood depth + worst reply).
@@ -115,28 +114,25 @@ const TAG_JOIN_RETRY: u64 = 2;
 pub struct ManetConf {
     cfg: ManetConfConfig,
     /// Every node's role and address: all the conformance view reads.
-    roles: Versioned<HashMap<NodeId, McRole>>,
-    tables: HashMap<NodeId, AllocationTable>,
-    pending: HashMap<NodeId, PendingInit>, // keyed by initiator
+    roles: Versioned<IdMap<NodeId, McRole>>,
+    tables: IdMap<NodeId, AllocationTable>,
+    pending: IdMap<NodeId, PendingInit>, // keyed by initiator
     /// Tentative per-node reservations: a confirmed `Initiator_Request`
     /// blocks the candidate until the expiry, so two concurrent
     /// initiators cannot both collect all-OK for one address.
-    reservations: HashMap<NodeId, HashMap<Addr, SimTime>>,
-    next_free_hint: Addr,
+    reservations: IdMap<NodeId, IdMap<Addr, SimTime>>,
 }
 
 impl ManetConf {
     /// Creates the protocol with the given parameters.
     #[must_use]
     pub fn new(cfg: ManetConfConfig) -> Self {
-        let hint = cfg.space.base();
         ManetConf {
             cfg,
             roles: Versioned::default(),
-            tables: HashMap::new(),
-            pending: HashMap::new(),
-            reservations: HashMap::new(),
-            next_free_hint: hint,
+            tables: IdMap::default(),
+            pending: IdMap::default(),
+            reservations: IdMap::default(),
         }
     }
 
@@ -312,11 +308,7 @@ impl ManetConf {
         let Some(table) = self.tables.get(&initiator) else {
             return;
         };
-        let Some(addr) = self
-            .first_free(table)
-            .filter(|a| *a >= self.next_free_hint)
-            .or_else(|| self.first_free(table))
-        else {
+        let Some(addr) = self.first_free(table) else {
             return; // space exhausted
         };
         self.flood_init(w, initiator, requestor, addr, 0);
@@ -330,34 +322,24 @@ impl ManetConf {
         addr: Addr,
         candidates_tried: u32,
     ) {
-        // Expected confirmations: every *other* configured node in the
-        // initiator's component.
-        let component: HashSet<NodeId> = w.component_of(initiator).into_iter().collect();
-        let expected: HashSet<NodeId> = self
-            .roles
+        // The flood reaches the rest of the initiator's component, in
+        // `(depth, id)` order: every configured node in it but the
+        // requestor must confirm, and the last one's depth dominates
+        // this phase's latency.
+        let reach = w.nodes_within(initiator, u32::MAX);
+        let expected: IdSet<NodeId> = reach
             .iter()
-            .filter(|(n, r)| {
-                **n != initiator
-                    && **n != requestor
-                    && component.contains(*n)
-                    && matches!(r, McRole::Configured { .. })
+            .map(|&(n, _)| n)
+            .filter(|n| {
+                *n != requestor && matches!(self.roles.get(n), Some(McRole::Configured { .. }))
             })
-            .map(|(n, _)| *n)
             .collect();
-
-        let recipients = w
-            .flood(
-                initiator,
-                MsgCategory::Configuration,
-                McMsg::InitReq { addr, requestor },
-            )
-            .unwrap_or_default();
-        // Flood depth dominates this phase's latency.
-        let depth = recipients
-            .iter()
-            .filter_map(|r| w.hops_between(initiator, *r))
-            .max()
-            .unwrap_or(0);
+        let depth = reach.last().map_or(0, |&(_, d)| d);
+        let _ = w.flood(
+            initiator,
+            MsgCategory::Configuration,
+            McMsg::InitReq { addr, requestor },
+        );
 
         let queue = self
             .pending
@@ -371,7 +353,7 @@ impl ManetConf {
                 queue,
                 addr,
                 expected,
-                oks: HashSet::new(),
+                oks: IdSet::default(),
                 refused: false,
                 candidates_tried,
                 hops: depth,
@@ -409,7 +391,6 @@ impl ManetConf {
                 if let Some(t) = self.tables.get_mut(&initiator) {
                     t.set(p.addr, AddrStatus::Allocated(p.requestor.index()));
                 }
-                self.next_free_hint = p.addr.checked_offset(1).unwrap_or(p.addr);
             }
             self.serve_queue(w, initiator, queue);
             return;
@@ -646,6 +627,50 @@ mod tests {
         let c = sim.spawn_at(Point::new(540.0, 500.0));
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(sim.protocol().ip_of(c), Some(ip_b));
+    }
+
+    #[test]
+    fn confirmation_round_expects_the_configured_component_and_its_depth() {
+        let mut sim = Sim::new(still(), ManetConf::default());
+        // Component A: a four-node chain, 100 m apart at 150 m range.
+        let chain: Vec<NodeId> = (0..4)
+            .map(|i| {
+                let n = sim.spawn_at(Point::new(100.0 + 100.0 * f64::from(i), 100.0));
+                sim.run_for(SimDuration::from_secs(2));
+                n
+            })
+            .collect();
+        // Component B, out of A's reach.
+        for x in [100.0, 200.0] {
+            sim.spawn_at(Point::new(x, 900.0));
+            sim.run_for(SimDuration::from_secs(2));
+        }
+        // Two joiners in A, still unconfigured: one past the chain's far
+        // end, and the requestor beside the initiator.
+        let far = sim.spawn_at(Point::new(500.0, 100.0));
+        let requestor = sim.spawn_at(Point::new(100.0, 200.0));
+        let initiator = chain[0];
+
+        let (w, p) = sim.parts_mut();
+        let component = w.component_of(initiator);
+        let want: IdSet<NodeId> = component
+            .iter()
+            .copied()
+            .filter(|n| *n != initiator && *n != requestor && p.ip_of(*n).is_some())
+            .collect();
+        let depth = component
+            .iter()
+            .filter_map(|n| w.hops_between(initiator, *n))
+            .max();
+        assert!(component.contains(&far) && p.ip_of(far).is_none());
+        assert_eq!(want, chain[1..].iter().copied().collect());
+        assert_eq!(depth, Some(4));
+
+        let addr = p.first_free(&p.tables[&initiator]).expect("space left");
+        p.flood_init(w, initiator, requestor, addr, 0);
+        let pending = &p.pending[&initiator];
+        assert_eq!(pending.expected, want);
+        assert_eq!(Some(pending.hops), depth);
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::adapter::{ConformanceAdapter, Guarantees};
 use addrspace::{Addr, AddrBlock};
 use manet_sim::faults::FaultPlan;
 use manet_sim::{MsgCategory, NodeId, ProtocolCore, SimDuration, World};
-use proto_io::{Net, Versioned};
-use std::collections::HashMap;
+use proto_io::{IdMap, Net, Versioned};
 
 /// Wire messages of the broken allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +38,7 @@ pub struct DoubleGrant {
     server: Option<NodeId>,
     /// Offset of the next address to hand out; advanced on `Ack` only.
     cursor: u32,
-    assigned: Versioned<HashMap<NodeId, Addr>>,
+    assigned: Versioned<IdMap<NodeId, Addr>>,
 }
 
 const RETRY: SimDuration = SimDuration::from_micros(600_000);

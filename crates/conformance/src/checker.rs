@@ -3,7 +3,7 @@
 use crate::adapter::{ConformanceAdapter, Guarantees};
 use addrspace::{Addr, AddrBlock, PoolView};
 use manet_sim::{NodeId, SimDuration, SimTime, World};
-use std::collections::HashMap;
+use proto_io::IdMap;
 use std::fmt;
 use std::hash::Hash;
 
@@ -105,8 +105,8 @@ impl fmt::Display for Violation {
 /// violation leaves the clocks as the failing step found them.
 #[derive(Debug, Default)]
 struct Grace<K> {
-    since: HashMap<K, SimTime>,
-    live: HashMap<K, SimTime>,
+    since: IdMap<K, SimTime>,
+    live: IdMap<K, SimTime>,
 }
 
 impl<K: Eq + Hash> Grace<K> {

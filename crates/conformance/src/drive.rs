@@ -122,7 +122,7 @@ pub fn run_check<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
 
     let (w, p) = sim.parts_mut();
     let assigned = p.assigned_pairs(w);
-    let mut held = std::collections::HashMap::with_capacity(assigned.len());
+    let mut held = proto_io::IdMap::with_capacity_and_hasher(assigned.len(), Default::default());
     for (_, a) in &assigned {
         *held.entry(*a).or_insert(0usize) += 1;
     }

@@ -54,9 +54,9 @@ use crate::msg::Msg;
 use crate::protocol::{tag, Qbac};
 use crate::roles::NodeRole;
 use addrspace::{Addr, AddrBlock, AddrRecord, AddrStatus};
-use proto_io::{AttackKind, FlowKind, FlowStage, MsgCategory, Net, NodeId};
+use proto_io::{AttackKind, FlowKind, FlowStage, IdMap, IdSet, MsgCategory, Net, NodeId};
 use quorum::VersionStamp;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How many squatted grants an attacker pushes per hello tick.
 const GRANTS_PER_TICK: usize = 2;
@@ -76,17 +76,17 @@ pub(crate) struct CapturedClaim {
 #[derive(Debug, Default)]
 pub(crate) struct AdversaryState {
     /// Addresses queued for unquorumed granting, per attacker.
-    grant_queues: HashMap<NodeId, VecDeque<Addr>>,
+    grant_queues: IdMap<NodeId, VecDeque<Addr>>,
     /// Attackers whose one-shot setup action (victim selection, flood)
     /// already ran.
-    engaged: HashSet<NodeId>,
+    engaged: IdSet<NodeId>,
     /// Captured ownership claims, per replay-claim attacker.
-    captured: HashMap<NodeId, Vec<CapturedClaim>>,
+    captured: IdMap<NodeId, Vec<CapturedClaim>>,
     /// `(attacker, victim, claim index, amplified)` replays already
     /// fired. The amplified form (blocks widened to the victim's own
     /// replica) fires once per victim on top of the verbatim one: the
     /// replica may only become known ticks after the first replay.
-    replays_sent: HashSet<(NodeId, NodeId, usize, bool)>,
+    replays_sent: IdSet<(NodeId, NodeId, usize, bool)>,
 }
 
 impl Qbac {

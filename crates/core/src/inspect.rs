@@ -4,8 +4,7 @@ use crate::msg::Msg;
 use crate::protocol::Qbac;
 use crate::roles::{HeadState, NodeRole};
 use addrspace::{Addr, PoolView};
-use proto_io::{NetBackend, NodeId};
-use std::collections::HashMap;
+use proto_io::{IdMap, NetBackend, NodeId};
 
 /// A duplicate-address violation found by [`Qbac::audit_unique`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +100,7 @@ impl Qbac {
         &self,
         w: &mut B,
     ) -> Result<(), Vec<DuplicateAddress>> {
-        let mut seen: HashMap<(usize, Addr), NodeId> = HashMap::new();
+        let mut seen: IdMap<(usize, Addr), NodeId> = IdMap::default();
         let mut dups = Vec::new();
         for (n, ip) in self.assigned(w) {
             let Some(comp) = w.component_id(n) else {

@@ -3,8 +3,9 @@ use crate::params::{AllocatorChoice, ProtocolConfig};
 use crate::roles::{HeadState, JoinState, NodeRole};
 use crate::vote::PendingVote;
 use addrspace::{Addr, AddressPool};
-use proto_io::{FlowKind, FlowStage, MsgCategory, Net, NodeId, ProtocolCore, Versioned};
-use std::collections::HashMap;
+use proto_io::{
+    FlowKind, FlowStage, IdMap, IdSet, MsgCategory, Net, NodeId, ProtocolCore, Versioned,
+};
 
 /// Timer tag kinds (low byte of the tag; payload in the high bits).
 pub(crate) mod tag {
@@ -81,29 +82,29 @@ pub struct Qbac {
     pub(crate) cfg: ProtocolConfig,
     /// Every node's role and, for heads, pool and replicas: all the
     /// conformance views read.
-    pub(crate) roles: Versioned<HashMap<NodeId, NodeRole>>,
-    pub(crate) votes: HashMap<u64, PendingVote>,
+    pub(crate) roles: Versioned<IdMap<NodeId, NodeRole>>,
+    pub(crate) votes: IdMap<u64, PendingVote>,
     pub(crate) next_seq: u64,
     /// Outstanding liveness probes: prober → probed head.
-    pub(crate) probes: HashMap<(NodeId, NodeId), u64>,
+    pub(crate) probes: IdMap<(NodeId, NodeId), u64>,
     /// Nodes that have completed at least one configuration — merge
     /// reconfigurations do not produce new latency samples.
-    pub(crate) configured_once: std::collections::HashSet<NodeId>,
+    pub(crate) configured_once: IdSet<NodeId>,
     /// In-flight reclamations at their initiators, keyed by target.
-    pub(crate) reclaims: HashMap<NodeId, crate::reclaim::ReclaimState>,
+    pub(crate) reclaims: IdMap<NodeId, crate::reclaim::ReclaimState>,
     /// Allocator-side hop spend per (allocator, requestor), accumulated
     /// before the vote starts (CH_PRP etc.).
-    pub(crate) alloc_spent: HashMap<(NodeId, NodeId), u32>,
+    pub(crate) alloc_spent: IdMap<(NodeId, NodeId), u32>,
     /// Who is reclaiming each vanished head, learned from `ADDR_REC`
     /// floods — used to forward `REC_REP`s.
-    pub(crate) reclaim_initiators: HashMap<NodeId, NodeId>,
+    pub(crate) reclaim_initiators: IdMap<NodeId, NodeId>,
     pub(crate) stats: ProtocolStats,
     /// Hardened replay windows: last accepted `OWN_CLAIM` stamp per
     /// `(recipient, claimant_ip)`.
-    pub(crate) claim_stamps: HashMap<(NodeId, Addr), u64>,
+    pub(crate) claim_stamps: IdMap<(NodeId, Addr), u64>,
     /// Hardened rate limiter: `(window start, accepted)` `ADDR_REC`
     /// floods per `(receiver, initiator)`.
-    pub(crate) reclaim_accepts: HashMap<(NodeId, NodeId), (proto_io::SimTime, u32)>,
+    pub(crate) reclaim_accepts: IdMap<(NodeId, NodeId), (proto_io::SimTime, u32)>,
     /// Monotonic counter stamping outgoing `OWN_CLAIM`s. Separate from
     /// `next_seq` so stamping claims never perturbs vote sequencing.
     pub(crate) next_claim_stamp: u64,
@@ -119,16 +120,16 @@ impl Qbac {
         Qbac {
             cfg,
             roles: Versioned::default(),
-            votes: HashMap::new(),
+            votes: IdMap::default(),
             next_seq: 0,
-            probes: HashMap::new(),
-            configured_once: std::collections::HashSet::new(),
-            reclaims: HashMap::new(),
-            alloc_spent: HashMap::new(),
-            reclaim_initiators: HashMap::new(),
+            probes: IdMap::default(),
+            configured_once: IdSet::default(),
+            reclaims: IdMap::default(),
+            alloc_spent: IdMap::default(),
+            reclaim_initiators: IdMap::default(),
             stats: ProtocolStats::default(),
-            claim_stamps: HashMap::new(),
-            reclaim_accepts: HashMap::new(),
+            claim_stamps: IdMap::default(),
+            reclaim_accepts: IdMap::default(),
             next_claim_stamp: 0,
             adversary: crate::adversary::AdversaryState::default(),
         }

@@ -24,8 +24,8 @@ use baselines::buddy::Buddy;
 use baselines::ctree::CTree;
 use baselines::manetconf::ManetConf;
 use manet_sim::{FaultPlan, NodeId, ProtocolCore, SimDuration, World};
+use proto_io::IdMap;
 use qbac_core::{ProtocolConfig, Qbac};
-use std::collections::HashMap;
 
 /// Options of the chaos suite.
 #[derive(Debug, Clone)]
@@ -133,7 +133,7 @@ fn count_duplicates<M: Clone + std::fmt::Debug>(
     w: &mut World<M>,
     assigned: &[(NodeId, Addr)],
 ) -> usize {
-    let mut seen: HashMap<(usize, Addr), NodeId> = HashMap::new();
+    let mut seen: IdMap<(usize, Addr), NodeId> = IdMap::default();
     let mut dups = 0;
     for (n, ip) in assigned {
         let Some(comp) = w.component_id(*n) else {

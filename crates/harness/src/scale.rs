@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn mixed_seeds_do_not_collide_across_shards() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = proto_io::IdSet::default();
         for cell in 0..8 {
             for shard in 0..64 {
                 assert!(seen.insert(mix_seed(42, cell, shard)));

@@ -27,8 +27,8 @@
 //! pre-pluggable simulator, keeping historical trace fingerprints valid.
 
 use crate::{Arena, NodeId, Point, SimRng, SimTime};
+use proto_io::IdMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-node mobility state: either parked, or en route to a waypoint.
@@ -256,7 +256,7 @@ pub struct GroupMobility {
     size: u64,
     radius: f64,
     seed: u64,
-    groups: HashMap<u64, GroupState>,
+    groups: IdMap<u64, GroupState>,
 }
 
 #[derive(Debug)]
@@ -283,7 +283,7 @@ impl GroupMobility {
             size,
             radius,
             seed,
-            groups: HashMap::new(),
+            groups: IdMap::default(),
         }
     }
 }

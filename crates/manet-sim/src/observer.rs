@@ -15,7 +15,7 @@
 //! turns it on, so the hot path costs nothing in ordinary figure runs.
 
 use crate::NodeId;
-use std::collections::HashMap;
+use proto_io::IdMap;
 
 pub use proto_io::{FlowKind, FlowStage};
 
@@ -68,7 +68,7 @@ impl FlowTally {
 pub struct Observer {
     enabled: bool,
     next_id: u64,
-    open: HashMap<(FlowKind, NodeId), u64>,
+    open: IdMap<(FlowKind, NodeId), u64>,
     tallies: [FlowTally; 5],
 }
 
@@ -79,7 +79,7 @@ impl Observer {
         Observer {
             enabled: true,
             next_id: 0,
-            open: HashMap::new(),
+            open: IdMap::default(),
             tallies: [FlowTally::default(); 5],
         }
     }

@@ -15,7 +15,7 @@
 
 use crate::topology::Topology;
 use crate::NodeId;
-use std::collections::HashMap;
+use proto_io::{IdMap, IdSet};
 
 /// Hop-count metric treated as unreachable (RIP uses 16).
 pub const INFINITY: u32 = 16;
@@ -23,7 +23,7 @@ pub const INFINITY: u32 = 16;
 /// One node's routing table: destination → (next hop, metric).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingTable {
-    entries: HashMap<NodeId, (NodeId, u32)>,
+    entries: IdMap<NodeId, (NodeId, u32)>,
 }
 
 impl RoutingTable {
@@ -82,7 +82,7 @@ impl RoutingTable {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoutingMesh {
-    tables: HashMap<NodeId, RoutingTable>,
+    tables: IdMap<NodeId, RoutingTable>,
 }
 
 impl RoutingMesh {
@@ -148,7 +148,7 @@ impl RoutingMesh {
             self.tables.insert(u, next);
         }
         // Nodes that vanished from the topology lose their tables.
-        let alive: std::collections::HashSet<NodeId> = nodes.into_iter().collect();
+        let alive: IdSet<NodeId> = nodes.into_iter().collect();
         let before_len = self.tables.len();
         self.tables.retain(|n, _| alive.contains(n));
         changed || self.tables.len() != before_len

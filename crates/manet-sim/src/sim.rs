@@ -255,7 +255,7 @@ impl<P: ProtocolCore> Sim<P> {
 mod tests {
     use super::*;
     use crate::{MsgCategory, Net, SendError};
-    use std::collections::HashMap;
+    use proto_io::IdMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a
     /// "req" and the server replies "rep".
@@ -624,7 +624,7 @@ mod tests {
         let recipients = hello(&mut sim, 3);
         assert!(recipients.len() > 8);
         // Each recipient's fate, as the send recorded it.
-        let (mut extra, mut copies) = (HashMap::new(), HashMap::new());
+        let (mut extra, mut copies) = (IdMap::default(), IdMap::default());
         for r in sim.world().trace().records() {
             match r.event {
                 Event::FaultDelay { to, by, .. } => {

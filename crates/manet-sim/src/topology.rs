@@ -99,8 +99,9 @@
 //!   and its components all stand.
 
 use crate::{NodeId, Point};
+use proto_io::IdMap;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The largest `t` with `t.sqrt() <= range`, so `d2 <= t` decides the
 /// inclusive-boundary link predicate exactly — IEEE sqrt is correctly
@@ -984,9 +985,9 @@ impl Topology {
     /// BFS distances (in hops) from `node` to every reachable node,
     /// including itself at distance 0. Empty if `node` is unknown.
     #[must_use]
-    pub fn distances_from(&self, node: NodeId) -> HashMap<NodeId, u32> {
+    pub fn distances_from(&self, node: NodeId) -> IdMap<NodeId, u32> {
         let Some(start) = self.index_of(node) else {
-            return HashMap::new();
+            return IdMap::default();
         };
         self.with_bfs(start, |bfs| {
             bfs.reach_depth(self, u32::MAX);

@@ -8,7 +8,8 @@ use crate::{
     Arena, Event, EventLog, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg, SendError,
     SimDuration, SimRng, SimTime,
 };
-use std::collections::{BinaryHeap, HashSet};
+use proto_io::IdSet;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Static parameters of a simulation run.
@@ -175,7 +176,7 @@ pub struct World<M> {
     nodes: NodeTable,
     rng: SimRng,
     metrics: Metrics,
-    cancelled_timers: HashSet<TimerId>,
+    cancelled_timers: IdSet<TimerId>,
     next_timer: u64,
     topo_cache: Option<(SimTime, u64, Topology)>,
     topo_version: u64,
@@ -215,7 +216,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             nodes: NodeTable::default(),
             rng,
             metrics: Metrics::new(),
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: IdSet::default(),
             next_timer: 0,
             topo_cache: None,
             topo_version: 0,

@@ -38,6 +38,7 @@ mod flow;
 mod fnv;
 mod geometry;
 pub mod histogram;
+mod idmap;
 mod ids;
 mod io;
 mod log;
@@ -57,6 +58,7 @@ pub use flow::{FlowKind, FlowStage};
 pub use fnv::{fnv1a, fnv1a_extend, FNV1A_INIT};
 pub use geometry::{Arena, Point};
 pub use histogram::Histogram;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use ids::NodeId;
 pub use io::Input;
 pub use log::{DropCause, Event, EventLog, Record, Span};

@@ -168,7 +168,10 @@ pub struct PerfCounters {
     /// behaviour digests: an engine that refreshes by less must not move
     /// it.
     pub topo_builds: u64,
-    /// Topology queries served from the cached snapshot.
+    /// Topology queries served from the cached snapshot. It counts the
+    /// questions the protocols and the world ask, so, unlike
+    /// [`topo_builds`](Self::topo_builds), a protocol that gets the same
+    /// answers from fewer queries moves it.
     pub topo_hits: u64,
 }
 

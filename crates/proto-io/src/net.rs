@@ -62,7 +62,7 @@ pub trait NetBackend<M> {
     fn neighbors(&mut self, node: NodeId) -> Vec<NodeId>;
 
     /// Alive nodes within `k` hops of `node` (excluding itself), with
-    /// their hop distances.
+    /// their hop distances, sorted by `(distance, id)`.
     fn nodes_within(&mut self, node: NodeId, k: u32) -> Vec<(NodeId, u32)>;
 
     /// Shortest-path hop count between two nodes, if connected.

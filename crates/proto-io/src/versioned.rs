@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn reads_keep_the_version_and_every_mutable_borrow_moves_it() {
-        let mut v = Versioned::<std::collections::HashMap<u8, char>>::default();
+        let mut v = Versioned::<crate::IdMap<u8, char>>::default();
         v.insert(1, 'a');
         let _ = (v.get(&1), v.len(), v.iter().count());
         assert_eq!(v.version(), 1);

@@ -51,8 +51,7 @@
 #![warn(missing_docs)]
 
 use manet_sim::WireShadow;
-use proto_io::{MsgCategory, NodeId, WireMsg};
-use std::collections::HashMap;
+use proto_io::{IdMap, MsgCategory, NodeId, WireMsg};
 use std::fmt;
 use std::io::ErrorKind;
 use std::marker::PhantomData;
@@ -130,7 +129,7 @@ struct Endpoint {
 /// The UDP-mesh shadow transport. Install on a world with
 /// [`manet_sim::World::set_wire_shadow`]; see the [crate docs](self).
 pub struct MeshShadow<M: WireMsg> {
-    endpoints: HashMap<NodeId, Endpoint>,
+    endpoints: IdMap<NodeId, Endpoint>,
     /// The one receive buffer: only one datagram is ever in flight.
     buf: Box<[u8]>,
     stats: Arc<SharedStats>,
@@ -143,7 +142,7 @@ impl<M: WireMsg> MeshShadow<M> {
     #[must_use]
     pub fn new() -> Self {
         MeshShadow {
-            endpoints: HashMap::new(),
+            endpoints: IdMap::default(),
             buf: vec![0; MAX_DATAGRAM].into_boxed_slice(),
             stats: Arc::new(SharedStats::default()),
             _msg: PhantomData,
