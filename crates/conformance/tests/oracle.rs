@@ -38,6 +38,30 @@ fn five_protocols_pass_every_schedule() {
     }
 }
 
+/// Open QBAC's known duplicate under plain message loss, and the
+/// hardened variant's. At nn 40 with `loss 0.2` (seed 61) a head's
+/// probes to a live peer are all lost, so it reclaims that peer's
+/// block while the peer goes on granting. Every canned schedule
+/// runs clean at its pinned seed, so this is the canary that keeps the
+/// hole in view. The fix for false reclamation flips this test to
+/// must-run-clean: both runs then end with no violation.
+#[test]
+fn loss_alone_breaks_open_qbac_at_seed_61() {
+    let plan = manet_sim::faults::FaultPlan::parse("seed 61\nloss 0.2").expect("plan parses");
+    let cfg = CheckConfig::new(40, 61, plan);
+    for (protocol, step) in [("quorum", 1514), ("quorum-hardened", 1485)] {
+        let v = run_named(protocol, &cfg)
+            .expect("known protocol")
+            .violation
+            .unwrap_or_else(|| panic!("{protocol} ran clean: the false-reclaim hole is closed"));
+        assert_eq!(
+            (v.invariant, v.step),
+            (Invariant::AddrUnique, step),
+            "{protocol}: {v}"
+        );
+    }
+}
+
 #[test]
 fn broken_protocol_is_caught_shrunk_and_replayed() {
     // The storm schedule drops 15% of messages — more than enough to

@@ -11,7 +11,7 @@
 //! key order end to end, `parse → render` round trips are
 //! byte-comparable, which the tests here rely on.
 
-use std::fmt::Write as _;
+use std::fmt::Write;
 use std::io;
 use std::path::Path;
 
@@ -42,6 +42,25 @@ pub fn json_usize_list(vals: &[usize]) -> String {
 pub fn json_str_list(vals: &[String]) -> String {
     let items: Vec<String> = vals.iter().map(|v| format!("\"{v}\"")).collect();
     format!("[{}]", items.join(","))
+}
+
+/// Appends `text` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters: the one escaper for free text, such as a
+/// panic message, inside an artifact.
+pub fn push_json_str(out: &mut impl Write, text: &str) {
+    let _ = out.write_char('"');
+    for ch in text.chars() {
+        let _ = match ch {
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            '\r' => out.write_str("\\r"),
+            '\t' => out.write_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
+            c => out.write_char(c),
+        };
+    }
+    let _ = out.write_char('"');
 }
 
 /// `null` or the number, for optional integer fields.
@@ -166,23 +185,7 @@ fn render_into(v: &Value, s: &mut String) {
                 let _ = write!(s, "{n}");
             }
         }
-        Value::Str(text) => {
-            s.push('"');
-            for ch in text.chars() {
-                match ch {
-                    '"' => s.push_str("\\\""),
-                    '\\' => s.push_str("\\\\"),
-                    '\n' => s.push_str("\\n"),
-                    '\r' => s.push_str("\\r"),
-                    '\t' => s.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(s, "\\u{:04x}", c as u32);
-                    }
-                    c => s.push(c),
-                }
-            }
-            s.push('"');
-        }
+        Value::Str(text) => push_json_str(s, text),
         Value::Array(items) => {
             s.push('[');
             for (i, item) in items.iter().enumerate() {

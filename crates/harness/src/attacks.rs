@@ -1,4 +1,4 @@
-//! `repro attacks` — the adversary degradation suite.
+//! The adversary degradation suite `repro check` reports.
 //!
 //! Runs every pinned attack canary (see `conformance::attacks`) against
 //! both the plain `quorum` adapter and its `quorum-hardened` variant
@@ -8,14 +8,16 @@
 //! duplicate addresses the open protocol conceded. The expected shape
 //! is one-sided — every open cell red, every hardened cell clean.
 //!
-//! `repro check` consumes the same canaries through [`canary_suite`],
-//! which turns the two-sided expectation into pass/fail cells for CI:
-//! a canary the oracle fails to flag, or a hardened run that concedes,
-//! is a red cell (the latter with a shrunk artifact for upload).
+//! `repro check` runs the suite once, prints [`attack_table`] from its
+//! outcomes, and turns the same outcomes into pass/fail cells for CI
+//! through [`canary_suite`]: a canary the oracle fails to flag, or a
+//! hardened run that concedes, is a red cell (the latter with a shrunk
+//! artifact for upload).
 
+use crate::oracle::CheckCell;
 use crate::render::Table;
 use conformance::attacks::{attack_canaries, AttackCanary};
-use conformance::{run_named, shrink_named, Artifact, CheckOutcome};
+use conformance::{run_named, shrink_named, CheckOutcome};
 
 /// One canary's paired measurement.
 #[derive(Debug)]
@@ -93,65 +95,51 @@ pub fn attack_table(outcomes: &[AttackOutcome]) -> Table {
     t
 }
 
-/// One pass/fail cell of the `repro check` canary smoke.
-#[derive(Debug)]
-pub struct CanaryCell {
-    /// The report line for this cell.
-    pub line: String,
-    /// Whether the cell met its expectation.
-    pub ok: bool,
-    /// A shrunk artifact when a hardened run unexpectedly conceded.
-    pub artifact: Option<Artifact>,
-    /// File stem for [`artifact`](Self::artifact) (`<stem>.repro`).
-    pub stem: String,
-}
-
-/// Runs the canary smoke: the oracle must flag every canary against
-/// the open protocol, and the hardened variant must hold every one.
+/// The `repro check` canary smoke over `outcomes`: the oracle must
+/// flag every canary against the open protocol, and the hardened
+/// variant must hold every one.
 #[must_use]
-pub fn canary_suite() -> Vec<CanaryCell> {
+pub fn canary_suite(outcomes: &[AttackOutcome]) -> Vec<CheckCell> {
     let mut cells = Vec::new();
-    for o in attack_suite() {
+    for o in outcomes {
         let name = o.canary.name;
-        cells.push(match &o.open.violation {
-            Some(v) => CanaryCell {
-                line: format!(
-                    "PASS  canary {name:<13} caught by oracle (step {}: {})",
-                    v.step, v.invariant
-                ),
-                ok: true,
-                artifact: None,
-                stem: format!("canary-{name}"),
-            },
-            None => CanaryCell {
-                line: format!(
-                    "FAIL  canary {name:<13} NOT caught — attack ran ({} actions) but no invariant fell",
-                    o.open.faults.attack_total()
-                ),
-                ok: false,
-                artifact: None,
-                stem: format!("canary-{name}"),
-            },
+        let line = match &o.open.violation {
+            Some(v) => format!(
+                "PASS  canary {name:<13} caught by oracle (step {}: {})",
+                v.step, v.invariant
+            ),
+            None => format!(
+                "FAIL  canary {name:<13} NOT caught — attack ran ({} actions) but no invariant fell",
+                o.open.faults.attack_total()
+            ),
+        };
+        cells.push(CheckCell {
+            line,
+            ok: o.open.violation.is_some(),
+            artifact: None,
+            stem: format!("canary-{name}"),
         });
-        cells.push(match &o.hardened.violation {
-            None => CanaryCell {
-                line: format!(
+        let (line, artifact) = match &o.hardened.violation {
+            None => (
+                format!(
                     "PASS  canary {name:<13} held by hardened QBAC ({} configured)",
                     o.hardened.configured
                 ),
-                ok: true,
-                artifact: None,
-                stem: format!("hardened-{name}"),
-            },
-            Some(v) => CanaryCell {
-                line: format!(
+                None,
+            ),
+            Some(v) => (
+                format!(
                     "FAIL  canary {name:<13} broke hardened QBAC (step {}: {}: {})",
                     v.step, v.invariant, v.detail
                 ),
-                ok: false,
-                artifact: shrink_named("quorum-hardened", &o.canary.config()),
-                stem: format!("hardened-{name}"),
-            },
+                shrink_named("quorum-hardened", &o.canary.config()),
+            ),
+        };
+        cells.push(CheckCell {
+            line,
+            ok: o.hardened.violation.is_none(),
+            artifact,
+            stem: format!("hardened-{name}"),
         });
     }
     cells
@@ -178,7 +166,7 @@ mod tests {
 
     #[test]
     fn canary_smoke_is_green_and_artifact_free() {
-        let cells = canary_suite();
+        let cells = canary_suite(&attack_suite());
         assert_eq!(cells.len(), 2 * attack_canaries().len());
         for c in &cells {
             assert!(c.ok, "{}", c.line);

@@ -11,13 +11,13 @@
 //! repro chaos               # fault-injection suite (loss sweep + head kills)
 //! repro chaos --loss 0.2 --head-kills 2      # one chaos cell
 //! repro chaos --fault-plan plan.txt          # scripted faults (see DESIGN.md)
-//! repro check               # conformance oracle: invariants after every event
+//! repro check               # conformance oracle: invariants after every event,
+//!                           # attack canaries and their degradation table
 //! repro check --quick --artifact-dir out/    # CI smoke; shrunk repros on failure
+//! repro check --rounds 300                   # seed axis: world_seed + 0..300
 //! repro replay out/quorum-storm.repro        # byte-for-byte reproduction
-//! repro attacks             # adversary degradation: open vs hardened QBAC
 //! repro sweep --quick --threads 4 --out sweep.json   # parallel grid sweep
 //! repro sweep --quick --mobility manhattan:100 --mobility group:4,50
-//! repro sweep --soak --rounds 5              # chaos soak vs the oracle
 //! repro scale --out BENCH_scale.json         # city-scale sharded join storm
 //! repro scale --n 10000 --out scale.json     # CI smoke cell
 //! repro topology --out BENCH_topology.json   # strip-sweep vs naive build timings
@@ -53,7 +53,6 @@ enum Mode {
     Chaos,
     Check,
     Replay,
-    Attacks,
     Sweep,
     Scale,
     Topology,
@@ -63,12 +62,11 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 11] = [
+    const ALL: [Mode; 10] = [
         Mode::Figures,
         Mode::Chaos,
         Mode::Check,
         Mode::Replay,
-        Mode::Attacks,
         Mode::Sweep,
         Mode::Scale,
         Mode::Topology,
@@ -83,7 +81,6 @@ impl Mode {
             Mode::Chaos => "chaos",
             Mode::Check => "check",
             Mode::Replay => "replay",
-            Mode::Attacks => "attacks",
             Mode::Sweep => "sweep",
             Mode::Scale => "scale",
             Mode::Topology => "topology",
@@ -117,8 +114,8 @@ impl Mode {
                 "--metrics-out",
                 "--trace-out",
             ],
-            Mode::Check => &["--quick", "--artifact-dir"],
-            Mode::Replay | Mode::Attacks => &[],
+            Mode::Check => &["--quick", "--artifact-dir", "--rounds"],
+            Mode::Replay => &[],
             Mode::Sweep => &[
                 "--quick",
                 "--seed",
@@ -126,8 +123,6 @@ impl Mode {
                 "--out",
                 "--with-chaos",
                 "--mobility",
-                "--soak",
-                "--rounds",
             ],
             Mode::Scale => &["--quick", "--n", "--threads", "--seed", "--out"],
             Mode::Topology => &["--out"],
@@ -160,8 +155,9 @@ impl Mode {
 #[derive(Debug, Default)]
 struct Args {
     mode: Mode,
-    /// `--rounds`, `--seed`, `--quick`.
+    /// `--seed`, `--quick`; see [`Args::round_count`] for `--rounds`.
     opts: FigOpts,
+    rounds: Option<u64>,
     fig: Option<u32>,
     csv_dir: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
@@ -172,7 +168,6 @@ struct Args {
     artifact_dir: Option<PathBuf>,
     threads: Option<usize>,
     out: Option<PathBuf>,
-    soak: bool,
     with_chaos: bool,
     /// `--mobility SPEC`, repeatable; each spec pre-validated against
     /// the [`MobilityConfig::parse`] grammar.
@@ -185,6 +180,18 @@ struct Args {
     protocol: Option<String>,
     /// `gate BASELINE CANDIDATE` / `replay FILE`.
     files: Vec<PathBuf>,
+}
+
+impl Args {
+    /// `--rounds`, or the subcommand's default when it was not given:
+    /// one seed round for `check`, the figures' replication count for
+    /// `figures` and `chaos`.
+    fn round_count(&self) -> u64 {
+        self.rounds.unwrap_or(match self.mode {
+            Mode::Check => 1,
+            _ => FigOpts::default().rounds,
+        })
+    }
 }
 
 fn value(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> Result<String, String> {
@@ -233,10 +240,11 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match flag {
             "--fig" => a.fig = Some(number(&mut it, flag, "a number (4-18)")?),
             "--rounds" => {
-                a.opts.rounds = number(&mut it, flag, "a number")?;
-                if a.opts.rounds == 0 {
+                let r = number(&mut it, flag, "a number")?;
+                if r == 0 {
                     return Err("--rounds must be at least 1".into());
                 }
+                a.rounds = Some(r);
             }
             "--seed" => a.opts.seed = number(&mut it, flag, "a number")?,
             "--quick" => a.opts.quick = true,
@@ -268,7 +276,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 a.threads = Some(t);
             }
             "--out" => a.out = Some(value(&mut it, flag, "a file path")?.into()),
-            "--soak" => a.soak = true,
             "--with-chaos" => a.with_chaos = true,
             "--mobility" => {
                 // Repeatable: each occurrence adds one model to the
@@ -315,12 +322,10 @@ fn print_help() {
          \x20            [--metrics-out FILE] [--trace-out DIR]\n\
          \x20      repro chaos [--loss P] [--head-kills K] [--fault-plan FILE] [--rounds R]\n\
          \x20                  [--seed S] [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out DIR]\n\
-         \x20      repro check [--quick] [--artifact-dir DIR]\n\
+         \x20      repro check [--quick] [--artifact-dir DIR] [--rounds R]\n\
          \x20      repro replay FILE\n\
-         \x20      repro attacks\n\
          \x20      repro sweep [--quick] [--threads N] [--out FILE] [--seed S] [--with-chaos]\n\
          \x20                  [--mobility SPEC]...\n\
-         \x20      repro sweep --soak [--rounds R] [--seed S] [--quick] [--threads N]\n\
          \x20      repro scale [--quick] [--n N]... [--threads N] [--seed S] [--out BENCH_scale.json]\n\
          \x20      repro topology [--out BENCH_topology.json]\n\
          \x20      repro gate BASELINE CANDIDATE [--tolerance F] [--subset]\n\
@@ -340,16 +345,17 @@ fn print_help() {
          chaos schedule with invariants verified after each simulator event; a\n\
          violation is shrunk to a minimal replayable artifact (--artifact-dir),\n\
          and replay re-runs one artifact demanding byte-for-byte reproduction.\n\
+         --rounds R (default 1) runs round r at world and plan seed\n\
+         world_seed + r and ends with a per-invariant violation tally.\n\
          check also runs the attack-canary smoke: every pinned adversarial\n\
          schedule must be caught against open QBAC and held by the hardened\n\
-         variant. attacks prints the full degradation table for those canaries.\n\
+         variant; it prints the degradation table for those canaries.\n\
          sweep fans a parameter grid (protocol x size x mobility x loss, plus\n\
          chaos schedules with --with-chaos) across worker threads and merges\n\
-         per-shard telemetry into one deterministic sweep.json; --soak loops\n\
-         the chaos schedules against the conformance oracle and reports\n\
-         violations per simulated hour. --mobility overrides the grid's\n\
-         mobility axis (random-waypoint, manhattan:SPACING, group:SIZE,RADIUS,\n\
-         flash-crowd:RADIUS,UNTIL; repeat the flag for several models).\n\
+         per-shard telemetry into one deterministic sweep.json. --mobility\n\
+         overrides the grid's mobility axis (random-waypoint, manhattan:SPACING,\n\
+         group:SIZE,RADIUS, flash-crowd:RADIUS,UNTIL; repeat the flag for\n\
+         several models).\n\
          scale decomposes a city-scale join storm into spatially disjoint\n\
          shard simulations fanned across worker threads (merged in a fixed\n\
          order, so the artifact is byte-identical for any --threads).\n\
@@ -411,20 +417,14 @@ fn timed<T>(phases: &mut Vec<Phase>, name: String, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `repro sweep`: the parallel grid sweep (or the chaos soak),
-/// writing the merged artifact when `--out` is given.
+/// Runs `repro sweep`: the parallel grid sweep, writing the merged
+/// artifact when `--out` is given.
 fn run_sweep_mode(args: &Args) -> Outcome {
     let threads = args.threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(4)
     });
-    if args.soak {
-        let nn = if args.opts.quick { 8 } else { 16 };
-        let report = harness::run_soak(nn, args.opts.rounds, args.opts.seed, threads);
-        print!("{}", report.render_text());
-        return Ok(report.violations() == 0);
-    }
     let mut grid = if args.opts.quick {
         harness::SweepGrid::smoke(args.opts.seed)
     } else {
@@ -613,59 +613,42 @@ fn run_replay_mode(args: &Args) -> Outcome {
     Ok(ok)
 }
 
-/// Runs `repro check`: the full protocol × schedule suite plus the
-/// attack canaries, with shrunk artifacts written on failure.
+/// Runs `repro check`: the protocol × schedule suite over the seed
+/// rounds, then the attack canaries and their degradation table, then
+/// the violation tally; shrunk artifacts are written on failure.
 fn run_check_mode(args: &Args) -> Outcome {
-    let write_artifact = |stem: &str, text: String| match &args.artifact_dir {
-        Some(dir) => write_into(dir, &format!("{stem}.repro"), &text),
-        None => Ok(()),
-    };
+    let suite = harness::oracle::check_suite(args.opts.quick, args.round_count());
+    let attacks = harness::attacks::attack_suite();
     let mut failed = false;
-    for cell in &harness::oracle::check_suite(args.opts.quick) {
-        println!("{}", cell.report_line());
-        if let Some(artifact) = &cell.artifact {
-            failed = true;
-            write_artifact(
-                &format!("{}-{}", cell.protocol, cell.schedule),
-                artifact.to_text(),
-            )?;
-        }
-    }
-    // The attack-canary smoke rides along: the oracle must flag every
-    // pinned adversarial schedule, and hardened QBAC must hold it.
-    for cell in harness::attacks::canary_suite() {
+    for cell in suite
+        .iter()
+        .chain(&harness::attacks::canary_suite(&attacks))
+    {
         println!("{}", cell.line);
         failed |= !cell.ok;
-        if let Some(artifact) = &cell.artifact {
-            write_artifact(&cell.stem, artifact.to_text())?;
+        if let (Some(dir), Some(artifact)) = (&args.artifact_dir, &cell.artifact) {
+            write_into(dir, &format!("{}.repro", cell.stem), &artifact.to_text())?;
         }
     }
+    println!("{}", harness::attacks::attack_table(&attacks).to_ascii());
+    println!("{}", harness::oracle::tally_line(&suite));
     if failed {
         eprintln!("conformance: invariant violations found (artifacts above are replayable)");
     }
     Ok(!failed)
 }
 
-/// Runs `repro attacks`: the degradation table, open vs hardened QBAC.
-fn run_attacks_mode() -> bool {
-    let outcomes = harness::attacks::attack_suite();
-    println!("{}", harness::attacks::attack_table(&outcomes).to_ascii());
-    let clean = outcomes
-        .iter()
-        .all(|o| o.open.violation.is_some() && o.hardened.violation.is_none());
-    if !clean {
-        eprintln!("attacks: a canary missed its expected shape (see table notes)");
-    }
-    clean
-}
-
 /// Runs `repro figures` / `repro chaos`: prints the tables, then writes
 /// the CSVs, the run manifest and the flow traces that were asked for.
 fn run_tables_mode(args: &Args) -> Outcome {
+    let opts = FigOpts {
+        rounds: args.round_count(),
+        ..args.opts
+    };
     let mut phases: Vec<Phase> = Vec::new();
     let tables = if args.mode == Mode::Chaos {
         let opts = ChaosOpts {
-            fig: args.opts,
+            fig: opts,
             loss: args.loss,
             head_kills: args.head_kills.unwrap_or(2),
             extra_plan: args.fault_plan.clone(),
@@ -673,7 +656,7 @@ fn run_tables_mode(args: &Args) -> Outcome {
         timed(&mut phases, "chaos".into(), || chaos_suite(&opts))
     } else if let Some(n) = args.fig {
         let found = timed(&mut phases, format!("fig{n:02}"), || {
-            figures::by_number(n, &args.opts)
+            figures::by_number(n, &opts)
         });
         found.ok_or_else(|| {
             format!(
@@ -685,7 +668,7 @@ fn run_tables_mode(args: &Args) -> Outcome {
         let mut tables = Vec::new();
         for n in 4..=18u32 {
             tables.extend(timed(&mut phases, format!("fig{n:02}"), || {
-                figures::by_number(n, &args.opts).expect("figures 4-18 exist")
+                figures::by_number(n, &opts).expect("figures 4-18 exist")
             }));
         }
         tables
@@ -715,7 +698,7 @@ fn run_tables_mode(args: &Args) -> Outcome {
         let snap = Snapshot {
             params: SnapshotParams {
                 seed: args.opts.seed,
-                rounds: args.opts.rounds,
+                rounds: opts.rounds,
                 quick: args.opts.quick,
                 fig: args.fig,
                 chaos: args.mode == Mode::Chaos,
@@ -746,7 +729,6 @@ fn main() -> ExitCode {
         Mode::Figures | Mode::Chaos => run_tables_mode(&args),
         Mode::Check => run_check_mode(&args),
         Mode::Replay => run_replay_mode(&args),
-        Mode::Attacks => Ok(run_attacks_mode()),
         Mode::Sweep => run_sweep_mode(&args),
         Mode::Scale => run_scale_mode(&args),
         Mode::Topology => run_topology_mode(&args),
@@ -766,7 +748,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, Mode};
+    use super::{parse_args, FigOpts, Mode};
 
     fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
         s.split_whitespace().map(str::to_string)
@@ -775,7 +757,7 @@ mod tests {
     /// Every flag any subcommand lists, with a value that parses (empty
     /// for a switch). `--fault-plan` reads its file at parse time, so
     /// its value is filled in by the test.
-    const SAMPLES: [(&str, &str); 21] = [
+    const SAMPLES: [(&str, &str); 20] = [
         ("--fig", "5"),
         ("--rounds", "3"),
         ("--seed", "7"),
@@ -789,7 +771,6 @@ mod tests {
         ("--artifact-dir", "out"),
         ("--threads", "2"),
         ("--out", "x.json"),
-        ("--soak", ""),
         ("--with-chaos", ""),
         ("--mobility", "manhattan:100"),
         ("--n", "1000"),
@@ -847,6 +828,9 @@ mod tests {
             "--backend mesh",
             "mesh --backend sim",
             "sweep --loss 0.1",
+            "sweep --soak",
+            "sweep --rounds 5",
+            "attacks",
             "--bogus",
             "gate a.json b.json c.json",
             "figures extra",
@@ -895,6 +879,56 @@ mod tests {
     }
 
     #[test]
+    fn rounds_default_per_subcommand() {
+        // `check` runs one seed round unless told otherwise; the figures
+        // keep their replication count.
+        let rounds = |line: &str| parse_args(argv(line)).unwrap().round_count();
+        assert_eq!(rounds("check"), 1);
+        assert_eq!(rounds("check --rounds 3"), 3);
+        assert_eq!(rounds("figures"), FigOpts::default().rounds);
+        assert_eq!(rounds("chaos --rounds 3"), 3);
+        assert!(parse_args(argv("check --rounds 0")).is_err());
+    }
+
+    /// README's subcommand table lists, row for row, exactly the flags
+    /// each subcommand takes.
+    #[test]
+    fn readme_flag_table_matches_the_parser() {
+        let readme = include_str!("../../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .skip_while(|l| !l.starts_with("| Subcommand | Flags |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        // The first word inside each `code span` of a cell.
+        let words = |cell: &str| -> Vec<String> {
+            cell.split('`')
+                .skip(1)
+                .step_by(2)
+                .map(|span| span.split_whitespace().next().unwrap_or("").to_string())
+                .collect()
+        };
+        let mut names = Vec::new();
+        for row in rows {
+            let cells: Vec<&str> = row.split('|').collect();
+            let name = words(cells[1]).remove(0);
+            let mode = Mode::ALL
+                .into_iter()
+                .find(|m| m.name() == name)
+                .unwrap_or_else(|| panic!("README lists unknown subcommand {name}"));
+            let mut listed = words(cells[2]);
+            let mut flags: Vec<&str> = mode.flags().to_vec();
+            listed.sort_unstable();
+            flags.sort_unstable();
+            assert_eq!(listed, flags, "README row for {name}");
+            names.push(name);
+        }
+        let all: Vec<&str> = Mode::ALL.iter().map(|m| m.name()).collect();
+        assert_eq!(names, all, "one row per subcommand, in Mode::ALL order");
+    }
+
+    #[test]
     fn positional_files_are_counted() {
         let a = parse_args(argv("replay out/quorum-storm.repro")).unwrap();
         assert_eq!(a.files[0].to_str(), Some("out/quorum-storm.repro"));
@@ -917,11 +951,8 @@ mod tests {
         assert!(a.opts.quick);
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.out.as_deref().unwrap().to_str(), Some("sweep.json"));
-        assert!(!a.soak && !a.with_chaos && a.mobilities.is_none());
-
-        let a = parse_args(argv("sweep --soak --rounds 3 --with-chaos")).unwrap();
-        assert!(a.soak && a.with_chaos);
-        assert_eq!(a.opts.rounds, 3);
+        assert!(!a.with_chaos && a.mobilities.is_none());
+        assert!(parse_args(argv("sweep --with-chaos")).unwrap().with_chaos);
 
         let a = parse_args(argv(
             "sweep --quick --mobility manhattan:100 --mobility group:4,50",

@@ -1,9 +1,9 @@
 //! `repro fuzz`: coverage-guided fuzzing of conformance schedules.
 //!
 //! The conformance oracle checks invariants after every simulator
-//! event, but only under the handful of canned chaos schedules and
-//! whatever the soak loop's seed arithmetic happens to produce. This
-//! module searches the schedule space deliberately: it mutates
+//! event, but `repro check` only walks the handful of canned chaos
+//! schedules along a seed axis. This module searches the schedule
+//! space deliberately: it mutates
 //! [`FaultPlan`]s structurally (insert / delete / retime / retarget
 //! fault and attack lines, plus jitter of the workload knobs — node
 //! count, speed, mobility model), runs each candidate through

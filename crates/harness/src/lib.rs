@@ -32,7 +32,7 @@ pub mod sweep;
 pub mod topology_baseline;
 
 pub use artifact::{Artifact, ARTIFACT_SCHEMA_VERSION};
-pub use attacks::{attack_suite, attack_table, canary_suite, AttackOutcome, CanaryCell};
+pub use attacks::{attack_suite, attack_table, canary_suite, AttackOutcome};
 pub use chaos::{chaos_suite, ChaosOpts};
 pub use fuzz::{mutate_input, parse_time_budget, run_fuzz, FuzzConfig, FuzzInput, FuzzReport};
 pub use gate::{gate, gate_subset, Finding, GateReport, Verdict};
@@ -46,4 +46,4 @@ pub use scenario::{
     ScenarioError,
 };
 pub use snapshot::{Phase, ProtocolRun, Snapshot, SnapshotParams};
-pub use sweep::{run_jobs, run_soak, run_sweep, CellResult, SoakReport, SweepGrid, SweepReport};
+pub use sweep::{run_jobs, run_sweep, CellResult, SweepGrid, SweepReport};

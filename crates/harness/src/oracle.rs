@@ -1,86 +1,163 @@
-//! `repro check` — the conformance-oracle smoke suite.
+//! `repro check` — the conformance-oracle campaign.
 //!
 //! Runs every registered protocol under every canned chaos schedule
-//! with the step-wise invariant checker enabled. A clean suite prints
-//! one `PASS` line per (protocol, schedule) cell; a violation is
-//! delta-debugged down to a minimal failing schedule and written out as
-//! a replayable artifact (see `conformance::Artifact`), which
-//! `repro replay <file>` reproduces byte-for-byte.
+//! with the step-wise invariant checker enabled, over a seed axis:
+//! round `r` runs each schedule with world seed = plan seed =
+//! `world_seed + r`, so round 0 is the pinned suite and `--rounds R`
+//! judges the seed distribution around it. The round × schedule ×
+//! protocol jobs fan out over [`run_jobs`] and come back in job order.
+//! A clean cell prints one `PASS` line; a violation is delta-debugged
+//! down to a minimal failing schedule and written out as a replayable
+//! artifact (see `conformance::Artifact`), which `repro replay <file>`
+//! reproduces byte-for-byte. The attack canaries
+//! ([`canary_suite`](crate::attacks::canary_suite)) report through the
+//! same [`CheckCell`], and [`tally_line`] closes the report.
 
+use crate::sweep::run_jobs;
 use conformance::registry::PROTOCOLS;
 use conformance::{chaos_schedules, replay_check, run_named, shrink_named, Artifact, CheckConfig};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
 
 /// Node count for `--quick` suite runs (matches the CI smoke).
 pub const QUICK_NODES: usize = 25;
 /// Node count for full suite runs.
 pub const FULL_NODES: usize = 40;
 
-/// One (protocol, schedule) cell of the suite.
+/// One pass/fail cell of `repro check`: a suite run or an attack
+/// canary.
 #[derive(Debug)]
 pub struct CheckCell {
-    /// Protocol registry name.
-    pub protocol: &'static str,
-    /// Schedule name.
-    pub schedule: &'static str,
-    /// Events dispatched.
-    pub steps: u64,
-    /// Configured nodes at end of run (clean cells only).
-    pub configured: usize,
-    /// The shrunk failing artifact, if the cell violated an invariant.
+    /// The report line for this cell.
+    pub line: String,
+    /// Whether the cell met its expectation.
+    pub ok: bool,
+    /// The shrunk failing artifact, when the cell broke an invariant it
+    /// must hold.
     pub artifact: Option<Artifact>,
+    /// File stem for [`artifact`](Self::artifact) (`<stem>.repro`).
+    pub stem: String,
 }
 
-impl CheckCell {
-    /// The human-readable report line for this cell.
-    #[must_use]
-    pub fn report_line(&self) -> String {
-        match &self.artifact {
-            None => format!(
-                "PASS  {:<10} under {:<10} ({} events, {} configured)",
-                self.protocol, self.schedule, self.steps, self.configured
-            ),
-            Some(a) => format!(
-                "FAIL  {:<10} under {:<10} (step {}: {}: {})",
-                self.protocol, self.schedule, a.step, a.invariant, a.detail
-            ),
-        }
-    }
+/// One round × schedule × protocol job of [`check_suite`].
+struct Job {
+    protocol: &'static str,
+    /// Schedule name, plus the seed after round 0.
+    label: String,
+    stem: String,
+    cfg: CheckConfig,
 }
 
-/// Runs the full suite: every protocol × every chaos schedule.
+/// Runs `rounds` rounds of every protocol × every chaos schedule, with
+/// results in round, schedule, protocol order.
 ///
-/// Failing cells are shrunk to minimal artifacts before returning, so a
-/// red suite is immediately replayable.
+/// Each failing run is shrunk to a minimal artifact before returning,
+/// so a red suite is immediately replayable. Cells after round 0 name
+/// their seed in the line and the stem, so no two artifacts share a
+/// file name.
 #[must_use]
-pub fn check_suite(quick: bool) -> Vec<CheckCell> {
+pub fn check_suite(quick: bool, rounds: u64) -> Vec<CheckCell> {
     let nodes = if quick { QUICK_NODES } else { FULL_NODES };
-    let mut cells = Vec::new();
-    for schedule in chaos_schedules() {
-        for protocol in PROTOCOLS {
-            let cfg = CheckConfig::new(nodes, schedule.world_seed, schedule.plan.clone());
-            let out = run_named(protocol, &cfg).expect("registry names dispatch");
-            let artifact = if out.violation.is_some() {
-                shrink_named(protocol, &cfg)
+    let schedules = chaos_schedules();
+    let mut jobs = Vec::new();
+    for round in 0..rounds {
+        for schedule in &schedules {
+            let seed = schedule.world_seed + round;
+            let (label, suffix) = if round == 0 {
+                (schedule.name.to_string(), String::new())
             } else {
-                None
+                (
+                    format!("{} seed {seed}", schedule.name),
+                    format!("-seed{seed}"),
+                )
             };
-            cells.push(CheckCell {
-                protocol,
-                schedule: schedule.name,
-                steps: out.steps,
-                configured: out.configured,
-                artifact,
-            });
+            let mut plan = schedule.plan.clone();
+            plan.seed = seed;
+            for protocol in PROTOCOLS {
+                jobs.push(Job {
+                    protocol,
+                    label: label.clone(),
+                    stem: format!("{protocol}-{}{suffix}", schedule.name),
+                    cfg: CheckConfig::new(nodes, seed, plan.clone()),
+                });
+            }
         }
     }
-    cells
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let results = run_jobs(jobs.len(), threads, |i| {
+        let job = &jobs[i];
+        let out = run_named(job.protocol, &job.cfg).expect("registry names dispatch");
+        let artifact = out
+            .violation
+            .and_then(|_| shrink_named(job.protocol, &job.cfg));
+        (out.steps, out.configured, artifact)
+    });
+    jobs.into_iter()
+        .zip(results)
+        .map(|(job, result)| {
+            let Job {
+                protocol,
+                label,
+                stem,
+                ..
+            } = job;
+            let (line, ok, artifact) = match result {
+                Ok((steps, configured, None)) => (
+                    format!(
+                        "PASS  {protocol:<10} under {label:<10} ({steps} events, {configured} configured)"
+                    ),
+                    true,
+                    None,
+                ),
+                Ok((_, _, Some(a))) => (
+                    format!(
+                        "FAIL  {protocol:<10} under {label:<10} (step {}: {}: {})",
+                        a.step, a.invariant, a.detail
+                    ),
+                    false,
+                    Some(a),
+                ),
+                Err(panic) => (
+                    format!("FAIL  {protocol:<10} under {label:<10} (panicked: {panic})"),
+                    false,
+                    None,
+                ),
+            };
+            CheckCell {
+                line,
+                ok,
+                artifact,
+                stem,
+            }
+        })
+        .collect()
 }
 
-/// File name a failing cell's artifact is written under.
+/// The campaign's closing line: how many suite runs failed, broken
+/// down by the invariant each shrunk artifact ends in (`panic` for a
+/// run that panicked).
 #[must_use]
-pub fn artifact_path(dir: &Path, cell: &CheckCell) -> PathBuf {
-    dir.join(format!("{}-{}.repro", cell.protocol, cell.schedule))
+pub fn tally_line(cells: &[CheckCell]) -> String {
+    let mut by_invariant: BTreeMap<&str, usize> = BTreeMap::new();
+    for cell in cells.iter().filter(|c| !c.ok) {
+        let name = cell
+            .artifact
+            .as_ref()
+            .map_or("panic", |a| a.invariant.name());
+        *by_invariant.entry(name).or_default() += 1;
+    }
+    let failed: usize = by_invariant.values().sum();
+    let mut line = format!(
+        "tally: {failed} of {} runs violated an invariant",
+        cells.len()
+    );
+    if failed > 0 {
+        let counts: Vec<String> = by_invariant
+            .iter()
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect();
+        line.push_str(&format!(" ({})", counts.join(", ")));
+    }
+    line
 }
 
 /// Replays an artifact file and reports the outcome as (line, ok).
@@ -104,32 +181,90 @@ mod tests {
     use conformance::chaos_schedules;
 
     #[test]
-    fn artifact_paths_are_per_cell() {
-        let cell = CheckCell {
-            protocol: "quorum",
-            schedule: "storm",
-            steps: 1,
-            configured: 1,
-            artifact: None,
-        };
-        assert_eq!(
-            artifact_path(Path::new("out"), &cell),
-            PathBuf::from("out/quorum-storm.repro")
-        );
+    fn the_seed_axis_extends_round_zero() {
+        let one = check_suite(true, 1);
+        let two = check_suite(true, 2);
+        let per_round = chaos_schedules().len() * PROTOCOLS.len();
+        assert_eq!((one.len(), two.len()), (per_round, 2 * per_round));
+        for (a, b) in one.iter().zip(&two) {
+            assert_eq!((&a.line, &a.stem), (&b.line, &b.stem));
+        }
+
+        // Round 1 runs each schedule at `world_seed + 1`, world and plan
+        // alike, and names that seed in its line and its stem.
+        for (schedule, cells) in chaos_schedules()
+            .iter()
+            .zip(two[per_round..].chunks(PROTOCOLS.len()))
+        {
+            let seed = schedule.world_seed + 1;
+            let mut plan = schedule.plan.clone();
+            plan.seed = seed;
+            for (protocol, cell) in PROTOCOLS.iter().zip(cells) {
+                let out = run_named(protocol, &CheckConfig::new(QUICK_NODES, seed, plan.clone()))
+                    .expect("registry names dispatch");
+                let expected = format!(
+                    "under {} seed {seed} ({} events, {} configured)",
+                    schedule.name, out.steps, out.configured
+                );
+                assert!(cell.line.contains(&expected), "{}", cell.line);
+                assert_eq!(
+                    cell.stem,
+                    format!("{protocol}-{}-seed{seed}", schedule.name)
+                );
+            }
+        }
+        let mut stems: Vec<&str> = two.iter().map(|c| c.stem.as_str()).collect();
+        stems.sort_unstable();
+        stems.dedup();
+        assert_eq!(stems.len(), two.len(), "stems collide");
     }
 
     #[test]
     fn report_lines_name_the_cell() {
-        let cell = CheckCell {
-            protocol: "buddy",
-            schedule: "reaper",
-            steps: 42,
-            configured: 25,
-            artifact: None,
+        let cells = check_suite(true, 1);
+        let names = chaos_schedules()
+            .into_iter()
+            .flat_map(|s| PROTOCOLS.iter().map(move |&p| (p, s.name)));
+        for (cell, (protocol, schedule)) in cells.iter().zip(names) {
+            assert!(cell.ok && cell.line.starts_with("PASS"), "{}", cell.line);
+            assert!(
+                cell.line.contains(protocol) && cell.line.contains(schedule),
+                "{}",
+                cell.line
+            );
+            assert_eq!(cell.stem, format!("{protocol}-{schedule}"));
+        }
+    }
+
+    #[test]
+    fn tally_counts_failures_by_invariant() {
+        let storm = chaos_schedules()
+            .into_iter()
+            .find(|s| s.name == "storm")
+            .expect("storm exists");
+        let cfg = CheckConfig::new(QUICK_NODES, storm.world_seed, storm.plan.clone());
+        let artifact = shrink_named("broken-doublegrant", &cfg).expect("broken protocol fails");
+        let invariant = artifact.invariant.name();
+        let cell = |ok: bool, artifact: Option<Artifact>| CheckCell {
+            line: String::new(),
+            ok,
+            artifact,
+            stem: String::new(),
         };
-        let line = cell.report_line();
-        assert!(line.starts_with("PASS"), "{line}");
-        assert!(line.contains("buddy") && line.contains("reaper"), "{line}");
+        let cells = [
+            cell(true, None),
+            cell(false, Some(artifact.clone())),
+            cell(false, Some(artifact)),
+            cell(false, None),
+        ];
+        assert_eq!(
+            tally_line(&cells[..1]),
+            "tally: 0 of 1 runs violated an invariant"
+        );
+        assert_eq!(
+            tally_line(&cells),
+            format!("tally: 3 of 4 runs violated an invariant ({invariant} 2, panic 1)")
+        );
     }
 
     #[test]

@@ -197,7 +197,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
-use crate::artifact::{fnv1a, json_usize_list};
+use crate::artifact::{fnv1a, json_usize_list, push_json_str};
 
 impl ScaleReport {
     /// Renders the artifact with real wall-clock timings.
@@ -258,18 +258,9 @@ impl ScaleReport {
             if i > 0 {
                 s.push(",");
             }
-            let clean: String = msg
-                .chars()
-                .map(|ch| match ch {
-                    '"' => '\'',
-                    '\n' | '\r' | '\t' => ' ',
-                    c => c,
-                })
-                .collect();
-            let _ = write!(
-                s,
-                "{{\"cell\":\"{key}\",\"shard\":{shard},\"panic\":\"{clean}\"}}"
-            );
+            let _ = write!(s, "{{\"cell\":\"{key}\",\"shard\":{shard},\"panic\":");
+            push_json_str(&mut s, msg);
+            s.push("}");
         }
         let wall = if zero_walls { 0 } else { self.wall_us };
         let _ = write!(s, "],\"wall_us\":{wall},");
@@ -391,5 +382,27 @@ mod tests {
                 assert!(seen.insert(mix_seed(42, cell, shard)));
             }
         }
+    }
+
+    #[test]
+    fn panic_text_survives_the_artifact_round_trip() {
+        let msg = "assertion `left == right` failed: \"a\\\"b\"\n  left: C:\\tmp";
+        let report = ScaleReport {
+            base_seed: 1,
+            shard_nn: 128,
+            quick: true,
+            cells: Vec::new(),
+            failed: vec![("n1000".into(), 3, msg.into())],
+            wall_us: 0,
+        };
+        let doc = crate::artifact::parse_verified("scale", &report.to_json()).expect("valid JSON");
+        let failed = doc
+            .get("failed")
+            .and_then(crate::json::Value::as_array)
+            .unwrap();
+        assert_eq!(
+            failed[0].get("panic").and_then(crate::json::Value::as_str),
+            Some(msg)
+        );
     }
 }

@@ -15,10 +15,6 @@
 //! on one thread or sixteen. Wall-clock fields render as 0 under
 //! `REPRO_NO_WALL_CLOCK=1` (or [`SweepReport::deterministic_json`]);
 //! the fingerprint is always computed over the zeroed form.
-//!
-//! `--soak` is the endurance variant: it loops the canned chaos
-//! schedules against the conformance oracle across fresh seeds and
-//! reports invariant violations per simulated hour.
 
 use crate::scenario::{run_scenario, Scenario};
 use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
@@ -444,7 +440,7 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
     })
 }
 
-use crate::artifact::{fnv1a, json_f64_list, json_str_list, json_usize_list};
+use crate::artifact::{fnv1a, json_f64_list, json_str_list, json_usize_list, push_json_str};
 
 impl SweepReport {
     /// Renders the artifact with real wall-clock timings.
@@ -525,15 +521,9 @@ impl SweepReport {
             if i > 0 {
                 s.push(",");
             }
-            let clean: String = msg
-                .chars()
-                .map(|ch| match ch {
-                    '"' => '\'',
-                    '\n' | '\r' | '\t' => ' ',
-                    c => c,
-                })
-                .collect();
-            let _ = write!(s, "{{\"cell\":\"{key}\",\"panic\":\"{clean}\"}}");
+            let _ = write!(s, "{{\"cell\":\"{key}\",\"panic\":");
+            push_json_str(&mut s, msg);
+            s.push("}");
         }
         // Grid-level rollups: everything merged across surviving cells.
         let mut all = Metrics::new();
@@ -556,130 +546,6 @@ impl SweepReport {
         );
         s
     }
-}
-
-/// One soak round's outcome.
-#[derive(Debug, Clone)]
-pub struct SoakCell {
-    /// Protocol name.
-    pub protocol: String,
-    /// Chaos schedule name.
-    pub schedule: String,
-    /// Seed this round ran under.
-    pub seed: u64,
-    /// Events the oracle stepped through.
-    pub steps: u64,
-    /// The violation, if the invariants broke.
-    pub violation: Option<String>,
-}
-
-/// A completed soak run: chaos schedules looped against the
-/// conformance oracle across fresh seeds.
-#[derive(Debug, Clone)]
-pub struct SoakReport {
-    /// Every (protocol × schedule × round) outcome.
-    pub cells: Vec<SoakCell>,
-    /// Total simulated time covered, microseconds.
-    pub sim_us: u64,
-}
-
-impl SoakReport {
-    /// Invariant violations found.
-    #[must_use]
-    pub fn violations(&self) -> usize {
-        self.cells.iter().filter(|c| c.violation.is_some()).count()
-    }
-
-    /// Violations per simulated hour (the soak headline number).
-    #[must_use]
-    pub fn violations_per_sim_hour(&self) -> f64 {
-        let hours = self.sim_us as f64 / 3.6e9;
-        if hours <= 0.0 {
-            return 0.0;
-        }
-        self.violations() as f64 / hours
-    }
-
-    /// One status line per cell plus the headline rate.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        for c in &self.cells {
-            let status = match &c.violation {
-                Some(v) => format!("VIOLATION: {v}"),
-                None => "ok".to_string(),
-            };
-            let _ = writeln!(
-                s,
-                "soak {:<10} {:<11} seed={:<6} steps={:<8} {status}",
-                c.protocol, c.schedule, c.seed, c.steps
-            );
-        }
-        let _ = writeln!(
-            s,
-            "soak: {} rounds, {:.2} simulated hours, {} violations ({:.3}/sim-hour)",
-            self.cells.len(),
-            self.sim_us as f64 / 3.6e9,
-            self.violations(),
-            self.violations_per_sim_hour()
-        );
-        s
-    }
-}
-
-/// Loops every canned chaos schedule against the conformance oracle for
-/// each protocol, `rounds` times with fresh seeds, across `threads`
-/// workers.
-pub fn run_soak(nn: usize, rounds: u64, base_seed: u64, threads: usize) -> SoakReport {
-    let schedules = conformance::chaos_schedules();
-    let mut jobs: Vec<(String, String, FaultPlan, u64)> = Vec::new();
-    for round in 0..rounds.max(1) {
-        for sched in &schedules {
-            for proto in conformance::registry::PROTOCOLS {
-                jobs.push((
-                    proto.to_string(),
-                    sched.name.to_string(),
-                    sched.plan.clone(),
-                    base_seed
-                        .wrapping_add(round)
-                        .wrapping_mul(31)
-                        .wrapping_add(sched.world_seed),
-                ));
-            }
-        }
-    }
-    // Per-run simulated span: arrivals + settle + cooldown (the
-    // conformance drive's fixed phases).
-    let span_us = conformance::drive::ARRIVAL_GAP.as_micros() * nn as u64
-        + conformance::drive::SETTLE.as_micros()
-        + conformance::drive::COOLDOWN.as_micros();
-    let results = run_jobs(jobs.len(), threads, |i| {
-        let (proto, _, plan, seed) = &jobs[i];
-        let cfg = conformance::CheckConfig::new(nn, *seed, plan.clone());
-        conformance::run_named(proto, &cfg).expect("registry protocol")
-    });
-    let cells = jobs
-        .iter()
-        .zip(results)
-        .map(|((proto, sched, _, seed), r)| match r {
-            Ok(outcome) => SoakCell {
-                protocol: proto.clone(),
-                schedule: sched.clone(),
-                seed: *seed,
-                steps: outcome.steps,
-                violation: outcome.violation.map(|v| v.to_string()),
-            },
-            Err(panic) => SoakCell {
-                protocol: proto.clone(),
-                schedule: sched.clone(),
-                seed: *seed,
-                steps: 0,
-                violation: Some(format!("oracle panicked: {panic}")),
-            },
-        })
-        .collect::<Vec<_>>();
-    let sim_us = span_us * cells.len() as u64;
-    SoakReport { cells, sim_us }
 }
 
 #[cfg(test)]
@@ -832,22 +698,22 @@ mod tests {
     }
 
     #[test]
-    fn soak_smoke_reports_rate() {
-        // Soak explores seeds *outside* the pinned conformance set, so
-        // a violation here is a finding, not a test failure — the
-        // deliverable is the rate report.
-        let report = run_soak(8, 1, 900, 2);
+    fn panic_text_survives_the_artifact_round_trip() {
+        let msg = "assertion `left == right` failed: \"a\\\"b\"\n  left: C:\\tmp";
+        let report = SweepReport {
+            grid: tiny_grid(),
+            cells: Vec::new(),
+            failed: vec![("quorum/n8".into(), msg.into())],
+            wall_us: 0,
+        };
+        let doc = crate::artifact::parse_verified("sweep", &report.to_json()).expect("valid JSON");
+        let failed = doc
+            .get("failed")
+            .and_then(crate::json::Value::as_array)
+            .unwrap();
         assert_eq!(
-            report.cells.len(),
-            3 * conformance::registry::PROTOCOLS.len()
+            failed[0].get("panic").and_then(crate::json::Value::as_str),
+            Some(msg)
         );
-        assert!(report.sim_us > 0);
-        assert!(report.violations() <= report.cells.len());
-        let text = report.render_text();
-        assert!(text.contains("/sim-hour"), "{text}");
-        if report.violations() > 0 {
-            assert!(text.contains("VIOLATION"), "{text}");
-            assert!(report.violations_per_sim_hour() > 0.0);
-        }
     }
 }
