@@ -19,12 +19,14 @@
 //! for the same input. The argument, load-bearing for the differential
 //! proptests:
 //!
-//! 1. The CSR assembly (`Topology::from_links`) is insensitive to
-//!    link-list *order*: pass one groups directed edges by destination
-//!    (order within a group never shows in the output) and pass two
-//!    walks destinations ascending, so each node's neighbor run comes
-//!    out ascending no matter how the links were discovered. The CSR
-//!    is therefore a pure function of the link *set*.
+//! 1. The assembly (`Topology::from_links`) is insensitive to
+//!    link-list *order*: bit rows set one bit per link end, and the
+//!    CSR's pass one groups directed edges by destination (order within
+//!    a group never shows in the output) and pass two walks
+//!    destinations ascending, so each node's neighbor run comes out
+//!    ascending no matter how the links were discovered. Which of the
+//!    two it fills depends on the node and link counts alone. The
+//!    snapshot is therefore a pure function of the link *set*.
 //! 2. Every builder discovers exactly the set of in-range pairs, each
 //!    once. For the incremental maintainer this holds even with row
 //!    parameters *frozen* from a previous instant: `row_of` clamps to
@@ -365,7 +367,7 @@ fn scan_bucket(
 }
 
 /// Maps every bucket's id pairs to dense indices over the current
-/// input and assembles the CSR. `from_links` is order-insensitive, so
+/// input and assembles the snapshot. `from_links` is order-insensitive, so
 /// the result equals the fresh build's for any bucket traversal order.
 fn assemble(nodes: &[(NodeId, Point)], buckets: &[Vec<(NodeId, NodeId)>]) -> Topology {
     let index_of = |id: NodeId| -> u64 {

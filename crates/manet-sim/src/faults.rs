@@ -32,6 +32,12 @@ use crate::{MsgCategory, NodeId, Point, SimDuration, SimRng, SimTime};
 
 pub use proto_io::DropCause;
 
+/// The longest extra delay one delay fault draws: one simulated hour.
+/// [`FaultPlan::parse`] refuses a bound above it and the draw clamps
+/// both bounds to it, so neither the draw's span nor the delivery
+/// instant it pushes out can wrap.
+pub const MAX_DELAY: SimDuration = SimDuration::from_secs(3600);
+
 /// A probabilistic delay applied to matching deliveries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayFault {
@@ -335,7 +341,8 @@ impl FaultPlan {
     /// `replay-claim`.
     ///
     /// Blank lines and lines starting with `#` are ignored. Durations
-    /// accept the suffixes `s`, `ms`, and `us`.
+    /// accept the suffixes `s`, `ms`, and `us`; a delay bound may not
+    /// exceed one simulated hour ([`MAX_DELAY`]).
     ///
     /// # Errors
     ///
@@ -376,6 +383,9 @@ impl FaultPlan {
                     let max = parse_duration(rest.get(2)).ok_or_else(|| err("bad max delay"))?;
                     if max < min {
                         return Err(err("max delay below min"));
+                    }
+                    if max > MAX_DELAY {
+                        return Err(err("delay above one simulated hour"));
                     }
                     let category = match rest.get(3) {
                         Some(w) => Some(parse_category(w).ok_or_else(|| err("bad category"))?),
@@ -747,11 +757,12 @@ impl FaultState {
             }
             if let Some(d) = fault.delay {
                 if d.prob > 0.0 && self.rng.chance(d.prob) {
-                    let span = d.max.as_micros().saturating_sub(d.min.as_micros());
+                    let min = d.min.min(MAX_DELAY).as_micros();
+                    let span = d.max.min(MAX_DELAY).as_micros().saturating_sub(min);
                     let drawn = if span == 0 {
-                        d.min.as_micros()
+                        min
                     } else {
-                        d.min.as_micros() + self.rng.range_u64(0..span + 1)
+                        min + self.rng.range_u64(0..span + 1)
                     };
                     extra = extra + SimDuration::from_micros(drawn);
                     delayed = true;
@@ -1076,6 +1087,38 @@ mod tests {
             fs.judge(SimTime::from_micros(20), MsgCategory::Sync, west, east),
             DeliveryFate::Pass { .. }
         ));
+    }
+
+    #[test]
+    fn delay_bounds_past_an_hour_are_refused_and_never_wrap() {
+        for text in [
+            "seed 3\ndelay 1.0 0us 18446744073709551615us",
+            "seed 3\ndelay 1.0 18446744073709551615us 18446744073709551615us",
+            "seed 3\ndelay 1.0 0us 3600000001us",
+        ] {
+            let err = FaultPlan::parse(text).expect_err(text);
+            assert!(
+                err.starts_with("line 2: delay above one simulated hour"),
+                "{err}"
+            );
+        }
+        // At the ceiling, and past it when built in code: the draw stays
+        // within the hour.
+        let at_ceiling = FaultPlan::parse("seed 3\ndelay 1.0 0us 3600s").expect("at the ceiling");
+        let past = FaultPlan::new(3).with_delay(
+            1.0,
+            SimDuration::from_micros(u64::MAX),
+            SimDuration::from_micros(u64::MAX),
+        );
+        for plan in [at_ceiling, past] {
+            let mut fs = FaultState::new(plan);
+            for i in 0..100 {
+                match fs.judge(SimTime::from_micros(i), MsgCategory::Sync, None, None) {
+                    DeliveryFate::Pass { extra, .. } => assert!(extra <= MAX_DELAY, "{extra}"),
+                    other => panic!("expected pass, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,38 +22,61 @@
 //! `range` (found once per build by a bit-level binary search over the
 //! float, exploiting that IEEE sqrt is monotone), so the hot loop runs
 //! no square roots yet accepts *exactly* the pairs the naive engine's
-//! `distance(a, b) <= range` does (inclusive boundary). Accepted links
-//! are then assembled into a flat CSR adjacency by two counting sorts
-//! (by destination, then by source), which yields each per-node
-//! neighbor list in the same ascending-index order the all-pairs sweep
-//! produces — the two builds are indistinguishable to every caller.
+//! `distance(a, b) <= range` does (inclusive boundary).
 //! [`Topology::build_naive`] keeps the all-pairs sweep as the oracle the
 //! differential tests compare against.
+//!
+//! The accepted links become one of two storages, whichever is smaller
+//! for the snapshot's own node and link counts:
+//!
+//! * **Bit rows** when a row of `⌈n/64⌉` words is no longer than the
+//!   mean neighbour list, `⌈n/64⌉ ≤ 2·links/n`: each dense index owns a
+//!   bit set over all of them, and a build sets two bits per link. At
+//!   the paper's 150 m range every simulated world is this dense — a
+//!   600-node city row is ten words against some fifty neighbours.
+//! * **CSR** otherwise: a flat adjacency assembled by two counting sorts
+//!   (by destination, then by source), which yields each per-node
+//!   neighbour list in the same ascending-index order the all-pairs
+//!   sweep produces, without a comparison sort. As bits, the 20 000-node
+//!   probe layout would need 313 words a row against 28 links.
+//!
+//! No option picks between them: every build and every splice decides
+//! again by the rule, so one graph has one storage however it was made,
+//! and equality compares the rows. A bit snapshot builds the CSR of
+//! [`neighbor_indices`](Topology::neighbor_indices) on the first ask;
+//! [`neighbors`](Topology::neighbors), the world's degree count and
+//! every query read the rows.
 //!
 //! Source-rooted queries ([`within`](Topology::within),
 //! [`nearest`](Topology::nearest),
 //! [`distances_from`](Topology::distances_from)) share one *resumable*
-//! traversal per source, kept behind a [`RefCell`]: the distance vector,
-//! the discovery order (level by level, ids ascending within a level —
-//! plain index order when, as in every `World` snapshot, dense order is
-//! id order) and how many levels are finished. A query advances the
-//! traversal only as far as its answer needs — `within(k)` to depth `k`,
-//! `nearest` to the first level holding a match — and a later query from
-//! the same source resumes where the last one stopped, so what the
-//! protocols ask periodically (a one-hop hello, a three-hop QDSet scan)
-//! costs what it touches, and nothing costs more than one full BFS per
-//! source per snapshot.
+//! traversal per source, kept behind a [`RefCell`]: the reached set as
+//! bits, the discovery order (level by level, ids ascending within a
+//! level) and how many levels are finished. A level is the OR of its
+//! frontier's rows — word by word on bit rows, one bit per entry of a
+//! CSR row — minus the reached set, and scanning those words yields it
+//! in dense order, which is id order when the ids ascend (every `World`
+//! snapshot's do): no sort, and no distance vector to fill. Only
+//! permuted ids sort a level by id. A query advances the traversal only
+//! as far as its answer needs — `within(k)` to depth `k`, `nearest` to
+//! the first level holding a match — and a later query from the same
+//! source resumes where the last one stopped, so what the protocols ask
+//! periodically (a one-hop hello, a three-hop QDSet scan) costs what it
+//! touches, and nothing costs more than one full BFS per source per
+//! snapshot.
 //!
 //! Pair queries ([`hops`](Topology::hops),
 //! [`within_hops`](Topology::within_hops)) *resume or meet*: a traversal
 //! already under way from either end is advanced until the other end is
 //! reached (or to depth `k`), which keeps a flood followed by unicasts
 //! from its source at one BFS; with neither, a two-ended search grows
-//! both ends a level at a time, the smaller frontier first, and stops at
-//! the first contact (or once the two depths add up to `k`). That walks
-//! two balls of about half the distance instead of one of all of it,
-//! and leaves no traversal behind: a pair asked once — a location check,
-//! one configuration unicast — is not worth a traversal nobody resumes.
+//! both ends' bit-set balls a level at a time, the smaller frontier
+//! first, and stops at the first contact — a word of the new level ANDed
+//! with a word of the other ball — or once the two depths add up to
+//! `k`. That walks two balls of about half the distance instead of one
+//! of all of it, and leaves no traversal behind: a pair asked once — a
+//! location check, one configuration unicast — is not worth a traversal
+//! nobody resumes.
 //! The component partition
 //! ([`component_of`](Topology::component_of),
 //! [`components`](Topology::components)) is memoized whole. The id→index
@@ -72,10 +95,10 @@
 //! (`World::topology` decides which):
 //!
 //! * **Swept** — [`rebuild`](Topology::rebuild): the same build into the
-//!   storage the stale snapshot held (CSR arrays, the build's link list
-//!   and scatter buffers, the traversals' vectors), every answer
-//!   forgotten. A 600-node city snapshot is some 700 KB of build
-//!   buffers; freed and allocated again every quantum they make the
+//!   storage the stale snapshot held (bit rows or CSR arrays, the
+//!   build's link list and scatter buffers, the traversals' vectors),
+//!   every answer forgotten. A 600-node city snapshot's build buffers
+//!   run to hundreds of KB; freed and allocated again every quantum they make the
 //!   allocator grow and trim the heap each time, and the page faults
 //!   that follow cost whatever the host charges that second — a rep of
 //!   the `city_mobile` benchmark swung ±7% on one input with them and
@@ -89,10 +112,13 @@
 //!   join) changes that node's links and nothing else — inside the
 //!   snapshot's quantum, and across quanta while nobody moves. The links
 //!   are found with the all-pairs predicate against the positions the
-//!   snapshot is filled from, and the CSR is rewritten in one pass
-//!   through the build scratch — the node at the place its id sorts to,
-//!   its neighbours' runs still ascending — so the result is the
-//!   snapshot a sweep of the new alive set would build, array for array.
+//!   snapshot is filled from. On bit rows every row's bits past the
+//!   node's index shift by one — `n·⌈n/64⌉` words, a few microseconds
+//!   at 600 nodes; a CSR is rewritten in one pass through the build
+//!   scratch, the node at the place its id sorts to, its neighbours'
+//!   runs still ascending. Either way the result takes the storage the
+//!   rule picks for the new counts, so it is the snapshot a sweep of the
+//!   new alive set would build, row for row.
 //!   Answers are forgotten, the id→index map is kept current.
 //! * **Re-keyed** — nothing is touched: in a world where nobody moves a
 //!   new quantum alone changes no position, so the graph, its traversals
@@ -100,8 +126,8 @@
 
 use crate::{NodeId, Point};
 use proto_io::IdMap;
-use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cell::{OnceCell, RefCell};
+use std::ops::Range;
 
 /// The largest `t` with `t.sqrt() <= range`, so `d2 <= t` decides the
 /// inclusive-boundary link predicate exactly — IEEE sqrt is correctly
@@ -305,18 +331,127 @@ impl StripLayout {
     }
 }
 
+/// Whether a snapshot of `n` nodes and `links` undirected links keeps
+/// its rows as bit sets: a row of `⌈n/64⌉` words is then no longer than
+/// the mean CSR row of `2·links/n` entries. Builds and splices decide
+/// by this from the snapshot's own counts, so a graph has one storage
+/// however it was made.
+fn rows_as_bits(n: usize, links: usize) -> bool {
+    n > 0 && words(n) * n <= 2 * links
+}
+
+/// Words in a bit set over `n` dense indices.
+fn words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+fn set_bit(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+fn has_bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Moves `fresh & !seen` into `seen` and appends those indices to
+/// `out`, ascending; clears `fresh` over `span`, the words
+/// [`Topology::expand`] may have set.
+fn take_fresh(fresh: &mut [u64], seen: &mut [u64], span: Range<usize>, out: &mut Vec<u32>) {
+    for j in span {
+        let mut new = fresh[j] & !seen[j];
+        fresh[j] = 0;
+        seen[j] |= new;
+        while new != 0 {
+            out.push((j * 64) as u32 + new.trailing_zeros());
+            new &= new - 1;
+        }
+    }
+}
+
+/// Inserts a clear bit into `row` at `p`: every bit from `p` on moves
+/// up by one, across word boundaries. The row's top bit must be clear.
+fn insert_bit(row: &mut [u64], p: usize) {
+    let (wp, low) = (p / 64, (1u64 << (p % 64)) - 1);
+    let s = row[wp];
+    row[wp] = (s & low) | ((s & !low) << 1);
+    let mut carry = s >> 63;
+    for word in &mut row[wp + 1..] {
+        let s = *word;
+        *word = (s << 1) | carry;
+        carry = s >> 63;
+    }
+}
+
+/// Takes bit `p` out of `row`: every bit above it moves down by one,
+/// across word boundaries, and the top bit comes out clear.
+fn remove_bit(row: &mut [u64], p: usize) {
+    let (wp, low) = (p / 64, (1u64 << (p % 64)) - 1);
+    let s = row[wp];
+    row[wp] = (s & low) | ((s >> 1) & !low);
+    for j in wp + 1..row.len() {
+        row[j - 1] |= row[j] << 63;
+        row[j] >>= 1;
+    }
+}
+
+/// One row's neighbours as dense indices, ascending, from either
+/// storage.
+enum Row<'a> {
+    Bits {
+        word: u64,
+        rest: &'a [u64],
+        base: usize,
+    },
+    List(std::slice::Iter<'a, u32>),
+}
+
+impl<'a> Row<'a> {
+    /// The set bits of `set`, ascending.
+    fn of_bits(set: &'a [u64]) -> Self {
+        match set.split_first() {
+            Some((&word, rest)) => Row::Bits {
+                word,
+                rest,
+                base: 0,
+            },
+            None => Row::List([].iter()),
+        }
+    }
+}
+
+impl Iterator for Row<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Row::List(list) => list.next().map(|&v| v as usize),
+            Row::Bits { word, rest, base } => {
+                while *word == 0 {
+                    let (&next, tail) = rest.split_first()?;
+                    (*word, *rest, *base) = (next, tail, *base + 64);
+                }
+                let i = *base + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                Some(i)
+            }
+        }
+    }
+}
+
 /// One source's breadth-first traversal, advanced a level at a time.
 ///
 /// Finished levels are final: every node within [`depth`](Self::depth)
-/// hops is in `order` with its distance set, each level sorted by id, so
-/// a prefix of `order` *is* the `(distance, id)`-sorted neighbourhood.
-/// When the snapshot's dense order is id order (every `World` snapshot's
-/// is), a level is sorted by its plain `u32` indices, which is the same
-/// order without a lookup per compare.
+/// hops is in `seen` and in `order`, each level sorted by id, so a
+/// prefix of `order` *is* the `(distance, id)`-sorted neighbourhood. A
+/// level comes out of the bit scan in dense order, which is id order
+/// when the snapshot's ids ascend (every `World` snapshot's do); only
+/// permuted ids sort it by id.
 #[derive(Debug, Clone, Default)]
 struct Traversal {
-    /// Hop distance per dense index (`u32::MAX` = not reached yet).
-    dist: Vec<u32>,
+    /// Reached nodes, one bit per dense index.
+    seen: Vec<u64>,
+    /// The level being expanded into, clear between levels.
+    next: Vec<u64>,
     /// Reached nodes: the source, then level 1, level 2, …
     order: Vec<u32>,
     /// Level `d` is `order[levels[d]..levels[d + 1]]`. An empty deepest
@@ -328,9 +463,11 @@ impl Traversal {
     /// Makes this the unstarted traversal from `start` over `n` nodes,
     /// in whatever storage it already holds.
     fn restart(&mut self, n: usize, start: usize) {
-        self.dist.clear();
-        self.dist.resize(n, u32::MAX);
-        self.dist[start] = 0;
+        for set in [&mut self.seen, &mut self.next] {
+            set.clear();
+            set.resize(words(n), 0);
+        }
+        set_bit(&mut self.seen, start);
         self.order.clear();
         self.order.push(start as u32);
         self.levels.clear();
@@ -347,8 +484,38 @@ impl Traversal {
         self.levels[k.min(self.depth()) as usize + 1] as usize
     }
 
-    /// Expands the deepest level into the next one. Returns `false`
-    /// (and does nothing) once the component is covered.
+    /// The nodes exactly `d <= depth()` hops out.
+    fn level(&self, d: u32) -> &[u32] {
+        &self.order[self.levels[d as usize] as usize..self.levels[d as usize + 1] as usize]
+    }
+
+    /// The reached nodes one to `k` hops out with their distances, in
+    /// `(distance, id)` order.
+    fn near(&self, topo: &Topology, k: u32) -> Vec<(NodeId, u32)> {
+        let mut near = Vec::with_capacity(self.end_of(k) - 1);
+        for d in 1..=k.min(self.depth()) {
+            near.extend(self.level(d).iter().map(|&i| (topo.ids[i as usize], d)));
+        }
+        near
+    }
+
+    /// The distance of dense index `i`, if reached: the finished level
+    /// that holds it.
+    fn distance(&self, topo: &Topology, i: usize) -> Option<u32> {
+        if !has_bit(&self.seen, i) {
+            return None;
+        }
+        let id = topo.ids[i];
+        (0..=self.depth()).find(|&d| {
+            self.level(d)
+                .binary_search_by_key(&id, |&j| topo.ids[j as usize])
+                .is_ok()
+        })
+    }
+
+    /// Expands the deepest level into the next one: the OR of its rows
+    /// minus what is already reached. Returns `false` (and does
+    /// nothing) once the component is covered.
     fn advance(&mut self, topo: &Topology) -> bool {
         let (lo, hi) = (
             self.levels[self.depth() as usize] as usize,
@@ -357,20 +524,10 @@ impl Traversal {
         if lo == hi {
             return false;
         }
-        let next = self.depth() + 1;
-        for at in lo..hi {
-            for &v in topo.neighbor_indices_at(self.order[at] as usize) {
-                if self.dist[v as usize] == u32::MAX {
-                    self.dist[v as usize] = next;
-                    self.order.push(v);
-                }
-            }
-        }
-        let level = &mut self.order[hi..];
-        if topo.id_ordered {
-            level.sort_unstable();
-        } else {
-            level.sort_unstable_by_key(|&i| topo.ids[i as usize]);
+        let span = topo.expand(&self.order[lo..hi], &mut self.next);
+        take_fresh(&mut self.next, &mut self.seen, span, &mut self.order);
+        if !topo.id_ordered {
+            self.order[hi..].sort_unstable_by_key(|&i| topo.ids[i as usize]);
         }
         self.levels.push(self.order.len() as u32);
         true
@@ -385,8 +542,15 @@ impl Traversal {
     /// are finished; its distance, if reached (which may exceed `k` when
     /// an earlier query went further).
     fn reach(&mut self, topo: &Topology, target: usize, k: u32) -> Option<u32> {
-        while self.dist[target] == u32::MAX && self.depth() < k && self.advance(topo) {}
-        (self.dist[target] != u32::MAX).then_some(self.dist[target])
+        if let Some(d) = self.distance(topo, target) {
+            return Some(d);
+        }
+        while self.depth() < k && self.advance(topo) {
+            if has_bit(&self.seen, target) {
+                return Some(self.depth());
+            }
+        }
+        None
     }
 }
 
@@ -426,9 +590,6 @@ impl MemoCache {
         self.slot.clear();
         self.slot.resize(n, NO_RUN);
         self.live = 0;
-        // Marks left at other indices are past queries' stamps, which
-        // no later query uses.
-        self.meet.mark.resize(n, 0);
         self.comps = None;
     }
 
@@ -449,43 +610,34 @@ impl MemoCache {
 
 /// A two-ended breadth-first search between one pair of nodes: each end
 /// grows its own ball a whole level at a time, always the end whose
-/// deepest level is smaller, until a node of one ball has a neighbour in
-/// the other. The balls stay disjoint until then, so the distance is
-/// longer than the two depths together, and the first contact makes it
-/// exactly their sum plus one. Nothing is left behind for a later query
-/// to resume; what stays is the storage.
+/// deepest level is smaller, until the rows of one end's deepest level
+/// meet the other ball — one AND per word. The balls stay disjoint
+/// until then, so the distance is longer than the two depths together,
+/// and the first contact makes it exactly their sum plus one. Nothing
+/// is left behind for a later query to resume; what stays is the
+/// storage.
 #[derive(Debug, Clone, Default)]
 struct Meet {
-    /// Per dense index, which ball holds it: `stamp` for the first end's,
-    /// `stamp + 1` for the second's. Every other value is a past query's,
-    /// so a query starts without clearing.
-    mark: Vec<u32>,
-    /// The first end's mark in the latest query; even, and bumped by two
-    /// a query, so stamps are never reused until it wraps, which clears
-    /// `mark`.
-    stamp: u32,
+    /// Each end's ball, one bit per dense index.
+    balls: [Vec<u64>; 2],
     /// Each end's deepest level.
     fronts: [Vec<u32>; 2],
     /// The level being expanded into.
-    next: Vec<u32>,
+    next: Vec<u64>,
 }
 
 impl Meet {
     /// The distance between dense indices `a != b` if it is at most `k`.
     fn distance(&mut self, topo: &Topology, a: usize, b: usize, k: u32) -> Option<u32> {
-        self.stamp = match self.stamp.checked_add(2) {
-            Some(s) => s,
-            None => {
-                self.mark.fill(0);
-                2
-            }
-        };
-        let s = self.stamp;
-        self.mark[a] = s;
-        self.mark[b] = s + 1;
-        for (front, start) in self.fronts.iter_mut().zip([a, b]) {
-            front.clear();
-            front.push(start as u32);
+        let [ball_a, ball_b] = &mut self.balls;
+        for set in [ball_a, ball_b, &mut self.next] {
+            set.clear();
+            set.resize(words(topo.len()), 0);
+        }
+        for (side, start) in [a, b].into_iter().enumerate() {
+            set_bit(&mut self.balls[side], start);
+            self.fronts[side].clear();
+            self.fronts[side].push(start as u32);
         }
         let mut depth = [0u32; 2];
         while depth[0] + depth[1] < k {
@@ -493,34 +645,39 @@ impl Meet {
             if self.fronts[side].is_empty() {
                 return None;
             }
-            let (own, other) = (s + side as u32, s + 1 - side as u32);
-            self.next.clear();
-            for &u in &self.fronts[side] {
-                for &v in topo.neighbor_indices_at(u as usize) {
-                    let mark = &mut self.mark[v as usize];
-                    if *mark == other {
-                        return Some(depth[0] + depth[1] + 1);
-                    }
-                    if *mark != own {
-                        *mark = own;
-                        self.next.push(v);
-                    }
-                }
+            let span = topo.expand(&self.fronts[side], &mut self.next);
+            let [ball_a, ball_b] = &mut self.balls;
+            let (own, other) = if side == 0 {
+                (ball_a, &*ball_b)
+            } else {
+                (ball_b, &*ball_a)
+            };
+            if span.clone().any(|j| self.next[j] & other[j] != 0) {
+                return Some(depth[0] + depth[1] + 1);
             }
-            std::mem::swap(&mut self.fronts[side], &mut self.next);
+            self.fronts[side].clear();
+            take_fresh(&mut self.next, own, span, &mut self.fronts[side]);
             depth[side] += 1;
         }
         None
     }
 }
 
-/// What a build fills and then has no more use for, kept by a snapshot
-/// that [`Topology::rebuild`] will refill.
+/// What a build or a splice fills and then has no more use for, kept by
+/// a snapshot that [`Topology::rebuild`] will refill.
 #[derive(Debug, Clone, Default)]
 struct BuildScratch {
     links: Vec<u64>,
     by_dst: Vec<u32>,
     pos: Vec<u32>,
+}
+
+/// A flat adjacency: the neighbours of dense index `i` are
+/// `adj[starts[i]..starts[i + 1]]`, ascending.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Csr {
+    starts: Vec<u32>,
+    adj: Vec<u32>,
 }
 
 /// A snapshot of the connectivity graph at one instant.
@@ -545,10 +702,16 @@ struct BuildScratch {
 #[derive(Debug, Clone)]
 pub struct Topology {
     ids: Vec<NodeId>,
-    /// CSR adjacency: neighbors of dense index `i` are
-    /// `adj[adj_starts[i]..adj_starts[i + 1]]`, ascending.
-    adj_starts: Vec<u32>,
-    adj: Vec<u32>,
+    /// Words per bit row, `0` when the rows are the CSR's.
+    stride: usize,
+    /// Bit rows: dense index `i`'s row is `bits[i * stride..][..stride]`,
+    /// bit `j` set iff `i` and `j` are linked. Empty on CSR snapshots.
+    bits: Vec<u64>,
+    /// Undirected links.
+    links: usize,
+    /// The CSR adjacency: the rows of a CSR snapshot, always set; built
+    /// from the bits on the first ask on a bit snapshot.
+    csr: OnceCell<Csr>,
     /// Whether `ids` ascend, so dense order is id order. Set by the
     /// builds; a splice keeps ascending ids ascending.
     id_ordered: bool,
@@ -557,11 +720,28 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The snapshot of no nodes.
+    fn empty() -> Self {
+        Topology {
+            ids: Vec::new(),
+            stride: 0,
+            bits: Vec::new(),
+            links: 0,
+            csr: OnceCell::from(Csr {
+                starts: vec![0],
+                adj: Vec::new(),
+            }),
+            id_ordered: true,
+            cache: RefCell::default(),
+            scratch: BuildScratch::default(),
+        }
+    }
+
     /// Builds the unit-disk graph over `nodes` with transmission range
     /// `range` meters, using the strip-sweep engine.
     #[must_use]
     pub fn build(nodes: &[(NodeId, Point)], range: f64) -> Self {
-        let mut topo = Self::from_csr(&[], vec![0], Vec::new());
+        let mut topo = Self::empty();
         topo.rebuild(nodes, range);
         // Built once, refilled never: nothing to keep the scratch for.
         topo.scratch = BuildScratch::default();
@@ -569,10 +749,10 @@ impl Topology {
     }
 
     /// Makes this the snapshot [`Topology::build`] would return for
-    /// `nodes`, in the storage it already holds: the CSR arrays, the
-    /// build's link list and scatter buffers and the memo's traversals
-    /// are refilled, not freed and allocated again. A world that rebuilds
-    /// a few-hundred-KB snapshot every quantum otherwise grows and trims
+    /// `nodes`, in the storage it already holds: the rows, the build's
+    /// link list and scatter buffers and the memo's traversals are
+    /// refilled, not freed and allocated again. A world that rebuilds a
+    /// few-hundred-KB snapshot every quantum otherwise grows and trims
     /// the heap each time, and pays for it in page faults whose cost is
     /// the host's to decide. Every memoized answer is forgotten.
     pub fn rebuild(&mut self, nodes: &[(NodeId, Point)], range: f64) {
@@ -606,11 +786,13 @@ impl Topology {
     /// `node`, standing at `at`, been among its input. The one node's
     /// links are found with the all-pairs predicate (`distance(..) <=
     /// range` against `position` of every node already here, which is
-    /// the oracle's own test: `distance` is symmetric to the bit) and
-    /// the CSR is rewritten in one pass into the build scratch. `ids`
+    /// the oracle's own test: `distance` is symmetric to the bit). `ids`
     /// must ascend, as the world's always do: the node goes where its id
-    /// sorts and every dense index from there on moves up by one. Every
-    /// memoized answer is forgotten; the id → index map is kept current.
+    /// sorts and every dense index from there on moves up by one — in
+    /// bit rows a shift of every row's bits past that index, in a CSR
+    /// one pass rewriting it into the build scratch. Either way the
+    /// result takes the storage a build of it would. Every memoized
+    /// answer is forgotten; the id → index map is kept current.
     pub(crate) fn insert(
         &mut self,
         node: NodeId,
@@ -624,12 +806,8 @@ impl Topology {
         let p = self.ids.partition_point(|id| *id < node);
         debug_assert!(self.ids.get(p) != Some(&node), "{node} is already here");
         let p32 = p as u32;
-        let BuildScratch {
-            links: run,
-            by_dst: adj,
-            pos: starts,
-        } = &mut self.scratch;
         // The newcomer's neighbours in the old indices, ascending.
+        let mut run = std::mem::take(&mut self.scratch.links);
         run.clear();
         let in_range = |id: &NodeId| position(*id).distance(at) <= range;
         run.extend(
@@ -638,78 +816,177 @@ impl Topology {
                 .filter(|(_, id)| in_range(id))
                 .map(|(j, _)| j),
         );
-        adj.clear();
-        starts.clear();
-        starts.push(0);
-        let mut linked = run.iter().peekable();
-        for j in 0..=n {
-            if j == p {
-                adj.extend(run.iter().map(|&v| v as u32 + u32::from(v as usize >= p)));
+        let links = self.links + run.len();
+        let bits = self.stride > 0 && rows_as_bits(n + 1, links);
+        if bits {
+            // Rows from `p` on move up a row (every row, to its new
+            // place, when they widen by a word), then every row's bits
+            // from `p` on move up by one.
+            let (w, w2) = (self.stride, words(n + 1));
+            let rows = &mut self.bits;
+            rows.resize((n + 1) * w2, 0);
+            if w2 == w {
+                rows.copy_within(p * w..n * w, (p + 1) * w);
+            } else {
+                for j in (0..n).rev() {
+                    let to = (j + usize::from(j >= p)) * w2;
+                    rows.copy_within(j * w..(j + 1) * w, to);
+                    rows[to + w..to + w2].fill(0);
+                }
+            }
+            rows[p * w2..(p + 1) * w2].fill(0);
+            for (j, row) in rows.chunks_exact_mut(w2).enumerate() {
+                if j != p {
+                    insert_bit(row, p);
+                }
+            }
+            for &v in &run {
+                let v = v as usize + usize::from(v as usize >= p);
+                set_bit(&mut rows[v * w2..][..w2], p);
+                set_bit(&mut rows[p * w2..][..w2], v);
+            }
+            self.stride = w2;
+            let _ = self.csr.take();
+        } else {
+            let _ = self.csr();
+            let csr = self.csr.get_mut().expect("built above");
+            let BuildScratch {
+                by_dst: adj,
+                pos: starts,
+                ..
+            } = &mut self.scratch;
+            adj.clear();
+            starts.clear();
+            starts.push(0);
+            let mut linked = run.iter().peekable();
+            for j in 0..=n {
+                if j == p {
+                    adj.extend(run.iter().map(|&v| v as u32 + u32::from(v as usize >= p)));
+                    starts.push(adj.len() as u32);
+                }
+                if j == n {
+                    break;
+                }
+                let old = &csr.adj[csr.starts[j] as usize..csr.starts[j + 1] as usize];
+                let (below, above) = old.split_at(old.partition_point(|&v| v < p32));
+                adj.extend_from_slice(below);
+                if linked.next_if(|&&v| v == j as u64).is_some() {
+                    adj.push(p32);
+                }
+                adj.extend(above.iter().map(|v| v + 1));
                 starts.push(adj.len() as u32);
             }
-            if j == n {
-                break;
-            }
-            let old = &self.adj[self.adj_starts[j] as usize..self.adj_starts[j + 1] as usize];
-            let (below, above) = old.split_at(old.partition_point(|&v| v < p32));
-            adj.extend_from_slice(below);
-            if linked.next_if(|&&v| v == j as u64).is_some() {
-                adj.push(p32);
-            }
-            adj.extend(above.iter().map(|v| v + 1));
-            starts.push(adj.len() as u32);
+            std::mem::swap(&mut csr.adj, adj);
+            std::mem::swap(&mut csr.starts, starts);
         }
+        self.scratch.links = run;
         self.ids.insert(p, node);
+        self.links = links;
         let index = &mut self.cache.get_mut().index;
         if !index.is_empty() {
             index.iter_mut().for_each(|e| e.1 += u32::from(e.1 >= p32));
             index.insert(p, (node, p32));
         }
-        self.adopt_spliced();
+        self.settle_spliced(bits);
     }
 
     /// Makes this the snapshot [`Topology::build`] would return without
     /// `node` among its input (nothing to do when it is not here): its
     /// row and every mention of it go, every dense index above it moves
-    /// down by one. One pass into the build scratch, like
-    /// [`insert`](Self::insert); every memoized answer is forgotten.
+    /// down by one, and the result takes the storage a build of it
+    /// would, like [`insert`](Self::insert); every memoized answer is
+    /// forgotten.
     pub(crate) fn remove(&mut self, node: NodeId) {
         let Some(p) = self.index_of(node) else {
             return;
         };
         let p32 = p as u32;
-        let BuildScratch {
-            by_dst: adj,
-            pos: starts,
-            ..
-        } = &mut self.scratch;
-        adj.clear();
-        starts.clear();
-        starts.push(0);
-        for j in (0..self.ids.len()).filter(|&j| j != p) {
-            let old = &self.adj[self.adj_starts[j] as usize..self.adj_starts[j + 1] as usize];
-            let (below, rest) = old.split_at(old.partition_point(|&v| v < p32));
-            adj.extend_from_slice(below);
-            let above = rest.strip_prefix(&[p32]).unwrap_or(rest);
-            adj.extend(above.iter().map(|v| v - 1));
-            starts.push(adj.len() as u32);
+        let n = self.ids.len();
+        let links = self.links - self.degree_at(p);
+        let bits = self.stride > 0 && rows_as_bits(n - 1, links);
+        if bits {
+            // Every row's bits above `p` move down by one, then the rows
+            // above `p` move down a row (every row, to its new place,
+            // when they narrow by a word).
+            let (w, w2) = (self.stride, words(n - 1));
+            let rows = &mut self.bits;
+            for (j, row) in rows.chunks_exact_mut(w).enumerate() {
+                if j != p {
+                    remove_bit(row, p);
+                }
+            }
+            if w2 == w {
+                rows.copy_within((p + 1) * w..n * w, p * w);
+            } else {
+                for j in (0..n).filter(|&j| j != p) {
+                    let to = (j - usize::from(j > p)) * w2;
+                    rows.copy_within(j * w..j * w + w2, to);
+                }
+            }
+            rows.truncate((n - 1) * w2);
+            self.stride = w2;
+            let _ = self.csr.take();
+        } else {
+            let _ = self.csr();
+            let csr = self.csr.get_mut().expect("built above");
+            let BuildScratch {
+                by_dst: adj,
+                pos: starts,
+                ..
+            } = &mut self.scratch;
+            adj.clear();
+            starts.clear();
+            starts.push(0);
+            for j in (0..n).filter(|&j| j != p) {
+                let old = &csr.adj[csr.starts[j] as usize..csr.starts[j + 1] as usize];
+                let (below, rest) = old.split_at(old.partition_point(|&v| v < p32));
+                adj.extend_from_slice(below);
+                let above = rest.strip_prefix(&[p32]).unwrap_or(rest);
+                adj.extend(above.iter().map(|v| v - 1));
+                starts.push(adj.len() as u32);
+            }
+            std::mem::swap(&mut csr.adj, adj);
+            std::mem::swap(&mut csr.starts, starts);
         }
         self.ids.remove(p);
+        self.links = links;
         let index = &mut self.cache.get_mut().index;
         let at = index
             .binary_search_by_key(&node, |e| e.0)
             .expect("index_of found it");
         index.remove(at);
         index.iter_mut().for_each(|e| e.1 -= u32::from(e.1 > p32));
-        self.adopt_spliced();
+        self.settle_spliced(bits);
     }
 
-    /// The CSR a splice wrote into the scratch becomes the snapshot's
-    /// (the arrays it replaces are the next splice's scratch).
-    fn adopt_spliced(&mut self) {
-        std::mem::swap(&mut self.adj, &mut self.scratch.by_dst);
-        std::mem::swap(&mut self.adj_starts, &mut self.scratch.pos);
+    /// Finishes a splice: one that went through the CSR takes the
+    /// storage the rule picks for the new counts, and every answer is
+    /// forgotten.
+    fn settle_spliced(&mut self, bits: bool) {
+        if !bits {
+            self.settle();
+        }
         self.cache.get_mut().reset(self.ids.len());
+    }
+
+    /// Gives a snapshot whose CSR is set the storage the rule picks for
+    /// its counts: the CSR alone, or bit rows filled from it (the CSR is
+    /// kept, it is still right).
+    fn settle(&mut self) {
+        let n = self.ids.len();
+        self.bits.clear();
+        self.stride = 0;
+        if rows_as_bits(n, self.links) {
+            let csr = self.csr.get().expect("a CSR to settle from");
+            let w = words(n);
+            self.bits.resize(n * w, 0);
+            for (i, row) in self.bits.chunks_exact_mut(w).enumerate() {
+                for &v in &csr.adj[csr.starts[i] as usize..csr.starts[i + 1] as usize] {
+                    set_bit(row, v as usize);
+                }
+            }
+            self.stride = w;
+        }
     }
 
     /// Builds the same graph as [`Topology::build`], scanning row
@@ -771,98 +1048,42 @@ impl Topology {
         Self::from_lists(nodes, &adj)
     }
 
-    /// Assembles the CSR adjacency from an unordered undirected link
-    /// list (each link one packed `src << 32 | dst`, either
-    /// orientation) via two counting sorts: by destination, then by
-    /// source. Each node's final neighbor run comes out ascending —
-    /// pass one groups directed edges by destination, and pass two
-    /// walks the destination groups smallest-first, appending each
-    /// destination to its sources' runs — matching the all-pairs sweep
-    /// exactly, without any comparison sort. Neither pass needs to be
-    /// stable for that (order *within* a destination group never shows
-    /// in the output), which frees pass one to interleave four
-    /// independent scatter chains so the read-modify-write latency of
-    /// the position cursors overlaps instead of serializing.
+    /// The snapshot of an unordered undirected link list (each link one
+    /// packed `src << 32 | dst`, either orientation).
     pub(crate) fn from_links(nodes: &[(NodeId, Point)], links: &[u64]) -> Self {
-        let mut topo = Self::from_csr(&[], vec![0], Vec::new());
+        let mut topo = Self::empty();
         topo.assemble(nodes, links, &mut BuildScratch::default());
         topo
     }
 
     /// [`from_links`](Self::from_links) into this snapshot's storage,
-    /// with `scratch` for the sorts' working arrays.
+    /// with `scratch` for the CSR sorts' working arrays. A bit snapshot
+    /// sets two bits per link; a CSR one is assembled by
+    /// [`assemble_csr`].
     fn assemble(&mut self, nodes: &[(NodeId, Point)], links: &[u64], scratch: &mut BuildScratch) {
         assert!(
             nodes.len() < u32::MAX as usize,
             "topology indices are u32-dense"
         );
         let n = nodes.len();
-        let ne = links.len() * 2;
-        let (adj_starts, adj) = (&mut self.adj_starts, &mut self.adj);
-        let (by_dst, pos) = (&mut scratch.by_dst, &mut scratch.pos);
-        adj_starts.clear();
-        adj_starts.resize(n + 1, 0);
-        for &l in links {
-            adj_starts[(l >> 32) as usize + 1] += 1;
-            adj_starts[(l & 0xffff_ffff) as usize + 1] += 1;
-        }
-        for i in 1..=n {
-            adj_starts[i] += adj_starts[i - 1];
-        }
-        // Pass one: group directed edges by destination. Only the
-        // source needs storing — the destination is the group index.
-        pos.clear();
-        pos.extend_from_slice(&adj_starts[..n]);
-        by_dst.clear();
-        by_dst.resize(ne, 0);
-        {
-            let q = links.len() / 4;
-            let (s0, rest) = links.split_at(q);
-            let (s1, rest) = rest.split_at(q);
-            let (s2, s3) = rest.split_at(q);
-            let mut scatter = |l: u64| {
+        let mut csr = self.csr.take().unwrap_or_default();
+        self.bits.clear();
+        self.stride = 0;
+        if rows_as_bits(n, links.len()) {
+            let w = words(n);
+            self.bits.resize(n * w, 0);
+            let bits = &mut self.bits[..];
+            for &l in links {
                 let (a, b) = ((l >> 32) as usize, (l & 0xffff_ffff) as usize);
-                by_dst[pos[b] as usize] = a as u32;
-                pos[b] += 1;
-                by_dst[pos[a] as usize] = b as u32;
-                pos[a] += 1;
-            };
-            for i in 0..q {
-                scatter(s0[i]);
-                scatter(s1[i]);
-                scatter(s2[i]);
-                scatter(s3[i]);
+                bits[a * w + b / 64] |= 1 << (b % 64);
+                bits[b * w + a / 64] |= 1 << (a % 64);
             }
-            for &l in &s3[q..] {
-                scatter(l);
-            }
+            self.stride = w;
+        } else {
+            assemble_csr(&mut csr, n, links, scratch);
+            self.csr = OnceCell::from(csr);
         }
-        // Pass two: scatter each group's sources pairwise (two more
-        // independent chains); destinations arrive at every source
-        // ascending.
-        pos.clear();
-        pos.extend_from_slice(&adj_starts[..n]);
-        adj.clear();
-        adj.resize(ne, 0);
-        for d in 0..n {
-            let d32 = d as u32;
-            let group = &by_dst[adj_starts[d] as usize..adj_starts[d + 1] as usize];
-            let mut pairs = group.chunks_exact(2);
-            for pair in &mut pairs {
-                let (s0, s1) = (pair[0] as usize, pair[1] as usize);
-                let p0 = pos[s0];
-                pos[s0] = p0 + 1;
-                adj[p0 as usize] = d32;
-                let p1 = pos[s1];
-                pos[s1] = p1 + 1;
-                adj[p1 as usize] = d32;
-            }
-            for &src in pairs.remainder() {
-                let p = pos[src as usize];
-                pos[src as usize] = p + 1;
-                adj[p as usize] = d32;
-            }
-        }
+        self.links = links.len();
         self.ids.clear();
         self.ids.extend(nodes.iter().map(|(id, _)| *id));
         self.id_ordered = self.ids.is_sorted();
@@ -871,32 +1092,99 @@ impl Topology {
         cache.reset(n);
     }
 
-    /// Flattens per-node neighbor lists (already ascending) into CSR.
+    /// The snapshot of per-node neighbor lists (already ascending).
     fn from_lists(nodes: &[(NodeId, Point)], lists: &[Vec<u32>]) -> Self {
-        let mut adj_starts = vec![0u32; nodes.len() + 1];
-        for (i, l) in lists.iter().enumerate() {
-            adj_starts[i + 1] = adj_starts[i] + l.len() as u32;
-        }
-        let adj = lists.concat();
-        Self::from_csr(nodes, adj_starts, adj)
-    }
-
-    fn from_csr(nodes: &[(NodeId, Point)], adj_starts: Vec<u32>, adj: Vec<u32>) -> Self {
         assert!(
             nodes.len() < u32::MAX as usize,
             "topology indices are u32-dense"
         );
-        let mut cache = MemoCache::default();
-        cache.reset(nodes.len());
-        let ids: Vec<NodeId> = nodes.iter().map(|(id, _)| *id).collect();
-        Topology {
-            id_ordered: ids.is_sorted(),
-            ids,
-            adj_starts,
-            adj,
-            cache: RefCell::new(cache),
-            scratch: BuildScratch::default(),
+        let mut starts = vec![0u32; nodes.len() + 1];
+        for (i, l) in lists.iter().enumerate() {
+            starts[i + 1] = starts[i] + l.len() as u32;
         }
+        let adj = lists.concat();
+        let mut topo = Self::empty();
+        topo.links = adj.len() / 2;
+        topo.csr = OnceCell::from(Csr { starts, adj });
+        topo.ids = nodes.iter().map(|(id, _)| *id).collect();
+        topo.id_ordered = topo.ids.is_sorted();
+        topo.cache.get_mut().reset(nodes.len());
+        topo.settle();
+        topo
+    }
+
+    /// The CSR adjacency, built from the bit rows on the first ask.
+    fn csr(&self) -> &Csr {
+        self.csr.get_or_init(|| {
+            let mut csr = Csr {
+                starts: Vec::with_capacity(self.ids.len() + 1),
+                adj: Vec::with_capacity(2 * self.links),
+            };
+            csr.starts.push(0);
+            for row in self.bits.chunks_exact(self.stride) {
+                csr.adj.extend(Row::of_bits(row).map(|j| j as u32));
+                csr.starts.push(csr.adj.len() as u32);
+            }
+            csr
+        })
+    }
+
+    /// The neighbours of dense index `i`, ascending, read from the rows.
+    fn row(&self, i: usize) -> Row<'_> {
+        if self.stride > 0 {
+            Row::of_bits(&self.bits[i * self.stride..][..self.stride])
+        } else {
+            Row::List(self.neighbor_indices_at(i).iter())
+        }
+    }
+
+    /// Whether dense indices `i` and `j` are linked.
+    fn linked(&self, i: usize, j: usize) -> bool {
+        if self.stride > 0 {
+            has_bit(&self.bits[i * self.stride..][..self.stride], j)
+        } else {
+            self.neighbor_indices_at(i)
+                .binary_search(&(j as u32))
+                .is_ok()
+        }
+    }
+
+    /// How many links dense index `i` has.
+    fn degree_at(&self, i: usize) -> usize {
+        if self.stride > 0 {
+            let row = &self.bits[i * self.stride..][..self.stride];
+            row.iter().map(|w| w.count_ones() as usize).sum()
+        } else {
+            self.neighbor_indices_at(i).len()
+        }
+    }
+
+    /// ORs the rows of `front` into the bit set `next` — a bit row word
+    /// by word, a CSR row one bit per entry — and returns the words it
+    /// may have set.
+    fn expand(&self, front: &[u32], next: &mut [u64]) -> Range<usize> {
+        let w = self.stride;
+        if w > 0 {
+            for &u in front {
+                let row = &self.bits[u as usize * w..][..w];
+                for (n, r) in next.iter_mut().zip(row) {
+                    *n |= r;
+                }
+            }
+            return 0..w;
+        }
+        let csr = self.csr();
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &u in front {
+            for &v in &csr.adj[csr.starts[u as usize] as usize..csr.starts[u as usize + 1] as usize]
+            {
+                let j = v as usize / 64;
+                next[j] |= 1 << (v % 64);
+                lo = lo.min(j);
+                hi = hi.max(j + 1);
+            }
+        }
+        lo..hi
     }
 
     /// Number of nodes in the snapshot.
@@ -945,10 +1233,10 @@ impl Topology {
     }
 
     /// One-hop neighbors of `node` as dense indices, ascending, without
-    /// allocating (empty if unknown). The hot-path form of
-    /// [`neighbors`](Topology::neighbors): routing rounds and render
-    /// loops iterate this slice instead of materializing a
-    /// `Vec<NodeId>` per query.
+    /// allocating (empty if unknown): a slice of the CSR adjacency,
+    /// which a bit snapshot builds on the first ask. Routing rounds and
+    /// render loops iterate it; [`neighbors`](Topology::neighbors) reads
+    /// the rows instead.
     #[must_use]
     pub fn neighbor_indices(&self, node: NodeId) -> &[u32] {
         match self.index_of(node) {
@@ -964,16 +1252,20 @@ impl Topology {
     /// Panics if `i` is out of bounds.
     #[must_use]
     pub fn neighbor_indices_at(&self, i: usize) -> &[u32] {
-        &self.adj[self.adj_starts[i] as usize..self.adj_starts[i + 1] as usize]
+        let csr = self.csr();
+        &csr.adj[csr.starts[i] as usize..csr.starts[i + 1] as usize]
     }
 
     /// One-hop neighbors of `node` (empty if unknown).
     #[must_use]
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        self.neighbor_indices(node)
-            .iter()
-            .map(|&j| self.ids[j as usize])
-            .collect()
+        self.index_of(node)
+            .map_or_else(Vec::new, |i| self.row(i).map(|j| self.ids[j]).collect())
+    }
+
+    /// How many one-hop neighbors `node` has (0 if unknown).
+    pub(crate) fn degree(&self, node: NodeId) -> usize {
+        self.index_of(node).map_or(0, |i| self.degree_at(i))
     }
 
     /// Hands the traversal from dense index `start` to `f`, starting it
@@ -991,9 +1283,8 @@ impl Topology {
         };
         self.with_bfs(start, |bfs| {
             bfs.reach_depth(self, u32::MAX);
-            bfs.order
-                .iter()
-                .map(|&i| (self.ids[i as usize], bfs.dist[i as usize]))
+            std::iter::once((node, 0))
+                .chain(bfs.near(self, u32::MAX))
                 .collect()
         })
     }
@@ -1052,10 +1343,30 @@ impl Topology {
         };
         self.with_bfs(start, |bfs| {
             bfs.reach_depth(self, k);
-            bfs.order[1..bfs.end_of(k)]
-                .iter()
-                .map(|&i| (self.ids[i as usize], bfs.dist[i as usize]))
-                .collect()
+            bfs.near(self, k)
+        })
+    }
+
+    /// What a flood from `node` reaches: [`within`](Self::within) with
+    /// no bound, and the same nodes by id, read off the reached bits.
+    /// Both empty if `node` is unknown.
+    pub(crate) fn flood(&self, node: NodeId) -> (Vec<(NodeId, u32)>, Vec<NodeId>) {
+        let Some(start) = self.index_of(node) else {
+            return (Vec::new(), Vec::new());
+        };
+        self.with_bfs(start, |bfs| {
+            bfs.reach_depth(self, u32::MAX);
+            let reach = bfs.near(self, u32::MAX);
+            let mut by_id = Vec::with_capacity(reach.len());
+            by_id.extend(
+                Row::of_bits(&bfs.seen)
+                    .filter(|&i| i != start)
+                    .map(|i| self.ids[i]),
+            );
+            if !self.id_ordered {
+                by_id.sort_unstable();
+            }
+            (reach, by_id)
         })
     }
 
@@ -1072,25 +1383,23 @@ impl Topology {
     ) -> Option<(NodeId, u32)> {
         let start = self.index_of(node)?;
         self.with_bfs(start, |bfs| {
-            let mut at = 1;
-            loop {
-                while at < bfs.order.len() {
-                    let i = bfs.order[at] as usize;
-                    if pred(self.ids[i]) {
-                        return Some((self.ids[i], bfs.dist[i]));
-                    }
-                    at += 1;
+            for d in 1.. {
+                if d > bfs.depth() && !bfs.advance(self) {
+                    break;
                 }
-                if !bfs.advance(self) {
-                    return None;
+                if let Some(&i) = bfs.level(d).iter().find(|&&i| pred(self.ids[i as usize])) {
+                    return Some((self.ids[i as usize], d));
                 }
             }
+            None
         })
     }
 
     /// One deterministic shortest path `from → to` (both inclusive):
     /// walking back from `to`, always the lowest-id neighbor one hop
-    /// closer to `from`. `None` if disconnected or either is unknown.
+    /// closer to `from` — the first node of the level before, in its id
+    /// order, that the row links to. `None` if disconnected or either is
+    /// unknown.
     pub(crate) fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         let (start, target) = (self.index_of(from)?, self.index_of(to)?);
         self.with_bfs(start, |bfs| {
@@ -1099,12 +1408,11 @@ impl Topology {
             let mut cur = target;
             while d > 0 {
                 d -= 1;
-                cur = self
-                    .neighbor_indices_at(cur)
+                cur = bfs
+                    .level(d)
                     .iter()
                     .map(|&j| j as usize)
-                    .filter(|&j| bfs.dist[j] == d)
-                    .min_by_key(|&j| self.ids[j])
+                    .find(|&j| self.linked(cur, j))
                     .expect("BFS predecessor exists on a shortest path");
                 path.push(self.ids[cur]);
             }
@@ -1117,26 +1425,33 @@ impl Topology {
     fn with_comps<R>(&self, f: impl FnOnce(&[Vec<NodeId>], &[usize]) -> R) -> R {
         let mut cache = self.cache.borrow_mut();
         let (comps, comp_of) = cache.comps.get_or_insert_with(|| {
-            let mut comp_of = vec![usize::MAX; self.ids.len()];
+            let n = self.ids.len();
+            let (mut seen, mut next) = (vec![0u64; words(n)], vec![0u64; words(n)]);
+            let mut comp_of = vec![usize::MAX; n];
             let mut comps: Vec<Vec<NodeId>> = Vec::new();
-            for i in 0..self.ids.len() {
-                if comp_of[i] != usize::MAX {
+            let mut members = Vec::new();
+            for i in 0..n {
+                if has_bit(&seen, i) {
                     continue;
                 }
-                let id = comps.len();
-                let mut comp = Vec::new();
-                let mut queue = VecDeque::from([i]);
-                comp_of[i] = id;
-                while let Some(u) = queue.pop_front() {
-                    comp.push(self.ids[u]);
-                    for &v in self.neighbor_indices_at(u) {
-                        let v = v as usize;
-                        if comp_of[v] == usize::MAX {
-                            comp_of[v] = id;
-                            queue.push_back(v);
-                        }
-                    }
+                set_bit(&mut seen, i);
+                members.clear();
+                members.push(i as u32);
+                let mut lo = 0;
+                while lo < members.len() {
+                    let hi = members.len();
+                    let span = self.expand(&members[lo..hi], &mut next);
+                    take_fresh(&mut next, &mut seen, span, &mut members);
+                    lo = hi;
                 }
+                let id = comps.len();
+                let mut comp: Vec<NodeId> = members
+                    .iter()
+                    .map(|&u| {
+                        comp_of[u as usize] = id;
+                        self.ids[u as usize]
+                    })
+                    .collect();
                 comp.sort_unstable();
                 comps.push(comp);
             }
@@ -1197,18 +1512,114 @@ impl Topology {
     /// Total number of undirected links.
     #[must_use]
     pub fn link_count(&self) -> usize {
-        self.adj.len() / 2
+        self.links
+    }
+
+    /// Whether the rows are bit sets (the snapshot is dense) rather
+    /// than a CSR.
+    #[must_use]
+    pub fn rows_are_bits(&self) -> bool {
+        self.stride > 0
+    }
+}
+
+/// Assembles the CSR adjacency of `n` nodes from an unordered
+/// undirected link list (each link one packed `src << 32 | dst`, either
+/// orientation) via two counting sorts: by destination, then by source.
+/// Each node's final neighbor run comes out ascending — pass one groups
+/// directed edges by destination, and pass two walks the destination
+/// groups smallest-first, appending each destination to its sources'
+/// runs — matching the all-pairs sweep exactly, without any comparison
+/// sort. Neither pass needs to be stable for that (order *within* a
+/// destination group never shows in the output), which frees pass one
+/// to interleave four independent scatter chains so the
+/// read-modify-write latency of the position cursors overlaps instead
+/// of serializing.
+fn assemble_csr(csr: &mut Csr, n: usize, links: &[u64], scratch: &mut BuildScratch) {
+    let ne = links.len() * 2;
+    let (adj_starts, adj) = (&mut csr.starts, &mut csr.adj);
+    let (by_dst, pos) = (&mut scratch.by_dst, &mut scratch.pos);
+    adj_starts.clear();
+    adj_starts.resize(n + 1, 0);
+    for &l in links {
+        adj_starts[(l >> 32) as usize + 1] += 1;
+        adj_starts[(l & 0xffff_ffff) as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        adj_starts[i] += adj_starts[i - 1];
+    }
+    // Pass one: group directed edges by destination. Only the
+    // source needs storing — the destination is the group index.
+    pos.clear();
+    pos.extend_from_slice(&adj_starts[..n]);
+    by_dst.clear();
+    by_dst.resize(ne, 0);
+    {
+        let q = links.len() / 4;
+        let (s0, rest) = links.split_at(q);
+        let (s1, rest) = rest.split_at(q);
+        let (s2, s3) = rest.split_at(q);
+        let mut scatter = |l: u64| {
+            let (a, b) = ((l >> 32) as usize, (l & 0xffff_ffff) as usize);
+            by_dst[pos[b] as usize] = a as u32;
+            pos[b] += 1;
+            by_dst[pos[a] as usize] = b as u32;
+            pos[a] += 1;
+        };
+        for i in 0..q {
+            scatter(s0[i]);
+            scatter(s1[i]);
+            scatter(s2[i]);
+            scatter(s3[i]);
+        }
+        for &l in &s3[q..] {
+            scatter(l);
+        }
+    }
+    // Pass two: scatter each group's sources pairwise (two more
+    // independent chains); destinations arrive at every source
+    // ascending.
+    pos.clear();
+    pos.extend_from_slice(&adj_starts[..n]);
+    adj.clear();
+    adj.resize(ne, 0);
+    for d in 0..n {
+        let d32 = d as u32;
+        let group = &by_dst[adj_starts[d] as usize..adj_starts[d + 1] as usize];
+        let mut pairs = group.chunks_exact(2);
+        for pair in &mut pairs {
+            let (s0, s1) = (pair[0] as usize, pair[1] as usize);
+            let p0 = pos[s0];
+            pos[s0] = p0 + 1;
+            adj[p0 as usize] = d32;
+            let p1 = pos[s1];
+            pos[s1] = p1 + 1;
+            adj[p1 as usize] = d32;
+        }
+        for &src in pairs.remainder() {
+            let p = pos[src as usize];
+            pos[src as usize] = p + 1;
+            adj[p as usize] = d32;
+        }
     }
 }
 
 /// Structural equality: same nodes in the same dense order with the
-/// same CSR adjacency. Memo caches are query state, not structure, so
-/// they are ignored — a fresh build and an incrementally-maintained
-/// build of the same instant compare equal even if one has answered
-/// queries and the other has not.
+/// same rows — which also means the same storage, so a splice that
+/// landed on another storage than a build would pick is told apart.
+/// Memo caches are query state, not structure, so they are ignored — a
+/// fresh build and an incrementally-maintained build of the same
+/// instant compare equal even if one has answered queries and the
+/// other has not.
 impl PartialEq for Topology {
     fn eq(&self, other: &Self) -> bool {
-        self.ids == other.ids && self.adj_starts == other.adj_starts && self.adj == other.adj
+        self.ids == other.ids
+            && self.stride == other.stride
+            && if self.stride > 0 {
+                self.bits == other.bits
+            } else {
+                self.csr() == other.csr()
+            }
     }
 }
 
@@ -1382,14 +1793,14 @@ mod tests {
     }
 
     /// The traversal from `node`, if one has started: `(depth finished,
-    /// distance per dense index)`.
-    fn run_of(t: &Topology, node: NodeId) -> Option<(u32, Vec<u32>)> {
-        let at = t.index_of(node)?;
+    /// distance of `to` if reached)`.
+    fn run_of(t: &Topology, node: NodeId, to: NodeId) -> Option<(u32, Option<u32>)> {
+        let (at, to) = (t.index_of(node)?, t.index_of(to)?);
         let cache = t.cache.borrow();
         let slot = cache.slot[at];
         (slot != NO_RUN).then(|| {
             let run = &cache.runs[slot as usize];
-            (run.depth(), run.dist.clone())
+            (run.depth(), run.distance(t, to))
         })
     }
 
@@ -1420,10 +1831,10 @@ mod tests {
             assert_eq!(t.hops(a, b), Some(5));
             assert_eq!(live(&t), 1);
             // Resumed to `b`'s level, not left at depth one.
-            assert_eq!(run_of(&t, a).map(|r| r.0), Some(5));
+            assert_eq!(run_of(&t, a, b).map(|r| r.0), Some(5));
             assert!(!t.within_hops(a, b, 3) && t.within_hops(a, b, 5));
             assert_eq!(live(&t), 1);
-            assert!(run_of(&t, b).is_none());
+            assert!(run_of(&t, b, a).is_none());
         }
     }
 
@@ -1434,32 +1845,77 @@ mod tests {
             let _ = t.within(b, 1);
             assert!(!t.within_hops(a, b, 3));
             assert_eq!(live(&t), 1);
-            let (depth, dist) = run_of(&t, b).expect("b's traversal");
-            assert_eq!((depth, dist[t.index_of(a).unwrap()]), (3, u32::MAX));
+            assert_eq!(run_of(&t, b, a), Some((3, None)));
             assert_eq!(t.hops(a, b), Some(5));
             assert_eq!(live(&t), 1);
-            let (depth, dist) = run_of(&t, b).expect("b's traversal");
-            assert_eq!((depth, dist[t.index_of(a).unwrap()]), (5, 5));
-            assert!(run_of(&t, a).is_none());
+            assert_eq!(run_of(&t, b, a), Some((5, Some(5))));
+            assert!(run_of(&t, a, b).is_none());
+        }
+    }
+
+    /// A bit set holding `model`'s true positions.
+    fn bits_of(model: &[bool]) -> Vec<u64> {
+        let mut set = vec![0u64; words(model.len())];
+        for (i, _) in model.iter().enumerate().filter(|(_, b)| **b) {
+            set_bit(&mut set, i);
+        }
+        set
+    }
+
+    #[test]
+    fn bit_shifts_match_a_list_model_at_word_boundaries() {
+        for n in [1usize, 2, 63, 64, 65, 127, 128, 129, 200] {
+            let model: Vec<bool> = (0..n)
+                .map(|i| (i * 37 + n) % 3 == 0 || i % 64 == 0 || i % 64 == 63)
+                .collect();
+            let ones: Vec<usize> = (0..n).filter(|&i| model[i]).collect();
+            assert_eq!(Row::of_bits(&bits_of(&model)).collect::<Vec<_>>(), ones);
+            for p in [0, 1, 62, 63, 64, 65, 127, 128, 129, n - 1, n] {
+                if p > n {
+                    continue;
+                }
+                let mut row = bits_of(&model);
+                row.resize(words(n + 1), 0);
+                insert_bit(&mut row, p);
+                let mut want = model.clone();
+                want.insert(p, false);
+                assert_eq!(row, bits_of(&want), "insert at {p} of {n}");
+                if p == n {
+                    continue;
+                }
+                let mut row = bits_of(&model);
+                remove_bit(&mut row, p);
+                assert!(row[words(n - 1)..].iter().all(|&w| w == 0), "{p} of {n}");
+                row.truncate(words(n - 1));
+                let mut want = model.clone();
+                want.remove(p);
+                assert_eq!(row, bits_of(&want), "remove at {p} of {n}");
+            }
         }
     }
 
     #[test]
-    fn pair_queries_stay_exact_across_the_mark_stamp_wrap() {
-        let nodes = line(10, 100.0);
-        let (a, b) = (NodeId::new(0), NodeId::new(9));
-        for t in engines(&nodes, 100.0) {
-            // Stamps 2 and 3 mark the ball around each end: a wrap that
-            // reused them without clearing would take `a`'s own ball for
-            // visited and `b`'s for contact.
-            assert_eq!(t.hops(a, b), Some(9));
-            t.cache.borrow_mut().meet.stamp = u32::MAX - 1;
-            assert_eq!(t.hops(a, b), Some(9));
-            assert_eq!(t.cache.borrow().meet.stamp, 2);
-            assert!(t.within_hops(NodeId::new(2), NodeId::new(7), 5));
-            assert!(!t.within_hops(NodeId::new(2), NodeId::new(8), 5));
-            assert_eq!(live(&t), 0);
-        }
+    fn take_fresh_yields_new_bits_ascending_and_clears_them() {
+        let mut fresh = bits_of(&(0..130).map(|i| i % 3 == 0).collect::<Vec<_>>());
+        let mut seen = bits_of(&(0..130).map(|i| i % 2 == 0).collect::<Vec<_>>());
+        let mut out = Vec::new();
+        take_fresh(&mut fresh, &mut seen, 0..3, &mut out);
+        let want: Vec<u32> = (0..130).filter(|i| i % 3 == 0 && i % 2 == 1).collect();
+        assert_eq!(out, want);
+        assert!(fresh.iter().all(|&w| w == 0));
+        let union: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i % 2 == 0).collect();
+        assert_eq!(seen, bits_of(&union));
+    }
+
+    #[test]
+    fn the_storage_rule_compares_a_bit_row_with_the_mean_list() {
+        // 600 nodes: ten words a row against a mean degree of ten.
+        assert!(rows_as_bits(600, 3_000) && !rows_as_bits(600, 2_999));
+        // 64 nodes: one word against one link per node.
+        assert!(rows_as_bits(64, 32) && !rows_as_bits(64, 31));
+        // 20 000 nodes at a mean degree of 28: 313 words a row.
+        assert!(!rows_as_bits(20_000, 280_000));
+        assert!(!rows_as_bits(0, 0) && !rows_as_bits(1, 0));
     }
 
     #[test]

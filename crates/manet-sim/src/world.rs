@@ -154,11 +154,15 @@ impl<M> Outbox<M> {
     }
 }
 
-/// Most membership changes a refresh splices one by one. A splice
-/// rewrites the whole CSR, so `k` of them cost `k · (n + links)` where
-/// one sweep costs `n log n + links`: the limit keeps a burst of joins
-/// between two queries from going quadratic.
-const SPLICE_LIMIT: usize = 16;
+/// Most membership changes a refresh splices one by one. On bit rows a
+/// splice shifts `n · ⌈n/64⌉` words, where one sweep costs `n log n +
+/// links` and refills every row: at the benchmark's 128- and 600-node
+/// densities a sweep costs about twenty splices (a splice pair 3.5 µs
+/// against a 32 µs sweep at 128 nodes, 15 µs against 167 µs at 600, on
+/// a 2-vCPU x86-64 host), so a burst of up to twenty costs at most about
+/// one sweep, and the limit keeps a longer burst of joins between two
+/// queries from going quadratic.
+const SPLICE_LIMIT: usize = 20;
 
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
@@ -538,19 +542,19 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.sweeps
     }
 
-    /// One-hop neighbors of `node`.
+    /// One-hop neighbors of `node`, read off its row of the snapshot.
     ///
-    /// Materializes a `Vec<NodeId>`; hot paths that only iterate should
-    /// use [`Topology::neighbor_indices`] via [`World::topology`]
-    /// instead, which borrows the adjacency slice without allocating.
+    /// Materializes a `Vec<NodeId>`; loops over dense indices can borrow
+    /// [`Topology::neighbor_indices`] via [`World::topology`] instead
+    /// (a CSR slice, built on the first ask on a dense snapshot).
     pub fn neighbors(&mut self, node: NodeId) -> Vec<NodeId> {
         self.topology().neighbors(node)
     }
 
-    /// Degree (one-hop neighbor count) of `node`, without materializing
-    /// the neighbor list.
+    /// Degree (one-hop neighbor count) of `node`, counted off its row
+    /// without materializing the neighbor list.
     pub fn degree(&mut self, node: NodeId) -> usize {
-        self.topology().neighbor_indices(node).len()
+        self.topology().degree(node)
     }
 
     /// Alive nodes within `k` hops of `node`, with distances.
@@ -688,7 +692,8 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge: relays,
             },
         );
-        Ok(self.deliver_all(from, &reach, category, &msg))
+        self.deliver_all(from, &reach, category, &msg);
+        Ok(reach.into_iter().map(|(n, _)| n).collect())
     }
 
     /// Global flood: delivers `msg` to every node in `from`'s connected
@@ -707,7 +712,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         if !self.is_alive(from) {
             return Err(SendError::SenderDead);
         }
-        let reach = self.topology().within(from, u32::MAX);
+        let (reach, recipients) = self.topology().flood(from);
         let charge = reach.len() as u64 + 1;
         self.metrics.add_send(category, charge);
         self.log.push(
@@ -720,22 +725,20 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge,
             },
         );
-        let mut recipients = self.deliver_all(from, &reach, category, &msg);
-        recipients.sort_unstable();
+        self.deliver_all(from, &reach, category, &msg);
         Ok(recipients)
     }
 
     /// Schedules one copy of `msg` per entry of `reach`, in its
     /// `(depth, id)` order — event sequence numbers break same-instant
-    /// ties, so this order is the delivery order — and returns the
-    /// recipients in that order.
+    /// ties, so this order is the delivery order.
     fn deliver_all(
         &mut self,
         from: NodeId,
         reach: &[(NodeId, u32)],
         category: MsgCategory,
         msg: &M,
-    ) -> Vec<NodeId> {
+    ) {
         let mut out = Outbox::new(from, 0);
         for level in reach.chunk_by(|x, y| x.1 == y.1) {
             out.room = level.len();
@@ -744,7 +747,6 @@ impl<M: Clone + fmt::Debug> World<M> {
             }
         }
         self.flush(&mut out);
-        reach.iter().map(|&(n, _)| n).collect()
     }
 
     /// Draws a loss event. Never touches the RNG at the default zero

@@ -114,6 +114,17 @@ fn injected_delay_postpones_delivery() {
 }
 
 #[test]
+fn a_delay_at_the_one_hour_ceiling_runs() {
+    let plan = FaultPlan::parse("seed 3\ndelay 1.0 3600s 3600s").expect("at the ceiling");
+    let mut sim = Sim::new(still(plan), Ping::default());
+    chain(&mut sim, 2);
+    sim.run_for(SimDuration::from_secs(3599));
+    assert_eq!(sim.protocol().received, 0, "still in flight");
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(sim.protocol().received, 1, "arrived an hour late");
+}
+
+#[test]
 fn scheduled_crash_kills_and_restart_revives() {
     let node = NodeId::new(2);
     let plan = FaultPlan::new(4).with_crash(

@@ -515,6 +515,168 @@ fn inclusive_boundary_across_cell_borders() {
 }
 
 // ---------------------------------------------------------------------
+// Bit rows and CSR: one answer from either storage
+// ---------------------------------------------------------------------
+
+/// A storm shard's layout: the first node anywhere in a 1 km square,
+/// every later one within 0.9 of the 150 m range of an earlier one.
+fn storm_shard(seed: u64, n: usize) -> Vec<(NodeId, Point)> {
+    let arena = Arena::new(1000.0, 1000.0);
+    let mut rng = SimRng::seed_from(seed);
+    let mut nodes: Vec<(NodeId, Point)> = Vec::with_capacity(n);
+    for i in 0..n {
+        let p = match nodes.len() {
+            0 => rng.point_in(&arena),
+            len => {
+                let c = nodes[rng.range_u64(0..len as u64) as usize].1;
+                let (r, theta) = (
+                    rng.range_f64(0.0..135.0),
+                    rng.range_f64(0.0..std::f64::consts::TAU),
+                );
+                arena.clamp(Point::new(c.x + r * theta.cos(), c.y + r * theta.sin()))
+            }
+        };
+        nodes.push((NodeId::new(i as u64), p));
+    }
+    nodes
+}
+
+/// Every query of `topo` against a plain BFS over `naive`'s lists, from
+/// a few sources.
+fn assert_same_answers(topo: &Topology, naive: &Topology, nodes: &[(NodeId, Point)], what: &str) {
+    assert_same_graph(topo, naive, nodes);
+    for &(a, _) in nodes.iter().step_by(nodes.len() / 7 + 1) {
+        let reference = reference_distances(naive, a);
+        for k in [1, 2, 3, u32::MAX] {
+            assert_eq!(
+                topo.within(a, k),
+                reference_within(&reference, a, k),
+                "{what}"
+            );
+        }
+        for &(b, _) in nodes.iter().step_by(nodes.len() / 5 + 1) {
+            assert_eq!(topo.hops(a, b), reference.get(&b).copied(), "{what}");
+        }
+    }
+    assert_eq!(topo.components(), naive.components(), "{what}");
+}
+
+/// Which storage the benchmark layouts take, and that each storage
+/// answers like the all-pairs oracle: a storm shard and a city are
+/// dense enough for bit rows, the 20 000-node probe layout keeps its
+/// CSR (313 words a row against 28 links).
+#[test]
+fn both_storages_give_one_answer() {
+    let shard = storm_shard(7, 128);
+    let city = random_layout(11, 600, 40.0 * 600f64.sqrt());
+    let probe = random_layout(13, 20_000, 50.0 * 20_000f64.sqrt());
+    for (what, nodes, bits) in [("storm shard", &shard, true), ("city", &city, true)] {
+        let topo = Topology::build(nodes, 150.0);
+        let naive = Topology::build_naive(nodes, 150.0);
+        assert_eq!(topo.rows_are_bits(), bits, "{what}");
+        assert!(topo == naive, "{what}");
+        assert_same_answers(&topo, &naive, nodes, what);
+    }
+    let topo = Topology::build(&probe, 150.0);
+    assert!(!topo.rows_are_bits(), "the probe layout is sparse");
+    // The same neighbourhoods, read through the CSR.
+    let head = &probe[..2_000];
+    let (topo, naive) = (
+        Topology::build(head, 150.0),
+        Topology::build_naive(head, 150.0),
+    );
+    assert!(!topo.rows_are_bits() && topo == naive);
+    assert_same_answers(&topo, &naive, head, "probe head");
+}
+
+/// A snapshot spliced at dense indices on both sides of every word
+/// boundary, the last one included, is the fresh build — in a world of
+/// 129 nodes each removal also narrows the rows by a word and each
+/// revival widens them back.
+#[test]
+fn bit_row_splices_at_word_boundaries_equal_a_fresh_build() {
+    let ms = SimDuration::from_millis;
+    for n in [128u64, 129] {
+        let mut rng = SimRng::seed_from(n);
+        let picks = [0, 63, 64, 127, n - 1];
+        let mut plan = FaultPlan::default();
+        for (i, &p) in picks.iter().enumerate() {
+            let at = SimTime::ZERO + ms(100 + 200 * i as u64);
+            plan = plan.with_crash(NodeId::new(p), at, Some(at + ms(100)));
+        }
+        let config = WorldConfig {
+            speed: 0.0,
+            fault_plan: plan,
+            ..WorldConfig::default()
+        };
+        let mut sim = Sim::new(config, Inert);
+        for _ in 0..n {
+            let at = Point::new(rng.range_f64(0.0..400.0), rng.range_f64(0.0..400.0));
+            sim.spawn_at(at);
+        }
+        assert!(sim.world_mut().topology().rows_are_bits());
+        assert_world_matches_oracle(sim.world_mut(), "before the splices");
+        for step in 0..=2 * picks.len() {
+            sim.run_for(ms(100));
+            let when = format!("n {n} step {step}");
+            assert_world_matches_oracle(sim.world_mut(), &when);
+            assert!(sim.world_mut().topology().rows_are_bits(), "{when}");
+        }
+        assert_eq!(sim.world().alive_count(), n as usize);
+        assert_eq!(
+            sim.world().snapshot_sweeps(),
+            1,
+            "n {n}: every change spliced"
+        );
+    }
+}
+
+/// Joins into one spot carry a sparse world across the rule into bit
+/// rows, and leaves carry it back: after every splice the snapshot is
+/// the fresh build of its layout, storage included.
+#[test]
+fn splices_carry_a_world_across_the_storage_rule() {
+    let config = WorldConfig {
+        speed: 0.0,
+        range: 50.0,
+        ..WorldConfig::default()
+    };
+    let mut sim = Sim::new(config, Inert);
+    // Seventy nodes 100 m apart at a 50 m range: no links at all.
+    for i in 0..70u32 {
+        let at = Point::new(f64::from(i % 10) * 100.0, f64::from(i / 10) * 100.0);
+        sim.spawn_at(at);
+    }
+    let check = |sim: &mut Sim<Inert>, when: &str| -> bool {
+        let w = sim.world_mut();
+        assert_world_matches_oracle(w, when);
+        let positions: Vec<(NodeId, Point)> = w
+            .alive_nodes()
+            .into_iter()
+            .map(|n| (n, w.snapshot_position(n).expect("alive")))
+            .collect();
+        let fresh = Topology::build(&positions, w.range());
+        assert!(*w.topology() == fresh, "{when}");
+        w.topology().rows_are_bits()
+    };
+    let mut seen = vec![check(&mut sim, "spread out")];
+    let mut cluster = Vec::new();
+    for i in 0..24u32 {
+        let at = Point::new(950.0 + f64::from(i % 5), 950.0 + f64::from(i / 5));
+        cluster.push(sim.spawn_at(at));
+        seen.push(check(&mut sim, &format!("cluster join {i}")));
+    }
+    for (i, node) in cluster.into_iter().enumerate() {
+        sim.world_mut().remove_node(node);
+        seen.push(check(&mut sim, &format!("cluster leave {i}")));
+    }
+    assert_eq!(sim.world().snapshot_sweeps(), 1, "every change spliced");
+    // CSR, then bits, then CSR again.
+    let flips = seen.windows(2).filter(|w| w[0] != w[1]).count();
+    assert_eq!((seen[0], flips, *seen.last().unwrap()), (false, 2, false));
+}
+
+// ---------------------------------------------------------------------
 // World-level cache invalidation
 // ---------------------------------------------------------------------
 
@@ -581,6 +743,12 @@ fn assert_world_matches_oracle<M: Clone + std::fmt::Debug>(w: &mut World<M>, whe
             "{when}: nearest from {a:?}"
         );
     }
+    // Rows and storage too: a splice lands where a build of the same
+    // alive set would.
+    assert!(
+        *w.topology() == oracle,
+        "{when}: snapshot is not the fresh build"
+    );
     let gone = NodeId::new(u64::MAX);
     assert_eq!(w.topology().index_of(gone), None, "{when}");
     assert_eq!(w.topology().len(), alive.len(), "{when}");
