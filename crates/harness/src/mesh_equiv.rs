@@ -129,14 +129,22 @@ fn run_cell(cell: &Cell, quick: bool) -> EquivCell {
         "dad" => run_both(&scenario, baselines::dad::QueryDad::default),
         other => unreachable!("no wire codec registered for {other}"),
     };
+    // No diff means byte-identical renderings, so one fingerprint is
+    // both sides'.
+    let diff = sim_side.diff(&mesh_side);
+    let sim_fingerprint = sim_side.fingerprint();
+    let mesh_fingerprint = match diff {
+        None => sim_fingerprint.clone(),
+        Some(_) => mesh_side.fingerprint(),
+    };
     EquivCell {
         protocol: cell.protocol,
         schedule: cell.schedule,
         records: sim_side.len(),
-        sim_fingerprint: sim_side.fingerprint(),
-        mesh_fingerprint: mesh_side.fingerprint(),
+        sim_fingerprint,
+        mesh_fingerprint,
         stats,
-        diff: sim_side.diff(&mesh_side),
+        diff,
     }
 }
 

@@ -1,3 +1,10 @@
+//! What the event queue holds. The heap orders small [`Key`]s — firing
+//! time, sequence number, slab slot — and each entry sits still in its
+//! slot until it is popped: a timer or lifecycle [`EventKind`], or a
+//! [`Run`], the deliveries of one send at one instant with the message
+//! stored once. A popped run becomes the run under way and is handed
+//! out one recipient per step, each recipient one logical event.
+
 use crate::{NodeId, SimTime, TimerId};
 use std::cmp::Ordering;
 
@@ -21,58 +28,73 @@ pub(crate) enum EventKind {
     HeadKill { count: u32 },
 }
 
-/// The deliveries of one send that fire at one instant, in the order
-/// the send scheduled them. A unicast is a run of one.
-pub(crate) type Run<M> = std::vec::IntoIter<(NodeId, M)>;
-
-/// What one queue entry holds.
-#[derive(Debug, Clone)]
-pub(crate) enum Queued<M> {
-    /// Deliver a protocol message from `from` to each recipient of
-    /// `run`; every recipient is one logical event.
-    Deliver {
-        from: NodeId,
-        run: Run<M>,
-    },
-    Event(EventKind),
-}
-
-/// One logical event, as the driver dispatches it.
+/// The deliveries of one send that fire at one instant: one message and
+/// its recipients, in the order the send decided them. Each recipient
+/// gets a clone when it is handed out and the last takes `msg` itself.
+/// A unicast is a run of one, its recipient held inline.
 #[derive(Debug)]
-pub(crate) enum Due<M> {
-    /// Deliver a protocol message to `to`.
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-    },
-    Event(EventKind),
+pub(crate) struct Run<M> {
+    pub from: NodeId,
+    pub msg: M,
+    /// The recipient handed out next; `None` once all are.
+    pub next: Option<NodeId>,
+    /// The recipients after `next`; unallocated for a run of one.
+    pub rest: std::vec::IntoIter<NodeId>,
 }
 
-/// A queue entry with its firing time and a deterministic FIFO tiebreak.
-#[derive(Debug, Clone)]
-pub(crate) struct Scheduled<M> {
-    pub at: SimTime,
-    pub seq: u64,
-    pub kind: Queued<M>,
-}
+impl<M> Run<M> {
+    pub fn new(from: NodeId, msg: M, first: NodeId, rest: Vec<NodeId>) -> Self {
+        let (next, rest) = (Some(first), rest.into_iter());
+        Run {
+            from,
+            msg,
+            next,
+            rest,
+        }
+    }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+    /// Hands out the next recipient; `None` once the run is done.
+    pub fn advance(&mut self) -> Option<NodeId> {
+        let to = self.next.take()?;
+        self.next = self.rest.next();
+        Some(to)
     }
 }
 
-impl<M> Eq for Scheduled<M> {}
+/// What one queue entry holds.
+#[derive(Debug)]
+pub(crate) enum Queued<M> {
+    /// Every recipient of the run is one logical event.
+    Run(Run<M>),
+    Event(EventKind),
+}
 
-impl<M> PartialOrd for Scheduled<M> {
+/// What [`World::pop_due`](crate::World) took off the queue.
+#[derive(Debug)]
+pub(crate) enum Due {
+    /// A run, now the run under way.
+    Run,
+    Event(EventKind),
+}
+
+/// The heap's view of a queue entry: its firing time, a deterministic
+/// FIFO tiebreak, and the slab slot that holds the entry itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Key {
+    pub at: SimTime,
+    pub seq: u64,
+    pub slot: u32,
+}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for Scheduled<M> {
-    /// Reversed so that `BinaryHeap` pops the *earliest* event first.
+impl Ord for Key {
+    /// Reversed so that `BinaryHeap` pops the *earliest* event first;
+    /// `seq` is unique, so `slot` never decides.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
@@ -83,13 +105,11 @@ mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
-    fn ev(at: u64, seq: u64) -> Scheduled<()> {
-        Scheduled {
+    fn ev(at: u64, seq: u64) -> Key {
+        Key {
             at: SimTime::from_micros(at),
             seq,
-            kind: Queued::Event(EventKind::Join {
-                node: NodeId::new(0),
-            }),
+            slot: 0,
         }
     }
 

@@ -103,8 +103,7 @@ impl<P: ProtocolCore> Sim<P> {
     /// clock to `until`. Returns the number of events processed.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(ev) = self.world.pop_due(until) {
-            self.dispatch(ev);
+        while self.step(until) {
             processed += 1;
         }
         self.world.advance_to(until);
@@ -113,7 +112,8 @@ impl<P: ProtocolCore> Sim<P> {
 
     /// Processes the single earliest event with a timestamp `≤ until`
     /// and returns `true`. When no event is due, advances the clock to
-    /// `until` and returns `false`.
+    /// `until` and returns `false`. Each recipient of a send is one
+    /// event, exactly as in [`Sim::run_until`]: both drive the same step.
     ///
     /// This is the hook the conformance oracle uses to interleave an
     /// invariant check after every simulator event:
@@ -127,16 +127,11 @@ impl<P: ProtocolCore> Sim<P> {
     /// }
     /// ```
     pub fn step_until(&mut self, until: SimTime) -> bool {
-        match self.world.pop_due(until) {
-            Some(ev) => {
-                self.dispatch(ev);
-                true
-            }
-            None => {
-                self.world.advance_to(until);
-                false
-            }
+        let stepped = self.step(until);
+        if !stepped {
+            self.world.advance_to(until);
         }
+        stepped
     }
 
     /// Runs for `span` of virtual time from the current instant.
@@ -150,16 +145,39 @@ impl<P: ProtocolCore> Sim<P> {
     /// Returns the number of events processed.
     pub fn drain(&mut self, max_events: u64) -> u64 {
         let mut processed = 0;
-        while processed < max_events {
-            match self.world.pop_due(SimTime::MAX) {
-                Some(ev) => {
-                    self.dispatch(ev);
-                    processed += 1;
-                }
-                None => break,
-            }
+        while processed < max_events && self.step(SimTime::MAX) {
+            processed += 1;
         }
         processed
+    }
+
+    /// Dispatches the one logical event due next by `until`, if any: the
+    /// next recipient of the run under way, or else the queue's head. A
+    /// popped run only becomes the run under way, so its first recipient
+    /// is this step's event.
+    fn step(&mut self, until: SimTime) -> bool {
+        let to = match self.world.next_recipient(until) {
+            Some(next) => next,
+            None => match self.world.pop_due(until) {
+                None => return false,
+                Some(Due::Event(kind)) => {
+                    self.dispatch(kind);
+                    return true;
+                }
+                Some(Due::Run) => self
+                    .world
+                    .next_recipient(until)
+                    .expect("a run is never empty"),
+            },
+        };
+        // A dead recipient's turn is an event, not a delivery, and
+        // costs no clone.
+        if self.world.is_alive(to) {
+            self.world.metrics_mut().perf_mut().deliveries += 1;
+            let input = self.world.delivery();
+            self.feed(to, input);
+        }
+        true
     }
 
     /// Feeds one sans-io [`Input`] to the protocol core: records it in
@@ -170,17 +188,7 @@ impl<P: ProtocolCore> Sim<P> {
         self.protocol.handle(&mut self.world, node, input);
     }
 
-    fn dispatch(&mut self, due: Due<P::Msg>) {
-        let kind = match due {
-            Due::Deliver { to, from, msg } => {
-                if self.world.is_alive(to) {
-                    self.world.metrics_mut().perf_mut().deliveries += 1;
-                    self.feed(to, Input::Message { from, msg });
-                }
-                return;
-            }
-            Due::Event(kind) => kind,
-        };
+    fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Timer { node, id, tag } => {
                 if !self.world.timer_cancelled(id) && self.world.is_alive(node) {
@@ -254,7 +262,7 @@ impl<P: ProtocolCore> Sim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MsgCategory, Net, SendError};
+    use crate::{FaultPlan, MsgCategory, Net, SendError, WireShadow};
     use proto_io::IdMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a
@@ -656,6 +664,133 @@ mod tests {
         let got: Vec<(SimTime, NodeId)> = sim.protocol().log.iter().map(|l| (l.0, l.1)).collect();
         let want: Vec<(SimTime, NodeId)> = want.into_iter().map(|(at, _, to)| (at, to)).collect();
         assert_eq!(got, want);
+    }
+
+    /// Logs every message it receives; every node beacons one hop at a
+    /// 50 ms period from its join on, its message tagged 999.
+    #[derive(Default)]
+    struct Beacon {
+        /// `(now, node, msg)` per delivery.
+        log: Vec<(SimTime, NodeId, u64)>,
+    }
+
+    impl ProtocolCore for Beacon {
+        type Msg = u64;
+        fn on_join(&mut self, w: &mut Net<'_, u64>, node: NodeId) {
+            w.set_timer(node, SimDuration::from_millis(50), 0);
+        }
+        fn on_message(&mut self, w: &mut Net<'_, u64>, to: NodeId, _from: NodeId, msg: u64) {
+            self.log.push((w.now(), to, msg));
+        }
+        fn on_timer(&mut self, w: &mut Net<'_, u64>, node: NodeId, _tag: u64) {
+            let _ = w.broadcast_within(node, 1, MsgCategory::Hello, 999);
+            w.set_timer(node, SimDuration::from_millis(50), 0);
+        }
+    }
+
+    /// A 5 × 5 lattice of beacons, 100 m apart (up to four neighbours).
+    fn lattice(config: WorldConfig) -> Sim<Beacon> {
+        let mut sim = Sim::new(config, Beacon::default());
+        for i in 0..25 {
+            sim.spawn_at(Point::new((i % 5) as f64 * 100.0, (i / 5) as f64 * 100.0));
+        }
+        sim
+    }
+
+    /// Loss, delays and duplicates: runs split where firing times part.
+    fn fragmenting() -> WorldConfig {
+        let plan = FaultPlan::new(5)
+            .with_loss(0.1)
+            .with_delay(
+                0.5,
+                SimDuration::from_millis(1),
+                SimDuration::from_millis(20),
+            )
+            .with_duplication(0.4);
+        WorldConfig {
+            fault_plan: plan,
+            loss_rate: 0.1,
+            ..still_config()
+        }
+    }
+
+    #[test]
+    fn a_shadow_copy_reaches_its_own_recipient_in_run_order() {
+        /// Hands each recipient a copy tagged with its own id.
+        #[derive(Debug)]
+        struct Tagger;
+        impl WireShadow<u64> for Tagger {
+            fn carry(&mut self, path: &[NodeId], _c: MsgCategory, _msg: &u64) -> u64 {
+                path.last().expect("a path ends at its recipient").index()
+            }
+        }
+        let run = |shadow: bool| {
+            let mut sim = lattice(fragmenting());
+            if shadow {
+                sim.world_mut().set_wire_shadow(Box::new(Tagger));
+            }
+            sim.run_for(SimDuration::from_secs(1));
+            // The shadow asks the topology for paths: `topo_hits` moves.
+            let p = sim.world().metrics().perf();
+            let perf = (p.events, p.deliveries, p.timers_fired, p.queue_high_water);
+            (sim.protocol_mut().log.split_off(0), perf)
+        };
+        let (plain, plain_perf) = run(false);
+        let (tagged, tagged_perf) = run(true);
+        assert!(plain.len() > 200, "the lattice beacons");
+        assert!(plain.iter().all(|&(_, _, msg)| msg == 999));
+        assert!(tagged.iter().all(|&(_, to, msg)| msg == to.index()));
+        let order = |log: &[(SimTime, NodeId, u64)]| -> Vec<(SimTime, NodeId)> {
+            log.iter().map(|&(at, to, _)| (at, to)).collect()
+        };
+        assert_eq!(order(&tagged), order(&plain));
+        assert_eq!(tagged_perf, plain_perf);
+    }
+
+    #[test]
+    fn the_slab_holds_no_more_slots_than_the_queue_held_entries() {
+        let mut sim = lattice(still_config());
+        let until = SimTime::from_micros(5_000_000);
+        let mut peak = sim.world().queue_shape().0;
+        let mut steps = 0u64;
+        while sim.step_until(until) {
+            peak = peak.max(sim.world().queue_shape().0);
+            steps += 1;
+        }
+        let (_, slots) = sim.world().queue_shape();
+        assert!(steps > 5_000, "a long storm: {steps} steps");
+        assert!(slots <= peak, "{slots} slots for at most {peak} entries");
+        assert!(peak <= 2 * 25, "one timer and one hello run a node");
+    }
+
+    #[test]
+    fn step_until_matches_run_until_on_fragmenting_runs() {
+        let run = |stepped: bool| {
+            let mut sim = lattice(fragmenting());
+            let until = SimTime::from_micros(2_000_000);
+            let mut events = 0;
+            if stepped {
+                while sim.step_until(until) {
+                    events += 1;
+                }
+            } else {
+                events = sim.run_until(until);
+            }
+            assert_eq!(sim.world().now(), until);
+            let faults = *sim.world().metrics().faults();
+            assert!(faults.dropped > 0 && faults.delayed > 0 && faults.duplicated > 0);
+            let perf = *sim.world().metrics().perf();
+            (
+                events,
+                perf,
+                sim.world().pending_events(),
+                faults,
+                sim.protocol_mut().log.split_off(0),
+            )
+        };
+        let (stepped, whole) = (run(true), run(false));
+        assert_eq!(stepped.0, stepped.1.events);
+        assert_eq!(stepped, whole);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-use crate::event::{Due, EventKind, Queued, Run, Scheduled};
+use crate::event::{Due, EventKind, Key, Queued, Run};
 use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
 use crate::observer::{FlowKind, FlowStage, Observer};
 use crate::topology::Topology;
 use crate::TimerId;
 use crate::{
-    Arena, Event, EventLog, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg, SendError,
-    SimDuration, SimRng, SimTime,
+    Arena, Event, EventLog, Input, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg,
+    SendError, SimDuration, SimRng, SimTime,
 };
 use proto_io::IdSet;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// Static parameters of a simulation run.
@@ -129,12 +129,16 @@ pub trait WireShadow<M>: fmt::Debug + Send {
     fn carry(&mut self, path: &[NodeId], category: MsgCategory, msg: &M) -> M;
 }
 
-/// The deliveries one send has decided so far that share a firing time:
-/// the queue entry [`World::schedule_delivery`] is filling.
-struct Outbox<M> {
+/// The recipients one send has decided so far that share a firing time:
+/// the run [`World::schedule_delivery`] is filling. It holds no message:
+/// the send's own copy goes into the run that is queued last.
+struct Outbox {
     from: NodeId,
     at: SimTime,
-    run: Vec<(NodeId, M)>,
+    /// The run's first recipient, held inline; `None` while it is empty.
+    first: Option<NodeId>,
+    /// The recipients after `first`.
+    rest: Vec<NodeId>,
     /// Room the next run begun at a new firing time reserves: the size
     /// of the hop level being decided, until one run has taken it. So a
     /// broadcast without faults allocates each level's run once and
@@ -143,12 +147,13 @@ struct Outbox<M> {
     room: usize,
 }
 
-impl<M> Outbox<M> {
+impl Outbox {
     fn new(from: NodeId, room: usize) -> Self {
         Outbox {
             from,
             at: SimTime::ZERO,
-            run: Vec::new(),
+            first: None,
+            rest: Vec::new(),
             room,
         }
     }
@@ -170,13 +175,18 @@ pub struct World<M> {
     config: WorldConfig,
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
+    /// Orders the queue; each key names the `slab` slot of its entry.
+    queue: BinaryHeap<Key>,
+    /// Queue entries by slot; the empty ones are listed in `free`.
+    slab: Vec<Option<Queued<M>>>,
+    free: Vec<u32>,
     /// Logical events not yet dispatched: every queued non-delivery
-    /// event plus every recipient of every queued or half-unrolled run.
+    /// event plus every recipient of every queued run and of the run
+    /// under way.
     pending: usize,
-    /// The run popped last, firing at `now`: its sender and the
-    /// recipients [`World::pop_due`] has not handed out yet.
-    unrolling: Option<(NodeId, Run<M>)>,
+    /// The run popped last, firing at `now`, with the recipients
+    /// [`World::next_recipient`] has not handed out yet.
+    current: Option<Run<M>>,
     nodes: NodeTable,
     rng: SimRng,
     metrics: Metrics,
@@ -215,8 +225,10 @@ impl<M: Clone + fmt::Debug> World<M> {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             pending: 0,
-            unrolling: None,
+            current: None,
             nodes: NodeTable::default(),
             rng,
             metrics: Metrics::new(),
@@ -655,8 +667,8 @@ impl<M: Clone + fmt::Debug> World<M> {
             },
         );
         let mut out = Outbox::new(from, 1);
-        self.schedule_delivery(&mut out, to, hops, category, msg);
-        self.flush(&mut out);
+        self.schedule_delivery(&mut out, to, hops, category, &msg);
+        self.flush(&mut out, msg);
         Ok(hops)
     }
 
@@ -692,7 +704,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge: relays,
             },
         );
-        self.deliver_all(from, &reach, category, &msg);
+        self.deliver_all(from, &reach, category, msg);
         Ok(reach.into_iter().map(|(n, _)| n).collect())
     }
 
@@ -725,28 +737,28 @@ impl<M: Clone + fmt::Debug> World<M> {
                 charge,
             },
         );
-        self.deliver_all(from, &reach, category, &msg);
+        self.deliver_all(from, &reach, category, msg);
         Ok(recipients)
     }
 
-    /// Schedules one copy of `msg` per entry of `reach`, in its
-    /// `(depth, id)` order — event sequence numbers break same-instant
-    /// ties, so this order is the delivery order.
+    /// Schedules `msg` for every entry of `reach`, in its `(depth, id)`
+    /// order — event sequence numbers break same-instant ties, so this
+    /// order is the delivery order.
     fn deliver_all(
         &mut self,
         from: NodeId,
         reach: &[(NodeId, u32)],
         category: MsgCategory,
-        msg: &M,
+        msg: M,
     ) {
         let mut out = Outbox::new(from, 0);
         for level in reach.chunk_by(|x, y| x.1 == y.1) {
             out.room = level.len();
             for &(to, d) in level {
-                self.schedule_delivery(&mut out, to, d, category, msg.clone());
+                self.schedule_delivery(&mut out, to, d, category, &msg);
             }
         }
-        self.flush(&mut out);
+        self.flush(&mut out, msg);
     }
 
     /// Draws a loss event. Never touches the RNG at the default zero
@@ -756,11 +768,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// The single delivery choke point: every unicast, bounded-flood,
-    /// and global-flood recipient passes through here. Applies the
-    /// legacy `loss_rate` first (on the main RNG, exactly as before the
-    /// fault plane existed) and then the fault plan (on its own RNG),
-    /// recording injected outcomes in metrics and trace. With no fault
-    /// plan this reduces to the original loss-then-push path.
+    /// and global-flood recipient passes through here.
     ///
     /// Every draw happens here, per recipient, at send time; what is
     /// batched is only the queue entry. Copies that fire at the instant
@@ -769,24 +777,53 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// delay splits it exactly where the firing times part.
     fn schedule_delivery(
         &mut self,
-        out: &mut Outbox<M>,
+        out: &mut Outbox,
         to: NodeId,
         dist_hops: u32,
         category: MsgCategory,
-        msg: M,
+        msg: &M,
     ) {
         // The shadow transmits unconditionally — a datagram that the
         // logical layer then loses was still physically sent, exactly
-        // like a real radio. Loss/fault draws below are untouched.
+        // like a real radio. The copy it decoded is the recipient's own
+        // message, so it is queued at once as a run of one.
         let from = out.from;
-        let msg = self.shadow_carry(from, to, category, msg);
+        let copy = (self.shadow.is_some()).then(|| self.shadow_carry(from, to, category, msg));
+        let Some((at, copies)) = self.fate(from, to, dist_hops, category) else {
+            return;
+        };
+        let Some(copy) = copy else {
+            for _ in 0..copies {
+                self.post(out, at, to, msg);
+            }
+            return;
+        };
+        for _ in 1..copies {
+            let run = Run::new(from, copy.clone(), to, Vec::new());
+            self.push(at, 1, Queued::Run(run));
+        }
+        self.push(at, 1, Queued::Run(Run::new(from, copy, to, Vec::new())));
+    }
+
+    /// Decides one delivery's fate: applies the legacy `loss_rate` first
+    /// (on the main RNG, exactly as before the fault plane existed) and
+    /// then the fault plan (on its own RNG), recording injected outcomes
+    /// in metrics and trace. Returns when the delivery's copies fire and
+    /// how many there are, or `None` when it is lost or dropped.
+    #[inline]
+    fn fate(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        dist_hops: u32,
+        category: MsgCategory,
+    ) -> Option<(SimTime, u32)> {
         if self.lost() {
-            return; // charged but never delivered
+            return None; // charged but never delivered
         }
         let base_at = self.now + self.config.hop_delay * u64::from(dist_hops);
         if self.faults.is_none() {
-            self.post(out, base_at, to, msg);
-            return;
+            return Some((base_at, 1));
         }
         let now = self.now;
         let pos = |nodes: &NodeTable, node: NodeId| {
@@ -814,6 +851,7 @@ impl<M: Clone + fmt::Debug> World<M> {
                         cause,
                     },
                 );
+                None
             }
             DeliveryFate::Pass {
                 extra,
@@ -842,41 +880,34 @@ impl<M: Clone + fmt::Debug> World<M> {
                         },
                     );
                 }
-                let at = base_at + extra;
-                for _ in 0..duplicates {
-                    self.post(out, at, to, msg.clone());
-                }
-                self.post(out, at, to, msg);
+                Some((base_at + extra, 1 + duplicates))
             }
         }
     }
 
-    /// Appends one delivery to `out`, queueing what `out` held first
-    /// if that fires at another instant.
-    fn post(&mut self, out: &mut Outbox<M>, at: SimTime, to: NodeId, msg: M) {
-        if at != out.at {
-            self.flush(out);
-            out.at = at;
-            out.run.reserve_exact(std::mem::take(&mut out.room));
+    /// Appends `to` to the run `out` is filling, queueing that run
+    /// first, with a clone of `msg`, if it fires at another instant.
+    fn post(&mut self, out: &mut Outbox, at: SimTime, to: NodeId, msg: &M) {
+        if out.first.is_some() && at != out.at {
+            self.flush(out, msg.clone());
         }
-        out.run.push((to, msg));
-    }
-
-    /// Queues the run `out` holds, if any, as one entry.
-    fn flush(&mut self, out: &mut Outbox<M>) {
-        if out.run.is_empty() {
+        if out.first.is_some() {
+            out.rest.push(to);
             return;
         }
-        let run = std::mem::take(&mut out.run);
-        let from = out.from;
-        self.push(
-            out.at,
-            run.len(),
-            Queued::Deliver {
-                from,
-                run: run.into_iter(),
-            },
-        );
+        out.at = at;
+        out.first = Some(to);
+        let room = std::mem::take(&mut out.room);
+        out.rest.reserve_exact(room.saturating_sub(1));
+    }
+
+    /// Queues the run `out` holds, if any, as one entry carrying `msg`.
+    fn flush(&mut self, out: &mut Outbox, msg: M) {
+        let Some(first) = out.first.take() else {
+            return;
+        };
+        let run = Run::new(out.from, msg, first, std::mem::take(&mut out.rest));
+        self.push(out.at, 1 + run.rest.len(), Queued::Run(run));
     }
 
     // ------------------------------------------------------------------
@@ -1116,61 +1147,98 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// Queues one entry standing for `logical` events.
-    fn push(&mut self, at: SimTime, logical: usize, kind: Queued<M>) {
+    fn push(&mut self, at: SimTime, logical: usize, entry: Queued<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(entry);
+                slot
+            }
+            None => {
+                self.slab.push(Some(entry));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued entries")
+            }
+        };
+        self.queue.push(Key { at, seq, slot });
         self.pending += logical;
         let perf = self.metrics.perf_mut();
         perf.queue_high_water = perf.queue_high_water.max(self.pending as u64);
     }
 
-    /// The earliest logical event due by `until`, if any; the clock
-    /// moves to its firing time.
+    /// Takes the earliest entry due by `until` off the queue, if any;
+    /// the clock moves to its firing time. A run is not handed out here
+    /// but becomes the run under way, whose recipients
+    /// [`World::next_recipient`] hands out before the queue is looked at
+    /// again.
     ///
-    /// A popped run is handed out one recipient per call before the
-    /// queue is looked at again. That is the order one entry per
-    /// recipient would give: the recipients would hold consecutive
-    /// sequence numbers at one instant, so nothing could fire between
-    /// them, and whatever a recipient's handler schedules for the same
-    /// instant is numbered after the run's tail.
-    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Due<M>> {
-        let due = match self.next_of_run(until) {
-            Some(due) => due,
-            None => {
-                if self.queue.peek()?.at > until {
-                    return None;
-                }
-                let ev = self.queue.pop().expect("peeked");
-                debug_assert!(ev.at >= self.now, "time went backwards");
-                self.now = ev.at;
-                match ev.kind {
-                    Queued::Event(kind) => Due::Event(kind),
-                    Queued::Deliver { from, run } => {
-                        self.unrolling = Some((from, run));
-                        self.next_of_run(until).expect("a run is never empty")
-                    }
-                }
+    /// That is the order one entry per recipient would give: the
+    /// recipients would hold consecutive sequence numbers at one
+    /// instant, so nothing could fire between them, and whatever a
+    /// recipient's handler schedules for the same instant is numbered
+    /// after the run's tail.
+    pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Due> {
+        let head = self.queue.peek_mut()?;
+        if head.at > until {
+            return None;
+        }
+        let Key { at, slot, .. } = PeekMut::pop(head);
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        let entry = self.slab[slot as usize]
+            .take()
+            .expect("a queued slot is full");
+        self.free.push(slot);
+        match entry {
+            Queued::Event(kind) => {
+                self.count_event();
+                Some(Due::Event(kind))
             }
-        };
-        self.pending -= 1;
-        self.metrics.perf_mut().events += 1;
-        Some(due)
+            Queued::Run(run) => {
+                self.current = Some(run);
+                Some(Due::Run)
+            }
+        }
     }
 
-    /// The next recipient of the half-unrolled run, if one is left and
-    /// due (the run fires at `now`).
-    fn next_of_run(&mut self, until: SimTime) -> Option<Due<M>> {
-        let (from, run) = self.unrolling.as_mut()?;
+    /// The next recipient of the run under way, if one is left and the
+    /// run, firing at `now`, is due by `until`. What it receives is
+    /// [`World::delivery`].
+    pub(crate) fn next_recipient(&mut self, until: SimTime) -> Option<NodeId> {
+        let run = self.current.as_mut()?;
         if self.now > until {
             return None;
         }
-        let (to, msg) = run.next()?;
-        Some(Due::Deliver {
-            to,
-            from: *from,
-            msg,
-        })
+        let Some(to) = run.advance() else {
+            self.current = None;
+            return None;
+        };
+        self.count_event();
+        Some(to)
+    }
+
+    /// The input for the recipient [`World::next_recipient`] handed out
+    /// last: a clone of the run's message, or the message itself if that
+    /// recipient was the run's last.
+    pub(crate) fn delivery(&mut self) -> Input<M> {
+        let run = self.current.as_ref().expect("a recipient was handed out");
+        if run.next.is_some() {
+            let (from, msg) = (run.from, run.msg.clone());
+            return Input::Message { from, msg };
+        }
+        let Run { from, msg, .. } = self.current.take().expect("checked above");
+        Input::Message { from, msg }
+    }
+
+    fn count_event(&mut self) {
+        self.pending -= 1;
+        self.metrics.perf_mut().events += 1;
+    }
+
+    /// `(entries queued, slab slots)`.
+    #[cfg(test)]
+    pub(crate) fn queue_shape(&self) -> (usize, usize) {
+        (self.queue.len(), self.slab.len())
     }
 
     pub(crate) fn advance_to(&mut self, t: SimTime) {
@@ -1199,21 +1267,17 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.shadow = Some(shadow);
     }
 
-    /// Runs the shadow transport for one `(from, to)` delivery and
-    /// returns the message copy the recipient decoded (or the original
-    /// when no shadow is installed).
-    fn shadow_carry(&mut self, from: NodeId, to: NodeId, category: MsgCategory, msg: M) -> M {
-        if self.shadow.is_none() {
-            return msg;
-        }
+    /// Runs the installed shadow transport for one `(from, to)`
+    /// delivery and returns the message copy the recipient decoded.
+    fn shadow_carry(&mut self, from: NodeId, to: NodeId, category: MsgCategory, msg: &M) -> M {
         // One deterministic shortest path over the current link map
         // (a single-element path for a self-delivery).
         let path = self
             .topology()
             .route(from, to)
             .expect("a recipient is reachable in the snapshot that chose it");
-        let mut shadow = self.shadow.take().expect("checked above");
-        let carried = shadow.carry(&path, category, &msg);
+        let mut shadow = self.shadow.take().expect("a shadow is installed");
+        let carried = shadow.carry(&path, category, msg);
         self.shadow = Some(shadow);
         carried
     }

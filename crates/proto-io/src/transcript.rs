@@ -3,7 +3,7 @@
 
 use crate::fnv::{fnv1a_extend, FNV1A_INIT};
 use crate::io::Input;
-use crate::log::{Event, EventLog, Record};
+use crate::log::{Event, EventLog, Record, Span};
 use crate::net::SendError;
 use crate::NodeId;
 use std::fmt;
@@ -49,7 +49,8 @@ impl EventLog {
     /// Compares this transcript (`L`) against another's (`R`); `None`
     /// when byte-identical, otherwise a minimized report: the first
     /// line where they disagree, after up to three common lines of
-    /// context.
+    /// context. Records are compared by value and rendered only where
+    /// they differ, and a difference that renders to one line is none.
     #[must_use]
     pub fn diff(&self, other: &EventLog) -> Option<String> {
         const CONTEXT: usize = 3;
@@ -57,8 +58,10 @@ impl EventLog {
         let (mut left, mut right) = (String::new(), String::new());
         for index in 0.. {
             let (l, r) = (ours.next(), theirs.next());
-            if l.is_none() && r.is_none() {
-                break;
+            match (l, r) {
+                (None, None) => break,
+                (Some(l), Some(r)) if self.parts(l) == other.parts(r) => continue,
+                _ => {}
             }
             for (log, record, line) in [(self, l, &mut left), (other, r, &mut right)] {
                 line.clear();
@@ -85,6 +88,36 @@ impl EventLog {
             return Some(report);
         }
         None
+    }
+
+    /// `r` with its spans blanked, and the payload bytes and node list
+    /// they name in this log: what its transcript line is rendered from.
+    fn parts(&self, r: &Record) -> (Record, &[u8], &[NodeId]) {
+        let mut r = *r;
+        let (mut bytes, mut nodes) = (Span::default(), Span::default());
+        match &mut r.event {
+            Event::Fed {
+                input: Input::Message { msg: b, .. },
+                ..
+            }
+            | Event::SendUnicast { bytes: b, .. } => bytes = std::mem::take(b),
+            Event::Fed {
+                input: Input::LinkChange { neighbors },
+                ..
+            } => nodes = std::mem::take(neighbors),
+            Event::SendFlood {
+                bytes: b,
+                recipients,
+                ..
+            } => {
+                bytes = std::mem::take(b);
+                if let Ok(to) = recipients {
+                    nodes = std::mem::take(to);
+                }
+            }
+            _ => {}
+        }
+        (r, self.payload(bytes), self.node_list(nodes))
     }
 
     /// Appends the canonical transcript line of a protocol-I/O record.
@@ -282,6 +315,69 @@ mod tests {
              @2 <n2 join\n    @3 <n3 join\n    @4 <n4 join\n  \
              L @5 >configured node=n0\n  R @5 >removed node=n0\n"
         );
+    }
+
+    /// The report `diff` promises, taken the slow way: every line of
+    /// both sides rendered, the first unequal pair reported.
+    fn rendered_diff(a: &EventLog, b: &EventLog) -> Option<String> {
+        let (l, r) = (a.lines(), b.lines());
+        let index = (0..l.len().max(r.len())).find(|&i| l.get(i) != r.get(i))?;
+        let end = "<end of transcript>".to_owned();
+        let mut report = format!(
+            "transcripts diverge at record {index} (left {} lines, right {} lines)\n",
+            l.len(),
+            r.len()
+        );
+        for line in &l[index.saturating_sub(3)..index] {
+            report += &format!("    {line}\n");
+        }
+        let (lo, ro) = (l.get(index).unwrap_or(&end), r.get(index).unwrap_or(&end));
+        Some(report + &format!("  L {lo}\n  R {ro}\n"))
+    }
+
+    /// Four joins, a message, a one-hop flood to `to`, a timer, and
+    /// `extra` trailing records; `skew` arena bytes and nodes no record
+    /// names come first, so equal spans sit at different offsets.
+    fn session(msg: &'static str, to: &[NodeId], extra: u64, skew: bool) -> EventLog {
+        let mut log = transcript(0..4);
+        if skew {
+            log.canon(&"unused");
+            log.intern_nodes(&[n(9)]);
+        }
+        log.push_input(t(4), n(1), &Input::Message { from: n(0), msg });
+        let bytes = log.canon(&msg).expect("recording");
+        let recipients = Ok(log.intern_nodes(to));
+        #[rustfmt::skip]
+        log.push(t(4), Event::SendFlood { from: n(1), k: Some(1), category: crate::MsgCategory::Hello, bytes, recipients });
+        #[rustfmt::skip]
+        log.push(t(4), Event::SetTimer { node: n(1), id: TimerId::from_raw(1), delay: SimDuration::from_millis(5), tag: 1 });
+        for i in 0..extra {
+            log.push(t(5 + i), Event::Configured { node: n(i) });
+        }
+        log
+    }
+
+    #[test]
+    fn diff_reports_what_rendering_every_line_reports() {
+        let to = [n(0), n(2), n(3)];
+        let base = session("hi", &to, 0, false);
+        let cases = [
+            ("equal at other arena offsets", session("hi", &to, 0, true)),
+            ("one payload byte", session("ho", &to, 0, true)),
+            (
+                "one recipient",
+                session("hi", &[n(0), n(2), n(4)], 0, false),
+            ),
+            ("a trailing record", session("hi", &to, 1, true)),
+            ("trailing records", session("hi", &to, 5, false)),
+        ];
+        for (what, other) in cases {
+            for (a, b) in [(&base, &other), (&other, &base)] {
+                assert_eq!(a.diff(b), rendered_diff(a, b), "{what}");
+            }
+        }
+        assert_eq!(base.diff(&session("hi", &to, 0, true)), None);
+        assert!(base.diff(&session("ho", &to, 0, false)).is_some());
     }
 
     #[test]
