@@ -27,6 +27,15 @@ pub struct AddrBlock {
     len: u32,
 }
 
+/// The stock address space every protocol allocates from unless told
+/// otherwise: 10.0.0.0 with 2^16 addresses, plenty for the paper's 200
+/// nodes and for each shard of a city-scale storm, while keeping block
+/// arithmetic visible in traces.
+pub const STOCK_SPACE: AddrBlock = AddrBlock {
+    base: Addr::new(0x0A00_0000),
+    len: 1 << 16,
+};
+
 impl AddrBlock {
     /// Creates a block of `len` addresses starting at `base`.
     ///

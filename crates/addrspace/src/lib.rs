@@ -42,7 +42,7 @@ mod pool;
 mod table;
 
 pub use addr::Addr;
-pub use block::AddrBlock;
+pub use block::{AddrBlock, STOCK_SPACE};
 pub use error::AddrSpaceError;
 pub use pool::{AddressPool, PoolView};
 pub use table::{AddrRecord, AddrStatus, AllocationTable};

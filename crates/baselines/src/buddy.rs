@@ -10,32 +10,16 @@
 //! to circulation. Those floods are what Figures 8–9 of the paper show
 //! growing with network size.
 
-use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
+use addrspace::{Addr, AddrBlock, AddressPool, PoolView, STOCK_SPACE};
 use proto_io::{
     FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
     Versioned,
 };
 
-/// Parameters of the buddy baseline.
-#[derive(Debug, Clone)]
-pub struct BuddyConfig {
-    /// The network's total address space.
-    pub space: AddrBlock,
-    /// Interval of the periodic global table synchronization.
-    pub sync_interval: SimDuration,
-    /// Retry pause for joiners that found nobody.
-    pub join_retry: SimDuration,
-}
-
-impl Default for BuddyConfig {
-    fn default() -> Self {
-        BuddyConfig {
-            space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
-            sync_interval: SimDuration::from_secs(4),
-            join_retry: SimDuration::from_millis(400),
-        }
-    }
-}
+/// Interval of the periodic global table synchronization.
+pub const SYNC_INTERVAL: SimDuration = SimDuration::from_secs(4);
+/// Retry pause for joiners that found nobody.
+const JOIN_RETRY: SimDuration = SimDuration::from_millis(400);
 
 /// Wire messages of the buddy baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,10 +68,10 @@ struct BuddyNode {
 const TAG_SYNC: u64 = 1;
 const TAG_JOIN_RETRY: u64 = 2;
 
-/// The buddy protocol state over all simulated nodes.
-#[derive(Debug)]
+/// The buddy protocol state over all simulated nodes, allocating from
+/// [`STOCK_SPACE`].
+#[derive(Debug, Default)]
 pub struct Buddy {
-    cfg: BuddyConfig,
     /// Every configured node's address and pool: all the conformance
     /// views read.
     nodes: Versioned<IdMap<NodeId, BuddyNode>>,
@@ -95,16 +79,6 @@ pub struct Buddy {
 }
 
 impl Buddy {
-    /// Creates the protocol with the given parameters.
-    #[must_use]
-    pub fn new(cfg: BuddyConfig) -> Self {
-        Buddy {
-            cfg,
-            nodes: Versioned::default(),
-            joining: IdMap::default(),
-        }
-    }
-
     /// The address of `node`, if configured.
     #[must_use]
     pub fn ip_of(&self, node: NodeId) -> Option<Addr> {
@@ -143,7 +117,7 @@ impl Buddy {
         if self.nodes.is_empty() {
             return (0, 0);
         }
-        let total = u64::from(self.cfg.space.len());
+        let total = u64::from(STOCK_SPACE.len());
         let alive: u64 = self
             .nodes
             .iter()
@@ -204,7 +178,7 @@ impl Buddy {
         // formation is comparable).
         if neighbor.is_none() {
             let _ = w.broadcast_within(node, 1, MsgCategory::Configuration, BuddyMsg::Req);
-            let mut pool = AddressPool::from_block(self.cfg.space);
+            let mut pool = AddressPool::from_block(STOCK_SPACE);
             let ip = pool.allocate_first(node.index()).expect("space non-empty");
             self.nodes.insert(
                 node,
@@ -219,8 +193,7 @@ impl Buddy {
             w.metrics_mut().record_join_retries(u64::from(attempts));
             w.flow_event(FlowKind::Join, node, FlowStage::Assigned);
             w.mark_configured(node);
-            let sync = self.cfg.sync_interval;
-            w.set_timer(node, sync, TAG_SYNC);
+            w.set_timer(node, SYNC_INTERVAL, TAG_SYNC);
             return;
         }
         let Some(j) = self.joining.get_mut(&node) else {
@@ -230,19 +203,12 @@ impl Buddy {
         let tries = j.0;
         w.flow_event(FlowKind::Join, node, FlowStage::Retry { attempt: tries });
         if tries < 8 {
-            let retry = self.cfg.join_retry;
-            w.set_timer(node, retry, TAG_JOIN_RETRY);
+            w.set_timer(node, JOIN_RETRY, TAG_JOIN_RETRY);
         } else {
             w.metrics_mut().record_config_failure();
             w.metrics_mut().record_join_retries(u64::from(tries));
             w.flow_event(FlowKind::Join, node, FlowStage::Abandoned);
         }
-    }
-}
-
-impl Default for Buddy {
-    fn default() -> Self {
-        Buddy::new(BuddyConfig::default())
     }
 }
 
@@ -304,13 +270,11 @@ impl ProtocolCore for Buddy {
                 w.metrics_mut().record_join_retries(u64::from(attempts));
                 w.flow_event(FlowKind::Join, to, FlowStage::Assigned);
                 w.mark_configured(to);
-                let sync = self.cfg.sync_interval;
-                w.set_timer(to, sync, TAG_SYNC);
+                w.set_timer(to, SYNC_INTERVAL, TAG_SYNC);
             }
             BuddyMsg::Reject => {
                 if self.joining.contains_key(&to) {
-                    let retry = self.cfg.join_retry;
-                    w.set_timer(to, retry, TAG_JOIN_RETRY);
+                    w.set_timer(to, JOIN_RETRY, TAG_JOIN_RETRY);
                 }
             }
             BuddyMsg::Sync { .. } => {
@@ -345,8 +309,7 @@ impl ProtocolCore for Buddy {
                     free: me.pool.free_count(),
                 };
                 let _ = w.flood(node, MsgCategory::Sync, msg);
-                let sync = self.cfg.sync_interval;
-                w.set_timer(node, sync, TAG_SYNC);
+                w.set_timer(node, SYNC_INTERVAL, TAG_SYNC);
             }
             TAG_JOIN_RETRY if self.joining.contains_key(&node) => {
                 self.attempt_join(w, node);

@@ -12,35 +12,18 @@
 //! kept by whichever coordinator received them, fragmenting the space.
 
 use addrspace::fragmentation::{self, FragmentationReport};
-use addrspace::{Addr, AddrBlock, AddressPool, PoolView};
+use addrspace::{Addr, AddrBlock, AddressPool, PoolView, STOCK_SPACE};
 use proto_io::{
     FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
     Versioned,
 };
 
-/// Parameters of the C-tree baseline.
-#[derive(Debug, Clone)]
-pub struct CTreeConfig {
-    /// The network's total address space.
-    pub space: AddrBlock,
-    /// Interval of the periodic coordinator → C-root reports.
-    pub report_interval: SimDuration,
-    /// Reports a coordinator may miss before the C-root reclaims it.
-    pub missed_reports: u32,
-    /// Retry pause for joiners that found nobody.
-    pub join_retry: SimDuration,
-}
-
-impl Default for CTreeConfig {
-    fn default() -> Self {
-        CTreeConfig {
-            space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
-            report_interval: SimDuration::from_secs(4),
-            missed_reports: 2,
-            join_retry: SimDuration::from_millis(400),
-        }
-    }
-}
+/// Interval of the periodic coordinator → C-root reports.
+const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(4);
+/// Reports a coordinator may miss before the C-root reclaims it.
+const MISSED_REPORTS: u32 = 2;
+/// Retry pause for joiners that found nobody.
+const JOIN_RETRY: SimDuration = SimDuration::from_millis(400);
 
 /// Wire messages of the C-tree baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,10 +104,10 @@ const TAG_REPORT: u64 = 1;
 const TAG_JOIN_RETRY: u64 = 2;
 const TAG_ROOT_SCAN: u64 = 3;
 
-/// The C-tree protocol state over all simulated nodes.
-#[derive(Debug)]
+/// The C-tree protocol state over all simulated nodes, allocating from
+/// [`STOCK_SPACE`].
+#[derive(Debug, Default)]
 pub struct CTree {
-    cfg: CTreeConfig,
     /// Every node's role, coordinators' pools included: all the
     /// conformance views read.
     roles: Versioned<IdMap<NodeId, CtRole>>,
@@ -134,18 +117,6 @@ pub struct CTree {
 }
 
 impl CTree {
-    /// Creates the protocol with the given parameters.
-    #[must_use]
-    pub fn new(cfg: CTreeConfig) -> Self {
-        CTree {
-            cfg,
-            roles: Versioned::default(),
-            root: None,
-            root_view: RootView::default(),
-            reclaiming: IdMap::default(),
-        }
-    }
-
     /// The C-root, if the network formed.
     #[must_use]
     pub fn root(&self) -> Option<NodeId> {
@@ -314,7 +285,7 @@ impl CTree {
                 _ => 0,
             };
             let _ = w.broadcast_within(node, 1, MsgCategory::Configuration, CtMsg::Req);
-            let mut pool = AddressPool::from_block(self.cfg.space);
+            let mut pool = AddressPool::from_block(STOCK_SPACE);
             let ip = pool.allocate_first(node.index()).expect("space non-empty");
             self.roles.insert(node, CtRole::Coordinator { pool, ip });
             if self.root.is_none_or(|r| !w.is_alive(r)) {
@@ -324,8 +295,7 @@ impl CTree {
             w.metrics_mut().record_join_retries(u64::from(attempts));
             w.flow_event(FlowKind::Join, node, FlowStage::Assigned);
             w.mark_configured(node);
-            let report = self.cfg.report_interval;
-            w.set_timer(node, report, TAG_ROOT_SCAN);
+            w.set_timer(node, REPORT_INTERVAL, TAG_ROOT_SCAN);
             return;
         }
         let Some(CtRole::Joining { attempts, .. }) = self.roles.get_mut(&node) else {
@@ -335,19 +305,12 @@ impl CTree {
         let tries = *attempts;
         w.flow_event(FlowKind::Join, node, FlowStage::Retry { attempt: tries });
         if tries < 8 {
-            let retry = self.cfg.join_retry;
-            w.set_timer(node, retry, TAG_JOIN_RETRY);
+            w.set_timer(node, JOIN_RETRY, TAG_JOIN_RETRY);
         } else {
             w.metrics_mut().record_config_failure();
             w.metrics_mut().record_join_retries(u64::from(tries));
             w.flow_event(FlowKind::Join, node, FlowStage::Abandoned);
         }
-    }
-}
-
-impl Default for CTree {
-    fn default() -> Self {
-        CTree::new(CTreeConfig::default())
     }
 }
 
@@ -458,13 +421,11 @@ impl ProtocolCore for CTree {
                 w.flow_event(FlowKind::Join, to, FlowStage::Assigned);
                 w.mark_configured(to);
                 // Join the C-tree: first report registers us at the root.
-                let report = self.cfg.report_interval;
-                w.set_timer(to, report, TAG_REPORT);
+                w.set_timer(to, REPORT_INTERVAL, TAG_REPORT);
             }
             CtMsg::Reject => {
                 if matches!(self.roles.get(&to), Some(CtRole::Joining { .. })) {
-                    let retry = self.cfg.join_retry;
-                    w.set_timer(to, retry, TAG_JOIN_RETRY);
+                    w.set_timer(to, JOIN_RETRY, TAG_JOIN_RETRY);
                 }
             }
             CtMsg::Report {
@@ -542,8 +503,7 @@ impl ProtocolCore for CTree {
                     };
                     let _ = w.unicast(node, root, MsgCategory::Sync, msg);
                 }
-                let report = self.cfg.report_interval;
-                w.set_timer(node, report, TAG_REPORT);
+                w.set_timer(node, REPORT_INTERVAL, TAG_REPORT);
             }
             TAG_ROOT_SCAN => {
                 if Some(node) != self.root {
@@ -557,7 +517,7 @@ impl ProtocolCore for CTree {
                 for c in known {
                     let counter = self.root_view.missed.entry(c).or_insert(0);
                     *counter += 1;
-                    if *counter > self.cfg.missed_reports {
+                    if *counter > MISSED_REPORTS {
                         self.root_view.missed.remove(&c);
                         self.root_view.reports.remove(&c);
                         self.reclaiming.insert(c, Vec::new());
@@ -565,8 +525,7 @@ impl ProtocolCore for CTree {
                             w.flood(node, MsgCategory::Reclamation, CtMsg::Reclaim { target: c });
                     }
                 }
-                let report = self.cfg.report_interval;
-                w.set_timer(node, report, TAG_ROOT_SCAN);
+                w.set_timer(node, REPORT_INTERVAL, TAG_ROOT_SCAN);
             }
             TAG_JOIN_RETRY => {
                 if matches!(self.roles.get(&node), Some(CtRole::Joining { .. })) {

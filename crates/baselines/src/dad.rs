@@ -11,30 +11,27 @@
 //! `retries` times, yet a partitioned twin can still slip through
 //! (stateless schemes only make duplicates unlikely, not impossible).
 
-use addrspace::{Addr, AddrBlock};
+use addrspace::{Addr, AddrBlock, STOCK_SPACE};
 use proto_io::{
     FlowKind, FlowStage, IdMap, MsgCategory, Net, NetBackend, NodeId, ProtocolCore, SimDuration,
     Versioned,
 };
+
+/// `AREQ_RETRIES`: how many silent flood rounds confirm a candidate.
+const AREQ_RETRIES: u32 = 3;
+/// How long each round waits for an `AREP`.
+const AREP_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// Parameters of the stateless DAD baseline.
 #[derive(Debug, Clone)]
 pub struct DadConfig {
     /// The address range candidates are drawn from.
     pub space: AddrBlock,
-    /// `AREQ_RETRIES`: how many silent flood rounds confirm a candidate.
-    pub retries: u32,
-    /// How long each round waits for an `AREP`.
-    pub timeout: SimDuration,
 }
 
 impl Default for DadConfig {
     fn default() -> Self {
-        DadConfig {
-            space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
-            retries: 3,
-            timeout: SimDuration::from_millis(500),
-        }
+        DadConfig { space: STOCK_SPACE }
     }
 }
 
@@ -183,8 +180,7 @@ impl QueryDad {
                 candidates_tried,
             },
         );
-        let timeout = self.cfg.timeout;
-        w.set_timer(node, timeout, TAG_ROUND);
+        w.set_timer(node, AREP_TIMEOUT, TAG_ROUND);
     }
 }
 
@@ -252,7 +248,7 @@ impl ProtocolCore for QueryDad {
             self.start_probe(w, node, tried);
             return;
         }
-        if p.round >= self.cfg.retries {
+        if p.round >= AREQ_RETRIES {
             // Silent after all rounds: adopt the candidate.
             let p = self.probing.remove(&node).expect("probe checked above");
             self.configured.insert(node, p.addr);
@@ -271,8 +267,7 @@ impl ProtocolCore for QueryDad {
         p.round += 1;
         p.hops += 1;
         let _ = w.flood(node, MsgCategory::Configuration, DadMsg::Areq { addr });
-        let timeout = self.cfg.timeout;
-        w.set_timer(node, timeout, TAG_ROUND);
+        w.set_timer(node, AREP_TIMEOUT, TAG_ROUND);
     }
 
     fn on_leave(&mut self, w: &mut Net<'_, DadMsg>, node: NodeId, graceful: bool) {
@@ -316,7 +311,6 @@ mod tests {
         // second node must fail (every candidate is defended).
         let cfg = DadConfig {
             space: AddrBlock::new(Addr::new(1), 1).unwrap(),
-            ..DadConfig::default()
         };
         let mut sim = Sim::new(still(), QueryDad::new(cfg));
         let a = sim.spawn_at(Point::new(500.0, 500.0));
@@ -346,7 +340,6 @@ mod tests {
         // possible and undetectable until merge — the stateless flaw.
         let cfg = DadConfig {
             space: AddrBlock::new(Addr::new(0), 2).unwrap(),
-            ..DadConfig::default()
         };
         let mut found_collision = false;
         for seed in 0..8 {

@@ -8,35 +8,18 @@
 //! stay identical — the price of full replication that the quorum
 //! protocol's partial replication avoids.
 
-use addrspace::{Addr, AddrBlock, AddrStatus, AllocationTable};
+use addrspace::{Addr, AddrStatus, AllocationTable, STOCK_SPACE};
 use proto_io::{
     FlowKind, FlowStage, IdMap, IdSet, MsgCategory, Net, NetBackend, NodeId, ProtocolCore,
     SimDuration, SimTime, Versioned,
 };
 
-/// Parameters of the MANETconf baseline.
-#[derive(Debug, Clone)]
-pub struct ManetConfConfig {
-    /// The network's total address space.
-    pub space: AddrBlock,
-    /// How long an initiator waits for confirmations before deciding.
-    pub reply_wait: SimDuration,
-    /// Retries for a newcomer that found no configured neighbor yet.
-    pub join_retry: SimDuration,
-    /// Maximum candidate addresses an initiator tries per requestor.
-    pub max_candidates: u32,
-}
-
-impl Default for ManetConfConfig {
-    fn default() -> Self {
-        ManetConfConfig {
-            space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
-            reply_wait: SimDuration::from_millis(250),
-            join_retry: SimDuration::from_millis(400),
-            max_candidates: 4,
-        }
-    }
-}
+/// How long an initiator waits for confirmations before deciding.
+const REPLY_WAIT: SimDuration = SimDuration::from_millis(250);
+/// Retry pause for a newcomer that found no configured neighbor yet.
+const JOIN_RETRY: SimDuration = SimDuration::from_millis(400);
+/// Maximum candidate addresses an initiator tries per requestor.
+const MAX_CANDIDATES: u32 = 4;
 
 /// Wire messages of the MANETconf baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,10 +92,15 @@ struct PendingInit {
 const TAG_REPLY_WAIT: u64 = 1;
 const TAG_JOIN_RETRY: u64 = 2;
 
-/// The MANETconf protocol state over all simulated nodes.
-#[derive(Debug)]
+/// The lowest address of [`STOCK_SPACE`] that `table` holds free.
+fn first_free(table: &AllocationTable) -> Option<Addr> {
+    STOCK_SPACE.iter().find(|a| table.status(*a).is_available())
+}
+
+/// The MANETconf protocol state over all simulated nodes, allocating
+/// from [`STOCK_SPACE`].
+#[derive(Debug, Default)]
 pub struct ManetConf {
-    cfg: ManetConfConfig,
     /// Every node's role and address: all the conformance view reads.
     roles: Versioned<IdMap<NodeId, McRole>>,
     tables: IdMap<NodeId, AllocationTable>,
@@ -124,18 +112,6 @@ pub struct ManetConf {
 }
 
 impl ManetConf {
-    /// Creates the protocol with the given parameters.
-    #[must_use]
-    pub fn new(cfg: ManetConfConfig) -> Self {
-        ManetConf {
-            cfg,
-            roles: Versioned::default(),
-            tables: IdMap::default(),
-            pending: IdMap::default(),
-            reservations: IdMap::default(),
-        }
-    }
-
     /// The address of `node`, if configured.
     #[must_use]
     pub fn ip_of(&self, node: NodeId) -> Option<Addr> {
@@ -217,13 +193,6 @@ impl ManetConf {
         })
     }
 
-    fn first_free(&self, table: &AllocationTable) -> Option<Addr> {
-        self.cfg
-            .space
-            .iter()
-            .find(|a| table.status(*a).is_available())
-    }
-
     fn attempt_join(&mut self, w: &mut Net<'_, McMsg>, node: NodeId) {
         if let Some(initiator) = self.configured_neighbor(w, node) {
             if let Ok(h) = w.unicast(node, initiator, MsgCategory::Configuration, McMsg::Req) {
@@ -237,7 +206,7 @@ impl ManetConf {
                     Some(McRole::Unconfigured { attempts, .. }) => *attempts,
                     _ => 0,
                 };
-                let retry = self.cfg.join_retry * u64::from(attempts_now.min(8) + 1);
+                let retry = JOIN_RETRY * u64::from(attempts_now.min(8) + 1);
                 w.set_timer(node, retry, TAG_JOIN_RETRY);
                 return;
             }
@@ -249,7 +218,7 @@ impl ManetConf {
             // Probe broadcast then self-assign (one round, to keep the
             // baseline comparable with the quorum protocol's Max_r loop).
             let _ = w.broadcast_within(node, 1, MsgCategory::Configuration, McMsg::Req);
-            let ip = self.cfg.space.base();
+            let ip = STOCK_SPACE.base();
             self.configure(w, node, ip, 1, None);
             return;
         }
@@ -260,8 +229,7 @@ impl ManetConf {
         let tries = *attempts;
         w.flow_event(FlowKind::Join, node, FlowStage::Retry { attempt: tries });
         if tries < 16 {
-            let retry = self.cfg.join_retry;
-            w.set_timer(node, retry, TAG_JOIN_RETRY);
+            w.set_timer(node, JOIN_RETRY, TAG_JOIN_RETRY);
         } else {
             w.metrics_mut().record_config_failure();
             w.metrics_mut().record_join_retries(u64::from(tries));
@@ -308,7 +276,7 @@ impl ManetConf {
         let Some(table) = self.tables.get(&initiator) else {
             return;
         };
-        let Some(addr) = self.first_free(table) else {
+        let Some(addr) = first_free(table) else {
             return; // space exhausted
         };
         self.flood_init(w, initiator, requestor, addr, 0);
@@ -360,8 +328,7 @@ impl ManetConf {
                 max_reply: 0,
             },
         );
-        let wait = self.cfg.reply_wait;
-        w.set_timer(initiator, wait, TAG_REPLY_WAIT);
+        w.set_timer(initiator, REPLY_WAIT, TAG_REPLY_WAIT);
     }
 
     fn decide(&mut self, w: &mut Net<'_, McMsg>, initiator: NodeId) {
@@ -396,10 +363,9 @@ impl ManetConf {
             return;
         }
         // Conflict or missing confirmations: try the next candidate.
-        if p.candidates_tried + 1 < self.cfg.max_candidates {
+        if p.candidates_tried + 1 < MAX_CANDIDATES {
             let next = self.tables.get(&initiator).and_then(|t| {
-                self.cfg
-                    .space
+                STOCK_SPACE
                     .iter()
                     .find(|a| *a > p.addr && t.status(*a).is_available())
             });
@@ -431,12 +397,6 @@ impl ManetConf {
                 return;
             }
         }
-    }
-}
-
-impl Default for ManetConf {
-    fn default() -> Self {
-        ManetConf::new(ManetConfConfig::default())
     }
 }
 
@@ -482,7 +442,7 @@ impl ProtocolCore for ManetConf {
                 let ok = free_in_table && !reserved;
                 if ok {
                     // Tentatively reserve until well past the decision.
-                    let expiry = now + self.cfg.reply_wait * 4;
+                    let expiry = now + REPLY_WAIT * 4;
                     self.reservations
                         .entry(to)
                         .or_default()
@@ -666,7 +626,7 @@ mod tests {
         assert_eq!(want, chain[1..].iter().copied().collect());
         assert_eq!(depth, Some(4));
 
-        let addr = p.first_free(&p.tables[&initiator]).expect("space left");
+        let addr = first_free(&p.tables[&initiator]).expect("space left");
         p.flood_init(w, initiator, requestor, addr, 0);
         let pending = &p.pending[&initiator];
         assert_eq!(pending.expected, want);

@@ -1,7 +1,7 @@
 //! Cross-cutting behavioural tests of the baseline protocols — the
 //! properties the paper's related-work section attributes to each.
 
-use baselines::buddy::{Buddy, BuddyConfig};
+use baselines::buddy::{Buddy, SYNC_INTERVAL};
 use baselines::ctree::CTree;
 use baselines::dad::QueryDad;
 use baselines::manetconf::ManetConf;
@@ -15,13 +15,19 @@ fn still(seed: u64) -> WorldConfig {
     }
 }
 
-/// Spawns a connected blob of `n` nodes, one per second.
-fn blob<P: manet_sim::ProtocolCore>(sim: &mut Sim<P>, n: u64) {
+/// Schedules a connected blob of `n` nodes, one per second.
+fn schedule_blob<P: manet_sim::ProtocolCore>(sim: &mut Sim<P>, n: u64) {
     for i in 0..n {
         let x = 400.0 + 30.0 * (i % 8) as f64;
         let y = 400.0 + 30.0 * (i / 8) as f64;
         sim.schedule_spawn_at(SimTime::from_micros(i * 1_000_000), Point::new(x, y));
     }
+}
+
+/// Spawns a connected blob of `n` nodes, one per second, and lets it
+/// settle.
+fn blob<P: manet_sim::ProtocolCore>(sim: &mut Sim<P>, n: u64) {
+    schedule_blob(sim, n);
     sim.run_until(SimTime::from_micros(n * 1_000_000) + SimDuration::from_secs(10));
 }
 
@@ -112,14 +118,16 @@ fn dad_makes_no_allocation_state_anywhere() {
 }
 
 #[test]
-fn buddy_custom_sync_interval_is_respected() {
-    let slow = BuddyConfig {
-        sync_interval: SimDuration::from_secs(60),
-        ..BuddyConfig::default()
-    };
-    let mut sim = Sim::new(still(6), Buddy::new(slow));
-    blob(&mut sim, 8);
-    sim.run_for(SimDuration::from_secs(10));
-    // No sync round fits into the horizon.
-    assert_eq!(sim.world().metrics().hops(MsgCategory::Sync), 0);
+fn buddy_syncs_only_once_its_interval_has_passed() {
+    let mut sim = Sim::new(still(6), Buddy::default());
+    schedule_blob(&mut sim, 8);
+    // The founder configures at t = 0 and arms its first sync round.
+    sim.run_until(SimTime::from_micros(SYNC_INTERVAL.as_micros() - 1));
+    assert_eq!(
+        sim.world().metrics().hops(MsgCategory::Sync),
+        0,
+        "no sync round before the first interval"
+    );
+    sim.run_until(SimTime::from_micros(8_000_000) + SimDuration::from_secs(10));
+    assert!(sim.world().metrics().hops(MsgCategory::Sync) > 0);
 }

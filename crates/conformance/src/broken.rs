@@ -12,7 +12,7 @@
 //! oracle exists to hunt, shrink, and replay.
 
 use crate::adapter::{ConformanceAdapter, Guarantees};
-use addrspace::{Addr, AddrBlock};
+use addrspace::{Addr, STOCK_SPACE};
 use manet_sim::faults::FaultPlan;
 use manet_sim::{MsgCategory, NodeId, ProtocolCore, SimDuration, World};
 use proto_io::{IdMap, Net, Versioned};
@@ -34,7 +34,6 @@ impl proto_io::ProtoMsg for DgMsg {}
 /// The broken central allocator. See the [module docs](self).
 #[derive(Debug)]
 pub struct DoubleGrant {
-    space: AddrBlock,
     server: Option<NodeId>,
     /// Offset of the next address to hand out; advanced on `Ack` only.
     cursor: u32,
@@ -44,11 +43,10 @@ pub struct DoubleGrant {
 const RETRY: SimDuration = SimDuration::from_micros(600_000);
 
 impl DoubleGrant {
-    /// A fresh instance over the default 10.0.0.0/16 space.
+    /// A fresh instance over [`STOCK_SPACE`].
     #[must_use]
     pub fn new() -> Self {
         DoubleGrant {
-            space: AddrBlock::new(Addr::new(0x0A00_0000), 1 << 16).expect("static block is valid"),
             server: None,
             cursor: 1,
             assigned: Versioned::default(),
@@ -75,7 +73,7 @@ impl ProtocolCore for DoubleGrant {
     fn on_join(&mut self, w: &mut Net<'_, DgMsg>, node: NodeId) {
         if self.server.is_none() {
             self.server = Some(node);
-            self.assigned.insert(node, self.space.base());
+            self.assigned.insert(node, STOCK_SPACE.base());
             w.mark_configured(node);
         } else {
             self.request(w, node);
@@ -86,7 +84,7 @@ impl ProtocolCore for DoubleGrant {
         match msg {
             DgMsg::Req => {
                 if Some(to) == self.server {
-                    let grant = self.space.base().offset(self.cursor % self.space.len());
+                    let grant = STOCK_SPACE.base().offset(self.cursor % STOCK_SPACE.len());
                     let _ = w.unicast(to, from, MsgCategory::Configuration, DgMsg::Grant(grant));
                     // BUG: `cursor` is not advanced here — only the Ack
                     // moves it, so a lost Ack re-grants `grant`.

@@ -51,6 +51,7 @@
 
 use crate::auth;
 use crate::msg::Msg;
+use crate::params::HELLO_INTERVAL;
 use crate::protocol::{tag, Qbac};
 use crate::roles::NodeRole;
 use addrspace::{Addr, AddrBlock, AddrRecord, AddrStatus};
@@ -62,6 +63,8 @@ use std::collections::VecDeque;
 const GRANTS_PER_TICK: usize = 2;
 /// How deep the squat queue digs into the victim's free space.
 const SQUAT_QUEUE: usize = 8;
+/// The key attackers forge tags with: outside the trust domain.
+const TAINTED_KEY: u64 = auth::SCENARIO_AUTH_KEY ^ auth::ADVERSARY_TAINT;
 
 /// An `OWN_CLAIM` captured by a replay-claim attacker.
 #[derive(Debug, Clone)]
@@ -98,11 +101,6 @@ impl Qbac {
             Some(NodeRole::Head(h)) => Some((h.ip, h.network_id)),
             _ => None,
         }
-    }
-
-    /// The key attackers forge tags with: outside the trust domain.
-    fn tainted_key(&self) -> u64 {
-        self.cfg.auth_key ^ auth::ADVERSARY_TAINT
     }
 
     /// Honest, live cluster heads (victim candidates), excluding every
@@ -239,8 +237,7 @@ impl Qbac {
         }
         if tag::kind(t) == tag::HELLO {
             self.adversary_tick(w, node, kind);
-            let interval = self.cfg.hello_interval;
-            w.set_timer(node, interval, tag::mk(tag::HELLO, 0));
+            w.set_timer(node, HELLO_INTERVAL, tag::mk(tag::HELLO, 0));
         }
         true
     }
@@ -369,7 +366,7 @@ impl Qbac {
 
         // The forged tag is computed under the tainted key: hardened
         // receivers drop the flood, unhardened ones evict the victim.
-        let forged = auth::addr_rec_tag(self.tainted_key(), node, victim_ip);
+        let forged = auth::addr_rec_tag(TAINTED_KEY, node, victim_ip);
         let _ = w.flood(
             node,
             MsgCategory::Reclamation,
@@ -408,7 +405,6 @@ impl Qbac {
                 (v, replica)
             })
             .collect();
-        let tainted = self.tainted_key();
         for (idx, c) in caps.iter().enumerate() {
             for (v, replica) in &victims {
                 let amplified = replica.is_some();
@@ -420,7 +416,7 @@ impl Qbac {
                     continue;
                 }
                 let blocks = replica.clone().unwrap_or_else(|| c.blocks.clone());
-                let forged = auth::own_claim_tag(tainted, c.claimant_ip, *v, c.claim_stamp);
+                let forged = auth::own_claim_tag(TAINTED_KEY, c.claimant_ip, *v, c.claim_stamp);
                 if w.unicast(
                     node,
                     *v,
@@ -486,7 +482,7 @@ impl Qbac {
         my_ip: Addr,
         network_id: Addr,
     ) {
-        let forged = auth::com_cfg_tag(self.tainted_key(), my_ip, addr, target);
+        let forged = auth::com_cfg_tag(TAINTED_KEY, my_ip, addr, target);
         if w.unicast(
             node,
             target,
@@ -518,10 +514,9 @@ impl Qbac {
                 }
             }
         }
-        let tainted = self.tainted_key();
         let mut forged = 0u64;
         for voter in voters {
-            let auth = auth::quorum_cfm_tag(tainted, voter, seq, true);
+            let auth = auth::quorum_cfm_tag(TAINTED_KEY, voter, seq, true);
             if w.unicast(
                 voter,
                 allocator,
@@ -560,7 +555,7 @@ impl Qbac {
             status: AddrStatus::Vacant,
             stamp: VersionStamp::new(record.stamp.get().wrapping_add(1)),
         };
-        let auth = auth::quorum_commit_tag(self.tainted_key(), owner, addr, poisoned);
+        let auth = auth::quorum_commit_tag(TAINTED_KEY, owner, addr, poisoned);
         if w.unicast(
             node,
             owner,

@@ -28,7 +28,8 @@
 use addrspace::{Addr, AddrRecord, AddrStatus};
 use proto_io::NodeId;
 
-/// Default scenario-wide authentication key ("QBACKEY1").
+/// The scenario-wide authentication key ("QBACKEY1") every honest member
+/// tags and verifies under.
 pub const SCENARIO_AUTH_KEY: u64 = 0x5142_4143_4b45_5931;
 
 /// XOR mask modelling the adversary's forged credential: attackers tag

@@ -1,7 +1,9 @@
 //! Configuration flows (§IV-B, Figures 2 and 3, Table 1) plus address
 //! borrowing and agent forwarding (§V-A).
 
+use crate::auth::SCENARIO_AUTH_KEY;
 use crate::msg::{Msg, QuorumOp};
+use crate::params::{join_backoff, JOIN_ATTEMPTS, MAX_R};
 use crate::protocol::{tag, Qbac};
 use crate::roles::{CommonState, HeadState, NodeRole};
 use crate::vote::VotePurpose;
@@ -114,7 +116,7 @@ impl Qbac {
                 // even if it was not among the granters.
                 if !vote.grants.contains(&owner) {
                     let auth =
-                        crate::auth::quorum_commit_tag(self.cfg.auth_key, owner, addr, record);
+                        crate::auth::quorum_commit_tag(SCENARIO_AUTH_KEY, owner, addr, record);
                     let _ = w.unicast(
                         allocator,
                         owner,
@@ -216,7 +218,7 @@ impl Qbac {
                 let claimant_ip = head.ip;
                 let claim_stamp = self.fresh_claim_stamp();
                 let auth =
-                    crate::auth::own_claim_tag(self.cfg.auth_key, claimant_ip, rival, claim_stamp);
+                    crate::auth::own_claim_tag(SCENARIO_AUTH_KEY, claimant_ip, rival, claim_stamp);
                 if w.unicast(
                     allocator,
                     rival,
@@ -251,7 +253,7 @@ impl Qbac {
         record: addrspace::AddrRecord,
         grants: &std::collections::BTreeSet<NodeId>,
     ) -> u32 {
-        let auth = crate::auth::quorum_commit_tag(self.cfg.auth_key, owner, addr, record);
+        let auth = crate::auth::quorum_commit_tag(SCENARIO_AUTH_KEY, owner, addr, record);
         let mut hops = 0;
         for member in grants {
             if let Ok(h) = w.unicast(
@@ -283,7 +285,7 @@ impl Qbac {
         spent_hops: u32,
     ) {
         let cfg_hops = w.hops_between(allocator, requestor).unwrap_or(0);
-        let auth = crate::auth::com_cfg_tag(self.cfg.auth_key, configurer, ip, requestor);
+        let auth = crate::auth::com_cfg_tag(SCENARIO_AUTH_KEY, configurer, ip, requestor);
         let msg = Msg::ComCfg {
             ip,
             configurer,
@@ -443,7 +445,7 @@ impl Qbac {
         // grant from a rogue head is dropped and the join retry keeps
         // the node probing legitimate allocators.
         if self.cfg.harden
-            && auth != crate::auth::com_cfg_tag(self.cfg.auth_key, configurer, ip, node)
+            && auth != crate::auth::com_cfg_tag(SCENARIO_AUTH_KEY, configurer, ip, node)
         {
             return;
         }
@@ -489,12 +491,12 @@ impl Qbac {
                 attempt: js.attempts,
             },
         );
-        if js.attempts == self.cfg.join_attempts {
+        if js.attempts == JOIN_ATTEMPTS {
             w.metrics_mut().record_config_failure();
             w.metrics_mut().record_join_retries(u64::from(js.attempts));
             w.flow_event(FlowKind::Join, node, FlowStage::Abandoned);
         }
-        let retry = self.cfg.join_backoff(js.attempts);
+        let retry = join_backoff(js.attempts);
         let gen = u64::from(js.attempts);
         w.set_timer(node, retry, tag::mk(tag::JOIN_RETRY, gen));
     }
@@ -517,7 +519,7 @@ impl Qbac {
                         attempt: js.attempts,
                     },
                 );
-                if js.attempts == self.cfg.join_attempts {
+                if js.attempts == JOIN_ATTEMPTS {
                     w.metrics_mut().record_config_failure();
                     w.metrics_mut().record_join_retries(u64::from(js.attempts));
                     w.flow_event(FlowKind::Join, node, FlowStage::Abandoned);
@@ -546,7 +548,7 @@ impl Qbac {
             self.attempt_join(w, node);
             return;
         }
-        if js.attempts >= self.cfg.max_r {
+        if js.attempts >= MAX_R {
             self.become_first_head(w, node);
         } else {
             self.first_node_probe(w, node);
@@ -799,7 +801,7 @@ impl Qbac {
         // superseding stamp would free a live lease in the owner's
         // authoritative table — the spoof-cfm attack's payload.
         if self.cfg.harden
-            && auth != crate::auth::quorum_commit_tag(self.cfg.auth_key, owner, addr, record)
+            && auth != crate::auth::quorum_commit_tag(SCENARIO_AUTH_KEY, owner, addr, record)
         {
             return;
         }

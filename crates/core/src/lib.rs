@@ -61,6 +61,10 @@ pub mod wire;
 
 pub use inspect::DuplicateAddress;
 pub use msg::{Msg, QuorumOp};
-pub use params::{AllocatorChoice, ProtocolConfig, UpdatePolicy};
+pub use params::{
+    join_backoff, AllocatorChoice, ProtocolConfig, UpdatePolicy, HELLO_INTERVAL, JOIN_ATTEMPTS,
+    JOIN_RETRY, LOC_UPDATE_INTERVAL, MAX_R, MAX_RECLAIMS_PER_WINDOW, PROBE_ATTEMPTS,
+    RECLAIM_COLLECT, RECLAIM_RATE_WINDOW, TD, TE, TR,
+};
 pub use protocol::{ProtocolStats, Qbac};
 pub use roles::{CommonState, HeadState, JoinState, NodeRole, ReplicatedSpace};

@@ -2,6 +2,7 @@
 //! drives neighbor discovery, quorum growth, and partition detection.
 
 use crate::msg::Msg;
+use crate::params::{HELLO_INTERVAL, LOC_UPDATE_INTERVAL, TR};
 use crate::protocol::{tag, Qbac};
 use crate::roles::NodeRole;
 use addrspace::{Addr, AddrStatus};
@@ -37,8 +38,7 @@ impl Qbac {
             self.check_ownership_conflicts(w, node);
         }
 
-        let interval = self.cfg.hello_interval;
-        w.set_timer(node, interval, tag::mk(tag::HELLO, 0));
+        w.set_timer(node, HELLO_INTERVAL, tag::mk(tag::HELLO, 0));
     }
 
     /// Adds newly adjacent heads (within three hops, same network) to the
@@ -226,8 +226,7 @@ impl Qbac {
             }
         }
 
-        let interval = self.cfg.loc_update_interval;
-        w.set_timer(node, interval, tag::mk(tag::LOC_CHECK, 0));
+        w.set_timer(node, LOC_UPDATE_INTERVAL, tag::mk(tag::LOC_CHECK, 0));
     }
 
     /// A head records an `UPDATE_LOC` (it is now the node's
@@ -270,8 +269,7 @@ impl Qbac {
                     {
                         // Leave once acknowledged; a safety timer prevents
                         // an immortal node if the head dies first.
-                        let safety = self.cfg.tr;
-                        w.set_timer(node, safety, tag::mk(tag::DEPART_TIMEOUT, 0));
+                        w.set_timer(node, TR, tag::mk(tag::DEPART_TIMEOUT, 0));
                         return;
                     }
                 }
@@ -335,8 +333,7 @@ impl Qbac {
                 let _ = w.unicast(node, m, MsgCategory::Maintenance, Msg::Resign);
             }
         }
-        let safety = self.cfg.tr;
-        w.set_timer(node, safety, tag::mk(tag::DEPART_TIMEOUT, 0));
+        w.set_timer(node, TR, tag::mk(tag::DEPART_TIMEOUT, 0));
     }
 
     /// The departure safety timer fired before the ack arrived: leave

@@ -13,6 +13,7 @@
 //! it re-initializes its partition as a fresh network and makes its
 //! stranded members reacquire addresses from it.
 
+use crate::auth::SCENARIO_AUTH_KEY;
 use crate::msg::{Msg, QuorumOp};
 use crate::protocol::Qbac;
 use crate::roles::{HeadState, NodeRole};
@@ -205,7 +206,7 @@ impl Qbac {
         // stale serial). Auth first, so a forged claim cannot burn a
         // stamp.
         if self.cfg.harden {
-            if auth != crate::auth::own_claim_tag(self.cfg.auth_key, claimant_ip, node, claim_stamp)
+            if auth != crate::auth::own_claim_tag(SCENARIO_AUTH_KEY, claimant_ip, node, claim_stamp)
             {
                 return;
             }

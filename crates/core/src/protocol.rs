@@ -1,5 +1,8 @@
 use crate::msg::Msg;
-use crate::params::{AllocatorChoice, ProtocolConfig};
+use crate::params::{
+    join_backoff, AllocatorChoice, ProtocolConfig, HELLO_INTERVAL, JOIN_ATTEMPTS,
+    LOC_UPDATE_INTERVAL, TE,
+};
 use crate::roles::{HeadState, JoinState, NodeRole};
 use crate::vote::PendingVote;
 use addrspace::{Addr, AddressPool};
@@ -133,12 +136,6 @@ impl Qbac {
             next_claim_stamp: 0,
             adversary: crate::adversary::AdversaryState::default(),
         }
-    }
-
-    /// The protocol parameters.
-    #[must_use]
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.cfg
     }
 
     /// Aggregate statistics.
@@ -296,7 +293,7 @@ impl Qbac {
                 } else {
                     0
                 };
-                let retry = self.cfg.join_backoff(gen);
+                let retry = join_backoff(gen);
                 w.set_timer(node, retry, tag::mk(tag::JOIN_RETRY, u64::from(gen)));
                 return;
             }
@@ -314,7 +311,7 @@ impl Qbac {
                 } else {
                     0
                 };
-                let retry = self.cfg.join_backoff(gen);
+                let retry = join_backoff(gen);
                 w.set_timer(node, retry, tag::mk(tag::JOIN_RETRY, u64::from(gen)));
                 return;
             }
@@ -334,12 +331,12 @@ impl Qbac {
         if seen || target_network.is_some() {
             if let Some(NodeRole::Unconfigured(js)) = self.roles.get_mut(&node) {
                 js.seen_network = true;
-                if js.attempts >= self.cfg.join_attempts {
+                if js.attempts >= JOIN_ATTEMPTS {
                     // Long-stranded: give up on the old target but keep
                     // the slow retry (reconnection may come any time).
                     js.target_network = None;
                 }
-                let retry = self.cfg.join_backoff(js.attempts);
+                let retry = join_backoff(js.attempts);
                 let gen = u64::from(js.attempts);
                 w.set_timer(node, retry, tag::mk(tag::JOIN_RETRY, gen));
             }
@@ -352,13 +349,12 @@ impl Qbac {
 
     pub(crate) fn first_node_probe(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {
         let _ = w.broadcast_within(node, 1, MsgCategory::Configuration, Msg::ComReq);
-        let te = self.cfg.te;
         if let Some(NodeRole::Unconfigured(js)) = self.roles.get_mut(&node) {
             js.first_node_probe = true;
             js.attempts += 1;
             js.hops_spent += 1;
         }
-        w.set_timer(node, te, tag::mk(tag::FIRST_RETRY, 0));
+        w.set_timer(node, TE, tag::mk(tag::FIRST_RETRY, 0));
     }
 
     pub(crate) fn become_first_head(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {
@@ -400,16 +396,13 @@ impl Qbac {
     }
 
     pub(crate) fn start_head_timers(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {
-        let interval = self.cfg.hello_interval;
-        w.set_timer(node, interval, tag::mk(tag::HELLO, 0));
+        w.set_timer(node, HELLO_INTERVAL, tag::mk(tag::HELLO, 0));
     }
 
     pub(crate) fn start_common_timers(&mut self, w: &mut Net<'_, Msg>, node: NodeId) {
-        let interval = self.cfg.hello_interval;
-        w.set_timer(node, interval, tag::mk(tag::HELLO, 0));
+        w.set_timer(node, HELLO_INTERVAL, tag::mk(tag::HELLO, 0));
         if self.cfg.update_policy == crate::params::UpdatePolicy::Periodic {
-            let loc = self.cfg.loc_update_interval;
-            w.set_timer(node, loc, tag::mk(tag::LOC_CHECK, 0));
+            w.set_timer(node, LOC_UPDATE_INTERVAL, tag::mk(tag::LOC_CHECK, 0));
         }
     }
 }

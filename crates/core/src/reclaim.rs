@@ -7,7 +7,9 @@
 //! absorbs the space — confirmed addresses stay allocated, everything
 //! else becomes vacant.
 
+use crate::auth::SCENARIO_AUTH_KEY;
 use crate::msg::Msg;
+use crate::params::{MAX_RECLAIMS_PER_WINDOW, RECLAIM_COLLECT, RECLAIM_RATE_WINDOW};
 use crate::protocol::{tag, Qbac};
 use crate::roles::NodeRole;
 use addrspace::{Addr, AddrStatus};
@@ -54,7 +56,7 @@ impl Qbac {
         );
         self.reclaim_initiators.insert(target, initiator);
         w.flow_event(FlowKind::Reclaim, target, FlowStage::Started);
-        let auth = crate::auth::addr_rec_tag(self.cfg.auth_key, initiator, target_ip);
+        let auth = crate::auth::addr_rec_tag(SCENARIO_AUTH_KEY, initiator, target_ip);
         let _ = w.flood(
             initiator,
             MsgCategory::Reclamation,
@@ -66,18 +68,16 @@ impl Qbac {
                 auth,
             },
         );
-        let window = self.cfg.reclaim_collect;
         w.set_timer(
             initiator,
-            window,
+            RECLAIM_COLLECT,
             tag::mk(tag::RECLAIM_FINALIZE, target.index()),
         );
     }
 
-    /// Hardened rate limit: at most
-    /// [`max_reclaims_per_window`](crate::ProtocolConfig) `ADDR_REC`
-    /// floods accepted per initiator per receiver within the sliding
-    /// window. A legitimate reclamation needs one flood; a
+    /// Hardened rate limit: at most [`MAX_RECLAIMS_PER_WINDOW`]
+    /// `ADDR_REC` floods accepted per initiator per receiver within the
+    /// sliding window. A legitimate reclamation needs one flood; a
     /// false-reclaim attacker evicting head after head needs many.
     pub(crate) fn accept_reclaim_rate(
         &mut self,
@@ -85,16 +85,14 @@ impl Qbac {
         node: NodeId,
         initiator: NodeId,
     ) -> bool {
-        let window = self.cfg.reclaim_rate_window;
-        let max = self.cfg.max_reclaims_per_window;
         let e = self
             .reclaim_accepts
             .entry((node, initiator))
             .or_insert((now, 0));
-        if now - e.0 > window {
+        if now - e.0 > RECLAIM_RATE_WINDOW {
             *e = (now, 0);
         }
-        if e.1 >= max {
+        if e.1 >= MAX_RECLAIMS_PER_WINDOW {
             return false;
         }
         e.1 += 1;
@@ -118,7 +116,7 @@ impl Qbac {
         // an injected reclamation for a live lease fails the first
         // check, a flood barrage the second.
         if self.cfg.harden {
-            if auth != crate::auth::addr_rec_tag(self.cfg.auth_key, initiator, target_ip) {
+            if auth != crate::auth::addr_rec_tag(SCENARIO_AUTH_KEY, initiator, target_ip) {
                 return;
             }
             if !self.accept_reclaim_rate(w.now(), node, initiator) {

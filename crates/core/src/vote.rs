@@ -12,7 +12,9 @@
 //! suspended (quorum shrink), probed with `REP_REQ`, and either restored
 //! on `REP_ACK` or reclaimed after `T_r`.
 
+use crate::auth::SCENARIO_AUTH_KEY;
 use crate::msg::{Msg, QuorumOp};
+use crate::params::{PROBE_ATTEMPTS, TD, TR};
 use crate::protocol::{tag, Qbac};
 use addrspace::{Addr, AddrBlock};
 use proto_io::{FlowKind, FlowStage, MsgCategory, Net, NodeId};
@@ -197,8 +199,7 @@ impl Qbac {
             return;
         }
 
-        let td = self.cfg.td;
-        w.set_timer(allocator, td, tag::mk(tag::VOTE_TIMEOUT, seq));
+        w.set_timer(allocator, TD, tag::mk(tag::VOTE_TIMEOUT, seq));
         self.votes.insert(seq, vote);
     }
 
@@ -263,7 +264,7 @@ impl Qbac {
             // Non-heads hold no replicas and refuse.
             (_, None) => (false, VersionStamp::ZERO),
         };
-        let auth = crate::auth::quorum_cfm_tag(self.cfg.auth_key, member, seq, grant);
+        let auth = crate::auth::quorum_cfm_tag(SCENARIO_AUTH_KEY, member, seq, grant);
         let _ = w.unicast(
             member,
             allocator,
@@ -293,7 +294,7 @@ impl Qbac {
         // can compute for `(voter, seq, grant)` — forged or spoofed-
         // origin votes are discarded before they touch the tally.
         if self.cfg.harden
-            && auth != crate::auth::quorum_cfm_tag(self.cfg.auth_key, voter, seq, grant)
+            && auth != crate::auth::quorum_cfm_tag(SCENARIO_AUTH_KEY, voter, seq, grant)
         {
             return;
         }
@@ -374,8 +375,7 @@ impl Qbac {
             return;
         }
         let _ = w.unicast(head, member, MsgCategory::Maintenance, Msg::RepReq);
-        let tr = self.cfg.tr;
-        w.set_timer(head, tr, tag::mk(tag::REP_TIMEOUT, member.index()));
+        w.set_timer(head, TR, tag::mk(tag::REP_TIMEOUT, member.index()));
         self.probes.insert((head, member), 1);
     }
 
@@ -409,10 +409,9 @@ impl Qbac {
         let Some(attempts) = self.probes.get(&(head, member)).copied() else {
             return; // answered in time
         };
-        if attempts < self.cfg.probe_attempts {
+        if attempts < PROBE_ATTEMPTS {
             let _ = w.unicast(head, member, MsgCategory::Maintenance, Msg::RepReq);
-            let tr = self.cfg.tr;
-            w.set_timer(head, tr, tag::mk(tag::REP_TIMEOUT, member.index()));
+            w.set_timer(head, TR, tag::mk(tag::REP_TIMEOUT, member.index()));
             self.probes.insert((head, member), attempts + 1);
             return;
         }

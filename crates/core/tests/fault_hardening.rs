@@ -4,7 +4,7 @@
 
 use manet_sim::faults::FaultPlan;
 use manet_sim::{Point, Sim, SimDuration, SimTime, WorldConfig};
-use qbac_core::{ProtocolConfig, Qbac};
+use qbac_core::{join_backoff, ProtocolConfig, Qbac, JOIN_RETRY};
 
 fn still(plan: FaultPlan) -> WorldConfig {
     WorldConfig {
@@ -16,15 +16,14 @@ fn still(plan: FaultPlan) -> WorldConfig {
 
 #[test]
 fn join_backoff_doubles_every_other_attempt_and_caps() {
-    let cfg = ProtocolConfig::default();
-    let base = cfg.join_retry;
-    assert_eq!(cfg.join_backoff(0), base);
-    assert_eq!(cfg.join_backoff(1), base);
-    assert_eq!(cfg.join_backoff(2), base * 2);
-    assert_eq!(cfg.join_backoff(4), base * 4);
-    assert_eq!(cfg.join_backoff(6), base * 8);
+    let base = JOIN_RETRY;
+    assert_eq!(join_backoff(0), base);
+    assert_eq!(join_backoff(1), base);
+    assert_eq!(join_backoff(2), base * 2);
+    assert_eq!(join_backoff(4), base * 4);
+    assert_eq!(join_backoff(6), base * 8);
     // Bounded: a node that has retried forever still probes at 8x.
-    assert_eq!(cfg.join_backoff(1000), base * 8);
+    assert_eq!(join_backoff(1000), base * 8);
 }
 
 /// Every message is delayed well past the retry timeout, so the joiner

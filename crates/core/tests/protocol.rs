@@ -3,7 +3,7 @@
 
 use addrspace::{Addr, AddrBlock};
 use manet_sim::{NodeId, Point, Sim, SimDuration, SimTime, WorldConfig};
-use qbac_core::{AllocatorChoice, NodeRole, ProtocolConfig, Qbac, UpdatePolicy};
+use qbac_core::{AllocatorChoice, NodeRole, ProtocolConfig, Qbac, UpdatePolicy, MAX_R};
 
 fn still_world() -> WorldConfig {
     WorldConfig {
@@ -493,11 +493,10 @@ fn config_latency_lower_without_quorum_overhead_for_first_nodes() {
     sim.run_for(SimDuration::from_secs(5));
     let lat = sim.world().metrics().config_latency();
     assert_eq!(lat.count(), 1);
-    let max_r = sim.protocol().config().max_r;
-    assert_eq!(lat.min(), Some(u64::from(max_r)));
+    assert_eq!(lat.min(), Some(u64::from(MAX_R)));
     assert_eq!(
         lat.max(),
-        Some(u64::from(max_r)),
+        Some(u64::from(MAX_R)),
         "one hop charged per probe broadcast"
     );
 }

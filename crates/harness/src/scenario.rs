@@ -6,6 +6,7 @@
 //! 1 km × 1 km. Nodes arrive in a sequential manner and are randomly
 //! chosen to depart gracefully or abruptly."
 
+use addrspace::STOCK_SPACE;
 use manet_sim::{
     Arena, FaultPlan, Metrics, MobilityConfig, NodeId, ProtocolCore, Sim, SimDuration, SimTime,
     World, WorldConfig,
@@ -68,11 +69,6 @@ pub struct Scenario {
     /// When non-zero, enables bounded event tracing with this capacity
     /// so the run can be exported as JSONL (default: 0, off).
     pub trace_capacity: usize,
-    /// Size of the address pool the protocol allocates from (default
-    /// 2^16, the workspace's stock `/16`-equivalent block). The builder
-    /// rejects `nn > pool_size`: more nodes than addresses cannot all
-    /// configure, which every metric downstream assumes.
-    pub pool_size: usize,
 }
 
 impl Default for Scenario {
@@ -96,7 +92,6 @@ impl Default for Scenario {
             fault_plan: FaultPlan::default(),
             observe: false,
             trace_capacity: 0,
-            pool_size: 1 << 16,
         }
     }
 }
@@ -284,21 +279,14 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Size of the address pool the protocol allocates from (default
-    /// 2^16). Must be at least `nn`.
-    #[must_use]
-    pub fn pool_size(mut self, pool_size: usize) -> Self {
-        self.s.pool_size = pool_size;
-        self
-    }
-
     /// Validates the accumulated fields and produces the scenario.
     ///
     /// # Errors
     ///
-    /// Rejects values outside their meaningful domain: `nn == 0`,
-    /// `nn` larger than the address pool, `tr <= 0`, `area <= 0`,
-    /// `speed < 0`, `depart_fraction` or `abrupt_ratio` outside
+    /// Rejects values outside their meaningful domain: `nn == 0`, `nn`
+    /// larger than [`STOCK_SPACE`] (more nodes than addresses cannot all
+    /// configure, which every metric downstream assumes), `tr <= 0`,
+    /// `area <= 0`, `speed < 0`, `depart_fraction` or `abrupt_ratio` outside
     /// `[0, 1]`, fault-plan crash/attack events naming nodes the
     /// scenario never spawns (those would otherwise sit in the
     /// schedule and silently never fire — or worse, fire against a
@@ -308,9 +296,8 @@ impl ScenarioBuilder {
     /// arena, empty groups, non-positive group/crowd radii, negative
     /// crowd deadlines).
     ///
-    /// There is deliberately no upper cap on `nn` itself: city-scale
-    /// runs (10⁵ nodes and beyond) are valid as long as the pool can
-    /// hold them.
+    /// City-scale storms beyond the stock space's 2^16 addresses run
+    /// as many disjoint shard scenarios ([`crate::scale`]).
     pub fn build(self) -> Result<Scenario, ScenarioError> {
         let out_of_range = |field: &'static str, value: String, expected: &'static str| {
             Err(ScenarioError::OutOfRange {
@@ -323,11 +310,11 @@ impl ScenarioBuilder {
         if s.nn == 0 {
             return out_of_range("nn", s.nn.to_string(), "at least 1");
         }
-        if s.pool_size < s.nn {
+        if s.nn > STOCK_SPACE.len() as usize {
             return out_of_range(
-                "pool_size",
-                s.pool_size.to_string(),
-                "at least nn (every node needs an address to draw)",
+                "nn",
+                s.nn.to_string(),
+                "at most the stock space's 65536 addresses",
             );
         }
         let spawned = (s.nn + s.post_arrivals) as u64;
@@ -791,20 +778,19 @@ mod tests {
 
     #[test]
     fn builder_lifts_node_cap_but_requires_pool_capacity() {
-        // City-scale node counts are valid as long as the pool holds them.
-        let big = Scenario::builder()
-            .nn(100_000)
-            .pool_size(1 << 17)
+        // Every address of the stock space may go to a node.
+        let full = Scenario::builder()
+            .nn(1 << 16)
             .build()
-            .expect("large n with a large pool is valid");
-        assert_eq!(big.nn, 100_000);
+            .expect("one node per stock address is valid");
+        assert_eq!(full.nn, 1 << 16);
         // More nodes than addresses is rejected with an OutOfRange.
         let err = Scenario::builder()
-            .nn(100_000)
+            .nn((1 << 16) + 1)
             .build()
-            .expect_err("default 2^16 pool cannot hold 100k nodes");
+            .expect_err("the 2^16 stock space cannot hold 65537 nodes");
         let ScenarioError::OutOfRange { field, .. } = err;
-        assert_eq!(field, "pool_size");
+        assert_eq!(field, "nn");
     }
 
     #[test]

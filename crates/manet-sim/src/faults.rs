@@ -342,7 +342,8 @@ impl FaultPlan {
     ///
     /// Blank lines and lines starting with `#` are ignored. Durations
     /// accept the suffixes `s`, `ms`, and `us`; a delay bound may not
-    /// exceed one simulated hour ([`MAX_DELAY`]).
+    /// exceed one simulated hour ([`MAX_DELAY`]). Coordinates must be
+    /// finite.
     ///
     /// # Errors
     ///
@@ -465,7 +466,7 @@ impl FaultPlan {
                     let boundary_x = rest
                         .first()
                         .and_then(|w| w.strip_prefix("x="))
-                        .and_then(|w| w.parse().ok())
+                        .and_then(parse_finite)
                         .ok_or_else(|| err("expected `x=<boundary>`"))?;
                     if rest.get(1) != Some(&"from") || rest.get(3) != Some(&"heal") {
                         return Err(err("expected `from <t> heal <t>`"));
@@ -661,9 +662,15 @@ fn parse_attack_kind(word: &str) -> Option<AttackKind> {
     AttackKind::ALL.into_iter().find(|k| k.keyword() == word)
 }
 
+/// A finite coordinate. `f64::from_str` also takes `NaN` and `inf`, but
+/// a region bounded by either compares false everywhere and never fires.
+fn parse_finite(word: &str) -> Option<f64> {
+    word.parse().ok().filter(|v: &f64| v.is_finite())
+}
+
 fn parse_point(word: Option<&&str>) -> Option<Point> {
     let (x, y) = word?.split_once(',')?;
-    Some(Point::new(x.parse().ok()?, y.parse().ok()?))
+    Some(Point::new(parse_finite(x)?, parse_finite(y)?))
 }
 
 /// What the fault plane decided about one scheduled delivery.
@@ -870,6 +877,15 @@ mod tests {
         assert!(FaultPlan::parse("delay 0.1 50ms 10ms").is_err());
         assert!(FaultPlan::parse("warp 9").is_err());
         assert!(FaultPlan::parse("partition y=3 from 1s heal 2s").is_err());
+        // Non-finite geometry never fires, and NaN is not equal to itself.
+        for line in [
+            "partition x=NaN from 1s heal 2s",
+            "partition x=inf from 1s heal 2s",
+            "jam NaN,0 10,10 from 1s until 2s",
+        ] {
+            let err = FaultPlan::parse(line).expect_err(line);
+            assert!(err.starts_with("line 1:"), "{err}");
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use faults::{AttackRole, FaultPlan};
 pub use mobility::{MobilityConfig, MobilityModel, RetargetCtx};
 pub use observer::{FlowTally, Observer};
 pub use sim::Sim;
-pub use world::{WireShadow, World, WorldConfig};
+pub use world::{WireShadow, World, WorldConfig, HOP_DELAY};
 
 /// Schema version stamped into every JSON artifact the workspace emits
 /// (run manifests, `sweep.json`, `BENCH_*.json`). Readers check it

@@ -262,7 +262,7 @@ impl<P: ProtocolCore> Sim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, MsgCategory, Net, SendError, WireShadow};
+    use crate::{FaultPlan, MsgCategory, Net, SendError, WireShadow, HOP_DELAY};
     use proto_io::IdMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a
@@ -600,7 +600,7 @@ mod tests {
         let mut sim = star(4, fan);
         hello(&mut sim, 1);
         sim.run_for(SimDuration::from_secs(1));
-        let at = SimTime::ZERO + still_config().hop_delay;
+        let at = SimTime::ZERO + HOP_DELAY;
         let want: Vec<(SimTime, NodeId, u64)> = [(1, 0), (2, 0), (3, 0), (4, 0), (2, 7)]
             .into_iter()
             .map(|(n, tag)| (at, NodeId::new(n), tag))
@@ -647,12 +647,11 @@ mod tests {
         assert!(!extra.is_empty() && !copies.is_empty(), "plan must bite");
         // One queue entry per copy, numbered in send order, popped by
         // `(at, seq)`: the order the runs must reproduce.
-        let hop = sim.world().config().hop_delay;
         let mut want = Vec::new();
         for to in recipients {
             let d = sim.world_mut().hops_between(NodeId::new(0), to).unwrap();
             let at = SimTime::ZERO
-                + hop * u64::from(d)
+                + HOP_DELAY * u64::from(d)
                 + extra.get(&to).copied().unwrap_or(SimDuration::ZERO);
             for _ in 0..=copies.get(&to).copied().unwrap_or(0) {
                 want.push((at, want.len(), to));

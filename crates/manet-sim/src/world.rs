@@ -12,6 +12,9 @@ use proto_io::IdSet;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
+/// Virtual time one hop takes (per-hop transmission + processing).
+pub const HOP_DELAY: SimDuration = SimDuration::from_millis(5);
+
 /// Static parameters of a simulation run.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -25,8 +28,6 @@ pub struct WorldConfig {
     /// Movement policy once configured (paper: random waypoint). Only
     /// consulted when `speed` is positive.
     pub mobility: MobilityConfig,
-    /// Virtual time one hop takes (per-hop transmission + processing).
-    pub hop_delay: SimDuration,
     /// Per-message delivery loss probability in `[0, 1]`. The paper
     /// assumes reliable in-range delivery (0.0, the default); non-zero
     /// values are the robustness ablation — transmissions are still
@@ -55,7 +56,6 @@ impl Default for WorldConfig {
             range: 150.0,
             speed: 20.0,
             mobility: MobilityConfig::RandomWaypoint,
-            hop_delay: SimDuration::from_millis(5),
             loss_rate: 0.0,
             topology_quantum: SimDuration::from_millis(100),
             seed: 0,
@@ -635,7 +635,7 @@ impl<M: Clone + fmt::Debug> World<M> {
 
     /// Sends `msg` from `from` to `to` along the current shortest path.
     /// Charges the hop count to `category` and returns it. Delivery is
-    /// scheduled `hops × hop_delay` in the future.
+    /// scheduled `hops × `[`HOP_DELAY`] in the future.
     ///
     /// # Errors
     ///
@@ -821,7 +821,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         if self.lost() {
             return None; // charged but never delivered
         }
-        let base_at = self.now + self.config.hop_delay * u64::from(dist_hops);
+        let base_at = self.now + HOP_DELAY * u64::from(dist_hops);
         if self.faults.is_none() {
             return Some((base_at, 1));
         }
