@@ -244,9 +244,12 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .text
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("4 hex digits"))?;
                             self.pos += 4;
@@ -257,10 +260,14 @@ impl Parser<'_> {
                         _ => return Err(self.err("a valid escape")),
                     }
                 }
+                Some(..0x20) => return Err(self.err("a control character escaped")),
                 Some(_) => {
-                    // Copy the whole run up to the next quote or escape.
+                    // Copy the whole run up to the next quote, escape
+                    // or control character.
                     let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    let run = rest
+                        .find(|c| matches!(c, '"' | '\\' | '\0'..='\x1f'))
+                        .unwrap_or(rest.len());
                     out.push_str(&rest[..run]);
                     self.pos += run;
                 }
@@ -268,22 +275,45 @@ impl Parser<'_> {
         }
     }
 
+    /// RFC 8259's `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`; a
+    /// digit after a leading zero is left for the caller to reject.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.skip(|b| b == b'-');
+        if self.skip(|b| b == b'0') == 0 {
+            self.digits()?;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        if self.skip(|b| b == b'.') == 1 {
+            self.digits()?;
+        }
+        if self.skip(|b| b == b'e' || b == b'E') == 1 {
+            self.skip(|b| b == b'+' || b == b'-');
+            self.digits()?;
         }
         let text = &self.text[start..self.pos];
         text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
             at: start,
             msg: format!("expected a number, got {text:?}"),
         })
+    }
+
+    /// Steps over at most one byte that `is` accepts; how many it took.
+    fn skip(&mut self, is: impl Fn(u8) -> bool) -> usize {
+        let took = usize::from(self.peek().is_some_and(is));
+        self.pos += took;
+        took
+    }
+
+    /// Steps over a run of at least one decimal digit.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("a digit"));
+        }
+        Ok(())
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -349,6 +379,14 @@ mod tests {
         assert_eq!(Value::parse(" false ").unwrap(), Value::Bool(false));
         assert_eq!(Value::parse("42").unwrap(), Value::Num(42.0));
         assert_eq!(Value::parse("-3.5e2").unwrap(), Value::Num(-350.0));
+        for (text, want) in [("0", 0.0), ("-0", 0.0), ("0.25", 0.25), ("1E+2", 100.0)] {
+            assert_eq!(Value::parse(text).unwrap(), Value::Num(want), "{text}");
+        }
+        assert_eq!(Value::parse("1e-2").unwrap(), Value::Num(0.01));
+        assert_eq!(
+            Value::parse("\"\\u0041\\u00e9\"").unwrap(),
+            Value::Str("Aé".into())
+        );
         assert_eq!(
             Value::parse("\"hi\\n\\\"there\\\"\"").unwrap(),
             Value::Str("hi\n\"there\"".into())
@@ -393,6 +431,22 @@ mod tests {
             "{\"a\":1,}",
             "\"unterminated",
             "nul",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "01",
+            "-01",
+            "1.",
+            "1.e3",
+            ".5",
+            "-",
+            "1e",
+            "1e+",
+            "+1",
+            "1.5.2",
+            "1e5e5",
+            "[1-2]",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -2,11 +2,13 @@
 //! time, sequence number, slab slot — and each entry sits still in its
 //! slot until it is popped: a timer or lifecycle [`EventKind`], or a
 //! [`Run`], the deliveries of one send at one instant with the message
-//! stored once. A popped run becomes the run under way and is handed
-//! out one recipient per step, each recipient one logical event.
+//! stored once. Each kind has a slab of its own, so a timer takes a
+//! timer-sized slot. A popped run becomes the run under way and is
+//! handed out one recipient per step, each recipient one logical event.
 
-use crate::{NodeId, SimTime, TimerId};
+use crate::{NodeId, PerfCounters, SimTime, TimerId};
 use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// What a scheduled event other than a delivery does when it fires.
 #[derive(Debug, Clone)]
@@ -77,13 +79,20 @@ pub(crate) enum Due {
     Event(EventKind),
 }
 
+/// Where a queued entry sits: the slab of its kind, and the slot there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Event(u32),
+    Run(u32),
+}
+
 /// The heap's view of a queue entry: its firing time, a deterministic
 /// FIFO tiebreak, and the slab slot that holds the entry itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Key {
-    pub at: SimTime,
-    pub seq: u64,
-    pub slot: u32,
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: Slot,
 }
 
 impl PartialOrd for Key {
@@ -100,6 +109,127 @@ impl Ord for Key {
     }
 }
 
+/// Entries of one kind by slot; the empty slots are listed in `free`
+/// and filled before the slab grows.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, entry: T) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(entry);
+            return slot;
+        }
+        self.slots.push(Some(entry));
+        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued entries")
+    }
+
+    fn take(&mut self, slot: u32) -> T {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued slot is full")
+    }
+
+    /// `(entries held, slots)`.
+    #[cfg(test)]
+    fn shape(&self) -> (usize, usize) {
+        (self.slots.len() - self.free.len(), self.slots.len())
+    }
+}
+
+/// The event queue: a heap of [`Key`]s over a slab per entry kind, and
+/// the count of logical events it stands for.
+#[derive(Debug)]
+pub(crate) struct Queue<M> {
+    heap: BinaryHeap<Key>,
+    seq: u64,
+    events: Slab<EventKind>,
+    runs: Slab<Run<M>>,
+    /// Logical events not yet dispatched: every queued non-delivery
+    /// event plus every recipient of every queued run and of the run
+    /// under way.
+    pending: usize,
+}
+
+impl<M> Default for Queue<M> {
+    fn default() -> Self {
+        Queue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            events: Slab::default(),
+            runs: Slab::default(),
+            pending: 0,
+        }
+    }
+}
+
+impl<M> Queue<M> {
+    pub fn push_event(&mut self, at: SimTime, kind: EventKind, perf: &mut PerfCounters) {
+        let slot = Slot::Event(self.events.insert(kind));
+        self.push(at, slot, 1, perf);
+    }
+
+    /// Queues `run`, each of its recipients one logical event.
+    pub fn push_run(&mut self, at: SimTime, run: Run<M>, perf: &mut PerfCounters) {
+        let logical = 1 + run.rest.len();
+        let slot = Slot::Run(self.runs.insert(run));
+        self.push(at, slot, logical, perf);
+    }
+
+    fn push(&mut self, at: SimTime, slot: Slot, logical: usize, perf: &mut PerfCounters) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Key { at, seq, slot });
+        self.pending += logical;
+        perf.queue_high_water = perf.queue_high_water.max(self.pending as u64);
+    }
+
+    /// Takes the earliest entry due by `until` off the queue, with its
+    /// firing time.
+    pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, Queued<M>)> {
+        let head = self.heap.peek_mut()?;
+        if head.at > until {
+            return None;
+        }
+        let Key { at, slot, .. } = PeekMut::pop(head);
+        let entry = match slot {
+            Slot::Event(slot) => Queued::Event(self.events.take(slot)),
+            Slot::Run(slot) => Queued::Run(self.runs.take(slot)),
+        };
+        Some((at, entry))
+    }
+
+    /// Counts one logical event dispatched: a popped non-delivery event
+    /// or one recipient handed out of a popped run.
+    pub fn dispatched(&mut self) {
+        self.pending -= 1;
+    }
+
+    /// Logical events not yet dispatched.
+    pub fn pending(&self) -> usize {
+        self.pending
+    }
+
+    /// `(entries held, slots)` of the event slab, then of the run slab.
+    #[cfg(test)]
+    pub fn shape(&self) -> [(usize, usize); 2] {
+        [self.events.shape(), self.runs.shape()]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +239,7 @@ mod tests {
         Key {
             at: SimTime::from_micros(at),
             seq,
-            slot: 0,
+            slot: Slot::Event(0),
         }
     }
 

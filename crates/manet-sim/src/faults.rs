@@ -7,8 +7,10 @@
 //! targeted cluster-head kill schedules, rectangular jamming regions,
 //! and scripted partition/heal events.
 //!
-//! The plan is applied at the simulator's single delivery choke point,
-//! so unicast, bounded flood, and global flood all pass through it. An
+//! The plan is applied at the simulator's per-recipient delivery choke
+//! point, which every unicast, bounded flood and global flood of a world
+//! with a plan passes through (only a world without one queues a send's
+//! hop levels directly). An
 //! empty plan costs nothing: the fault state is not even allocated and
 //! the main RNG stream is untouched, so runs stay bit-identical with
 //! pre-fault-plane builds. A non-empty plan draws from its *own* seeded

@@ -16,7 +16,8 @@
 //! * seeded deterministic fault injection ([`faults`]): message drops,
 //!   delays and duplication, scheduled crashes/restarts, cluster-head
 //!   kills, jamming regions, and scripted partitions, all applied at
-//!   the single delivery choke point,
+//!   the per-recipient delivery choke point every send of a faulted
+//!   world takes,
 //! * one event log ([`EventLog`]) of two classes, both off by default so
 //!   the hot path allocates nothing: a bounded ring of net-level events
 //!   for debugging ([`World::enable_trace`], read back via

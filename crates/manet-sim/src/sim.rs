@@ -542,10 +542,18 @@ mod tests {
         sim
     }
 
+    /// Node 0 says hello `k` hops out; the nodes it reaches, in the
+    /// `(distance, id)` order their deliveries are queued in.
     fn hello(sim: &mut Sim<Fan>, k: u32) -> Vec<NodeId> {
-        sim.world_mut()
-            .broadcast_within(NodeId::new(0), k, MsgCategory::Hello, ())
-            .unwrap()
+        let w = sim.world_mut();
+        let reach: Vec<NodeId> = w
+            .nodes_within(NodeId::new(0), k)
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        let sent = w.broadcast_within(NodeId::new(0), k, MsgCategory::Hello, ());
+        assert_eq!(sent, Ok(reach.len()));
+        reach
     }
 
     #[test]
@@ -750,16 +758,23 @@ mod tests {
     fn the_slab_holds_no_more_slots_than_the_queue_held_entries() {
         let mut sim = lattice(still_config());
         let until = SimTime::from_micros(5_000_000);
-        let mut peak = sim.world().queue_shape().0;
+        // Per slab: timers, then hello runs.
+        let mut peak = [0, 0];
         let mut steps = 0u64;
-        while sim.step_until(until) {
-            peak = peak.max(sim.world().queue_shape().0);
+        loop {
+            for (peak, (held, _)) in peak.iter_mut().zip(sim.world().queue_shape()) {
+                *peak = (*peak).max(held);
+            }
+            if !sim.step_until(until) {
+                break;
+            }
             steps += 1;
         }
-        let (_, slots) = sim.world().queue_shape();
         assert!(steps > 5_000, "a long storm: {steps} steps");
-        assert!(slots <= peak, "{slots} slots for at most {peak} entries");
-        assert!(peak <= 2 * 25, "one timer and one hello run a node");
+        for (peak, (_, slots)) in peak.into_iter().zip(sim.world().queue_shape()) {
+            assert!(slots <= peak, "{slots} slots for at most {peak} entries");
+            assert!(peak <= 25, "one timer and one hello run a node");
+        }
     }
 
     #[test]
@@ -829,8 +844,8 @@ mod tests {
             type Msg = ();
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 if node.index() == 3 {
-                    let got = w.flood(node, MsgCategory::Sync, ()).unwrap();
-                    assert_eq!(got.len(), 3); // other three in the chain
+                    let got = w.flood(node, MsgCategory::Sync, ());
+                    assert_eq!(got, Ok(3)); // other three in the chain
                 }
             }
             fn on_message(&mut self, _w: &mut Net<'_, ()>, _t: NodeId, _f: NodeId, _m: ()) {}
@@ -851,8 +866,8 @@ mod tests {
             fn on_join(&mut self, w: &mut Net<'_, ()>, node: NodeId) {
                 if node.index() == 4 {
                     // Chain of 5 nodes, 100 m apart; node 4 broadcasts 2 hops.
-                    let got = w.broadcast_within(node, 2, MsgCategory::Hello, ()).unwrap();
-                    assert_eq!(got.len(), 2); // nodes 3 and 2
+                    let got = w.broadcast_within(node, 2, MsgCategory::Hello, ());
+                    assert_eq!(got, Ok(2)); // nodes 3 and 2
                 }
             }
             fn on_message(&mut self, _w: &mut Net<'_, ()>, _t: NodeId, _f: NodeId, _m: ()) {}

@@ -126,7 +126,7 @@
 
 use crate::{NodeId, Point};
 use proto_io::IdMap;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{OnceCell, Ref, RefCell};
 use std::ops::Range;
 
 /// The largest `t` with `t.sqrt() <= range`, so `d2 <= t` decides the
@@ -605,6 +605,62 @@ impl MemoCache {
             self.live += 1;
         }
         &mut self.runs[self.slot[start] as usize]
+    }
+}
+
+/// What a send from one source reaches ([`Topology::reach`]): the
+/// source's traversal, finished out to the send's bound, read a hop
+/// level at a time.
+pub(crate) struct Reach<'a> {
+    topo: &'a Topology,
+    bfs: Ref<'a, Traversal>,
+    /// The deepest level within the bound that holds a node; 0 if none.
+    depth: u32,
+}
+
+impl Reach<'_> {
+    /// The deepest hop level that holds a node; 0 when nothing is
+    /// reached. Every level from 1 to it holds one at least.
+    pub fn depth(&self) -> u32 {
+        self.depth
+    }
+
+    /// How many nodes lie one to `d` hops out, `d` capped at the bound.
+    pub fn count(&self, d: u32) -> usize {
+        self.bfs.end_of(d.min(self.depth)) - 1
+    }
+
+    /// The nodes exactly `d` hops out (`1 ≤ d ≤ depth`), by id.
+    pub fn level(&self, d: u32) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        debug_assert!(
+            (1..=self.depth).contains(&d),
+            "level {d} is outside the reach"
+        );
+        let ids = &self.topo.ids;
+        self.bfs.level(d).iter().map(|&i| ids[i as usize])
+    }
+
+    /// Every node reached, with its distance, in `(distance, id)` order.
+    pub fn near(&self) -> Vec<(NodeId, u32)> {
+        self.bfs.near(self.topo, self.depth)
+    }
+
+    /// Every node of the source's component but the source, by id, read
+    /// off the reached bits; for a reach with no bound.
+    pub fn by_id(&self) -> Vec<NodeId> {
+        debug_assert!(
+            self.bfs.level(self.bfs.depth()).is_empty(),
+            "the traversal covers the component"
+        );
+        let start = self.bfs.order[0] as usize;
+        let mut ids: Vec<NodeId> = Row::of_bits(&self.bfs.seen)
+            .filter(|&i| i != start)
+            .map(|i| self.topo.ids[i])
+            .collect();
+        if !self.topo.id_ordered {
+            ids.sort_unstable();
+        }
+        ids
     }
 }
 
@@ -1338,35 +1394,29 @@ impl Topology {
     /// with their distances, sorted by `(distance, id)`.
     #[must_use]
     pub fn within(&self, node: NodeId, k: u32) -> Vec<(NodeId, u32)> {
-        let Some(start) = self.index_of(node) else {
-            return Vec::new();
-        };
-        self.with_bfs(start, |bfs| {
-            bfs.reach_depth(self, k);
-            bfs.near(self, k)
-        })
+        self.reach(node, k)
+            .map_or_else(Vec::new, |reach| reach.near())
     }
 
-    /// What a flood from `node` reaches: [`within`](Self::within) with
-    /// no bound, and the same nodes by id, read off the reached bits.
-    /// Both empty if `node` is unknown.
-    pub(crate) fn flood(&self, node: NodeId) -> (Vec<(NodeId, u32)>, Vec<NodeId>) {
-        let Some(start) = self.index_of(node) else {
-            return (Vec::new(), Vec::new());
-        };
-        self.with_bfs(start, |bfs| {
-            bfs.reach_depth(self, u32::MAX);
-            let reach = bfs.near(self, u32::MAX);
-            let mut by_id = Vec::with_capacity(reach.len());
-            by_id.extend(
-                Row::of_bits(&bfs.seen)
-                    .filter(|&i| i != start)
-                    .map(|i| self.ids[i]),
-            );
-            if !self.id_ordered {
-                by_id.sort_unstable();
-            }
-            (reach, by_id)
+    /// What a send from `node` bounded by `k` hops reaches (`u32::MAX`:
+    /// its whole component), read off the traversal from `node`, which
+    /// this finishes out to `k`; `None` if `node` is unknown. The view
+    /// borrows the snapshot's memo: no other query may run on this
+    /// snapshot until it is dropped.
+    pub(crate) fn reach(&self, node: NodeId, k: u32) -> Option<Reach<'_>> {
+        let start = self.index_of(node)?;
+        self.with_bfs(start, |bfs| bfs.reach_depth(self, k));
+        let bfs = Ref::map(self.cache.borrow(), |c| &c.runs[c.slot[start] as usize]);
+        // Only a traversal's deepest level may be empty: the component
+        // is covered.
+        let mut depth = k.min(bfs.depth());
+        if depth > 0 && bfs.level(depth).is_empty() {
+            depth -= 1;
+        }
+        Some(Reach {
+            topo: self,
+            bfs,
+            depth,
         })
     }
 

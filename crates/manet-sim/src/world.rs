@@ -1,4 +1,4 @@
-use crate::event::{Due, EventKind, Key, Queued, Run};
+use crate::event::{Due, EventKind, Queue, Queued, Run};
 use crate::faults::{AttackKind, DeliveryFate, FaultPlan, FaultState};
 use crate::mobility::{MobilityConfig, MobilityModel, MobilityState, RetargetCtx};
 use crate::observer::{FlowKind, FlowStage, Observer};
@@ -8,8 +8,7 @@ use crate::{
     Arena, Event, EventLog, Input, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg,
     SendError, SimDuration, SimRng, SimTime,
 };
-use proto_io::IdSet;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use proto_io::{IdSet, Span};
 use std::fmt;
 
 /// Virtual time one hop takes (per-hop transmission + processing).
@@ -111,8 +110,9 @@ impl NodeTable {
 /// before it is scheduled.
 ///
 /// When installed via [`World::set_wire_shadow`], the world calls
-/// [`carry`](WireShadow::carry) at its single delivery choke point with
-/// one deterministic shortest path per `(sender, recipient)` pair. The
+/// [`carry`](WireShadow::carry) at its per-recipient delivery choke
+/// point, which every send takes while a shadow is installed, with one
+/// deterministic shortest path per `(sender, recipient)` pair. The
 /// shadow moves the message hop-by-hop over its own medium (the UDP
 /// mesh backend moves real datagrams between per-node sockets) and
 /// returns the copy decoded at the destination — *that* copy is what
@@ -130,7 +130,8 @@ pub trait WireShadow<M>: fmt::Debug + Send {
 }
 
 /// The recipients one send has decided so far that share a firing time:
-/// the run [`World::schedule_delivery`] is filling. It holds no message:
+/// the run [`World::schedule_delivery`] is filling, on the per-recipient
+/// path of a world with loss, faults or a shadow. It holds no message:
 /// the send's own copy goes into the run that is queued last.
 struct Outbox {
     from: NodeId,
@@ -174,16 +175,7 @@ const SPLICE_LIMIT: usize = 20;
 pub struct World<M> {
     config: WorldConfig,
     now: SimTime,
-    seq: u64,
-    /// Orders the queue; each key names the `slab` slot of its entry.
-    queue: BinaryHeap<Key>,
-    /// Queue entries by slot; the empty ones are listed in `free`.
-    slab: Vec<Option<Queued<M>>>,
-    free: Vec<u32>,
-    /// Logical events not yet dispatched: every queued non-delivery
-    /// event plus every recipient of every queued run and of the run
-    /// under way.
-    pending: usize,
+    queue: Queue<M>,
     /// The run popped last, firing at `now`, with the recipients
     /// [`World::next_recipient`] has not handed out yet.
     current: Option<Run<M>>,
@@ -223,11 +215,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         let mut world = World {
             config,
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            pending: 0,
+            queue: Queue::default(),
             current: None,
             nodes: NodeTable::default(),
             rng,
@@ -493,6 +481,13 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// The three are indistinguishable to every query; only
     /// [`snapshot_sweeps`](World::snapshot_sweeps) tells them apart.
     pub fn topology(&mut self) -> &Topology {
+        self.query_snapshot();
+        &self.topo_cache.as_ref().expect("cache just filled").2
+    }
+
+    /// Counts one topology query, refreshing the snapshot if its key is
+    /// stale.
+    fn query_snapshot(&mut self) {
         let key = (self.quantum_start(), self.topo_version);
         if matches!(&self.topo_cache, Some((t, v, _)) if (*t, *v) == key) {
             self.metrics.perf_mut().topo_hits += 1;
@@ -500,7 +495,6 @@ impl<M: Clone + fmt::Debug> World<M> {
             self.metrics.perf_mut().topo_builds += 1;
             self.refresh_snapshot(key);
         }
-        &self.topo_cache.as_ref().expect("cache just filled").2
     }
 
     /// Makes `topo_cache` the snapshot of this quantum, under `key`.
@@ -666,16 +660,14 @@ impl<M: Clone + fmt::Debug> World<M> {
                 hops,
             },
         );
-        let mut out = Outbox::new(from, 1);
-        self.schedule_delivery(&mut out, to, hops, category, &msg);
-        self.flush(&mut out, msg);
+        self.deliver_each(from, &[(to, hops)], category, msg);
         Ok(hops)
     }
 
     /// Bounded flood: delivers `msg` to every alive node within `k` hops
     /// of `from`. Charges one transmission for the originator plus one per
-    /// relaying node (nodes closer than `k` hops), and returns the
-    /// recipients.
+    /// relaying node (nodes closer than `k` hops), and returns how many
+    /// nodes it reached.
     ///
     /// # Errors
     ///
@@ -686,31 +678,14 @@ impl<M: Clone + fmt::Debug> World<M> {
         k: u32,
         category: MsgCategory,
         msg: M,
-    ) -> Result<Vec<NodeId>, SendError> {
-        if !self.is_alive(from) {
-            return Err(SendError::SenderDead);
-        }
-        let reach = self.topology().within(from, k);
-        // Relays: the originator plus every node strictly inside the rim.
-        let relays = 1 + reach.iter().filter(|&&(_, d)| d < k).count() as u64;
-        self.metrics.add_send(category, relays);
-        self.log.push(
-            self.now,
-            Event::Broadcast {
-                from,
-                k: Some(k),
-                category,
-                recipients: reach.len(),
-                charge: relays,
-            },
-        );
-        self.deliver_all(from, &reach, category, msg);
-        Ok(reach.into_iter().map(|(n, _)| n).collect())
+    ) -> Result<usize, SendError> {
+        let (recipients, _) = self.send_flood(from, Some(k), category, msg, false)?;
+        Ok(recipients)
     }
 
     /// Global flood: delivers `msg` to every node in `from`'s connected
     /// component (classic flooding — every node retransmits once, so the
-    /// charge is the component size). Returns the recipients.
+    /// charge is the component size). Returns how many nodes it reached.
     ///
     /// # Errors
     ///
@@ -720,31 +695,102 @@ impl<M: Clone + fmt::Debug> World<M> {
         from: NodeId,
         category: MsgCategory,
         msg: M,
-    ) -> Result<Vec<NodeId>, SendError> {
+    ) -> Result<usize, SendError> {
+        let (recipients, _) = self.send_flood(from, None, category, msg, false)?;
+        Ok(recipients)
+    }
+
+    /// A flood bounded by `k` hops, or by none: its charge, its trace
+    /// record and its deliveries; with `record`, also its recipients
+    /// interned in the log as its transcript record lists them (a
+    /// bounded flood's in `(distance, id)` order, a component-wide one's
+    /// by id). Returns how many nodes it reached. Where no recipient's
+    /// fate can differ from another's, each hop level of the traversal
+    /// is queued as it stands, one run firing [`HOP_DELAY`] per hop out,
+    /// with no draw and no list of the reach; otherwise every recipient
+    /// takes [`World::schedule_delivery`], level by level.
+    fn send_flood(
+        &mut self,
+        from: NodeId,
+        k: Option<u32>,
+        category: MsgCategory,
+        msg: M,
+        record: bool,
+    ) -> Result<(usize, Option<Span>), SendError> {
         if !self.is_alive(from) {
             return Err(SendError::SenderDead);
         }
-        let (reach, recipients) = self.topology().flood(from);
-        let charge = reach.len() as u64 + 1;
-        self.metrics.add_send(category, charge);
-        self.log.push(
-            self.now,
-            Event::Broadcast {
-                from,
-                k: None,
-                category,
-                recipients: reach.len(),
-                charge,
-            },
-        );
-        self.deliver_all(from, &reach, category, msg);
-        Ok(recipients)
+        self.query_snapshot();
+        let per_recipient = self.per_recipient();
+        let bound = k.unwrap_or(u32::MAX);
+        // The reach view holds the snapshot's memo, so it lives in this
+        // block only: the per-recipient path below asks the topology
+        // for routes.
+        let (recipients, listed, each) = {
+            let topo = &self.topo_cache.as_ref().expect("cache just filled").2;
+            let reach = topo
+                .reach(from, bound)
+                .expect("an alive sender is in the snapshot");
+            let recipients = reach.count(bound);
+            // Relays: the originator plus every node strictly inside
+            // the rim. A flood has no rim, so every node it reaches
+            // relays.
+            let charge = 1 + reach.count(bound.saturating_sub(1)) as u64;
+            self.metrics.add_send(category, charge);
+            self.log.push(
+                self.now,
+                Event::Broadcast {
+                    from,
+                    k,
+                    category,
+                    recipients,
+                    charge,
+                },
+            );
+            let listed = record.then(|| match k {
+                Some(_) => self
+                    .log
+                    .intern_nodes((1..=reach.depth()).flat_map(|d| reach.level(d))),
+                None => self.log.intern_nodes(reach.by_id()),
+            });
+            if per_recipient {
+                (recipients, listed, Some((reach.near(), msg)))
+            } else {
+                let now = self.now;
+                let perf = self.metrics.perf_mut();
+                let mut push_level = |d: u32, msg: M| {
+                    let mut level = reach.level(d);
+                    let first = level.next().expect("a level up to the depth holds a node");
+                    let run = Run::new(from, msg, first, level.collect());
+                    self.queue
+                        .push_run(now + HOP_DELAY * u64::from(d), run, perf);
+                };
+                let depth = reach.depth();
+                for d in 1..depth {
+                    push_level(d, msg.clone());
+                }
+                if depth > 0 {
+                    push_level(depth, msg);
+                }
+                (recipients, listed, None)
+            }
+        };
+        if let Some((near, msg)) = each {
+            self.deliver_each(from, &near, category, msg);
+        }
+        Ok((recipients, listed))
+    }
+
+    /// Whether a recipient's fate can differ from another's: a loss
+    /// rate, a fault plan or a shadow each decide it per recipient.
+    fn per_recipient(&self) -> bool {
+        self.config.loss_rate > 0.0 || self.faults.is_some() || self.shadow.is_some()
     }
 
     /// Schedules `msg` for every entry of `reach`, in its `(depth, id)`
     /// order — event sequence numbers break same-instant ties, so this
     /// order is the delivery order.
-    fn deliver_all(
+    fn deliver_each(
         &mut self,
         from: NodeId,
         reach: &[(NodeId, u32)],
@@ -767,8 +813,12 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.config.loss_rate > 0.0 && self.rng.chance(self.config.loss_rate)
     }
 
-    /// The single delivery choke point: every unicast, bounded-flood,
-    /// and global-flood recipient passes through here.
+    /// The per-recipient delivery choke point: in a world with a loss
+    /// rate, a fault plan or a shadow, every unicast, bounded-flood and
+    /// global-flood recipient passes through here, so the loss draw,
+    /// the fault plane and the shadow see every delivery. A world with
+    /// none of them has nothing to decide per recipient, and its sends
+    /// queue their runs directly.
     ///
     /// Every draw happens here, per recipient, at send time; what is
     /// batched is only the queue entry. Copies that fire at the instant
@@ -798,11 +848,13 @@ impl<M: Clone + fmt::Debug> World<M> {
             }
             return;
         };
+        let perf = self.metrics.perf_mut();
         for _ in 1..copies {
             let run = Run::new(from, copy.clone(), to, Vec::new());
-            self.push(at, 1, Queued::Run(run));
+            self.queue.push_run(at, run, perf);
         }
-        self.push(at, 1, Queued::Run(Run::new(from, copy, to, Vec::new())));
+        let run = Run::new(from, copy, to, Vec::new());
+        self.queue.push_run(at, run, perf);
     }
 
     /// Decides one delivery's fate: applies the legacy `loss_rate` first
@@ -907,7 +959,7 @@ impl<M: Clone + fmt::Debug> World<M> {
             return;
         };
         let run = Run::new(out.from, msg, first, std::mem::take(&mut out.rest));
-        self.push(out.at, 1 + run.rest.len(), Queued::Run(run));
+        self.queue.push_run(out.at, run, self.metrics.perf_mut());
     }
 
     // ------------------------------------------------------------------
@@ -1143,27 +1195,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     // ------------------------------------------------------------------
 
     pub(crate) fn push_at(&mut self, at: SimTime, kind: EventKind) {
-        self.push(at, 1, Queued::Event(kind));
-    }
-
-    /// Queues one entry standing for `logical` events.
-    fn push(&mut self, at: SimTime, logical: usize, entry: Queued<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(entry);
-                slot
-            }
-            None => {
-                self.slab.push(Some(entry));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued entries")
-            }
-        };
-        self.queue.push(Key { at, seq, slot });
-        self.pending += logical;
-        let perf = self.metrics.perf_mut();
-        perf.queue_high_water = perf.queue_high_water.max(self.pending as u64);
+        self.queue.push_event(at, kind, self.metrics.perf_mut());
     }
 
     /// Takes the earliest entry due by `until` off the queue, if any;
@@ -1178,17 +1210,9 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// recipient's handler schedules for the same instant is numbered
     /// after the run's tail.
     pub(crate) fn pop_due(&mut self, until: SimTime) -> Option<Due> {
-        let head = self.queue.peek_mut()?;
-        if head.at > until {
-            return None;
-        }
-        let Key { at, slot, .. } = PeekMut::pop(head);
+        let (at, entry) = self.queue.pop_due(until)?;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        let entry = self.slab[slot as usize]
-            .take()
-            .expect("a queued slot is full");
-        self.free.push(slot);
         match entry {
             Queued::Event(kind) => {
                 self.count_event();
@@ -1231,14 +1255,15 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     fn count_event(&mut self) {
-        self.pending -= 1;
+        self.queue.dispatched();
         self.metrics.perf_mut().events += 1;
     }
 
-    /// `(entries queued, slab slots)`.
+    /// `(entries held, slots)` of the queue's event slab, then of its
+    /// run slab.
     #[cfg(test)]
-    pub(crate) fn queue_shape(&self) -> (usize, usize) {
-        (self.queue.len(), self.slab.len())
+    pub(crate) fn queue_shape(&self) -> [(usize, usize); 2] {
+        self.queue.shape()
     }
 
     pub(crate) fn advance_to(&mut self, t: SimTime) {
@@ -1255,7 +1280,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// every recipient of a queued delivery counted as one.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.pending
+        self.queue.pending()
     }
 }
 
@@ -1313,17 +1338,12 @@ impl<M: ProtoMsg> World<M> {
         k: Option<u32>,
         category: MsgCategory,
         msg: M,
-    ) -> Result<Vec<NodeId>, SendError> {
+    ) -> Result<usize, SendError> {
         let bytes = self.log.canon(&msg);
-        let result = match k {
-            Some(k) => World::broadcast_within(self, from, k, category, msg),
-            None => World::flood(self, from, category, msg),
-        };
+        let result = self.send_flood(from, k, category, msg, bytes.is_some());
         if let Some(bytes) = bytes {
-            let recipients = match &result {
-                Ok(to) => Ok(self.log.intern_nodes(to)),
-                Err(e) => Err(*e),
-            };
+            let recipients =
+                result.map(|(_, listed)| listed.expect("a recording send interns its recipients"));
             self.log.push(
                 self.now,
                 Event::SendFlood {
@@ -1335,7 +1355,7 @@ impl<M: ProtoMsg> World<M> {
                 },
             );
         }
-        result
+        result.map(|(recipients, _)| recipients)
     }
 }
 
@@ -1452,16 +1472,11 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         k: u32,
         category: MsgCategory,
         msg: M,
-    ) -> Result<Vec<NodeId>, SendError> {
+    ) -> Result<usize, SendError> {
         self.flood_logged(from, Some(k), category, msg)
     }
 
-    fn flood(
-        &mut self,
-        from: NodeId,
-        category: MsgCategory,
-        msg: M,
-    ) -> Result<Vec<NodeId>, SendError> {
+    fn flood(&mut self, from: NodeId, category: MsgCategory, msg: M) -> Result<usize, SendError> {
         self.flood_logged(from, None, category, msg)
     }
 

@@ -54,7 +54,7 @@ macro_rules! every_effect {
         assert_eq!($w.unicast(n0, n2, cfg, Probe(1)), Ok(2));
         assert_eq!(
             $w.broadcast_within(n0, 1, MsgCategory::Hello, Probe(2)),
-            Ok(vec![n1])
+            Ok(1)
         );
         assert_eq!(
             $w.unicast(n0, n3, cfg, Probe(3)),

@@ -358,7 +358,7 @@ impl EventLog {
             },
             Input::TimerFired { tag } => Input::TimerFired { tag: *tag },
             Input::LinkChange { neighbors } => Input::LinkChange {
-                neighbors: self.intern_nodes(neighbors),
+                neighbors: self.intern_nodes(neighbors.iter().copied()),
             },
             Input::Leave { graceful } => Input::Leave {
                 graceful: *graceful,
@@ -380,9 +380,9 @@ impl EventLog {
 
     /// Appends `nodes` to the node arena for the record about to be
     /// pushed.
-    pub fn intern_nodes(&mut self, nodes: &[NodeId]) -> Span {
+    pub fn intern_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> Span {
         let start = self.nodes.len();
-        self.nodes.extend_from_slice(nodes);
+        self.nodes.extend(nodes);
         Span::new(start, self.nodes.len())
     }
 

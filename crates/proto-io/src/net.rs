@@ -44,7 +44,8 @@ impl Error for SendError {}
 /// A backend that records protocol I/O appends each effect's
 /// [`Event`](crate::Event) to its [`EventLog`](crate::EventLog) *after*
 /// the effect completes, so the record carries the backend's verdict
-/// (hop counts, recipients, assigned timer ids).
+/// (hop counts, recipients, assigned timer ids) — a flood's recipients
+/// only there: the protocol gets their count.
 ///
 /// Every method must be deterministic given the backend's seed and event
 /// history: transcript equivalence across backends depends on it.
@@ -127,8 +128,8 @@ pub trait NetBackend<M> {
         msg: M,
     ) -> Result<u32, SendError>;
 
-    /// Bounded flood to every alive node within `k` hops; returns the
-    /// recipients.
+    /// Bounded flood to every alive node within `k` hops; returns how
+    /// many it reached. A recording backend's record lists them.
     ///
     /// # Errors
     ///
@@ -139,20 +140,15 @@ pub trait NetBackend<M> {
         k: u32,
         category: MsgCategory,
         msg: M,
-    ) -> Result<Vec<NodeId>, SendError>;
+    ) -> Result<usize, SendError>;
 
-    /// Global flood over `from`'s connected component; returns the
-    /// recipients.
+    /// Global flood over `from`'s connected component; returns how many
+    /// nodes it reached. A recording backend's record lists them.
     ///
     /// # Errors
     ///
     /// [`SendError::SenderDead`] if `from` is not alive.
-    fn flood(
-        &mut self,
-        from: NodeId,
-        category: MsgCategory,
-        msg: M,
-    ) -> Result<Vec<NodeId>, SendError>;
+    fn flood(&mut self, from: NodeId, category: MsgCategory, msg: M) -> Result<usize, SendError>;
 
     /// Schedule a timer on `node`; `tag` is passed back on firing.
     fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId;

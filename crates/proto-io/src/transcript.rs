@@ -342,11 +342,11 @@ mod tests {
         let mut log = transcript(0..4);
         if skew {
             log.canon(&"unused");
-            log.intern_nodes(&[n(9)]);
+            log.intern_nodes([n(9)]);
         }
         log.push_input(t(4), n(1), &Input::Message { from: n(0), msg });
         let bytes = log.canon(&msg).expect("recording");
-        let recipients = Ok(log.intern_nodes(to));
+        let recipients = Ok(log.intern_nodes(to.iter().copied()));
         #[rustfmt::skip]
         log.push(t(4), Event::SendFlood { from: n(1), k: Some(1), category: crate::MsgCategory::Hello, bytes, recipients });
         #[rustfmt::skip]
