@@ -53,9 +53,15 @@ pub enum BuddyMsg {
     },
 }
 
-/// Transcript canonical form: the `Debug` rendering (this baseline has
-/// no binary wire codec; the simulator backend carries typed messages).
-impl proto_io::ProtoMsg for BuddyMsg {}
+proto_io::wire_codec! {
+    BuddyMsg {
+        Req = 0x01,
+        Assign = 0x02 { block: block, spent_hops: u32 },
+        Reject = 0x03,
+        Sync = 0x04 { ip: addr, free: u64 },
+        Departure = 0x05 { ip: addr, blocks: [u16; block], heir: node },
+    }
+}
 
 #[derive(Debug)]
 struct BuddyNode {

@@ -82,9 +82,20 @@ pub enum CtMsg {
     },
 }
 
-/// Transcript canonical form: the `Debug` rendering (this baseline has
-/// no binary wire codec; the simulator backend carries typed messages).
-impl proto_io::ProtoMsg for CtMsg {}
+proto_io::wire_codec! {
+    CtMsg {
+        Req = 0x01,
+        CoordReq = 0x02,
+        Assign = 0x03 { addr: addr, spent_hops: u32 },
+        CoordAssign = 0x04 { block: block, spent_hops: u32 },
+        Reject = 0x05,
+        Report = 0x06 { ip: addr, pool_len: u64, free: u64 },
+        ReturnAddr = 0x07 { addr: addr },
+        ReturnAck = 0x08,
+        Reclaim = 0x09 { target: node },
+        ReclaimRep = 0x0a { addr: addr, node: node, coordinator: node },
+    }
+}
 
 #[derive(Debug)]
 enum CtRole {

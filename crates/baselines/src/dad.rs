@@ -50,40 +50,12 @@ pub enum DadMsg {
     },
 }
 
-/// QueryDad canonicalizes messages as their wire encoding: one tag byte
-/// then the big-endian address. Having a real codec lets the UDP-mesh
-/// backend carry this baseline, so the transcript-differential suite
-/// covers a non-quorum protocol too.
-impl proto_io::ProtoMsg for DadMsg {
-    fn canon(&self, out: &mut Vec<u8>) {
-        proto_io::WireMsg::wire_encode(self, out);
-    }
-}
-
-impl proto_io::WireMsg for DadMsg {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DadMsg::Areq { addr } => {
-                out.push(0x01);
-                out.extend_from_slice(&addr.bits().to_be_bytes());
-            }
-            DadMsg::Arep { addr } => {
-                out.push(0x02);
-                out.extend_from_slice(&addr.bits().to_be_bytes());
-            }
-        }
-    }
-
-    fn wire_decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() != 5 {
-            return Err(format!("DadMsg: expected 5 bytes, got {}", bytes.len()));
-        }
-        let addr = Addr::new(u32::from_be_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]));
-        match bytes[0] {
-            0x01 => Ok(DadMsg::Areq { addr }),
-            0x02 => Ok(DadMsg::Arep { addr }),
-            tag => Err(format!("DadMsg: unknown tag {tag:#04x}")),
-        }
+// One tag byte, then the big-endian address. Having a wire form lets
+// the UDP-mesh backend carry this baseline.
+proto_io::wire_codec! {
+    DadMsg {
+        Areq = 0x01 { addr: addr },
+        Arep = 0x02 { addr: addr },
     }
 }
 

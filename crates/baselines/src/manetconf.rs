@@ -64,9 +64,17 @@ pub enum McMsg {
     },
 }
 
-/// Transcript canonical form: the `Debug` rendering (this baseline has
-/// no binary wire codec; the simulator backend carries typed messages).
-impl proto_io::ProtoMsg for McMsg {}
+proto_io::wire_codec! {
+    McMsg {
+        Req = 0x01,
+        InitReq = 0x02 { addr: addr, requestor: node },
+        InitOk = 0x03 { addr: addr },
+        InitNo = 0x04 { addr: addr },
+        Assign = 0x05 { addr: addr, spent_hops: u32 },
+        Commit = 0x06 { addr: addr, owner: node },
+        Cleanup = 0x07 { addr: addr },
+    }
+}
 
 #[derive(Debug, Clone)]
 enum McRole {

@@ -23,13 +23,22 @@ pub enum DgMsg {
     /// Client asks the server for an address.
     Req,
     /// Server grants one.
-    Grant(Addr),
+    Grant {
+        /// The granted address.
+        addr: Addr,
+    },
     /// Client acknowledges — only now does the server advance its
     /// cursor (the bug).
     Ack,
 }
 
-impl proto_io::ProtoMsg for DgMsg {}
+proto_io::wire_codec! {
+    DgMsg {
+        Req = 0x01,
+        Grant = 0x02 { addr: addr },
+        Ack = 0x03,
+    }
+}
 
 /// The broken central allocator. See the [module docs](self).
 #[derive(Debug)]
@@ -84,13 +93,13 @@ impl ProtocolCore for DoubleGrant {
         match msg {
             DgMsg::Req => {
                 if Some(to) == self.server {
-                    let grant = STOCK_SPACE.base().offset(self.cursor % STOCK_SPACE.len());
-                    let _ = w.unicast(to, from, MsgCategory::Configuration, DgMsg::Grant(grant));
+                    let addr = STOCK_SPACE.base().offset(self.cursor % STOCK_SPACE.len());
+                    let _ = w.unicast(to, from, MsgCategory::Configuration, DgMsg::Grant { addr });
                     // BUG: `cursor` is not advanced here — only the Ack
-                    // moves it, so a lost Ack re-grants `grant`.
+                    // moves it, so a lost Ack re-grants `addr`.
                 }
             }
-            DgMsg::Grant(addr) => {
+            DgMsg::Grant { addr } => {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.assigned.entry(to) {
                     e.insert(addr);
                     w.mark_configured(to);
@@ -155,6 +164,18 @@ impl ConformanceAdapter for DoubleGrant {
 mod tests {
     use super::*;
     use crate::drive::{run_check, CheckConfig};
+    use proto_io::{WireError, WireMsg};
+
+    #[test]
+    fn every_variant_round_trips() {
+        let addr = STOCK_SPACE.base();
+        for (tag, msg) in [(1, DgMsg::Req), (2, DgMsg::Grant { addr }), (3, DgMsg::Ack)] {
+            let mut bytes = Vec::new();
+            msg.wire_encode(&mut bytes);
+            assert_eq!((bytes[0], DgMsg::wire_decode(&bytes)), (tag, Ok(msg)));
+        }
+        assert_eq!(DgMsg::wire_decode(&[4]), Err(WireError::BadTag(4)));
+    }
 
     #[test]
     fn clean_run_passes() {

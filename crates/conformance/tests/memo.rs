@@ -21,10 +21,6 @@ use proto_io::{Net, Versioned};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
-#[derive(Debug, Clone)]
-struct NoMsg;
-impl proto_io::ProtoMsg for NoMsg {}
-
 type Stamps = Vec<((NodeId, NodeId, Addr), u64)>;
 
 /// The three views, as the script last wrote them.
@@ -80,9 +76,9 @@ impl DerefMut for Scripted {
 }
 
 impl ProtocolCore for Scripted {
-    type Msg = NoMsg;
-    fn on_join(&mut self, _: &mut Net<'_, NoMsg>, _: NodeId) {}
-    fn on_message(&mut self, _: &mut Net<'_, NoMsg>, _: NodeId, _: NodeId, _: NoMsg) {}
+    type Msg = ();
+    fn on_join(&mut self, _: &mut Net<'_, ()>, _: NodeId) {}
+    fn on_message(&mut self, _: &mut Net<'_, ()>, _: NodeId, _: NodeId, _: ()) {}
 }
 
 impl ConformanceAdapter for Scripted {
@@ -95,21 +91,21 @@ impl ConformanceAdapter for Scripted {
     fn guarantees(_: &FaultPlan) -> Guarantees {
         quorum_like()
     }
-    fn assigned_pairs(&self, _: &World<NoMsg>) -> Vec<(NodeId, Addr)> {
+    fn assigned_pairs(&self, _: &World<()>) -> Vec<(NodeId, Addr)> {
         let mut v = self.assigned.clone();
         if self.odd_call(0) {
             v.push((NodeId::new(9_000), addr(60_000)));
         }
         v
     }
-    fn pool_views(&self, _: &World<NoMsg>) -> Vec<(NodeId, PoolView)> {
+    fn pool_views(&self, _: &World<()>) -> Vec<(NodeId, PoolView)> {
         let mut v = self.views.clone();
         if self.odd_call(1) {
             v.push((NodeId::new(9_001), pool(&[], &[])));
         }
         v
     }
-    fn stamp_views(&self, _: &World<NoMsg>) -> Stamps {
+    fn stamp_views(&self, _: &World<()>) -> Stamps {
         let mut v = self.stamps.clone();
         if self.odd_call(2) {
             v.push(((NodeId::new(9_002), NodeId::new(9_002), addr(60_000)), 1));

@@ -1,11 +1,16 @@
-//! Property-based tests of the wire codec: arbitrary messages round-trip
-//! and arbitrary bytes never panic the decoder.
+//! Property-based tests of the wire codec: arbitrary messages round-trip,
+//! arbitrary bytes never panic the decoder, and the bytes it accepts
+//! re-encode to themselves.
 
 use addrspace::{Addr, AddrBlock, AddrRecord, AddrStatus, AllocationTable};
 use manet_sim::NodeId;
 use proptest::prelude::*;
+use proto_io::{WireError, WireMsg};
 use qbac_core::{wire, Msg, QuorumOp};
 use quorum::VersionStamp;
+use samples::one_of_each;
+
+mod samples;
 
 fn arb_addr() -> impl Strategy<Value = Addr> {
     any::<u32>().prop_map(Addr::new)
@@ -209,165 +214,15 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
-/// One concrete instance of every `Msg` variant (and of both
-/// `QuorumOp` payloads), with non-trivial table payloads where the
-/// variant carries one. Paired with `every_variant_round_trips`, which
-/// also proves the list is exhaustive over the codec's tag space.
-fn one_of_each() -> Vec<Msg> {
-    let addr = Addr::new(0x0A00_0001);
-    let node = NodeId::new(7);
-    let block = AddrBlock::new(Addr::new(0x0A00_0000), 256).expect("valid");
-    let record = AddrRecord {
-        status: AddrStatus::Allocated(9),
-        stamp: VersionStamp::new(3),
-    };
-    let table: AllocationTable = vec![
-        (addr, record),
-        (
-            Addr::new(0x0A00_0002),
-            AddrRecord {
-                status: AddrStatus::Vacant,
-                stamp: VersionStamp::new(8),
-            },
-        ),
-        (
-            Addr::new(0x0A00_0003),
-            AddrRecord {
-                status: AddrStatus::Free,
-                stamp: VersionStamp::new(0),
-            },
-        ),
-    ]
-    .into_iter()
-    .collect();
-    vec![
-        Msg::Hello {
-            sender_ip: Some(addr),
-            is_head: true,
-            network_id: None,
-        },
-        Msg::ComReq,
-        Msg::ComReqFwd { requestor: node },
-        Msg::ComCfg {
-            ip: addr,
-            configurer: addr,
-            network_id: addr,
-            spent_hops: 4,
-            auth: 0xfeed,
-        },
-        Msg::ComAck,
-        Msg::ComRej,
-        Msg::ChReq,
-        Msg::ChPrp { available: 1024 },
-        Msg::ChCnf,
-        Msg::ChCfg {
-            block,
-            ip: addr,
-            configurer: addr,
-            network_id: addr,
-            spent_hops: 2,
-            records: vec![(addr, record)],
-        },
-        Msg::ChAck,
-        Msg::ChRej,
-        Msg::QuorumClt {
-            seq: 5,
-            op: QuorumOp::CheckAddr { owner: node, addr },
-        },
-        Msg::QuorumClt {
-            seq: 6,
-            op: QuorumOp::SplitBlock { owner: node },
-        },
-        Msg::QuorumClt {
-            seq: 7,
-            op: QuorumOp::ClaimBlocks {
-                claimant: node,
-                rival: NodeId::new(9),
-                blocks: vec![block],
-            },
-        },
-        Msg::QuorumCfm {
-            seq: 5,
-            grant: true,
-            stamp: VersionStamp::new(11),
-            auth: 13,
-        },
-        Msg::QuorumCommit {
-            owner: node,
-            addr,
-            record,
-            auth: 29,
-        },
-        Msg::ReplicaPush {
-            owner: node,
-            owner_ip: addr,
-            blocks: vec![block],
-            table: table.clone(),
-            reply_requested: true,
-        },
-        Msg::UpdateLoc {
-            configurer: addr,
-            ip: addr,
-        },
-        Msg::ReturnAddr {
-            configurer: addr,
-            ip: addr,
-        },
-        Msg::ReturnAddrAck,
-        Msg::ReturnBlock {
-            blocks: vec![block],
-            table,
-            ip: addr,
-            members: vec![(addr, node)],
-        },
-        Msg::ReturnBlockAck,
-        Msg::Resign,
-        Msg::AllocatorChange {
-            new_configurer: addr,
-        },
-        Msg::AddrRec {
-            target: node,
-            target_ip: addr,
-            initiator: NodeId::new(9),
-            initiator_ip: addr,
-            auth: 17,
-        },
-        Msg::RecRep {
-            target_ip: addr,
-            ip: addr,
-            node,
-            target: NodeId::new(9),
-        },
-        Msg::RepReq,
-        Msg::RepAck,
-        Msg::Reinit {
-            network_id: addr,
-            force: false,
-        },
-        Msg::OwnClaim {
-            claimant_ip: addr,
-            blocks: vec![block],
-            claim_stamp: 19,
-            auth: 23,
-        },
-        Msg::OwnGrant {
-            blocks: vec![block],
-            records: vec![(addr, record)],
-        },
-    ]
-}
-
-/// Deterministic exhaustiveness: every variant round-trips, the sample
-/// list covers the codec's whole contiguous tag space, and the first
-/// tag past it is still rejected — so adding a message variant without
-/// extending this list fails loudly here.
-#[test]
-fn every_variant_round_trips() {
-    let msgs = one_of_each();
+/// Every sample round-trips, the samples' tag bytes are exactly
+/// `1..=last`, and the tag after the last is unknown — so a variant
+/// added to the declaration without a sample here fails loudly.
+fn assert_covers_tag_space<M: WireMsg + PartialEq>(samples: &[M]) {
     let mut tags: Vec<u8> = Vec::new();
-    for msg in &msgs {
-        let bytes = wire::encode(msg);
-        assert_eq!(&wire::decode(&bytes).unwrap(), msg, "{msg:?}");
+    for msg in samples {
+        let mut bytes = Vec::new();
+        msg.wire_encode(&mut bytes);
+        assert_eq!(&M::wire_decode(&bytes).unwrap(), msg, "{msg:?}");
         tags.push(bytes[0]);
     }
     tags.sort_unstable();
@@ -379,10 +234,77 @@ fn every_variant_round_trips() {
         "sample list must cover every tag exactly once"
     );
     assert_eq!(
-        wire::decode(&[last + 1]),
-        Err(wire::WireError::BadTag(last + 1)),
-        "tag space grew: add the new variant to one_of_each()"
+        M::wire_decode(&[last + 1]),
+        Err(WireError::BadTag(last + 1)),
+        "tag space grew: add the new variant to the samples"
     );
+}
+
+/// Deterministic exhaustiveness over both declared enums: `Msg`, and
+/// the `QuorumOp` a `QuorumClt` carries.
+#[test]
+fn every_variant_round_trips() {
+    let msgs = one_of_each();
+    assert_covers_tag_space(&msgs);
+    let ops: Vec<QuorumOp> = msgs
+        .into_iter()
+        .filter_map(|msg| match msg {
+            Msg::QuorumClt { op, .. } => Some(op),
+            _ => None,
+        })
+        .collect();
+    assert_covers_tag_space(&ops);
+}
+
+/// A `ReplicaPush` whose table holds free records at `addrs`, in the
+/// order given.
+fn replica_push_with_table(addrs: [u32; 2]) -> Vec<u8> {
+    let mut bytes = vec![0x0f];
+    bytes.extend([0; 8 + 4 + 2]); // owner, owner_ip, no blocks
+    bytes.extend(2u32.to_be_bytes());
+    for addr in addrs {
+        bytes.extend(addr.to_be_bytes());
+        bytes.extend([0; 1 + 8]); // free, stamp 0
+    }
+    bytes.push(0); // reply_requested
+    bytes
+}
+
+/// One message has one encoding: a flag byte is 0 or 1, and a table's
+/// addresses strictly increase. Anything else would decode to a message
+/// that re-encodes to other bytes.
+#[test]
+fn non_canonical_bytes_are_rejected() {
+    let hello = [0x01, 0x01, 0, 0, 0, 9, 0x01, 0x00];
+    assert_eq!(
+        wire::decode(&hello),
+        Ok(Msg::Hello {
+            sender_ip: Some(Addr::new(9)),
+            is_head: true,
+            network_id: None,
+        })
+    );
+    for (at, flag) in [(1, 0x02), (6, 0x02), (7, 0xff)] {
+        let mut bytes = hello;
+        bytes[at] = flag;
+        assert_eq!(wire::decode(&bytes), Err(WireError::BadFlag(flag)));
+    }
+    assert!(wire::decode(&replica_push_with_table([5, 6])).is_ok());
+    for addrs in [[6, 5], [5, 5]] {
+        assert_eq!(
+            wire::decode(&replica_push_with_table(addrs)),
+            Err(WireError::Unsorted),
+            "{addrs:?}"
+        );
+    }
+}
+
+/// What every accepted input must satisfy: decoding is canonical, so a
+/// decoded message encodes back to exactly the bytes it came from.
+fn assert_reencodes(bytes: &[u8]) {
+    if let Ok(msg) = wire::decode(bytes) {
+        assert_eq!(&wire::encode(&msg)[..], bytes, "{msg:?}");
+    }
 }
 
 proptest! {
@@ -395,8 +317,9 @@ proptest! {
 
     /// Mutation fuzz: flipping bits of a valid encoding never panics
     /// the decoder — it either reports a `WireError` or decodes to some
-    /// message that itself round-trips (the codec carries no checksum,
-    /// so a payload flip can legally yield a different valid message).
+    /// message that re-encodes to the flipped bytes (the codec carries
+    /// no checksum, so a payload flip can legally yield a different
+    /// valid message, but never a second spelling of one).
     #[test]
     fn byte_flips_never_panic(
         msg in arb_msg(),
@@ -411,13 +334,7 @@ proptest! {
             let j = (pos2 % bytes.len() as u64) as usize;
             bytes[j] ^= mask2 as u8;
         }
-        match wire::decode(&bytes) {
-            Err(_) => {} // rejected cleanly
-            Ok(decoded) => {
-                let re = wire::encode(&decoded);
-                prop_assert_eq!(wire::decode(&re).unwrap(), decoded);
-            }
-        }
+        assert_reencodes(&bytes);
     }
 
     /// Truncating an encoded message is always detected (never panics,
@@ -430,10 +347,11 @@ proptest! {
         if let Ok(decoded) = wire::decode(sliced) { prop_assert_eq!(decoded, msg, "partial decode equal only if whole") }
     }
 
-    /// Arbitrary garbage never panics the decoder.
+    /// Arbitrary garbage never panics the decoder, and what it accepts
+    /// re-encodes to itself.
     #[test]
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = wire::decode(&bytes);
+        assert_reencodes(&bytes);
     }
 
     /// Encoded length is consistent with `encoded_len`.

@@ -192,7 +192,7 @@ fn qbac_hardened_attack_transcripts_match() {
 }
 
 // ---------------------------------------------------------------------
-// QueryDad baseline (the non-quorum protocol with a wire codec)
+// The four baselines — clean and chaos
 // ---------------------------------------------------------------------
 
 #[test]
@@ -210,6 +210,60 @@ fn dad_chaos_transcripts_match() {
         "dad/chaos",
         &chaos_scenario(),
         baselines::dad::QueryDad::default,
+    );
+}
+
+#[test]
+fn buddy_clean_transcripts_match() {
+    assert_equivalent(
+        "buddy/clean",
+        &clean_scenario(),
+        baselines::buddy::Buddy::default,
+    );
+}
+
+#[test]
+fn buddy_chaos_transcripts_match() {
+    assert_equivalent(
+        "buddy/chaos",
+        &chaos_scenario(),
+        baselines::buddy::Buddy::default,
+    );
+}
+
+#[test]
+fn ctree_clean_transcripts_match() {
+    assert_equivalent(
+        "ctree/clean",
+        &clean_scenario(),
+        baselines::ctree::CTree::default,
+    );
+}
+
+#[test]
+fn ctree_chaos_transcripts_match() {
+    assert_equivalent(
+        "ctree/chaos",
+        &chaos_scenario(),
+        baselines::ctree::CTree::default,
+    );
+}
+
+#[test]
+fn manetconf_clean_transcripts_match() {
+    assert_equivalent(
+        "manetconf/clean",
+        &clean_scenario(),
+        baselines::manetconf::ManetConf::default,
+    );
+}
+
+#[test]
+fn manetconf_chaos_transcripts_match() {
+    assert_equivalent(
+        "manetconf/chaos",
+        &chaos_scenario(),
+        baselines::manetconf::ManetConf::default,
     );
 }
 

@@ -43,16 +43,17 @@
 //! ```
 //! use manet_sim::{Net, NodeId, Point, ProtocolCore, Sim, SimDuration, WorldConfig};
 //!
-//! /// A protocol in which every joining node pings node 0.
+//! /// A protocol in which every joining node pings node 0 (its one
+//! /// message is a `u8`, which has a one-byte wire form).
 //! struct Ping;
 //! impl ProtocolCore for Ping {
-//!     type Msg = &'static str;
+//!     type Msg = u8;
 //!     fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
 //!         if node != NodeId::new(0) {
-//!             let _ = w.unicast(node, NodeId::new(0), Default::default(), "ping");
+//!             let _ = w.unicast(node, NodeId::new(0), Default::default(), 1);
 //!         }
 //!     }
-//!     fn on_message(&mut self, _w: &mut Net<'_, Self::Msg>, _to: NodeId, _from: NodeId, _m: &'static str) {}
+//!     fn on_message(&mut self, _w: &mut Net<'_, Self::Msg>, _to: NodeId, _from: NodeId, _m: u8) {}
 //! }
 //!
 //! let mut sim = Sim::new(WorldConfig::default(), Ping);
@@ -79,8 +80,8 @@ mod world;
 pub use proto_io::histogram;
 pub use proto_io::{
     Arena, AttackKind, Event, EventLog, FaultCounters, FlowKind, FlowStage, Histogram, Input,
-    Metrics, MsgCategory, Net, NetBackend, NodeId, PerfCounters, Point, ProtoMsg, ProtocolCore,
-    Record, SendError, SimDuration, SimRng, SimTime, TimerId, WireMsg,
+    Metrics, MsgCategory, Net, NetBackend, NodeId, PerfCounters, Point, ProtocolCore, Record,
+    SendError, SimDuration, SimRng, SimTime, TimerId, WireError, WireMsg,
 };
 
 pub use engine::IncrementalTopology;

@@ -266,7 +266,7 @@ mod tests {
     use proto_io::IdMap;
 
     /// Echo protocol: node 0 is the server; every other joiner sends it a
-    /// "req" and the server replies "rep".
+    /// `Req` and the server replies `Rep`.
     #[derive(Default)]
     struct Echo {
         requests: u32,
@@ -274,12 +274,20 @@ mod tests {
         left: Vec<(NodeId, bool)>,
     }
 
+    #[derive(Debug, Clone, Copy)]
+    enum Say {
+        Req,
+        Rep,
+    }
+
+    proto_io::wire_codec! { Say { Req = 0x01, Rep = 0x02 } }
+
     impl ProtocolCore for Echo {
-        type Msg = &'static str;
+        type Msg = Say;
 
         fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
             if node.index() != 0 {
-                let _ = w.unicast(node, NodeId::new(0), MsgCategory::Configuration, "req");
+                let _ = w.unicast(node, NodeId::new(0), MsgCategory::Configuration, Say::Req);
             }
         }
 
@@ -291,15 +299,14 @@ mod tests {
             msg: Self::Msg,
         ) {
             match msg {
-                "req" => {
+                Say::Req => {
                     self.requests += 1;
-                    let _ = w.unicast(to, from, MsgCategory::Configuration, "rep");
+                    let _ = w.unicast(to, from, MsgCategory::Configuration, Say::Rep);
                 }
-                "rep" => {
+                Say::Rep => {
                     self.replies += 1;
                     w.mark_configured(to);
                 }
-                _ => unreachable!(),
             }
         }
 
@@ -889,7 +896,7 @@ mod tests {
         sim.leave_now(a, false);
         let err = sim
             .world_mut()
-            .unicast(a, b, MsgCategory::Hello, "x")
+            .unicast(a, b, MsgCategory::Hello, Say::Req)
             .unwrap_err();
         assert_eq!(err, SendError::SenderDead);
     }

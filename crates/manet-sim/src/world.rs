@@ -5,8 +5,8 @@ use crate::observer::{FlowKind, FlowStage, Observer};
 use crate::topology::Topology;
 use crate::TimerId;
 use crate::{
-    Arena, Event, EventLog, Input, Metrics, MsgCategory, NetBackend, NodeId, Point, ProtoMsg,
-    SendError, SimDuration, SimRng, SimTime,
+    Arena, Event, EventLog, Input, Metrics, MsgCategory, NetBackend, NodeId, Point, SendError,
+    SimDuration, SimRng, SimTime, WireMsg,
 };
 use proto_io::{IdSet, Span};
 use std::fmt;
@@ -1311,7 +1311,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// every input the driver feeds and every effect the protocol
     /// performs through its [`Net`](crate::Net) handle — this world as
     /// `dyn NetBackend` — is logged. Off by default (one branch per
-    /// effect, and no message is canonicalised).
+    /// effect, and no message is encoded).
     pub fn enable_transcript(&mut self) {
         self.log.enable_io();
     }
@@ -1329,7 +1329,7 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 }
 
-impl<M: ProtoMsg> World<M> {
+impl<M: WireMsg> World<M> {
     /// A protocol's flood, bounded by `k` or component-wide: the
     /// inherent send, then its record when transcribing.
     fn flood_logged(
@@ -1339,7 +1339,7 @@ impl<M: ProtoMsg> World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<usize, SendError> {
-        let bytes = self.log.canon(&msg);
+        let bytes = self.log.intern_msg(&msg);
         let result = self.send_flood(from, k, category, msg, bytes.is_some());
         if let Some(bytes) = bytes {
             let recipients =
@@ -1365,7 +1365,7 @@ impl<M: ProtoMsg> World<M> {
 /// order — and then logs its protocol-I/O [`Event`], which is kept only
 /// when transcribing. The inherent methods themselves stay untranscribed
 /// for the harness, the oracle and tests.
-impl<M: ProtoMsg> NetBackend<M> for World<M> {
+impl<M: WireMsg> NetBackend<M> for World<M> {
     fn now(&self) -> SimTime {
         World::now(self)
     }
@@ -1449,7 +1449,7 @@ impl<M: ProtoMsg> NetBackend<M> for World<M> {
         category: MsgCategory,
         msg: M,
     ) -> Result<u32, SendError> {
-        let bytes = self.log.canon(&msg);
+        let bytes = self.log.intern_msg(&msg);
         let hops = World::unicast(self, from, to, category, msg);
         if let Some(bytes) = bytes {
             self.log.push(

@@ -6,6 +6,7 @@ use manet_sim::{
 };
 
 /// Ping protocol: every joiner unicasts node 0 once; node 0 counts.
+/// Its one message is a `u8`.
 #[derive(Default)]
 struct Ping {
     received: u32,
@@ -13,22 +14,16 @@ struct Ping {
 }
 
 impl ProtocolCore for Ping {
-    type Msg = &'static str;
+    type Msg = u8;
 
     fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId) {
         self.joins += 1;
         if node.index() != 0 {
-            let _ = w.unicast(node, NodeId::new(0), MsgCategory::Configuration, "ping");
+            let _ = w.unicast(node, NodeId::new(0), MsgCategory::Configuration, 1);
         }
     }
 
-    fn on_message(
-        &mut self,
-        _w: &mut Net<'_, Self::Msg>,
-        _to: NodeId,
-        _from: NodeId,
-        _m: &'static str,
-    ) {
+    fn on_message(&mut self, _w: &mut Net<'_, Self::Msg>, _to: NodeId, _from: NodeId, _m: u8) {
         self.received += 1;
     }
 }

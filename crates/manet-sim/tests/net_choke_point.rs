@@ -4,16 +4,23 @@
 //! methods (the harness, oracle and test entry points) stay silent.
 
 use manet_sim::{
-    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, Point, ProtoMsg, ProtocolCore,
-    SendError, Sim, SimDuration, WorldConfig,
+    FlowKind, FlowStage, MsgCategory, Net, NetBackend, NodeId, Point, ProtocolCore, SendError, Sim,
+    SimDuration, WireError, WireMsg, WorldConfig,
 };
 
 #[derive(Debug, Clone)]
 struct Probe(u8);
 
-impl ProtoMsg for Probe {
-    fn canon(&self, out: &mut Vec<u8>) {
+impl WireMsg for Probe {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&[0xab, self.0]);
+    }
+
+    fn wire_take(cur: &mut &[u8]) -> Result<Self, WireError> {
+        match proto_io::wire::take(cur)? {
+            [0xab, n] => Ok(Probe(n)),
+            [tag, _] => Err(WireError::BadTag(tag)),
+        }
     }
 }
 
@@ -103,13 +110,17 @@ fn inherent_world_methods_are_not_transcribed() {
     assert!(w.transcript().expect("enabled").is_empty());
 }
 
-/// A message that cannot be canonicalised: transcribing it panics.
+/// A message that cannot be encoded: transcribing it panics.
 #[derive(Debug, Clone)]
 struct Opaque;
 
-impl ProtoMsg for Opaque {
-    fn canon(&self, _out: &mut Vec<u8>) {
+impl WireMsg for Opaque {
+    fn wire_encode(&self, _out: &mut Vec<u8>) {
         panic!("canon called");
+    }
+
+    fn wire_take(_cur: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Opaque)
     }
 }
 

@@ -1,6 +1,6 @@
 use crate::io::Input;
-use crate::msg::ProtoMsg;
 use crate::net::Net;
+use crate::wire::WireMsg;
 use crate::NodeId;
 
 /// A sans-io protocol state machine.
@@ -37,7 +37,7 @@ use crate::NodeId;
 /// equivalent by construction.
 pub trait ProtocolCore {
     /// The protocol's message type.
-    type Msg: ProtoMsg;
+    type Msg: WireMsg;
 
     /// A node has entered the network.
     fn on_join(&mut self, w: &mut Net<'_, Self::Msg>, node: NodeId);

@@ -17,6 +17,9 @@
 //!   methods: one dynamic call per effect, performed *eagerly* — effect
 //!   ordering is exactly call ordering, which is what makes behavior
 //!   across backends comparable at all.
+//! * [`WireMsg`] — the one message trait: every message has a binary
+//!   wire form, and [`wire_codec!`] generates it from one declaration of
+//!   the layout.
 //! * [`EventLog`] — the one recorder: typed, fixed-size [`Event`]
 //!   records in the order things happened, rendered only when read. Its
 //!   net-level class is the JSONL debugging trace; its protocol-I/O class
@@ -43,7 +46,6 @@ mod ids;
 mod io;
 mod log;
 mod metrics;
-mod msg;
 mod net;
 mod rng;
 mod time;
@@ -51,6 +53,7 @@ mod timer;
 mod trace;
 mod transcript;
 mod versioned;
+pub mod wire;
 
 pub use attack::AttackKind;
 pub use core::ProtocolCore;
@@ -63,9 +66,9 @@ pub use ids::NodeId;
 pub use io::Input;
 pub use log::{DropCause, Event, EventLog, Record, Span};
 pub use metrics::{FaultCounters, Metrics, MsgCategory, PerfCounters};
-pub use msg::{ProtoMsg, WireMsg};
 pub use net::{Net, NetBackend, SendError};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerId;
 pub use versioned::Versioned;
+pub use wire::{WireError, WireMsg};

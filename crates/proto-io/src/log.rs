@@ -1,10 +1,10 @@
 use crate::flow::{FlowKind, FlowStage};
 use crate::io::Input;
 use crate::metrics::MsgCategory;
-use crate::msg::ProtoMsg;
 use crate::net::SendError;
 use crate::time::{SimDuration, SimTime};
 use crate::timer::TimerId;
+use crate::wire::WireMsg;
 use crate::NodeId;
 use std::collections::VecDeque;
 use std::fmt;
@@ -151,7 +151,7 @@ pub enum Event {
         stage: FlowStage,
     },
     /// An [`Input`] was fed to `node`'s core; its message is held as the
-    /// [`ProtoMsg::canon`] bytes and its neighbor list as a node span.
+    /// [`WireMsg::wire_encode`] bytes and its neighbor list as a node span.
     Fed {
         /// The node the input was fed to.
         node: NodeId,
@@ -166,7 +166,7 @@ pub enum Event {
         to: NodeId,
         /// Accounting category.
         category: MsgCategory,
-        /// The message's [`ProtoMsg::canon`] bytes.
+        /// The message's [`WireMsg::wire_encode`] bytes.
         bytes: Span,
         /// The backend's verdict: the charged hop count.
         hops: Result<u32, SendError>,
@@ -179,7 +179,7 @@ pub enum Event {
         k: Option<u32>,
         /// Accounting category.
         category: MsgCategory,
-        /// The message's [`ProtoMsg::canon`] bytes.
+        /// The message's [`WireMsg::wire_encode`] bytes.
         bytes: Span,
         /// The backend's verdict: who was reached, in its
         /// deterministic order.
@@ -255,8 +255,8 @@ pub struct Record {
 ///
 /// Two classes of [`Event`] share it, each behind its own switch and
 /// both off by default. A push of a class that is off costs one branch,
-/// and a message is canonicalised ([`ProtoMsg::canon`], straight into
-/// the byte arena) only while protocol I/O is being recorded.
+/// and a message is encoded ([`WireMsg::wire_encode`], straight into the
+/// byte arena) only while protocol I/O is being recorded.
 ///
 /// * [`enable_net`](EventLog::enable_net) keeps the latest `capacity`
 ///   net-level records — a ring for debugging that counts what it evicts
@@ -279,11 +279,10 @@ pub struct Record {
 /// exactly when they drove the protocol identically.
 ///
 /// * Timestamps are virtual microseconds (`@123456`).
-/// * Message payloads appear as [`ProtoMsg::canon`] bytes in lowercase
-///   hex (`-` when empty). Cores with a wire codec canonicalize to the
-///   encoded bytes, so the mesh (recording what it decoded off the
-///   socket) and the simulator (recording what it passed in memory)
-///   agree only if the codec round-trips.
+/// * Message payloads appear as their [`WireMsg::wire_encode`] bytes in
+///   lowercase hex (`-` when empty), so the mesh (recording what it
+///   decoded off the socket) and the simulator (recording what it passed
+///   in memory) agree only if the codec round-trips.
 /// * Node lists (flood recipients, link-change neighborhoods) keep the
 ///   backend's deterministic order.
 /// * Timer ids appear verbatim: both backends allocate them from a
@@ -346,7 +345,7 @@ impl EventLog {
     }
 
     /// Appends one input a driver fed to `node`'s core.
-    pub fn push_input<M: ProtoMsg>(&mut self, at: SimTime, node: NodeId, input: &Input<M>) {
+    pub fn push_input<M: WireMsg>(&mut self, at: SimTime, node: NodeId, input: &Input<M>) {
         if !self.io {
             return;
         }
@@ -354,7 +353,7 @@ impl EventLog {
             Input::Join => Input::Join,
             Input::Message { from, msg } => Input::Message {
                 from: *from,
-                msg: self.canon(msg).expect("recording protocol I/O"),
+                msg: self.intern_msg(msg).expect("recording protocol I/O"),
             },
             Input::TimerFired { tag } => Input::TimerFired { tag: *tag },
             Input::LinkChange { neighbors } => Input::LinkChange {
@@ -367,13 +366,13 @@ impl EventLog {
         self.append(at, Event::Fed { node, input });
     }
 
-    /// `msg` in canonical form, appended to the byte arena for the
+    /// `msg`'s wire encoding, appended to the byte arena for the
     /// record about to be pushed; `None`, and `msg` untouched, unless
     /// protocol I/O is being recorded.
-    pub fn canon<M: ProtoMsg>(&mut self, msg: &M) -> Option<Span> {
+    pub fn intern_msg<M: WireMsg>(&mut self, msg: &M) -> Option<Span> {
         self.io.then(|| {
             let start = self.bytes.len();
-            msg.canon(&mut self.bytes);
+            msg.wire_encode(&mut self.bytes);
             Span::new(start, self.bytes.len())
         })
     }

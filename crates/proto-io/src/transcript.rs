@@ -244,13 +244,22 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// The fixture protocol's two messages.
+    #[derive(Debug, Clone, Copy)]
+    enum Say {
+        Hi,
+        Ho,
+    }
+
+    crate::wire_codec! { Say { Hi = 0x01, Ho = 0x02 } }
+
     /// A transcript-only log fed one join per entry of `joins`, to the
     /// node and at the microsecond of that number.
     fn transcript(joins: std::ops::Range<u64>) -> EventLog {
         let mut log = EventLog::default();
         log.enable_io();
         for i in joins {
-            log.push_input(t(i), n(i), &Input::<&'static str>::Join);
+            log.push_input(t(i), n(i), &Input::<Say>::Join);
         }
         log
     }
@@ -264,7 +273,7 @@ mod tests {
             node,
             &Input::Message {
                 from: n(1),
-                msg: "hi",
+                msg: Say::Hi,
             },
         );
         #[rustfmt::skip]
@@ -276,16 +285,12 @@ mod tests {
             log.push(t(at), effect);
         }
         let neighbors = vec![n(1), n(4)];
-        log.push_input(
-            t(30),
-            node,
-            &Input::<&'static str>::LinkChange { neighbors },
-        );
+        log.push_input(t(30), node, &Input::<Say>::LinkChange { neighbors });
         assert_eq!(
             log.lines(),
             &[
                 "@10 <n10 join",
-                "@20 <n3 msg from=n1 bytes=22686922",
+                "@20 <n3 msg from=n1 bytes=01",
                 "@20 >timer+ node=n3 id=t7 delay=5000us tag=0x2",
                 "@25 >flow node=n3 kind=join stage=started",
                 "@30 <n3 link neighbors=[n1 n4]",
@@ -338,14 +343,14 @@ mod tests {
     /// Four joins, a message, a one-hop flood to `to`, a timer, and
     /// `extra` trailing records; `skew` arena bytes and nodes no record
     /// names come first, so equal spans sit at different offsets.
-    fn session(msg: &'static str, to: &[NodeId], extra: u64, skew: bool) -> EventLog {
+    fn session(msg: Say, to: &[NodeId], extra: u64, skew: bool) -> EventLog {
         let mut log = transcript(0..4);
         if skew {
-            log.canon(&"unused");
+            log.intern_msg(&Say::Ho);
             log.intern_nodes([n(9)]);
         }
         log.push_input(t(4), n(1), &Input::Message { from: n(0), msg });
-        let bytes = log.canon(&msg).expect("recording");
+        let bytes = log.intern_msg(&msg).expect("recording");
         let recipients = Ok(log.intern_nodes(to.iter().copied()));
         #[rustfmt::skip]
         log.push(t(4), Event::SendFlood { from: n(1), k: Some(1), category: crate::MsgCategory::Hello, bytes, recipients });
@@ -360,24 +365,27 @@ mod tests {
     #[test]
     fn diff_reports_what_rendering_every_line_reports() {
         let to = [n(0), n(2), n(3)];
-        let base = session("hi", &to, 0, false);
+        let base = session(Say::Hi, &to, 0, false);
         let cases = [
-            ("equal at other arena offsets", session("hi", &to, 0, true)),
-            ("one payload byte", session("ho", &to, 0, true)),
+            (
+                "equal at other arena offsets",
+                session(Say::Hi, &to, 0, true),
+            ),
+            ("one payload byte", session(Say::Ho, &to, 0, true)),
             (
                 "one recipient",
-                session("hi", &[n(0), n(2), n(4)], 0, false),
+                session(Say::Hi, &[n(0), n(2), n(4)], 0, false),
             ),
-            ("a trailing record", session("hi", &to, 1, true)),
-            ("trailing records", session("hi", &to, 5, false)),
+            ("a trailing record", session(Say::Hi, &to, 1, true)),
+            ("trailing records", session(Say::Hi, &to, 5, false)),
         ];
         for (what, other) in cases {
             for (a, b) in [(&base, &other), (&other, &base)] {
                 assert_eq!(a.diff(b), rendered_diff(a, b), "{what}");
             }
         }
-        assert_eq!(base.diff(&session("hi", &to, 0, true)), None);
-        assert!(base.diff(&session("ho", &to, 0, false)).is_some());
+        assert_eq!(base.diff(&session(Say::Hi, &to, 0, true)), None);
+        assert!(base.diff(&session(Say::Ho, &to, 0, false)).is_some());
     }
 
     #[test]

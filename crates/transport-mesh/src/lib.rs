@@ -292,70 +292,46 @@ impl<M: WireMsg> WireShadow<M> for MeshShadow<M> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Echo(u32);
-
-    impl proto_io::ProtoMsg for Echo {
-        fn canon(&self, out: &mut Vec<u8>) {
-            proto_io::WireMsg::wire_encode(self, out);
-        }
-    }
-
-    impl WireMsg for Echo {
-        fn wire_encode(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.0.to_be_bytes());
-        }
-
-        fn wire_decode(bytes: &[u8]) -> Result<Self, String> {
-            let arr: [u8; 4] = bytes.try_into().map_err(|_| "need 4 bytes".to_string())?;
-            Ok(Echo(u32::from_be_bytes(arr)))
-        }
-    }
-
     fn n(i: u64) -> NodeId {
         NodeId::new(i)
     }
 
     #[test]
     fn single_hop_round_trips_over_a_socket() {
-        let mut mesh = MeshShadow::<Echo>::new();
-        let got = mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &Echo(0xBEEF));
-        assert_eq!(got, Echo(0xBEEF));
+        let mut mesh = MeshShadow::<u64>::new();
+        let got = mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &0xBEEF);
+        assert_eq!(got, 0xBEEF);
         assert_eq!(mesh.stats().datagrams, 1);
         assert_eq!(mesh.socket_count(), 2);
     }
 
     #[test]
     fn multi_hop_relays_along_the_path() {
-        let mut mesh = MeshShadow::<Echo>::new();
-        let got = mesh.carry(
-            &[n(0), n(1), n(2), n(3)],
-            MsgCategory::Maintenance,
-            &Echo(7),
-        );
-        assert_eq!(got, Echo(7));
+        let mut mesh = MeshShadow::<u64>::new();
+        let got = mesh.carry(&[n(0), n(1), n(2), n(3)], MsgCategory::Maintenance, &7);
+        assert_eq!(got, 7);
         assert_eq!(mesh.stats().datagrams, 3, "one datagram per link");
         assert_eq!(mesh.socket_count(), 4);
     }
 
     #[test]
     fn self_delivery_loops_through_own_socket() {
-        let mut mesh = MeshShadow::<Echo>::new();
-        let got = mesh.carry(&[n(5)], MsgCategory::Configuration, &Echo(42));
-        assert_eq!(got, Echo(42));
+        let mut mesh = MeshShadow::<u64>::new();
+        let got = mesh.carry(&[n(5)], MsgCategory::Configuration, &42);
+        assert_eq!(got, 42);
         assert_eq!(mesh.stats().datagrams, 1);
         assert_eq!(mesh.socket_count(), 1);
     }
 
     #[test]
     fn topology_filter_drops_rogue_datagrams() {
-        let mut mesh = MeshShadow::<Echo>::new();
+        let mut mesh = MeshShadow::<u64>::new();
         // Bind the two sockets and learn the receiver's address.
-        mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &Echo(1));
+        mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &1);
         let victim = mesh.addr_of(n(1)).expect("socket bound");
         let rogue = UdpSocket::bind("127.0.0.1:0").expect("bind rogue");
         let mut forged = Vec::new();
-        Echo(0xDEAD).wire_encode(&mut forged);
+        0xDEAD_u64.wire_encode(&mut forged);
         let noise = vec![0xA5; 65_507];
         // What a rogue (not on any link to n1) plants in n1's socket
         // buffer ahead of each transfer: a well-formed forgery, an empty
@@ -371,7 +347,7 @@ mod tests {
             (&forged, 2 * u64::from(READ_BUDGET)),
         ];
         let mut planted = 0;
-        for (authentic, (payload, copies)) in (2..).map(Echo).zip(plants) {
+        for (authentic, (payload, copies)) in (2u64..).zip(plants) {
             for _ in 0..copies {
                 rogue.send_to(payload, victim).expect("send forged");
             }
@@ -386,24 +362,24 @@ mod tests {
 
     #[test]
     fn reused_nodes_keep_their_sockets() {
-        let mut mesh = MeshShadow::<Echo>::new();
-        mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &Echo(1));
+        let mut mesh = MeshShadow::<u64>::new();
+        mesh.carry(&[n(0), n(1)], MsgCategory::Configuration, &1);
         let a0 = mesh.addr_of(n(0));
-        mesh.carry(&[n(1), n(0)], MsgCategory::Configuration, &Echo(2));
+        mesh.carry(&[n(1), n(0)], MsgCategory::Configuration, &2);
         assert_eq!(mesh.addr_of(n(0)), a0);
         assert_eq!(mesh.socket_count(), 2);
     }
 
     #[test]
     fn two_meshes_over_the_same_nodes_stay_apart() {
-        let mut a = MeshShadow::<Echo>::new();
-        let mut b = MeshShadow::<Echo>::new();
+        let mut a = MeshShadow::<u64>::new();
+        let mut b = MeshShadow::<u64>::new();
         for i in 0..50 {
-            let (x, y) = (n(u64::from(i) % 3), n(u64::from(i + 1) % 3));
-            let got = a.carry(&[x, y], MsgCategory::Configuration, &Echo(i));
-            assert_eq!(got, Echo(i));
-            let got = b.carry(&[y, x], MsgCategory::Configuration, &Echo(!i));
-            assert_eq!(got, Echo(!i));
+            let (x, y) = (n(i % 3), n((i + 1) % 3));
+            let got = a.carry(&[x, y], MsgCategory::Configuration, &i);
+            assert_eq!(got, i);
+            let got = b.carry(&[y, x], MsgCategory::Configuration, &!i);
+            assert_eq!(got, !i);
         }
         for node in 0..3 {
             assert_ne!(a.addr_of(n(node)), b.addr_of(n(node)), "one socket each");
@@ -418,10 +394,10 @@ mod tests {
 
     #[test]
     fn a_line_of_64_nodes_costs_63_datagrams() {
-        let mut mesh = MeshShadow::<Echo>::new();
+        let mut mesh = MeshShadow::<u64>::new();
         let path: Vec<NodeId> = (0..64).map(n).collect();
-        let got = mesh.carry(&path, MsgCategory::Maintenance, &Echo(0x0BAD_CAFE));
-        assert_eq!(got, Echo(0x0BAD_CAFE));
+        let got = mesh.carry(&path, MsgCategory::Maintenance, &0x0BAD_CAFE);
+        assert_eq!(got, 0x0BAD_CAFE);
         assert_eq!(mesh.stats().datagrams, 63, "one datagram per link");
         assert_eq!(mesh.socket_count(), 64);
     }

@@ -7,24 +7,9 @@
 
 #![cfg(target_os = "linux")]
 
-use manet_sim::{NodeId, WireMsg, WireShadow};
+use manet_sim::{NodeId, WireShadow};
 use proto_io::MsgCategory;
 use transport_mesh::MeshShadow;
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Seq(u32);
-
-impl proto_io::ProtoMsg for Seq {}
-
-impl WireMsg for Seq {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_be_bytes());
-    }
-    fn wire_decode(bytes: &[u8]) -> Result<Self, String> {
-        let arr: [u8; 4] = bytes.try_into().map_err(|_| "need 4 bytes".to_string())?;
-        Ok(Seq(u32::from_be_bytes(arr)))
-    }
-}
 
 /// The `Threads:` line of `/proc/self/status`.
 fn os_threads() -> u32 {
@@ -40,12 +25,12 @@ fn os_threads() -> u32 {
 fn a_mesh_run_starts_no_threads() {
     const NODES: u64 = 20;
     let before = os_threads();
-    let mut mesh = MeshShadow::<Seq>::new();
-    for i in 0..200u32 {
-        let from = NodeId::new(u64::from(i) % NODES);
-        let to = NodeId::new((u64::from(i) * 7 + 3) % NODES);
-        let got = mesh.carry(&[from, to], MsgCategory::Maintenance, &Seq(i));
-        assert_eq!(got, Seq(i));
+    let mut mesh = MeshShadow::<u64>::new();
+    for i in 0..200u64 {
+        let from = NodeId::new(i % NODES);
+        let to = NodeId::new((i * 7 + 3) % NODES);
+        let got = mesh.carry(&[from, to], MsgCategory::Maintenance, &i);
+        assert_eq!(got, i);
     }
     assert_eq!(mesh.socket_count(), NODES as usize);
     assert_eq!(mesh.stats().datagrams, 200);

@@ -8,32 +8,8 @@
 //! cancel-after-fire, once per backend, and demands the identical
 //! `(virtual-time, tag)` firing sequence.
 
-use manet_sim::{
-    Net, NodeId, Point, ProtocolCore, Sim, SimDuration, TimerId, WireMsg, WorldConfig,
-};
+use manet_sim::{Net, NodeId, Point, ProtocolCore, Sim, SimDuration, TimerId, WorldConfig};
 use transport_mesh::MeshShadow;
-
-/// One-byte probe message with a trivial wire codec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Ping(u8);
-
-impl proto_io::ProtoMsg for Ping {
-    fn canon(&self, out: &mut Vec<u8>) {
-        out.push(self.0);
-    }
-}
-
-impl WireMsg for Ping {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.push(self.0);
-    }
-    fn wire_decode(bytes: &[u8]) -> Result<Self, String> {
-        match bytes {
-            [b] => Ok(Ping(*b)),
-            other => Err(format!("ping is one byte, got {}", other.len())),
-        }
-    }
-}
 
 /// Flood-on-join; every received ping arms a duplicate pair of timers
 /// (one cancelled), a zero-delay timer, and replies once.
@@ -45,26 +21,26 @@ struct TimerPing {
 }
 
 impl ProtocolCore for TimerPing {
-    type Msg = Ping;
+    type Msg = u8;
 
-    fn on_join(&mut self, w: &mut Net<'_, Ping>, node: NodeId) {
-        let _ = w.flood(node, proto_io::MsgCategory::Configuration, Ping(1));
+    fn on_join(&mut self, w: &mut Net<'_, u8>, node: NodeId) {
+        let _ = w.flood(node, proto_io::MsgCategory::Configuration, 1);
     }
 
-    fn on_message(&mut self, w: &mut Net<'_, Ping>, to: NodeId, from: NodeId, msg: Ping) {
+    fn on_message(&mut self, w: &mut Net<'_, u8>, to: NodeId, from: NodeId, msg: u8) {
         // Duplicate arm: both twins would fire; cancel the first.
         let a = w.set_timer(to, SimDuration::from_millis(10), 10);
         let _b = w.set_timer(to, SimDuration::from_millis(10), 10);
         w.cancel_timer(a);
         // Zero-delay: fires this instant, after this handler returns.
         self.last_id = Some(w.set_timer(to, SimDuration::ZERO, 20));
-        if msg.0 == 1 && !self.replied {
+        if msg == 1 && !self.replied {
             self.replied = true;
-            let _ = w.unicast(to, from, proto_io::MsgCategory::Configuration, Ping(2));
+            let _ = w.unicast(to, from, proto_io::MsgCategory::Configuration, 2);
         }
     }
 
-    fn on_timer(&mut self, w: &mut Net<'_, Ping>, _node: NodeId, tag: u64) {
+    fn on_timer(&mut self, w: &mut Net<'_, u8>, _node: NodeId, tag: u64) {
         self.fired.push((w.now().as_micros(), tag));
         if tag == 20 {
             // Cancel-after-fire: our own id already fired; must be inert.
@@ -83,7 +59,7 @@ fn run(mesh: bool) -> Vec<(u64, u64)> {
     let mut sim = Sim::new(config, TimerPing::default());
     if mesh {
         sim.world_mut()
-            .set_wire_shadow(Box::new(MeshShadow::<Ping>::new()));
+            .set_wire_shadow(Box::new(MeshShadow::<u8>::new()));
     }
     // A 3-node line under the default radio range; both backends see
     // the same link map, the mesh just carries each hop over UDP.
