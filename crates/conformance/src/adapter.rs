@@ -72,8 +72,9 @@ pub fn partition_free(plan: &FaultPlan) -> bool {
 /// Exposes a protocol's allocation state to the conformance checker.
 ///
 /// The default methods cover stateless protocols (no pools, no
-/// replicas); pool-owning protocols override [`pool_views`] and the
-/// quorum protocol additionally overrides [`stamp_views`].
+/// replicas); pool-owning protocols override [`pool_views`] and
+/// [`leak_audit`], and the quorum protocol additionally overrides
+/// [`stamp_views`].
 ///
 /// The three views are the checker's memo key: it re-evaluates a
 /// section only when the view it reads differs from the one the
@@ -98,6 +99,7 @@ pub fn partition_free(plan: &FaultPlan) -> bool {
 /// [`pool_views`]: ConformanceAdapter::pool_views
 /// [`stamp_views`]: ConformanceAdapter::stamp_views
 /// [`views_generation`]: ConformanceAdapter::views_generation
+/// [`leak_audit`]: ConformanceAdapter::leak_audit
 pub trait ConformanceAdapter: ProtocolCore + Sized {
     /// A fresh instance with default parameters.
     fn fresh() -> Self;
@@ -129,6 +131,14 @@ pub trait ConformanceAdapter: ProtocolCore + Sized {
     /// it.
     fn views_generation(&self) -> Option<u64> {
         None
+    }
+
+    /// `(leaked, tracked)` units of allocation state still held by
+    /// dead nodes: what the chaos suite's leak table reports. The
+    /// default, `(0, 0)`, is a protocol that tracks no such state.
+    fn leak_audit(&self, w: &World<Self::Msg>) -> (u64, u64) {
+        let _ = w;
+        (0, 0)
     }
 }
 

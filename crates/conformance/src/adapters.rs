@@ -88,6 +88,10 @@ impl ConformanceAdapter for Qbac {
     fn views_generation(&self) -> Option<u64> {
         Some(self.allocation_version())
     }
+
+    fn leak_audit(&self, w: &World<Self::Msg>) -> (u64, u64) {
+        Qbac::leak_audit(self, w)
+    }
 }
 
 /// Drops nodes the fault plan designates as attackers from a checked
@@ -156,6 +160,10 @@ impl ConformanceAdapter for ManetConf {
     fn views_generation(&self) -> Option<u64> {
         Some(self.allocation_version())
     }
+
+    fn leak_audit(&self, w: &World<Self::Msg>) -> (u64, u64) {
+        ManetConf::leak_audit(self, w)
+    }
 }
 
 impl ConformanceAdapter for Buddy {
@@ -182,6 +190,10 @@ impl ConformanceAdapter for Buddy {
     fn views_generation(&self) -> Option<u64> {
         Some(self.allocation_version())
     }
+
+    fn leak_audit(&self, w: &World<Self::Msg>) -> (u64, u64) {
+        Buddy::leak_audit(self, w)
+    }
 }
 
 impl ConformanceAdapter for CTree {
@@ -207,6 +219,10 @@ impl ConformanceAdapter for CTree {
 
     fn views_generation(&self) -> Option<u64> {
         Some(self.allocation_version())
+    }
+
+    fn leak_audit(&self, w: &World<Self::Msg>) -> (u64, u64) {
+        CTree::leak_audit(self, w)
     }
 }
 

@@ -91,6 +91,10 @@ impl ConformanceAdapter for HardenedQbac {
     fn views_generation(&self) -> Option<u64> {
         <Qbac as ConformanceAdapter>::views_generation(&self.0)
     }
+
+    fn leak_audit(&self, w: &World<Msg>) -> (u64, u64) {
+        <Qbac as ConformanceAdapter>::leak_audit(&self.0, w)
+    }
 }
 
 /// One pinned adversarial schedule proving the oracle sees an attack

@@ -26,12 +26,12 @@
 //! * **`stamp-monotonic`** — per `(holder, owner, addr)` replica
 //!   record, the version stamp never decreases (§II-C).
 //!
-//! Protocols plug in through the [`ConformanceAdapter`] trait, which
-//! also declares the protocol's *guarantee envelope* per fault plan:
-//! the baselines genuinely lose uniqueness under lossy links (that is
-//! the paper's point), so the oracle only holds each protocol to what
-//! it claims. The quorum protocol claims uniqueness, grant stability,
-//! and stamp monotonicity under every plan (see [`adapters`] for the
+//! Protocols plug in through the [`ConformanceAdapter`] trait, are
+//! named in [`registry`] ([`for_protocol!`]), and declare a *guarantee
+//! envelope* per fault plan: the baselines genuinely lose uniqueness
+//! under lossy links (that is the paper's point), so the oracle only
+//! holds each protocol to what it claims. The quorum protocol claims
+//! uniqueness, grant stability, and stamp monotonicity under every plan (see [`adapters`] for the
 //! two envelope concessions the oracle itself motivated).
 //!
 //! Drive the oracle with [`drive::run_check`] under the seeded chaos

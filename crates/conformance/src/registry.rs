@@ -1,16 +1,65 @@
-//! Name-keyed dispatch over every checkable protocol, the canned chaos
-//! schedules, and the artifact replay entry point.
+//! The protocol registry — which protocols exist, what each is called
+//! and which type each name picks ([`for_protocol!`](crate::for_protocol),
+//! the workspace's one name-to-type dispatch) — plus the canned chaos
+//! schedules and the artifact replay entry point.
+//!
+//! Adding a protocol is one arm in the macro, one
+//! [`ConformanceAdapter`](crate::ConformanceAdapter) impl, and its name
+//! in [`CHECKABLE`] (and in [`PROTOCOLS`] if the paper's grid compares
+//! it).
 
 use crate::artifact::Artifact;
-use crate::broken::DoubleGrant;
 use crate::drive::{run_check, CheckConfig, CheckOutcome};
 use crate::shrink::shrink;
-use baselines::buddy::Buddy;
-use baselines::ctree::CTree;
-use baselines::dad::QueryDad;
-use baselines::manetconf::ManetConf;
 use manet_sim::faults::FaultPlan;
-use qbac_core::Qbac;
+
+// The registered types, at the paths `for_protocol!` names them by.
+#[doc(hidden)]
+pub use crate::{DoubleGrant, HardenedQbac};
+#[doc(hidden)]
+pub use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
+#[doc(hidden)]
+pub use qbac_core::Qbac;
+
+/// Evaluates `$body` with the type alias `$P` bound to the protocol
+/// registered under the name `$name` (a `&str`): `Some($body)`, or
+/// `None` for a name the registry does not know.
+///
+/// It expands to one `match` with a monomorphised copy of `$body` per
+/// arm, so the name is matched once per call, never inside the run
+/// `$body` drives. Every type it binds implements
+/// [`ConformanceAdapter`](crate::ConformanceAdapter): `$P::fresh()`
+/// builds the registered instance.
+///
+/// ```
+/// use conformance::{for_protocol, ConformanceAdapter};
+///
+/// assert_eq!(for_protocol!("ctree", P => P::name()), Some("ctree"));
+/// assert_eq!(for_protocol!("bogus", P => P::name()), None);
+/// ```
+#[macro_export]
+macro_rules! for_protocol {
+    ($name:expr, $P:ident => $body:expr) => {
+        $crate::for_protocol!(@arms $name, $P, $body,
+            "quorum" => Qbac,
+            "quorum-hardened" => HardenedQbac,
+            "manetconf" => ManetConf,
+            "buddy" => Buddy,
+            "ctree" => CTree,
+            "dad" => QueryDad,
+            "broken-doublegrant" => DoubleGrant,
+        )
+    };
+    (@arms $name:expr, $P:ident, $body:expr, $($key:literal => $T:ident,)*) => {
+        match $name {
+            $($key => {
+                type $P = $crate::registry::$T;
+                Some($body)
+            })*
+            _ => None,
+        }
+    };
+}
 
 /// The five real protocols, by registry name.
 pub const PROTOCOLS: [&str; 5] = ["quorum", "manetconf", "buddy", "ctree", "dad"];
@@ -82,16 +131,7 @@ pub fn chaos_schedules() -> Vec<NamedSchedule> {
 /// `protocol`, or `None` for an unknown name.
 #[must_use]
 pub fn run_named(protocol: &str, cfg: &CheckConfig) -> Option<CheckOutcome> {
-    Some(match protocol {
-        "quorum" => run_check::<Qbac>(cfg),
-        "quorum-hardened" => run_check::<crate::attacks::HardenedQbac>(cfg),
-        "manetconf" => run_check::<ManetConf>(cfg),
-        "buddy" => run_check::<Buddy>(cfg),
-        "ctree" => run_check::<CTree>(cfg),
-        "dad" => run_check::<QueryDad>(cfg),
-        "broken-doublegrant" => run_check::<DoubleGrant>(cfg),
-        _ => return None,
-    })
+    for_protocol!(protocol, P => run_check::<P>(cfg))
 }
 
 /// Shrinks a failing run of `protocol` under `cfg` to a minimal
@@ -101,9 +141,6 @@ pub fn run_named(protocol: &str, cfg: &CheckConfig) -> Option<CheckOutcome> {
 /// (there is nothing to shrink).
 #[must_use]
 pub fn shrink_named(protocol: &str, cfg: &CheckConfig) -> Option<Artifact> {
-    if !CHECKABLE.contains(&protocol) {
-        return None;
-    }
     let fails = |c: &CheckConfig| run_named(protocol, c).and_then(|o| o.violation);
     fails(cfg)?;
     let (small, v) = shrink(cfg, fails);
@@ -161,7 +198,7 @@ pub fn replay_check(text: &str) -> Result<Artifact, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::clean_links;
+    use crate::adapter::{clean_links, ConformanceAdapter};
 
     #[test]
     fn schedules_are_well_formed() {
@@ -194,6 +231,18 @@ mod tests {
         assert!(shrink_named("bogus", &cfg).is_none());
         for name in CHECKABLE {
             assert!(run_named(name, &cfg).is_some(), "{name} dispatches");
+        }
+    }
+
+    /// Every checkable name dispatches to an adapter that calls itself
+    /// by that name, and the paper's grid is a subset of them.
+    #[test]
+    fn every_registry_key_names_its_adapter() {
+        for name in CHECKABLE {
+            assert_eq!(for_protocol!(name, P => P::name()), Some(name));
+        }
+        for name in PROTOCOLS {
+            assert!(CHECKABLE.contains(&name), "{name} is checkable");
         }
     }
 

@@ -11,11 +11,10 @@
 //! every skipped step and assert they equal the stored ones.
 
 use addrspace::{Addr, PoolView};
-use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
 use conformance::registry::CHECKABLE;
 use conformance::{
-    attack_canaries, chaos_schedules, run_check, step_workload, CheckConfig, CheckOutcome, Checker,
-    ConformanceAdapter, DoubleGrant, Guarantees, HardenedQbac,
+    attack_canaries, chaos_schedules, for_protocol, run_check, step_workload, CheckConfig,
+    CheckOutcome, Checker, ConformanceAdapter, Guarantees,
 };
 use manet_sim::faults::FaultPlan;
 use manet_sim::{NodeId, ProtocolCore, World};
@@ -102,16 +101,7 @@ fn agree<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
 
 /// [`agree`] for the protocol registered as `name`.
 fn agree_named(name: &str, cfg: &CheckConfig) -> CheckOutcome {
-    match name {
-        "quorum" => agree::<Qbac>(cfg),
-        "quorum-hardened" => agree::<HardenedQbac>(cfg),
-        "manetconf" => agree::<ManetConf>(cfg),
-        "buddy" => agree::<Buddy>(cfg),
-        "ctree" => agree::<CTree>(cfg),
-        "dad" => agree::<QueryDad>(cfg),
-        "broken-doublegrant" => agree::<DoubleGrant>(cfg),
-        other => panic!("{other} is checkable but has no case here"),
-    }
+    for_protocol!(name, P => agree::<P>(cfg)).unwrap_or_else(|| panic!("{name} is not registered"))
 }
 
 #[test]

@@ -487,8 +487,8 @@ fn run_scale_mode(args: &Args) -> Outcome {
     for c in &report.cells {
         eprintln!(
             "scale n={} shards={} configured={} sim={}s wall={}s",
-            c.nn,
-            c.shards,
+            c.params.nn,
+            c.reps,
             c.metrics.configured_nodes(),
             c.sim_us / 1_000_000,
             c.wall_us / 1_000_000,

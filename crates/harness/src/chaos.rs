@@ -14,18 +14,20 @@
 //!   reclamation catches up);
 //! * **join-latency inflation** — how much the mean configuration
 //!   latency grows versus a fault-free run of the same workload.
+//!
+//! The protocols are the pool-owning ones, picked by registry name
+//! ([`conformance::for_protocol!`]) and read through their
+//! [`ConformanceAdapter`]: `assigned_pairs` for the duplicates,
+//! `leak_audit` for the leak rate.
 
 use crate::figures::FigOpts;
 use crate::scenario::{parallel_rounds, run_scenario, Scenario};
 use crate::stats::mean;
 use crate::Table;
 use addrspace::Addr;
-use baselines::buddy::Buddy;
-use baselines::ctree::CTree;
-use baselines::manetconf::ManetConf;
-use manet_sim::{FaultPlan, NodeId, ProtocolCore, SimDuration, World};
+use conformance::{for_protocol, ConformanceAdapter};
+use manet_sim::{FaultPlan, NodeId, SimDuration, World};
 use proto_io::IdMap;
-use qbac_core::{ProtocolConfig, Qbac};
 
 /// Options of the chaos suite.
 #[derive(Debug, Clone)]
@@ -62,62 +64,15 @@ impl ChaosOpts {
     }
 }
 
-/// A protocol the chaos suite can audit generically.
-trait ChaosSubject: ProtocolCore + Sized {
-    fn fresh() -> Self;
-    /// `(node, address)` of every alive configured node.
-    fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)>;
-    /// `(leaked, tracked)` allocation-state units held by dead nodes.
-    fn leak_pair(&self, w: &World<Self::Msg>) -> (u64, u64);
-}
-
-impl ChaosSubject for Qbac {
-    fn fresh() -> Self {
-        Qbac::new(ProtocolConfig::default())
-    }
-    fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
-        self.assigned(w)
-    }
-    fn leak_pair(&self, w: &World<Self::Msg>) -> (u64, u64) {
-        self.leak_audit(w)
-    }
-}
-
-impl ChaosSubject for ManetConf {
-    fn fresh() -> Self {
-        ManetConf::default()
-    }
-    fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
-        self.assigned(w)
-    }
-    fn leak_pair(&self, w: &World<Self::Msg>) -> (u64, u64) {
-        self.leak_audit(w)
-    }
-}
-
-impl ChaosSubject for Buddy {
-    fn fresh() -> Self {
-        Buddy::default()
-    }
-    fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
-        self.assigned(w)
-    }
-    fn leak_pair(&self, w: &World<Self::Msg>) -> (u64, u64) {
-        self.leak_audit(w)
-    }
-}
-
-impl ChaosSubject for CTree {
-    fn fresh() -> Self {
-        CTree::default()
-    }
-    fn assigned_pairs(&self, w: &World<Self::Msg>) -> Vec<(NodeId, Addr)> {
-        self.assigned(w)
-    }
-    fn leak_pair(&self, w: &World<Self::Msg>) -> (u64, u64) {
-        self.leak_audit(w)
-    }
-}
+/// The protocols the suite audits, by registry name, with their
+/// column labels: the pool-owning ones, whose leaks a head kill can
+/// strand.
+const AUDITED: [(&str, &str); 4] = [
+    ("quorum", "quorum"),
+    ("manetconf", "MANETconf"),
+    ("buddy", "buddy"),
+    ("ctree", "C-tree"),
+];
 
 /// What one chaos run measured.
 struct CellOutcome {
@@ -187,10 +142,10 @@ fn chaos_scenario(opts: &ChaosOpts, loss: f64, seed: u64) -> Scenario {
     s
 }
 
-fn run_cell<P: ChaosSubject>(opts: &ChaosOpts, loss: f64, seed: u64) -> CellOutcome {
+fn run_cell<P: ConformanceAdapter>(opts: &ChaosOpts, loss: f64, seed: u64) -> CellOutcome {
     let mut report = run_scenario(&chaos_scenario(opts, loss, seed), P::fresh());
     let assigned = report.protocol().assigned_pairs(report.world());
-    let (leaked, tracked) = report.protocol().leak_pair(report.world());
+    let (leaked, tracked) = report.protocol().leak_audit(report.world());
     let duplicates = count_duplicates(report.sim_mut().world_mut(), &assigned) as f64;
     CellOutcome {
         duplicates,
@@ -208,8 +163,7 @@ fn run_cell<P: ChaosSubject>(opts: &ChaosOpts, loss: f64, seed: u64) -> CellOutc
 /// every run.
 #[must_use]
 pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
-    let protocols = ["quorum", "MANETconf", "buddy", "C-tree"];
-    let columns: Vec<String> = protocols.iter().map(|s| (*s).to_string()).collect();
+    let columns: Vec<String> = AUDITED.iter().map(|(_, l)| l.to_string()).collect();
     let kills = opts.head_kills;
 
     let mut dup_table = Table::new(
@@ -235,21 +189,11 @@ pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
             extra_plan: None,
             ..opts.clone()
         };
-        [
-            latency_over_rounds::<Qbac>(&quiet, 0.0),
-            latency_over_rounds::<ManetConf>(&quiet, 0.0),
-            latency_over_rounds::<Buddy>(&quiet, 0.0),
-            latency_over_rounds::<CTree>(&quiet, 0.0),
-        ]
+        AUDITED.map(|(name, _)| mean(&cells_over_rounds(name, &quiet, 0.0).2))
     };
 
     for loss in opts.loss_sweep() {
-        let cells = [
-            cells_over_rounds::<Qbac>(opts, loss),
-            cells_over_rounds::<ManetConf>(opts, loss),
-            cells_over_rounds::<Buddy>(opts, loss),
-            cells_over_rounds::<CTree>(opts, loss),
-        ];
+        let cells = AUDITED.map(|(name, _)| cells_over_rounds(name, opts, loss));
         let x = format!("{:.0}", loss * 100.0);
         dup_table.push_row(x.clone(), cells.iter().map(|c| mean(&c.0)).collect());
         leak_table.push_row(x.clone(), cells.iter().map(|c| mean(&c.1)).collect());
@@ -280,15 +224,13 @@ pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
     vec![dup_table, leak_table, lat_table]
 }
 
-/// Per-round `(duplicates, leak%, latencies)` samples for one protocol
-/// at one loss rate.
-fn cells_over_rounds<P: ChaosSubject>(
-    opts: &ChaosOpts,
-    loss: f64,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let outcomes = parallel_rounds(opts.fig.rounds, opts.fig.seed, |s| {
+/// Per-round `(duplicates, leak%, latencies)` samples for the protocol
+/// registered as `name` at one loss rate.
+fn cells_over_rounds(name: &str, opts: &ChaosOpts, loss: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let outcomes = for_protocol!(name, P => parallel_rounds(opts.fig.rounds, opts.fig.seed, |s| {
         run_cell::<P>(opts, loss, s)
-    });
+    }))
+    .unwrap_or_else(|| panic!("{name} is not registered"));
     let mut dups = Vec::new();
     let mut leaks = Vec::new();
     let mut lats = Vec::new();
@@ -302,14 +244,11 @@ fn cells_over_rounds<P: ChaosSubject>(
     (dups, leaks, lats)
 }
 
-fn latency_over_rounds<P: ChaosSubject>(opts: &ChaosOpts, loss: f64) -> f64 {
-    let (_, _, lats) = cells_over_rounds::<P>(opts, loss);
-    mean(&lats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::{buddy::Buddy, ctree::CTree, manetconf::ManetConf};
+    use qbac_core::Qbac;
 
     fn quick_opts() -> ChaosOpts {
         ChaosOpts {
@@ -355,6 +294,24 @@ mod tests {
         for (ta, tb) in a.iter().zip(&b) {
             assert_eq!(ta.rows, tb.rows);
         }
+    }
+
+    /// What the leak table reads through the adapter is the protocol's
+    /// own audit, on a lossy run with head kills.
+    fn audit_matches<P: ConformanceAdapter>(own: fn(&P, &World<P::Msg>) -> (u64, u64)) {
+        let report = run_scenario(&chaos_scenario(&quick_opts(), 0.2, 7), P::fresh());
+        let (p, w) = (report.protocol(), report.world());
+        let audit = p.leak_audit(w);
+        assert!(audit.1 > 0, "{} tracks allocation state", P::name());
+        assert_eq!(audit, own(p, w), "{}", P::name());
+    }
+
+    #[test]
+    fn adapters_report_the_protocols_own_leak_audit() {
+        audit_matches::<Qbac>(Qbac::leak_audit);
+        audit_matches::<ManetConf>(ManetConf::leak_audit);
+        audit_matches::<Buddy>(Buddy::leak_audit);
+        audit_matches::<CTree>(CTree::leak_audit);
     }
 
     #[test]

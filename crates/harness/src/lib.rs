@@ -40,7 +40,7 @@ pub use json::Value;
 pub use mesh_equiv::{mesh_equiv_suite, EquivCell};
 pub use oracle::{check_suite, CheckCell};
 pub use render::Table;
-pub use scale::{run_scale, ScaleCell, ScaleConfig, ScaleReport};
+pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use scenario::{
     run_scenario, run_scenario_with, RunMeasurements, RunReport, Scenario, ScenarioBuilder,
     ScenarioError,

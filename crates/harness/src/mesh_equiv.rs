@@ -11,11 +11,13 @@
 //! suite in `tests/transcript_equiv.rs`: same differential, run on the
 //! pinned conformance schedules (the §IV storm plus an attack canary)
 //! so CI and humans get a one-line verdict per cell and a minimized
-//! first-divergence report on failure.
+//! first-divergence report on failure. Cells name their protocol;
+//! [`conformance::for_protocol!`] picks the type, whose adapter's
+//! `fresh()` builds both legs.
 
 use crate::scenario::{run_scenario_with, Scenario};
-use manet_sim::{EventLog, FaultPlan, ProtocolCore};
-use proto_io::WireMsg;
+use conformance::ConformanceAdapter;
+use manet_sim::{EventLog, FaultPlan};
 use transport_mesh::{MeshShadow, MeshStats};
 
 /// One protocol × schedule equivalence run.
@@ -86,12 +88,12 @@ fn scenario_for(cell: &Cell, quick: bool) -> Scenario {
         .expect("equivalence scenarios are in-domain")
 }
 
-fn run_both<P>(scenario: &Scenario, fresh: impl Fn() -> P) -> (EventLog, EventLog, MeshStats)
+fn run_both<P>(scenario: &Scenario) -> (EventLog, EventLog, MeshStats)
 where
-    P: ProtocolCore,
-    P::Msg: WireMsg + 'static,
+    P: ConformanceAdapter,
+    P::Msg: 'static,
 {
-    let mut sim_report = run_scenario_with(scenario, fresh(), |sim| {
+    let mut sim_report = run_scenario_with(scenario, P::fresh(), |sim| {
         sim.world_mut().enable_transcript();
     });
     let sim_side = sim_report
@@ -102,7 +104,7 @@ where
 
     let shadow = MeshShadow::<P::Msg>::new();
     let stats = shadow.stats_handle();
-    let mut mesh_report = run_scenario_with(scenario, fresh(), |sim| {
+    let mut mesh_report = run_scenario_with(scenario, P::fresh(), |sim| {
         sim.world_mut().enable_transcript();
         sim.world_mut().set_wire_shadow(Box::new(shadow));
     });
@@ -116,19 +118,9 @@ where
 
 fn run_cell(cell: &Cell, quick: bool) -> EquivCell {
     let scenario = scenario_for(cell, quick);
-    let (sim_side, mesh_side, stats) = match cell.protocol {
-        "quorum" => run_both(&scenario, || {
-            qbac_core::Qbac::new(qbac_core::ProtocolConfig::default())
-        }),
-        "quorum-hardened" => run_both(&scenario, || {
-            qbac_core::Qbac::new(qbac_core::ProtocolConfig {
-                harden: true,
-                ..qbac_core::ProtocolConfig::default()
-            })
-        }),
-        "dad" => run_both(&scenario, baselines::dad::QueryDad::default),
-        other => unreachable!("no wire codec registered for {other}"),
-    };
+    let (sim_side, mesh_side, stats) =
+        conformance::for_protocol!(cell.protocol, P => run_both::<P>(&scenario))
+            .unwrap_or_else(|| panic!("{} is not registered", cell.protocol));
     // No diff means byte-identical renderings, so one fingerprint is
     // both sides'.
     let diff = sim_side.diff(&mesh_side);

@@ -274,6 +274,17 @@ mod tests {
         assert!(line.starts_with("FAIL"), "{line}");
     }
 
+    /// An artifact that parses but names no registered protocol fails
+    /// at dispatch, by name.
+    #[test]
+    fn replay_of_an_unknown_protocol_names_it() {
+        let text = "# qbac conformance failing-schedule artifact v1\nprotocol: bogus\n\
+                    nodes: 3\nseed: 11\ninvariant: addr-unique\nstep: 26\ndetail: -\nplan:\nloss 0.15\n";
+        assert!(Artifact::parse(text).is_ok());
+        let fail = "FAIL  replay: unknown protocol \"bogus\"";
+        assert_eq!(replay_file(text), (fail.to_string(), false));
+    }
+
     #[test]
     fn broken_protocol_cell_yields_writable_artifact() {
         // One cell of what the suite does on failure, kept small: the

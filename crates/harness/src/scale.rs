@@ -17,8 +17,12 @@
 //! one thread or sixteen. Wall-clock fields render as 0 under
 //! `REPRO_NO_WALL_CLOCK=1`; the fingerprint always covers the zeroed
 //! form.
+//!
+//! A cell is a sweep [`CellResult`] with no flows, written by the
+//! sweep's one cell writer, so `repro gate` reads both artifacts alike.
 
 use crate::scenario::{run_scenario, Scenario};
+use crate::sweep::{write_cells, CellParams, CellResult};
 use manet_sim::Metrics;
 use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
@@ -55,22 +59,6 @@ impl Default for ScaleConfig {
     }
 }
 
-/// One size's merged telemetry.
-#[derive(Debug, Clone)]
-pub struct ScaleCell {
-    /// Total node count across the cell's shards.
-    pub nn: usize,
-    /// Number of shards the cell decomposed into.
-    pub shards: usize,
-    /// Metrics merged across shards in ascending shard order.
-    pub metrics: Metrics,
-    /// Simulated microseconds, summed over shards (deterministic).
-    pub sim_us: u64,
-    /// Wall-clock microseconds for the cell (non-deterministic; zeroed
-    /// in the deterministic rendering).
-    pub wall_us: u64,
-}
-
 /// A completed scale run, ready to render as `BENCH_scale.json`.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
@@ -80,8 +68,9 @@ pub struct ScaleReport {
     pub shard_nn: usize,
     /// Whether the quick drive was active.
     pub quick: bool,
-    /// One cell per requested size, in request order.
-    pub cells: Vec<ScaleCell>,
+    /// One cell per requested size, in request order: a sweep cell
+    /// with no flows, whose `reps` counts the shards merged into it.
+    pub cells: Vec<CellResult>,
     /// Shards that panicked: `(cell key, shard index, message)`.
     pub failed: Vec<(String, usize, String)>,
     /// Total wall-clock, microseconds.
@@ -131,12 +120,6 @@ fn run_shard(nn: usize, seed: u64, quick: bool) -> (Metrics, u64) {
     (report.into_measurements().metrics, sim_us)
 }
 
-/// Stable cell key, mirroring the sweep grammar so `repro gate` can
-/// compare scale artifacts cell-by-cell.
-fn cell_key(nn: usize) -> String {
-    format!("quorum/n{nn}/v0/random-waypoint/loss0/scale-storm")
-}
-
 /// Runs the whole scale config: every size's shard fan-out.
 #[must_use]
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
@@ -158,13 +141,23 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         let (ci, si, nn) = jobs[j];
         run_shard(nn, mix_seed(cfg.base_seed, cfg.sizes[ci], si), cfg.quick)
     });
-    let mut cells: Vec<ScaleCell> = cfg
+    let mut cells: Vec<CellResult> = cfg
         .sizes
         .iter()
-        .map(|&n| ScaleCell {
-            nn: n,
-            shards: 0,
+        .map(|&n| CellResult {
+            // The sweep grammar's coordinates, so `repro gate` compares
+            // scale artifacts cell by cell.
+            params: CellParams {
+                protocol: "quorum".into(),
+                nn: n,
+                speed: 0.0,
+                mobility: "random-waypoint".into(),
+                loss: 0.0,
+                plan: "scale-storm".into(),
+            },
+            reps: 0,
             metrics: Metrics::new(),
+            flows: Vec::new(),
             sim_us: 0,
             wall_us: 0,
         })
@@ -178,9 +171,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             Ok((m, sim_us)) => {
                 cells[ci].metrics.merge(&m);
                 cells[ci].sim_us += sim_us;
-                cells[ci].shards += 1;
+                cells[ci].reps += 1;
             }
-            Err(msg) => failed.push((cell_key(cfg.sizes[ci]), si, msg)),
+            Err(msg) => failed.push((cells[ci].params.key(), si, msg)),
         }
     }
     let per_cell_wall = t0.elapsed().as_micros() as u64 / cells.len().max(1) as u64;
@@ -197,7 +190,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
-use crate::artifact::{fnv1a, json_usize_list, push_json_str};
+use crate::artifact::{fnv1a, json_usize_list, push_json_str, Artifact};
 
 impl ScaleReport {
     /// Renders the artifact with real wall-clock timings.
@@ -229,31 +222,18 @@ impl ScaleReport {
     /// Everything up to (and excluding) the fingerprint field. The
     /// thread count is deliberately absent: the artifact must not
     /// depend on how the run executed.
-    fn render_body(&self, zero_walls: bool) -> crate::artifact::Artifact {
-        let mut s = crate::artifact::Artifact::begin();
+    fn render_body(&self, zero_walls: bool) -> Artifact {
+        let mut s = Artifact::begin();
         let _ = write!(
             s,
             ",\"scale\":{{\"base_seed\":{},\"shard_nn\":{},\"quick\":{},\"sizes\":{}}}",
             self.base_seed,
             self.shard_nn,
             self.quick,
-            json_usize_list(&self.cells.iter().map(|c| c.nn).collect::<Vec<_>>()),
+            json_usize_list(&self.cells.iter().map(|c| c.params.nn).collect::<Vec<_>>()),
         );
-        s.push(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(",");
-            }
-            let wall = if zero_walls { 0 } else { c.wall_us };
-            let _ = write!(
-                s,
-                "{{\"protocol\":\"quorum\",\"nn\":{},\"speed\":0,\"mobility\":\"random-waypoint\",\"loss\":0,\"plan\":\"scale-storm\",\"reps\":{},\"sim_us\":{},\"wall_us\":{wall},\"metrics\":{},\"perf\":{},\"flows\":[]}}",
-                c.nn, c.shards, c.sim_us,
-                c.metrics.to_json(),
-                c.metrics.perf().to_json(),
-            );
-        }
-        s.push("],\"failed\":[");
+        write_cells(&mut s, &self.cells, zero_walls);
+        s.push(",\"failed\":[");
         for (i, (key, shard, msg)) in self.failed.iter().enumerate() {
             if i > 0 {
                 s.push(",");
@@ -334,7 +314,7 @@ mod tests {
     fn scale_cells_configure_nodes_and_gate_against_themselves() {
         let r = tiny(0);
         assert_eq!(r.cells.len(), 1);
-        assert_eq!(r.cells[0].shards, 2);
+        assert_eq!(r.cells[0].reps, 2);
         assert!(r.failed.is_empty(), "{:?}", r.failed);
         assert!(
             r.cells[0].metrics.configured_nodes() >= 90,

@@ -7,18 +7,19 @@
 //! * `phases` — per-phase wall-clock timings (the only
 //!   non-deterministic field; `REPRO_NO_WALL_CLOCK=1` or
 //!   [`Snapshot::deterministic_json`] zero it for diffing);
-//! * `protocols` — one canonical observed scenario per protocol:
-//!   per-category counters, fault counters, latency / hop / vote-round /
-//!   retry histograms (p50/p90/p99), and flow-span tallies.
+//! * `protocols` — one canonical observed scenario per protocol of
+//!   [`PROTOCOLS`], in that order: per-category counters, fault
+//!   counters, latency / hop / vote-round / retry histograms
+//!   (p50/p90/p99), and flow-span tallies.
 //!
 //! A trailing `fingerprint` is an FNV-1a hash over the deterministic
 //! rendering, so two runs can be compared by a single line of `jq`.
 
 use crate::scenario::{run_scenario, Scenario};
-use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
+use conformance::registry::PROTOCOLS;
+use conformance::{for_protocol, ConformanceAdapter};
 use manet_sim::observer::all_kinds;
 use manet_sim::{FlowTally, Metrics};
-use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
 
 /// The parameters a snapshot records in its manifest.
@@ -89,46 +90,39 @@ fn canonical_scenario(seed: u64, quick: bool) -> Scenario {
         .expect("canonical scenario is in-domain")
 }
 
-fn observed_run<P: manet_sim::ProtocolCore>(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    p: P,
-) -> ProtocolRun {
-    let report = run_scenario(&canonical_scenario(seed, quick), p);
+fn observed_run<P: ConformanceAdapter>(s: &Scenario) -> ProtocolRun {
+    let report = run_scenario(s, P::fresh());
     let flows = all_kinds()
         .iter()
         .map(|k| (k.to_string(), *report.world().observer().tally(*k)))
         .collect();
     ProtocolRun {
-        name: name.to_string(),
+        name: P::name().to_string(),
         metrics: report.into_measurements().metrics,
         flows,
     }
 }
 
+/// Runs `s` once per protocol of [`PROTOCOLS`], in that order.
+#[must_use]
+pub fn observed_runs(s: &Scenario) -> Vec<ProtocolRun> {
+    PROTOCOLS
+        .iter()
+        .map(|&name| for_protocol!(name, P => observed_run::<P>(s)).expect("registered"))
+        .collect()
+}
+
 /// Runs the canonical observed scenario once per protocol.
 #[must_use]
 pub fn protocol_runs(seed: u64, quick: bool) -> Vec<ProtocolRun> {
-    vec![
-        observed_run("quorum", seed, quick, Qbac::new(ProtocolConfig::default())),
-        observed_run("manetconf", seed, quick, ManetConf::default()),
-        observed_run("buddy", seed, quick, Buddy::default()),
-        observed_run("ctree", seed, quick, CTree::default()),
-        observed_run("dad", seed, quick, QueryDad::default()),
-    ]
+    observed_runs(&canonical_scenario(seed, quick))
 }
 
-fn traced_run<P: manet_sim::ProtocolCore>(
-    name: &str,
-    seed: u64,
-    quick: bool,
-    p: P,
-) -> (String, String) {
+fn traced_run<P: ConformanceAdapter>(seed: u64, quick: bool) -> (String, String) {
     let mut scen = canonical_scenario(seed, quick);
     scen.trace_capacity = 1 << 18;
-    let report = run_scenario(&scen, p);
-    (name.to_string(), report.world().trace().to_jsonl())
+    let report = run_scenario(&scen, P::fresh());
+    (P::name().to_string(), report.world().trace().to_jsonl())
 }
 
 /// Runs the canonical scenario per protocol with tracing + flow spans
@@ -136,13 +130,10 @@ fn traced_run<P: manet_sim::ProtocolCore>(
 /// `repro --trace-out`.
 #[must_use]
 pub fn protocol_traces(seed: u64, quick: bool) -> Vec<(String, String)> {
-    vec![
-        traced_run("quorum", seed, quick, Qbac::new(ProtocolConfig::default())),
-        traced_run("manetconf", seed, quick, ManetConf::default()),
-        traced_run("buddy", seed, quick, Buddy::default()),
-        traced_run("ctree", seed, quick, CTree::default()),
-        traced_run("dad", seed, quick, QueryDad::default()),
-    ]
+    PROTOCOLS
+        .iter()
+        .map(|&name| for_protocol!(name, P => traced_run::<P>(seed, quick)).expect("registered"))
+        .collect()
 }
 
 use crate::artifact::{fnv1a, json_opt_f64, json_opt_u64};

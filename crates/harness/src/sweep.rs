@@ -8,6 +8,11 @@
 //! grid-level rollups, and an FNV-1a fingerprint over the deterministic
 //! rendering.
 //!
+//! A replication picks its protocol type by name through
+//! [`conformance::for_protocol!`], once per run, and builds it with
+//! [`conformance::ConformanceAdapter::fresh`]. The artifact's cell
+//! array has one writer, `write_cells`, which `repro scale` shares.
+//!
 //! Determinism contract: the artifact records nothing about *how* the
 //! sweep executed (thread count, scheduling order, wall time when
 //! zeroed), and cells are keyed by their grid-expansion index — so the
@@ -17,10 +22,9 @@
 //! the fingerprint is always computed over the zeroed form.
 
 use crate::scenario::{run_scenario, Scenario};
-use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
+use conformance::ConformanceAdapter;
 use manet_sim::observer::all_kinds;
 use manet_sim::{FaultPlan, FlowTally, Metrics, MobilityConfig};
-use qbac_core::{ProtocolConfig, Qbac};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -328,25 +332,16 @@ fn run_rep(
     quick: bool,
 ) -> (Metrics, Vec<FlowTally>, u64) {
     let s = p.scenario(plan, seed, quick);
-    macro_rules! run {
-        ($proto:expr) => {{
-            let report = run_scenario(&s, $proto);
-            let flows = all_kinds()
-                .iter()
-                .map(|k| *report.world().observer().tally(*k))
-                .collect();
-            let sim_us = report.world().now().as_micros();
-            (report.into_measurements().metrics, flows, sim_us)
-        }};
-    }
-    match p.protocol.as_str() {
-        "quorum" => run!(Qbac::new(ProtocolConfig::default())),
-        "manetconf" => run!(ManetConf::default()),
-        "buddy" => run!(Buddy::default()),
-        "ctree" => run!(CTree::default()),
-        "dad" => run!(QueryDad::default()),
-        other => panic!("protocol {other:?} vanished from the sweep registry"),
-    }
+    conformance::for_protocol!(p.protocol.as_str(), P => {
+        let report = run_scenario(&s, P::fresh());
+        let flows = all_kinds()
+            .iter()
+            .map(|k| *report.world().observer().tally(*k))
+            .collect();
+        let sim_us = report.world().now().as_micros();
+        (report.into_measurements().metrics, flows, sim_us)
+    })
+    .unwrap_or_else(|| panic!("protocol {:?} vanished from the registry", p.protocol))
 }
 
 /// Runs one cell: `reps` replications merged into one [`CellResult`].
@@ -440,7 +435,41 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
     })
 }
 
-use crate::artifact::{fnv1a, json_f64_list, json_str_list, json_usize_list, push_json_str};
+use crate::artifact::{
+    fnv1a, json_f64_list, json_str_list, json_usize_list, push_json_str, Artifact,
+};
+
+/// Writes the `cells` array: the grammar `sweep.json` and `repro
+/// scale`'s artifact share, so `repro gate` reads both alike.
+pub(crate) fn write_cells(s: &mut Artifact, cells: &[CellResult], zero_walls: bool) {
+    s.push(",\"cells\":[");
+    for (i, c) in cells.iter().enumerate() {
+        if i > 0 {
+            s.push(",");
+        }
+        let p = &c.params;
+        let wall = if zero_walls { 0 } else { c.wall_us };
+        let _ = write!(
+            s,
+            "{{\"protocol\":\"{}\",\"nn\":{},\"speed\":{},\"mobility\":\"{}\",\"loss\":{},\"plan\":\"{}\",\"reps\":{},\"sim_us\":{},\"wall_us\":{wall},\"metrics\":{},\"perf\":{},\"flows\":[",
+            p.protocol, p.nn, p.speed, p.mobility, p.loss, p.plan, c.reps, c.sim_us,
+            c.metrics.to_json(),
+            c.metrics.perf().to_json(),
+        );
+        for (j, (kind, t)) in c.flows.iter().enumerate() {
+            if j > 0 {
+                s.push(",");
+            }
+            let _ = write!(
+                s,
+                "{{\"kind\":\"{kind}\",\"started\":{},\"assigned\":{},\"abandoned\":{},\"finalized\":{},\"retries\":{}}}",
+                t.started, t.assigned, t.abandoned, t.finalized, t.retries
+            );
+        }
+        s.push("]}");
+    }
+    s.push("]");
+}
 
 impl SweepReport {
     /// Renders the artifact with real wall-clock timings.
@@ -474,9 +503,9 @@ impl SweepReport {
 
     /// Everything up to (and excluding) the fingerprint field. Thread
     /// count and execution order are deliberately absent.
-    fn render_body(&self, zero_walls: bool) -> crate::artifact::Artifact {
+    fn render_body(&self, zero_walls: bool) -> Artifact {
         let g = &self.grid;
-        let mut s = crate::artifact::Artifact::begin();
+        let mut s = Artifact::begin();
         let _ = write!(
             s,
             ",\"sweep\":{{\"base_seed\":{},\"reps\":{},\"quick\":{},\"grid\":{{\"protocols\":{},\"sizes\":{},\"speeds\":{},\"mobilities\":{},\"losses\":{},\"plans\":{}}}}}",
@@ -490,33 +519,8 @@ impl SweepReport {
             json_f64_list(&g.losses),
             json_str_list(&g.plans),
         );
-        s.push(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(",");
-            }
-            let p = &c.params;
-            let wall = if zero_walls { 0 } else { c.wall_us };
-            let _ = write!(
-                s,
-                "{{\"protocol\":\"{}\",\"nn\":{},\"speed\":{},\"mobility\":\"{}\",\"loss\":{},\"plan\":\"{}\",\"reps\":{},\"sim_us\":{},\"wall_us\":{wall},\"metrics\":{},\"perf\":{},\"flows\":[",
-                p.protocol, p.nn, p.speed, p.mobility, p.loss, p.plan, c.reps, c.sim_us,
-                c.metrics.to_json(),
-                c.metrics.perf().to_json(),
-            );
-            for (j, (kind, t)) in c.flows.iter().enumerate() {
-                if j > 0 {
-                    s.push(",");
-                }
-                let _ = write!(
-                    s,
-                    "{{\"kind\":\"{kind}\",\"started\":{},\"assigned\":{},\"abandoned\":{},\"finalized\":{},\"retries\":{}}}",
-                    t.started, t.assigned, t.abandoned, t.finalized, t.retries
-                );
-            }
-            s.push("]}");
-        }
-        s.push("],\"failed\":[");
+        write_cells(&mut s, &self.cells, zero_walls);
+        s.push(",\"failed\":[");
         for (i, (key, msg)) in self.failed.iter().enumerate() {
             if i > 0 {
                 s.push(",");

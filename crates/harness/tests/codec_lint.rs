@@ -8,22 +8,13 @@
 //! The one exception is the file that defines the trait, its trivial
 //! impls for `()`, `u8` and `u64`, and the macro.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+mod common;
+use common::rust_sources;
 
 /// Where the trait and the macro live, relative to `crates/`.
 const CODEC_HOME: &str = "proto-io/src/wire.rs";
-
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 #[test]
 fn messages_declare_their_codec_through_the_one_macro() {

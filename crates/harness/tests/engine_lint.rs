@@ -6,19 +6,10 @@
 //! engines; this test keeps `harness` out of that PR's way by failing
 //! the moment a file under `crates/harness/src` names either again.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
+mod common;
+use common::rust_sources;
 
 #[test]
 fn harness_sources_do_not_name_the_alternate_engines() {

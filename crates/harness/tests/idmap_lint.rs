@@ -6,7 +6,10 @@
 //! of every delivery. This test fails the moment a file under the `src/`
 //! of one of those crates names std's `HashMap` or `HashSet` again.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+mod common;
+use common::rust_sources;
 
 const CRATES: [&str; 6] = [
     "manet-sim",
@@ -16,18 +19,6 @@ const CRATES: [&str; 6] = [
     "transport-mesh",
     "harness",
 ];
-
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 #[test]
 fn simulator_crates_do_not_name_std_hash_maps() {

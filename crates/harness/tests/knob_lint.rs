@@ -14,6 +14,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+mod common;
+use common::rust_sources;
+
 /// The config structs and the file that defines each, under `crates/`.
 const CONFIGS: [(&str, &str); 4] = [
     ("ProtocolConfig", "core/src/params.rs"),
@@ -40,18 +43,6 @@ const ALLOWED: [(&str, &str, &str); 3] = [
         "topology_differential's quantum axis reaches the re-key and per-instant paths",
     ),
 ];
-
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display()));
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 /// `text` with comments and the insides of string and char literals
 /// blanked to spaces, so braces and `name:` patterns in them do not

@@ -11,8 +11,9 @@
 //! over a speed-10 conformance workload under the `splitbrain` schedule
 //! (a partition, crashes, a restart and a head kill while nodes move).
 
-use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
-use conformance::{chaos_schedules, step_workload, CheckConfig, Checker, ConformanceAdapter};
+use conformance::{
+    chaos_schedules, for_protocol, step_workload, CheckConfig, Checker, ConformanceAdapter,
+};
 use harness::scenario::{run_scenario_observed, Scenario};
 use harness::SweepGrid;
 use manet_sim::{FaultPlan, Sim, World};
@@ -107,14 +108,10 @@ fn checked_sampled_and_unchecked_sweep_cells_are_one_run() {
     for cell in cells {
         let s = cell.scenario(FaultPlan::default(), grid.base_seed, grid.quick);
         let what = cell.key();
-        match cell.protocol.as_str() {
-            "quorum" => assert_cadence_free(&what, |c| scenario_run::<Qbac>(&s, c)),
-            "manetconf" => assert_cadence_free(&what, |c| scenario_run::<ManetConf>(&s, c)),
-            "buddy" => assert_cadence_free(&what, |c| scenario_run::<Buddy>(&s, c)),
-            "ctree" => assert_cadence_free(&what, |c| scenario_run::<CTree>(&s, c)),
-            "dad" => assert_cadence_free(&what, |c| scenario_run::<QueryDad>(&s, c)),
-            other => panic!("{other} is not in the sweep registry"),
-        }
+        for_protocol!(cell.protocol.as_str(), P => {
+            assert_cadence_free(&what, |c| scenario_run::<P>(&s, c));
+        })
+        .unwrap_or_else(|| panic!("{} is not registered", cell.protocol));
     }
 }
 

@@ -9,6 +9,7 @@
 //! make the suite pass. If one moves, the refactor changed protocol
 //! behavior and the change itself is the bug.
 
+use conformance::{for_protocol, ConformanceAdapter};
 use harness::artifact::fnv1a;
 use harness::scenario::{run_scenario, Scenario};
 use manet_sim::FaultPlan;
@@ -46,8 +47,8 @@ fn probe_scenario() -> Scenario {
         .expect("probe scenario is in-domain")
 }
 
-fn trace_fingerprint<P: manet_sim::ProtocolCore>(protocol: P) -> String {
-    let report = run_scenario(&probe_scenario(), protocol);
+fn trace_fingerprint<P: ConformanceAdapter>() -> String {
+    let report = run_scenario(&probe_scenario(), P::fresh());
     let jsonl = report.world().trace().to_jsonl();
     assert!(!jsonl.is_empty(), "trace captured events");
     format!("fnv1a:{:016x}", fnv1a(jsonl.as_bytes()))
@@ -71,18 +72,8 @@ const PINS: &[(&str, &str)] = &[
 ];
 
 fn fingerprint_of(name: &str) -> String {
-    match name {
-        "quorum" => trace_fingerprint(qbac_core::Qbac::new(qbac_core::ProtocolConfig::default())),
-        "quorum-hardened" => trace_fingerprint(qbac_core::Qbac::new(qbac_core::ProtocolConfig {
-            harden: true,
-            ..qbac_core::ProtocolConfig::default()
-        })),
-        "manetconf" => trace_fingerprint(baselines::manetconf::ManetConf::default()),
-        "buddy" => trace_fingerprint(baselines::buddy::Buddy::default()),
-        "ctree" => trace_fingerprint(baselines::ctree::CTree::default()),
-        "dad" => trace_fingerprint(baselines::dad::QueryDad::default()),
-        other => panic!("unknown protocol {other}"),
-    }
+    for_protocol!(name, P => trace_fingerprint::<P>())
+        .unwrap_or_else(|| panic!("unknown protocol {name}"))
 }
 
 #[test]

@@ -10,10 +10,9 @@
 //! moves and this fails — the optimization is provably
 //! behavior-preserving while it passes.
 
-use harness::scenario::{run_scenario, Scenario};
-use harness::snapshot::{ProtocolRun, Snapshot, SnapshotParams};
-use manet_sim::observer::all_kinds;
-use manet_sim::{FaultPlan, ProtocolCore};
+use harness::scenario::Scenario;
+use harness::snapshot::{observed_runs, Snapshot, SnapshotParams};
+use manet_sim::FaultPlan;
 
 /// Fingerprint of [`chaos_snapshot`]`(7)` under the current protocol
 /// workload. Regenerate only if the *workload* changes — never to paper
@@ -56,19 +55,6 @@ fn chaos_scenario(seed: u64) -> Scenario {
         .expect("chaos scenario is in-domain")
 }
 
-fn chaos_run<P: ProtocolCore>(name: &str, seed: u64, p: P) -> ProtocolRun {
-    let report = run_scenario(&chaos_scenario(seed), p);
-    let flows = all_kinds()
-        .iter()
-        .map(|k| (k.to_string(), *report.world().observer().tally(*k)))
-        .collect();
-    ProtocolRun {
-        name: name.to_string(),
-        metrics: report.into_measurements().metrics,
-        flows,
-    }
-}
-
 fn chaos_snapshot(seed: u64) -> Snapshot {
     Snapshot {
         params: SnapshotParams {
@@ -79,21 +65,7 @@ fn chaos_snapshot(seed: u64) -> Snapshot {
             ..SnapshotParams::default()
         },
         phases: Vec::new(),
-        protocols: vec![
-            chaos_run(
-                "quorum",
-                seed,
-                qbac_core::Qbac::new(qbac_core::ProtocolConfig::default()),
-            ),
-            chaos_run(
-                "manetconf",
-                seed,
-                baselines::manetconf::ManetConf::default(),
-            ),
-            chaos_run("buddy", seed, baselines::buddy::Buddy::default()),
-            chaos_run("ctree", seed, baselines::ctree::CTree::default()),
-            chaos_run("dad", seed, baselines::dad::QueryDad::default()),
-        ],
+        protocols: observed_runs(&chaos_scenario(seed)),
     }
 }
 

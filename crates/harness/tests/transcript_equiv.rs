@@ -24,10 +24,13 @@
 //! On failure the assert prints the minimized first-divergence report
 //! ([`EventLog::diff`]), not two walls of text.
 
+use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
+use conformance::{ConformanceAdapter, HardenedQbac};
 use harness::scenario::{run_scenario_with, Scenario};
 use manet_sim::{EventLog, FaultPlan, ProtocolCore};
 use proptest::prelude::*;
 use proto_io::WireMsg;
+use qbac_core::Qbac;
 use transport_mesh::MeshShadow;
 
 /// Runs `protocol` through `scenario` on one backend and returns the
@@ -51,16 +54,16 @@ where
         .expect("transcript was enabled")
 }
 
-/// Asserts byte-identical transcripts across the two backends, with a
-/// minimized divergence report on failure.
-fn assert_equivalent<P, F>(label: &str, scenario: &Scenario, fresh: F)
+/// Asserts byte-identical transcripts of `P` across the two backends,
+/// with a minimized divergence report on failure.
+fn assert_equivalent<P>(what: &str, scenario: &Scenario)
 where
-    P: ProtocolCore,
-    P::Msg: WireMsg + 'static,
-    F: Fn() -> P,
+    P: ConformanceAdapter,
+    P::Msg: 'static,
 {
-    let sim_side = transcript_on(scenario, fresh(), false);
-    let mesh_side = transcript_on(scenario, fresh(), true);
+    let label = format!("{}/{what}", P::name());
+    let sim_side = transcript_on(scenario, P::fresh(), false);
+    let mesh_side = transcript_on(scenario, P::fresh(), true);
     assert!(
         !sim_side.is_empty(),
         "{label}: scenario produced no protocol I/O"
@@ -142,34 +145,23 @@ fn attack_scenario() -> Scenario {
         .expect("attack scenario is in-domain")
 }
 
-fn qbac_open() -> qbac_core::Qbac {
-    qbac_core::Qbac::new(qbac_core::ProtocolConfig::default())
-}
-
-fn qbac_hardened() -> qbac_core::Qbac {
-    qbac_core::Qbac::new(qbac_core::ProtocolConfig {
-        harden: true,
-        ..qbac_core::ProtocolConfig::default()
-    })
-}
-
 // ---------------------------------------------------------------------
 // QBAC (open) — clean, chaos, attack
 // ---------------------------------------------------------------------
 
 #[test]
 fn qbac_open_clean_transcripts_match() {
-    assert_equivalent("qbac-open/clean", &clean_scenario(), qbac_open);
+    assert_equivalent::<Qbac>("clean", &clean_scenario());
 }
 
 #[test]
 fn qbac_open_chaos_transcripts_match() {
-    assert_equivalent("qbac-open/chaos", &chaos_scenario(), qbac_open);
+    assert_equivalent::<Qbac>("chaos", &chaos_scenario());
 }
 
 #[test]
 fn qbac_open_attack_transcripts_match() {
-    assert_equivalent("qbac-open/attack", &attack_scenario(), qbac_open);
+    assert_equivalent::<Qbac>("attack", &attack_scenario());
 }
 
 // ---------------------------------------------------------------------
@@ -178,17 +170,17 @@ fn qbac_open_attack_transcripts_match() {
 
 #[test]
 fn qbac_hardened_clean_transcripts_match() {
-    assert_equivalent("qbac-hardened/clean", &clean_scenario(), qbac_hardened);
+    assert_equivalent::<HardenedQbac>("clean", &clean_scenario());
 }
 
 #[test]
 fn qbac_hardened_chaos_transcripts_match() {
-    assert_equivalent("qbac-hardened/chaos", &chaos_scenario(), qbac_hardened);
+    assert_equivalent::<HardenedQbac>("chaos", &chaos_scenario());
 }
 
 #[test]
 fn qbac_hardened_attack_transcripts_match() {
-    assert_equivalent("qbac-hardened/attack", &attack_scenario(), qbac_hardened);
+    assert_equivalent::<HardenedQbac>("attack", &attack_scenario());
 }
 
 // ---------------------------------------------------------------------
@@ -197,74 +189,42 @@ fn qbac_hardened_attack_transcripts_match() {
 
 #[test]
 fn dad_clean_transcripts_match() {
-    assert_equivalent(
-        "dad/clean",
-        &clean_scenario(),
-        baselines::dad::QueryDad::default,
-    );
+    assert_equivalent::<QueryDad>("clean", &clean_scenario());
 }
 
 #[test]
 fn dad_chaos_transcripts_match() {
-    assert_equivalent(
-        "dad/chaos",
-        &chaos_scenario(),
-        baselines::dad::QueryDad::default,
-    );
+    assert_equivalent::<QueryDad>("chaos", &chaos_scenario());
 }
 
 #[test]
 fn buddy_clean_transcripts_match() {
-    assert_equivalent(
-        "buddy/clean",
-        &clean_scenario(),
-        baselines::buddy::Buddy::default,
-    );
+    assert_equivalent::<Buddy>("clean", &clean_scenario());
 }
 
 #[test]
 fn buddy_chaos_transcripts_match() {
-    assert_equivalent(
-        "buddy/chaos",
-        &chaos_scenario(),
-        baselines::buddy::Buddy::default,
-    );
+    assert_equivalent::<Buddy>("chaos", &chaos_scenario());
 }
 
 #[test]
 fn ctree_clean_transcripts_match() {
-    assert_equivalent(
-        "ctree/clean",
-        &clean_scenario(),
-        baselines::ctree::CTree::default,
-    );
+    assert_equivalent::<CTree>("clean", &clean_scenario());
 }
 
 #[test]
 fn ctree_chaos_transcripts_match() {
-    assert_equivalent(
-        "ctree/chaos",
-        &chaos_scenario(),
-        baselines::ctree::CTree::default,
-    );
+    assert_equivalent::<CTree>("chaos", &chaos_scenario());
 }
 
 #[test]
 fn manetconf_clean_transcripts_match() {
-    assert_equivalent(
-        "manetconf/clean",
-        &clean_scenario(),
-        baselines::manetconf::ManetConf::default,
-    );
+    assert_equivalent::<ManetConf>("clean", &clean_scenario());
 }
 
 #[test]
 fn manetconf_chaos_transcripts_match() {
-    assert_equivalent(
-        "manetconf/chaos",
-        &chaos_scenario(),
-        baselines::manetconf::ManetConf::default,
-    );
+    assert_equivalent::<ManetConf>("chaos", &chaos_scenario());
 }
 
 // ---------------------------------------------------------------------
@@ -275,7 +235,7 @@ fn manetconf_chaos_transcripts_match() {
 /// effects, and timer effects for a protocol this chatty.
 #[test]
 fn transcripts_cover_all_record_kinds() {
-    let t = transcript_on(&clean_scenario(), qbac_open(), false);
+    let t = transcript_on(&clean_scenario(), Qbac::fresh(), false);
     let rendered = t.render();
     for needle in ["<", ">send", ">timer+", " join", " msg "] {
         assert!(
@@ -318,7 +278,7 @@ proptest! {
             .build()
             .expect("knob ranges stay in the scenario domain");
         let fresh = || {
-            qbac_core::Qbac::new(qbac_core::ProtocolConfig {
+            Qbac::new(qbac_core::ProtocolConfig {
                 harden,
                 ..qbac_core::ProtocolConfig::default()
             })
@@ -375,8 +335,8 @@ fn a_lying_transport_is_caught() {
     }
 
     let scenario = clean_scenario();
-    let honest = transcript_on(&scenario, baselines::dad::QueryDad::default(), false);
-    let mut report = run_scenario_with(&scenario, baselines::dad::QueryDad::default(), |sim| {
+    let honest = transcript_on(&scenario, QueryDad::default(), false);
+    let mut report = run_scenario_with(&scenario, QueryDad::default(), |sim| {
         sim.world_mut().enable_transcript();
         sim.world_mut().set_wire_shadow(Box::new(ByteFlipper {
             remaining_faithful: 3,
