@@ -1,12 +1,13 @@
-//! The protocol registry — which protocols exist, what each is called
-//! and which type each name picks ([`for_protocol!`](crate::for_protocol),
-//! the workspace's one name-to-type dispatch) — plus the canned chaos
+//! The protocol registry — which protocols exist, the sets of them a
+//! caller dispatches over ([`CHECKABLE`], [`PROTOCOLS`], [`AUDITED`],
+//! [`MESH`]) and the one name-to-type dispatch over a set
+//! ([`for_protocol!`](crate::for_protocol)) — plus the canned chaos
 //! schedules and the artifact replay entry point.
 //!
-//! Adding a protocol is one arm in the macro, one
-//! [`ConformanceAdapter`](crate::ConformanceAdapter) impl, and its name
-//! in [`CHECKABLE`] (and in [`PROTOCOLS`] if the paper's grid compares
-//! it).
+//! Adding a protocol is one [`ConformanceAdapter`](crate::ConformanceAdapter)
+//! impl, whose `name()` is the one place its name is written, and its
+//! type in the macro's line and its name in the const of each set that
+//! reaches it.
 
 use crate::artifact::Artifact;
 use crate::drive::{run_check, CheckConfig, CheckOutcome};
@@ -15,50 +16,49 @@ use manet_sim::faults::FaultPlan;
 
 // The registered types, at the paths `for_protocol!` names them by.
 #[doc(hidden)]
-pub use crate::{DoubleGrant, HardenedQbac};
-#[doc(hidden)]
 pub use baselines::{buddy::Buddy, ctree::CTree, dad::QueryDad, manetconf::ManetConf};
 #[doc(hidden)]
-pub use qbac_core::Qbac;
+pub use {crate::DoubleGrant, crate::HardenedQbac, qbac_core::Qbac};
 
-/// Evaluates `$body` with the type alias `$P` bound to the protocol
-/// registered under the name `$name` (a `&str`): `Some($body)`, or
-/// `None` for a name the registry does not know.
+/// Evaluates `$body` with the type alias `$P` bound to the type of
+/// `SET` (`CHECKABLE`, `PROTOCOLS`, `AUDITED` or `MESH`) whose
+/// [`ConformanceAdapter::name`](crate::ConformanceAdapter::name) is
+/// `$name` (a `&str`): `Some($body)`, or `None` outside the set.
 ///
-/// It expands to one `match` with a monomorphised copy of `$body` per
-/// arm, so the name is matched once per call, never inside the run
-/// `$body` drives. Every type it binds implements
-/// [`ConformanceAdapter`](crate::ConformanceAdapter): `$P::fresh()`
-/// builds the registered instance.
+/// It expands to one `if`/`else` chain with a monomorphised copy of
+/// `$body` per type of the set, so the name is compared once per call,
+/// never inside the run `$body` drives, and a caller compiles runs only
+/// for the protocols it can reach. `$P::fresh()` builds the instance.
 ///
 /// ```
 /// use conformance::{for_protocol, ConformanceAdapter};
 ///
-/// assert_eq!(for_protocol!("ctree", P => P::name()), Some("ctree"));
-/// assert_eq!(for_protocol!("bogus", P => P::name()), None);
+/// assert_eq!(for_protocol!(CHECKABLE: "ctree", P => P::name()), Some("ctree"));
+/// assert_eq!(for_protocol!(CHECKABLE: "bogus", P => P::name()), None);
+/// // Registered, but not in the chaos suite's set.
+/// assert_eq!(for_protocol!(AUDITED: "dad", P => P::name()), None);
 /// ```
 #[macro_export]
 macro_rules! for_protocol {
-    ($name:expr, $P:ident => $body:expr) => {
-        $crate::for_protocol!(@arms $name, $P, $body,
-            "quorum" => Qbac,
-            "quorum-hardened" => HardenedQbac,
-            "manetconf" => ManetConf,
-            "buddy" => Buddy,
-            "ctree" => CTree,
-            "dad" => QueryDad,
-            "broken-doublegrant" => DoubleGrant,
-        )
+    (CHECKABLE: $($call:tt)*) => {
+        $crate::for_protocol!(@in [Qbac, HardenedQbac, ManetConf, Buddy, CTree, QueryDad, DoubleGrant] $($call)*)
     };
-    (@arms $name:expr, $P:ident, $body:expr, $($key:literal => $T:ident,)*) => {
-        match $name {
-            $($key => {
-                type $P = $crate::registry::$T;
-                Some($body)
-            })*
-            _ => None,
-        }
+    (PROTOCOLS: $($call:tt)*) => {
+        $crate::for_protocol!(@in [Qbac, ManetConf, Buddy, CTree, QueryDad] $($call)*)
     };
+    (AUDITED: $($call:tt)*) => {
+        $crate::for_protocol!(@in [Qbac, ManetConf, Buddy, CTree] $($call)*)
+    };
+    (MESH: $($call:tt)*) => {
+        $crate::for_protocol!(@in [Qbac, HardenedQbac, QueryDad] $($call)*)
+    };
+    (@in [$($T:ident),*] $name:expr, $P:ident => $body:expr) => {{
+        let name: &str = $name;
+        $(if name == <$crate::registry::$T as $crate::ConformanceAdapter>::name() {
+            type $P = $crate::registry::$T;
+            Some($body)
+        } else)* { None }
+    }};
 }
 
 /// The five real protocols, by registry name.
@@ -76,6 +76,12 @@ pub const CHECKABLE: [&str; 7] = [
     "dad",
     "broken-doublegrant",
 ];
+
+/// The pool owners the chaos suite audits: a head kill can strand their leaks.
+pub const AUDITED: [&str; 4] = ["quorum", "manetconf", "buddy", "ctree"];
+
+/// The protocols `repro mesh` runs; its quick matrix takes the first two.
+pub const MESH: [&str; 3] = ["quorum", "quorum-hardened", "dad"];
 
 /// A canned chaos schedule: a name, the world seed it runs under, and
 /// its fault plan.
@@ -131,7 +137,7 @@ pub fn chaos_schedules() -> Vec<NamedSchedule> {
 /// `protocol`, or `None` for an unknown name.
 #[must_use]
 pub fn run_named(protocol: &str, cfg: &CheckConfig) -> Option<CheckOutcome> {
-    for_protocol!(protocol, P => run_check::<P>(cfg))
+    for_protocol!(CHECKABLE: protocol, P => run_check::<P>(cfg))
 }
 
 /// Shrinks a failing run of `protocol` under `cfg` to a minimal
@@ -234,15 +240,61 @@ mod tests {
         }
     }
 
-    /// Every checkable name dispatches to an adapter that calls itself
-    /// by that name, and the paper's grid is a subset of them.
+    /// Each set's type list in `for_protocol!` and its name const agree:
+    /// a checkable name dispatches in a set, to an adapter that calls
+    /// itself by that name, exactly when the const lists it; and every
+    /// set is checkable.
     #[test]
     fn every_registry_key_names_its_adapter() {
-        for name in CHECKABLE {
-            assert_eq!(for_protocol!(name, P => P::name()), Some(name));
+        type Dispatch = fn(&str) -> Option<&'static str>;
+        let sets: [(&str, &[&str], Dispatch); 4] = [
+            (
+                "CHECKABLE",
+                &CHECKABLE,
+                |n| for_protocol!(CHECKABLE: n, P => P::name()),
+            ),
+            (
+                "PROTOCOLS",
+                &PROTOCOLS,
+                |n| for_protocol!(PROTOCOLS: n, P => P::name()),
+            ),
+            (
+                "AUDITED",
+                &AUDITED,
+                |n| for_protocol!(AUDITED: n, P => P::name()),
+            ),
+            ("MESH", &MESH, |n| for_protocol!(MESH: n, P => P::name())),
+        ];
+        for (set, names, dispatch) in sets {
+            for name in names {
+                assert!(
+                    CHECKABLE.contains(name),
+                    "{set} lists {name}, not checkable"
+                );
+            }
+            for name in CHECKABLE {
+                let want = names.contains(&name).then_some(name);
+                assert_eq!(dispatch(name), want, "{set} dispatch of {name}");
+            }
+            assert_eq!(dispatch("bogus"), None, "{set}");
         }
-        for name in PROTOCOLS {
-            assert!(CHECKABLE.contains(&name), "{name} is checkable");
+    }
+
+    /// A hand-edited artifact whose mobility no model can build is
+    /// refused by name, not replayed into a panic.
+    #[test]
+    fn replay_of_an_out_of_domain_mobility_is_an_error() {
+        for mobility in ["manhattan:0", "group:4,NaN"] {
+            let text = format!(
+                "# qbac conformance failing-schedule artifact v1\nprotocol: quorum\nnodes: 3\n\
+                 seed: 11\nspeed: 5\nmobility: {mobility}\ninvariant: addr-unique\nstep: 26\n\
+                 detail: -\nplan:\nloss 0.15\n"
+            );
+            let err = replay_check(&text).expect_err(mobility);
+            assert!(
+                err.contains(&format!("bad mobility: \"{mobility}\"")),
+                "{err}"
+            );
         }
     }
 

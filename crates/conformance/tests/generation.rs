@@ -101,7 +101,8 @@ fn agree<P: ConformanceAdapter>(cfg: &CheckConfig) -> CheckOutcome {
 
 /// [`agree`] for the protocol registered as `name`.
 fn agree_named(name: &str, cfg: &CheckConfig) -> CheckOutcome {
-    for_protocol!(name, P => agree::<P>(cfg)).unwrap_or_else(|| panic!("{name} is not registered"))
+    for_protocol!(CHECKABLE: name, P => agree::<P>(cfg))
+        .unwrap_or_else(|| panic!("{name} is not registered"))
 }
 
 #[test]

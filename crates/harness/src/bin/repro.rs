@@ -815,6 +815,17 @@ mod tests {
         let _ = std::fs::remove_file(&plan);
     }
 
+    /// A mobility spec the models cannot build is refused while the
+    /// arguments are read, not by every sweep cell it reaches.
+    #[test]
+    fn an_out_of_domain_mobility_is_an_argument_error() {
+        let err = parse_args(argv("sweep --mobility manhattan:0")).expect_err("spacing 0");
+        assert_eq!(
+            err,
+            "--mobility: mobility `manhattan:0` must have positive spacing"
+        );
+    }
+
     #[test]
     fn removed_spellings_are_unknown_arguments() {
         for line in [

@@ -15,16 +15,17 @@
 //! * **join-latency inflation** — how much the mean configuration
 //!   latency grows versus a fault-free run of the same workload.
 //!
-//! The protocols are the pool-owning ones, picked by registry name
-//! ([`conformance::for_protocol!`]) and read through their
-//! [`ConformanceAdapter`]: `assigned_pairs` for the duplicates,
-//! `leak_audit` for the leak rate.
+//! The protocols are the pool-owning ones, the registry's [`AUDITED`]
+//! set, picked by name ([`conformance::for_protocol!`]) and read
+//! through their [`ConformanceAdapter`]: `assigned_pairs` for the
+//! duplicates, `leak_audit` for the leak rate.
 
 use crate::figures::FigOpts;
 use crate::scenario::{parallel_rounds, run_scenario, Scenario};
 use crate::stats::mean;
 use crate::Table;
 use addrspace::Addr;
+use conformance::registry::AUDITED;
 use conformance::{for_protocol, ConformanceAdapter};
 use manet_sim::{FaultPlan, NodeId, SimDuration, World};
 use proto_io::IdMap;
@@ -64,15 +65,8 @@ impl ChaosOpts {
     }
 }
 
-/// The protocols the suite audits, by registry name, with their
-/// column labels: the pool-owning ones, whose leaks a head kill can
-/// strand.
-const AUDITED: [(&str, &str); 4] = [
-    ("quorum", "quorum"),
-    ("manetconf", "MANETconf"),
-    ("buddy", "buddy"),
-    ("ctree", "C-tree"),
-];
+/// The table column label of each [`AUDITED`] protocol, in its order.
+const LABELS: [&str; AUDITED.len()] = ["quorum", "MANETconf", "buddy", "C-tree"];
 
 /// What one chaos run measured.
 struct CellOutcome {
@@ -163,7 +157,7 @@ fn run_cell<P: ConformanceAdapter>(opts: &ChaosOpts, loss: f64, seed: u64) -> Ce
 /// every run.
 #[must_use]
 pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
-    let columns: Vec<String> = AUDITED.iter().map(|(_, l)| l.to_string()).collect();
+    let columns: Vec<String> = LABELS.iter().map(|l| l.to_string()).collect();
     let kills = opts.head_kills;
 
     let mut dup_table = Table::new(
@@ -189,11 +183,11 @@ pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
             extra_plan: None,
             ..opts.clone()
         };
-        AUDITED.map(|(name, _)| mean(&cells_over_rounds(name, &quiet, 0.0).2))
+        AUDITED.map(|name| mean(&cells_over_rounds(name, &quiet, 0.0).2))
     };
 
     for loss in opts.loss_sweep() {
-        let cells = AUDITED.map(|(name, _)| cells_over_rounds(name, opts, loss));
+        let cells = AUDITED.map(|name| cells_over_rounds(name, opts, loss));
         let x = format!("{:.0}", loss * 100.0);
         dup_table.push_row(x.clone(), cells.iter().map(|c| mean(&c.0)).collect());
         leak_table.push_row(x.clone(), cells.iter().map(|c| mean(&c.1)).collect());
@@ -227,10 +221,11 @@ pub fn chaos_suite(opts: &ChaosOpts) -> Vec<Table> {
 /// Per-round `(duplicates, leak%, latencies)` samples for the protocol
 /// registered as `name` at one loss rate.
 fn cells_over_rounds(name: &str, opts: &ChaosOpts, loss: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let outcomes = for_protocol!(name, P => parallel_rounds(opts.fig.rounds, opts.fig.seed, |s| {
-        run_cell::<P>(opts, loss, s)
-    }))
-    .unwrap_or_else(|| panic!("{name} is not registered"));
+    let outcomes =
+        for_protocol!(AUDITED: name, P => parallel_rounds(opts.fig.rounds, opts.fig.seed, |s| {
+            run_cell::<P>(opts, loss, s)
+        }))
+        .unwrap_or_else(|| panic!("{name} is not registered"));
     let mut dups = Vec::new();
     let mut leaks = Vec::new();
     let mut lats = Vec::new();

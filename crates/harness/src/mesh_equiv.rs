@@ -11,11 +11,12 @@
 //! suite in `tests/transcript_equiv.rs`: same differential, run on the
 //! pinned conformance schedules (the §IV storm plus an attack canary)
 //! so CI and humans get a one-line verdict per cell and a minimized
-//! first-divergence report on failure. Cells name their protocol;
-//! [`conformance::for_protocol!`] picks the type, whose adapter's
-//! `fresh()` builds both legs.
+//! first-divergence report on failure. Cells name their protocol from
+//! the registry's [`MESH`] set; [`conformance::for_protocol!`] picks the
+//! type, whose adapter's `fresh()` builds both legs.
 
 use crate::scenario::{run_scenario_with, Scenario};
+use conformance::registry::MESH;
 use conformance::ConformanceAdapter;
 use manet_sim::{EventLog, FaultPlan};
 use transport_mesh::{MeshShadow, MeshStats};
@@ -119,7 +120,7 @@ where
 fn run_cell(cell: &Cell, quick: bool) -> EquivCell {
     let scenario = scenario_for(cell, quick);
     let (sim_side, mesh_side, stats) =
-        conformance::for_protocol!(cell.protocol, P => run_both::<P>(&scenario))
+        conformance::for_protocol!(MESH: cell.protocol, P => run_both::<P>(&scenario))
             .unwrap_or_else(|| panic!("{} is not registered", cell.protocol));
     // No diff means byte-identical renderings, so one fingerprint is
     // both sides'.
@@ -157,13 +158,9 @@ pub fn mesh_equiv_suite(quick: bool, seed: u64) -> Vec<EquivCell> {
         .into_iter()
         .find(|c| c.name == "squat")
         .expect("squat canary is pinned");
-    let protocols: &[&str] = if quick {
-        &["quorum", "quorum-hardened"]
-    } else {
-        &["quorum", "quorum-hardened", "dad"]
-    };
+    let protocols: &[&str] = if quick { &MESH[..2] } else { &MESH };
     let mut cells = Vec::new();
-    for protocol in protocols {
+    for &protocol in protocols {
         cells.push(Cell {
             protocol,
             schedule: "storm",

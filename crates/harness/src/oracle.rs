@@ -134,16 +134,27 @@ pub fn check_suite(quick: bool, rounds: u64) -> Vec<CheckCell> {
 
 /// The campaign's closing line: how many suite runs failed, broken
 /// down by the invariant each shrunk artifact ends in (`panic` for a
-/// run that panicked).
+/// run that panicked), and how many distinct failures the shrunk
+/// artifacts are — many seeds often shrink to one `(invariant, step,
+/// detail)`.
 #[must_use]
 pub fn tally_line(cells: &[CheckCell]) -> String {
     let mut by_invariant: BTreeMap<&str, usize> = BTreeMap::new();
+    // Failing seeds shrink to a handful of signatures (168 seeds to 6
+    // in a 300-round campaign), so a scan of those seen is enough.
+    let mut signatures = Vec::new();
     for cell in cells.iter().filter(|c| !c.ok) {
         let name = cell
             .artifact
             .as_ref()
             .map_or("panic", |a| a.invariant.name());
         *by_invariant.entry(name).or_default() += 1;
+        if let Some(a) = &cell.artifact {
+            let signature = (name, a.step, a.detail.as_str());
+            if !signatures.contains(&signature) {
+                signatures.push(signature);
+            }
+        }
     }
     let failed: usize = by_invariant.values().sum();
     let mut line = format!(
@@ -155,7 +166,11 @@ pub fn tally_line(cells: &[CheckCell]) -> String {
             .iter()
             .map(|(name, n)| format!("{name} {n}"))
             .collect();
-        line.push_str(&format!(" ({})", counts.join(", ")));
+        line.push_str(&format!(
+            " ({}); {} distinct",
+            counts.join(", "),
+            signatures.len()
+        ));
     }
     line
 }
@@ -263,8 +278,38 @@ mod tests {
         );
         assert_eq!(
             tally_line(&cells),
-            format!("tally: 3 of 4 runs violated an invariant ({invariant} 2, panic 1)")
+            format!(
+                "tally: 3 of 4 runs violated an invariant ({invariant} 2, panic 1); 1 distinct"
+            )
         );
+    }
+
+    /// Cells whose shrunk artifacts share `(invariant, step, detail)`
+    /// are one distinct failure, whatever their seeds; a different step
+    /// is another.
+    #[test]
+    fn tally_counts_distinct_failure_signatures() {
+        let text = "# qbac conformance failing-schedule artifact v1\nprotocol: quorum\nnodes: 3\n\
+                    seed: 11\ninvariant: addr-unique\nstep: 26\ndetail: -\nplan:\nloss 0.15\n";
+        let one = Artifact::parse(text).expect("artifact parses");
+        let reseeded = Artifact {
+            seed: 12,
+            ..one.clone()
+        };
+        let later = Artifact {
+            step: 27,
+            ..one.clone()
+        };
+        let failed = |a: Artifact| CheckCell {
+            line: String::new(),
+            ok: false,
+            artifact: Some(a),
+            stem: String::new(),
+        };
+        let same = [failed(one.clone()), failed(reseeded)];
+        assert!(tally_line(&same).ends_with("(addr-unique 2); 1 distinct"));
+        let apart = [failed(one), failed(later)];
+        assert!(tally_line(&apart).ends_with("(addr-unique 2); 2 distinct"));
     }
 
     #[test]

@@ -364,39 +364,16 @@ impl ScenarioBuilder {
         if !(0.0..=1.0).contains(&s.loss_rate) {
             return out_of_range("loss_rate", s.loss_rate.to_string(), "within [0, 1]");
         }
-        match s.mobility {
-            MobilityConfig::RandomWaypoint => {}
-            MobilityConfig::Manhattan { spacing } => {
-                if !(spacing > 0.0 && spacing.is_finite()) {
-                    return out_of_range("mobility", s.mobility.to_string(), "positive spacing");
-                }
-                if spacing > s.area {
-                    return out_of_range(
-                        "mobility",
-                        s.mobility.to_string(),
-                        "spacing no wider than the arena",
-                    );
-                }
-            }
-            MobilityConfig::Group { size, radius } => {
-                if size == 0 {
-                    return out_of_range("mobility", s.mobility.to_string(), "a non-empty group");
-                }
-                if !(radius > 0.0 && radius.is_finite()) {
-                    return out_of_range("mobility", s.mobility.to_string(), "positive radius");
-                }
-            }
-            MobilityConfig::FlashCrowd { radius, until_s } => {
-                if !(radius > 0.0 && radius.is_finite()) {
-                    return out_of_range("mobility", s.mobility.to_string(), "positive radius");
-                }
-                if !(until_s >= 0.0 && until_s.is_finite()) {
-                    return out_of_range(
-                        "mobility",
-                        s.mobility.to_string(),
-                        "a non-negative gather deadline",
-                    );
-                }
+        if let Err(want) = s.mobility.check() {
+            return out_of_range("mobility", s.mobility.to_string(), want);
+        }
+        if let MobilityConfig::Manhattan { spacing } = s.mobility {
+            if spacing > s.area {
+                return out_of_range(
+                    "mobility",
+                    s.mobility.to_string(),
+                    "spacing no wider than the arena",
+                );
             }
         }
         Ok(s)

@@ -108,7 +108,7 @@ fn observed_run<P: ConformanceAdapter>(s: &Scenario) -> ProtocolRun {
 pub fn observed_runs(s: &Scenario) -> Vec<ProtocolRun> {
     PROTOCOLS
         .iter()
-        .map(|&name| for_protocol!(name, P => observed_run::<P>(s)).expect("registered"))
+        .map(|&name| for_protocol!(PROTOCOLS: name, P => observed_run::<P>(s)).expect("registered"))
         .collect()
 }
 
@@ -132,7 +132,9 @@ fn traced_run<P: ConformanceAdapter>(seed: u64, quick: bool) -> (String, String)
 pub fn protocol_traces(seed: u64, quick: bool) -> Vec<(String, String)> {
     PROTOCOLS
         .iter()
-        .map(|&name| for_protocol!(name, P => traced_run::<P>(seed, quick)).expect("registered"))
+        .map(|&n| {
+            for_protocol!(PROTOCOLS: n, P => traced_run::<P>(seed, quick)).expect("registered")
+        })
         .collect()
 }
 
@@ -263,7 +265,7 @@ mod tests {
             assert!(json.contains(key), "snapshot must contain {key}: {json}");
         }
         // All five protocols present.
-        for name in ["quorum", "manetconf", "buddy", "ctree", "dad"] {
+        for name in PROTOCOLS {
             assert!(json.contains(&format!("\"name\":\"{name}\"")));
         }
     }

@@ -332,7 +332,7 @@ fn run_rep(
     quick: bool,
 ) -> (Metrics, Vec<FlowTally>, u64) {
     let s = p.scenario(plan, seed, quick);
-    conformance::for_protocol!(p.protocol.as_str(), P => {
+    conformance::for_protocol!(PROTOCOLS: p.protocol.as_str(), P => {
         let report = run_scenario(&s, P::fresh());
         let flows = all_kinds()
             .iter()

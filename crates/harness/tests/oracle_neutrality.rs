@@ -108,7 +108,7 @@ fn checked_sampled_and_unchecked_sweep_cells_are_one_run() {
     for cell in cells {
         let s = cell.scenario(FaultPlan::default(), grid.base_seed, grid.quick);
         let what = cell.key();
-        for_protocol!(cell.protocol.as_str(), P => {
+        for_protocol!(PROTOCOLS: cell.protocol.as_str(), P => {
             assert_cadence_free(&what, |c| scenario_run::<P>(&s, c));
         })
         .unwrap_or_else(|| panic!("{} is not registered", cell.protocol));

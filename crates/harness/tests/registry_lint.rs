@@ -1,11 +1,18 @@
-//! Lint: a protocol's name picks its type in one place.
+//! Lint: a protocol's name picks its type in one place, over the set
+//! its caller reaches.
 //!
-//! `conformance::for_protocol!` is the registry's one `match` from a
+//! `conformance::for_protocol!` is the registry's one dispatch from a
 //! name to a protocol type; every run that dispatches on a name goes
-//! through it. This test fails the moment a registry name, written as a
-//! string literal, heads a match arm anywhere in the workspace's
-//! `crates/*/src`, `crates/*/tests` or `tests/`, outside the file that
-//! defines the macro.
+//! through it. Two checks, outside the file that defines the macro:
+//!
+//! * a registry name, written as a string literal, must not head a
+//!   match arm anywhere in the workspace's `crates/*/src`,
+//!   `crates/*/tests` or `tests/` — that would be a second dispatch;
+//! * no `crates/*/src` file may dispatch over `CHECKABLE`, all seven
+//!   registered types. A program caller names the smaller set it can
+//!   reach (`PROTOCOLS`, `AUDITED`, `MESH`), so it compiles no run body
+//!   for a protocol it never runs; `run_named` and tests keep the full
+//!   set.
 
 use conformance::registry::CHECKABLE;
 use std::path::Path;
@@ -29,6 +36,24 @@ fn name_arms(text: &str) -> Vec<(usize, &'static str)> {
         }
     }
     found
+}
+
+/// Lines of `text` where `for_protocol!` is called over `CHECKABLE`.
+fn all_seven_calls(text: &str) -> Vec<usize> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| line.contains("for_protocol!(CHECKABLE:"))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+#[test]
+fn the_lint_sees_an_all_seven_call() {
+    assert_eq!(
+        all_seven_calls("let a = 1;\nfor_protocol!(CHECKABLE: name, P => P::name())\n"),
+        [2]
+    );
+    assert!(all_seven_calls("for_protocol!(PROTOCOLS: name, P => P::name())\n").is_empty());
 }
 
 #[test]
@@ -70,6 +95,7 @@ fn only_the_registry_matches_a_protocol_name_to_a_type() {
         );
     }
     let mut offenders = Vec::new();
+    let mut all_seven = Vec::new();
     for path in files {
         if path.ends_with(REGISTRY_HOME) {
             continue;
@@ -79,11 +105,27 @@ fn only_the_registry_matches_a_protocol_name_to_a_type() {
         for (line, name) in name_arms(&text) {
             offenders.push(format!("{}:{line}: \"{name}\"", path.display()));
         }
+        let in_src = path.strip_prefix(crates_dir).is_ok_and(|rel| {
+            rel.components()
+                .nth(1)
+                .is_some_and(|c| c.as_os_str() == "src")
+        });
+        if in_src {
+            for line in all_seven_calls(&text) {
+                all_seven.push(format!("{}:{line}", path.display()));
+            }
+        }
     }
     assert!(
         offenders.is_empty(),
         "a protocol name is matched outside the registry; dispatch with \
          conformance::for_protocol! instead:\n{}",
         offenders.join("\n")
+    );
+    assert!(
+        all_seven.is_empty(),
+        "program code dispatches over all seven registered types; name the \
+         set the caller reaches (PROTOCOLS, AUDITED, MESH) instead:\n{}",
+        all_seven.join("\n")
     );
 }

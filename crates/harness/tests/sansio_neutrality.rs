@@ -72,7 +72,7 @@ const PINS: &[(&str, &str)] = &[
 ];
 
 fn fingerprint_of(name: &str) -> String {
-    for_protocol!(name, P => trace_fingerprint::<P>())
+    for_protocol!(CHECKABLE: name, P => trace_fingerprint::<P>())
         .unwrap_or_else(|| panic!("unknown protocol {name}"))
 }
 

@@ -431,6 +431,33 @@ impl MobilityConfig {
         }
     }
 
+    /// Checks the parameters a model needs whatever the arena: a
+    /// positive finite street spacing, a non-empty group, a positive
+    /// finite radius and a non-negative finite gather deadline.
+    ///
+    /// # Errors
+    ///
+    /// The domain the first offending parameter must lie in, e.g.
+    /// `"positive spacing"`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        match *self {
+            MobilityConfig::Manhattan { spacing } if !positive(spacing) => Err("positive spacing"),
+            MobilityConfig::Group { size: 0, .. } => Err("a non-empty group"),
+            MobilityConfig::Group { radius, .. } | MobilityConfig::FlashCrowd { radius, .. }
+                if !positive(radius) =>
+            {
+                Err("positive radius")
+            }
+            MobilityConfig::FlashCrowd { until_s, .. }
+                if !(until_s >= 0.0 && until_s.is_finite()) =>
+            {
+                Err("a non-negative gather deadline")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Parses the canonical text form (see the type docs for the
     /// grammar). Parameters may be omitted for model defaults:
     /// `manhattan` = `manhattan:100`, `group` = `group:4,50`,
@@ -438,7 +465,8 @@ impl MobilityConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the malformed token.
+    /// Returns a description of the malformed token, or of the
+    /// parameter [`check`](Self::check) rejects.
     pub fn parse(text: &str) -> Result<Self, String> {
         let (name, params) = match text.split_once(':') {
             Some((n, p)) => (n, Some(p)),
@@ -455,7 +483,7 @@ impl MobilityConfig {
             }
             Ok(vals)
         };
-        match (name, params) {
+        let cfg = match (name, params) {
             ("random-waypoint" | "rwp", None) => Ok(MobilityConfig::RandomWaypoint),
             ("random-waypoint" | "rwp", Some(_)) => {
                 Err("random-waypoint takes no parameters".into())
@@ -497,7 +525,10 @@ impl MobilityConfig {
                 "unknown mobility model `{name}` (expected random-waypoint, \
                  manhattan, group, or flash-crowd)"
             )),
-        }
+        }?;
+        cfg.check()
+            .map_err(|want| format!("mobility `{text}` must have {want}"))?;
+        Ok(cfg)
     }
 }
 
@@ -771,5 +802,37 @@ mod tests {
         assert!(MobilityConfig::parse("group:1.5,50").is_err());
         assert!(MobilityConfig::parse("flash-crowd:80").is_err());
         assert!(MobilityConfig::parse("random-waypoint:1").is_err());
+    }
+
+    /// A spec whose numbers parse but would build a model that panics
+    /// is an error, naming what the model needs.
+    #[test]
+    fn parse_rejects_out_of_domain_parameters() {
+        for (text, want) in [
+            ("manhattan:0", "positive spacing"),
+            ("manhattan:-5", "positive spacing"),
+            ("manhattan:NaN", "positive spacing"),
+            ("manhattan:inf", "positive spacing"),
+            ("group:4,NaN", "positive radius"),
+            ("group:4,0", "positive radius"),
+            ("flash-crowd:0,30", "positive radius"),
+            ("flash-crowd:80,-1", "a non-negative gather deadline"),
+            ("flash-crowd:80,NaN", "a non-negative gather deadline"),
+        ] {
+            let err = MobilityConfig::parse(text).expect_err(text);
+            assert_eq!(err, format!("mobility `{text}` must have {want}"));
+        }
+        assert_eq!(
+            MobilityConfig::Group {
+                size: 0,
+                radius: 50.0
+            }
+            .check(),
+            Err("a non-empty group")
+        );
+        assert_eq!(
+            MobilityConfig::parse("flash-crowd:80,0").unwrap().check(),
+            Ok(())
+        );
     }
 }
