@@ -79,8 +79,9 @@ pub fn json_opt_f64(v: Option<f64>) -> String {
 ///
 /// [`begin`](Artifact::begin) opens the top-level object and stamps the
 /// schema version; the caller appends its fields (the struct implements
-/// [`std::fmt::Write`], so `write!(doc, ...)` works directly); one of
-/// the `seal*` methods closes the object.
+/// [`std::fmt::Write`], so `write!(doc, ...)` works directly);
+/// [`seal`](Artifact::seal), or a [`Fingerprinted`] report's renderer,
+/// closes the object.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     body: String,
@@ -114,17 +115,6 @@ impl Artifact {
         fnv1a(self.body.as_bytes())
     }
 
-    /// Closes the document with a `fingerprint` field covering
-    /// everything before it. The body must end with `,` so the field
-    /// can be appended verbatim (the historical byte layout every
-    /// pinned fingerprint covers).
-    #[must_use]
-    pub fn seal_fingerprinted(mut self) -> String {
-        let fp = self.fingerprint();
-        let _ = write!(self.body, "\"fingerprint\":\"fnv1a:{fp:016x}\"}}");
-        self.body
-    }
-
     /// Closes the document without a fingerprint field.
     #[must_use]
     pub fn seal(mut self) -> String {
@@ -138,6 +128,41 @@ impl std::fmt::Write for Artifact {
         self.body.push_str(s);
         Ok(())
     }
+}
+
+/// A report whose artifact carries wall clocks, and the one policy for
+/// rendering it: the fingerprint covers the body with every wall clock
+/// zeroed, so a wall-clocked rendering carries the same fingerprint as
+/// its zeroed twin.
+pub trait Fingerprinted {
+    /// Everything up to (and excluding) the fingerprint field, every
+    /// wall clock zeroed when `zero_walls`. The body ends with `,` so
+    /// the field is appended verbatim (the historical byte layout every
+    /// pinned fingerprint covers).
+    fn render_body(&self, zero_walls: bool) -> Artifact;
+
+    /// FNV-1a fingerprint over the deterministic body.
+    fn fingerprint(&self) -> u64 {
+        self.render_body(true).fingerprint()
+    }
+
+    /// Renders the artifact with real wall-clock timings.
+    fn to_json(&self) -> String {
+        sealed(self.render_body(false), self.fingerprint())
+    }
+
+    /// Renders the byte-identical-across-runs form: every wall clock
+    /// zeroed. This is what `REPRO_NO_WALL_CLOCK=1` writes.
+    fn deterministic_json(&self) -> String {
+        let doc = self.render_body(true);
+        let fp = doc.fingerprint();
+        sealed(doc, fp)
+    }
+}
+
+fn sealed(mut doc: Artifact, fp: u64) -> String {
+    let _ = write!(doc, "\"fingerprint\":\"fnv1a:{fp:016x}\"");
+    doc.seal()
 }
 
 /// Parses an artifact and verifies its `schema_version` matches this
@@ -237,17 +262,36 @@ mod tests {
         );
     }
 
+    /// A report whose one wall clock is `wall`.
+    struct Walled {
+        wall: u64,
+    }
+
+    impl Fingerprinted for Walled {
+        fn render_body(&self, zero_walls: bool) -> Artifact {
+            let mut doc = Artifact::begin();
+            let wall = if zero_walls { 0 } else { self.wall };
+            let _ = write!(doc, ",\"k\":3,\"wall_us\":{wall},");
+            doc
+        }
+    }
+
     #[test]
     fn fingerprint_covers_body_and_seals_verbatim() {
-        let mut doc = Artifact::begin();
-        doc.push(",\"k\":3,");
-        let fp = doc.fingerprint();
-        let sealed = doc.seal_fingerprinted();
-        assert!(sealed.ends_with(&format!("\"fingerprint\":\"fnv1a:{fp:016x}\"}}")));
-        let parsed = Value::parse(&sealed).expect("sealed doc parses");
+        let report = Walled { wall: 1234 };
+        let fp = report.render_body(true).fingerprint();
+        assert_eq!(report.fingerprint(), fp);
+        let timed = report.to_json();
+        assert!(timed.ends_with(&format!("\"fingerprint\":\"fnv1a:{fp:016x}\"}}")));
+        let parsed = Value::parse(&timed).expect("sealed doc parses");
         assert_eq!(
             parsed.get("fingerprint").and_then(Value::as_str),
             Some(format!("fnv1a:{fp:016x}").as_str())
+        );
+        assert_eq!(
+            timed.replace("\"wall_us\":1234", "\"wall_us\":0"),
+            report.deterministic_json(),
+            "the two forms differ in the walls only"
         );
     }
 
@@ -263,16 +307,22 @@ mod tests {
 
     #[test]
     fn render_round_trips_artifact_bytes() {
-        let mut doc = Artifact::begin();
-        let _ = write!(
-            doc,
-            ",\"grid\":{{\"sizes\":{},\"losses\":{},\"names\":{}}},\"flag\":true,\"opt\":{},",
-            json_usize_list(&[10, 20]),
-            json_f64_list(&[0.0, 0.05]),
-            json_str_list(&["a".into(), "b".into()]),
-            json_opt_u64(None),
-        );
-        let text = doc.seal_fingerprinted();
+        struct Grid;
+        impl Fingerprinted for Grid {
+            fn render_body(&self, _: bool) -> Artifact {
+                let mut doc = Artifact::begin();
+                let _ = write!(
+                    doc,
+                    ",\"grid\":{{\"sizes\":{},\"losses\":{},\"names\":{}}},\"flag\":true,\"opt\":{},",
+                    json_usize_list(&[10, 20]),
+                    json_f64_list(&[0.0, 0.05]),
+                    json_str_list(&["a".into(), "b".into()]),
+                    json_opt_u64(None),
+                );
+                doc
+            }
+        }
+        let text = Grid.to_json();
         let parsed = Value::parse(&text).expect("artifact parses");
         assert_eq!(render(&parsed), text, "parse → render is byte-identical");
     }

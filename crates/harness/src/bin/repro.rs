@@ -37,8 +37,9 @@
 //! With `REPRO_NO_WALL_CLOCK=1` the snapshot's per-phase `wall_us`
 //! fields render as 0, making same-seed snapshots byte-identical.
 
+use harness::artifact::Fingerprinted;
 use harness::chaos::{chaos_suite, ChaosOpts};
-use harness::figures::{self, FigOpts};
+use harness::figures::{self, FigOpts, RunTable};
 use harness::snapshot::{self, Phase, Snapshot, SnapshotParams};
 use manet_sim::{FaultPlan, MobilityConfig};
 use std::path::{Path, PathBuf};
@@ -406,6 +407,16 @@ fn read_in(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
 
+/// `report`'s artifact, every wall clock zeroed under
+/// `REPRO_NO_WALL_CLOCK` so two runs can be `cmp`ed.
+fn artifact_json(report: &impl Fingerprinted) -> String {
+    if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
+        report.deterministic_json()
+    } else {
+        report.to_json()
+    }
+}
+
 /// Runs `f` and records its wall time as a snapshot phase.
 fn timed<T>(phases: &mut Vec<Phase>, name: String, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
@@ -453,12 +464,7 @@ fn run_sweep_mode(args: &Args) -> Outcome {
         report.fingerprint()
     );
     if let Some(path) = &args.out {
-        let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
-            report.deterministic_json()
-        } else {
-            report.to_json()
-        };
-        write_out(path, &json)?;
+        write_out(path, &artifact_json(&report))?;
     }
     Ok(report.failed.is_empty())
 }
@@ -496,12 +502,7 @@ fn run_scale_mode(args: &Args) -> Outcome {
     }
     eprintln!("scale: fingerprint fnv1a:{:016x}", report.fingerprint());
     if let Some(path) = &args.out {
-        let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
-            report.deterministic_json()
-        } else {
-            report.to_json()
-        };
-        write_out(path, &json)?;
+        write_out(path, &artifact_json(&report))?;
     }
     Ok(report.failed.is_empty())
 }
@@ -656,7 +657,7 @@ fn run_tables_mode(args: &Args) -> Outcome {
         timed(&mut phases, "chaos".into(), || chaos_suite(&opts))
     } else if let Some(n) = args.fig {
         let found = timed(&mut phases, format!("fig{n:02}"), || {
-            figures::by_number(n, &opts)
+            figures::by_number(n, &mut RunTable::new(opts))
         });
         found.ok_or_else(|| {
             format!(
@@ -665,10 +666,12 @@ fn run_tables_mode(args: &Args) -> Outcome {
             )
         })?
     } else {
+        // One table for every figure: a workload two figures share runs once.
+        let mut runs = RunTable::new(opts);
         let mut tables = Vec::new();
         for n in 4..=18u32 {
             tables.extend(timed(&mut phases, format!("fig{n:02}"), || {
-                figures::by_number(n, &opts).expect("figures 4-18 exist")
+                figures::by_number(n, &mut runs).expect("figures 4-18 exist")
             }));
         }
         tables
@@ -691,34 +694,36 @@ fn run_tables_mode(args: &Args) -> Outcome {
         }
     }
 
-    if let Some(path) = &args.metrics_out {
-        let protocols = timed(&mut phases, "snapshot".into(), || {
-            snapshot::protocol_runs(args.opts.seed, args.opts.quick)
-        });
-        let snap = Snapshot {
-            params: SnapshotParams {
-                seed: args.opts.seed,
-                rounds: opts.rounds,
-                quick: args.opts.quick,
-                fig: args.fig,
-                chaos: args.mode == Mode::Chaos,
-                loss: args.loss,
-                head_kills: args.head_kills,
-            },
-            phases,
-            protocols,
-        };
-        let json = if std::env::var_os("REPRO_NO_WALL_CLOCK").is_some() {
-            snap.deterministic_json()
-        } else {
-            snap.to_json()
-        };
-        write_out(path, &json)?;
+    if args.metrics_out.is_none() && args.trace_out.is_none() {
+        return Ok(true);
     }
-
+    // One canonical run per protocol feeds both the snapshot and the traces.
+    let protocols = timed(&mut phases, "snapshot".into(), || {
+        snapshot::protocol_runs(args.opts.seed, args.opts.quick, args.trace_out.is_some())
+    });
+    let snap = Snapshot {
+        params: SnapshotParams {
+            seed: args.opts.seed,
+            rounds: opts.rounds,
+            quick: args.opts.quick,
+            fig: args.fig,
+            chaos: args.mode == Mode::Chaos,
+            loss: args.loss,
+            head_kills: args.head_kills,
+        },
+        phases,
+        protocols,
+    };
+    if let Some(path) = &args.metrics_out {
+        write_out(path, &artifact_json(&snap))?;
+    }
     if let Some(dir) = &args.trace_out {
-        for (name, jsonl) in snapshot::protocol_traces(args.opts.seed, args.opts.quick) {
-            write_into(dir, &format!("{name}.jsonl"), &jsonl)?;
+        for run in &snap.protocols {
+            let jsonl = run
+                .trace
+                .as_deref()
+                .expect("traced when --trace-out is given");
+            write_into(dir, &format!("{}.jsonl", run.name), jsonl)?;
         }
     }
     Ok(true)

@@ -2,25 +2,9 @@
 //! calls out — what each mechanism buys, measured on the same churn
 //! scenario.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, Row, RunTable};
 use crate::Table;
-use qbac_core::{AllocatorChoice, ProtocolConfig, Qbac, UpdatePolicy};
-
-fn scenario(seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(if quick { 30 } else { 80 })
-        .depart_fraction(0.3)
-        .abrupt_ratio(0.3)
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_window_secs(15)
-        .cooldown_secs(15)
-        .post_arrivals(5)
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
+use qbac_core::{AllocatorChoice, ProtocolConfig, UpdatePolicy};
 
 fn variants() -> Vec<(&'static str, ProtocolConfig)> {
     vec![
@@ -58,7 +42,15 @@ fn variants() -> Vec<(&'static str, ProtocolConfig)> {
 
 /// Runs the quality ablation. Regenerated with `repro --fig 16`.
 #[must_use]
-pub fn extra_ablation(opts: &FigOpts) -> Vec<Table> {
+pub fn extra_ablation(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
+    let churn = workload(&opts)
+        .nn(if opts.quick { 30 } else { 80 })
+        .depart_fraction(0.3)
+        .abrupt_ratio(0.3)
+        .depart_window_secs(15)
+        .cooldown_secs(15)
+        .post_arrivals(5);
     let mut t = Table::new(
         "Extra — design-choice ablation (same churn workload)",
         "variant",
@@ -70,25 +62,15 @@ pub fn extra_ablation(opts: &FigOpts) -> Vec<Table> {
         ],
     );
     for (name, cfg) in variants() {
-        let runs = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(s, opts.quick), Qbac::new(cfg.clone())).into_measurements();
-            (
-                m.metrics.configured_nodes() as f64,
-                m.metrics.mean_config_latency().unwrap_or(0.0),
-                m.metrics.protocol_hops() as f64,
-                m.metrics.failed_configurations() as f64,
-            )
-        });
-        t.push_row(
-            name,
-            vec![
-                mean(&runs.iter().map(|r| r.0).collect::<Vec<_>>()),
-                mean(&runs.iter().map(|r| r.1).collect::<Vec<_>>()),
-                mean(&runs.iter().map(|r| r.2).collect::<Vec<_>>()),
-                mean(&runs.iter().map(|r| r.3).collect::<Vec<_>>()),
-            ],
-        );
+        let arm = Arm::Quorum(cfg);
+        let columns = [
+            |r: &Row| r.configured as f64,
+            |r: &Row| r.latency.mean().unwrap_or(0.0),
+            |r: &Row| r.protocol_hops as f64,
+            |r: &Row| r.failed as f64,
+        ];
+        let row = columns.map(|f| runs.mean(&arm, churn.clone(), f));
+        t.push_row(name, row.to_vec());
     }
     t.note("upon-leave trades location updates for reclamation precision");
     t.note("borrowing off forces agent forwarding / rejections when depleted");
@@ -98,6 +80,7 @@ pub fn extra_ablation(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn ablation_covers_all_variants() {
@@ -106,7 +89,7 @@ mod tests {
             quick: true,
             seed: 14,
         };
-        let t = &extra_ablation(&opts)[0];
+        let t = &extra_ablation(&mut RunTable::new(opts))[0];
         assert_eq!(t.rows.len(), variants().len());
         for (name, vals) in &t.rows {
             assert!(vals[0] > 0.0, "{name} configured nobody");

@@ -8,93 +8,37 @@
 //! number of disjoint blocks per allocator and the mean external
 //! fragmentation of allocator pools at the end.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, Row, RunTable};
 use crate::Table;
-use addrspace::fragmentation;
-use baselines::ctree::CTree;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(if quick { 30 } else { 80 })
-        .speed_mps(0.0)
-        .depart_fraction(0.5)
-        .abrupt_ratio(0.0)
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_window_secs(20)
-        .cooldown_secs(10)
-        // Churn back in: replacements reuse returned addresses.
-        .post_arrivals(if quick { 8 } else { 20 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the fragmentation study. Not a numbered paper figure; regenerated
 /// with `repro --fig 15`.
 #[must_use]
-pub fn extra_fragmentation(opts: &FigOpts) -> Vec<Table> {
-    let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-        let report = run_scenario(
-            &scenario(s, opts.quick),
-            Qbac::new(ProtocolConfig::default()),
-        );
-        let reports: Vec<_> = report
-            .protocol()
-            .heads(report.world())
-            .into_iter()
-            .filter_map(|h| report.protocol().head(h))
-            .map(|st| fragmentation::report(&st.pool))
-            .collect();
-        (
-            mean(
-                &reports
-                    .iter()
-                    .map(|r| r.block_count as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            mean(&reports.iter().map(|r| r.external).collect::<Vec<_>>()),
-        )
-    });
-    let theirs = parallel_rounds(opts.rounds, opts.seed, |s| {
-        let report = run_scenario(&scenario(s, opts.quick), CTree::default());
-        // The C-tree inspection exposes pool sizes; fragmentation needs
-        // the pools themselves, so we reuse the block-count proxy: the
-        // coordinator keeps singleton blocks for every foreign returned
-        // address, visible as extra blocks per pool.
-        let frag = report.protocol().coordinator_fragmentation(report.world());
-        (
-            mean(
-                &frag
-                    .iter()
-                    .map(|r| r.block_count as f64)
-                    .collect::<Vec<_>>(),
-            ),
-            mean(&frag.iter().map(|r| r.external).collect::<Vec<_>>()),
-        )
-    });
+pub fn extra_fragmentation(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
+    let churn = workload(&opts)
+        .nn(if opts.quick { 30 } else { 80 })
+        .speed_mps(0.0)
+        .depart_fraction(0.5)
+        .abrupt_ratio(0.0)
+        .depart_window_secs(20)
+        .cooldown_secs(10)
+        // Churn back in: replacements reuse returned addresses.
+        .post_arrivals(if opts.quick { 8 } else { 20 });
+    // The C-tree inspection cannot see its coordinators' free lists, so
+    // it reports the block-count proxy: a coordinator keeps a singleton
+    // block for every foreign returned address, visible as extra blocks
+    // per pool.
+    let [blocks, external] = [|r: &Row| r.fragmentation.0, |r: &Row| r.fragmentation.1]
+        .map(|f| [Arm::quorum(), Arm::CTree].map(|arm| runs.mean(&arm, churn.clone(), f)));
 
     let mut t = Table::new(
         "Extra — pool fragmentation after sustained churn (§VI-C claim)",
         "metric",
         vec!["quorum".into(), "C-tree [3]".into()],
     );
-    t.push_row(
-        "blocks per allocator",
-        vec![
-            mean(&ours.iter().map(|v| v.0).collect::<Vec<_>>()),
-            mean(&theirs.iter().map(|v| v.0).collect::<Vec<_>>()),
-        ],
-    );
-    t.push_row(
-        "external fragmentation",
-        vec![
-            mean(&ours.iter().map(|v| v.1).collect::<Vec<_>>()),
-            mean(&theirs.iter().map(|v| v.1).collect::<Vec<_>>()),
-        ],
-    );
+    t.push_row("blocks per allocator", blocks.to_vec());
+    t.push_row("external fragmentation", external.to_vec());
     t.note("50% graceful churn plus replacements; addresses route home in quorum");
     t.note("paper §VI-C: the quorum protocol avoids long-run fragmentation");
     vec![t]
@@ -103,6 +47,7 @@ pub fn extra_fragmentation(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn fragmentation_study_runs() {
@@ -111,7 +56,7 @@ mod tests {
             quick: true,
             seed: 12,
         };
-        let t = &extra_fragmentation(&opts)[0];
+        let t = &extra_fragmentation(&mut RunTable::new(opts))[0];
         assert_eq!(t.rows.len(), 2);
         // External fragmentation is a ratio.
         for (_, vals) in &t.rows[1..] {

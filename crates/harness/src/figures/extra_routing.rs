@@ -8,7 +8,7 @@
 //! staler tables — the gap the autoconfiguration latency figures
 //! silently ride on.
 
-use super::FigOpts;
+use super::RunTable;
 use crate::scenario::parallel_rounds;
 use crate::stats::mean;
 use crate::Table;
@@ -51,7 +51,8 @@ fn agreement(seed: u64, nn: usize, speed: f64, steps: u32) -> f64 {
 
 /// Runs the routing-staleness study. Regenerated with `repro --fig 18`.
 #[must_use]
-pub fn extra_routing(opts: &FigOpts) -> Vec<Table> {
+pub fn extra_routing(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nn = if opts.quick { 40 } else { 100 };
     let steps = if opts.quick { 30 } else { 90 };
     let speeds: Vec<f64> = if opts.quick {
@@ -76,6 +77,7 @@ pub fn extra_routing(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn static_topology_reaches_full_agreement() {
@@ -84,7 +86,7 @@ mod tests {
             quick: true,
             seed: 18,
         };
-        let t = &extra_routing(&opts)[0];
+        let t = &extra_routing(&mut RunTable::new(opts))[0];
         let static_agreement = t.rows[0].1[0];
         let mobile_agreement = t.rows[1].1[0];
         assert!(

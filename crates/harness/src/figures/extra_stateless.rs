@@ -6,28 +6,15 @@
 //! running the stateless scheme and the quorum protocol through the same
 //! formation workload.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{static_formation, Arm, Row, RunTable};
 use crate::Table;
-use baselines::dad::QueryDad;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .speed_mps(0.0)
-        .settle_secs(if quick { 5 } else { 10 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the stateless-vs-quorum comparison. Regenerated with
 /// `repro --fig 17`.
 #[must_use]
-pub fn extra_stateless(opts: &FigOpts) -> Vec<Table> {
+pub fn extra_stateless(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let mut t = Table::new(
         "Extra — stateless DAD vs quorum (formation workload)",
         "nn",
@@ -39,36 +26,15 @@ pub fn extra_stateless(opts: &FigOpts) -> Vec<Table> {
         ],
     );
     for nn in opts.nn_sweep() {
-        let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(
-                &scenario(nn, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            )
-            .into_measurements();
-            (
-                m.metrics.mean_config_latency().unwrap_or(0.0),
-                m.metrics.hops(MsgCategory::Configuration) as f64
-                    / m.metrics.configured_nodes().max(1) as f64,
-            )
+        let columns = [
+            |r: &Row| r.latency.mean().unwrap_or(0.0),
+            |r: &Row| r.hops(MsgCategory::Configuration) as f64 / r.configured.max(1) as f64,
+        ];
+        let row = columns.map(|f| {
+            [Arm::quorum(), Arm::Dad]
+                .map(|arm| runs.mean(&arm, static_formation(&opts, nn, 150.0), f))
         });
-        let dad = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(nn, s, opts.quick), QueryDad::default()).into_measurements();
-            (
-                m.metrics.mean_config_latency().unwrap_or(0.0),
-                m.metrics.hops(MsgCategory::Configuration) as f64
-                    / m.metrics.configured_nodes().max(1) as f64,
-            )
-        });
-        t.push_row(
-            nn.to_string(),
-            vec![
-                mean(&ours.iter().map(|v| v.0).collect::<Vec<_>>()),
-                mean(&dad.iter().map(|v| v.0).collect::<Vec<_>>()),
-                mean(&ours.iter().map(|v| v.1).collect::<Vec<_>>()),
-                mean(&dad.iter().map(|v| v.1).collect::<Vec<_>>()),
-            ],
-        );
+        t.push_row(nn.to_string(), row.concat());
     }
     t.note("DAD floods AREQ_RETRIES times per node; hop latency hides its timeout waits");
     t.note("paper §III: stateless configuring latency and message overhead can be very high");
@@ -78,6 +44,7 @@ pub fn extra_stateless(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn dad_overhead_scales_worse_than_quorum() {
@@ -86,7 +53,7 @@ mod tests {
             quick: true,
             seed: 17,
         };
-        let t = &extra_stateless(&opts)[0];
+        let t = &extra_stateless(&mut RunTable::new(opts))[0];
         let last = t.rows.last().unwrap();
         let (q_hops, dad_hops) = (last.1[2], last.1[3]);
         assert!(

@@ -2,7 +2,7 @@
 //! 1 km × 1 km). We report the structural statistics of such layouts and
 //! print a coarse ASCII map of one instance.
 
-use super::FigOpts;
+use super::RunTable;
 use crate::scenario::parallel_rounds;
 use crate::stats::mean;
 use crate::Table;
@@ -20,7 +20,8 @@ fn layout(seed: u64, nn: usize, area: f64) -> Vec<(NodeId, Point)> {
 
 /// Runs the Figure 4 driver.
 #[must_use]
-pub fn fig04(opts: &FigOpts) -> Vec<Table> {
+pub fn fig04(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nn = if opts.quick { 50 } else { 100 };
     let area = 1000.0;
     let tr = 150.0;
@@ -81,6 +82,7 @@ pub fn fig04(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn produces_stats_and_map() {
@@ -89,7 +91,7 @@ mod tests {
             quick: true,
             seed: 3,
         };
-        let tables = fig04(&opts);
+        let tables = fig04(&mut RunTable::new(opts));
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert_eq!(t.rows.len(), 4);

@@ -5,65 +5,41 @@
 //! grows with the network because full replication needs a global flood
 //! and confirmations from everyone.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::{latency_columns, merge_histograms};
+use super::runs::{formation, Arm, RunTable};
+use crate::stats::latency_columns;
 use crate::Table;
-use baselines::manetconf::ManetConf;
-use manet_sim::Histogram;
-use qbac_core::{ProtocolConfig, Qbac};
 
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .tr_m(150.0)
-        .settle_secs(if quick { 5 } else { 10 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
-
-pub(crate) fn ours_latency(nn: usize, seed: u64, quick: bool) -> Histogram {
-    let m = run_scenario(
-        &scenario(nn, seed, quick),
-        Qbac::new(ProtocolConfig::default()),
-    )
-    .into_measurements();
-    m.metrics.config_latency().clone()
-}
-
-pub(crate) fn manetconf_latency(nn: usize, seed: u64, quick: bool) -> Histogram {
-    let m = run_scenario(&scenario(nn, seed, quick), ManetConf::default()).into_measurements();
-    m.metrics.config_latency().clone()
+/// The quorum-vs-MANETconf latency columns Figs 5 and 6 share: mean,
+/// p50, p95 and p99 of each protocol's pooled latencies.
+pub(super) fn latency_headers() -> Vec<String> {
+    [
+        "quorum",
+        "q_p50",
+        "q_p95",
+        "q_p99",
+        "MANETconf",
+        "mc_p50",
+        "mc_p95",
+        "mc_p99",
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 /// Runs the Figure 5 driver.
 #[must_use]
-pub fn fig05(opts: &FigOpts) -> Vec<Table> {
+pub fn fig05(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
+    let mut headers = latency_headers();
+    headers.push("ratio".into());
     let mut t = Table::new(
         "Fig. 5 — configuration latency (hops) vs network size (tr=150m)",
         "nn",
-        vec![
-            "quorum".into(),
-            "q_p50".into(),
-            "q_p95".into(),
-            "q_p99".into(),
-            "MANETconf".into(),
-            "mc_p50".into(),
-            "mc_p95".into(),
-            "mc_p99".into(),
-            "ratio".into(),
-        ],
+        headers,
     );
     for nn in opts.nn_sweep() {
-        let ours = merge_histograms(parallel_rounds(opts.rounds, opts.seed, |s| {
-            ours_latency(nn, s, opts.quick)
-        }));
-        let theirs = merge_histograms(parallel_rounds(opts.rounds, opts.seed, |s| {
-            manetconf_latency(nn, s, opts.quick)
-        }));
-        let q = latency_columns(&ours);
-        let mc = latency_columns(&theirs);
+        let q = latency_columns(&runs.pooled(&Arm::quorum(), formation(&opts, nn, 150.0)));
+        let mc = latency_columns(&runs.pooled(&Arm::ManetConf, formation(&opts, nn, 150.0)));
         let ratio = mc[0] / q[0].max(1e-9);
         t.push_row(
             nn.to_string(),
@@ -77,6 +53,7 @@ pub fn fig05(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn quorum_beats_manetconf_at_scale() {
@@ -85,7 +62,7 @@ mod tests {
             quick: true,
             seed: 42,
         };
-        let tables = fig05(&opts);
+        let tables = fig05(&mut RunTable::new(opts));
         let t = &tables[0];
         // At the largest quick size the flood-based baseline must be
         // slower.

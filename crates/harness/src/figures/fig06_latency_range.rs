@@ -4,57 +4,24 @@
 //! Paper's shape: the quorum protocol stays below ~10 hops across
 //! ranges; MANETconf stays above ~15.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::{latency_columns, merge_histograms};
+use super::fig05_latency_size::latency_headers;
+use super::runs::{formation, Arm, RunTable};
+use crate::stats::latency_columns;
 use crate::Table;
-use baselines::manetconf::ManetConf;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(tr: f64, nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .tr_m(tr)
-        .settle_secs(if quick { 5 } else { 10 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the Figure 6 driver.
 #[must_use]
-pub fn fig06(opts: &FigOpts) -> Vec<Table> {
+pub fn fig06(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nn = if opts.quick { 40 } else { 100 };
     let mut t = Table::new(
         format!("Fig. 6 — configuration latency (hops) vs transmission range (nn={nn})"),
         "tr_m",
-        vec![
-            "quorum".into(),
-            "q_p50".into(),
-            "q_p95".into(),
-            "q_p99".into(),
-            "MANETconf".into(),
-            "mc_p50".into(),
-            "mc_p95".into(),
-            "mc_p99".into(),
-        ],
+        latency_headers(),
     );
     for tr in opts.tr_sweep() {
-        let ours = merge_histograms(parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(
-                &scenario(tr, nn, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            )
-            .into_measurements();
-            m.metrics.config_latency().clone()
-        }));
-        let theirs = merge_histograms(parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(&scenario(tr, nn, s, opts.quick), ManetConf::default())
-                .into_measurements();
-            m.metrics.config_latency().clone()
-        }));
-        let q = latency_columns(&ours);
-        let mc = latency_columns(&theirs);
+        let q = latency_columns(&runs.pooled(&Arm::quorum(), formation(&opts, nn, tr)));
+        let mc = latency_columns(&runs.pooled(&Arm::ManetConf, formation(&opts, nn, tr)));
         t.push_row(
             format!("{tr:.0}"),
             vec![q[0], q[1], q[2], q[3], mc[0], mc[1], mc[2], mc[3]],
@@ -67,6 +34,7 @@ pub fn fig06(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn sweep_covers_all_ranges() {
@@ -75,7 +43,7 @@ mod tests {
             quick: true,
             seed: 5,
         };
-        let t = &fig06(&opts)[0];
+        let t = &fig06(&mut RunTable::new(opts))[0];
         assert_eq!(t.rows.len(), opts.tr_sweep().len());
         for (x, vals) in &t.rows {
             assert!(vals[0] > 0.0, "quorum latency at tr={x} must be positive");

@@ -7,15 +7,13 @@
 //! grid (pooled across replications; p50/p99 are in `--metrics-out`
 //! snapshots).
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::merge_histograms;
+use super::runs::{formation, Arm, RunTable};
 use crate::Table;
-use qbac_core::{ProtocolConfig, Qbac};
 
 /// Runs the Figure 7 driver.
 #[must_use]
-pub fn fig07(opts: &FigOpts) -> Vec<Table> {
+pub fn fig07(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nns = opts.nn_sweep();
     let columns: Vec<String> = nns.iter().map(|nn| format!("nn={nn}")).collect();
     let mut t = Table::new(
@@ -32,18 +30,7 @@ pub fn fig07(opts: &FigOpts) -> Vec<Table> {
         let mut row = Vec::new();
         let mut tail_row = Vec::new();
         for &nn in &nns {
-            let pooled = merge_histograms(parallel_rounds(opts.rounds, opts.seed, |s| {
-                let scen = Scenario::builder()
-                    .nn(nn)
-                    .tr_m(tr)
-                    .settle_secs(if opts.quick { 5 } else { 10 })
-                    .seed(s)
-                    .build()
-                    .expect("figure scenario is in-domain");
-                let m =
-                    run_scenario(&scen, Qbac::new(ProtocolConfig::default())).into_measurements();
-                m.metrics.config_latency().clone()
-            }));
+            let pooled = runs.pooled(&Arm::quorum(), formation(&opts, nn, tr));
             row.push(pooled.mean().unwrap_or(0.0));
             tail_row.push(pooled.p95().map_or(0.0, |v| v as f64));
         }
@@ -58,6 +45,7 @@ pub fn fig07(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn surface_is_fully_populated() {
@@ -66,7 +54,7 @@ mod tests {
             quick: true,
             seed: 6,
         };
-        let tables = fig07(&opts);
+        let tables = fig07(&mut RunTable::new(opts));
         assert_eq!(tables.len(), 2, "mean surface plus p95 surface");
         for t in &tables {
             assert_eq!(t.rows.len(), opts.tr_sweep().len());

@@ -5,57 +5,31 @@
 //! more slowly because the buddy protocol pays for periodic global
 //! synchronization of allocation tables.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{static_formation, Arm, RunTable};
 use crate::Table;
-use baselines::buddy::Buddy;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        // The paper's configuration-overhead experiment isolates the
-        // arrival process; mobility-induced maintenance is Figures
-        // 10-11's subject. A static formation keeps partition churn
-        // (which the buddy protocol simply does not handle) out of the
-        // configuration column.
-        .speed_mps(0.0)
-        .settle_secs(if quick { 5 } else { 10 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the Figure 8 driver.
 #[must_use]
-pub fn fig08(opts: &FigOpts) -> Vec<Table> {
+pub fn fig08(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let mut t = Table::new(
         "Fig. 8 — configuration message overhead (hops per node) vs network size",
         "nn",
         vec!["quorum".into(), "buddy [2]".into()],
     );
     for nn in opts.nn_sweep() {
-        let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(
-                &scenario(nn, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            )
-            .into_measurements();
-            m.metrics.hops(MsgCategory::Configuration) as f64
-                / m.metrics.configured_nodes().max(1) as f64
+        let ours = runs.mean(&Arm::quorum(), static_formation(&opts, nn, 150.0), |r| {
+            r.hops(MsgCategory::Configuration) as f64 / r.configured.max(1) as f64
         });
-        let theirs = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(nn, s, opts.quick), Buddy::default()).into_measurements();
-            // The buddy protocol's configuration cost includes its
-            // periodic global table synchronization (that is the paper's
-            // point of comparison).
-            (m.metrics.hops(MsgCategory::Configuration) + m.metrics.hops(MsgCategory::Sync)) as f64
-                / m.metrics.configured_nodes().max(1) as f64
+        // The buddy protocol's configuration cost includes its periodic
+        // global table synchronization (that is the paper's point of
+        // comparison).
+        let theirs = runs.mean(&Arm::Buddy, static_formation(&opts, nn, 150.0), |r| {
+            (r.hops(MsgCategory::Configuration) + r.hops(MsgCategory::Sync)) as f64
+                / r.configured.max(1) as f64
         });
-        t.push_row(nn.to_string(), vec![mean(&ours), mean(&theirs)]);
+        t.push_row(nn.to_string(), vec![ours, theirs]);
     }
     t.note("buddy column folds in its periodic global sync floods");
     t.note("paper: quorum overhead grows more slowly with network size");
@@ -65,6 +39,7 @@ pub fn fig08(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn buddy_sync_dominates_at_larger_sizes() {
@@ -73,7 +48,7 @@ mod tests {
             quick: true,
             seed: 9,
         };
-        let t = &fig08(&opts)[0];
+        let t = &fig08(&mut RunTable::new(opts))[0];
         let last = t.rows.last().unwrap();
         assert!(
             last.1[1] > last.1[0],

@@ -6,54 +6,34 @@
 //! protocol floods the departure so all global tables stay consistent,
 //! so its cost scales with the network.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, RunTable};
 use crate::Table;
-use baselines::buddy::Buddy;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        // Stationary so the maintenance category isolates departures.
-        .speed_mps(0.0)
-        .depart_fraction(0.4)
-        .abrupt_ratio(0.0) // graceful departures only
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_window_secs(20)
-        .cooldown_secs(10)
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the Figure 9 driver.
 #[must_use]
-pub fn fig09(opts: &FigOpts) -> Vec<Table> {
+pub fn fig09(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let mut t = Table::new(
         "Fig. 9 — departure message overhead (hops per departure) vs network size",
         "nn",
         vec!["quorum".into(), "buddy [2]".into()],
     );
     for nn in opts.nn_sweep() {
-        let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(
-                &scenario(nn, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            )
-            .into_measurements();
-            m.metrics.hops(MsgCategory::Maintenance) as f64
-                / m.graceful_departures.len().max(1) as f64
+        let departures = workload(&opts)
+            .nn(nn)
+            // Stationary so the maintenance category isolates departures.
+            .speed_mps(0.0)
+            .depart_fraction(0.4)
+            .abrupt_ratio(0.0) // graceful departures only
+            .depart_window_secs(20)
+            .cooldown_secs(10);
+        let row = [Arm::quorum(), Arm::Buddy].map(|arm| {
+            runs.mean(&arm, departures.clone(), |r| {
+                r.hops(MsgCategory::Maintenance) as f64 / r.graceful.max(1) as f64
+            })
         });
-        let theirs = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(nn, s, opts.quick), Buddy::default()).into_measurements();
-            m.metrics.hops(MsgCategory::Maintenance) as f64
-                / m.graceful_departures.len().max(1) as f64
-        });
-        t.push_row(nn.to_string(), vec![mean(&ours), mean(&theirs)]);
+        t.push_row(nn.to_string(), row.to_vec());
     }
     t.note("40% of nodes depart gracefully; nodes stationary to isolate departures");
     t.note("paper: buddy departure floods scale with network size, quorum stays local");
@@ -63,6 +43,7 @@ pub fn fig09(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn quorum_departures_cheaper_than_buddy_floods() {
@@ -71,7 +52,7 @@ mod tests {
             quick: true,
             seed: 21,
         };
-        let t = &fig09(&opts)[0];
+        let t = &fig09(&mut RunTable::new(opts))[0];
         let last = t.rows.last().unwrap();
         assert!(
             last.1[0] < last.1[1],

@@ -5,31 +5,15 @@
 //! Paper's shape: quorum (periodic) and C-tree land close together; the
 //! upon-leave variant is far cheaper because it drops location updates.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, RunTable};
 use crate::Table;
-use baselines::ctree::CTree;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac, UpdatePolicy};
-
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .speed_mps(20.0)
-        .depart_fraction(0.3)
-        .abrupt_ratio(0.0)
-        .settle_secs(if quick { 5 } else { 15 })
-        .depart_window_secs(20)
-        .cooldown_secs(10)
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
+use qbac_core::{ProtocolConfig, UpdatePolicy};
 
 /// Runs the Figure 10 driver.
 #[must_use]
-pub fn fig10(opts: &FigOpts) -> Vec<Table> {
+pub fn fig10(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let mut t = Table::new(
         "Fig. 10 — maintenance overhead (hops per node) vs network size (20 m/s)",
         "nn",
@@ -39,32 +23,34 @@ pub fn fig10(opts: &FigOpts) -> Vec<Table> {
             "C-tree [3]".into(),
         ],
     );
+    let policy = |update_policy| {
+        Arm::Quorum(ProtocolConfig {
+            update_policy,
+            ..ProtocolConfig::default()
+        })
+    };
     for nn in opts.nn_sweep() {
-        let run_ours = |policy: UpdatePolicy| {
-            parallel_rounds(opts.rounds, opts.seed, move |s| {
-                let cfg = ProtocolConfig {
-                    update_policy: policy,
-                    ..ProtocolConfig::default()
-                };
-                let m =
-                    run_scenario(&scenario(nn, s, opts.quick), Qbac::new(cfg)).into_measurements();
-                m.metrics.hops(MsgCategory::Maintenance) as f64 / nn as f64
+        let churn = workload(&opts)
+            .nn(nn)
+            .speed_mps(20.0)
+            .depart_fraction(0.3)
+            .abrupt_ratio(0.0)
+            .settle_secs(if opts.quick { 5 } else { 15 })
+            .depart_window_secs(20)
+            .cooldown_secs(10);
+        let mut row: Vec<f64> = [UpdatePolicy::Periodic, UpdatePolicy::UponLeave]
+            .map(|p| {
+                runs.mean(&policy(p), churn.clone(), |r| {
+                    r.hops(MsgCategory::Maintenance) as f64 / nn as f64
+                })
             })
-        };
-        let periodic = run_ours(UpdatePolicy::Periodic);
-        let upon_leave = run_ours(UpdatePolicy::UponLeave);
-        let ctree = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(nn, s, opts.quick), CTree::default()).into_measurements();
-            // C-tree maintenance = departures + its periodic coordinator
-            // reports to the C-root.
-            (m.metrics.hops(MsgCategory::Maintenance) + m.metrics.hops(MsgCategory::Sync)) as f64
-                / nn as f64
-        });
-        t.push_row(
-            nn.to_string(),
-            vec![mean(&periodic), mean(&upon_leave), mean(&ctree)],
-        );
+            .to_vec();
+        // C-tree maintenance = departures + its periodic coordinator
+        // reports to the C-root.
+        row.push(runs.mean(&Arm::CTree, churn, |r| {
+            (r.hops(MsgCategory::Maintenance) + r.hops(MsgCategory::Sync)) as f64 / nn as f64
+        }));
+        t.push_row(nn.to_string(), row);
     }
     t.note("C-tree column folds in its periodic coordinator→root reports");
     t.note("paper: quorum(periodic) ≈ C-tree; upon-leave far cheaper");
@@ -74,6 +60,7 @@ pub fn fig10(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn upon_leave_is_cheapest() {
@@ -82,7 +69,7 @@ mod tests {
             quick: true,
             seed: 33,
         };
-        let t = &fig10(&opts)[0];
+        let t = &fig10(&mut RunTable::new(opts))[0];
         for (x, vals) in &t.rows {
             assert!(
                 vals[1] <= vals[0],

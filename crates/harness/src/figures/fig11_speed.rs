@@ -4,16 +4,14 @@
 //! three hops from its configurer/administrator, so higher mobility
 //! means more updates.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, RunTable};
 use crate::Table;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac};
 
 /// Runs the Figure 11 driver.
 #[must_use]
-pub fn fig11(opts: &FigOpts) -> Vec<Table> {
+pub fn fig11(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nn = if opts.quick { 50 } else { 150 };
     let speeds: Vec<f64> = if opts.quick {
         vec![10.0, 30.0]
@@ -26,20 +24,16 @@ pub fn fig11(opts: &FigOpts) -> Vec<Table> {
         vec!["quorum".into()],
     );
     for speed in speeds {
-        let vals = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let scen = Scenario::builder()
-                .nn(nn)
-                .speed_mps(speed)
-                // No departures: maintenance is pure movement traffic.
-                .depart_fraction(0.0)
-                .settle_secs(if opts.quick { 20 } else { 60 })
-                .seed(s)
-                .build()
-                .expect("figure scenario is in-domain");
-            let m = run_scenario(&scen, Qbac::new(ProtocolConfig::default())).into_measurements();
-            m.metrics.hops(MsgCategory::Maintenance) as f64 / nn as f64
+        let moving = workload(&opts)
+            .nn(nn)
+            .speed_mps(speed)
+            // No departures: maintenance is pure movement traffic.
+            .depart_fraction(0.0)
+            .settle_secs(if opts.quick { 20 } else { 60 });
+        let overhead = runs.mean(&Arm::quorum(), moving, |r| {
+            r.hops(MsgCategory::Maintenance) as f64 / nn as f64
         });
-        t.push_row(format!("{speed:.0}"), vec![mean(&vals)]);
+        t.push_row(format!("{speed:.0}"), vec![overhead]);
     }
     t.note("paper: overhead increases with node mobility");
     vec![t]
@@ -48,6 +42,7 @@ pub fn fig11(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn faster_nodes_send_more_updates() {
@@ -56,7 +51,7 @@ mod tests {
             quick: true,
             seed: 77,
         };
-        let t = &fig11(&opts)[0];
+        let t = &fig11(&mut RunTable::new(opts))[0];
         let slow = t.rows.first().unwrap().1[0];
         let fast = t.rows.last().unwrap().1[0];
         assert!(

@@ -6,34 +6,13 @@
 //! adjacent heads within three hops → larger `QDSet`). C-tree
 //! coordinators keep only their own pool (ratio 1).
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{static_formation, Arm, RunTable};
 use crate::Table;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn measure(nn: usize, tr: f64, seed: u64, quick: bool) -> (f64, f64) {
-    let scen = Scenario::builder()
-        .nn(nn)
-        .tr_m(tr)
-        // Stationary snapshot of the formed network.
-        .speed_mps(0.0)
-        .settle_secs(if quick { 5 } else { 10 })
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain");
-    let report = run_scenario(&scen, Qbac::new(ProtocolConfig::default()));
-    let qd = report.protocol().qdset_sizes(report.world());
-    let ratios = report.protocol().extension_ratios(report.world());
-    (
-        mean(&qd.iter().map(|&x| x as f64).collect::<Vec<_>>()),
-        mean(&ratios),
-    )
-}
 
 /// Runs the Figure 12 driver.
 #[must_use]
-pub fn fig12(opts: &FigOpts) -> Vec<Table> {
+pub fn fig12(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nns = opts.nn_sweep();
     let columns: Vec<String> = nns.iter().map(|nn| format!("nn={nn}")).collect();
 
@@ -51,9 +30,10 @@ pub fn fig12(opts: &FigOpts) -> Vec<Table> {
         let mut qrow = Vec::new();
         let mut erow = Vec::new();
         for &nn in &nns {
-            let vals = parallel_rounds(opts.rounds, opts.seed, |s| measure(nn, tr, s, opts.quick));
-            qrow.push(mean(&vals.iter().map(|v| v.0).collect::<Vec<_>>()));
-            erow.push(mean(&vals.iter().map(|v| v.1).collect::<Vec<_>>()));
+            // Stationary snapshot of the formed network.
+            let formed = static_formation(&opts, nn, tr);
+            qrow.push(runs.mean(&Arm::quorum(), formed.clone(), |r| r.qdset));
+            erow.push(runs.mean(&Arm::quorum(), formed, |r| r.extension));
         }
         qsize.push_row(format!("{tr:.0}"), qrow);
         ext.push_row(format!("{tr:.0}"), erow);
@@ -66,6 +46,7 @@ pub fn fig12(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn extension_ratio_exceeds_one_and_grows_with_range() {
@@ -74,7 +55,7 @@ mod tests {
             quick: true,
             seed: 50,
         };
-        let tables = fig12(&opts);
+        let tables = fig12(&mut RunTable::new(opts));
         let ext = &tables[1];
         let first_tr = &ext.rows.first().unwrap().1;
         let last_tr = &ext.rows.last().unwrap().1;

@@ -5,30 +5,13 @@
 //! than 30% of nodes leave abruptly; C-tree's single global copy at the
 //! C-root makes it fragile (losing the root loses everything).
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, RunTable};
 use crate::Table;
-use baselines::ctree::CTree;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(nn: usize, abrupt_ratio: f64, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .speed_mps(0.0)
-        .depart_fraction(abrupt_ratio) // this fraction of nodes leaves…
-        .abrupt_ratio(1.0) // …all abruptly and ~simultaneously
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_window_ms(100)
-        .cooldown_secs(1)
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the Figure 13 driver.
 #[must_use]
-pub fn fig13(opts: &FigOpts) -> Vec<Table> {
+pub fn fig13(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let nn = if opts.quick { 60 } else { 150 };
     let ratios: Vec<f64> = if opts.quick {
         vec![0.1, 0.3, 0.5]
@@ -41,27 +24,20 @@ pub fn fig13(opts: &FigOpts) -> Vec<Table> {
         vec!["quorum %lost".into(), "C-tree %lost".into()],
     );
     for ratio in ratios {
-        let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let report = run_scenario(
-                &scenario(nn, ratio, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            );
-            let (preserved, lost) = report
-                .protocol()
-                .preservation_audit(report.world(), &report.measurements().abrupt_departures);
-            pct_lost(preserved, lost)
+        let exodus = workload(&opts)
+            .nn(nn)
+            .speed_mps(0.0)
+            .depart_fraction(ratio) // this fraction of nodes leaves…
+            .abrupt_ratio(1.0) // …all abruptly and ~simultaneously
+            .depart_window_ms(100)
+            .cooldown_secs(1);
+        let row = [Arm::quorum(), Arm::CTree].map(|arm| {
+            runs.mean(&arm, exodus.clone(), |r| {
+                let (preserved, lost) = r.preservation;
+                pct_lost(preserved, lost)
+            })
         });
-        let theirs = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let report = run_scenario(&scenario(nn, ratio, s, opts.quick), CTree::default());
-            let (preserved, lost) = report
-                .protocol()
-                .preservation_audit(report.world(), &report.measurements().abrupt_departures);
-            pct_lost(preserved, lost)
-        });
-        t.push_row(
-            format!("{:.0}", ratio * 100.0),
-            vec![mean(&ours), mean(&theirs)],
-        );
+        t.push_row(format!("{:.0}", ratio * 100.0), row.to_vec());
     }
     t.note("a vanished quorum head is 'preserved' if ≥ half its QDSet survives");
     t.note("a vanished C-tree coordinator is preserved only while the C-root lives");
@@ -81,6 +57,7 @@ fn pct_lost(preserved: usize, lost: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn loss_grows_with_abrupt_ratio() {
@@ -89,7 +66,7 @@ mod tests {
             quick: true,
             seed: 60,
         };
-        let t = &fig13(&opts)[0];
+        let t = &fig13(&mut RunTable::new(opts))[0];
         let first = t.rows.first().unwrap().1[0];
         let last = t.rows.last().unwrap().1[0];
         assert!(

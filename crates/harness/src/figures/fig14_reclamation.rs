@@ -6,56 +6,36 @@
 //! because reclamation stays local to the vanished head's neighborhood
 //! and borrowing postpones it, while the C-root floods.
 
-use super::FigOpts;
-use crate::scenario::{parallel_rounds, run_scenario, Scenario};
-use crate::stats::mean;
+use super::runs::{workload, Arm, RunTable};
 use crate::Table;
-use baselines::ctree::CTree;
 use manet_sim::MsgCategory;
-use qbac_core::{ProtocolConfig, Qbac};
-
-fn scenario(nn: usize, seed: u64, quick: bool) -> Scenario {
-    Scenario::builder()
-        .nn(nn)
-        .speed_mps(0.0)
-        .depart_fraction(0.2)
-        .abrupt_ratio(1.0) // all abrupt: force reclamation
-        .settle_secs(if quick { 5 } else { 10 })
-        .depart_window_secs(5)
-        .cooldown_secs(if quick { 20 } else { 40 })
-        // New arrivals after the exodus make allocators touch their
-        // quorums and detect the vanished heads.
-        .post_arrivals(nn / 10)
-        .seed(seed)
-        .build()
-        .expect("figure scenario is in-domain")
-}
 
 /// Runs the Figure 14 driver.
 #[must_use]
-pub fn fig14(opts: &FigOpts) -> Vec<Table> {
+pub fn fig14(runs: &mut RunTable) -> Vec<Table> {
+    let opts = runs.opts();
     let mut t = Table::new(
         "Fig. 14 — address reclamation overhead (hops per abrupt departure) vs network size",
         "nn",
         vec!["quorum".into(), "C-tree [3]".into()],
     );
     for nn in opts.nn_sweep() {
-        let ours = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m = run_scenario(
-                &scenario(nn, s, opts.quick),
-                Qbac::new(ProtocolConfig::default()),
-            )
-            .into_measurements();
-            m.metrics.hops(MsgCategory::Reclamation) as f64
-                / m.abrupt_departures.len().max(1) as f64
+        let exodus = workload(&opts)
+            .nn(nn)
+            .speed_mps(0.0)
+            .depart_fraction(0.2)
+            .abrupt_ratio(1.0) // all abrupt: force reclamation
+            .depart_window_secs(5)
+            .cooldown_secs(if opts.quick { 20 } else { 40 })
+            // New arrivals after the exodus make allocators touch their
+            // quorums and detect the vanished heads.
+            .post_arrivals(nn / 10);
+        let row = [Arm::quorum(), Arm::CTree].map(|arm| {
+            runs.mean(&arm, exodus.clone(), |r| {
+                r.hops(MsgCategory::Reclamation) as f64 / r.abrupt.max(1) as f64
+            })
         });
-        let theirs = parallel_rounds(opts.rounds, opts.seed, |s| {
-            let m =
-                run_scenario(&scenario(nn, s, opts.quick), CTree::default()).into_measurements();
-            m.metrics.hops(MsgCategory::Reclamation) as f64
-                / m.abrupt_departures.len().max(1) as f64
-        });
-        t.push_row(nn.to_string(), vec![mean(&ours), mean(&theirs)]);
+        t.push_row(nn.to_string(), row.to_vec());
     }
     t.note("20% of nodes leave abruptly; fresh arrivals trigger detection");
     t.note("paper: comparable cost, quorum cheaper for nn > ~170");
@@ -65,6 +45,7 @@ pub fn fig14(opts: &FigOpts) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FigOpts;
 
     #[test]
     fn reclamation_traffic_is_measured() {
@@ -73,7 +54,7 @@ mod tests {
             quick: true,
             seed: 90,
         };
-        let t = &fig14(&opts)[0];
+        let t = &fig14(&mut RunTable::new(opts))[0];
         // At least one of the protocols must show reclamation traffic in
         // every row (abrupt departures of heads are probabilistic, but
         // with 20% of all nodes vanishing some head is always affected).

@@ -1,9 +1,15 @@
-//! One driver per table/figure of the paper's evaluation (§VI).
+//! The tables and figures of the paper's evaluation (§VI), as
+//! projections of one [`RunTable`].
 //!
-//! Every driver takes [`FigOpts`] (replication count and a quick mode
-//! for benches) and returns the [`Table`]s that reproduce the figure's
-//! series. See `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured values.
+//! A driver names its workloads and protocol arms, asks the table for
+//! their per-seed rows, and reduces those rows to the [`Table`]s that
+//! reproduce the figure's series. The table runs each distinct
+//! (arm, workload, seed) once, so figures that share a workload share
+//! its runs, and a figure prints the same bytes alone as after any
+//! other. The [`FigOpts`] on the table (replication count, seed and a
+//! quick mode for smokes) hold for every figure on it. See `DESIGN.md`
+//! for the experiment index and `EXPERIMENTS.md` for paper-vs-measured
+//! values.
 
 mod extra_ablation;
 mod extra_fragmentation;
@@ -20,6 +26,7 @@ mod fig11_speed;
 mod fig12_quorum_size;
 mod fig13_failed_heads;
 mod fig14_reclamation;
+mod runs;
 
 pub use extra_ablation::extra_ablation;
 pub use extra_fragmentation::extra_fragmentation;
@@ -36,6 +43,7 @@ pub use fig11_speed::fig11;
 pub use fig12_quorum_size::fig12;
 pub use fig13_failed_heads::fig13;
 pub use fig14_reclamation::fig14;
+pub use runs::RunTable;
 
 use crate::Table;
 
@@ -84,48 +92,26 @@ impl FigOpts {
     }
 }
 
-/// Runs every figure, in order.
+/// Projects figure `n` (4–14, extras 15–18) from `runs`, running what
+/// the table does not hold yet. Returns `None` for unknown figures.
 #[must_use]
-pub fn all(opts: &FigOpts) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(fig04(opts));
-    tables.extend(fig05(opts));
-    tables.extend(fig06(opts));
-    tables.extend(fig07(opts));
-    tables.extend(fig08(opts));
-    tables.extend(fig09(opts));
-    tables.extend(fig10(opts));
-    tables.extend(fig11(opts));
-    tables.extend(fig12(opts));
-    tables.extend(fig13(opts));
-    tables.extend(fig14(opts));
-    tables.extend(extra_fragmentation(opts));
-    tables.extend(extra_ablation(opts));
-    tables.extend(extra_stateless(opts));
-    tables.extend(extra_routing(opts));
-    tables
-}
-
-/// Runs a single figure by number (4–14). Returns `None` for unknown
-/// figures.
-#[must_use]
-pub fn by_number(n: u32, opts: &FigOpts) -> Option<Vec<Table>> {
+pub fn by_number(n: u32, runs: &mut RunTable) -> Option<Vec<Table>> {
     Some(match n {
-        4 => fig04(opts),
-        5 => fig05(opts),
-        6 => fig06(opts),
-        7 => fig07(opts),
-        8 => fig08(opts),
-        9 => fig09(opts),
-        10 => fig10(opts),
-        11 => fig11(opts),
-        12 => fig12(opts),
-        13 => fig13(opts),
-        14 => fig14(opts),
-        15 => extra_fragmentation(opts),
-        16 => extra_ablation(opts),
-        17 => extra_stateless(opts),
-        18 => extra_routing(opts),
+        4 => fig04(runs),
+        5 => fig05(runs),
+        6 => fig06(runs),
+        7 => fig07(runs),
+        8 => fig08(runs),
+        9 => fig09(runs),
+        10 => fig10(runs),
+        11 => fig11(runs),
+        12 => fig12(runs),
+        13 => fig13(runs),
+        14 => fig14(runs),
+        15 => extra_fragmentation(runs),
+        16 => extra_ablation(runs),
+        17 => extra_stateless(runs),
+        18 => extra_routing(runs),
         _ => return None,
     })
 }

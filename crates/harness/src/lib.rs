@@ -31,7 +31,7 @@ pub mod stats;
 pub mod sweep;
 pub mod topology_baseline;
 
-pub use artifact::{Artifact, ARTIFACT_SCHEMA_VERSION};
+pub use artifact::{Artifact, Fingerprinted, ARTIFACT_SCHEMA_VERSION};
 pub use attacks::{attack_suite, attack_table, canary_suite, AttackOutcome};
 pub use chaos::{chaos_suite, ChaosOpts};
 pub use fuzz::{mutate_input, parse_time_budget, run_fuzz, FuzzConfig, FuzzInput, FuzzReport};

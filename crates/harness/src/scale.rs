@@ -190,35 +190,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
-use crate::artifact::{fnv1a, json_usize_list, push_json_str, Artifact};
+use crate::artifact::{json_usize_list, push_json_str, Artifact, Fingerprinted};
 
-impl ScaleReport {
-    /// Renders the artifact with real wall-clock timings.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
-    }
-
-    /// Renders the byte-identical-across-runs form: every wall-clock
-    /// field zeroed. This is what the fingerprint covers and what
-    /// `REPRO_NO_WALL_CLOCK=1` writes.
-    #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        self.render(true)
-    }
-
-    /// FNV-1a fingerprint over the deterministic body.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.render_body(true).body().as_bytes())
-    }
-
-    fn render(&self, zero_walls: bool) -> String {
-        let mut doc = self.render_body(zero_walls);
-        let _ = write!(doc, "\"fingerprint\":\"fnv1a:{:016x}\"", self.fingerprint());
-        doc.seal()
-    }
-
+impl Fingerprinted for ScaleReport {
     /// Everything up to (and excluding) the fingerprint field. The
     /// thread count is deliberately absent: the artifact must not
     /// depend on how the run executed.

@@ -59,6 +59,9 @@ pub struct ProtocolRun {
     pub metrics: Metrics,
     /// Flow-span tallies per kind: `(kind name, tally)`.
     pub flows: Vec<(String, FlowTally)>,
+    /// The run's event trace as JSONL, when it was traced. The snapshot
+    /// does not render it; `repro --trace-out` writes it.
+    pub trace: Option<String>,
 }
 
 /// A complete run snapshot, ready to render as JSON.
@@ -96,11 +99,26 @@ fn observed_run<P: ConformanceAdapter>(s: &Scenario) -> ProtocolRun {
         .iter()
         .map(|k| (k.to_string(), *report.world().observer().tally(*k)))
         .collect();
+    let trace = (s.trace_capacity > 0).then(|| report.world().trace().to_jsonl());
     ProtocolRun {
         name: P::name().to_string(),
         metrics: report.into_measurements().metrics,
         flows,
+        trace,
     }
+}
+
+/// Runs the canonical observed scenario once per protocol of
+/// [`PROTOCOLS`], in that order, recording each run's event trace when
+/// `traced`. Tracing never moves a counter, so the snapshot renders the
+/// same bytes either way.
+#[must_use]
+pub fn protocol_runs(seed: u64, quick: bool, traced: bool) -> Vec<ProtocolRun> {
+    let mut s = canonical_scenario(seed, quick);
+    if traced {
+        s.trace_capacity = 1 << 18;
+    }
+    observed_runs(&s)
 }
 
 /// Runs `s` once per protocol of [`PROTOCOLS`], in that order.
@@ -112,67 +130,13 @@ pub fn observed_runs(s: &Scenario) -> Vec<ProtocolRun> {
         .collect()
 }
 
-/// Runs the canonical observed scenario once per protocol.
-#[must_use]
-pub fn protocol_runs(seed: u64, quick: bool) -> Vec<ProtocolRun> {
-    observed_runs(&canonical_scenario(seed, quick))
-}
+use crate::artifact::{json_opt_f64, json_opt_u64, Artifact, Fingerprinted};
 
-fn traced_run<P: ConformanceAdapter>(seed: u64, quick: bool) -> (String, String) {
-    let mut scen = canonical_scenario(seed, quick);
-    scen.trace_capacity = 1 << 18;
-    let report = run_scenario(&scen, P::fresh());
-    (P::name().to_string(), report.world().trace().to_jsonl())
-}
-
-/// Runs the canonical scenario per protocol with tracing + flow spans
-/// enabled; returns `(protocol name, JSONL export)` pairs for
-/// `repro --trace-out`.
-#[must_use]
-pub fn protocol_traces(seed: u64, quick: bool) -> Vec<(String, String)> {
-    PROTOCOLS
-        .iter()
-        .map(|&n| {
-            for_protocol!(PROTOCOLS: n, P => traced_run::<P>(seed, quick)).expect("registered")
-        })
-        .collect()
-}
-
-use crate::artifact::{fnv1a, json_opt_f64, json_opt_u64};
-
-impl Snapshot {
-    /// Renders the snapshot as JSON, with real wall-clock timings.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
-    }
-
-    /// Renders the snapshot with all `wall_us` fields zeroed — the
-    /// byte-identical-across-runs form used for fingerprints and
-    /// determinism checks.
-    #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        self.render(true)
-    }
-
-    /// FNV-1a fingerprint over the deterministic body (manifest, zeroed
-    /// phases, protocols — everything except the fingerprint field
-    /// itself).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.render_body(true).body().as_bytes())
-    }
-
-    fn render(&self, zero_walls: bool) -> String {
-        let mut doc = self.render_body(zero_walls);
-        let _ = write!(doc, "\"fingerprint\":\"fnv1a:{:016x}\"", self.fingerprint());
-        doc.seal()
-    }
-
+impl Fingerprinted for Snapshot {
     /// Everything up to (and excluding) the fingerprint field.
-    fn render_body(&self, zero_walls: bool) -> crate::artifact::Artifact {
+    fn render_body(&self, zero_walls: bool) -> Artifact {
         let p = &self.params;
-        let mut s = crate::artifact::Artifact::begin();
+        let mut s = Artifact::begin();
         let _ = write!(
             s,
             ",\"manifest\":{{\"crate_version\":\"{}\",\"seed\":{},\"rounds\":{},\"quick\":{},\"fig\":{},\"chaos\":{},\"loss\":{},\"head_kills\":{}}}",
@@ -237,7 +201,7 @@ mod tests {
                 name: "fig05".into(),
                 wall_us: 1234,
             }],
-            protocols: protocol_runs(seed, true),
+            protocols: protocol_runs(seed, true, false),
         }
     }
 
@@ -285,6 +249,21 @@ mod tests {
         let det = s.deterministic_json();
         assert_ne!(timed, det, "sample carries a non-zero wall time");
         assert_eq!(timed.replace("\"wall_us\":1234", "\"wall_us\":0"), det);
+    }
+
+    #[test]
+    fn tracing_leaves_the_snapshot_byte_identical() {
+        let plain = sample(5);
+        let traced = Snapshot {
+            protocols: protocol_runs(5, true, true),
+            ..sample(5)
+        };
+        assert!(plain.protocols.iter().all(|r| r.trace.is_none()));
+        assert!(traced
+            .protocols
+            .iter()
+            .all(|r| r.trace.as_ref().is_some_and(|t| !t.is_empty())));
+        assert_eq!(plain.to_json(), traced.to_json());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! `REPRO_NO_WALL_CLOCK=1` (or [`SweepReport::deterministic_json`]);
 //! the fingerprint is always computed over the zeroed form.
 
-use crate::scenario::{run_scenario, Scenario};
+use crate::scenario::{run_scenario, Scenario, ScenarioError};
 use conformance::ConformanceAdapter;
 use manet_sim::observer::all_kinds;
 use manet_sim::{FaultPlan, FlowTally, Metrics, MobilityConfig};
@@ -176,16 +176,30 @@ impl CellParams {
     ///
     /// # Panics
     ///
-    /// Panics on a mobility spec [`MobilityConfig::parse`] rejects;
-    /// [`run_sweep`] rejects those up front.
+    /// Panics on a mobility spec [`MobilityConfig::parse`] rejects, or
+    /// one the scenario builder rejects; [`run_sweep`] rejects both up
+    /// front.
     #[must_use]
     pub fn scenario(&self, plan: FaultPlan, seed: u64, quick: bool) -> Scenario {
+        self.try_scenario(plan, seed, quick)
+            .expect("sweep cell scenario validated up front")
+    }
+
+    fn try_scenario(
+        &self,
+        plan: FaultPlan,
+        seed: u64,
+        quick: bool,
+    ) -> Result<Scenario, SweepError> {
+        let mobility =
+            MobilityConfig::parse(&self.mobility).map_err(|_| SweepError::UnknownName {
+                axis: "mobility",
+                name: self.mobility.clone(),
+            })?;
         Scenario::builder()
             .nn(self.nn)
             .speed_mps(self.speed)
-            .mobility(
-                MobilityConfig::parse(&self.mobility).expect("mobility spec validated up front"),
-            )
+            .mobility(mobility)
             .loss_rate(self.loss)
             .arrival_gap_ms(if quick { 500 } else { 1000 })
             .settle_secs(if quick { 5 } else { 10 })
@@ -198,7 +212,7 @@ impl CellParams {
             .observe(true)
             .seed(seed)
             .build()
-            .expect("sweep cell scenario is in-domain")
+            .map_err(SweepError::Scenario)
     }
 }
 
@@ -245,6 +259,9 @@ pub enum SweepError {
         /// The unknown name.
         name: String,
     },
+    /// A grid axis value the scenario builder rejects, such as a
+    /// Manhattan spacing wider than the arena.
+    Scenario(ScenarioError),
 }
 
 impl std::fmt::Display for SweepError {
@@ -253,6 +270,7 @@ impl std::fmt::Display for SweepError {
             SweepError::UnknownName { axis, name } => {
                 write!(f, "unknown {axis} {name:?} in sweep grid")
             }
+            SweepError::Scenario(e) => write!(f, "sweep grid: {e}"),
         }
     }
 }
@@ -381,9 +399,10 @@ fn run_cell(
 ///
 /// # Errors
 ///
-/// Rejects unknown protocol or plan names before starting any work.
-/// Per-cell panics do *not* error the sweep — they land in
-/// [`SweepReport::failed`] with the cell's parameters.
+/// Rejects unknown protocol, mobility or plan names, and a mobility the
+/// scenario builder refuses, before starting any work. Per-cell panics
+/// do *not* error the sweep — they land in [`SweepReport::failed`] with
+/// the cell's parameters.
 pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepError> {
     for p in &grid.protocols {
         if !conformance::registry::PROTOCOLS.contains(&p.as_str()) {
@@ -393,12 +412,13 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
             });
         }
     }
+    // One scenario per mobility before any cell runs: a spec that
+    // parses but cannot move nodes in the arena fails here, not in
+    // every cell.
+    let params = grid.expand();
     for m in &grid.mobilities {
-        if MobilityConfig::parse(m).is_err() {
-            return Err(SweepError::UnknownName {
-                axis: "mobility",
-                name: m.clone(),
-            });
+        if let Some(p) = params.iter().find(|p| p.mobility == *m) {
+            p.try_scenario(FaultPlan::default(), grid.base_seed, grid.quick)?;
         }
     }
     // Resolve plans up front: fail fast, and avoid re-parsing the
@@ -409,7 +429,6 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
         .map(|name| plan_by_name(name).map(|plan| (name.clone(), plan)))
         .collect::<Result<_, _>>()?;
     let t0 = std::time::Instant::now();
-    let params = grid.expand();
     let results = run_jobs(params.len(), threads, |i| {
         let p = &params[i];
         let plan = &plans
@@ -436,7 +455,7 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, SweepE
 }
 
 use crate::artifact::{
-    fnv1a, json_f64_list, json_str_list, json_usize_list, push_json_str, Artifact,
+    json_f64_list, json_str_list, json_usize_list, push_json_str, Artifact, Fingerprinted,
 };
 
 /// Writes the `cells` array: the grammar `sweep.json` and `repro
@@ -471,36 +490,24 @@ pub(crate) fn write_cells(s: &mut Artifact, cells: &[CellResult], zero_walls: bo
     s.push("]");
 }
 
+/// The benchmark crate renders sweeps without naming [`Fingerprinted`],
+/// so these two stay inherent.
 impl SweepReport {
     /// Renders the artifact with real wall-clock timings.
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.render(false)
+        Fingerprinted::to_json(self)
     }
 
     /// Renders the byte-identical-across-runs form: every `wall_us`
-    /// field zeroed. This is what the fingerprint covers and what
-    /// `REPRO_NO_WALL_CLOCK=1` writes.
+    /// field zeroed.
     #[must_use]
     pub fn deterministic_json(&self) -> String {
-        self.render(true)
+        Fingerprinted::deterministic_json(self)
     }
+}
 
-    /// FNV-1a fingerprint over the deterministic body.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.render_body(true).body().as_bytes())
-    }
-
-    fn render(&self, zero_walls: bool) -> String {
-        let mut doc = self.render_body(zero_walls);
-        // The fingerprint covers the *deterministic* body, so a
-        // wall-clocked rendering carries the same fingerprint as its
-        // zeroed twin.
-        let _ = write!(doc, "\"fingerprint\":\"fnv1a:{:016x}\"", self.fingerprint());
-        doc.seal()
-    }
-
+impl Fingerprinted for SweepReport {
     /// Everything up to (and excluding) the fingerprint field. Thread
     /// count and execution order are deliberately absent.
     fn render_body(&self, zero_walls: bool) -> Artifact {
@@ -651,6 +658,18 @@ mod tests {
         let err = run_sweep(&g, 1).unwrap_err();
         assert!(err.to_string().contains("mobility"), "{err}");
         assert!(err.to_string().contains("teleport"), "{err}");
+    }
+
+    #[test]
+    fn out_of_arena_mobility_fails_before_any_cell_runs() {
+        let mut g = tiny_grid();
+        g.mobilities = vec!["random-waypoint".into(), "manhattan:5000".into()];
+        let err = run_sweep(&g, 1).unwrap_err();
+        let SweepError::Scenario(ScenarioError::OutOfRange { field, value, .. }) = &err else {
+            panic!("expected the builder's error, got {err}");
+        };
+        assert_eq!((*field, value.as_str()), ("mobility", "manhattan:5000"));
+        assert!(err.to_string().contains("sweep grid"), "{err}");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! 3×3×2 grid run with 4 threads must render byte-identical to the
 //! same grid run single-threaded.
 
+use harness::artifact::Fingerprinted;
 use harness::json::Value;
 use harness::sweep::{run_sweep, SweepGrid};
 use std::path::PathBuf;

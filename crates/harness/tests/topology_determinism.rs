@@ -10,6 +10,7 @@
 //! moves and this fails — the optimization is provably
 //! behavior-preserving while it passes.
 
+use harness::artifact::Fingerprinted;
 use harness::scenario::Scenario;
 use harness::snapshot::{observed_runs, Snapshot, SnapshotParams};
 use manet_sim::FaultPlan;
