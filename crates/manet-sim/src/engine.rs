@@ -2,13 +2,15 @@
 //! [`IncrementalTopology`] maintainer (here) and the thread-parallel
 //! [`Topology::build_parallel`] (in `topology.rs`).
 //!
-//! Neither runs inside [`World`](crate::World): the world rebuilds its
-//! snapshot with `Topology::build`, which the wall-clock ledger shows is
-//! the fastest of the three at every size measured (DESIGN.md, "Why one
-//! engine"). They stay as plain public items because the `perf/` probes
-//! and the `topo` rows of `BENCH_scale.json` still time them against
-//! the serial build, and the differential proptests still prove them
-//! equal to it.
+//! Neither runs inside [`World`](crate::World): the world sweeps its
+//! snapshot with the serial strip scan of `Topology::build` — the
+//! fastest of the three at every size measured (DESIGN.md, "Why one
+//! engine") — and between sweeps carries it across quanta inside a
+//! Verlet skin or splices the nodes that changed (see
+//! [`topology`](crate::topology)). They stay as plain public items
+//! because the `perf/` probes and the `topo` rows of `BENCH_scale.json`
+//! still time them against the serial build, and the differential
+//! proptests still prove them equal to it.
 //!
 //! [`IncrementalTopology`] keeps the row bins, per-row x-orders, and
 //! per-row link buckets from the previous instant and re-sweeps only

@@ -91,35 +91,55 @@
 //! node's current leg evaluated at that instant. When the world's
 //! `(quantum bucket, membership/mobility version)` cache key rotates, the
 //! world does not drop the snapshot; it refreshes it by the least that
-//! makes it the snapshot of the new key, one of three ways
+//! makes it the snapshot of the new key, one of four ways
 //! (`World::topology` decides which):
 //!
 //! * **Swept** — [`rebuild`](Topology::rebuild): the same build into the
-//!   storage the stale snapshot held (bit rows or CSR arrays, the
-//!   build's link list and scatter buffers, the traversals' vectors),
-//!   every answer forgotten. A 600-node city snapshot's build buffers
-//!   run to hundreds of KB; freed and allocated again every quantum they make the
-//!   allocator grow and trim the heap each time, and the page faults
-//!   that follow cost whatever the host charges that second — a rep of
-//!   the `city_mobile` benchmark swung ±7% on one input with them and
-//!   ±1–3% without. Layouts too small or too odd for the strips are
-//!   swept all-pairs into the same storage. This is how a quantum that
-//!   finds a node en route begins — once per quantum — and how a burst
-//!   of more changes than a refresh splices is taken in.
-//! * **Spliced** — `Topology::insert` / `Topology::remove`: a join, a
-//!   leave, or a mobility write that moved one node's position at the
-//!   quantum's start (a waypoint arrival, a park: its leave, then its
-//!   join) changes that node's links and nothing else — inside the
-//!   snapshot's quantum, and across quanta while nobody moves. The links
-//!   are found with the all-pairs predicate against the positions the
-//!   snapshot is filled from. On bit rows every row's bits past the
-//!   node's index shift by one — `n·⌈n/64⌉` words, a few microseconds
-//!   at 600 nodes; a CSR is rewritten in one pass through the build
-//!   scratch, the node at the place its id sorts to, its neighbours'
-//!   runs still ascending. Either way the result takes the storage the
-//!   rule picks for the new counts, so it is the snapshot a sweep of the
-//!   new alive set would build, row for row.
-//!   Answers are forgotten, the id→index map is kept current.
+//!   storage the stale snapshot held (bit rows or CSR arrays, the strip
+//!   layout, the build's link list and scatter buffers, the traversals'
+//!   vectors), every answer forgotten. A 600-node city snapshot's build
+//!   buffers run to hundreds of KB; freed and allocated again every
+//!   quantum they make the allocator grow and trim the heap each time,
+//!   and the page faults that follow cost whatever the host charges that
+//!   second — a rep of the `city_mobile` benchmark swung ±7% on one input
+//!   with them and ±1–3% without. Layouts too small or too odd for the
+//!   strips are swept all-pairs into the same storage. A moving world's
+//!   sweep of a bit-row snapshot keeps a *skin* (below). This is how a
+//!   moving world begins a quantum its skin cannot carry it into, and how
+//!   a burst of more changes than a refresh splices is taken in.
+//! * **Carried** — `Topology::carry`, Verlet's neighbour list (Phys. Rev.
+//!   159, 98, 1967): a skinned sweep scans `s` past the range (`s` a
+//!   fixed fraction of it) with the same one scan loop, sets the bit
+//!   rows as it goes (a block-transpose pass mirrors them; no link list,
+//!   no assembly), and keeps each node's position as its reference and
+//!   the *ring*, the pairs whose reference distance lies within `s` of
+//!   the range. At a later
+//!   quantum, if the two largest displacements since the reference
+//!   positions sum to at most `s`, no pair outside the ring can have
+//!   crossed the range: only the ring's pairs — some 10 000 in a
+//!   600-node city of 13 000 links — are tested again, with the build's own
+//!   `d² ≤ t`, and the bits that changed flip. Otherwise, or if the flips
+//!   leave too few links for bit rows, it sweeps. Only bit rows carry:
+//!   CSR snapshots and layouts under the strips' 32-node floor sweep
+//!   without a skin. This is how a moving world begins most quanta.
+//! * **Spliced or relocated** — `Topology::insert` / `remove` /
+//!   `relocate`: a join, a leave, or a mobility write that moved one
+//!   node's position at the quantum's start (a waypoint arrival, a park,
+//!   a revive) changes that node's links and nothing else — inside the
+//!   snapshot's quantum, and across quanta while nobody moves (or ahead
+//!   of a carry). The links are found with the build's own `d² ≤ t`
+//!   against the positions the snapshot holds. A join or a leave on bit
+//!   rows shifts every row's bits past the node's index by one —
+//!   `n·⌈n/64⌉` words, a few microseconds at 600 nodes; a move rewrites
+//!   the node's row and column in place. A CSR is rewritten in one pass
+//!   through the build scratch, the node at the place its id sorts to,
+//!   its neighbours' runs still ascending (a move there is a leave and a
+//!   join). Either way the result takes the storage the rule picks for
+//!   the new counts, so it is the snapshot a sweep of the new alive set
+//!   would build, row for row, and a skin stays current: ring indices
+//!   shift, a newcomer's ring pairs are classified by reference distance.
+//!   Answers are forgotten (by a move only if a link changed), the
+//!   id→index map is kept current.
 //! * **Re-keyed** — nothing is touched: in a world where nobody moves a
 //!   new quantum alone changes no position, so the graph, its traversals
 //!   and its components all stand.
@@ -168,7 +188,8 @@ pub(crate) fn xkey(x: f64) -> u64 {
 /// [`Topology::build_parallel`] hands disjoint row chunks to scoped
 /// threads — both produce the identical link list per row, so the
 /// concatenation (and therefore the CSR) is byte-identical regardless
-/// of how the rows were scanned.
+/// of how the rows were scanned. A snapshot keeps one to refill.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StripLayout {
     /// Row boundaries into the sweep-ordered arrays, length `nrows + 1`.
     row_starts: Vec<u32>,
@@ -176,21 +197,31 @@ pub(crate) struct StripLayout {
     order: Vec<u32>,
     xs: Vec<f64>,
     ys: Vec<f64>,
+    /// `(xkey, node index)` per sweep position, while sorting.
+    keyed: Vec<(u64, u32)>,
     r_slack: f64,
     t: f64,
 }
 
 impl StripLayout {
-    /// Bins and sorts `nodes`; `None` when the strip engine does not
-    /// apply (degenerate range, non-finite coordinates, or too few
-    /// nodes to beat the naive sweep).
-    pub(crate) fn new(nodes: &[(NodeId, Point)], range: f64) -> Option<Self> {
-        let range_usable = range > 0.0 && range.is_finite();
+    /// Bins and sorts `nodes` into rows that a pair up to `reach` apart
+    /// (`reach >= range`) spans at most two of; `None` when the strip
+    /// engine does not apply (degenerate range, non-finite coordinates,
+    /// or too few nodes to beat the naive sweep).
+    pub(crate) fn new(nodes: &[(NodeId, Point)], range: f64, reach: f64) -> Option<Self> {
+        let mut layout = StripLayout::default();
+        layout.refill(nodes, range, reach).then_some(layout)
+    }
+
+    /// [`new`](Self::new) into this layout's storage; `false` where that
+    /// returns `None`.
+    pub(crate) fn refill(&mut self, nodes: &[(NodeId, Point)], range: f64, reach: f64) -> bool {
+        let range_usable = range > 0.0 && range.is_finite() && reach.is_finite();
         let finite = nodes
             .iter()
             .all(|(_, p)| p.x.is_finite() && p.y.is_finite());
         if !range_usable || nodes.len() < 32 || !finite {
-            return None;
+            return false;
         }
         let n = nodes.len();
         let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -198,14 +229,14 @@ impl StripLayout {
             min_y = min_y.min(p.y);
             max_y = max_y.max(p.y);
         }
-        // Row height a hair over the range: a pair within range can then
+        // Row height a hair over the reach: a pair within reach can then
         // never be more than one row apart, even at the floating-point
         // boundary where `distance` rounds down. The height is also
         // floored so there are never more than O(√n) rows — a tiny
         // range over a sprawling layout thickens the rows (more
         // candidates per row) instead of exploding memory.
         let max_rows = (4.0 * n as f64).sqrt().ceil().max(1.0);
-        let r_slack = range * (1.0 + 1e-9);
+        let r_slack = reach * (1.0 + 1e-9);
         let hrow = r_slack
             .max((max_y - min_y) / max_rows)
             .max(f64::MIN_POSITIVE);
@@ -213,20 +244,32 @@ impl StripLayout {
         let row_of = |p: Point| -> usize { (((p.y - min_y) / hrow) as usize).min(nrows - 1) };
         // Counting-sort nodes into rows, then sort each row by x, with
         // the node index as tie-break so equal-x nodes keep a
-        // deterministic ascending-index order.
-        let mut row_starts = vec![0u32; nrows + 1];
+        // deterministic ascending-index order. `order` holds each row's
+        // fill cursor until it is filled itself.
+        let StripLayout {
+            row_starts,
+            order,
+            xs,
+            ys,
+            keyed,
+            ..
+        } = self;
+        row_starts.clear();
+        row_starts.resize(nrows + 1, 0);
         for (_, p) in nodes {
             row_starts[row_of(*p) + 1] += 1;
         }
         for r in 1..row_starts.len() {
             row_starts[r] += row_starts[r - 1];
         }
-        let mut fill: Vec<u32> = row_starts[..nrows].to_vec();
-        let mut keyed = vec![(0u64, 0u32); n];
+        order.clear();
+        order.extend_from_slice(&row_starts[..nrows]);
+        keyed.clear();
+        keyed.resize(n, (0, 0));
         for (i, (_, p)) in nodes.iter().enumerate() {
             let r = row_of(*p);
-            keyed[fill[r] as usize] = (xkey(p.x), i as u32);
-            fill[r] += 1;
+            keyed[order[r] as usize] = (xkey(p.x), i as u32);
+            order[r] += 1;
         }
         for r in 0..nrows {
             let (s, e) = (row_starts[r] as usize, row_starts[r + 1] as usize);
@@ -234,49 +277,39 @@ impl StripLayout {
         }
         // Coordinates and original indices in sweep order, so the scans
         // stream through memory sequentially.
-        let mut order = vec![0u32; n];
-        let (mut xs, mut ys) = (vec![0.0f64; n], vec![0.0f64; n]);
-        for (k, &(_, i)) in keyed.iter().enumerate() {
-            order[k] = i;
+        order.clear();
+        xs.clear();
+        ys.clear();
+        for &(_, i) in keyed.iter() {
+            order.push(i);
             let p = nodes[i as usize].1;
-            xs[k] = p.x;
-            ys[k] = p.y;
+            xs.push(p.x);
+            ys.push(p.y);
         }
-        Some(StripLayout {
-            row_starts,
-            order,
-            xs,
-            ys,
-            r_slack,
-            // `distance(a, b) <= range` computes `sqrt(d2)` from exactly
-            // the d2 the scan forms (same subtractions, squares, and sum
-            // — see `Point::distance`), and sqrt is monotone, so
-            // comparing d2 against the largest d² whose sqrt stays ≤
-            // range decides *exactly* like the oracle with no square
-            // root in the loop.
-            t: d2_threshold(range),
-        })
+        self.r_slack = r_slack;
+        // `distance(a, b) <= range` computes `sqrt(d2)` from exactly the
+        // d2 the scan forms (same subtractions, squares, and sum — see
+        // `Point::distance`), and sqrt is monotone, so comparing d2
+        // against the largest d² whose sqrt stays ≤ range decides
+        // *exactly* like the oracle with no square root in the loop.
+        self.t = d2_threshold(range);
+        true
     }
 
     pub(crate) fn nrows(&self) -> usize {
         self.row_starts.len() - 1
     }
 
-    /// Scans rows `r0..r1` and appends every accepted link, packed
-    /// `(src << 32 | dst)` in original node indices, one orientation
-    /// each. Link order within the scanned range is deterministic and
-    /// independent of how the full row range was chunked.
-    pub(crate) fn scan_rows(&self, r0: usize, r1: usize, links: &mut Vec<u64>) {
+    /// Scans rows `r0..r1` and hands every candidate pair — each pair
+    /// of original node indices less than `r_slack` apart in x within
+    /// one row or two adjacent rows, once, with its `d²` — to `sink`.
+    /// The order is deterministic and independent of how the full row
+    /// range was chunked.
+    pub(crate) fn scan_rows(&self, r0: usize, r1: usize, sink: &mut impl Pairs) {
         let n = self.order.len();
         let (xs, ys, order) = (&self.xs[..], &self.ys[..], &self.order[..]);
-        let (r_slack, t) = (self.r_slack, self.t);
+        let r_slack = self.r_slack;
         let nrows = self.nrows();
-        // Branchless accept: the slot is always written, the cursor only
-        // advances on a hit, so the ~35%-taken range test never
-        // mispredicts. The in-loop check keeps a full row of headroom so
-        // the stores run unconditionally.
-        let mut lc = links.len();
-        links.resize(lc + n + 1024, 0);
         for r in r0..r1 {
             let (s, e) = (self.row_starts[r] as usize, self.row_starts[r + 1] as usize);
             let (bs, be) = if r + 1 < nrows {
@@ -292,25 +325,20 @@ impl StripLayout {
             let mut lo = bs;
             for k in s..e {
                 let (px, py) = (xs[k], ys[k]);
-                let src = u64::from(order[k]) << 32;
-                if links.len() < lc + n {
-                    links.resize(lc + n + 1024, 0);
-                }
-                let lbuf = &mut links[..];
+                let src = order[k];
+                sink.source(src, n);
                 // Rest of the own row: everything to the right until
                 // the x-gap alone rules the pair out. The `r_slack`
                 // break is safe because a computed `dx` even one ulp
-                // above `range * (1 + 1e-9)` implies the true gap
-                // exceeds `range`.
+                // above `reach * (1 + 1e-9)` implies the true gap
+                // exceeds the reach.
                 for m in (k + 1)..e {
                     let dx = xs[m] - px;
                     if dx > r_slack {
                         break;
                     }
                     let dy = ys[m] - py;
-                    let d2 = dx * dx + dy * dy;
-                    lbuf[lc] = src | u64::from(order[m]);
-                    lc += usize::from(d2 <= t);
+                    sink.pair(src, order[m], dx * dx + dy * dy);
                 }
                 while lo < be && xs[lo] - px < -r_slack {
                     lo += 1;
@@ -321,13 +349,357 @@ impl StripLayout {
                         break;
                     }
                     let dy = ys[m] - py;
-                    let d2 = dx * dx + dy * dy;
-                    lbuf[lc] = src | u64::from(order[m]);
-                    lc += usize::from(d2 <= t);
+                    sink.pair(src, order[m], dx * dx + dy * dy);
                 }
             }
         }
-        links.truncate(lc);
+    }
+
+    /// Scans rows `r0..r1` and appends every accepted link, packed
+    /// `(src << 32 | dst)` in original node indices, one orientation
+    /// each.
+    pub(crate) fn scan_links(&self, r0: usize, r1: usize, links: &mut Vec<u64>) {
+        let mut sink = LinkList {
+            len: links.len(),
+            links,
+            t: self.t,
+        };
+        self.scan_rows(r0, r1, &mut sink);
+        let len = sink.len;
+        links.truncate(len);
+    }
+}
+
+/// What [`StripLayout::scan_rows`] hands its candidate pairs to.
+pub(crate) trait Pairs {
+    /// Source `a`'s candidates follow, `n` of them at most.
+    fn source(&mut self, a: u32, n: usize);
+    /// One candidate pair of original node indices, `d2` apart.
+    fn pair(&mut self, a: u32, b: u32, d2: f64);
+}
+
+/// Lengthens `buf` to at least `len` slots (plus 1 024 to spare), its
+/// allocation grown to exactly that when `exact` — the ring, which a
+/// world refills every few quanta, keeps no doubling slack — and by
+/// doubling otherwise.
+fn stretch(buf: &mut Vec<u64>, len: usize, exact: bool) {
+    if buf.len() < len {
+        let len = len + 1024;
+        if exact {
+            buf.reserve_exact(len - buf.len());
+        }
+        buf.resize(len, 0);
+    }
+}
+
+/// The link list a plain scan fills. Branchless accept: the slot is
+/// always written, the cursor only advances on a hit, so the
+/// ~35%-taken range test never mispredicts; [`source`](Pairs::source)
+/// keeps a full row of headroom so the stores run unconditionally.
+struct LinkList<'a> {
+    links: &'a mut Vec<u64>,
+    len: usize,
+    t: f64,
+}
+
+impl Pairs for LinkList<'_> {
+    #[inline(always)]
+    fn source(&mut self, _a: u32, n: usize) {
+        stretch(self.links, self.len + n, false);
+    }
+
+    #[inline(always)]
+    fn pair(&mut self, a: u32, b: u32, d2: f64) {
+        self.links[self.len] = u64::from(a) << 32 | u64::from(b);
+        self.len += usize::from(d2 <= self.t);
+    }
+}
+
+/// The rows and ring a skinned scan fills. A source's accepted
+/// partners are listed without a branch, as [`LinkList`] lists links,
+/// in a buffer one source long, and set in that source's row when the
+/// next source begins: one bit per link, [`mirror`] sets the other. A
+/// pair inside the ring is listed the same way.
+struct HalfRows<'a> {
+    rows: &'a mut [u64],
+    stride: usize,
+    /// The source the scan is on, and its accepted partners so far.
+    src: usize,
+    hits: &'a mut Vec<u32>,
+    found: usize,
+    links: usize,
+    ring: &'a mut Vec<u64>,
+    len: usize,
+    cut: Band,
+}
+
+impl HalfRows<'_> {
+    /// Sets the bits of the source's accepted partners.
+    fn flush(&mut self) {
+        let row = &mut self.rows[self.src * self.stride..][..self.stride];
+        for &b in &self.hits[..self.found] {
+            set_bit(row, b as usize);
+        }
+        self.links += self.found;
+        self.found = 0;
+    }
+}
+
+impl Pairs for HalfRows<'_> {
+    #[inline(always)]
+    fn source(&mut self, a: u32, n: usize) {
+        self.flush();
+        self.src = a as usize;
+        if self.hits.len() < n {
+            self.hits.resize(n, 0);
+        }
+        stretch(self.ring, self.len + n, true);
+    }
+
+    #[inline(always)]
+    fn pair(&mut self, a: u32, b: u32, d2: f64) {
+        self.hits[self.found] = b;
+        self.found += usize::from(d2 <= self.cut.t);
+        self.ring[self.len] = pack(a as usize, b as usize);
+        self.len += usize::from(self.cut.in_ring(d2));
+    }
+}
+
+/// Completes the bit rows of `n` nodes, `w` words each, that hold each
+/// link once, in either orientation, into rows that hold it both ways:
+/// each 64 × 64 block is ORed with the transpose of its mirror image
+/// across the diagonal.
+fn mirror(rows: &mut [u64], n: usize, w: usize) {
+    let load = |rows: &[u64], block: &mut [u64; 64], br: usize, word: usize| {
+        for (r, b) in block.iter_mut().enumerate() {
+            let row = br * 64 + r;
+            *b = if row < n { rows[row * w + word] } else { 0 };
+        }
+    };
+    let store = |rows: &mut [u64], block: &[u64; 64], br: usize, word: usize| {
+        for (r, b) in block.iter().enumerate().take(n - (br * 64).min(n)) {
+            rows[(br * 64 + r) * w + word] = *b;
+        }
+    };
+    let (mut a, mut b) = ([0u64; 64], [0u64; 64]);
+    for i in 0..w {
+        for j in i..w {
+            load(rows, &mut a, i, j);
+            load(rows, &mut b, j, i);
+            let (mut at, mut bt) = (a, b);
+            transpose64(&mut at);
+            transpose64(&mut bt);
+            for r in 0..64 {
+                a[r] |= bt[r];
+                b[r] |= at[r];
+            }
+            store(rows, &a, i, j);
+            if i != j {
+                store(rows, &b, j, i);
+            }
+        }
+    }
+}
+
+/// Transposes a 64 × 64 bit block in place: bit `c` of word `r` goes
+/// to bit `r` of word `c` — the quadrants off the diagonal swap, then
+/// each quadrant is transposed the same way, halving down to single
+/// bits.
+fn transpose64(block: &mut [u64; 64]) {
+    let (mut j, mut m) = (32, 0x0000_0000_ffff_ffff_u64);
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((block[k] >> j) ^ block[k + j]) & m;
+            block[k + j] ^= t;
+            block[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// `a` and `b` as one ring entry.
+fn pack(a: usize, b: usize) -> u64 {
+    (a as u64) << 32 | b as u64
+}
+
+/// The two dense indices of a ring entry.
+fn unpack(pair: u64) -> (usize, usize) {
+    ((pair >> 32) as usize, (pair & 0xffff_ffff) as usize)
+}
+
+/// `d²` between two points, formed as [`Point::distance`] forms it
+/// (and as the strip scan does: the same subtractions, squares and sum,
+/// and the square of a negated difference is the same float).
+fn d2(a: Point, b: Point) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    dx * dx + dy * dy
+}
+
+/// The skin's half-width `s` as a fraction of the range. A wider skin
+/// carries longer between sweeps but re-tests more pairs per carry: in
+/// the benchmark city (600 nodes, 20 m/s, 100 ms quanta) 0.10 to 0.20
+/// measured alike within the noise and 0.08 worse; at 0.125 the ring
+/// holds some 10 000 pairs against 13 000 links, and a world sweeps on
+/// one quantum in five.
+const SKIN: f64 = 0.125;
+
+/// The exact link predicate of a build, for splices: `d² ≤ t` on a
+/// range the strips accept, where it decides exactly like the naive
+/// `distance(a, b) <= range` ([`d2_threshold`]); that predicate itself on
+/// a degenerate range (zero, negative, NaN or infinite), where the
+/// cutoff does not stand for it.
+#[derive(Debug, Clone, Copy)]
+struct Cutoff {
+    range: f64,
+    t: f64,
+}
+
+impl Cutoff {
+    fn new(range: f64) -> Self {
+        let usable = range > 0.0 && range.is_finite();
+        Cutoff {
+            range,
+            t: if usable {
+                d2_threshold(range)
+            } else {
+                f64::NAN
+            },
+        }
+    }
+
+    fn links(self, a: Point, b: Point) -> bool {
+        if self.t.is_nan() {
+            a.distance(b) <= self.range
+        } else {
+            d2(a, b) <= self.t
+        }
+    }
+}
+
+/// The cutoffs of a skinned snapshot: the link test, the carry's bound
+/// on displacements and the ring's `d²` band.
+#[derive(Debug, Clone, Copy, Default)]
+struct Band {
+    /// The skin half-width: a carry needs the two largest displacements
+    /// since the reference positions to sum to at most this.
+    s: f64,
+    /// The link cutoff, `d² ≤ t` ([`d2_threshold`]).
+    t: f64,
+    /// The ring is `lo < d² ≤ hi`: `range ∓ wide`, squared.
+    lo: f64,
+    hi: f64,
+}
+
+impl Band {
+    /// The band of `range`, whose link cutoff is `t`.
+    fn new(range: f64, t: f64) -> Self {
+        let (s, wide) = (range * SKIN, Self::wide(range));
+        Band {
+            s,
+            t,
+            lo: (range - wide) * (range - wide),
+            hi: (range + wide) * (range + wide),
+        }
+    }
+
+    /// How far past the range the ring reaches: `s`, and by far more
+    /// than the rounding of any `d²` or displacement here (a few ulps of
+    /// a few hundred metres), so a pair outside it that the exact `s`
+    /// bound lets move stays on its side of the range.
+    fn wide(range: f64) -> f64 {
+        range * SKIN + range * 1e-9
+    }
+
+    fn in_ring(self, d2: f64) -> bool {
+        d2 > self.lo && d2 <= self.hi
+    }
+}
+
+/// What a snapshot swept with a skin keeps so that a later refresh can
+/// carry it to new positions instead of sweeping again (Verlet's
+/// neighbour list): each node's reference position and the *ring*, the
+/// pairs whose reference distance lies within `s` (plus a rounding
+/// margin) of the range. Whatever pair is outside the ring is linked iff
+/// it was: while no two nodes have moved `s` between them since their
+/// reference positions, none of those pairs can have crossed the range.
+#[derive(Debug, Clone, Default)]
+struct Skin {
+    /// Whether the snapshot has one: it was swept with a skin, its rows
+    /// are bits, and only splices and carries changed it since.
+    held: bool,
+    /// Each dense index's position when its links were last found from
+    /// scratch — by the sweep, or by the splice that placed it.
+    refs: Vec<Point>,
+    /// Ring pairs of dense indices, [`pack`]ed, in no particular order.
+    ring: Vec<u64>,
+    band: Band,
+    /// No node stands further than this from its reference position: a
+    /// sweep's zero, a carry's largest displacement, raised by the
+    /// moves spliced since.
+    worst: f64,
+}
+
+impl Skin {
+    /// Takes the newcomer at dense index `p`, standing at `at`, in: the
+    /// ring's indices from `p` on move up by one, and the newcomer's
+    /// ring pairs are classified by reference distance.
+    fn insert(&mut self, p: usize, at: Point) {
+        if p < self.refs.len() {
+            for pair in &mut self.ring {
+                let (a, b) = unpack(*pair);
+                *pair = pack(a + usize::from(a >= p), b + usize::from(b >= p));
+            }
+        }
+        self.refs.insert(p, at);
+        self.classify(p);
+    }
+
+    /// Lets dense index `p` go: its ring pairs leave, and the indices
+    /// above it move down by one.
+    fn remove(&mut self, p: usize) {
+        self.ring.retain_mut(|pair| {
+            let (a, b) = unpack(*pair);
+            *pair = pack(a - usize::from(a > p), b - usize::from(b > p));
+            a != p && b != p
+        });
+        self.refs.remove(p);
+    }
+
+    /// Dense index `p` was placed anew at `at`. While it and any other
+    /// node stand within `s` of their reference positions together, its
+    /// pairs outside the ring still lie on their side of the range, and
+    /// the skin stands; otherwise `at` becomes its reference position
+    /// and its ring pairs are classified again from there.
+    fn relocate(&mut self, p: usize, at: Point) {
+        let moved = d2(self.refs[p], at).sqrt();
+        if moved + self.worst <= self.band.s {
+            self.worst = self.worst.max(moved);
+            return;
+        }
+        self.ring.retain(|&pair| {
+            let (a, b) = unpack(pair);
+            a != p && b != p
+        });
+        self.refs[p] = at;
+        self.classify(p);
+    }
+
+    /// Adds dense index `p`'s ring pairs, by reference distance. The
+    /// ring grows its allocation by a bounded step, not by doubling.
+    fn classify(&mut self, p: usize) {
+        let (band, at) = (self.band, self.refs[p]);
+        let refs = &self.refs;
+        if self.ring.capacity() - self.ring.len() < refs.len() {
+            self.ring.reserve_exact(refs.len() + 1024);
+        }
+        self.ring.extend(
+            (0..refs.len())
+                .filter(|&j| j != p && band.in_ring(d2(refs[j], at)))
+                .map(|j| pack(p, j)),
+        );
     }
 }
 
@@ -723,9 +1095,12 @@ impl Meet {
 /// a snapshot that [`Topology::rebuild`] will refill.
 #[derive(Debug, Clone, Default)]
 struct BuildScratch {
+    layout: StripLayout,
     links: Vec<u64>,
     by_dst: Vec<u32>,
     pos: Vec<u32>,
+    /// A skinned scan's accepted partners of one source.
+    hits: Vec<u32>,
 }
 
 /// A flat adjacency: the neighbours of dense index `i` are
@@ -758,6 +1133,9 @@ struct Csr {
 #[derive(Debug, Clone)]
 pub struct Topology {
     ids: Vec<NodeId>,
+    /// Each dense index's position: where the rows say it stands, and
+    /// what a splice tests a node against.
+    pos: Vec<Point>,
     /// Words per bit row, `0` when the rows are the CSR's.
     stride: usize,
     /// Bit rows: dense index `i`'s row is `bits[i * stride..][..stride]`,
@@ -773,6 +1151,11 @@ pub struct Topology {
     id_ordered: bool,
     cache: RefCell<MemoCache>,
     scratch: BuildScratch,
+    /// What a carry needs; not held by a plain build.
+    skin: Skin,
+    /// The link predicate splices use, for the range they were last
+    /// handed.
+    cutoff: Cutoff,
 }
 
 impl Topology {
@@ -780,6 +1163,7 @@ impl Topology {
     fn empty() -> Self {
         Topology {
             ids: Vec::new(),
+            pos: Vec::new(),
             stride: 0,
             bits: Vec::new(),
             links: 0,
@@ -790,6 +1174,8 @@ impl Topology {
             id_ordered: true,
             cache: RefCell::default(),
             scratch: BuildScratch::default(),
+            skin: Skin::default(),
+            cutoff: Cutoff::new(f64::NAN),
         }
     }
 
@@ -812,18 +1198,44 @@ impl Topology {
     /// the heap each time, and pays for it in page faults whose cost is
     /// the host's to decide. Every memoized answer is forgotten.
     pub fn rebuild(&mut self, nodes: &[(NodeId, Point)], range: f64) {
+        self.sweep(nodes, range, false);
+    }
+
+    /// [`rebuild`](Self::rebuild), keeping a skin when `skin` is asked
+    /// for, the strips apply and the links come out as bit rows: the one
+    /// scan loop then reaches `s` past the range, sets each link's bit in
+    /// its source's row and lists the ring as it goes, [`mirror`] sets
+    /// the other bit — no link list, no assembly pass — and every node's
+    /// position is kept as its reference for [`carry`](Self::carry).
+    /// Links too few for bit rows hand over to the CSR the rows spell,
+    /// with no skin. A plain sweep scans to the range itself and
+    /// assembles its link list.
+    pub(crate) fn sweep(&mut self, nodes: &[(NodeId, Point)], range: f64, skin: bool) {
+        self.skin.held = false;
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut links = std::mem::take(&mut scratch.links);
-        links.clear();
-        match StripLayout::new(nodes, range) {
-            Some(layout) => layout.scan_rows(0, layout.nrows(), &mut links),
-            // Degenerate ranges (zero, negative, NaN, infinite) make the
-            // row height or the d² cutoff meaningless, and non-finite
-            // coordinates have no row; the all-pairs sweep handles all
-            // of them with the exact same predicate. These only occur in
-            // adversarial tests. It also takes every layout too small
-            // for the strips to pay — into the same storage.
-            None => {
+        let reach = if skin {
+            range + Band::wide(range)
+        } else {
+            range
+        };
+        let strips = scratch.layout.refill(nodes, range, reach);
+        if strips && skin {
+            self.sweep_skinned(nodes, range, &mut scratch);
+        } else {
+            let mut links = std::mem::take(&mut scratch.links);
+            links.clear();
+            if strips {
+                scratch
+                    .layout
+                    .scan_links(0, scratch.layout.nrows(), &mut links);
+            } else {
+                // Degenerate ranges (zero, negative, NaN, infinite) make
+                // the row height or the d² cutoff meaningless, and
+                // non-finite coordinates have no row; the all-pairs sweep
+                // handles all of them with the exact same predicate.
+                // These only occur in adversarial tests. It also takes
+                // every layout too small for the strips to pay — into the
+                // same storage.
                 for (i, (_, a)) in nodes.iter().enumerate() {
                     for (j, (_, b)) in nodes.iter().enumerate().skip(i + 1) {
                         if a.distance(*b) <= range {
@@ -832,30 +1244,153 @@ impl Topology {
                     }
                 }
             }
+            self.assemble(nodes, &links, &mut scratch);
+            scratch.links = links;
         }
-        self.assemble(nodes, &links, &mut scratch);
-        scratch.links = links;
         self.scratch = scratch;
+    }
+
+    /// The skinned [`sweep`](Self::sweep), over the layout `scratch`
+    /// holds.
+    fn sweep_skinned(&mut self, nodes: &[(NodeId, Point)], range: f64, scratch: &mut BuildScratch) {
+        let (n, w) = (nodes.len(), words(nodes.len()));
+        let layout = &scratch.layout;
+        let cut = Band::new(range, layout.t);
+        let _ = self.csr.take();
+        self.bits.clear();
+        self.bits.resize(n * w, 0);
+        let mut ring = std::mem::take(&mut self.skin.ring);
+        let mut sink = HalfRows {
+            rows: &mut self.bits,
+            stride: w,
+            src: 0,
+            hits: &mut scratch.hits,
+            found: 0,
+            links: 0,
+            ring: &mut ring,
+            len: 0,
+            cut,
+        };
+        layout.scan_rows(0, layout.nrows(), &mut sink);
+        sink.flush();
+        let (links, len) = (sink.links, sink.len);
+        ring.truncate(len);
+        self.skin.ring = ring;
+        mirror(&mut self.bits, n, w);
+        self.set_nodes(nodes, links);
+        self.stride = w;
+        if rows_as_bits(n, links) {
+            let skin = &mut self.skin;
+            skin.refs.clear();
+            skin.refs.extend_from_slice(&self.pos);
+            (skin.band, skin.worst, skin.held) = (cut, 0.0, true);
+        } else {
+            self.rows_to_csr();
+        }
+    }
+
+    /// Whether [`carry`](Self::carry) can take this snapshot to new
+    /// positions without a sweep: it holds a skin.
+    pub(crate) fn can_carry(&self) -> bool {
+        self.skin.held
+    }
+
+    /// Makes this the snapshot [`Topology::build`] would return for
+    /// `nodes` — the same ids, each at a new position, in dense order —
+    /// by the least work its skin allows, and says whether that was a
+    /// carry. If the two largest displacements since the reference
+    /// positions sum to at most `s`, no pair outside the ring can have
+    /// crossed the range: only the ring's pairs are tested again, with
+    /// the build's own `d² ≤ t`, and the bits that changed flip. The
+    /// memo is forgotten only if one did. Otherwise — displacements too
+    /// large, no skin, or flips that leave too few links for bit rows —
+    /// the snapshot is swept with a fresh skin.
+    pub(crate) fn carry(&mut self, nodes: &[(NodeId, Point)], range: f64) -> bool {
+        debug_assert!(
+            nodes.iter().map(|(id, _)| id).eq(&self.ids),
+            "a carry keeps the snapshot's nodes"
+        );
+        if self.skin.held && self.carry_ring(nodes) {
+            return true;
+        }
+        self.sweep(nodes, range, true);
+        false
+    }
+
+    /// The carry proper; `false` when the skin does not allow it, and
+    /// then the rows are left for a sweep to refill.
+    fn carry_ring(&mut self, nodes: &[(NodeId, Point)]) -> bool {
+        let Skin { refs, band, .. } = &self.skin;
+        // The two largest squared displacements; a NaN one fails.
+        let (mut first, mut second, mut nan) = (0.0f64, 0.0f64, false);
+        for (r, (_, p)) in refs.iter().zip(nodes) {
+            let d = d2(*r, *p);
+            nan |= d.is_nan();
+            if d > second {
+                (first, second) = if d > first { (d, first) } else { (first, d) };
+            }
+        }
+        if nan || first.sqrt() + second.sqrt() > band.s {
+            return false;
+        }
+        self.skin.worst = first.sqrt();
+        self.pos.clear();
+        self.pos.extend(nodes.iter().map(|(_, p)| *p));
+        let (w, t, pos) = (self.stride, self.skin.band.t, &self.pos);
+        let bits = &mut self.bits;
+        let (mut gained, mut lost) = (0usize, 0usize);
+        for &pair in &self.skin.ring {
+            let (a, b) = unpack(pair);
+            let now = d2(pos[a], pos[b]) <= t;
+            if now != has_bit(&bits[a * w..], b) {
+                bits[a * w + b / 64] ^= 1 << (b % 64);
+                bits[b * w + a / 64] ^= 1 << (a % 64);
+                gained += usize::from(now);
+                lost += usize::from(!now);
+            }
+        }
+        if gained + lost == 0 {
+            return true;
+        }
+        self.links = self.links + gained - lost;
+        if !rows_as_bits(self.ids.len(), self.links) {
+            return false;
+        }
+        let _ = self.csr.take();
+        self.cache.get_mut().reset(self.ids.len());
+        true
+    }
+
+    /// The link predicate for `range`.
+    fn cutoff(&mut self, range: f64) -> Cutoff {
+        if self.cutoff.range.to_bits() != range.to_bits() {
+            self.cutoff = Cutoff::new(range);
+        }
+        self.cutoff
+    }
+
+    /// Turns bit rows that hold too few links for the storage rule into
+    /// the CSR they spell; the skin goes with them.
+    fn rows_to_csr(&mut self) {
+        let _ = self.csr.take();
+        let _ = self.csr();
+        self.bits.clear();
+        self.stride = 0;
+        self.skin.held = false;
     }
 
     /// Makes this the snapshot [`Topology::build`] would return had
     /// `node`, standing at `at`, been among its input. The one node's
-    /// links are found with the all-pairs predicate (`distance(..) <=
-    /// range` against `position` of every node already here, which is
-    /// the oracle's own test: `distance` is symmetric to the bit). `ids`
+    /// links are found with the build's own predicate (`d² ≤ t`, exactly
+    /// the oracle's `distance(..) <= range`; see [`Cutoff`]) against the
+    /// position of every node already here. `ids`
     /// must ascend, as the world's always do: the node goes where its id
     /// sorts and every dense index from there on moves up by one — in
     /// bit rows a shift of every row's bits past that index, in a CSR
     /// one pass rewriting it into the build scratch. Either way the
     /// result takes the storage a build of it would. Every memoized
     /// answer is forgotten; the id → index map is kept current.
-    pub(crate) fn insert(
-        &mut self,
-        node: NodeId,
-        at: Point,
-        range: f64,
-        position: impl Fn(NodeId) -> Point,
-    ) {
+    pub(crate) fn insert(&mut self, node: NodeId, at: Point, range: f64) {
         debug_assert!(self.ids.is_sorted(), "a splice needs ascending ids");
         let n = self.ids.len();
         assert!(n + 1 < u32::MAX as usize, "topology indices are u32-dense");
@@ -865,11 +1400,11 @@ impl Topology {
         // The newcomer's neighbours in the old indices, ascending.
         let mut run = std::mem::take(&mut self.scratch.links);
         run.clear();
-        let in_range = |id: &NodeId| position(*id).distance(at) <= range;
+        let cut = self.cutoff(range);
         run.extend(
             (0u64..)
-                .zip(&self.ids)
-                .filter(|(_, id)| in_range(id))
+                .zip(&self.pos)
+                .filter(|(_, q)| cut.links(**q, at))
                 .map(|(j, _)| j),
         );
         let links = self.links + run.len();
@@ -903,6 +1438,9 @@ impl Topology {
             }
             self.stride = w2;
             let _ = self.csr.take();
+            if self.skin.held {
+                self.skin.insert(p, at);
+            }
         } else {
             let _ = self.csr();
             let csr = self.csr.get_mut().expect("built above");
@@ -937,6 +1475,7 @@ impl Topology {
         }
         self.scratch.links = run;
         self.ids.insert(p, node);
+        self.pos.insert(p, at);
         self.links = links;
         let index = &mut self.cache.get_mut().index;
         if !index.is_empty() {
@@ -982,6 +1521,9 @@ impl Topology {
             rows.truncate((n - 1) * w2);
             self.stride = w2;
             let _ = self.csr.take();
+            if self.skin.held {
+                self.skin.remove(p);
+            }
         } else {
             let _ = self.csr();
             let csr = self.csr.get_mut().expect("built above");
@@ -1005,6 +1547,7 @@ impl Topology {
             std::mem::swap(&mut csr.starts, starts);
         }
         self.ids.remove(p);
+        self.pos.remove(p);
         self.links = links;
         let index = &mut self.cache.get_mut().index;
         let at = index
@@ -1016,11 +1559,54 @@ impl Topology {
     }
 
     /// Finishes a splice: one that went through the CSR takes the
-    /// storage the rule picks for the new counts, and every answer is
-    /// forgotten.
+    /// storage the rule picks for the new counts, and keeps no skin;
+    /// every answer is forgotten.
     fn settle_spliced(&mut self, bits: bool) {
         if !bits {
+            self.skin.held = false;
             self.settle();
+        }
+        self.cache.get_mut().reset(self.ids.len());
+    }
+
+    /// Makes this the snapshot [`Topology::build`] would return had
+    /// `node`, already here, stood at `at`: on bit rows one rewrite of
+    /// its row and its column in place — each other node tested once
+    /// with the build's own cutoff — and the skin kept (see
+    /// `Skin::relocate`); on a CSR a [`remove`](Self::remove) and an
+    /// [`insert`](Self::insert). Either way the result takes the storage
+    /// a build of it would. Answers are forgotten only if a link
+    /// changed.
+    pub(crate) fn relocate(&mut self, node: NodeId, at: Point, range: f64) {
+        let p = self.index_of(node).expect("a relocated node is here");
+        if self.stride == 0 {
+            self.remove(node);
+            self.insert(node, at, range);
+            return;
+        }
+        let (cut, w) = (self.cutoff(range), self.stride);
+        self.pos[p] = at;
+        let bits = &mut self.bits;
+        let (mut gained, mut lost) = (0usize, 0usize);
+        for (j, &q) in self.pos.iter().enumerate().filter(|&(j, _)| j != p) {
+            let now = u64::from(cut.links(q, at));
+            let was = bits[p * w + j / 64] >> (j % 64) & 1;
+            let flip = now ^ was;
+            bits[p * w + j / 64] ^= flip << (j % 64);
+            bits[j * w + p / 64] ^= flip << (p % 64);
+            gained += (flip & now) as usize;
+            lost += (flip & was) as usize;
+        }
+        if self.skin.held {
+            self.skin.relocate(p, at);
+        }
+        if gained + lost == 0 {
+            return;
+        }
+        self.links = self.links + gained - lost;
+        let _ = self.csr.take();
+        if !rows_as_bits(self.ids.len(), self.links) {
+            self.rows_to_csr();
         }
         self.cache.get_mut().reset(self.ids.len());
     }
@@ -1053,14 +1639,14 @@ impl Topology {
     #[must_use]
     pub fn build_parallel(nodes: &[(NodeId, Point)], range: f64, threads: usize) -> Self {
         let threads = threads.max(1);
-        let Some(layout) = StripLayout::new(nodes, range) else {
+        let Some(layout) = StripLayout::new(nodes, range, range) else {
             return Self::build_naive(nodes, range);
         };
         let nrows = layout.nrows();
         // Too few rows to amortize thread spawns: scan inline.
         if threads == 1 || nrows < 2 * threads {
             let mut links = Vec::new();
-            layout.scan_rows(0, nrows, &mut links);
+            layout.scan_links(0, nrows, &mut links);
             return Self::from_links(nodes, &links);
         }
         let chunk = nrows.div_ceil(threads);
@@ -1072,7 +1658,7 @@ impl Topology {
                         let (r0, r1) = (w * chunk, ((w + 1) * chunk).min(nrows));
                         let mut links = Vec::new();
                         if r0 < r1 {
-                            layout.scan_rows(r0, r1, &mut links);
+                            layout.scan_links(r0, r1, &mut links);
                         }
                         links
                     })
@@ -1139,13 +1725,21 @@ impl Topology {
             assemble_csr(&mut csr, n, links, scratch);
             self.csr = OnceCell::from(csr);
         }
-        self.links = links.len();
+        self.set_nodes(nodes, links.len());
+    }
+
+    /// Makes `nodes` this snapshot's nodes, in dense order, joined by
+    /// `links` links, and forgets every answer and the id → index map.
+    fn set_nodes(&mut self, nodes: &[(NodeId, Point)], links: usize) {
+        self.links = links;
         self.ids.clear();
         self.ids.extend(nodes.iter().map(|(id, _)| *id));
+        self.pos.clear();
+        self.pos.extend(nodes.iter().map(|(_, p)| *p));
         self.id_ordered = self.ids.is_sorted();
         let cache = self.cache.get_mut();
         cache.index.clear();
-        cache.reset(n);
+        cache.reset(nodes.len());
     }
 
     /// The snapshot of per-node neighbor lists (already ascending).
@@ -1163,6 +1757,7 @@ impl Topology {
         topo.links = adj.len() / 2;
         topo.csr = OnceCell::from(Csr { starts, adj });
         topo.ids = nodes.iter().map(|(id, _)| *id).collect();
+        topo.pos = nodes.iter().map(|(_, p)| *p).collect();
         topo.id_ordered = topo.ids.is_sorted();
         topo.cache.get_mut().reset(nodes.len());
         topo.settle();
@@ -1966,6 +2561,163 @@ mod tests {
         // 20 000 nodes at a mean degree of 28: 313 words a row.
         assert!(!rows_as_bits(20_000, 280_000));
         assert!(!rows_as_bits(0, 0) && !rows_as_bits(1, 0));
+    }
+
+    /// `n` nodes on a square lattice `spacing` apart, ids ascending.
+    fn lattice(n: usize, side: usize, spacing: f64) -> Vec<(NodeId, Point)> {
+        (0..n)
+            .map(|i| {
+                let (x, y) = ((i % side) as f64, (i / side) as f64);
+                (NodeId::new(i as u64), Point::new(x * spacing, y * spacing))
+            })
+            .collect()
+    }
+
+    /// A snapshot of `nodes` swept with a skin.
+    fn skinned(nodes: &[(NodeId, Point)], range: f64) -> Topology {
+        let mut topo = Topology::empty();
+        topo.sweep(nodes, range, true);
+        assert!(topo.can_carry(), "a dense strip layout keeps a skin");
+        topo
+    }
+
+    /// `nodes` with node `i` moved by `(dx, dy)`.
+    fn moved(nodes: &[(NodeId, Point)], i: usize, dx: f64, dy: f64) -> Vec<(NodeId, Point)> {
+        let mut out = nodes.to_vec();
+        out[i].1 = Point::new(out[i].1.x + dx, out[i].1.y + dy);
+        out
+    }
+
+    /// Carries `topo` to `nodes` and holds it to a fresh build, storage
+    /// included; returns whether it carried.
+    fn carry_to(topo: &mut Topology, nodes: &[(NodeId, Point)], range: f64, when: &str) -> bool {
+        let carried = topo.carry(nodes, range);
+        assert!(*topo == Topology::build(nodes, range), "{when}");
+        assert!(*topo == Topology::build_naive(nodes, range), "{when}");
+        carried
+    }
+
+    #[test]
+    fn a_pair_at_exactly_the_range_stays_exact_across_carries() {
+        // 50 m apart on a 10 × 10 lattice: every pair three steps apart
+        // on a line is exactly 150 m apart.
+        let range = 150.0;
+        let nodes = lattice(100, 10, 50.0);
+        let mut topo = skinned(&nodes, range);
+        assert!(topo.linked(0, 3) && !topo.linked(0, 4));
+        // Everyone shifts alike, by halves and quarters: every difference
+        // stays exact, so the pairs at the range stay at it.
+        let shifted: Vec<_> = nodes
+            .iter()
+            .map(|&(id, p)| (id, Point::new(p.x + 0.5, p.y + 0.25)))
+            .collect();
+        assert!(carry_to(&mut topo, &shifted, range, "shifted"));
+        assert!(topo.linked(0, 3));
+        // One ulp past the range, then back on it.
+        let x3 = shifted[3].1.x;
+        let past = moved(&shifted, 3, f64::from_bits(x3.to_bits() + 1) - x3, 0.0);
+        assert!(Point::distance(past[0].1, past[3].1) > range);
+        assert!(carry_to(&mut topo, &past, range, "one ulp past"));
+        assert!(!topo.linked(0, 3));
+        assert!(carry_to(&mut topo, &shifted, range, "back at the range"));
+        assert!(topo.linked(0, 3));
+    }
+
+    #[test]
+    fn displacements_summing_to_exactly_the_skin_carry_and_past_it_sweep() {
+        let range = 150.0;
+        let s = range * SKIN;
+        let nodes = lattice(100, 10, 50.0);
+        // Node 0 stands at the origin, node 99 at (450, 450): their moves
+        // along x are exact.
+        for (how, ends) in [
+            ("one node by s", vec![(0, s)]),
+            ("two nodes by s/2", vec![(0, s / 2.0), (99, s / 2.0)]),
+        ] {
+            let mut there = nodes.clone();
+            for &(i, dx) in &ends {
+                there = moved(&there, i, dx, 0.0);
+            }
+            let mut topo = skinned(&nodes, range);
+            assert!(carry_to(&mut topo, &there, range, how), "{how} carries");
+            assert!(topo.can_carry());
+        }
+        let just_past = f64::from_bits(s.to_bits() + 1);
+        let mut topo = skinned(&nodes, range);
+        let past = moved(&nodes, 0, just_past, 0.0);
+        assert!(!carry_to(&mut topo, &past, range, "just past s"), "sweeps");
+        assert!(topo.can_carry(), "the sweep keeps a fresh skin");
+        // The sweep made `past` the reference: exactly `s` back carries.
+        let back = moved(&nodes, 0, just_past - s, 0.0);
+        assert!(carry_to(&mut topo, &back, range, "s back"));
+    }
+
+    #[test]
+    fn a_carry_that_crosses_the_storage_rule_sweeps_to_the_build() {
+        // 64 nodes (one word a row) in 32 pairs 140 m apart, the pairs
+        // 400 m from each other: 32 links, the fewest bit rows hold.
+        let range = 150.0;
+        let nodes: Vec<(NodeId, Point)> = (0..64u64)
+            .map(|i| {
+                let k = (i / 2) as f64;
+                let x = 400.0 * (k % 8.0) + 140.0 * (i % 2) as f64;
+                (NodeId::new(i), Point::new(x, 400.0 * (k / 8.0).floor()))
+            })
+            .collect();
+        let mut topo = skinned(&nodes, range);
+        assert_eq!(topo.link_count(), 32);
+        // One pair drifts 12 m further apart: 31 links, a CSR.
+        let apart = moved(&nodes, 1, 12.0, 0.0);
+        assert!(!carry_to(&mut topo, &apart, range, "across the rule"));
+        assert!(!topo.rows_are_bits() && !topo.can_carry());
+        assert_eq!(topo.link_count(), 31);
+    }
+
+    #[test]
+    fn relocation_at_word_boundaries_equals_the_build() {
+        let range = 150.0;
+        // 130 nodes: three words a row, the last index 129.
+        let nodes = lattice(130, 13, 45.0);
+        for p in [63usize, 64, 129] {
+            for (dx, dy) in [(3.0, -2.0), (70.0, 55.0)] {
+                let there = moved(&nodes, p, dx, dy);
+                let mut topo = skinned(&nodes, range);
+                topo.relocate(nodes[p].0, there[p].1, range);
+                let when = format!("node {p} by ({dx}, {dy})");
+                assert!(topo == Topology::build(&there, range), "{when}");
+                // The skin still carries the moved world exactly.
+                let drift: Vec<_> = there
+                    .iter()
+                    .map(|&(id, q)| (id, Point::new(q.x + 1.0, q.y - 1.5)))
+                    .collect();
+                assert!(carry_to(&mut topo, &drift, range, &when));
+                // Without a skin, the same.
+                let mut plain = Topology::build(&nodes, range);
+                plain.relocate(nodes[p].0, there[p].1, range);
+                assert!(plain == Topology::build(&there, range), "{when}, plain");
+            }
+        }
+    }
+
+    #[test]
+    fn mirror_completes_half_rows_at_word_boundaries() {
+        for n in [1usize, 63, 64, 65, 130] {
+            let w = words(n);
+            // Each pair once, in an orientation that varies with it.
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (0..a).map(move |b| (a, b)))
+                .filter(|&(a, b)| (a * 7 + b * 13) % 5 < 2)
+                .map(|(a, b)| if (a + b) % 2 == 0 { (a, b) } else { (b, a) })
+                .collect();
+            let (mut half, mut full) = (vec![0u64; n * w], vec![0u64; n * w]);
+            for &(a, b) in &pairs {
+                set_bit(&mut half[a * w..][..w], b);
+                set_bit(&mut full[a * w..][..w], b);
+                set_bit(&mut full[b * w..][..w], a);
+            }
+            mirror(&mut half, n, w);
+            assert_eq!(half, full, "{n} nodes");
+        }
     }
 
     #[test]

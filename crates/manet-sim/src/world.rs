@@ -160,15 +160,28 @@ impl Outbox {
     }
 }
 
-/// Most membership changes a refresh splices one by one. On bit rows a
-/// splice shifts `n · ⌈n/64⌉` words, where one sweep costs `n log n +
-/// links` and refills every row: at the benchmark's 128- and 600-node
-/// densities a sweep costs about twenty splices (a splice pair 3.5 µs
-/// against a 32 µs sweep at 128 nodes, 15 µs against 167 µs at 600, on
-/// a 2-vCPU x86-64 host), so a burst of up to twenty costs at most about
-/// one sweep, and the limit keeps a longer burst of joins between two
-/// queries from going quadratic.
+/// Most changes a refresh splices one by one. On bit rows a join or a
+/// leave shifts `n · ⌈n/64⌉` words (and a skin's ring indices) and a
+/// move rewrites one row and one column, where one sweep costs
+/// `n log n + links` and refills every row: at the benchmark's densities
+/// a sweep costs seven to thirty splices (at 600 nodes a join or a
+/// leave at a middle index 10 µs, a move 2.6 µs, against a 75 µs sweep;
+/// at 128 nodes 1.4 µs and 0.6 µs against 14 µs; on a 2-vCPU x86-64
+/// host), so a burst of up to twenty costs one to three sweeps, and the
+/// limit keeps a longer burst of joins between two queries from going
+/// quadratic.
 const SPLICE_LIMIT: usize = 20;
+
+/// What happened to a node since the snapshot was filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Change {
+    /// It became alive.
+    Join,
+    /// It stopped being alive.
+    Leave,
+    /// A mobility write moved it, alive, at the snapshot's bucket.
+    Move,
+}
 
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
@@ -189,15 +202,18 @@ pub struct World<M> {
     /// Moves whenever an `alive` or `configured` flag flips; see
     /// [`World::roster_version`].
     roster_version: u64,
-    /// What the snapshot lacks, oldest first: activations (`true`) and
-    /// removals (`false`) — a write that moved an alive node's snapshot
-    /// position is logged as its removal then activation. Stops growing
-    /// one past [`SPLICE_LIMIT`]: by then a sweep is due anyway.
-    since_snapshot: Vec<(NodeId, bool)>,
+    /// What the snapshot lacks, oldest first. Stops growing one past
+    /// [`SPLICE_LIMIT`]: by then a sweep is due anyway.
+    since_snapshot: Vec<(NodeId, Change)>,
     /// Nodes whose [`MobilityState::is_moving`], dead ones included.
     moving: usize,
     /// Refreshes of the snapshot that swept every position.
     sweeps: u64,
+    /// Refreshes that carried the snapshot to a new quantum's positions.
+    carries: u64,
+    /// The alive nodes at the bucket's positions, refilled by every
+    /// sweep and carry.
+    positions: Vec<(NodeId, Point)>,
     /// The run's one recorder; both of its classes are off by default.
     pub(crate) log: EventLog,
     observer: Observer,
@@ -228,6 +244,8 @@ impl<M: Clone + fmt::Debug> World<M> {
             since_snapshot: Vec::new(),
             moving: 0,
             sweeps: 0,
+            carries: 0,
+            positions: Vec::new(),
             log: EventLog::default(),
             observer: Observer::default(),
             faults,
@@ -470,16 +488,23 @@ impl<M: Clone + fmt::Debug> World<M> {
     ///
     /// * a rotated bucket alone **re-keys** it — memoized traversals and
     ///   components stay, they are still answers about this graph;
-    /// * joins, leaves and moved nodes (a leave, then a join) since then
-    ///   are **spliced** in, one node's links at a time and in the order
-    ///   they happened (`Topology::insert` / `remove`), which forgets the
-    ///   memo.
+    /// * joins, leaves and moved nodes since then are **spliced** in,
+    ///   one node's links at a time and in the order they happened
+    ///   (`Topology::insert` / `remove`; a move is one in-place
+    ///   `Topology::relocate`), which forgets the memo (a move only if
+    ///   it changed a link).
     ///
-    /// Anything else — a new quantum while some node is en route, or
-    /// more than `SPLICE_LIMIT` changes at once — is a **sweep**
-    /// ([`Topology::rebuild`]) into the storage the stale snapshot held.
-    /// The three are indistinguishable to every query; only
-    /// [`snapshot_sweeps`](World::snapshot_sweeps) tells them apart.
+    /// A new quantum while some node is en route splices the log the
+    /// same way and then **carries** the snapshot to the new positions
+    /// if its skin allows (`Topology::carry`: no two nodes have moved
+    /// more than the skin between them since the last sweep, so only
+    /// the pairs near the range are tested again). Anything else — a
+    /// skin outgrown or never kept (CSR storage, fewer than 32 nodes),
+    /// or more than `SPLICE_LIMIT` changes at once — is a **sweep**
+    /// into the storage the stale snapshot held. All four are
+    /// indistinguishable to every query; only
+    /// [`snapshot_sweeps`](World::snapshot_sweeps) and
+    /// [`snapshot_carries`](World::snapshot_carries) tell them apart.
     pub fn topology(&mut self) -> &Topology {
         self.query_snapshot();
         &self.topo_cache.as_ref().expect("cache just filled").2
@@ -500,37 +525,55 @@ impl<M: Clone + fmt::Debug> World<M> {
     /// Makes `topo_cache` the snapshot of this quantum, under `key`.
     fn refresh_snapshot(&mut self, key: (SimTime, u64)) {
         let (bucket, range) = (key.0, self.config.range);
+        let en_route = self.moving > 0;
         let nodes = &self.nodes;
         let position = |node: NodeId| nodes.mobility[node.index() as usize].position(bucket);
-        let since = &mut self.since_snapshot;
+        let fill = |positions: &mut Vec<(NodeId, Point)>| {
+            positions.clear();
+            positions.extend(
+                (0u64..)
+                    .map(NodeId::new)
+                    .zip(&nodes.alive)
+                    .filter(|(_, &alive)| alive)
+                    .map(|(node, _)| (node, position(node))),
+            );
+        };
+        let (since, positions) = (&mut self.since_snapshot, &mut self.positions);
         match &mut self.topo_cache {
             Some((t, v, topo))
-                if since.len() <= SPLICE_LIMIT && (*t == bucket || self.moving == 0) =>
+                if since.len() <= SPLICE_LIMIT
+                    && (*t == bucket || !en_route || topo.can_carry()) =>
             {
-                for &(node, joined) in since.iter() {
-                    if joined {
-                        topo.insert(node, position(node), range, position);
+                for &(node, change) in since.iter() {
+                    match change {
+                        Change::Join => topo.insert(node, position(node), range),
+                        Change::Leave => topo.remove(node),
+                        Change::Move => topo.relocate(node, position(node), range),
+                    }
+                }
+                if *t != bucket && en_route {
+                    fill(positions);
+                    if topo.carry(positions, range) {
+                        self.carries += 1;
                     } else {
-                        topo.remove(node);
+                        self.sweeps += 1;
                     }
                 }
                 (*t, *v) = key;
             }
             cache => {
                 self.sweeps += 1;
-                let positions: Vec<(NodeId, Point)> = (0u64..)
-                    .map(NodeId::new)
-                    .zip(&nodes.alive)
-                    .filter(|(_, &alive)| alive)
-                    .map(|(node, _)| (node, position(node)))
-                    .collect();
+                fill(positions);
                 match cache {
-                    // The stale snapshot's storage takes the new one.
+                    // The stale snapshot's storage takes the new one. A
+                    // moving world keeps a skin where the last snapshot's
+                    // rows were bits: the next quantum may then carry.
                     Some((t, v, topo)) => {
-                        topo.rebuild(&positions, range);
+                        let skin = en_route && topo.rows_are_bits();
+                        topo.sweep(positions, range, skin);
                         (*t, *v) = key;
                     }
-                    None => *cache = Some((key.0, key.1, Topology::build(&positions, range))),
+                    None => *cache = Some((key.0, key.1, Topology::build(positions, range))),
                 }
             }
         }
@@ -538,14 +581,23 @@ impl<M: Clone + fmt::Debug> World<M> {
     }
 
     /// How many refreshes of the topology snapshot swept every alive
-    /// node's position ([`Topology::build`] / [`Topology::rebuild`]) —
-    /// the rest of [`PerfCounters::topo_builds`](crate::PerfCounters)
-    /// were spliced or re-keyed (see [`World::topology`]). A world where
+    /// node's position — the rest of
+    /// [`PerfCounters::topo_builds`](crate::PerfCounters) were carried,
+    /// spliced or re-keyed (see [`World::topology`]). A world where
     /// nobody ever moves sweeps once; a moving one at most once per
-    /// quantum, bar bursts of more than `SPLICE_LIMIT` changes.
+    /// quantum, bar bursts of more than `SPLICE_LIMIT` changes, and at
+    /// bit-row densities only when its skin is outgrown.
     #[must_use]
     pub fn snapshot_sweeps(&self) -> u64 {
         self.sweeps
+    }
+
+    /// How many refreshes carried the snapshot to a new quantum's
+    /// positions by testing only the pairs near the range again (see
+    /// [`World::topology`]). No metrics record includes it.
+    #[must_use]
+    pub fn snapshot_carries(&self) -> u64 {
+        self.carries
     }
 
     /// One-hop neighbors of `node`, read off its row of the snapshot.
@@ -1005,7 +1057,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.nodes.alive[i] = true;
         self.roster_version += 1;
         self.nodes.joined_at[i] = now;
-        self.membership_changed(node, true);
+        self.membership_changed(node, Change::Join);
         self.log.push(now, Event::Join { node });
         true
     }
@@ -1021,28 +1073,28 @@ impl<M: Clone + fmt::Debug> World<M> {
                 self.nodes.alive[i] = false;
                 self.nodes.dormant[i] = false;
                 self.roster_version += 1;
-                self.membership_changed(node, false);
+                self.membership_changed(node, Change::Leave);
                 self.log.push(now, Event::Remove { node });
             }
         }
     }
 
-    /// `node` became alive (`joined`) or stopped being: the snapshot is
-    /// stale, and this is what it lacks.
-    fn membership_changed(&mut self, node: NodeId, joined: bool) {
+    /// `node` joined, left or moved: the snapshot is stale, and this is
+    /// what it lacks.
+    fn membership_changed(&mut self, node: NodeId, change: Change) {
         self.topo_version += 1;
         let log = &mut self.since_snapshot;
         if log.len() <= SPLICE_LIMIT {
-            log.push((node, joined));
+            log.push((node, change));
         }
     }
 
     /// The one way a [`MobilityState`] is written once its node exists:
     /// keeps the count of nodes en route and, if the write moved an
     /// alive node's position at the cached snapshot's bucket, logs the
-    /// node's links as stale (a leave, then a join). A write that moved
-    /// nothing there — a parked node starting a leg — leaves the
-    /// snapshot and its memo standing.
+    /// node's links as stale (a move). A write that moved nothing there
+    /// — a parked node starting a leg — leaves the snapshot and its memo
+    /// standing.
     fn write_mobility(&mut self, i: usize, write: impl FnOnce(&mut MobilityState)) {
         let bucket = self.topo_cache.as_ref().map(|(t, ..)| *t);
         let state = &mut self.nodes.mobility[i];
@@ -1051,9 +1103,7 @@ impl<M: Clone + fmt::Debug> World<M> {
         self.moving = self.moving + usize::from(state.is_moving()) - usize::from(was_moving);
         self.nodes.mobility_epoch[i] += 1;
         if self.nodes.alive[i] && was_at != bucket.map(|b| state.position(b)) {
-            let node = NodeId::new(i as u64);
-            self.membership_changed(node, false);
-            self.membership_changed(node, true);
+            self.membership_changed(NodeId::new(i as u64), Change::Move);
         }
     }
 
